@@ -99,6 +99,19 @@ func TestGoldenGeneralSchema(t *testing.T) {
 	})
 }
 
+// TestGoldenGeneralModels lints each model under testdata/general against
+// the schema of the same base name beside it.
+func TestGoldenGeneralModels(t *testing.T) {
+	runGolden(t, "general", ".xml", func(name string, src []byte) []analysis.Diagnostic {
+		xsdFile := filepath.Join("testdata", "general", strings.TrimSuffix(name, ".xml")+".xsd")
+		schema, err := xsd.LoadSchemaFile(xsdFile)
+		if err != nil {
+			t.Fatalf("loading %s: %v", xsdFile, err)
+		}
+		return analysis.LintModelSource(name, src, schema)
+	})
+}
+
 // Every diagnostic code documented in DESIGN.md §7 must be triggered by
 // at least one golden corpus file.
 func TestGoldenCorpusCoversAllCodes(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"goldweb/internal/xmldom"
-	"goldweb/internal/xpath"
 	"goldweb/internal/xsd"
 )
 
@@ -26,88 +25,44 @@ func LintModelSource(file string, src []byte, schema *xsd.Schema) []Diagnostic {
 }
 
 // LintModel lints an already-parsed model document. The document must be
-// mutable: schema-supplied attribute defaults are applied before the
-// referential checks, exactly as at publication time.
+// mutable: it is validated in one pass that applies schema-supplied
+// attribute defaults, exactly as at publication time, and then frozen.
 func LintModel(file string, doc *xmldom.Node, schema *xsd.Schema) []Diagnostic {
+	return LintValidated(file, schema.ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true}))
+}
+
+// LintValidated lints a document that has been through validation
+// without a MaxErrors limit: GW401 for each structural or type error,
+// GW402 for each referential (key/keyref) violation with a message
+// naming the governing key.
+//
+// GW402 re-evaluates only the scopes the validator found violated. A
+// scope it found clean has no duplicate key value and no dangling
+// keyref, which are the only things GW402 reports; the others need no
+// second look.
+func LintValidated(file string, v *xsd.Validated) []Diagnostic {
 	var diags []Diagnostic
-	structural := schema.Validate(doc, xsd.ValidateOptions{
-		ApplyDefaults:           true,
-		SkipIdentityConstraints: true,
-	})
-	for _, e := range structural {
+	for _, e := range v.StructuralErrors() {
 		diags = append(diags, Diagnostic{
 			File: file, Line: e.Line,
 			Severity: SevError, Code: CodeModelInvalid,
 			Msg: e.Path + ": " + e.Msg,
 		})
 	}
-	diags = append(diags, lintReferences(file, doc, schema)...)
+	for _, sc := range v.Scopes {
+		if sc.Violations > 0 {
+			diags = append(diags, checkScope(file, sc.Elem, sc.Decl.Constraints)...)
+		}
+	}
 	Sort(diags)
 	return diags
 }
 
-// constraintScopes maps element names to the identity constraints their
-// declarations carry, collected across the whole (Russian-doll) schema.
-func constraintScopes(s *xsd.Schema) map[string][]*xsd.IdentityConstraint {
-	out := map[string][]*xsd.IdentityConstraint{}
-	visited := map[*xsd.ElementDecl]bool{}
-	var visit func(d *xsd.ElementDecl)
-	var visitParticle func(p *xsd.Particle)
-	visit = func(d *xsd.ElementDecl) {
-		if d == nil || visited[d] {
-			return
-		}
-		visited[d] = true
-		if len(d.Constraints) > 0 {
-			out[d.Name] = append(out[d.Name], d.Constraints...)
-		}
-		if d.Complex != nil {
-			visitParticle(d.Complex.Content)
-		}
-	}
-	visitParticle = func(p *xsd.Particle) {
-		if p == nil {
-			return
-		}
-		if p.Kind == xsd.PElement {
-			visit(p.Elem)
-			return
-		}
-		for _, c := range p.Children {
-			visitParticle(c)
-		}
-	}
-	for _, d := range s.Elements {
-		visit(d)
-	}
-	return out
-}
-
-// lintReferences re-evaluates every key/unique/keyref constraint the
-// schema declares, reporting violations as GW402 with the governing key
-// and its declared value set — richer than the validator's message, and
-// scoped per declaring element instance exactly as §3.1 prescribes.
-func lintReferences(file string, doc *xmldom.Node, schema *xsd.Schema) []Diagnostic {
-	scopes := constraintScopes(schema)
-	if len(scopes) == 0 {
-		return nil
-	}
-	var diags []Diagnostic
-	var walk func(n *xmldom.Node)
-	walk = func(n *xmldom.Node) {
-		if n.Type == xmldom.ElementNode {
-			if ics := scopes[n.Name]; ics != nil {
-				diags = append(diags, checkScope(file, n, ics)...)
-			}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(doc)
-	return diags
-}
-
+// checkScope re-evaluates the key/unique/keyref constraints of one scope
+// — the element and the constraints of the declaration the validator
+// applied to it, as §3.1 prescribes — and reports violations as GW402
+// with the governing key and its declared value set, richer than the
+// validator's message.
 func checkScope(file string, elem *xmldom.Node, ics []*xsd.IdentityConstraint) []Diagnostic {
 	var diags []Diagnostic
 	flag := func(at *xmldom.Node, format string, args ...interface{}) {
@@ -119,7 +74,7 @@ func checkScope(file string, elem *xmldom.Node, ics []*xsd.IdentityConstraint) [
 		diags = append(diags, d)
 	}
 	for _, ic := range ics {
-		vals, nodes := constraintTuples(elem, ic)
+		vals, nodes := ic.Tuples(elem)
 		switch ic.Kind {
 		case xsd.KeyConstraint, xsd.UniqueConstraint:
 			seen := map[string]*xmldom.Node{}
@@ -145,7 +100,7 @@ func checkScope(file string, elem *xmldom.Node, ics []*xsd.IdentityConstraint) [
 			if target == nil {
 				continue // schema-level problem, reported by CheckSchema
 			}
-			keyVals, _ := constraintTuples(elem, target)
+			keyVals, _ := target.Tuples(elem)
 			keys := map[string]bool{}
 			for _, v := range keyVals {
 				if v != "" {
@@ -164,42 +119,6 @@ func checkScope(file string, elem *xmldom.Node, ics []*xsd.IdentityConstraint) [
 		}
 	}
 	return diags
-}
-
-// constraintTuples evaluates a constraint's selector and fields below
-// elem, returning one joined field tuple per selected node ("" when a
-// field is absent).
-func constraintTuples(elem *xmldom.Node, ic *xsd.IdentityConstraint) ([]string, []*xmldom.Node) {
-	ctx := xpath.GetContext()
-	defer xpath.PutContext(ctx)
-	ctx.Node, ctx.Position, ctx.Size = elem, 1, 1
-	selected, err := ic.Selector.EvalNodes(ctx)
-	if err != nil {
-		return nil, nil
-	}
-	tuples := make([]string, len(selected))
-	fctx := ctx
-	for i, n := range selected {
-		var parts []string
-		complete := true
-		for _, f := range ic.Fields {
-			fctx.Node = n
-			fv, err := f.Eval(fctx)
-			if err != nil {
-				complete = false
-				break
-			}
-			if ns, isNS := fv.(xpath.NodeSet); isNS && len(ns) == 0 {
-				complete = false
-				break
-			}
-			parts = append(parts, xpath.ToString(fv))
-		}
-		if complete {
-			tuples[i] = strings.Join(parts, "\x1f")
-		}
-	}
-	return tuples, selected
 }
 
 // valueList renders up to eight declared key values, sorted, for the

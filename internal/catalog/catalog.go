@@ -2,7 +2,9 @@
 // each served by its own internal/server instance, with resilient hot
 // swaps: every model transition runs a staged pipeline (parse →
 // xsd-validate → lint gate → shadow publish → atomic generation bump)
-// and any stage failure rolls back to the last-good snapshot. A
+// and any stage failure rolls back to the last-good snapshot. Each
+// transition validates its input once, in one pass whose result the lint
+// gate reuses, and the snapshot's canonical document once more. A
 // background reloader retries failed loads with exponential backoff and
 // seeded jitter under a per-model circuit breaker, so one corrupt model
 // file degrades exactly one model — which keeps serving its last-good
@@ -483,28 +485,25 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		return fmt.Errorf("parse: %w", perr)
 	}
 
-	// Stage 2: structural XSD validation — grammar and types, applying
-	// schema defaults in place — plus model construction. Referential
-	// integrity (key/keyref) is deliberately left to the lint gate,
-	// which reports violations with the governing key named; the shadow
-	// publish re-runs full validation as a backstop when the gate is off.
+	// Stage 2: validation — one pass over the input that applies schema
+	// defaults, freezes the document and evaluates key/keyref on the
+	// frozen tree — plus model construction. Only structural and type
+	// errors fail here; referential (key/keyref) violations are the lint
+	// gate's to report, with the governing key named.
 	stage = "validate"
-	verrs := c.schema.Validate(doc, xsd.ValidateOptions{
-		ApplyDefaults:           true,
-		SkipIdentityConstraints: true,
-	})
-	if len(verrs) > 0 {
+	val := c.schema.ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true})
+	if verrs := val.StructuralErrors(); len(verrs) > 0 {
 		return fmt.Errorf("validate: %v (%d problems)", verrs[0], len(verrs))
 	}
-	m, merr := core.ModelFromXML(doc)
+	m, merr := core.ModelFromXML(val.Doc)
 	if merr != nil {
 		return fmt.Errorf("validate: %w", merr)
 	}
 
-	// Stage 3: lint gate.
+	// Stage 3: lint gate, over the validation result (no second pass).
 	stage = "lint"
 	if c.opts.Lint != LintOff {
-		diags := analysis.LintModel(e.name+".xml", doc, c.schema)
+		diags := analysis.LintValidated(e.name+".xml", val)
 		if analysis.HasErrors(diags) {
 			summary := fmt.Errorf("lint: %d findings, first: %s", len(diags), diags[0])
 			if c.opts.Lint == LintStrict {
@@ -514,9 +513,12 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		}
 	}
 
-	// Stage 4: shadow publish. The server validates the snapshot again
-	// and runs the full publication pipeline against it without touching
-	// the live snapshot — a failure here leaves last-good untouched.
+	// Stage 4: shadow publish. The server builds the snapshot from the
+	// model's canonical document — a different document from the input,
+	// so it is validated too, and that validation is the backstop for
+	// key/keyref violations when the gate is off or only warns — and runs
+	// the full publication pipeline against it without touching the live
+	// snapshot: a failure here leaves last-good untouched.
 	stage = "publish"
 	staged, serr := e.srv.Stage(sctx, m)
 	if serr != nil {

@@ -18,6 +18,7 @@ import (
 	"goldweb/internal/htmlgen"
 	"goldweb/internal/server"
 	"goldweb/internal/xmldom"
+	"goldweb/internal/xsd"
 )
 
 // modelSource builds a small valid model named name and returns its
@@ -185,6 +186,56 @@ func TestStageFailuresRollBackToLastGood(t *testing.T) {
 				t.Fatalf("events: %d failures, %d commits", log.count(EventStageFailed), log.count(EventSwapCommitted))
 			}
 		})
+	}
+}
+
+// TestStageErrorMessages pins the exact stage errors a failed swap
+// reports. A structural error fails validation with the count of
+// structural errors only, even when key/keyref violations are present
+// too; key/keyref violations alone fail the lint gate under strict and
+// the snapshot's validation under warn and off.
+func TestStageErrorMessages(t *testing.T) {
+	good := modelSource(t, "Sales DW")
+	const (
+		structural = "validate: /goldmodel/bogus (line 1): element <bogus> is not allowed here in goldmodel (content model (factclasses, dimclasses, cubeclasses?)) (1 problems)"
+		backstop   = "publish: document is invalid: /goldmodel/dimclasses/dimclass/relationasocs/relationasoc: keyref relationAsocChildKey: value (da1) does not match any levelKey value (1 problems)"
+	)
+	cases := []struct {
+		lint LintPolicy
+		src  []byte
+		want string
+	}{
+		{LintStrict, structuralBad(good), structural},
+		{LintStrict, structuralBad(keyrefBroken(good)), structural},
+		{LintStrict, keyrefBroken(good), "lint: 1 findings, first: m.xml:1:699: error GW402: keyref 'relationAsocChildKey': value 'da1' matches no 'levelKey' key value within dimclass (key selects asoclevels/asoclevel, field @id; declared values: l1)"},
+		{LintWarn, keyrefBroken(good), backstop},
+		{LintOff, keyrefBroken(good), backstop},
+	}
+	for _, tc := range cases {
+		c := New(Options{DisableRetry: true, Lint: tc.lint})
+		err := c.Set(context.Background(), "m", tc.src)
+		c.Close()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("lint %s: err = %v\nwant %s", tc.lint, err, tc.want)
+		}
+	}
+}
+
+// TestSetValidatesEachDocumentOnce: a swap walks its input document once
+// (the lint gate reuses that validation instead of walking again) and the
+// snapshot's canonical document once, on the first load and on a hot swap.
+func TestSetValidatesEachDocumentOnce(t *testing.T) {
+	c := New(Options{DisableRetry: true})
+	defer c.Close()
+	src := modelSource(t, "Sales DW")
+	for _, step := range []string{"first load", "hot swap"} {
+		before := xsd.ValidationWalks()
+		if err := c.Set(context.Background(), "m", src); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if walks := xsd.ValidationWalks() - before; walks != 2 {
+			t.Errorf("%s: %d validation walks, want 2 (input and snapshot)", step, walks)
+		}
 	}
 }
 

@@ -61,6 +61,12 @@ func ValidateDocument(doc *xmldom.Node) []xsd.ValidationError {
 	return MustSchema().Validate(doc, xsd.ValidateOptions{ApplyDefaults: true})
 }
 
+// ValidateAndFreeze is ValidateDocument in one pass that also freezes
+// the document, ready to be shared by concurrent publications.
+func ValidateAndFreeze(doc *xmldom.Node) *xsd.Validated {
+	return MustSchema().ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true})
+}
+
 // ValidateModel marshals the model and validates the result against the
 // canonical schema, i.e. the full CASE-tool round trip of §3.2.
 func ValidateModel(m *Model) []xsd.ValidationError {

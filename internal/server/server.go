@@ -34,6 +34,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -258,15 +259,16 @@ func (s *Server) buildSnapshot(m *core.Model) *snapshot {
 	// Validate once per swap (applying schema defaults) so the request
 	// path never re-validates; the defaults-applied document is frozen and
 	// shared by every concurrent transformation.
-	snap.pubDoc = m.ToXML()
-	if errs := core.ValidateDocument(snap.pubDoc); len(errs) > 0 {
+	pub := core.ValidateAndFreeze(m.ToXML())
+	snap.pubDoc = pub.Doc
+	if errs := pub.Errors; len(errs) > 0 {
 		snap.pubErr = fmt.Errorf("document is invalid: %v (%d problems)", errs[0], len(errs))
 	}
-	xmldom.Freeze(snap.pubDoc)
 	const xmlCT = "text/xml; charset=utf-8"
-	snap.modelXML = s.store.Intern(xmlCT, []byte(xmldom.SerializeToString(snap.doc, xmldom.WriteOptions{})))
+	modelXML := []byte(xmldom.SerializeToString(snap.doc, xmldom.WriteOptions{}))
+	snap.modelXML = s.store.Intern(xmlCT, modelXML)
 	snap.prettyXML = s.store.Intern("text/plain; charset=utf-8", []byte(xmldom.Pretty(snap.doc)))
-	snap.clientXML = s.store.Intern(xmlCT, clientModelXML(snap.doc))
+	snap.clientXML = s.store.Intern(xmlCT, clientModelXML(modelXML))
 	snap.cwmXMI = s.store.Intern(xmlCT, []byte(cwm.ExportString(m)))
 	return snap
 }
@@ -418,15 +420,20 @@ func (s *Server) awaitPublishes(ctx context.Context) bool {
 	}
 }
 
-// clientModelXML serializes the document with the xml-stylesheet
-// processing instruction that points an XSLT-capable browser at
-// /client/single.xsl (the paper's §6 client-side future work).
-func clientModelXML(frozen *xmldom.Node) []byte {
-	doc := frozen.Editable()
-	pi := &xmldom.Node{Type: xmldom.PINode, Name: "xml-stylesheet",
-		Data: `type="text/xsl" href="/client/single.xsl"`}
-	doc.InsertBefore(pi, doc.DocumentElement())
-	return []byte(xmldom.SerializeToString(doc, xmldom.WriteOptions{}))
+// clientStylesheetPI is the processing instruction that points an
+// XSLT-capable browser at /client/single.xsl (the paper's §6
+// client-side future work).
+const clientStylesheetPI = `<?xml-stylesheet type="text/xsl" href="/client/single.xsl"?>`
+
+// clientModelXML returns a model document's compact serialization — an
+// XML declaration followed by the root element, the shape Model.ToXML
+// produces — with clientStylesheetPI spliced in after the declaration.
+func clientModelXML(serialized []byte) []byte {
+	decl := bytes.Index(serialized, []byte("?>")) + len("?>")
+	out := make([]byte, 0, len(serialized)+len(clientStylesheetPI))
+	out = append(out, serialized[:decl]...)
+	out = append(out, clientStylesheetPI...)
+	return append(out, serialized[decl:]...)
 }
 
 // snapshot returns the current published state (nil before the first

@@ -7,7 +7,9 @@
 package xmldom
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -486,6 +488,15 @@ func CompareOrder(a, b *Node) int {
 	return 1
 }
 
+// compareStamps orders nodes of frozen trees by tree identity, then by
+// document-order stamp.
+func compareStamps(a, b *Node) int {
+	if a.idx != b.idx {
+		return cmp.Compare(a.idx.id, b.idx.id)
+	}
+	return cmp.Compare(a.ord, b.ord)
+}
+
 // SortDocOrder sorts nodes in place into document order and removes
 // duplicates, returning the (possibly shortened) slice. When every node
 // belongs to a frozen tree the sort compares precomputed stamps; the
@@ -502,13 +513,11 @@ func SortDocOrder(nodes []*Node) []*Node {
 		}
 	}
 	if allFrozen {
-		sort.Slice(nodes, func(i, j int) bool {
-			a, b := nodes[i], nodes[j]
-			if a.idx != b.idx {
-				return a.idx.id < b.idx.id
-			}
-			return a.ord < b.ord
-		})
+		// Node-sets merged from successive context nodes usually arrive
+		// in order already; checking first skips the sort for them.
+		if !slices.IsSortedFunc(nodes, compareStamps) {
+			slices.SortFunc(nodes, compareStamps)
+		}
 		out := nodes[:0]
 		var prev *Node
 		for _, n := range nodes {

@@ -144,9 +144,30 @@ func (st *SimpleType) normalize(v string) string {
 			return r
 		}, v)
 	case "collapse":
+		if collapsed(v) {
+			return v
+		}
 		return strings.Join(strings.Fields(v), " ")
 	}
 	return v
+}
+
+// collapsed reports whether collapsing would leave v unchanged, the
+// common case of attribute values: ASCII without control whitespace,
+// with no leading, trailing or repeated space. Anything else, including
+// every non-ASCII value, takes the general path.
+func collapsed(v string) bool {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; {
+		case c >= 0x80, c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ':
+			if i == 0 || i == len(v)-1 || v[i+1] == ' ' {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // checkBuiltin validates a (whitespace-normalized) lexical value against a

@@ -2,6 +2,7 @@ package xsd
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -225,5 +226,22 @@ func TestXMLNamespaceAttributesPass(t *testing.T) {
 	// schema-declared attributes.
 	if errs := s.ValidateString(`<e xmlns:foo="urn:x" xml:lang="en"/>`, ValidateOptions{}); len(errs) != 0 {
 		t.Errorf("infrastructure attributes rejected: %v", errs)
+	}
+}
+
+// collapsed must agree with the general collapse on every input: a value
+// it accepts is returned unchanged by strings.Fields + Join.
+func TestCollapsedMatchesFields(t *testing.T) {
+	for _, v := range []string{
+		"", "a", "a b", " a", "a ", "a  b", "a\tb", "a\nb", "a\rb", "a\vb",
+		"a\fb", "a\u00a0b", "a\u2003b", "\u0085", "café", "x1 y2 z3", "  ",
+	} {
+		want := strings.Join(strings.Fields(v), " ")
+		if collapsed(v) && v != want {
+			t.Errorf("collapsed(%q) = true, but collapsing gives %q", v, want)
+		}
+		if got := builtinType("token").normalize(v); got != want {
+			t.Errorf("normalize(%q) = %q, want %q", v, got, want)
+		}
 	}
 }

@@ -245,12 +245,14 @@ func (p *schemaParser) parseComplexType(e *xmldom.Node) (*ComplexType, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, prev := range ct.Attributes {
-				if prev.Name == ad.Name {
-					return nil, p.errf(c, "duplicate attribute %s", ad.Name)
-				}
+			if _, dup := ct.attrs[ad.Name]; dup {
+				return nil, p.errf(c, "duplicate attribute %s", ad.Name)
+			}
+			if ct.attrs == nil {
+				ct.attrs = map[string]*AttributeDecl{}
 			}
 			ct.Attributes = append(ct.Attributes, ad)
+			ct.attrs[ad.Name] = ad
 		case "anyAttribute":
 			if ct.AnyAttr != nil {
 				return nil, p.errf(c, "complexType has multiple anyAttribute wildcards")
@@ -602,6 +604,7 @@ func (p *schemaParser) parseConstraint(e *xmldom.Node) (*IdentityConstraint, err
 			}
 			ic.Fields = append(ic.Fields, expr)
 			ic.fieldSrcs = append(ic.fieldSrcs, src)
+			ic.fieldAttrs = append(ic.fieldAttrs, attrField(src))
 		default:
 			return nil, p.errf(c, "unexpected xsd:%s in %s", c.Name, e.Name)
 		}
