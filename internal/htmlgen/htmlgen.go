@@ -253,11 +253,10 @@ func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Sty
 		if work.Frozen() {
 			work = doc.Editable()
 		}
-		if errs := core.ValidateDocument(work); len(errs) > 0 {
+		if errs := core.ValidateAndFreeze(work).Errors; len(errs) > 0 {
 			return nil, nil, nil, "", fmt.Errorf("htmlgen: document is invalid: %v (%d problems)", errs[0], len(errs))
 		}
-	}
-	if !work.Frozen() {
+	} else if !work.Frozen() {
 		xmldom.Freeze(work)
 	}
 	var sheet *xslt.Stylesheet
