@@ -22,11 +22,10 @@ func clientModelXMLByClone(frozen *xmldom.Node) []byte {
 	return []byte(xmldom.SerializeToString(doc, xmldom.WriteOptions{}))
 }
 
-// TestClientModelXMLSplice: splicing the processing instruction into the
-// serialized model yields the same bytes as the clone-and-reserialize
-// construction, for every committed example model and the generated
-// model sizes the load benchmarks serve.
-func TestClientModelXMLSplice(t *testing.T) {
+// viewTestModels returns every committed example model and the
+// generated model sizes the load benchmarks serve, keyed by name.
+func viewTestModels(t *testing.T) map[string]*core.Model {
+	t.Helper()
 	models := map[string]*core.Model{}
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "models", "*.xml"))
 	if err != nil || len(files) == 0 {
@@ -51,7 +50,15 @@ func TestClientModelXMLSplice(t *testing.T) {
 	} {
 		models[spec.String()] = workload.GenModel(spec)
 	}
-	for name, m := range models {
+	return models
+}
+
+// TestClientModelXMLSplice: splicing the processing instruction into the
+// serialized model yields the same bytes as the clone-and-reserialize
+// construction, for every committed example model and the generated
+// model sizes the load benchmarks serve.
+func TestClientModelXMLSplice(t *testing.T) {
+	for name, m := range viewTestModels(t) {
 		doc := m.ToXML()
 		xmldom.Freeze(doc)
 		got := clientModelXML([]byte(xmldom.SerializeToString(doc, xmldom.WriteOptions{})))

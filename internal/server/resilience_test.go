@@ -422,7 +422,7 @@ func TestWarmHitAllocations(t *testing.T) {
 	}
 
 	h := srv.Handler()
-	for _, path := range []string{"/site/index.html", "/model.xml", "/cwm.xmi"} {
+	for _, path := range []string{"/site/index.html", "/model.xml", "/pretty", "/client/model.xml", "/cwm.xmi"} {
 		req, err := http.NewRequest(http.MethodGet, path, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -36,17 +36,27 @@ var DefaultLimits = Limits{
 
 // ParseWithLimits is Parse with explicit resource limits.
 func ParseWithLimits(src []byte, lim Limits) (*Node, error) {
-	if lim.MaxInput > 0 && len(src) > lim.MaxInput {
-		return nil, &ParseError{Line: 1, Col: 1,
-			Msg: fmt.Sprintf("input is %d bytes, exceeds the %d byte limit", len(src), lim.MaxInput)}
+	if err := checkInputSize(len(src), lim); err != nil {
+		return nil, err
 	}
-	p := &parser{src: src, line: 1, col: 1, limits: lim}
-	return p.parseDocument()
+	return parse(string(src), lim)
 }
 
-// ParseStringWithLimits is ParseWithLimits for string input.
+// ParseStringWithLimits is ParseWithLimits for string input. The
+// document's strings share src's bytes.
 func ParseStringWithLimits(src string, lim Limits) (*Node, error) {
-	return ParseWithLimits([]byte(src), lim)
+	if err := checkInputSize(len(src), lim); err != nil {
+		return nil, err
+	}
+	return parse(src, lim)
+}
+
+func checkInputSize(n int, lim Limits) error {
+	if lim.MaxInput > 0 && n > lim.MaxInput {
+		return &ParseError{Line: 1, Col: 1,
+			Msg: fmt.Sprintf("input is %d bytes, exceeds the %d byte limit", n, lim.MaxInput)}
+	}
+	return nil
 }
 
 // ParseContext is ParseWithLimits under a context: when ctx is

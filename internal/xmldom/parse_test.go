@@ -1,6 +1,9 @@
 package xmldom
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -223,5 +226,73 @@ func TestParseErrorHasPosition(t *testing.T) {
 	}
 	if pe.Line != 2 {
 		t.Errorf("error line = %d, want 2", pe.Line)
+	}
+}
+
+// Namespaces in XML 1.0 §6.3: two attributes with the same namespace URI
+// and local name are duplicates even when their prefixes differ.
+func TestParseNamespacedDuplicateAttributeRejected(t *testing.T) {
+	_, err := ParseString(`<e xmlns:a="u" xmlns:b="u" a:x="1" b:x="2"/>`)
+	pe, ok := err.(*ParseError)
+	if !ok {
+		t.Fatalf("want *ParseError, got %T (%v)", err, err)
+	}
+	if pe.Line != 1 || pe.Col != 36 || !strings.Contains(pe.Msg, "duplicate attribute") {
+		t.Errorf("error = %v, want a duplicate-attribute error at the second attribute, 1:36", pe)
+	}
+	// Same local name in different namespaces, or with and without one,
+	// is two attributes.
+	for _, src := range []string{
+		`<e xmlns:a="u" xmlns:b="v" a:x="1" b:x="2"/>`,
+		`<e xmlns:a="u" x="1" a:x="2"/>`,
+	} {
+		if _, err := ParseString(src); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
+	}
+}
+
+// XML 1.0 §2.11: a CRLF pair and a lone CR both reach the document as a
+// single LF, in text and in attribute values alike.
+func TestParseEndOfLineHandling(t *testing.T) {
+	doc := MustParseString("<r a=\"x\r\ny\rz\">one\r\ntwo\rthree<![CDATA[\r\n]]></r>")
+	r := doc.DocumentElement()
+	if got := r.AttrValue("a"); got != "x y z" {
+		t.Errorf("attribute = %q, want %q", got, "x y z")
+	}
+	if got := r.StringValue(); got != "one\ntwo\nthree\n" {
+		t.Errorf("text = %q, want %q", got, "one\ntwo\nthree\n")
+	}
+	// A character reference to CR is not a line end.
+	if got := MustParseString("<r a=\"&#13;\">&#13;</r>").DocumentElement(); got.AttrValue("a") != "\r" || got.StringValue() != "\r" {
+		t.Errorf("&#13; = %q / %q, want CR", got.AttrValue("a"), got.StringValue())
+	}
+	// Lone CRs end lines for error positions too.
+	_, err := ParseString("<a>\r<b>\r</c></a>")
+	if pe, ok := err.(*ParseError); !ok || pe.Line != 3 {
+		t.Errorf("error = %v, want line 3", err)
+	}
+}
+
+func TestParseCRLFModelSerializesLikeLF(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "models", "salesdw.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crlf := bytes.ReplaceAll(src, []byte("\n"), []byte("\r\n"))
+	if bytes.Equal(crlf, src) {
+		t.Fatal("model has no line ends to convert")
+	}
+	lf, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dos, err := Parse(crlf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SerializeToString(lf, WriteOptions{})
+	if got := SerializeToString(dos, WriteOptions{}); got != want {
+		t.Errorf("CRLF copy serializes differently:\ngot:  %.200q\nwant: %.200q", got, want)
 	}
 }
