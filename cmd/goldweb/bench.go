@@ -196,44 +196,6 @@ func benchCases() []benchCase {
 			},
 		})
 	}
-	// Bytecode-vs-tree: the same multi-page presentation transform run
-	// through the lowered stylesheet program on the shared XPath VM and
-	// through the tree-walking engine it is differentially pinned
-	// against. The delta is the dispatch + literal-segment win.
-	{
-		sheet, err := core.MultiPageStylesheet()
-		if err != nil {
-			panic(err)
-		}
-		tdoc := workload.GenModel(workload.ModelSpec{Facts: 4, Dims: 8, Depth: 2}).ToXML()
-		tdoc.Freeze()
-		tparams := map[string]xpath.Value{
-			"focus": xpath.String(""),
-			"css":   xpath.String("style.css"),
-		}
-		cases = append(cases, benchCase{
-			Name: "xslt/bytecode-vs-tree/bytecode/f4d8h2",
-			Run: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sheet.TransformToBuffers(tdoc, tparams); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		})
-		cases = append(cases, benchCase{
-			Name: "xslt/bytecode-vs-tree/tree/f4d8h2",
-			Run: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sheet.TransformToBuffersReference(tdoc, tparams); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		})
-	}
 	// Catalog hot-swap latency: one Set call runs the whole staged
 	// pipeline — parse, xsd-validate, lint gate, shadow publish, atomic
 	// generation bump — so this is the time a model is in transition.

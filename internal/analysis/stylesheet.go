@@ -409,7 +409,7 @@ func (l *ssLint) useAttrSets(a *xmldom.Node) {
 func (l *ssLint) checkExprSrc(src string, cs, cur ctxSet, at pos, sc *scope) ctxSet {
 	e, err := xpath.Compile(src)
 	if err != nil {
-		return unknownCtx() // surfaced as GW001 by xslt.Compile
+		return unknownCtx() // surfaced as GW001 by xslt.CompileStylesheet
 	}
 	return l.evalExpr(e, cs, cur, at, sc)
 }

@@ -31,14 +31,16 @@ import (
 // leave a premature finding behind.
 
 // Frame kinds of the shape stack. Elements are the interesting case;
-// capture frames (attribute/comment/PI/message value construction) and
-// sub-document frames absorb the content produced inside them.
+// capture frames (attribute/comment/PI/message value construction and
+// result-tree fragments) and sub-document frames absorb the content
+// produced inside them.
 const (
 	shElem    = 'e'
 	shAttr    = 'a'
 	shComment = 'c'
 	shPI      = 'p'
 	shMsg     = 'm'
+	shRTF     = 'r'
 	shDoc     = 'd'
 )
 
@@ -401,6 +403,12 @@ func (sa *shaper) step(pc int, in *shpState) {
 	case xslt.OpMsgEnd:
 		st.pop(shMsg)
 		next()
+	case xslt.OpRTFBegin:
+		st.frames = append(st.frames, shpFrame{kind: shRTF, pc: pc})
+		next()
+	case xslt.OpRTFEnd:
+		st.pop(shRTF)
+		next()
 	case xslt.OpDocBegin:
 		st.frames = append(st.frames, shpFrame{kind: shDoc, pc: pc})
 		next()
@@ -424,8 +432,11 @@ func (sa *shaper) step(pc int, in *shpState) {
 		next()
 	case xslt.OpIterate:
 		sa.flow(int(instr.B), st)
-	case xslt.OpApplyImports, xslt.OpCall:
+	case xslt.OpApplyImports, xslt.OpInvoke:
 		sa.markContent(st, pc, false, false)
+		next()
+	case xslt.OpParam, xslt.OpGlobalParam:
+		sa.flow(int(instr.B), st.clone())
 		next()
 	case xslt.OpForNext:
 		sa.flow(int(instr.B), st.clone())
@@ -433,8 +444,9 @@ func (sa *shaper) step(pc int, in *shpState) {
 	case xslt.OpForEnd:
 		sa.flow(int(instr.A), st)
 	default:
-		// OpForEach, OpEnter, OpScopeBegin/End, OpVarDecl and other
-		// control opcodes do not touch the result shape.
+		// OpForEach, OpCall, OpEnter, OpParamsEnd, OpScopeBegin/End,
+		// OpVarDecl and other control opcodes do not touch the result
+		// shape.
 		next()
 	}
 }

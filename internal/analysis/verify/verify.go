@@ -79,12 +79,17 @@ func (f Finding) String() string {
 // copied out of the live program. The negative corpus and the fuzz
 // target corrupt Images; Check never touches the Program itself.
 type Image struct {
-	Code    []xslt.Instr
-	Tables  xslt.TableSizes
-	Entries []int // template entry pcs, ascending
+	Code   []xslt.Instr
+	Tables xslt.TableSizes
+	// Entries are the template and attribute-set subroutine entry pcs,
+	// ascending.
+	Entries []int
 	// CallTargets holds the resolved entry pc of each call site, or -1
 	// for an unresolved name (a deferred runtime error, not a fault).
 	CallTargets []int
+	// SetLists holds the subroutine entry pcs each attribute-set list
+	// runs.
+	SetLists [][]int
 }
 
 // Capture decodes a program into an Image.
@@ -92,6 +97,11 @@ func Capture(p *xslt.Program) *Image {
 	im := &Image{Code: p.Code(), Tables: p.Tables()}
 	for _, t := range p.Templates() {
 		im.Entries = append(im.Entries, t.Entry)
+	}
+	im.Entries = append(im.Entries, p.AttrSetEntries()...)
+	sort.Ints(im.Entries)
+	for i := 0; i < im.Tables.SetLists; i++ {
+		im.SetLists = append(im.SetLists, p.SetListTargets(i))
 	}
 	im.CallTargets = make([]int, im.Tables.CallSites)
 	for i := range im.CallTargets {
@@ -106,15 +116,19 @@ func Capture(p *xslt.Program) *Image {
 
 // Control-frame kinds of the abstract balance interpretation. Distinct
 // letters per capture construct make the check stricter than the VM,
-// which folds attribute/comment/PI/message captures into one kind.
+// which folds attribute/comment/PI/message/fragment captures into one
+// kind.
 const (
 	frApply   = 'A'
+	frCall    = 'C'
 	frFor     = 'F'
 	frScope   = 'S'
+	frParams  = 'P'
 	frAttr    = 'a'
 	frComment = 'c'
 	frPI      = 'p'
 	frMsg     = 'm'
+	frRTF     = 'r'
 	frDoc     = 'D'
 )
 
@@ -133,13 +147,21 @@ func (im *Image) Check() []Finding {
 		return out
 	}
 
-	// Pass 1: per-instruction operand and jump-target bounds.
+	// Pass 1: per-instruction operand and jump-target bounds, and
+	// attribute-set lists that must run subroutines, not templates.
 	for pc, in := range im.Code {
 		if int(in.Op) >= xslt.NumOpcodes {
 			bad(pc, "invalid opcode %d", in.Op)
 			continue
 		}
 		checkOperands(im, pc, in, bad)
+	}
+	for i, targets := range im.SetLists {
+		for _, t := range targets {
+			if t < 0 || t >= n || !isEntry(im.Entries, t) || im.Code[t].Op == xslt.OpEnter {
+				bad(0, "attribute-set list %d targets %d, which is not a subroutine entry", i, t)
+			}
+		}
 	}
 	if len(out) > 0 {
 		// Bounds faults make the flow walk meaningless (and unsafe to
@@ -188,6 +210,28 @@ func (im *Image) Check() []Finding {
 			}
 			return true
 		}
+		// bindTo checks that the frame a binding writes into is on top of
+		// st: the apply or call frame for a with-param, the parameter
+		// scope for a default.
+		bindTo := func(target int32, st string) {
+			t := byte(0)
+			if len(st) > 0 {
+				t = st[len(st)-1]
+			}
+			switch target {
+			case xslt.BindVar:
+			case xslt.BindPassed:
+				if t != frApply && t != frCall {
+					bad(pc, "with-param binding with frame stack [%s] (want top %c or %c)", st, frApply, frCall)
+				}
+			case xslt.BindParam:
+				if t != frParams {
+					bad(pc, "parameter binding with frame stack [%s] (want top %c)", st, frParams)
+				}
+			default:
+				bad(pc, "bad bind target %d", target)
+			}
+		}
 		switch in.Op {
 		case xslt.OpHalt:
 			if st != "" {
@@ -203,8 +247,10 @@ func (im *Image) Check() []Finding {
 			visit(pc+1, st, pc)
 			visit(int(in.B), st, pc)
 		case xslt.OpApply:
-			if pc+1 >= n || im.Code[pc+1].Op != xslt.OpIterate || im.Code[pc+1].A != in.A {
-				bad(pc, "apply not followed by its iterate")
+			// Operand b is the loop's iterate; the with-param code between
+			// binds into the apply frame.
+			if it := im.Code[in.B]; it.Op != xslt.OpIterate || it.A != in.A {
+				bad(pc, "apply's iterate %04d is not its iterate", in.B)
 				break
 			}
 			visit(pc+1, st+string(rune(frApply)), pc)
@@ -233,19 +279,49 @@ func (im *Image) Check() []Finding {
 			}
 			visit(int(in.A), st, pc)
 		case xslt.OpCall:
+			visit(pc+1, st+string(rune(frCall)), pc)
+		case xslt.OpInvoke:
 			if t := im.CallTargets[in.A]; t >= 0 {
 				if t >= n || im.Code[t].Op != xslt.OpEnter {
 					bad(pc, "call target %04d is not a template entry", t)
 				}
 			}
-			visit(pc+1, st, pc)
+			if needTop(frCall, "invoke") {
+				visit(pc+1, st[:len(st)-1], pc)
+			}
 		case xslt.OpApplyImports:
 			visit(pc+1, st, pc)
 		case xslt.OpEnter:
 			if !isEntry(im.Entries, pc) {
 				bad(pc, "enter at a pc that is not a registered template entry")
 			}
+			if in.B != 0 {
+				visit(pc+1, st+string(rune(frParams)), pc)
+			} else {
+				visit(pc+1, st, pc)
+			}
+		case xslt.OpParam:
+			if needTop(frParams, "param") {
+				visit(pc+1, st, pc)
+				visit(int(in.B), st, pc)
+			}
+		case xslt.OpParamsEnd:
+			if needTop(frParams, "params-end") {
+				visit(pc+1, st[:len(st)-1], pc)
+			}
+		case xslt.OpGlobalParam:
 			visit(pc+1, st, pc)
+			visit(int(in.B), st, pc)
+		case xslt.OpVarDecl:
+			bindTo(in.B, st)
+			visit(pc+1, st, pc)
+		case xslt.OpRTFBegin:
+			visit(pc+1, st+string(rune(frRTF)), pc)
+		case xslt.OpRTFEnd:
+			if needTop(frRTF, "rtf-end") {
+				bindTo(in.B, st[:len(st)-1])
+				visit(pc+1, st[:len(st)-1], pc)
+			}
 		case xslt.OpScopeBegin:
 			visit(pc+1, st+string(rune(frScope)), pc)
 		case xslt.OpScopeEnd:
@@ -343,13 +419,14 @@ func checkOperands(im *Image, pc int, in xslt.Instr, bad func(int, string, ...in
 	case xslt.OpLitBegin:
 		idx("literal name", in.A, t.LitNames)
 	case xslt.OpAttrSets:
-		idx("name list", in.A, t.NameLists)
+		idx("attribute-set list", in.A, t.SetLists)
 	case xslt.OpLitAttr:
 		idx("literal attr", in.A, t.LitAttrs)
 	case xslt.OpAVTAttr:
 		idx("avt attr", in.A, t.AVTAttrs)
 	case xslt.OpApply:
 		idx("apply site", in.A, t.ApplySites)
+		jump("iterate", in.B)
 	case xslt.OpIterate:
 		idx("apply site", in.A, t.ApplySites)
 		jump("exit", in.B)
@@ -359,12 +436,15 @@ func checkOperands(im *Image, pc int, in xslt.Instr, bad func(int, string, ...in
 		jump("exit", in.B)
 	case xslt.OpForEnd:
 		jump("loop head", in.A)
-	case xslt.OpCall:
+	case xslt.OpCall, xslt.OpInvoke:
 		idx("call site", in.A, t.CallSites)
 	case xslt.OpEnter:
 		idx("template", in.A, t.Templates)
-	case xslt.OpVarDecl:
+	case xslt.OpVarDecl, xslt.OpRTFEnd:
 		idx("var decl", in.A, t.VarDecls)
+	case xslt.OpParam, xslt.OpGlobalParam:
+		idx("var decl", in.A, t.VarDecls)
+		jump("default skip", in.B)
 	case xslt.OpElemBegin:
 		idx("elem site", in.A, t.ElemSites)
 	case xslt.OpAttrBegin, xslt.OpPIBegin, xslt.OpDocBegin:

@@ -56,9 +56,9 @@ type Options struct {
 	OmitCSS bool
 	// SkipValidation publishes without the schema-validation step.
 	SkipValidation bool
-	// Workers bounds the worker pool used to serialize multi-page output
-	// and to fan out per-fact publication: 0 picks GOMAXPROCS, 1 forces
-	// sequential operation. Output is byte-identical at any setting.
+	// Workers bounds the worker pool PublishPerFact fans the per-fact
+	// publications out over: 0 picks GOMAXPROCS, 1 forces sequential
+	// operation. Output is byte-identical at any setting.
 	Workers int
 }
 
@@ -201,10 +201,9 @@ func PublishDocumentContext(ctx context.Context, doc *xmldom.Node, opts Options)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
-	// Streaming path: the transform renders every page straight to bytes
-	// (no intermediate result DOM), so there is nothing left to fan out —
-	// Options.Workers still parallelizes PublishPerFact and the DOM
-	// reference path below.
+	// The transform renders every page straight to bytes (no intermediate
+	// result DOM), so there is nothing left to fan out; Options.Workers
+	// parallelizes PublishPerFact.
 	res, err := sheet.TransformToBuffers(work, params)
 	if err != nil {
 		return nil, err
@@ -226,27 +225,8 @@ func PublishDocumentContext(ctx context.Context, doc *xmldom.Node, opts Options)
 	return site, nil
 }
 
-// publishDocumentDOM is the tree-building reference path: transform to a
-// result DOM, then serialize the pages over the worker pool. Kept as the
-// oracle the streamed path is byte-identity-tested against.
-func publishDocumentDOM(doc *xmldom.Node, opts Options) (*Site, error) {
-	work, sheet, params, css, err := preparePublication(doc, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sheet.Transform(work, params)
-	if err != nil {
-		return nil, err
-	}
-	site := &Site{Pages: map[string][]byte{}, Messages: res.Messages}
-	serializePages(site, res, opts.Workers)
-	addCSS(site, opts, css)
-	return site, nil
-}
-
 // preparePublication validates and freezes the document and resolves the
-// stylesheet and its parameters — everything shared by the streamed and
-// DOM publication paths.
+// stylesheet and its parameters.
 func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Stylesheet, map[string]xpath.Value, string, error) {
 	work := doc
 	if !opts.SkipValidation {
@@ -284,51 +264,6 @@ func addCSS(site *Site, opts Options, css string) {
 	if !opts.OmitCSS && css == "style.css" {
 		site.Pages["style.css"] = []byte(core.StyleCSS)
 		site.Order = append(site.Order, "style.css")
-	}
-}
-
-// serializePages renders the main document and every xsl:document output
-// into the site, fanning serialization over a bounded worker pool. Page
-// serialization only reads the (per-transform) result trees, so the jobs
-// are independent; results are collected by index, which keeps Order and
-// page bytes identical to the sequential path.
-func serializePages(site *Site, res *xslt.Result, workers int) {
-	hrefs := res.DocumentOrder
-	jobs := len(hrefs) + 1 // + the main document
-	w := workerCount(workers, jobs)
-	bufs := make([][]byte, jobs)
-	if w == 1 {
-		bufs[0] = res.MainBytes()
-		for i, href := range hrefs {
-			bufs[i+1] = res.DocBytes(href)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if i == 0 {
-						bufs[0] = res.MainBytes()
-					} else {
-						bufs[i] = res.DocBytes(hrefs[i-1])
-					}
-				}
-			}()
-		}
-		for i := 0; i < jobs; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-	site.Pages[IndexName] = bufs[0]
-	site.Order = append(site.Order, IndexName)
-	for i, href := range hrefs {
-		site.Pages[href] = bufs[i+1]
-		site.Order = append(site.Order, href)
 	}
 }
 

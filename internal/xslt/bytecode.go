@@ -12,8 +12,7 @@ import (
 // The stylesheet bytecode: CompileStylesheet lowers the compiled
 // instruction tree into one flat program per stylesheet, executed by the
 // VM in vm.go on the frame stack shared with the XPath expression VM
-// (xpath.Frame). Three properties distinguish it from the retained
-// tree-walking engine:
+// (xpath.Frame). The VM is the only XSLT engine:
 //
 //   - template dispatch is a jump table: the per-mode match-class index
 //     (precedence-resolved at compile time) narrows the candidate rules,
@@ -24,11 +23,14 @@ import (
 //     ByteEmitter tape with one bulk copy;
 //   - apply-templates / for-each / call-template are VM loops and calls
 //     on one pooled control stack — no per-node Go recursion and no
-//     boxed per-evaluation contexts.
+//     boxed per-evaluation contexts;
+//   - value-producing bodies lower too: result-tree fragments (variable,
+//     global, with-param and parameter-default content) are output
+//     captures into a fresh document, and each attribute set is a
+//     subroutine that the use-attribute-sets lists call in order.
 //
-// Compile (without lowering) remains the reference engine; the
-// differential and fuzz tests in bytecode_test.go pin the two to
-// byte-identical output.
+// The outputs of the tree-walking engine this VM replaced are frozen in
+// testdata/transforms.golden and testdata/fuzz.golden.
 
 // Opcode is a stylesheet bytecode opcode.
 type Opcode uint8
@@ -72,6 +74,19 @@ const (
 	OpCopyEnd      //
 	OpCopyOf       // a: expr
 	OpNumber       // a: number site
+	OpInvoke       // a: call site — jump to the template (after its with-params)
+	OpParam        // a: parameter; b: pc past its default — bind the passed value or fall into the default
+	OpParamsEnd    // close the parameter scope OpEnter opened and make it current
+	OpGlobalParam  // a: global parameter; b: pc past its default — bind the caller's value or fall into the default
+	OpRTFBegin     // begin capturing a result-tree fragment
+	OpRTFEnd       // a: variable declaration; b: bind target — bind the fragment
+)
+
+// Bind targets: operand b of OpVarDecl and OpRTFEnd.
+const (
+	BindVar    int32 = iota // the current variable scope (locals and, in the prologue, globals)
+	BindPassed              // the with-param values of the apply or call frame on top
+	BindParam               // the parameter scope on top: a parameter's default value
 )
 
 var opcodeNames = [...]string{
@@ -87,8 +102,12 @@ var opcodeNames = [...]string{
 	OpPIBegin: "pi-begin", OpPIEnd: "pi-end", OpMsgBegin: "msg-begin",
 	OpMsgEnd: "msg-end", OpDocBegin: "doc-begin", OpDocEnd: "doc-end",
 	OpCopyBegin: "copy", OpCopyEnd: "copy-end", OpCopyOf: "copy-of",
-	OpNumber: "number",
+	OpNumber: "number", OpInvoke: "invoke", OpParam: "param",
+	OpParamsEnd: "params-end", OpGlobalParam: "global-param",
+	OpRTFBegin: "rtf-begin", OpRTFEnd: "rtf-end",
 }
+
+var bindNames = [...]string{BindPassed: " →with-param", BindParam: " →param"}
 
 // Instr is one bytecode instruction: an opcode plus two operands
 // (side-table indexes or jump targets).
@@ -104,9 +123,8 @@ type applySite struct {
 	mode string
 	// disp is the mode's dispatch index, resolved at compile time so the
 	// iterate loop never consults the mode map.
-	disp   *templateIndex
-	sorts  []sortKey
-	params []withParam
+	disp  *templateIndex
+	sorts []sortKey
 }
 
 // forSite is the payload of one xsl:for-each.
@@ -117,17 +135,32 @@ type forSite struct {
 
 // bcCallSite is the payload of one xsl:call-template, with the callee
 // resolved at compile time (nil when the stylesheet names a missing
-// template: the runtime error is deferred to match the tree engine).
+// template: the error is raised when the call runs).
 type bcCallSite struct {
-	name   string
-	t      *Template
-	params []withParam
+	name string
+	t    *Template
 }
 
 // elemSite is the payload of one xsl:element.
 type elemSite struct {
-	name    *avt
-	useSets []string
+	name *avt
+}
+
+// setList is one use-attribute-sets list, expanded at compile time the
+// way the list applies: each named set's own used sets first, then the
+// set itself, depth first. subs are the attribute-set subroutines to run
+// in order; err is the error the expansion hits after them (a missing
+// set or a cycle), if any.
+type setList struct {
+	names []string
+	subs  []int32
+	err   string
+}
+
+// progSub records one attribute-set subroutine and its entry pc.
+type progSub struct {
+	name  string
+	entry int32
 }
 
 // litName is a literal result element name.
@@ -166,23 +199,23 @@ type Program struct {
 	litNames   []litName
 	litAttrs   []litAttrOp
 	avtAttrs   []avtAttrOp
-	nameLists  [][]string
+	setLists   []*setList
 	varDecls   []*compiledVar
 	applySites []*applySite
 	forSites   []*forSite
 	callSites  []*bcCallSite
 	elemSites  []*elemSite
-	copySites  [][]string
+	copySites  []int32 // set list index, -1 when the copy names no sets
 	numSites   []*iNumber
 	tmpls      []*progTemplate
+	subs       []progSub
 }
 
 // CompileStylesheet compiles a stylesheet document and lowers it to
 // bytecode: Transform and TransformToBuffers then execute the flat
-// program on the shared XPath VM. Compile retains the tree-walking
-// engine (the differential oracle) and is what lint-only callers use.
+// program on the shared XPath VM.
 func CompileStylesheet(doc *xmldom.Node, opts CompileOptions) (*Stylesheet, error) {
-	s, err := Compile(doc, opts)
+	s, err := compile(doc, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -213,8 +246,7 @@ func MustCompileStylesheetString(src string) *Stylesheet {
 	return s
 }
 
-// Program returns the lowered bytecode, or nil when the stylesheet was
-// compiled with Compile (tree engine only).
+// Program returns the lowered bytecode.
 func (s *Stylesheet) Program() *Program { return s.prog }
 
 // ---- lowering ----
@@ -223,6 +255,8 @@ func (s *Stylesheet) Program() *Program { return s.prog }
 type asm struct {
 	s *Stylesheet
 	p *Program
+	// setEntry maps each attribute-set name to its subroutine entry pc.
+	setEntry map[string]int32
 }
 
 func (a *asm) emit(op Opcode, opa, opb int32) int {
@@ -234,22 +268,39 @@ func (a *asm) patchA(pc int, target int32) { a.p.code[pc].A = target }
 func (a *asm) patchB(pc int, target int32) { a.p.code[pc].B = target }
 func (a *asm) here() int32                 { return int32(len(a.p.code)) }
 
-// lower flattens every template of the stylesheet into one program.
-// Template bodies are laid out after the root prologue in deterministic
-// order (sorted modes, precedence order within a mode, then named-only
-// templates sorted by name), so disassembly is stable.
+// lower flattens the whole stylesheet into one program. The root
+// prologue binds the global variables and parameters in declaration
+// order and applies templates to the source root; the attribute-set
+// subroutines follow (sorted by name), then the template bodies in
+// deterministic order (sorted modes, precedence order within a mode,
+// then named-only templates sorted by name), so disassembly is stable.
 func (s *Stylesheet) lower() *Program {
 	p := &Program{sheet: s}
-	a := &asm{s: s, p: p}
+	a := &asm{s: s, p: p, setEntry: map[string]int32{}}
 
-	// Root prologue: apply the built-in root rule semantics — one
-	// apply-templates pass over [source] in the default mode — then halt.
+	for _, d := range s.globals {
+		di := a.addVarDecl(d)
+		if !d.isParam {
+			a.lowerValue(di, d, BindVar)
+			continue
+		}
+		skip := a.emit(OpGlobalParam, di, 0)
+		a.lowerValue(di, d, BindVar)
+		a.patchB(skip, a.here())
+	}
 	root := &applySite{self: true, disp: s.index[""]}
 	p.applySites = append(p.applySites, root)
-	a.emit(OpApply, 0, 0)
+	a.emit(OpApply, 0, a.here()+1)
 	it := a.emit(OpIterate, 0, 0)
 	a.patchB(it, a.here())
 	a.emit(OpHalt, 0, 0)
+
+	for _, name := range s.AttrSetNames() {
+		a.setEntry[name] = a.here()
+		p.subs = append(p.subs, progSub{name: name, entry: a.here()})
+		a.lowerBody(s.attrSets[name].body)
+		a.emit(OpRet, 0, 0)
+	}
 
 	seen := map[*Template]bool{}
 	lowerT := func(t *Template) {
@@ -277,22 +328,84 @@ func (s *Stylesheet) lower() *Program {
 	for _, name := range names {
 		lowerT(s.named[name])
 	}
+
+	for _, sl := range p.setLists {
+		a.expandSets(sl, sl.names, map[string]bool{})
+	}
 	return p
 }
 
+// expandSets appends the subroutines of names, in application order, to
+// sl. It stops at the first missing set or cycle through the sets on the
+// current path, recording the error, and reports whether it completed.
+func (a *asm) expandSets(sl *setList, names []string, onPath map[string]bool) bool {
+	for _, name := range names {
+		set := a.s.attrSets[name]
+		if set == nil {
+			sl.err = "no xsl:attribute-set named " + name
+			return false
+		}
+		if onPath[name] {
+			sl.err = "circular use-attribute-sets through " + name
+			return false
+		}
+		onPath[name] = true
+		if !a.expandSets(sl, set.uses, onPath) {
+			return false
+		}
+		sl.subs = append(sl.subs, a.setEntry[name])
+		onPath[name] = false
+	}
+	return true
+}
+
+// lowerTemplate lowers one template body behind its entry. Parameters
+// bind in declaration order in a scope OpEnter opens: each takes the
+// passed value or runs its default, which evaluates in the caller's
+// variable scope.
 func (a *asm) lowerTemplate(t *Template) {
 	t.entryPC = a.here()
 	ti := int32(len(a.p.tmpls))
 	a.p.tmpls = append(a.p.tmpls, &progTemplate{t: t, entry: t.entryPC})
-	a.emit(OpEnter, ti, 0)
+	a.emit(OpEnter, ti, boolOperand(len(t.params) > 0))
+	if len(t.params) > 0 {
+		for _, prm := range t.params {
+			di := a.addVarDecl(prm)
+			skip := a.emit(OpParam, di, 0)
+			a.lowerValue(di, prm, BindParam)
+			a.patchB(skip, a.here())
+		}
+		a.emit(OpParamsEnd, 0, 0)
+	}
 	a.lowerBody(t.body)
 	a.emit(OpRet, 0, 0)
 }
 
+// lowerValue lowers the value of variable declaration di and its
+// binding to target: a select expression, or the empty string when the
+// declaration has no content, is one OpVarDecl; content is captured as a
+// result-tree fragment.
+func (a *asm) lowerValue(di int32, d *compiledVar, target int32) {
+	if d.sel != nil || len(d.body) == 0 {
+		a.emit(OpVarDecl, di, target)
+		return
+	}
+	a.emit(OpRTFBegin, 0, 0)
+	a.lowerBody(d.body)
+	a.emit(OpRTFEnd, di, target)
+}
+
+// lowerWithParams lowers with-param values into the pending frame of the
+// apply or call they belong to.
+func (a *asm) lowerWithParams(params []*compiledVar) {
+	for _, p := range params {
+		a.lowerValue(a.addVarDecl(p), p, BindPassed)
+	}
+}
+
 // lowerBody flattens one instruction sequence. A body that declares
-// variables gets an eager scope frame — observationally identical to the
-// tree engine's lazy copy-on-first-variable, since nothing can tell the
-// two maps apart before the first binding.
+// variables gets a scope frame, so its bindings are visible only to
+// following siblings and their descendants.
 func (a *asm) lowerBody(body []instruction) {
 	scope := false
 	for _, ins := range body {
@@ -394,7 +507,7 @@ func (a *asm) emitSegment(run []instruction) {
 }
 
 // emitStatic replays one static instruction's events into the segment
-// recorder, in exactly the order the tree engine would emit them.
+// recorder, in exactly the order executing the instruction emits them.
 func emitStatic(ins instruction, em xmldom.Emitter) {
 	switch t := ins.(type) {
 	case *iLiteralText:
@@ -431,9 +544,16 @@ func (a *asm) addAVT(v *avt) int32 {
 	return int32(len(a.p.avts) - 1)
 }
 
-func (a *asm) addNameList(names []string) int32 {
-	a.p.nameLists = append(a.p.nameLists, names)
-	return int32(len(a.p.nameLists) - 1)
+// addSetList records a use-attribute-sets list; lower expands it once
+// every subroutine entry is known.
+func (a *asm) addSetList(names []string) int32 {
+	a.p.setLists = append(a.p.setLists, &setList{names: names})
+	return int32(len(a.p.setLists) - 1)
+}
+
+func (a *asm) addVarDecl(d *compiledVar) int32 {
+	a.p.varDecls = append(a.p.varDecls, d)
+	return int32(len(a.p.varDecls) - 1)
 }
 
 func boolOperand(b bool) int32 {
@@ -456,7 +576,7 @@ func (a *asm) lowerInstr(ins instruction) {
 		p.litNames = append(p.litNames, litName{prefix: t.prefix, uri: t.uri, name: t.name})
 		a.emit(OpLitBegin, int32(len(p.litNames)-1), 0)
 		if len(t.useSets) > 0 {
-			a.emit(OpAttrSets, a.addNameList(t.useSets), 0)
+			a.emit(OpAttrSets, a.addSetList(t.useSets), 0)
 		}
 		for _, at := range t.attrs {
 			if v, ok := staticAVT(at.value); ok {
@@ -470,10 +590,12 @@ func (a *asm) lowerInstr(ins instruction) {
 		a.lowerBody(t.body)
 		a.emit(OpEndElem, 0, 0)
 	case *iApplyTemplates:
-		site := &applySite{sel: t.sel, mode: t.mode, disp: a.s.index[t.mode], sorts: t.sorts, params: t.params}
+		site := &applySite{sel: t.sel, mode: t.mode, disp: a.s.index[t.mode], sorts: t.sorts}
 		p.applySites = append(p.applySites, site)
 		si := int32(len(p.applySites) - 1)
-		a.emit(OpApply, si, 0)
+		ap := a.emit(OpApply, si, 0)
+		a.lowerWithParams(t.params)
+		a.patchB(ap, a.here())
 		it := a.emit(OpIterate, si, 0)
 		a.patchB(it, a.here())
 	case *iForEach:
@@ -484,13 +606,19 @@ func (a *asm) lowerInstr(ins instruction) {
 		a.emit(OpForEnd, int32(next), 0)
 		a.patchB(next, a.here())
 	case *iCallTemplate:
-		p.callSites = append(p.callSites, &bcCallSite{name: t.name, t: a.s.named[t.name], params: t.params})
-		a.emit(OpCall, int32(len(p.callSites)-1), 0)
+		p.callSites = append(p.callSites, &bcCallSite{name: t.name, t: a.s.named[t.name]})
+		ci := int32(len(p.callSites) - 1)
+		a.emit(OpCall, ci, 0)
+		a.lowerWithParams(t.params)
+		a.emit(OpInvoke, ci, 0)
 	case *iApplyImports:
 		a.emit(OpApplyImports, 0, 0)
 	case *iElement:
-		p.elemSites = append(p.elemSites, &elemSite{name: t.name, useSets: t.useSets})
+		p.elemSites = append(p.elemSites, &elemSite{name: t.name})
 		a.emit(OpElemBegin, int32(len(p.elemSites)-1), 0)
+		if len(t.useSets) > 0 {
+			a.emit(OpAttrSets, a.addSetList(t.useSets), 0)
+		}
 		a.lowerBody(t.body)
 		a.emit(OpEndElem, 0, 0)
 	case *iAttribute:
@@ -514,7 +642,11 @@ func (a *asm) lowerInstr(ins instruction) {
 		a.lowerBody(t.body)
 		a.emit(OpDocEnd, 0, 0)
 	case *iCopy:
-		p.copySites = append(p.copySites, t.useSets)
+		sets := int32(-1)
+		if len(t.useSets) > 0 {
+			sets = a.addSetList(t.useSets)
+		}
+		p.copySites = append(p.copySites, sets)
 		cb := a.emit(OpCopyBegin, int32(len(p.copySites)-1), 0)
 		a.lowerBody(t.body)
 		a.emit(OpCopyEnd, 0, 0)
@@ -540,8 +672,7 @@ func (a *asm) lowerInstr(ins instruction) {
 			a.patchA(e, a.here())
 		}
 	case *iVariable:
-		p.varDecls = append(p.varDecls, t.decl)
-		a.emit(OpVarDecl, int32(len(p.varDecls)-1), 0)
+		a.lowerValue(a.addVarDecl(t.decl), t.decl, BindVar)
 	case *iNumber:
 		p.numSites = append(p.numSites, t)
 		a.emit(OpNumber, int32(len(p.numSites)-1), 0)
@@ -631,18 +762,35 @@ func qname(prefix, name string) string {
 	return name
 }
 
+// String renders a set list for disassembly: the names as written, the
+// subroutines they expand to, and the expansion error, if any.
+func (sl *setList) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, " [%s] →", strings.Join(sl.names, " "))
+	for _, pc := range sl.subs {
+		fmt.Fprintf(&b, " %04d", pc)
+	}
+	if sl.err != "" {
+		fmt.Fprintf(&b, " error %q", sl.err)
+	}
+	return b.String()
+}
+
 // Disasm renders the program as a deterministic pc-addressed listing
 // with a header line per template body — the golden corpus format of
 // testdata/programs.want.
 func (p *Program) Disasm() string {
-	heads := make(map[int32]*progTemplate, len(p.tmpls))
+	heads := make(map[int32]string, len(p.tmpls)+len(p.subs))
 	for _, pt := range p.tmpls {
-		heads[pt.entry] = pt
+		heads[pt.entry] = "template " + templateLabel(pt.t)
+	}
+	for _, sub := range p.subs {
+		heads[sub.entry] = "attribute-set " + sub.name
 	}
 	var b strings.Builder
 	for pc, in := range p.code {
-		if pt, ok := heads[int32(pc)]; ok {
-			fmt.Fprintf(&b, "\n;; template %s\n", templateLabel(pt.t))
+		if head, ok := heads[int32(pc)]; ok {
+			fmt.Fprintf(&b, "\n;; %s\n", head)
 		}
 		fmt.Fprintf(&b, "%04d %s", pc, opcodeNames[in.Op])
 		switch in.Op {
@@ -666,7 +814,7 @@ func (p *Program) Disasm() string {
 			ln := p.litNames[in.A]
 			fmt.Fprintf(&b, " <%s>", qname(ln.prefix, ln.name))
 		case OpAttrSets:
-			fmt.Fprintf(&b, " [%s]", strings.Join(p.nameLists[in.A], " "))
+			b.WriteString(p.setLists[in.A].String())
 		case OpLitAttr:
 			la := p.litAttrs[in.A]
 			fmt.Fprintf(&b, " %s=%q", qname(la.prefix, la.name), la.value)
@@ -688,8 +836,8 @@ func (p *Program) Disasm() string {
 			if len(site.sorts) > 0 {
 				fmt.Fprintf(&b, " sorts=%d", len(site.sorts))
 			}
-			if len(site.params) > 0 {
-				fmt.Fprintf(&b, " params=%d", len(site.params))
+			if int(in.B) != pc+1 {
+				fmt.Fprintf(&b, " iterate→%04d", in.B)
 			}
 		case OpIterate:
 			fmt.Fprintf(&b, " exit→%04d", in.B)
@@ -703,16 +851,13 @@ func (p *Program) Disasm() string {
 			fmt.Fprintf(&b, " exit→%04d", in.B)
 		case OpForEnd:
 			fmt.Fprintf(&b, " loop→%04d", in.A)
-		case OpCall:
+		case OpCall, OpInvoke:
 			cs := p.callSites[in.A]
 			fmt.Fprintf(&b, " %q", cs.name)
 			if cs.t != nil {
 				fmt.Fprintf(&b, " entry→%04d", cs.t.entryPC)
 			} else {
 				b.WriteString(" unresolved")
-			}
-			if len(cs.params) > 0 {
-				fmt.Fprintf(&b, " params=%d", len(cs.params))
 			}
 		case OpEnter:
 			fmt.Fprintf(&b, " %s", templateLabel(p.tmpls[in.A].t))
@@ -724,14 +869,15 @@ func (p *Program) Disasm() string {
 			if d.sel != nil {
 				fmt.Fprintf(&b, " $%s select=%s", d.name, d.sel.String())
 			} else {
-				fmt.Fprintf(&b, " $%s [body]", d.name)
+				fmt.Fprintf(&b, " $%s empty", d.name)
 			}
+			b.WriteString(bindNames[in.B])
+		case OpRTFEnd:
+			fmt.Fprintf(&b, " $%s%s", p.varDecls[in.A].name, bindNames[in.B])
+		case OpParam, OpGlobalParam:
+			fmt.Fprintf(&b, " $%s skip→%04d", p.varDecls[in.A].name, in.B)
 		case OpElemBegin:
-			es := p.elemSites[in.A]
-			fmt.Fprintf(&b, " name=%q", avtSource(es.name))
-			if len(es.useSets) > 0 {
-				fmt.Fprintf(&b, " [%s]", strings.Join(es.useSets, " "))
-			}
+			fmt.Fprintf(&b, " name=%q", avtSource(p.elemSites[in.A].name))
 		case OpAttrBegin, OpPIBegin, OpDocBegin:
 			fmt.Fprintf(&b, " %q", avtSource(p.avts[in.A]))
 		case OpMsgEnd:
@@ -739,8 +885,8 @@ func (p *Program) Disasm() string {
 				b.WriteString(" terminate")
 			}
 		case OpCopyBegin:
-			if sets := p.copySites[in.A]; len(sets) > 0 {
-				fmt.Fprintf(&b, " [%s]", strings.Join(sets, " "))
+			if li := p.copySites[in.A]; li >= 0 {
+				b.WriteString(p.setLists[li].String())
 			}
 			fmt.Fprintf(&b, " leaf→%04d", in.B)
 		case OpCopyOf:

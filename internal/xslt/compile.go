@@ -390,22 +390,22 @@ func (s *Stylesheet) compileSort(n *xmldom.Node) (sortKey, error) {
 	return k, nil
 }
 
-func (s *Stylesheet) compileWithParam(n *xmldom.Node) (withParam, error) {
-	p := withParam{name: n.AttrValue("name")}
+func (s *Stylesheet) compileWithParam(n *xmldom.Node) (*compiledVar, error) {
+	p := &compiledVar{name: n.AttrValue("name")}
 	if p.name == "" {
-		return p, &CompileError{Element: n, Msg: "xsl:with-param requires a name"}
+		return nil, &CompileError{Element: n, Msg: "xsl:with-param requires a name"}
 	}
 	if sel := n.AttrValue("select"); sel != "" {
 		e, err := xpath.Compile(sel)
 		if err != nil {
-			return p, exprError(n, "select", err)
+			return nil, exprError(n, "select", err)
 		}
 		p.sel = e
 		return p, nil
 	}
 	body, err := s.compileBody(n.Children)
 	if err != nil {
-		return p, err
+		return nil, err
 	}
 	p.body = body
 	return p, nil

@@ -14,7 +14,7 @@ import (
 // frozen source document, many concurrent Transforms — results must be
 // identical and the race detector must stay quiet.
 func TestConcurrentTransformSharedSheet(t *testing.T) {
-	sheet, err := CompileString(`<?xml version="1.0"?>
+	sheet, err := CompileStylesheetString(`<?xml version="1.0"?>
 <xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
   <xsl:key name="byclass" match="item" use="@class"/>
   <xsl:template match="/">
@@ -80,7 +80,7 @@ func TestConcurrentTransformSharedSheet(t *testing.T) {
 // TestGenerateIDFrozenDeterministic: generate-id() on frozen nodes is a
 // pure function of document and stamp — identical across engines.
 func TestGenerateIDFrozenDeterministic(t *testing.T) {
-	sheet, err := CompileString(`<?xml version="1.0"?>
+	sheet, err := CompileStylesheetString(`<?xml version="1.0"?>
 <xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
   <xsl:template match="/">
     <xsl:for-each select="//b"><xsl:value-of select="generate-id()"/>;</xsl:for-each>

@@ -13,9 +13,10 @@ import (
 // The dispatch index is an optimisation over the linear template scan; it
 // must be invisible. This file drives randomized stylesheets (wildcards,
 // attribute rules, unions, predicates, //, explicit priorities, modes and
-// imports) against randomized documents and checks that the indexed
-// findTemplate picks exactly the template the linear reference scan picks,
-// for every node, every mode and every import-precedence ceiling.
+// imports) against randomized documents and checks that the VM's indexed
+// dispatch picks exactly the template a linear scan of the mode's
+// precedence-ordered rules picks, for every node, every mode and every
+// import-precedence ceiling.
 
 var dispatchElems = []string{"a", "b", "c", "d", "zig", "zag"}
 var dispatchAttrs = []string{"id", "x", "y"}
@@ -131,22 +132,21 @@ func TestDispatchIndexMatchesLinearScan(t *testing.T) {
 		imported := randStylesheet(rng, 3+rng.Intn(6), "")
 		loader := func(href string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
 		src := randStylesheet(rng, 5+rng.Intn(12), "imp.xsl")
-		doc, err := xmldom.ParseString(src)
-		if err != nil {
-			t.Fatalf("round %d: bad stylesheet XML: %v\n%s", round, err, src)
-		}
-		sheet, err := Compile(doc, CompileOptions{Loader: loader})
+		sheet, err := CompileStylesheetString(src, CompileOptions{Loader: loader})
 		if err != nil {
 			t.Fatalf("round %d: compile: %v\n%s", round, err, src)
 		}
 		source := randDoc(rng)
-		e := newEngine(sheet, false)
-		ctx := &xctx{node: source, pos: 1, size: 1, vars: map[string]xpath.Value{}}
+		f := xpath.GetFrame()
+		r := sheet.prog.newRun(newEngine(sheet, false), f)
+		vars := map[string]xpath.Value{}
 		for _, n := range allNodes(source, nil) {
 			for _, mode := range []string{"", "m1", "m2"} {
 				for _, maxPrec := range []int{maxInt, 2, 1} {
-					want, errL := e.findTemplateLinear(n, mode, ctx, maxPrec)
-					got, errI := e.findTemplate(n, mode, ctx, maxPrec)
+					want, errL := linearScan(sheet.templates[mode], n, &xpath.Context{
+						Node: n, Position: 1, Size: 1, Vars: vars, Current: n, Funcs: r.e.funcs,
+					}, maxPrec)
+					got, errI := r.dispatch(sheet.index[mode], n, vars, n, 1, 1, maxPrec)
 					if (errL == nil) != (errI == nil) {
 						t.Fatalf("round %d: error mismatch linear=%v indexed=%v", round, errL, errI)
 					}
@@ -157,7 +157,26 @@ func TestDispatchIndexMatchesLinearScan(t *testing.T) {
 				}
 			}
 		}
+		xpath.PutFrame(f)
 	}
+}
+
+// linearScan returns the first rule of a mode's precedence-ordered list
+// whose import precedence is below maxPrec and whose pattern matches n.
+func linearScan(rules []*Template, n *xmldom.Node, ctx *xpath.Context, maxPrec int) (*Template, error) {
+	for _, t := range rules {
+		if t.importPrec >= maxPrec {
+			continue
+		}
+		ok, err := t.Match.Matches(ctx, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return t, nil
+		}
+	}
+	return nil, nil
 }
 
 func tmplID(t *Template) string {

@@ -8,12 +8,10 @@ import (
 	"goldweb/internal/xpath"
 )
 
-// instruction is a compiled XSLT instruction or literal result node.
-// Output goes to an xmldom.Emitter, so the same compiled body can build a
-// result tree or stream straight to bytes.
-type instruction interface {
-	exec(e *engine, ctx *xctx, out xmldom.Emitter) error
-}
+// instruction is a compiled XSLT instruction or literal result node: one
+// of the i* types below. Stylesheet.lower flattens instruction trees into
+// the bytecode program the VM executes.
+type instruction any
 
 // avt is a compiled attribute value template: literal text interleaved
 // with {expr} parts.
@@ -88,29 +86,6 @@ func compileAVT(src string) (*avt, error) {
 	return a, nil
 }
 
-func (a *avt) eval(e *engine, ctx *xctx) (string, error) {
-	if len(a.parts) == 1 {
-		if p := a.parts[0]; p.expr == nil {
-			return p.lit, nil
-		} else {
-			return e.evalString(p.expr, ctx)
-		}
-	}
-	var b strings.Builder
-	for _, p := range a.parts {
-		if p.expr == nil {
-			b.WriteString(p.lit)
-			continue
-		}
-		s, err := e.evalString(p.expr, ctx)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(s)
-	}
-	return b.String(), nil
-}
-
 // sortKey is a compiled xsl:sort.
 type sortKey struct {
 	sel      *xpath.Compiled
@@ -118,14 +93,7 @@ type sortKey struct {
 	order    *avt // "ascending" (default) or "descending"
 }
 
-// withParam is a compiled xsl:with-param.
-type withParam struct {
-	name string
-	sel  *xpath.Compiled
-	body []instruction
-}
-
-// compiledVar is a compiled xsl:variable/xsl:param.
+// compiledVar is a compiled xsl:variable, xsl:param or xsl:with-param.
 type compiledVar struct {
 	name    string
 	sel     *xpath.Compiled
@@ -153,12 +121,12 @@ type iApplyTemplates struct {
 	sel    *xpath.Compiled // nil → child::node()
 	mode   string
 	sorts  []sortKey
-	params []withParam
+	params []*compiledVar
 }
 
 type iCallTemplate struct {
 	name   string
-	params []withParam
+	params []*compiledVar
 	src    *xmldom.Node
 }
 

@@ -22,7 +22,7 @@ func TestImportPrecedenceWithModes(t *testing.T) {
 	<xsl:template match="a" mode="m">main-m</xsl:template>
 	</xsl:stylesheet>`
 	loader := func(href string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
-	sheet, err := CompileString(main, CompileOptions{Loader: loader})
+	sheet, err := CompileStylesheetString(main, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestVariablesInsideDocumentInstruction(t *testing.T) {
 		<main><xsl:value-of select="$v"/></main>
 	</xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileString(sheetSrc, CompileOptions{})
+	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestAttributeSetOnCopy(t *testing.T) {
 
 func TestAttributeSetErrors(t *testing.T) {
 	// Unknown set name fails at runtime.
-	sheet, err := CompileString(wrap(`<e xsl:use-attribute-sets="ghost"/>`), CompileOptions{})
+	sheet, err := CompileStylesheetString(wrap(`<e xsl:use-attribute-sets="ghost"/>`), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestAttributeSetErrors(t *testing.T) {
 	<xsl:attribute-set name="b" use-attribute-sets="a"><xsl:attribute name="y">2</xsl:attribute></xsl:attribute-set>
 	<xsl:template match="/"><e xsl:use-attribute-sets="a"/></xsl:template>
 	</xsl:stylesheet>`
-	sheet, err = CompileString(circ, CompileOptions{})
+	sheet, err = CompileStylesheetString(circ, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestAttributeSetErrors(t *testing.T) {
 	bad := `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
 	<xsl:attribute-set name="a"><xsl:text>nope</xsl:text></xsl:attribute-set>
 	</xsl:stylesheet>`
-	if _, err := CompileString(bad, CompileOptions{}); err == nil {
+	if _, err := CompileStylesheetString(bad, CompileOptions{}); err == nil {
 		t.Error("attribute-set with text child accepted")
 	}
 }
@@ -269,7 +269,7 @@ func TestApplyImports(t *testing.T) {
 	<xsl:template match="para"><b><xsl:apply-imports/></b></xsl:template>
 	</xsl:stylesheet>`
 	loader := func(href string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
-	sheet, err := CompileString(main, CompileOptions{Loader: loader})
+	sheet, err := CompileStylesheetString(main, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}

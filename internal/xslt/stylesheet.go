@@ -142,7 +142,7 @@ type keyDecl struct {
 type Stylesheet struct {
 	templates map[string][]*Template // per mode, sorted best-first
 	// index buckets each mode's sorted rules by the node categories their
-	// match patterns can reach, so findTemplate scans only candidates.
+	// match patterns can reach, so template dispatch scans only candidates.
 	index     map[string]*templateIndex
 	named     map[string]*Template
 	globals   []*compiledVar
@@ -162,8 +162,7 @@ type Stylesheet struct {
 	referencedModes map[string]bool
 	// attrSets holds compiled xsl:attribute-set declarations by name.
 	attrSets map[string]*attrSet
-	// prog is the lowered bytecode program when the stylesheet was
-	// compiled with CompileStylesheet; nil for tree-engine-only compiles.
+	// prog is the lowered bytecode program every transformation runs.
 	prog *Program
 }
 
@@ -186,9 +185,11 @@ type CompileOptions struct {
 	Loader Loader
 }
 
-// Compile compiles a stylesheet document. The document tree is retained
-// and must not be mutated afterwards.
-func Compile(doc *xmldom.Node, opts CompileOptions) (*Stylesheet, error) {
+// compile builds the instruction trees, rule lists and dispatch index
+// of a stylesheet document; CompileStylesheet then lowers them to
+// bytecode. The document tree is retained and must not be mutated
+// afterwards.
+func compile(doc *xmldom.Node, opts CompileOptions) (*Stylesheet, error) {
 	root := doc.DocumentElement()
 	if root == nil {
 		return nil, &CompileError{Msg: "empty stylesheet document"}
@@ -363,24 +364,6 @@ func mergeByPos(a, b []*Template, pos map[*Template]int) []*Template {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// CompileString parses and compiles a stylesheet from XML text.
-func CompileString(src string, opts CompileOptions) (*Stylesheet, error) {
-	doc, err := xmldom.ParseString(src)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(doc, opts)
-}
-
-// MustCompileString compiles an embedded, known-good stylesheet.
-func MustCompileString(src string) *Stylesheet {
-	s, err := CompileString(src, CompileOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Output returns the stylesheet's xsl:output specification.

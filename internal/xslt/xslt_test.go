@@ -20,7 +20,7 @@ func wrap(body string) string {
 // output.
 func run(t *testing.T, sheetSrc, docSrc string) string {
 	t.Helper()
-	sheet, err := CompileString(sheetSrc, CompileOptions{})
+	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -257,7 +257,7 @@ func TestGlobalVariablesAndStylesheetParams(t *testing.T) {
 	<xsl:variable name="n" select="count(//i)"/>
 	<xsl:template match="/"><xsl:value-of select="$title"/>:<xsl:value-of select="$n"/></xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileString(sheetSrc, CompileOptions{})
+	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestXslDocumentMultiOutput(t *testing.T) {
 		</body></html>
 	</xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileString(sheetSrc, CompileOptions{})
+	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestMessages(t *testing.T) {
 	sheetSrc := `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
 	<xsl:template match="/"><xsl:message>note <xsl:value-of select="name(/*)"/></xsl:message><ok/></xsl:template>
 	</xsl:stylesheet>`
-	sheet, _ := CompileString(sheetSrc, CompileOptions{})
+	sheet, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
 	res, err := sheet.Transform(xmldom.MustParseString(`<root/>`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +460,7 @@ func TestMessages(t *testing.T) {
 	}
 	// terminate="yes" aborts.
 	sheetSrc = strings.Replace(sheetSrc, "<xsl:message>", `<xsl:message terminate="yes">`, 1)
-	sheet, _ = CompileString(sheetSrc, CompileOptions{})
+	sheet, _ = CompileStylesheetString(sheetSrc, CompileOptions{})
 	if _, err := sheet.Transform(xmldom.MustParseString(`<root/>`), nil); err == nil {
 		t.Error("terminate should abort the transform")
 	}
@@ -480,7 +480,7 @@ func TestIncludeViaLoader(t *testing.T) {
 		}
 		return nil, fmt.Errorf("not found: %s", href)
 	}
-	sheet, err := CompileString(main, CompileOptions{Loader: loader})
+	sheet, err := CompileStylesheetString(main, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestImportPrecedence(t *testing.T) {
 	<xsl:template match="a">main</xsl:template>
 	</xsl:stylesheet>`
 	loader := func(href string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
-	sheet, err := CompileString(main, CompileOptions{Loader: loader})
+	sheet, err := CompileStylesheetString(main, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestDocumentFunction(t *testing.T) {
 	<xsl:output omit-xml-declaration="yes"/>
 	<xsl:template match="/"><xsl:value-of select="document('other.xml')//entry[@key='k']"/></xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileString(sheetSrc, CompileOptions{Loader: loader})
+	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestCompileErrors(t *testing.T) {
 		`<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform"><xsl:namespace-alias stylesheet-prefix="a" result-prefix="b"/></xsl:stylesheet>`,
 	}
 	for i, src := range bad {
-		if _, err := CompileString(src, CompileOptions{}); err == nil {
+		if _, err := CompileStylesheetString(src, CompileOptions{}); err == nil {
 			t.Errorf("case %d: compile should fail", i)
 		}
 	}
@@ -600,7 +600,7 @@ func TestCompileErrors(t *testing.T) {
 func TestRuntimeErrors(t *testing.T) {
 	// Unknown named template.
 	sheet := wrap(`<xsl:call-template name="ghost"/>`)
-	s, err := CompileString(sheet, CompileOptions{})
+	s, err := CompileStylesheetString(sheet, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +612,7 @@ func TestRuntimeErrors(t *testing.T) {
 	<xsl:template match="/"><xsl:call-template name="loop"/></xsl:template>
 	<xsl:template name="loop"><xsl:call-template name="loop"/></xsl:template>
 	</xsl:stylesheet>`
-	s, err = CompileString(rec, CompileOptions{})
+	s, err = CompileStylesheetString(rec, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestRuntimeErrors(t *testing.T) {
 
 func TestTransformElementSource(t *testing.T) {
 	// Transforming a bare element wraps it in a document.
-	sheet, _ := CompileString(wrap(`<xsl:value-of select="name(/*)"/>`), CompileOptions{})
+	sheet, _ := CompileStylesheetString(wrap(`<xsl:value-of select="name(/*)"/>`), CompileOptions{})
 	elem := xmldom.NewElement("standalone")
 	out, err := sheet.TransformToBytes(elem, nil)
 	if err != nil {
@@ -635,7 +635,7 @@ func TestTransformElementSource(t *testing.T) {
 }
 
 func TestReuseAcrossTransforms(t *testing.T) {
-	sheet, _ := CompileString(wrap(`<xsl:value-of select="count(//i)"/>`), CompileOptions{})
+	sheet, _ := CompileStylesheetString(wrap(`<xsl:value-of select="count(//i)"/>`), CompileOptions{})
 	for i := 1; i <= 3; i++ {
 		src := "<r>" + strings.Repeat("<i/>", i) + "</r>"
 		out, err := sheet.TransformToBytes(xmldom.MustParseString(src), nil)
