@@ -23,9 +23,6 @@ const (
 // to the message the same way compile errors carry theirs.
 func verifyProgram(file string, sheet *xslt.Stylesheet) []Diagnostic {
 	p := sheet.Program()
-	if p == nil {
-		return nil
-	}
 	fs := verify.Program(p)
 	fs = append(fs, verify.Shape(p)...)
 	out := make([]Diagnostic, 0, len(fs))
