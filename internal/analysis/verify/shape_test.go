@@ -112,3 +112,14 @@ func TestShapeXMLOutputSkipsHTMLModel(t *testing.T) {
 	requireNone(t, fs, verify.CodeRawTextHazard)
 	requireFinding(t, fs, verify.CodeAttrAfterContent, `"id"`)
 }
+
+func TestShapeFragmentContentIsAbsorbed(t *testing.T) {
+	// A result-tree fragment's content goes to its own document, not to
+	// the element open around the variable.
+	fs := shape(t, `<xsl:template match="/">
+    <div><xsl:variable name="v">text</xsl:variable><xsl:attribute name="id">v</xsl:attribute></div>
+    <br><xsl:variable name="w"><b/></xsl:variable></br>
+  </xsl:template>`)
+	requireNone(t, fs, verify.CodeAttrAfterContent)
+	requireNone(t, fs, verify.CodeVoidContent)
+}
