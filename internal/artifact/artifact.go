@@ -83,10 +83,16 @@ type Artifact struct {
 // New builds an unmanaged artifact (no interning, Release is a no-op)
 // — for process-static content like embedded stylesheets and schemas.
 func New(contentType string, body []byte) *Artifact {
+	return newArtifact(contentType, body, hashContent(contentType, body))
+}
+
+// newArtifact builds an artifact whose content hash the caller already
+// computed, so interning hashes each body once.
+func newArtifact(contentType string, body []byte, sum [sha256.Size]byte) *Artifact {
 	a := &Artifact{
 		body:         body,
 		contentType:  contentType,
-		sum:          hashContent(contentType, body),
+		sum:          sum,
 		compressible: Compressible(contentType),
 	}
 	a.etag = `"` + hex.EncodeToString(a.sum[:16]) + `"`
@@ -443,7 +449,7 @@ func (s *Store) Intern(contentType string, body []byte) *Artifact {
 		a.refs++
 		return a
 	}
-	a := New(contentType, body)
+	a := newArtifact(contentType, body, sum)
 	a.store = s
 	a.refs = 1
 	s.m[sum] = a

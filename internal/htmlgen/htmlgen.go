@@ -136,40 +136,6 @@ func (s *Site) TotalBytes() int {
 	return n
 }
 
-// HashPage returns the FNV-64a content hash of one page's bytes — the
-// cheap fingerprint serving layers use to detect byte-identical pages
-// across publications (the HTTP edge additionally addresses artifacts
-// by a cryptographic hash; this one is for quick equality triage).
-func HashPage(content []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range content {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
-
-// Fingerprint hashes the whole site — page names and bytes, in
-// generation order — into one FNV-64a value. Two publications with the
-// same fingerprint rendered byte-identical sites, so a hot swap that
-// commits an unchanged fingerprint keeps every client-cached ETag
-// revalidating to 304.
-func (s *Site) Fingerprint() uint64 {
-	const prime64 = 1099511628211
-	h := HashPage(nil)
-	for _, name := range s.Order {
-		h ^= HashPage([]byte(name))
-		h *= prime64
-		h ^= HashPage(s.Pages[name])
-		h *= prime64
-	}
-	return h
-}
-
 // PublishDocument renders a goldmodel XML document. The document is
 // validated first (unless disabled) with schema defaults applied, exactly
 // the server-side pipeline of §6.

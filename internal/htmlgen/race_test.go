@@ -1,0 +1,5 @@
+//go:build race
+
+package htmlgen
+
+const raceEnabled = true

@@ -20,9 +20,6 @@ type publishedSite struct {
 	order []string
 	// size is the summed identity size — the siteCache accounting unit.
 	size int64
-	// fp is the htmlgen content fingerprint: equal fingerprints across
-	// generations certify that every client-cached ETag stays valid.
-	fp uint64
 }
 
 // newPublishedSite interns every page of site into the store. The
@@ -31,7 +28,6 @@ func newPublishedSite(store *artifact.Store, site *htmlgen.Site) *publishedSite 
 	p := &publishedSite{
 		pages: make(map[string]*artifact.Artifact, len(site.Pages)),
 		order: site.Order,
-		fp:    site.Fingerprint(),
 	}
 	for name, content := range site.Pages {
 		a := store.Intern(contentType(name), content)

@@ -276,3 +276,31 @@ func (n *Node) IndexedDescendants(name string, includeSelf bool) ([]*Node, bool)
 	}
 	return list[i:j:j], true
 }
+
+// Singleton returns a one-node slice holding n. On a frozen tree it is a
+// capped window into storage the tree already has, so it allocates
+// nothing: an element's slot in the name index, an attribute's slot in
+// its element's Attr, and any other node's slot in its parent's
+// Children. The window shares memory with the tree and must not be
+// modified. On an unfrozen tree, and for a frozen tree's root when it is
+// not an element, the slice is freshly allocated.
+func (n *Node) Singleton() []*Node {
+	if n.Frozen() {
+		var list []*Node
+		switch {
+		case n.Type == ElementNode:
+			list = n.idx.byName[n.sym]
+		case n.Parent == nil:
+		case n.Type == AttrNode:
+			list = n.Parent.Attr
+		default:
+			list = n.Parent.Children
+		}
+		// Every list is in document order: binary-search n's stamp.
+		i := sort.Search(len(list), func(k int) bool { return list[k].ord >= n.ord })
+		if i < len(list) && list[i] == n {
+			return list[i : i+1 : i+1]
+		}
+	}
+	return []*Node{n}
+}

@@ -252,3 +252,64 @@ func TestIndexLookups(t *testing.T) {
 		t.Errorf("IndexedDescendants under r = %v (ok=%v)", got, ok)
 	}
 }
+
+// TestSingleton checks that on a frozen tree Singleton returns a capped
+// one-node window into the tree's own storage without allocating, and a
+// fresh slice otherwise.
+func TestSingleton(t *testing.T) {
+	doc, err := Parse([]byte(`<r a="1" b="2"><k x="1"/> text <k y="2"><!--c--><k/></k></r>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*Node
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		nodes = append(nodes, n)
+		nodes = append(nodes, n.Attr...)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(doc)
+	check := func(n *Node) []*Node {
+		s := n.Singleton()
+		if len(s) != 1 || cap(s) != 1 || s[0] != n {
+			t.Fatalf("%s: Singleton = %v (len %d, cap %d)", n.Path(), s, len(s), cap(s))
+		}
+		return s
+	}
+	for _, n := range nodes {
+		check(n) // unfrozen: fresh
+	}
+	Freeze(doc)
+	for _, n := range nodes {
+		s := check(n)
+		if n.Type == DocumentNode {
+			continue
+		}
+		var storage []*Node
+		switch n.Type {
+		case ElementNode:
+			storage = doc.Index().ElementsByName(n.Name)
+		case AttrNode:
+			storage = n.Parent.Attr
+		default:
+			storage = n.Parent.Children
+		}
+		shared := false
+		for i := range storage {
+			if &storage[i] == &s[0] {
+				shared = true
+			}
+		}
+		if !shared {
+			t.Errorf("%s: frozen Singleton does not share the tree's storage", n.Path())
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { n.Singleton() }); allocs != 0 {
+			t.Errorf("%s: frozen Singleton made %.0f allocations", n.Path(), allocs)
+		}
+	}
+}

@@ -367,7 +367,8 @@ func axisNodes(n *xmldom.Node, axis axisType) []*xmldom.Node {
 	switch axis {
 	case axisChild:
 		// Callers never mutate axis results, so the child and attribute
-		// slices are returned without copying.
+		// slices, and the frozen singletons of the parent and self axes,
+		// are returned without copying.
 		return n.Children
 	case axisDescendant:
 		return n.Descendants()
@@ -375,7 +376,7 @@ func axisNodes(n *xmldom.Node, axis axisType) []*xmldom.Node {
 		return append([]*xmldom.Node{n}, n.Descendants()...)
 	case axisParent:
 		if p := parentOf(n); p != nil {
-			return []*xmldom.Node{p}
+			return p.Singleton()
 		}
 		return nil
 	case axisAncestor:
@@ -391,7 +392,7 @@ func axisNodes(n *xmldom.Node, axis axisType) []*xmldom.Node {
 		}
 		return out
 	case axisSelf:
-		return []*xmldom.Node{n}
+		return n.Singleton()
 	case axisAttribute:
 		if n.Type != xmldom.ElementNode {
 			return nil

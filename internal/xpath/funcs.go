@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode"
 
 	"goldweb/internal/xmldom"
 )
@@ -18,6 +19,7 @@ func init() {
 		"position":      fnPosition,
 		"count":         fnCount,
 		"id":            fnID,
+		"current":       fnCurrent,
 		"local-name":    fnLocalName,
 		"namespace-uri": fnNamespaceURI,
 		"name":          fnName,
@@ -110,10 +112,6 @@ func idLookup(ctx *Context, arg Value) NodeSet {
 	default:
 		ids = strings.Fields(ToString(v))
 	}
-	want := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
 	var out []*xmldom.Node
 	if ctx.Node == nil {
 		return NodeSet(nil)
@@ -130,12 +128,60 @@ func idLookup(ctx *Context, arg Value) NodeSet {
 		}
 		return NodeSet(xmldom.SortDocOrder(out))
 	}
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
+	}
 	for _, e := range root.DescendantElements("") {
 		if want[e.AttrValue("id")] && e.HasAttr("id") {
 			out = append(out, e)
 		}
 	}
 	return NodeSet(xmldom.SortDocOrder(out))
+}
+
+// idLookupIR is idLookup on an unboxed argument. On a frozen document an
+// argument that is one id token (a string, number or boolean, or a
+// single node) is answered from the ID map as the element's frozen
+// singleton, without splitting, boxing or allocating.
+func idLookupIR(ctx *Context, arg irval) NodeSet {
+	if ctx.Node != nil && (arg.kind != vNodes || len(arg.nodes) == 1) {
+		if ix := ctx.Node.Root().Index(); ix != nil {
+			if id, ok := singleToken(arg.toStr()); ok {
+				if e := ix.ByID(id); e != nil {
+					return e.Singleton()
+				}
+				return nil
+			}
+		}
+	}
+	return idLookup(ctx, arg.boxed())
+}
+
+// singleToken reports whether s splits into exactly one field under
+// strings.Fields, returning that field.
+func singleToken(s string) (string, bool) {
+	t := strings.TrimFunc(s, unicode.IsSpace)
+	return t, t != "" && strings.IndexFunc(t, unicode.IsSpace) < 0
+}
+
+// fnCurrent implements the XSLT current() function: the node-set holding
+// Context.Current, empty outside XSLT where no current node is set.
+func fnCurrent(ctx *Context, args []Value) (Value, error) {
+	if err := argc("current", args, 0, 0); err != nil {
+		return nil, err
+	}
+	return currentNode(ctx), nil
+}
+
+// currentNode is the body of current(), shared with the IR evaluator's
+// dedicated opcode: on a frozen document the current node's frozen
+// singleton, so nothing is allocated.
+func currentNode(ctx *Context) NodeSet {
+	if ctx.Current == nil {
+		return nil
+	}
+	return ctx.Current.Singleton()
 }
 
 func singleNode(ctx *Context, args []Value) (*xmldom.Node, error) {

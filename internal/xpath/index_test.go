@@ -107,3 +107,44 @@ func TestFusionPositionalSafety(t *testing.T) {
 		t.Errorf("descendant::b[1] = %d nodes", len(ns))
 	}
 }
+
+// appendSink keeps the appends below observable to the compiler.
+var appendSink NodeSet
+
+// TestFrozenResultsAreCapped: results that are windows into a frozen
+// document's storage (its name index, Children or Attr) are capped, so
+// appending to one reallocates instead of overwriting the document.
+func TestFrozenResultsAreCapped(t *testing.T) {
+	doc := xmldom.MustParseString(`<r><a x="1" y="2"><b/><b/><b/></a><b/></r>`)
+	ix := xmldom.Freeze(doc)
+	r := doc.Children[0]
+	a := r.Children[0]
+	byName := append([]*xmldom.Node(nil), ix.ElementsByName("b")...)
+	children := append([]*xmldom.Node(nil), a.Children...)
+	attrs := append([]*xmldom.Node(nil), a.Attr...)
+	for _, src := range []string{
+		"//b[1]", "a/b[1]", "a/b[2]", "a/b", "descendant::b[1]", "a/@x",
+		"a/b[1]/..", "a/@y/..", ".",
+	} {
+		ns, err := QueryNodes(r, src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if len(ns) == 0 {
+			t.Fatalf("%s: empty result", src)
+		}
+		appendSink = append(ns, doc)
+		for name, pair := range map[string][2][]*xmldom.Node{
+			"ElementsByName(b)": {byName, ix.ElementsByName("b")},
+			"a.Children":        {children, a.Children},
+			"a.Attr":            {attrs, a.Attr},
+		} {
+			want, got := pair[0], pair[1]
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: appending to the result overwrote %s[%d]", src, name, i)
+				}
+			}
+		}
+	}
+}

@@ -39,6 +39,7 @@ const (
 	opToBool   // coerce top of stack to boolean
 	opCall     // call calls[a], popping its arguments
 	opID       // id() with one evaluated argument on the stack (id-map lookup)
+	opCurrent  // current(): push the XSLT current node
 )
 
 var opcodeNames = [...]string{
@@ -47,6 +48,7 @@ var opcodeNames = [...]string{
 	opDiv: "div", opMod: "mod", opEq: "eq", opNeq: "neq", opLt: "lt",
 	opLe: "le", opGt: "gt", opGe: "ge", opJmpFalse: "jmp-false",
 	opJmpTrue: "jmp-true", opToBool: "to-bool", opCall: "call", opID: "id-lookup",
+	opCurrent: "current",
 }
 
 type instr struct {

@@ -13,7 +13,8 @@ import "math"
 //   - constant integer predicates become direct k-th selections
 //   - position-free predicates are flagged so the evaluator skips the
 //     numeric-position test
-//   - id() calls lower to a dedicated id-map lookup opcode
+//   - id() calls lower to a dedicated id-map lookup opcode, and
+//     current() to one that pushes the current node unboxed
 //
 // Boolean operators compile to conditional jumps so short-circuiting
 // matches the reference interpreter exactly, including which errors are
@@ -167,6 +168,11 @@ func (em *emitter) compileCall(v *callExpr) {
 	if v.name == "id" && len(v.args) == 1 {
 		em.compile(v.args[0])
 		em.emit(opID, 0)
+		return
+	}
+	if v.name == "current" && len(v.args) == 0 {
+		em.emit(opCurrent, 0)
+		em.shift(1)
 		return
 	}
 	for _, a := range v.args {

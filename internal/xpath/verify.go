@@ -115,6 +115,8 @@ func verifyIRProgram(p *program) error {
 			if h < 1 {
 				return fmt.Errorf("pc %d: %s on an empty stack", pc, opcodeNames[in.op])
 			}
+		case opCurrent:
+			h++
 		case opAdd, opSub, opMul, opDiv, opMod,
 			opEq, opNeq, opLt, opLe, opGt, opGe:
 			if h < 2 {

@@ -337,11 +337,7 @@ loop:
 			f.push(fromValue(v))
 		case opID:
 			arg := f.pop()
-			var fn Function
-			if ctx.Funcs != nil {
-				fn = ctx.Funcs["id"]
-			}
-			if fn != nil {
+			if fn := ctx.Funcs["id"]; fn != nil {
 				// The context shadows the core id(); defer to it.
 				v, err := fn(ctx, []Value{arg.boxed()})
 				if err != nil {
@@ -351,7 +347,19 @@ loop:
 				f.push(fromValue(v))
 				continue
 			}
-			f.push(nodesVal(idLookup(ctx, arg.boxed())))
+			f.push(nodesVal(idLookupIR(ctx, arg)))
+		case opCurrent:
+			if fn := ctx.Funcs["current"]; fn != nil {
+				// The context shadows the core current(); defer to it.
+				v, err := fn(ctx, nil)
+				if err != nil {
+					rerr = err
+					break loop
+				}
+				f.push(fromValue(v))
+				continue
+			}
+			f.push(nodesVal(currentNode(ctx)))
 		case opPath:
 			ns, err := evalPathPlan(p.paths[in.a], ctx, f)
 			if err != nil {
@@ -403,13 +411,45 @@ func tokForOp(op opcode) tokKind {
 	return tokGe
 }
 
-// compareIR implements XPath comparison over unboxed operands. The
-// scalar-scalar case (the hot one) mirrors compareAtomic without
-// boxing; node-set operands fall back to the shared existential logic.
+// compareIR implements XPath comparison over unboxed operands. A
+// node-set against a string or number is existential: true when some
+// node's string value, taken as the other operand's type, compares true
+// under the scalar rules, so neither side is boxed. Node-set against a
+// boolean or another node-set falls back to the shared logic.
 func compareIR(op opcode, l, r irval) bool {
-	if l.kind == vNodes || r.kind == vNodes {
+	switch {
+	case l.kind == vNodes && r.kind != vNodes && r.kind != vBool:
+		for _, n := range l.nodes {
+			if compareScalar(op, nodeAtomIR(n, r.kind), r) {
+				return true
+			}
+		}
+		return false
+	case r.kind == vNodes && l.kind != vNodes && l.kind != vBool:
+		for _, n := range r.nodes {
+			if compareScalar(op, l, nodeAtomIR(n, l.kind)) {
+				return true
+			}
+		}
+		return false
+	case l.kind == vNodes || r.kind == vNodes:
 		return compare(tokForOp(op), l.boxed(), r.boxed())
 	}
+	return compareScalar(op, l, r)
+}
+
+// nodeAtomIR converts a node to the scalar type of the other operand of
+// a comparison: a number for a number, else its string value.
+func nodeAtomIR(n *xmldom.Node, other vkind) irval {
+	if other == vNum {
+		return numVal(stringToNumber(n.StringValue()))
+	}
+	return strVal(n.StringValue())
+}
+
+// compareScalar compares two scalars; it mirrors compareAtomic without
+// boxing.
+func compareScalar(op opcode, l, r irval) bool {
 	if op == opEq || op == opNeq {
 		var eq bool
 		switch {
@@ -437,35 +477,41 @@ func compareIR(op opcode, l, r irval) bool {
 	return a >= b
 }
 
-// evalPathPlan walks a planned location path.
+// evalPathPlan walks a planned location path. A relative or absolute
+// path starts from its one context node directly, so no start slice is
+// built.
 func evalPathPlan(pl *pathPlan, ctx *Context, f *frame) ([]*xmldom.Node, error) {
 	var cur []*xmldom.Node
-	switch {
-	case pl.hasInput:
+	steps := pl.steps
+	if pl.hasInput {
 		in := f.pop()
 		if in.kind != vNodes {
 			return nil, fmt.Errorf("xpath: path applied to non-node-set")
 		}
 		cur = in.nodes
-	case pl.absolute:
-		if ctx.Node == nil {
-			return nil, fmt.Errorf("xpath: no context node for absolute path")
-		}
-		cur = []*xmldom.Node{ctx.Node.Root()}
-	default:
-		if ctx.Node == nil {
+	} else {
+		n := ctx.Node
+		if n == nil {
+			if pl.absolute {
+				return nil, fmt.Errorf("xpath: no context node for absolute path")
+			}
 			return nil, fmt.Errorf("xpath: no context node for path")
 		}
-		cur = []*xmldom.Node{ctx.Node}
+		if pl.absolute {
+			n = n.Root()
+		}
+		if len(steps) == 0 {
+			return n.Singleton(), nil
+		}
+		sel, err := stepOne(ctx, n, steps[0], f)
+		if err != nil {
+			return nil, err
+		}
+		cur, steps = sel, steps[1:]
 	}
-	for _, st := range pl.steps {
-		if len(cur) == 1 && st.forward {
-			// Single context node on a planned forward axis: the step
-			// already yields document order with no duplicates, so the
-			// merge sort (and its per-node order keys on unfrozen trees)
-			// is skipped. The result may alias a frozen document's name
-			// index, which is safe because node-set values are read-only.
-			sel, err := evalPlanStep(ctx, cur[0], st, f)
+	for _, st := range steps {
+		if len(cur) == 1 {
+			sel, err := stepOne(ctx, cur[0], st, f)
 			if err != nil {
 				return nil, err
 			}
@@ -485,28 +531,78 @@ func evalPathPlan(pl *pathPlan, ctx *Context, f *frame) ([]*xmldom.Node, error) 
 	return cur, nil
 }
 
+// stepOne selects along one planned step from a single context node, in
+// document order. On a planned forward axis the step already yields
+// document order with no duplicates, so the merge sort (and its per-node
+// order keys on unfrozen trees) is skipped and the result may stay a
+// window into a frozen document. A reverse axis sorts a fresh copy:
+// SortDocOrder works in place and must never see a window.
+func stepOne(ctx *Context, n *xmldom.Node, st *planStep, f *frame) ([]*xmldom.Node, error) {
+	sel, err := evalPlanStep(ctx, n, st, f)
+	if err != nil || st.forward || len(sel) < 2 {
+		return sel, err
+	}
+	return xmldom.SortDocOrder(append([]*xmldom.Node(nil), sel...)), nil
+}
+
+// subseq collects an ordered subsequence of src. While the kept nodes
+// form one contiguous run the result is a capped window into src; the
+// first gap copies the run out and appends from there on.
+type subseq struct {
+	src    []*xmldom.Node
+	lo, hi int
+	out    []*xmldom.Node
+	copied bool
+}
+
+// keep adds src[i]; calls come in increasing i.
+func (s *subseq) keep(i int) {
+	switch {
+	case s.copied:
+		s.out = append(s.out, s.src[i])
+	case s.lo == s.hi:
+		s.lo, s.hi = i, i+1
+	case i == s.hi:
+		s.hi++
+	default:
+		s.out = make([]*xmldom.Node, s.hi-s.lo, s.hi-s.lo+len(s.src)-i)
+		copy(s.out, s.src[s.lo:s.hi])
+		s.out = append(s.out, s.src[i])
+		s.copied = true
+	}
+}
+
+// nodes returns the kept nodes: nil when none, a capped window into src
+// when they are contiguous, the copy otherwise.
+func (s *subseq) nodes() []*xmldom.Node {
+	if s.copied {
+		return s.out
+	}
+	if s.lo == s.hi {
+		return nil
+	}
+	return s.src[s.lo:s.hi:s.hi]
+}
+
 // evalPlanStep selects along one planned step from a single context
 // node and applies its predicates in axis order.
 func evalPlanStep(ctx *Context, n *xmldom.Node, st *planStep, f *frame) ([]*xmldom.Node, error) {
 	var matched []*xmldom.Node
+	var err error
 	fast := false
 	if st.indexed {
 		matched, fast = indexedDescendants(n, st)
 	}
-	if !fast {
-		candidates := axisNodes(n, st.axis)
-		matched = candidates[:0:0]
-		for _, c := range candidates {
-			ok, err := matchTest(ctx, c, st.axis, st.test)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				matched = append(matched, c)
-			}
-		}
+	switch {
+	case fast:
+	case st.axis == axisAncestor || st.axis == axisAncestorOrSelf:
+		matched, err = ancestorMatches(ctx, n, st)
+	default:
+		matched, err = axisMatches(ctx, n, st)
 	}
-	var err error
+	if err != nil {
+		return nil, err
+	}
 	for _, pr := range st.preds {
 		matched, err = applyPredPlan(ctx, matched, pr, f)
 		if err != nil {
@@ -514,6 +610,61 @@ func evalPlanStep(ctx *Context, n *xmldom.Node, st *planStep, f *frame) ([]*xmld
 		}
 	}
 	return matched, nil
+}
+
+// axisMatches returns the nodes on the step's axis from n that pass its
+// node test. On a frozen document matches that form one contiguous run
+// of the axis come back as a window into it (the element's Children or
+// Attr, or a frozen singleton); an unfrozen tree always gets a fresh
+// slice, since it may still be edited after the evaluation.
+func axisMatches(ctx *Context, n *xmldom.Node, st *planStep) ([]*xmldom.Node, error) {
+	candidates := axisNodes(n, st.axis)
+	sub := subseq{src: candidates}
+	for i, c := range candidates {
+		ok, err := matchTest(ctx, c, st.axis, st.test)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			sub.keep(i)
+		}
+	}
+	if !sub.copied && !n.Frozen() {
+		return append([]*xmldom.Node(nil), sub.nodes()...), nil
+	}
+	return sub.nodes(), nil
+}
+
+// ancestorMatches tests n's ancestors (and n itself on ancestor-or-self)
+// nearest first, in axis order, without building the axis. A lone match
+// is its frozen singleton, so a step like ancestor::dimclass allocates
+// nothing on a frozen document.
+func ancestorMatches(ctx *Context, n *xmldom.Node, st *planStep) ([]*xmldom.Node, error) {
+	var first *xmldom.Node
+	var out []*xmldom.Node
+	a := n
+	if st.axis == axisAncestor {
+		a = parentOf(n)
+	}
+	for ; a != nil; a = parentOf(a) {
+		ok, err := matchTest(ctx, a, st.axis, st.test)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case !ok:
+		case first == nil:
+			first = a
+		case out == nil:
+			out = []*xmldom.Node{first, a}
+		default:
+			out = append(out, a)
+		}
+	}
+	if out == nil && first != nil {
+		return first.Singleton(), nil
+	}
+	return out, nil
 }
 
 // indexedDescendants answers a planned descendant name test straight
@@ -542,16 +693,18 @@ func indexedDescendants(n *xmldom.Node, st *planStep) ([]*xmldom.Node, bool) {
 }
 
 // applyPredPlan filters nodes (in axis order) by a planned predicate.
+// The kept nodes come back as a capped window into nodes while they are
+// contiguous (node-sets are read-only, so the window is safe to share).
 func applyPredPlan(ctx *Context, nodes []*xmldom.Node, pr *predPlan, f *frame) ([]*xmldom.Node, error) {
-	if pr.posConst > 0 {
+	if k := pr.posConst; k > 0 {
 		// Constant integer predicate: direct k-th selection, nothing to
 		// evaluate per node.
-		if pr.posConst <= len(nodes) {
-			return nodes[pr.posConst-1 : pr.posConst], nil
+		if k <= len(nodes) {
+			return nodes[k-1 : k : k], nil
 		}
 		return nil, nil
 	}
-	var out []*xmldom.Node
+	out := subseq{src: nodes}
 	// One reusable pooled sub-context for the whole scan; predicate
 	// programs never retain the context they are given. (A plain local
 	// would be heap-moved every call: exec leaks its context parameter
@@ -575,8 +728,8 @@ func applyPredPlan(ctx *Context, nodes []*xmldom.Node, pr *predPlan, f *frame) (
 			keep = v.truthy()
 		}
 		if keep {
-			out = append(out, n)
+			out.keep(i)
 		}
 	}
-	return out, nil
+	return out.nodes(), nil
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // installFunctions registers the XSLT additional function library
-// (XSLT 1.0 §12) on the engine.
+// (XSLT 1.0 §12) on the engine. current() is not among them: the XPath
+// core resolves it from Context.Current, which the engine sets, so the
+// IR evaluates it without boxing.
 func (e *engine) installFunctions() {
 	e.funcs = map[string]xpath.Function{
-		"current":             e.fnCurrent,
 		"generate-id":         e.fnGenerateID,
 		"key":                 e.fnKey,
 		"document":            e.fnDocument,
@@ -23,16 +24,6 @@ func (e *engine) installFunctions() {
 		"function-available":  e.fnFunctionAvailable,
 		"unparsed-entity-uri": fnUnparsedEntityURI,
 	}
-}
-
-func (e *engine) fnCurrent(ctx *xpath.Context, args []xpath.Value) (xpath.Value, error) {
-	if len(args) != 0 {
-		return nil, fmt.Errorf("xslt: current() takes no arguments")
-	}
-	if ctx.Current == nil {
-		return xpath.NodeSet(nil), nil
-	}
-	return xpath.NodeSet{ctx.Current}, nil
 }
 
 func (e *engine) fnGenerateID(ctx *xpath.Context, args []xpath.Value) (xpath.Value, error) {
@@ -256,8 +247,9 @@ func (e *engine) fnFunctionAvailable(ctx *xpath.Context, args []xpath.Value) (xp
 		return xpath.Boolean(true), nil
 	}
 	// Probe the core library through a compile of "name()" is overkill;
-	// keep an explicit list of XPath core functions.
-	core := map[string]bool{"last": true, "position": true, "count": true,
+	// keep an explicit list of the functions the XPath core resolves
+	// (XSLT's current() among them).
+	core := map[string]bool{"current": true, "last": true, "position": true, "count": true,
 		"id": true, "local-name": true, "namespace-uri": true, "name": true,
 		"string": true, "concat": true, "starts-with": true, "contains": true,
 		"substring-before": true, "substring-after": true, "substring": true,
