@@ -29,8 +29,8 @@ type Context struct {
 	Vars     map[string]Value
 	Funcs    map[string]Function
 	NS       map[string]string
-	// Current is the XSLT current node (for the current() function);
-	// nil outside XSLT.
+	// Current is the XSLT current node, which the core current()
+	// function returns; nil outside XSLT, where current() is empty.
 	Current *xmldom.Node
 }
 

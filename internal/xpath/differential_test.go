@@ -89,6 +89,8 @@ var handExprs = []string{
 	"format-number(42, '#')", "unknown-fn()", "count()", "*[1.5]", "*[0]",
 	"*[-1]", "'abc' + 1", "(//*)[2]", "(.)", "((*))[1]", "@id", "@nosuch",
 	"text()", "comment()", "processing-instruction()", "node()",
+	"0 < .//@rolea", "2 > .//@rolea", ".//@rolea >= 1", "'0' <= .//@roleb",
+	"1 = .//@rolea", "'d1' != .//@dimclass", "true() = .//@nosuch",
 }
 
 // stubFuncs supplies deterministic implementations of the XSLT extension
