@@ -14,6 +14,8 @@
 //	goldweb schema                           print the canonical XML Schema
 //	goldweb schema-tree [-attrs]             the schema as a tree (Fig. 2)
 //	goldweb check-schema <schema.xsd>        XML Schema quality checker
+//	goldweb cwm <model.xml>                  CWM OLAP interchange export
+//	goldweb report                           regenerate the evaluation series
 //	goldweb transform <doc.xml> <sheet.xsl>  generic XSLT 1.0/1.1 processor
 //	goldweb lint [-json] [path ...]          schema-aware static analysis
 package main
@@ -72,8 +74,6 @@ func main() {
 		err = cmdCWM(args)
 	case "report":
 		err = cmdReport(args)
-	case "bench":
-		err = cmdBench(args)
 	case "transform":
 		err = cmdTransform(args)
 	case "lint":
@@ -110,6 +110,8 @@ func usage() {
   goldweb schema                           print the canonical XML Schema
   goldweb schema-tree [-attrs] [-f f.xsd]  the schema as a tree (Fig. 2)
   goldweb check-schema <schema.xsd>        XML Schema quality checker
+  goldweb cwm <model.xml>                  CWM OLAP interchange export
+  goldweb report                           regenerate the evaluation series
   goldweb transform <doc.xml> <sheet.xsl>  generic XSLT processor
   goldweb lint [-json] [-schema f.xsd] [path ...]
                                            schema-aware static analysis of
@@ -117,12 +119,7 @@ func usage() {
 
   serve also accepts -schema f.xsd to validate and lint against a custom
   schema (xs:include/xs:import graphs resolve relative to the file); it
-  must still describe goldmodel documents, which serve publishes.
-  goldweb report                           regenerate the evaluation series
-  goldweb bench [-json] [-o out.json] [-load] [-load-only]
-                                           measure the evaluation pipelines
-                                           and the sustained-load edge RPS/p99
-  goldweb cwm <model.xml>                  CWM OLAP interchange export`)
+  must still describe goldmodel documents, which serve publishes.`)
 }
 
 func loadModelFile(path string) (*core.Model, *xmldom.Node, error) {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -22,25 +24,48 @@ func withFile(t *testing.T, name, content string) string {
 // capture redirects stdout while fn runs and returns what was printed.
 func capture(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	return redirect(t, &os.Stdout, fn)
+}
+
+// redirect points *f at a pipe while fn runs and returns what was
+// written to it.
+func redirect(t *testing.T, f **os.File, fn func() error) (string, error) {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	ferr := fn()
 	w.Close()
-	os.Stdout = old
-	buf := make([]byte, 0, 1<<16)
-	tmp := make([]byte, 4096)
-	for {
-		n, rerr := r.Read(tmp)
-		buf = append(buf, tmp[:n]...)
-		if rerr != nil {
-			break
-		}
+	*f = old
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return string(buf), ferr
+}
+
+func TestUsageListsEveryCommand(t *testing.T) {
+	out, _ := redirect(t, &os.Stderr, func() error { usage(); return nil })
+	// The command list is the paragraph after the title; notes follow it.
+	paras := strings.Split(out, "\n\n")
+	if len(paras) < 2 {
+		t.Fatalf("usage has no command list:\n%s", out)
+	}
+	list := paras[1]
+	for _, cmd := range []string{
+		"sample", "validate", "pretty", "publish", "serve", "export", "schema",
+		"schema-tree", "check-schema", "cwm", "report", "transform", "lint",
+	} {
+		if !regexp.MustCompile(`(?m)^  goldweb ` + regexp.QuoteMeta(cmd) + `(\s|$)`).MatchString(list) {
+			t.Errorf("usage does not list %q in the command list:\n%s", cmd, out)
+		}
+	}
+	if strings.Contains(out, "goldweb bench") {
+		t.Errorf("usage still lists the retired bench command:\n%s", out)
+	}
 }
 
 func TestCmdValidateAcceptsSample(t *testing.T) {
