@@ -311,7 +311,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	timeout := fs.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout (0 disables)")
 	maxInflight := fs.Int("max-inflight", server.DefaultMaxInflight, "max concurrent requests; excess sheds with 503 (0 disables)")
-	cacheSize := fs.Int("cache-size", server.DefaultCacheSize, "max cached presentations (LRU)")
+	cacheSize := fs.Int("cache-size", server.DefaultCacheSize, "max cache entries, each a presentation or a page (LRU)")
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "presentation cache byte budget (LRU; negative disables)")
 	compress := fs.Bool("compress", true, "serve precompressed gzip variants to Accept-Encoding clients")
 	lintPolicy := fs.String("lint", "warn", "pre-serve static analysis: strict (errors refuse to start), warn, off")

@@ -23,6 +23,13 @@ func FuzzProgramVerifier(f *testing.F) {
 	f.Add([]byte{0, 9, 1, 255, 255, 255})              // operand A out of range
 	f.Add([]byte{0, 12, 2, 0, 0, 200})                 // jump far away
 	f.Add([]byte{0, 1, 0, 0, 0, 17, 0, 2, 1, 0, 0, 9}) // two stacked edits
+	for pc, in := range base.Code {
+		if in.Op == xslt.OpDocBegin && in.B != 0 {
+			// Pull a doc skip back onto its doc-end.
+			b := in.B - 1 + 1<<16
+			f.Add([]byte{byte(pc >> 8), byte(pc), 2, byte(b >> 16), byte(b >> 8), byte(b)})
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im := &verify.Image{

@@ -410,6 +410,10 @@ func (sa *shaper) step(pc int, in *shpState) {
 		st.pop(shRTF)
 		next()
 	case xslt.OpDocBegin:
+		if instr.B != 0 {
+			// Doc skip: the body is jumped over, the output state unchanged.
+			sa.flow(int(instr.B), st.clone())
+		}
 		st.frames = append(st.frames, shpFrame{kind: shDoc, pc: pc})
 		next()
 	case xslt.OpDocEnd:

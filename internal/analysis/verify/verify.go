@@ -354,6 +354,15 @@ func (im *Image) Check() []Finding {
 			}
 		case xslt.OpDocBegin:
 			visit(pc+1, st+string(rune(frDoc)), pc)
+			if in.B != 0 {
+				// Doc skip: a targeted run jumps past the body, leaving
+				// the frame stack as it was.
+				if im.Code[in.B-1].Op != xslt.OpDocEnd {
+					bad(pc, "doc skip %04d does not land just past a doc-end", in.B)
+					break
+				}
+				visit(int(in.B), st, pc)
+			}
 		case xslt.OpDocEnd:
 			if needTop(frDoc, "doc-end") {
 				visit(pc+1, st[:len(st)-1], pc)
@@ -447,8 +456,13 @@ func checkOperands(im *Image, pc int, in xslt.Instr, bad func(int, string, ...in
 		jump("default skip", in.B)
 	case xslt.OpElemBegin:
 		idx("elem site", in.A, t.ElemSites)
-	case xslt.OpAttrBegin, xslt.OpPIBegin, xslt.OpDocBegin:
+	case xslt.OpAttrBegin, xslt.OpPIBegin:
 		idx("avt", in.A, t.AVTs)
+	case xslt.OpDocBegin:
+		idx("avt", in.A, t.AVTs)
+		if in.B != 0 {
+			jump("doc skip", in.B)
+		}
 	case xslt.OpCopyBegin:
 		idx("copy site", in.A, t.CopySites)
 		jump("leaf skip", in.B)

@@ -20,7 +20,8 @@ func compile(t *testing.T, src string) *xslt.Program {
 
 // corpusSrc exercises every frame construct the balance walk tracks:
 // apply/iterate, for-each, test branches, scopes, attribute and comment
-// captures, copy, and a named-template call.
+// captures, copy, a named-template call, and a leaf xsl:document whose
+// begin carries a doc-skip operand.
 const corpusSrc = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
   <xsl:output method="html"/>
   <xsl:template match="/">
@@ -35,6 +36,7 @@ const corpusSrc = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/19
       <xsl:copy><xsl:apply-templates/></xsl:copy>
       <xsl:call-template name="aux"/>
     </div>
+    <xsl:document href="side.html"><p>side</p></xsl:document>
   </xsl:template>
   <xsl:template name="aux"><span>aux</span></xsl:template>
   <xsl:template match="item"><em><xsl:value-of select="."/></em></xsl:template>
@@ -104,6 +106,18 @@ func TestCorruptJumpTarget(t *testing.T) {
 	pc := findOp(t, im.Code, xslt.OpTest)
 	im.Code[pc].B = 9999
 	requireFinding(t, im.Check(), verify.CodeBadProgram, "false-branch target 9999")
+}
+
+func TestCorruptDocSkip(t *testing.T) {
+	im := verify.Capture(compile(t, corpusSrc))
+	pc := findOp(t, im.Code, xslt.OpDocBegin)
+	if im.Code[pc].B == 0 {
+		t.Fatal("leaf xsl:document has no doc-skip operand")
+	}
+	im.Code[pc].B-- // onto the doc-end instead of past it
+	requireFinding(t, im.Check(), verify.CodeBadProgram, "does not land just past a doc-end")
+	im.Code[pc].B = 9999
+	requireFinding(t, im.Check(), verify.CodeBadProgram, "doc skip target 9999")
 }
 
 func TestCorruptSideTableIndex(t *testing.T) {

@@ -174,7 +174,9 @@ type Options struct {
 	StageTimeout time.Duration
 
 	// RequestTimeout, MaxInflight and CacheSize are passed through to
-	// each model's server (zero means that server default).
+	// each model's server (zero means that server default). CacheSize
+	// counts cache entries, each a whole presentation or a single page
+	// of a multi-page presentation.
 	RequestTimeout time.Duration
 	MaxInflight    int
 	CacheSize      int

@@ -191,6 +191,62 @@ func PublishDocumentContext(ctx context.Context, doc *xmldom.Node, opts Options)
 	return site, nil
 }
 
+// Page is one page of a presentation, rendered by PublishPage.
+type Page struct {
+	// Content is the page, byte-identical to the same page of the site
+	// PublishDocumentContext builds; nil unless Found.
+	Content []byte
+	// Found reports whether the presentation has the page.
+	Found bool
+	// Order lists every page name of the presentation: the Order of the
+	// whole site.
+	Order []string
+	// Messages holds the xsl:message output of the stylesheet bodies the
+	// targeted run executed (see xslt.Stylesheet.TransformPage).
+	Messages []string
+}
+
+// PublishPage renders one page of the presentation PublishDocumentContext
+// would build for doc and opts, with a targeted run of the stylesheet:
+// the bodies of the other pages are skipped (or, where the stylesheet
+// cannot prove them leaves, discarded), so the cost is close to that of
+// the one page. Validation, freezing and cancellation are as for
+// PublishDocumentContext.
+func PublishPage(ctx context.Context, doc *xmldom.Node, opts Options, page string) (*Page, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
+	}
+	work, sheet, params, css, err := preparePublication(doc, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
+	}
+	target := page
+	if page == IndexName {
+		target = "" // the principal output
+	}
+	res, err := sheet.TransformPage(work, params, target)
+	if err != nil {
+		return nil, err
+	}
+	p := &Page{
+		Content:  res.Page,
+		Found:    res.Found,
+		Order:    make([]string, 0, len(res.DocumentOrder)+2),
+		Messages: res.Messages,
+	}
+	p.Order = append(append(p.Order, IndexName), res.DocumentOrder...)
+	if withCSS(opts, css) {
+		p.Order = append(p.Order, styleName)
+		if page == styleName {
+			p.Content, p.Found = []byte(core.StyleCSS), true
+		}
+	}
+	return p, nil
+}
+
 // preparePublication validates and freezes the document and resolves the
 // stylesheet and its parameters.
 func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Stylesheet, map[string]xpath.Value, string, error) {
@@ -226,10 +282,16 @@ func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Sty
 	return work, sheet, params, css, nil
 }
 
+// styleName is the page the embedded style sheet is written to.
+const styleName = "style.css"
+
+// withCSS reports whether a presentation includes the embedded style.css.
+func withCSS(opts Options, css string) bool { return !opts.OmitCSS && css == styleName }
+
 func addCSS(site *Site, opts Options, css string) {
-	if !opts.OmitCSS && css == "style.css" {
-		site.Pages["style.css"] = []byte(core.StyleCSS)
-		site.Order = append(site.Order, "style.css")
+	if withCSS(opts, css) {
+		site.Pages[styleName] = []byte(core.StyleCSS)
+		site.Order = append(site.Order, styleName)
 	}
 }
 
@@ -350,8 +412,7 @@ func CheckLinks(s *Site) []LinkError {
 			if target == "" {
 				target = page // same-page fragment
 			}
-			content, ok := s.Pages[target]
-			if !ok {
+			if _, ok := s.Pages[target]; !ok {
 				errs = append(errs, LinkError{Page: page, Href: href, Msg: "target page not generated"})
 				continue
 			}
@@ -360,7 +421,6 @@ func CheckLinks(s *Site) []LinkError {
 					errs = append(errs, LinkError{Page: page, Href: href, Msg: "missing anchor #" + frag})
 				}
 			}
-			_ = content
 		}
 	}
 	return errs

@@ -8,14 +8,16 @@ import (
 	"goldweb/internal/htmlgen"
 )
 
-// siteKey identifies one cached presentation. The generation number ties
-// the entry to the model snapshot it was published from, so a publication
-// that finishes after SetModel swapped the model can never be served for
-// the new one.
+// siteKey identifies one cached presentation, or one page of a
+// multi-page presentation published on its own. The generation number
+// ties the entry to the model snapshot it was published from, so a
+// publication that finishes after SetModel swapped the model can never be
+// served for the new one.
 type siteKey struct {
 	gen   uint64
 	mode  htmlgen.Mode
 	focus string
+	page  string // "" keys the whole presentation
 }
 
 // siteCache is a bounded LRU of published presentations. It accounts
@@ -36,6 +38,9 @@ type siteCache struct {
 	bytes      int64
 	ll         *list.List // front = most recently used; values are *cacheEntry
 	m          map[siteKey]*list.Element
+	// minGen is the generation the latest purge installed. Entries of
+	// older generations can never be served again, so add drops them.
+	minGen uint64
 }
 
 type cacheEntry struct {
@@ -69,9 +74,16 @@ func (c *siteCache) get(key siteKey) (*publishedSite, bool) {
 	return el.Value.(*cacheEntry).site, true
 }
 
+// add caches site under key, taking over its artifact references. A
+// publication that finishes after a purge moved past its generation is
+// released instead: nothing could ever serve it.
 func (c *siteCache) add(key siteKey, site *publishedSite) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if key.gen < c.minGen {
+		site.release()
+		return
+	}
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
 		ent := el.Value.(*cacheEntry)
@@ -104,10 +116,12 @@ func (c *siteCache) evictLocked() {
 	}
 }
 
-// purge drops every entry (model swap), releasing their artifacts.
-func (c *siteCache) purge() {
+// purge drops every entry (model swap to generation gen), releasing
+// their artifacts, and refuses later entries of older generations.
+func (c *siteCache) purge(gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.minGen = gen
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		el.Value.(*cacheEntry).site.release()
 	}

@@ -56,7 +56,7 @@ func TestCacheByteBudgetAccounting(t *testing.T) {
 	}
 
 	// purge releases everything.
-	c.purge()
+	c.purge(101)
 	if got, used := c.len(), c.usedBytes(); got != 0 || used != 0 {
 		t.Errorf("after purge: %d entries, %d bytes", got, used)
 	}
@@ -100,7 +100,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				key := siteKey{gen: uint64(i % 16), focus: fmt.Sprintf("g%d", g%4)}
 				if i%7 == 0 {
-					c.purge()
+					c.purge(0)
 					continue
 				}
 				if _, ok := c.get(key); !ok {
@@ -132,7 +132,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	}
 
 	// After a final purge every interning reference must be home.
-	c.purge()
+	c.purge(0)
 	if n := store.Len(); n != 0 {
 		t.Errorf("store retains %d artifacts after purge (leaked references)", n)
 	}

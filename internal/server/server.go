@@ -41,6 +41,7 @@ import (
 	"net"
 	"net/http"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,6 +90,13 @@ type snapshot struct {
 	// focuses is the set of fact class ids that are valid ?focus= values;
 	// anything else is a 404 before it can touch the cache.
 	focuses map[string]bool
+	// pageSets holds, by focus, the page names of each multi-page
+	// presentation once a run has reported them: the unfocused set from
+	// Stage's shadow publish or any run, a focused set from a targeted
+	// run. A /site/ read for a page outside the set is a 404 that runs no
+	// transform (pageGate).
+	pageMu   sync.Mutex
+	pageSets map[string][]string
 
 	// views holds the XML views once the first GET of any of them has
 	// built them (viewsFor). A swap does not build them: serving reads
@@ -98,6 +106,36 @@ type snapshot struct {
 	views    atomic.Pointer[xmlViews]
 	viewMu   sync.Mutex
 	released bool
+}
+
+// notePages records the page names a run reported for the multi-page
+// presentation of focus.
+func (snap *snapshot) notePages(focus string, order []string) {
+	snap.pageMu.Lock()
+	defer snap.pageMu.Unlock()
+	if _, ok := snap.pageSets[focus]; ok {
+		return
+	}
+	if snap.pageSets == nil {
+		snap.pageSets = map[string][]string{}
+	}
+	snap.pageSets[focus] = order
+}
+
+// pageGate reports whether the multi-page presentation of focus may have
+// page: false only when a recorded page set excludes it. A focused
+// presentation's pages are a subset of the unfocused one's, so the
+// unfocused set gates every focus until the focus has its own.
+func (snap *snapshot) pageGate(focus, page string) bool {
+	snap.pageMu.Lock()
+	defer snap.pageMu.Unlock()
+	set, ok := snap.pageSets[focus]
+	if !ok {
+		if set, ok = snap.pageSets[""]; !ok {
+			return true
+		}
+	}
+	return slices.Contains(set, page)
 }
 
 // xmlViews are a snapshot's pre-rendered XML responses, serialized once
@@ -229,7 +267,8 @@ func WithMaxInflight(n int) Option {
 	return func(s *Server) { s.maxInflight = n }
 }
 
-// WithCacheSize bounds the number of cached presentations (the
+// WithCacheSize bounds the number of cache entries, each a whole
+// presentation or a single page of a multi-page presentation (the
 // secondary cap; the primary accounting is WithCacheBytes).
 func WithCacheSize(n int) Option {
 	return func(s *Server) { s.cacheEntries = n }
@@ -331,7 +370,7 @@ func (s *Server) install(snap *snapshot, probe *publishedSite) uint64 {
 	snap.genHeader = strconv.FormatUint(snap.gen, 10)
 	snap.genVal = []string{snap.genHeader}
 	gen := s.gen
-	s.cache.purge()
+	s.cache.purge(gen)
 	if probe != nil {
 		s.cache.add(siteKey{gen: gen, mode: htmlgen.MultiPage}, probe)
 	}
@@ -389,6 +428,7 @@ func (s *Server) Stage(ctx context.Context, m *core.Model) (*StagedModel, error)
 		snap.release()
 		return nil, fmt.Errorf("shadow publish: %w", err)
 	}
+	snap.notePages("", site.Order)
 	// Interning the shadow-published site here — while the previous
 	// generation is still live — is what makes the swap memory-flat for
 	// unchanged pages: byte-identical content resolves to the already
@@ -547,6 +587,69 @@ func (s *Server) siteFor(snap *snapshot, mode htmlgen.Mode, focus string) (*publ
 	})
 }
 
+// pageFor returns the artifact serving /site/<page> of the multi-page
+// presentation of focus, or nil for a page the presentation does not
+// have. A cached whole presentation answers first — the Stage probe, so
+// a warm read costs one lookup. Otherwise the page has its own cache
+// entry, and a miss publishes just that page with a targeted run,
+// sharing it among concurrent misses. A page name outside the page set
+// a run reported is a 404 without a transform or a cache entry.
+// Injected publication pipelines (WithPublishFunc) publish whole sites.
+func (s *Server) pageFor(snap *snapshot, focus, page string) (*artifact.Artifact, error) {
+	if s.publish != nil {
+		site, err := s.siteFor(snap, htmlgen.MultiPage, focus)
+		if err != nil {
+			return nil, err
+		}
+		return site.page(page), nil
+	}
+	if focus != "" && !snap.focuses[focus] {
+		return nil, fmt.Errorf("%w %q: no such fact class", errUnknownFocus, focus)
+	}
+	if page == "style.css" {
+		return staticStyleCSS, nil // the same bytes every presentation writes
+	}
+	key := siteKey{gen: snap.gen, mode: htmlgen.MultiPage, focus: focus}
+	if site, ok := s.cache.get(key); ok {
+		return site.page(page), nil
+	}
+	key.page = page
+	if site, ok := s.cache.get(key); ok {
+		return site.page(page), nil
+	}
+	if !snap.pageGate(focus, page) {
+		return nil, nil
+	}
+	site, err := s.flight.Do(key, func() (*publishedSite, error) {
+		if snap.pubErr != nil {
+			return nil, snap.pubErr
+		}
+		s.pubWG.Add(1)
+		defer s.pubWG.Done()
+		ctx, cancel := s.publishCtx()
+		defer cancel()
+		pg, err := htmlgen.PublishPage(ctx, snap.pubDoc,
+			htmlgen.Options{Mode: htmlgen.MultiPage, Focus: focus, SkipValidation: true}, page)
+		if err != nil {
+			return nil, err
+		}
+		snap.notePages(focus, pg.Order)
+		if !pg.Found {
+			return nil, nil
+		}
+		p := newPublishedSite(s.store, &htmlgen.Site{
+			Pages: map[string][]byte{page: pg.Content},
+			Order: []string{page},
+		})
+		s.cache.add(key, p)
+		return p, nil
+	})
+	if site == nil {
+		return nil, err
+	}
+	return site.page(page), nil
+}
+
 // site is siteFor on the current snapshot (kept for tests and simple
 // callers).
 func (s *Server) site(mode htmlgen.Mode, focus string) (*publishedSite, error) {
@@ -660,12 +763,11 @@ func (s *Server) appMux() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		site, err := s.siteFor(snap, htmlgen.MultiPage, r.URL.Query().Get("focus"))
+		a, err := s.pageFor(snap, r.URL.Query().Get("focus"), page)
 		if err != nil {
 			siteError(w, err)
 			return
 		}
-		a := site.page(page)
 		if a == nil {
 			http.NotFound(w, r)
 			return

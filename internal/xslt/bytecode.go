@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"goldweb/internal/xmldom"
 	"goldweb/internal/xpath"
@@ -68,7 +69,7 @@ const (
 	OpPIEnd        //
 	OpMsgBegin     // begin capturing an xsl:message body
 	OpMsgEnd       // a: 1 = terminate
-	OpDocBegin     // a: href AVT — redirect output to an xsl:document sink
+	OpDocBegin     // a: href AVT — redirect output to an xsl:document sink; b: pc past its OpDocEnd when the body is a leaf (doc skip), else 0
 	OpDocEnd       //
 	OpCopyBegin    // a: copy site; b: pc after OpCopyEnd (leaf-node skip)
 	OpCopyEnd      //
@@ -209,6 +210,9 @@ type Program struct {
 	numSites   []*iNumber
 	tmpls      []*progTemplate
 	subs       []progSub
+	// docHint is the number of xsl:document hrefs the latest run
+	// evaluated: the initial capacity of the next run's document tables.
+	docHint atomic.Int32
 }
 
 // CompileStylesheet compiles a stylesheet document and lowers it to
@@ -257,6 +261,8 @@ type asm struct {
 	p *Program
 	// setEntry maps each attribute-set name to its subroutine entry pc.
 	setEntry map[string]int32
+	// docs holds the (OpDocBegin, OpDocEnd) pc pair of every xsl:document.
+	docs [][2]int32
 }
 
 func (a *asm) emit(op Opcode, opa, opb int32) int {
@@ -332,7 +338,103 @@ func (s *Stylesheet) lower() *Program {
 	for _, sl := range p.setLists {
 		a.expandSets(sl, sl.names, map[string]bool{})
 	}
+	a.markLeafDocs()
 	return p
+}
+
+// markLeafDocs gives every OpDocBegin whose body provably reaches no
+// OpDocBegin a doc-skip operand: the pc just past its OpDocEnd, where a
+// targeted run (TransformPage) continues instead of running the body of
+// a page it was not asked for. The proof is a conservative scan of the
+// flat code: a body reaches a document when it holds an OpDocBegin, or
+// invokes a template, applies templates in a mode (any rule of the mode,
+// built-ins included), applies imports (any rule of any mode) or runs an
+// attribute set whose code reaches one. Every template body and
+// attribute-set subroutine is one contiguous region from its entry to
+// the next entry; which regions reach a document is a least fixpoint.
+func (a *asm) markLeafDocs() {
+	if len(a.docs) == 0 {
+		return
+	}
+	p := a.p
+	entries := make([]int32, 0, len(p.tmpls)+len(p.subs))
+	for _, pt := range p.tmpls {
+		entries = append(entries, pt.entry)
+	}
+	for _, sub := range p.subs {
+		entries = append(entries, sub.entry)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i] < entries[j] })
+	reaches := make(map[int32]bool, len(entries))
+	for changed := true; changed; {
+		changed = false
+		for i, lo := range entries {
+			hi := int32(len(p.code))
+			if i+1 < len(entries) {
+				hi = entries[i+1]
+			}
+			if !reaches[lo] && a.reachesDoc(lo, hi, reaches) {
+				reaches[lo] = true
+				changed = true
+			}
+		}
+	}
+	for _, d := range a.docs {
+		if !a.reachesDoc(d[0]+1, d[1], reaches) {
+			a.patchB(int(d[0]), d[1]+1)
+		}
+	}
+}
+
+// reachesDoc reports whether code[lo:hi] holds an OpDocBegin or transfers
+// control into a region that reaches one, by the entries in reaches.
+func (a *asm) reachesDoc(lo, hi int32, reaches map[int32]bool) bool {
+	p := a.p
+	anyRule := func(ts []*Template) bool {
+		for _, t := range ts {
+			if reaches[t.entryPC] {
+				return true
+			}
+		}
+		return false
+	}
+	anySub := func(li int32) bool {
+		for _, entry := range p.setLists[li].subs {
+			if reaches[entry] {
+				return true
+			}
+		}
+		return false
+	}
+	for _, in := range p.code[lo:hi] {
+		switch in.Op {
+		case OpDocBegin:
+			return true
+		case OpInvoke:
+			if t := p.callSites[in.A].t; t != nil && reaches[t.entryPC] {
+				return true
+			}
+		case OpApply:
+			if anyRule(a.s.templates[p.applySites[in.A].mode]) {
+				return true
+			}
+		case OpApplyImports:
+			for _, ts := range a.s.templates {
+				if anyRule(ts) {
+					return true
+				}
+			}
+		case OpAttrSets:
+			if anySub(in.A) {
+				return true
+			}
+		case OpCopyBegin:
+			if li := p.copySites[in.A]; li >= 0 && anySub(li) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // expandSets appends the subroutines of names, in application order, to
@@ -638,9 +740,9 @@ func (a *asm) lowerInstr(ins instruction) {
 		a.lowerBody(t.body)
 		a.emit(OpMsgEnd, boolOperand(t.terminate), 0)
 	case *iDocument:
-		a.emit(OpDocBegin, a.addAVT(t.href), 0)
+		db := a.emit(OpDocBegin, a.addAVT(t.href), 0)
 		a.lowerBody(t.body)
-		a.emit(OpDocEnd, 0, 0)
+		a.docs = append(a.docs, [2]int32{int32(db), int32(a.emit(OpDocEnd, 0, 0))})
 	case *iCopy:
 		sets := int32(-1)
 		if len(t.useSets) > 0 {
@@ -878,8 +980,13 @@ func (p *Program) Disasm() string {
 			fmt.Fprintf(&b, " $%s skip→%04d", p.varDecls[in.A].name, in.B)
 		case OpElemBegin:
 			fmt.Fprintf(&b, " name=%q", avtSource(p.elemSites[in.A].name))
-		case OpAttrBegin, OpPIBegin, OpDocBegin:
+		case OpAttrBegin, OpPIBegin:
 			fmt.Fprintf(&b, " %q", avtSource(p.avts[in.A]))
+		case OpDocBegin:
+			fmt.Fprintf(&b, " %q", avtSource(p.avts[in.A]))
+			if in.B != 0 {
+				fmt.Fprintf(&b, " skip→%04d", in.B)
+			}
 		case OpMsgEnd:
 			if in.A != 0 {
 				b.WriteString(" terminate")

@@ -13,18 +13,25 @@ import (
 
 // FuzzTransform generates random (always well-formed) stylesheets and
 // documents from a pair of seeds and checks the engine's invariants: no
-// panic, a lowered program the static verifier accepts, and streamed
+// panic, a lowered program the static verifier accepts, streamed
 // output (bytes, document order, messages, errors) identical to the
-// serialized result trees. The outputs of 256 fixed seed pairs are
-// pinned in testdata/fuzz.golden. Runs in CI as a 10s smoke.
+// serialized result trees, and targeted runs that agree with the full
+// run. The outputs of 256 fixed seed pairs (generated without
+// xsl:document) are pinned in testdata/fuzz.golden. Runs in CI as a 10s
+// smoke.
 
 // genStylesheet derives a random stylesheet from rng. Bodies are built
 // from the full instruction vocabulary, including result-tree-fragment
 // variables, with-param and parameter-default bodies, attribute sets,
 // numeric sorts with computed order and data-type, and xsl:number
 // value; recursion terminates because apply-templates only ever selects
-// children and named templates never call templates.
-func genStylesheet(rng *rand.Rand) string {
+// children and named templates never call templates. With docs set the
+// vocabulary adds xsl:document: static and AVT hrefs (hrefs repeat), a
+// nested document, a named template holding a document and an
+// apply-templates into a mode whose rule holds one. Without docs, rng is
+// consumed exactly as before documents were added, which keeps the
+// fuzz.golden seeds stable.
+func genStylesheet(rng *rand.Rand, docs bool) string {
 	names := []string{"a", "b", "c", "d"}
 	name := func() string { return names[rng.Intn(len(names))] }
 	sets := []string{"s1", "s2", "s1 s2", "s2 s1"}
@@ -37,7 +44,11 @@ func genStylesheet(rng *rand.Rand) string {
 				b.WriteString("deep")
 				continue
 			}
-			switch rng.Intn(22) {
+			cases := 22
+			if docs {
+				cases += 5
+			}
+			switch rng.Intn(cases) {
 			case 0:
 				b.WriteString("lit-" + name())
 			case 1:
@@ -88,8 +99,19 @@ func genStylesheet(rng *rand.Rand) string {
 			case 20:
 				fmt.Fprintf(&b, `<xsl:for-each select="*|@*"><xsl:sort select="string-length(name()) - %d" data-type="{$dt}" order="{$ord}"/><xsl:copy use-attribute-sets="%s">%s</xsl:copy></xsl:for-each>`,
 					rng.Intn(3), sets[rng.Intn(len(sets))], body(depth+1))
-			default:
+			case 21:
 				fmt.Fprintf(&b, `<xsl:number value="count(*) * %d div 4" format="%s"/>|<xsl:value-of select="$g"/>`, rng.Intn(9), []string{"1", "01", "a", "i"}[rng.Intn(4)])
+			case 22:
+				fmt.Fprintf(&b, `<xsl:document href="s%d.html">%s</xsl:document>`, rng.Intn(2), body(depth+1))
+			case 23:
+				fmt.Fprintf(&b, `<xsl:document href="p-{name()}.html"><p>%s</p></xsl:document>`, body(depth+1))
+			case 24:
+				fmt.Fprintf(&b, `<xsl:document href="o%d.html"><o>%s<xsl:document href="i-{count(*)}.html">%s</xsl:document></o></xsl:document>`,
+					rng.Intn(2), body(depth+1), body(depth+1))
+			case 25:
+				b.WriteString(`<xsl:call-template name="page"/>`)
+			default:
+				b.WriteString(`<xsl:apply-templates select="*" mode="doc"/>`)
 			}
 		}
 		return b.String()
@@ -102,6 +124,10 @@ func genStylesheet(rng *rand.Rand) string {
 		[]string{"text", "number"}[rng.Intn(2)], []string{"ascending", "descending"}[rng.Intn(2)])
 	b.WriteString(`<xsl:variable name="g"><gv><xsl:value-of select="name(/*)"/></gv></xsl:variable>` + "\n")
 	b.WriteString(`<xsl:template name="leaf"><xsl:param name="p" select="'d'"/><xsl:param name="q"><qd><xsl:value-of select="name()"/></qd></xsl:param><leaf p="{$p}" q="{$q}"/></xsl:template>` + "\n")
+	if docs {
+		b.WriteString(`<xsl:template name="page"><xsl:document href="n-{name()}.html"><pg><xsl:value-of select="name()"/></pg></xsl:document></xsl:template>` + "\n")
+		fmt.Fprintf(&b, `<xsl:template match="*" mode="doc"><xsl:document href="m-{name()}.html">%s</xsl:document></xsl:template>`+"\n", body(1))
+	}
 	fmt.Fprintf(&b, `<xsl:template match="/"><r>%s<xsl:apply-templates select="*"/></r></xsl:template>`+"\n", body(0))
 	rules := 1 + rng.Intn(4)
 	for i := 0; i < rules; i++ {
@@ -155,7 +181,7 @@ func FuzzTransform(f *testing.F) {
 		f.Add(seed, seed*31+7)
 	}
 	f.Fuzz(func(t *testing.T, sheetSeed, docSeed int64) {
-		src := genStylesheet(rand.New(rand.NewSource(sheetSeed)))
+		src := genStylesheet(rand.New(rand.NewSource(sheetSeed)), true)
 		sheet, err := xslt.CompileStylesheetString(src, xslt.CompileOptions{})
 		if err != nil {
 			t.Fatalf("generated stylesheet does not compile: %v\n%s", err, src)
@@ -171,5 +197,36 @@ func FuzzTransform(f *testing.F) {
 			t.Fatalf("seed %d/%d: streamed and result-tree outputs diverge\n--- stylesheet ---\n%s\n--- streamed ---\n%s--- tree ---\n%s",
 				sheetSeed, docSeed, src, streamed.String(), tree.String())
 		}
+
+		// Targeted runs: one href the full run produced and one it did
+		// not, each checked against the full run.
+		label := fmt.Sprintf("seed %d/%d\n%s\n", sheetSeed, docSeed, src)
+		full, err := sheet.TransformToBuffers(doc, nil)
+		if err != nil {
+			// A targeted run skips only leaf bodies, so with none to skip
+			// it runs everything the full run does and fails the same way.
+			if !hasDocSkip(sheet) {
+				for _, href := range []string{"", "absent.html"} {
+					if _, terr := sheet.TransformPage(doc, nil, href); terr == nil || terr.Error() != err.Error() {
+						t.Fatalf("%s: targeted %q error %v, full run error %v", label, href, terr, err)
+					}
+				}
+			}
+			return
+		}
+		hrefs := append([]string{""}, full.DocumentOrder...)
+		checkPage(t, label, sheet, doc, nil, full, hrefs[int(uint64(docSeed)%uint64(len(hrefs)))])
+		checkPage(t, label, sheet, doc, nil, full, "absent.html")
 	})
+}
+
+// hasDocSkip reports whether any xsl:document body of the sheet carries a
+// doc-skip operand.
+func hasDocSkip(s *xslt.Stylesheet) bool {
+	for _, in := range s.Program().Code() {
+		if in.Op == xslt.OpDocBegin && in.B != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -51,6 +51,9 @@ func (e *engine) fnGenerateID(ctx *xpath.Context, args []xpath.Value) (xpath.Val
 	if ix := n.Index(); ix != nil {
 		num, ok := e.docNums[ix]
 		if !ok {
+			if e.docNums == nil {
+				e.docNums = map[*xmldom.DocIndex]int{}
+			}
 			num = len(e.docNums) + 1
 			e.docNums[ix] = num
 		}
@@ -58,6 +61,9 @@ func (e *engine) fnGenerateID(ctx *xpath.Context, args []xpath.Value) (xpath.Val
 	}
 	if id, ok := e.genIDs[n]; ok {
 		return xpath.String(id), nil
+	}
+	if e.genIDs == nil {
+		e.genIDs = map[*xmldom.Node]string{}
 	}
 	e.genSeq++
 	id := fmt.Sprintf("idn%d", e.genSeq)
@@ -101,6 +107,9 @@ func (e *engine) fnKey(ctx *xpath.Context, args []xpath.Value) (xpath.Value, err
 func (e *engine) keyIndex(root *xmldom.Node, decl *keyDecl, ctx *xpath.Context) (map[string][]*xmldom.Node, error) {
 	perRoot := e.keyIdx[root]
 	if perRoot == nil {
+		if e.keyIdx == nil {
+			e.keyIdx = map[*xmldom.Node]map[string]map[string][]*xmldom.Node{}
+		}
 		perRoot = map[string]map[string][]*xmldom.Node{}
 		e.keyIdx[root] = perRoot
 	}
@@ -169,6 +178,9 @@ func (e *engine) fnDocument(ctx *xpath.Context, args []xpath.Value) (xpath.Value
 		doc, err := e.sheet.loader(href)
 		if err != nil {
 			return nil, fmt.Errorf("xslt: document(%q): %v", href, err)
+		}
+		if e.docCache == nil {
+			e.docCache = map[string]*xmldom.Node{}
 		}
 		e.docCache[href] = doc
 		return doc, nil

@@ -46,6 +46,25 @@ type BufferResult struct {
 	Messages      []string
 }
 
+// PageResult is the outcome of a targeted run (TransformPage): one
+// output document rendered to bytes, plus what the run learned about the
+// others.
+type PageResult struct {
+	// Page is the target document rendered per the output specification,
+	// byte-identical to the same document of a full run; nil unless Found.
+	Page []byte
+	// Found reports whether the run produced the target: always for the
+	// principal output, and for an xsl:document href when the run
+	// evaluated that href.
+	Found bool
+	// DocumentOrder lists every xsl:document href the run evaluated, in
+	// first-evaluation order — the DocumentOrder of a full run.
+	DocumentOrder []string
+	// Messages holds the xsl:message output of the bodies the run
+	// executed; skipped bodies report none.
+	Messages []string
+}
+
 // SerializeResult renders a result tree according to an output spec,
 // applying the XSLT 1.0 §16 html-method auto-detection when the method was
 // not declared explicitly.
@@ -109,8 +128,12 @@ type xctx struct {
 type engine struct {
 	sheet  *Stylesheet
 	stream bool // xsl:document sinks are ByteEmitters instead of trees
-	genIDs map[*xmldom.Node]string
-	genSeq int
+	// targeted marks a TransformPage run rendering only target: the
+	// principal output when target is "", else that xsl:document href.
+	targeted bool
+	target   string
+	genIDs   map[*xmldom.Node]string
+	genSeq   int
 	// docNums numbers frozen documents in first-seen order so that
 	// generate-id() on frozen nodes is a pure function of (document,
 	// stamp) — deterministic across runs, no per-node map growth.
@@ -119,7 +142,8 @@ type engine struct {
 	funcs    map[string]xpath.Function
 	docCache map[string]*xmldom.Node
 	messages []string
-	// xsl:document sinks, created on first use per href.
+	// xsl:document sinks, created on first use per href; a targeted run
+	// maps an href whose bodies it has only skipped so far to nil.
 	docEms   map[string]xmldom.Emitter
 	docTrees map[string]*xmldom.Node        // DOM mode
 	docBufs  map[string]*xmldom.ByteEmitter // streaming mode
@@ -127,14 +151,9 @@ type engine struct {
 }
 
 func newEngine(s *Stylesheet, stream bool) *engine {
-	e := &engine{
-		sheet:    s,
-		stream:   stream,
-		genIDs:   map[*xmldom.Node]string{},
-		docNums:  map[*xmldom.DocIndex]int{},
-		keyIdx:   map[*xmldom.Node]map[string]map[string][]*xmldom.Node{},
-		docCache: map[string]*xmldom.Node{},
-	}
+	// The per-run maps are created on first use: most runs never call
+	// generate-id(), key() or document().
+	e := &engine{sheet: s, stream: stream}
 	e.installFunctions()
 	return e
 }
@@ -212,6 +231,50 @@ func (s *Stylesheet) TransformToBuffers(source *xmldom.Node, params map[string]x
 	return res, nil
 }
 
+// TransformPage is a targeted run: it renders one output document of
+// the transformation, byte-identical to that document of a full
+// TransformToBuffers run, without rendering the others. An empty href
+// names the principal output; otherwise href names an xsl:document (an
+// xsl:document whose href is empty is never the target).
+//
+// Control flow runs as usual and every xsl:document evaluates its href,
+// so DocumentOrder is complete. The body of an xsl:document naming
+// another page is skipped when the compile-time leaf proof holds for it
+// (see markLeafDocs), and otherwise runs into a discard sink, as does the
+// principal output unless it is the target. A run that succeeds in full
+// therefore succeeds targeted; errors and xsl:message output of skipped
+// bodies are not reported. generate-id() values can differ from a full
+// run's where a skipped body would have been the first to number a
+// document or an unfrozen node.
+func (s *Stylesheet) TransformPage(source *xmldom.Node, params map[string]xpath.Value, href string) (*PageResult, error) {
+	source = s.prepSource(source)
+	e := newEngine(s, true)
+	e.targeted, e.target = true, href
+	defer func() {
+		for _, b := range e.docBufs {
+			b.Release()
+		}
+	}()
+	var main xmldom.Emitter = &discardSink{}
+	var be *xmldom.ByteEmitter
+	if href == "" {
+		be = xmldom.NewByteEmitter()
+		defer be.Release()
+		main = be
+	}
+	if err := s.prog.execute(e, source, params, main); err != nil {
+		return nil, err
+	}
+	res := &PageResult{DocumentOrder: e.docOrder, Messages: e.messages}
+	if be == nil {
+		be = e.docBufs[href]
+	}
+	if be != nil {
+		res.Page, res.Found = serializeEmitter(be, s.output), true
+	}
+	return res, nil
+}
+
 // TransformToBytes renders the principal output document to bytes via the
 // streaming path.
 func (s *Stylesheet) TransformToBytes(source *xmldom.Node, params map[string]xpath.Value) ([]byte, error) {
@@ -222,21 +285,43 @@ func (s *Stylesheet) TransformToBytes(source *xmldom.Node, params map[string]xpa
 	return r.Main, nil
 }
 
+// offTarget reports whether a targeted run leaves the xsl:document href
+// unrendered.
+func (e *engine) offTarget(href string) bool {
+	return e.targeted && (e.target == "" || href != e.target)
+}
+
 // documentOut returns the output sink for an xsl:document href, creating
-// it on first use (repeated hrefs append to the same document).
-func (e *engine) documentOut(href string) xmldom.Emitter {
-	if em, ok := e.docEms[href]; ok {
+// it on first use (repeated hrefs append to the same document), and
+// records the href in document order. skip only records the href: the
+// caller skips the body, and the sink is created if a later body runs.
+func (e *engine) documentOut(href string, skip bool) xmldom.Emitter {
+	em, seen := e.docEms[href]
+	if !seen {
+		if e.docEms == nil {
+			hint := int(e.sheet.prog.docHint.Load())
+			e.docEms = make(map[string]xmldom.Emitter, hint)
+			e.docOrder = make([]string, 0, hint)
+		}
+		e.docOrder = append(e.docOrder, href)
+	}
+	if em != nil || skip {
+		if !seen {
+			e.docEms[href] = nil
+		}
 		return em
 	}
-	var em xmldom.Emitter
-	if e.stream {
+	switch {
+	case e.offTarget(href):
+		em = &discardSink{}
+	case e.stream:
 		be := xmldom.NewByteEmitter()
 		if e.docBufs == nil {
 			e.docBufs = map[string]*xmldom.ByteEmitter{}
 		}
 		e.docBufs[href] = be
 		em = be
-	} else {
+	default:
 		doc := xmldom.NewDocument()
 		if e.docTrees == nil {
 			e.docTrees = map[string]*xmldom.Node{}
@@ -244,11 +329,7 @@ func (e *engine) documentOut(href string) xmldom.Emitter {
 		e.docTrees[href] = doc
 		em = xmldom.NewTreeEmitter(doc)
 	}
-	if e.docEms == nil {
-		e.docEms = map[string]xmldom.Emitter{}
-	}
 	e.docEms[href] = em
-	e.docOrder = append(e.docOrder, href)
 	return em
 }
 
@@ -306,6 +387,27 @@ func (t *textSink) CopyTree(n *xmldom.Node) {
 	}
 }
 func (t *textSink) OpenElement() bool { return t.depth > 0 }
+
+// discardSink drops the events of an output a targeted run does not
+// render. It tracks element depth only, so Attr and OpenElement answer
+// exactly as the real sink would and xsl:attribute fails or succeeds as
+// in a full run.
+type discardSink struct{ depth int }
+
+func (d *discardSink) BeginElement(prefix, uri, name string) { d.depth++ }
+func (d *discardSink) Attr(prefix, uri, name, value string) bool {
+	return d.depth > 0
+}
+func (d *discardSink) EndElement() {
+	if d.depth > 0 {
+		d.depth--
+	}
+}
+func (d *discardSink) Text(data string, raw bool) {}
+func (d *discardSink) Comment(data string)        {}
+func (d *discardSink) PI(name, data string)       {}
+func (d *discardSink) CopyTree(n *xmldom.Node)    {}
+func (d *discardSink) OpenElement() bool          { return d.depth > 0 }
 
 func copyVars(m map[string]xpath.Value) map[string]xpath.Value {
 	cp := make(map[string]xpath.Value, len(m)+4)

@@ -159,7 +159,7 @@ func renderFuzz(t *testing.T, transform func(*xslt.Stylesheet, *xmldom.Node) out
 	t.Helper()
 	var b strings.Builder
 	for _, sp := range fuzzGoldenSeeds() {
-		src := genStylesheet(rand.New(rand.NewSource(sp[0])))
+		src := genStylesheet(rand.New(rand.NewSource(sp[0])), false)
 		sheet, err := xslt.CompileStylesheetString(src, xslt.CompileOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: generated stylesheet does not compile: %v\n%s", sp[0], err, src)

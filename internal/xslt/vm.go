@@ -2,7 +2,7 @@ package xslt
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"goldweb/internal/xmldom"
@@ -61,7 +61,11 @@ func (p *Program) execute(e *engine, source *xmldom.Node, params map[string]xpat
 	r.ctx = xctx{node: source, pos: 1, size: 1, vars: map[string]xpath.Value{}}
 	r.out = out
 	r.params = params
-	return r.loop()
+	err := r.loop()
+	if n := int32(len(e.docOrder)); n != p.docHint.Load() {
+		p.docHint.Store(n)
+	}
+	return err
 }
 
 func (p *Program) newRun(e *engine, f *xpath.Frame) *vmRun {
@@ -92,16 +96,24 @@ func (r *vmRun) evalAVT(a *avt) (string, error) {
 		}
 		return a.parts[0].expr.EvalStringOn(r.ectx(), r.f)
 	}
-	var b strings.Builder
+	// Evaluate every part first so the value is built in one allocation.
+	var buf [8]string
+	vals := buf[:0]
+	n := 0
 	for _, p := range a.parts {
-		if p.expr == nil {
-			b.WriteString(p.lit)
-			continue
+		s := p.lit
+		if p.expr != nil {
+			var err error
+			if s, err = p.expr.EvalStringOn(r.ectx(), r.f); err != nil {
+				return "", err
+			}
 		}
-		s, err := p.expr.EvalStringOn(r.ectx(), r.f)
-		if err != nil {
-			return "", err
-		}
+		vals = append(vals, s)
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range vals {
 		b.WriteString(s)
 	}
 	return b.String(), nil
@@ -188,8 +200,14 @@ func (r *vmRun) runSets(li int32, ret int) (int, error) {
 // node as context node, its list position and the list size.
 func (r *vmRun) sortNodes(list []*xmldom.Node, sorts []sortKey) ([]*xmldom.Node, error) {
 	nk := len(sorts)
-	numeric := make([]bool, nk)
-	descending := make([]bool, nk)
+	var flags [8]bool
+	var numeric, descending []bool
+	if nk <= len(flags)/2 {
+		numeric, descending = flags[:nk], flags[nk:2*nk]
+	} else {
+		numeric, descending = make([]bool, nk), make([]bool, nk)
+	}
+	anyText, anyNum := false, false
 	for i, k := range sorts {
 		if k.dataType != nil {
 			v, err := r.evalAVT(k.dataType)
@@ -205,10 +223,18 @@ func (r *vmRun) sortNodes(list []*xmldom.Node, sorts []sortKey) ([]*xmldom.Node,
 			}
 			descending[i] = v == "descending"
 		}
+		anyNum = anyNum || numeric[i]
+		anyText = anyText || !numeric[i]
 	}
 	// Flat backing arrays: keys/nums for node i, key j live at i*nk+j.
-	keys := make([]string, len(list)*nk)
-	nums := make([]float64, len(list)*nk)
+	var keys []string
+	var nums []float64
+	if anyText {
+		keys = make([]string, len(list)*nk)
+	}
+	if anyNum {
+		nums = make([]float64, len(list)*nk)
+	}
 	order := make([]int, len(list))
 	xc := &r.xc
 	xc.Size = len(list)
@@ -228,8 +254,7 @@ func (r *vmRun) sortNodes(list []*xmldom.Node, sorts []sortKey) ([]*xmldom.Node,
 			}
 		}
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, b := order[x], order[y]
+	slices.SortStableFunc(order, func(a, b int) int {
 		for j := 0; j < nk; j++ {
 			var cmp int
 			if numeric[j] {
@@ -241,11 +266,11 @@ func (r *vmRun) sortNodes(list []*xmldom.Node, sorts []sortKey) ([]*xmldom.Node,
 				continue
 			}
 			if descending[j] {
-				return cmp > 0
+				return -cmp
 			}
-			return cmp < 0
+			return cmp
 		}
-		return false
+		return 0
 	})
 	out := make([]*xmldom.Node, len(list))
 	for i, idx := range order {
@@ -331,9 +356,12 @@ func (r *vmRun) loop() error {
 			}
 
 		case OpSeg:
-			if be, ok := r.out.(*xmldom.ByteEmitter); ok {
-				be.AppendSegment(p.segs[in.A])
-			} else {
+			switch out := r.out.(type) {
+			case *xmldom.ByteEmitter:
+				out.AppendSegment(p.segs[in.A])
+			case *discardSink:
+				// A static run is balanced: it leaves no state to track.
+			default:
 				p.segs[in.A].Replay(r.out)
 			}
 
@@ -716,10 +744,16 @@ func (r *vmRun) loop() error {
 			if err != nil {
 				return err
 			}
+			if in.B != 0 && e.offTarget(href) {
+				// A leaf body of another page: record the href, skip the body.
+				e.documentOut(href, true)
+				pc = int(in.B)
+				continue
+			}
 			if err := r.push(xpath.CtlFrame{Kind: cfDoc, Out: r.out}); err != nil {
 				return err
 			}
-			r.out = e.documentOut(href)
+			r.out = e.documentOut(href, false)
 
 		case OpDocEnd:
 			fr := f.TopCtl()
