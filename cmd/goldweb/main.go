@@ -312,7 +312,7 @@ func cmdServe(args []string) error {
 	timeout := fs.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout (0 disables)")
 	maxInflight := fs.Int("max-inflight", server.DefaultMaxInflight, "max concurrent requests; excess sheds with 503 (0 disables)")
 	cacheSize := fs.Int("cache-size", server.DefaultCacheSize, "max cache entries, each a presentation or a page (LRU)")
-	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "presentation cache byte budget (LRU; negative disables)")
+	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "presentation cache byte budget (LRU; 0 disables)")
 	compress := fs.Bool("compress", true, "serve precompressed gzip variants to Accept-Encoding clients")
 	lintPolicy := fs.String("lint", "warn", "pre-serve static analysis: strict (errors refuse to start), warn, off")
 	catalogDir := fs.String("catalog", "", "serve every *.xml in this directory as /m/{name}/ (multi-model mode)")
@@ -334,17 +334,10 @@ func cmdServe(args []string) error {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("serve: -catalog and a model file are mutually exclusive")
 		}
-		return serveCatalog(*catalogDir, *addr, catalog.Options{
-			Lint:             catalog.LintPolicy(*lintPolicy),
-			Schema:           schema,
-			BreakerThreshold: *breakerThreshold,
-			DisableRetry:     !*retry,
-			RequestTimeout:   *timeout,
-			MaxInflight:      *maxInflight,
-			CacheSize:        *cacheSize,
-			CacheBytes:       *cacheBytes,
-			NoCompress:       !*compress,
-		})
+		opts := catalogServeOptions(*timeout, *maxInflight, *cacheSize, *cacheBytes, *compress)
+		opts.Lint, opts.Schema = catalog.LintPolicy(*lintPolicy), schema
+		opts.BreakerThreshold, opts.DisableRetry = *breakerThreshold, !*retry
+		return serveCatalog(*catalogDir, *addr, opts)
 	}
 	var m *core.Model
 	var err error
@@ -382,6 +375,28 @@ func cmdServe(args []string) error {
 	defer stop()
 	fmt.Printf("serving %q on %s (site at /site/index.html, health at /healthz)\n", m.Name, *addr)
 	return srv.Serve(ctx, *addr)
+}
+
+// catalogServeOptions maps the serve limit flags onto catalog.Options.
+// The flags read 0 as "disabled", as single-model serving does, while
+// catalog.Options reads 0 as "server default" and a negative value as
+// disabled.
+func catalogServeOptions(timeout time.Duration, maxInflight, cacheSize int, cacheBytes int64, compress bool) catalog.Options {
+	return catalog.Options{
+		RequestTimeout: zeroDisables(timeout),
+		MaxInflight:    zeroDisables(maxInflight),
+		CacheSize:      cacheSize,
+		CacheBytes:     zeroDisables(cacheBytes),
+		NoCompress:     !compress,
+	}
+}
+
+// zeroDisables maps a flag's "0 disables" onto an option's negative.
+func zeroDisables[T int | int64 | time.Duration](v T) T {
+	if v == 0 {
+		return -1
+	}
+	return v
 }
 
 // serveCatalog runs the resilient multi-model surface: every model in

@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"goldweb/internal/core"
 )
@@ -467,5 +468,24 @@ func TestCmdServeCatalogArgValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("want error for missing directory")
+	}
+}
+
+// TestCatalogServeOptionsZeroDisables: -timeout 0, -max-inflight 0 and
+// -cache-bytes 0 disable their limits in catalog mode as they do for a
+// single model; catalog.Options would read 0 as the server default.
+func TestCatalogServeOptionsZeroDisables(t *testing.T) {
+	opts := catalogServeOptions(0, 0, 3, 0, true)
+	if opts.RequestTimeout >= 0 || opts.MaxInflight >= 0 || opts.CacheBytes >= 0 {
+		t.Errorf("0 flags map to timeout %v, max in-flight %d, cache bytes %d; want all negative (disabled)",
+			opts.RequestTimeout, opts.MaxInflight, opts.CacheBytes)
+	}
+	if opts.CacheSize != 3 || opts.NoCompress {
+		t.Errorf("cache size %d, no-compress %v; want 3, false", opts.CacheSize, opts.NoCompress)
+	}
+	opts = catalogServeOptions(5*time.Second, 8, 2, 1<<20, false)
+	if opts.RequestTimeout != 5*time.Second || opts.MaxInflight != 8 || opts.CacheSize != 2 ||
+		opts.CacheBytes != 1<<20 || !opts.NoCompress {
+		t.Errorf("set flags changed on the way to catalog.Options: %+v", opts)
 	}
 }

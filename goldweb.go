@@ -187,15 +187,14 @@ func ValidateXMLAgainst(src string, s *Schema) []string {
 	return out
 }
 
-// Publish renders a model as a web presentation. Set
-// PublishOptions.Workers to fan multi-page serialization over a worker
-// pool; output is byte-identical at any worker count.
+// Publish renders a model as a web presentation: one page with
+// internal links, or a collection of linked pages (PublishOptions.Mode).
 func Publish(m *Model, opts PublishOptions) (*Site, error) { return htmlgen.Publish(m, opts) }
 
 // PublishPerFact renders one focused presentation per fact class (the
 // per-fact views of Fig. 5), keyed by fact id. The model document is
 // validated and indexed once, then the publications run concurrently on
-// the PublishOptions.Workers pool over the shared frozen document.
+// up to GOMAXPROCS workers over the shared frozen document.
 func PublishPerFact(m *Model, opts PublishOptions) (map[string]*Site, error) {
 	return htmlgen.PublishPerFact(m, opts)
 }

@@ -141,9 +141,11 @@ type Options struct {
 	// Loader fetches model source by name; required for Add/Reload and
 	// the background retry loop.
 	Loader LoadFunc
-	// Publish overrides each model server's publication pipeline (the
-	// fault-injection hook). Nil means the real htmlgen pipeline.
-	Publish server.PublishFunc
+	// PublishHook runs before every publication of each model server:
+	// the shadow publish of a swap (page "") and each request-path page
+	// publication. It can fail, block or panic a publication but never
+	// replaces its output (the fault-injection seam; may be nil).
+	PublishHook server.PublishHook
 	// Lint is the lint-gate policy (default LintStrict).
 	Lint LintPolicy
 	// Schema is the XML Schema models validate and lint against. Nil
@@ -348,8 +350,8 @@ func (c *Catalog) serverOptions() []server.Option {
 	if c.opts.NoCompress {
 		opts = append(opts, server.WithCompression(false))
 	}
-	if c.opts.Publish != nil {
-		opts = append(opts, server.WithPublishFunc(c.opts.Publish))
+	if c.opts.PublishHook != nil {
+		opts = append(opts, server.WithPublishHook(c.opts.PublishHook))
 	}
 	return opts
 }

@@ -282,16 +282,16 @@ func TestBreakerGatesPublishAndRecovers(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	var fail atomic.Bool
 	fail.Store(true)
-	publish := func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+	hook := func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 		if fail.Load() {
-			return nil, errors.New("pipeline down")
+			return errors.New("pipeline down")
 		}
-		return htmlgen.PublishContext(ctx, m, opts)
+		return nil
 	}
 	log := &eventLog{}
 	c := New(Options{
 		DisableRetry:     true,
-		Publish:          publish,
+		PublishHook:      hook,
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Hour,
 		Now:              clk.now,
@@ -529,13 +529,13 @@ func TestDirLoaderAndRemove(t *testing.T) {
 
 func TestPanickingPipelineRollsBack(t *testing.T) {
 	var boom atomic.Bool
-	publish := func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+	hook := func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 		if boom.Load() {
 			panic(errors.New("pipeline exploded"))
 		}
-		return htmlgen.PublishContext(ctx, m, opts)
+		return nil
 	}
-	c := New(Options{DisableRetry: true, Publish: publish})
+	c := New(Options{DisableRetry: true, PublishHook: hook})
 	defer c.Close()
 	ctx := context.Background()
 	src := modelSource(t, "Sales DW")

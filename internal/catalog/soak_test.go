@@ -26,7 +26,8 @@ import (
 // asserts the catalog's availability contract:
 //
 //  1. zero non-injected 5xx: faults are injected only into the swap
-//     pipeline, so after warm-up no client may ever see a 5xx;
+//     pipeline, so after warm-up no client may ever see a 5xx — not even
+//     from the pages the request path publishes with targeted runs;
 //  2. no torn content: every served page byte-equals one canonically
 //     published version;
 //  3. no generation regression: per client per model, the
@@ -126,30 +127,42 @@ func TestChaosSoak(t *testing.T) {
 	// Canonical pages: publish every (model, version) through a quiet
 	// catalog and record the exact bytes a correct swap serves. During
 	// the storm, any served body outside this set is torn or phantom.
+	// The focused index and /single are rendered on the request path by
+	// targeted runs; the unfocused index comes from the swap's probe.
+	focus := make([]string, soakModels)
 	canonIndex := make([]map[string]int, soakModels) // body -> version
+	canonFocus := make([]map[string]int, soakModels)
+	canonSingle := make([]map[string]int, soakModels)
 	canonModel := make([]map[string]int, soakModels)
 	{
 		quiet := New(Options{DisableRetry: true})
+		h := quiet.Handler()
+		canon := func(path string, into map[string]int, v int) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/canon"+path, nil))
+			if rec.Code != 200 {
+				t.Fatalf("canonical %s v%d: %d", path, v, rec.Code)
+			}
+			into[rec.Body.String()] = v
+		}
 		for i := range names {
+			m, err := core.ModelFromXMLString(string(soakSource(t, i, 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			focus[i] = m.Facts[0].ID
 			canonIndex[i] = map[string]int{}
+			canonFocus[i] = map[string]int{}
+			canonSingle[i] = map[string]int{}
 			canonModel[i] = map[string]int{}
-			h := quiet.Handler()
 			for v := 1; v <= soakVersions; v++ {
 				if err := quiet.Set(ctx, "canon", soakSource(t, i, v)); err != nil {
 					t.Fatalf("canonical publish %d v%d: %v", i, v, err)
 				}
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/canon/site/index.html", nil))
-				if rec.Code != 200 {
-					t.Fatalf("canonical index %d v%d: %d", i, v, rec.Code)
-				}
-				canonIndex[i][rec.Body.String()] = v
-				rec = httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/canon/model.xml", nil))
-				if rec.Code != 200 {
-					t.Fatalf("canonical model.xml %d v%d: %d", i, v, rec.Code)
-				}
-				canonModel[i][rec.Body.String()] = v
+				canon("/site/index.html", canonIndex[i], v)
+				canon("/site/index.html?focus="+focus[i], canonFocus[i], v)
+				canon("/single", canonSingle[i], v)
+				canon("/model.xml", canonModel[i], v)
 			}
 		}
 		quiet.Close()
@@ -165,23 +178,22 @@ func TestChaosSoak(t *testing.T) {
 	loader := func(ctx context.Context, name string) ([]byte, error) {
 		return inj.Apply(ctx, "load:"+name, store.get(name))
 	}
-	publish := func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
-		// Only swap-time publishes (the shadow probe is always the
-		// MultiPage/no-focus publication, cache-seeded on commit) get
+	var pagePublishes atomic.Int64
+	hook := func(ctx context.Context, _ htmlgen.Mode, _, page string) error {
+		// Only swap-time publishes (page "": Stage's shadow publish) get
 		// faults; the request path stays clean so every client-visible
 		// 5xx is by definition non-injected.
-		if opts.Mode == htmlgen.MultiPage && opts.Focus == "" {
-			if err := inj.Step(ctx, "publish"); err != nil {
-				return nil, err
-			}
+		if page != "" {
+			pagePublishes.Add(1)
+			return nil
 		}
-		return htmlgen.PublishContext(ctx, m, opts)
+		return inj.Step(ctx, "publish")
 	}
 
 	log := &eventLog{}
 	c := New(Options{
 		Loader:           loader,
-		Publish:          publish,
+		PublishHook:      hook,
 		Seed:             soakSeed,
 		BreakerThreshold: 3,
 		BreakerCooldown:  100 * time.Millisecond,
@@ -236,12 +248,14 @@ func TestChaosSoak(t *testing.T) {
 				var path string
 				checkBody := (map[string]int)(nil)
 				switch d := rng.Intn(10); {
-				case d < 6:
+				case d < 4:
 					path, checkBody = "/m/"+name+"/site/index.html", canonIndex[i]
+				case d < 6:
+					path, checkBody = "/m/"+name+"/site/index.html?focus="+focus[i], canonFocus[i]
 				case d < 8:
 					path, checkBody = "/m/"+name+"/model.xml", canonModel[i]
 				case d < 9:
-					path = "/m/" + name + "/single"
+					path, checkBody = "/m/"+name+"/single", canonSingle[i]
 				default:
 					path = "/readyz"
 				}
@@ -355,8 +369,11 @@ func TestChaosSoak(t *testing.T) {
 	if log.count(EventBreakerOpened) == 0 {
 		t.Error("scripted failure burst never opened a breaker")
 	}
-	t.Logf("soak: %d requests, %d swaps committed, %d stage failures, faults %v",
-		requests.Load(), log.count(EventSwapCommitted), log.count(EventStageFailed), counts)
+	if pagePublishes.Load() == 0 {
+		t.Error("no read published a page on the request path — the soak never ran a targeted publication")
+	}
+	t.Logf("soak: %d requests, %d swaps committed, %d stage failures, %d request-path page publications, faults %v",
+		requests.Load(), log.count(EventSwapCommitted), log.count(EventStageFailed), pagePublishes.Load(), counts)
 
 	if path := os.Getenv("GOLDWEB_SOAK_REPORT"); path != "" {
 		nviol, msgs := viol.report()
@@ -370,6 +387,7 @@ func TestChaosSoak(t *testing.T) {
 			"breaker_opened":  log.count(EventBreakerOpened),
 			"breaker_closed":  log.count(EventBreakerClosed),
 			"retries":         log.count(EventRetryScheduled),
+			"page_publishes":  pagePublishes.Load(),
 			"injected_faults": map[string]int64{
 				"fail":  counts[faultinject.Fail],
 				"panic": counts[faultinject.Panic],

@@ -115,31 +115,6 @@ func TestSiteDeterminism(t *testing.T) {
 	}
 }
 
-func TestCSSHrefOption(t *testing.T) {
-	site, err := Publish(core.SampleSales(), Options{Mode: MultiPage, CSSHref: "/assets/theme.css"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	index := string(site.Page(IndexName))
-	if !strings.Contains(index, `href="/assets/theme.css"`) {
-		t.Errorf("custom css href missing: %.300s", index)
-	}
-	// The embedded style.css is not written when a custom href is used.
-	if site.Page("style.css") != nil {
-		t.Error("style.css written despite custom href")
-	}
-}
-
-func TestOmitCSS(t *testing.T) {
-	site, err := Publish(core.SampleSales(), Options{Mode: SinglePage, OmitCSS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if site.Page("style.css") != nil {
-		t.Error("style.css written despite OmitCSS")
-	}
-}
-
 // TestClientSideBundleEquivalence simulates the browser side of the
 // paper's §6 future work: applying the single-page stylesheet to a
 // document that carries an xml-stylesheet processing instruction yields

@@ -49,33 +49,8 @@ type Options struct {
 	// Focus restricts the presentation to one fact class id and the
 	// dimensions it aggregates (the per-fact presentations of Fig. 5).
 	Focus string
-	// CSSHref is the stylesheet reference placed in every page
-	// (default "style.css").
-	CSSHref string
-	// OmitCSS suppresses writing the embedded style.css into the site.
-	OmitCSS bool
 	// SkipValidation publishes without the schema-validation step.
 	SkipValidation bool
-	// Workers bounds the worker pool PublishPerFact fans the per-fact
-	// publications out over: 0 picks GOMAXPROCS, 1 forces sequential
-	// operation. Output is byte-identical at any setting.
-	Workers int
-}
-
-// workerCount resolves Options.Workers to an effective pool size for n
-// independent jobs.
-func workerCount(opt, n int) int {
-	w := opt
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Site is a generated presentation: page name → serialized content.
@@ -107,12 +82,6 @@ func (s *Site) HTMLPages() []string {
 // Publish renders a model.
 func Publish(m *core.Model, opts Options) (*Site, error) {
 	return PublishDocument(m.ToXML(), opts)
-}
-
-// PublishContext renders a model under a context (see
-// PublishDocumentContext for the cancellation semantics).
-func PublishContext(ctx context.Context, m *core.Model, opts Options) (*Site, error) {
-	return PublishDocumentContext(ctx, m.ToXML(), opts)
 }
 
 // FocusTargets returns the set of fact class ids that are valid Focus
@@ -160,7 +129,7 @@ func PublishDocumentContext(ctx context.Context, doc *xmldom.Node, opts Options)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
-	work, sheet, params, css, err := preparePublication(doc, opts)
+	work, sheet, params, err := preparePublication(doc, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -168,8 +137,8 @@ func PublishDocumentContext(ctx context.Context, doc *xmldom.Node, opts Options)
 		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
 	// The transform renders every page straight to bytes (no intermediate
-	// result DOM), so there is nothing left to fan out; Options.Workers
-	// parallelizes PublishPerFact.
+	// result DOM), so there is nothing left to fan out; PublishPerFact
+	// parallelizes across focuses.
 	res, err := sheet.TransformToBuffers(work, params)
 	if err != nil {
 		return nil, err
@@ -187,7 +156,8 @@ func PublishDocumentContext(ctx context.Context, doc *xmldom.Node, opts Options)
 		site.Pages[href] = res.Documents[href]
 		site.Order = append(site.Order, href)
 	}
-	addCSS(site, opts, css)
+	site.Pages[styleName] = []byte(core.StyleCSS)
+	site.Order = append(site.Order, styleName)
 	return site, nil
 }
 
@@ -216,7 +186,7 @@ func PublishPage(ctx context.Context, doc *xmldom.Node, opts Options, page strin
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
-	work, sheet, params, css, err := preparePublication(doc, opts)
+	work, sheet, params, err := preparePublication(doc, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -238,25 +208,23 @@ func PublishPage(ctx context.Context, doc *xmldom.Node, opts Options, page strin
 		Messages: res.Messages,
 	}
 	p.Order = append(append(p.Order, IndexName), res.DocumentOrder...)
-	if withCSS(opts, css) {
-		p.Order = append(p.Order, styleName)
-		if page == styleName {
-			p.Content, p.Found = []byte(core.StyleCSS), true
-		}
+	p.Order = append(p.Order, styleName)
+	if page == styleName {
+		p.Content, p.Found = []byte(core.StyleCSS), true
 	}
 	return p, nil
 }
 
 // preparePublication validates and freezes the document and resolves the
 // stylesheet and its parameters.
-func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Stylesheet, map[string]xpath.Value, string, error) {
+func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Stylesheet, map[string]xpath.Value, error) {
 	work := doc
 	if !opts.SkipValidation {
 		if work.Frozen() {
 			work = doc.Editable()
 		}
 		if errs := core.ValidateAndFreeze(work).Errors; len(errs) > 0 {
-			return nil, nil, nil, "", fmt.Errorf("htmlgen: document is invalid: %v (%d problems)", errs[0], len(errs))
+			return nil, nil, nil, fmt.Errorf("htmlgen: document is invalid: %v (%d problems)", errs[0], len(errs))
 		}
 	} else if !work.Frozen() {
 		xmldom.Freeze(work)
@@ -269,37 +237,20 @@ func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Sty
 		sheet, err = core.SinglePageStylesheet()
 	}
 	if err != nil {
-		return nil, nil, nil, "", err
+		return nil, nil, nil, err
 	}
-	css := opts.CSSHref
-	if css == "" {
-		css = "style.css"
-	}
-	params := map[string]xpath.Value{
-		"focus": xpath.String(opts.Focus),
-		"css":   xpath.String(css),
-	}
-	return work, sheet, params, css, nil
+	// The stylesheets' css parameter defaults to styleName.
+	return work, sheet, map[string]xpath.Value{"focus": xpath.String(opts.Focus)}, nil
 }
 
 // styleName is the page the embedded style sheet is written to.
 const styleName = "style.css"
 
-// withCSS reports whether a presentation includes the embedded style.css.
-func withCSS(opts Options, css string) bool { return !opts.OmitCSS && css == styleName }
-
-func addCSS(site *Site, opts Options, css string) {
-	if withCSS(opts, css) {
-		site.Pages[styleName] = []byte(core.StyleCSS)
-		site.Order = append(site.Order, styleName)
-	}
-}
-
 // PublishPerFact renders the per-fact presentations of Fig. 5: one
 // focused site per fact class, keyed by fact id. The model document is
 // validated and frozen once, then the independent publications fan out
-// over the Options.Workers pool, sharing the frozen document and the
-// cached compiled stylesheet across goroutines.
+// over min(GOMAXPROCS, facts) workers, sharing the frozen document and
+// the cached compiled stylesheet across goroutines.
 func PublishPerFact(m *core.Model, opts Options) (map[string]*Site, error) {
 	doc := m.ToXML()
 	if !opts.SkipValidation {
@@ -314,7 +265,7 @@ func PublishPerFact(m *core.Model, opts Options) (map[string]*Site, error) {
 	}
 	sites := make([]*Site, len(facts))
 	errs := make([]error, len(facts))
-	w := workerCount(opts.Workers, len(facts))
+	w := min(runtime.GOMAXPROCS(0), len(facts))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for g := 0; g < w; g++ {

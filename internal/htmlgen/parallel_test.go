@@ -26,50 +26,33 @@ func sitesEqual(t *testing.T, label string, a, b *Site) {
 	}
 }
 
-// TestParallelPublishByteIdentical: multi-page publication over the
-// worker pool produces exactly the bytes of the sequential path.
-func TestParallelPublishByteIdentical(t *testing.T) {
+// TestPublishPerFact: the Fig. 5 fan-out yields, in both modes, one site
+// per fact class, each identical to a directly focused publication and
+// free of broken links.
+func TestPublishPerFact(t *testing.T) {
 	for _, m := range []*core.Model{core.SampleSales(), core.SampleHospital()} {
 		for _, mode := range []Mode{SinglePage, MultiPage} {
-			seq, err := Publish(m, Options{Mode: mode, Workers: 1})
+			sites, err := PublishPerFact(m, Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Publish(m, Options{Mode: mode, Workers: 8})
-			if err != nil {
-				t.Fatal(err)
+			if len(sites) != len(m.Facts) {
+				t.Fatalf("%s/%s: got %d sites, want %d", m.Name, mode, len(sites), len(m.Facts))
 			}
-			sitesEqual(t, m.Name+"/"+mode.String(), seq, par)
-			if errs := CheckLinks(par); len(errs) > 0 {
-				t.Errorf("%s/%s: broken links in parallel site: %v", m.Name, mode, errs[0])
+			for _, f := range m.Facts {
+				site := sites[f.ID]
+				if site == nil {
+					t.Fatalf("%s/%s: no site for fact %s", m.Name, mode, f.ID)
+				}
+				direct, err := Publish(m, Options{Mode: mode, Focus: f.ID})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sitesEqual(t, m.Name+"/"+mode.String()+" focus "+f.ID, direct, site)
+				if errs := CheckLinks(site); len(errs) > 0 {
+					t.Errorf("%s/%s focus %s: broken link: %v", m.Name, mode, f.ID, errs[0])
+				}
 			}
-		}
-	}
-}
-
-// TestPublishPerFact: the Fig. 5 fan-out yields one site per fact class,
-// each identical to a directly focused publication.
-func TestPublishPerFact(t *testing.T) {
-	m := core.SampleHospital()
-	sites, err := PublishPerFact(m, Options{Mode: MultiPage, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sites) != len(m.Facts) {
-		t.Fatalf("got %d sites, want %d", len(sites), len(m.Facts))
-	}
-	for _, f := range m.Facts {
-		site := sites[f.ID]
-		if site == nil {
-			t.Fatalf("no site for fact %s", f.ID)
-		}
-		direct, err := Publish(m, Options{Mode: MultiPage, Focus: f.ID, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sitesEqual(t, "focus "+f.ID, direct, site)
-		if errs := CheckLinks(site); len(errs) > 0 {
-			t.Errorf("focus %s: broken link: %v", f.ID, errs[0])
 		}
 	}
 }

@@ -121,28 +121,26 @@ func TestStreamedPublicationByteIdentical(t *testing.T) {
 
 // TestStreamedPerFactFanOutByteIdentical checks the focused per-fact
 // publications (Fig. 5 fan-out) against the per-fact section that ends
-// sites.golden, at several worker counts.
+// sites.golden.
 func TestStreamedPerFactFanOutByteIdentical(t *testing.T) {
 	want, err := os.ReadFile(sitesGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := perFactModel()
-	for _, workers := range []int{1, 4} {
-		sites, err := PublishPerFact(m, Options{Mode: MultiPage, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	sites, err := PublishPerFact(m, Options{Mode: MultiPage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, f := range m.Facts {
+		site := sites[f.ID]
+		if site == nil {
+			t.Fatalf("no site for fact %s", f.ID)
 		}
-		var b strings.Builder
-		for _, f := range m.Facts {
-			site := sites[f.ID]
-			if site == nil {
-				t.Fatalf("workers=%d: no site for fact %s", workers, f.ID)
-			}
-			writeSite(&b, "f3d3h2 focus="+f.ID, site)
-		}
-		if !strings.HasSuffix(string(want), b.String()) {
-			t.Fatalf("workers=%d: per-fact sites differ from %s\n%s", workers, sitesGolden, b.String())
-		}
+		writeSite(&b, "f3d3h2 focus="+f.ID, site)
+	}
+	if !strings.HasSuffix(string(want), b.String()) {
+		t.Fatalf("per-fact sites differ from %s\n%s", sitesGolden, b.String())
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"sync"
 
+	"goldweb/internal/artifact"
 	"goldweb/internal/htmlgen"
 )
 
-// siteKey identifies one cached presentation, or one page of a
-// multi-page presentation published on its own. The generation number
+// siteKey identifies one cached presentation (Stage's probe), or one
+// page of a presentation published on its own. The generation number
 // ties the entry to the model snapshot it was published from, so a
 // publication that finishes after SetModel swapped the model can never be
 // served for the new one.
@@ -63,15 +64,24 @@ func newSiteCache(maxEntries int, maxBytes int64) *siteCache {
 	}
 }
 
-func (c *siteCache) get(key siteKey) (*publishedSite, bool) {
+// page returns the artifact cached for key.page: the entry of the whole
+// presentation (key without its page) answers first, then the page's
+// own entry, both probed under one acquisition of the lock. ok is false
+// on a miss; a whole presentation without the page answers (nil, true).
+func (c *siteCache) page(key siteKey) (a *artifact.Artifact, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	page := key.page
+	key.page = ""
 	el, ok := c.m[key]
 	if !ok {
-		return nil, false
+		key.page = page
+		if el, ok = c.m[key]; !ok {
+			return nil, false
+		}
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).site, true
+	return el.Value.(*cacheEntry).site.page(page), true
 }
 
 // add caches site under key, taking over its artifact references. A

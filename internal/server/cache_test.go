@@ -85,7 +85,7 @@ func TestCacheReplaceSameKeyAccountsDelta(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentChurn hammers get/add/purge from many goroutines
+// TestCacheConcurrentChurn hammers page/add/purge from many goroutines
 // (run with -race): the invariant checked at the end is that the byte
 // accounting equals the sum of the surviving entries' sizes and every
 // evicted site released its store references.
@@ -103,7 +103,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 					c.purge(0)
 					continue
 				}
-				if _, ok := c.get(key); !ok {
+				if _, ok := c.page(key); !ok {
 					c.add(key, fakeSite(t, store, fmt.Sprintf("%d-%d", g%4, i%16), 2, 512))
 				}
 			}

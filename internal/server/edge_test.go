@@ -159,8 +159,9 @@ func TestCompressionDisabled(t *testing.T) {
 }
 
 // TestGzipVariantsMatchIdentity is the byte-identity differential: for
-// every example model, in both presentation modes, the decompressed
-// gzip variant of every page must equal the identity bytes.
+// every example model, in both presentation modes, every HTML page the
+// server renders must equal the published page, and the decompressed
+// gzip variant must equal the identity bytes.
 func TestGzipVariantsMatchIdentity(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "models", "*.xml"))
 	if err != nil || len(paths) == 0 {
@@ -177,13 +178,19 @@ func TestGzipVariantsMatchIdentity(t *testing.T) {
 		}
 		srv := New(m, WithArtifactStore(artifact.NewStore()))
 		for _, mode := range []htmlgen.Mode{htmlgen.MultiPage, htmlgen.SinglePage} {
-			site, err := srv.site(mode, "")
+			site, err := htmlgen.Publish(m, htmlgen.Options{Mode: mode})
 			if err != nil {
 				t.Fatalf("%s mode %v: %v", path, mode, err)
 			}
 			checked := 0
-			for _, name := range site.order {
-				a := site.page(name)
+			for _, name := range site.HTMLPages() {
+				a, err := srv.pageFor(srv.snapshot(), mode, "", name)
+				if err != nil || a == nil {
+					t.Fatalf("%s %s (mode %v): %v, %v", path, name, mode, a, err)
+				}
+				if !bytes.Equal(a.Bytes(), site.Pages[name]) {
+					t.Errorf("%s %s (mode %v): served page differs from the published one", path, name, mode)
+				}
 				gz := a.Gzip()
 				if gz == nil {
 					continue // too small or not worth compressing

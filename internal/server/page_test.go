@@ -11,6 +11,16 @@ import (
 	"goldweb/internal/htmlgen"
 )
 
+// cachedEntry returns the cache entry stored under exactly key, or nil.
+func cachedEntry(srv *Server, key siteKey) *publishedSite {
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	if el, ok := srv.cache.m[key]; ok {
+		return el.Value.(*cacheEntry).site
+	}
+	return nil
+}
+
 // TestSitePagesAreCachedPerPage: without a whole-site entry, each /site/
 // read publishes and caches only its page, the entries obey the entry
 // cap, and every page carries the bytes of the whole presentation.
@@ -35,15 +45,14 @@ func TestSitePagesAreCachedPerPage(t *testing.T) {
 			t.Fatalf("%s: status %d, body differs from the whole site's page: %v", page, code, body != string(full.Pages[page]))
 		}
 		key := siteKey{gen: srv.Generation(), mode: htmlgen.MultiPage, focus: focus, page: page}
-		site, ok := srv.cache.get(key)
-		if !ok || len(site.pages) != 1 {
+		if site := cachedEntry(srv, key); site == nil || len(site.pages) != 1 {
 			t.Fatalf("%s: no one-page cache entry after the read", page)
 		}
 		if want := min(i+1, 2); srv.cache.len() != want {
 			t.Fatalf("after %d page reads the cache holds %d entries, want %d", i+1, srv.cache.len(), want)
 		}
 	}
-	if _, ok := srv.cache.get(siteKey{gen: srv.Generation(), mode: htmlgen.MultiPage, focus: focus}); ok {
+	if cachedEntry(srv, siteKey{gen: srv.Generation(), mode: htmlgen.MultiPage, focus: focus}) != nil {
 		t.Error("page reads cached a whole presentation")
 	}
 	if code, body, ct := get(t, ts, "/site/style.css?focus="+focus); code != http.StatusOK ||
@@ -142,15 +151,16 @@ func TestPublicationForDeadGenerationIsNotCached(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	store := artifact.NewStore()
-	srv := New(core.SampleSales(), WithArtifactStore(store), WithPublishFunc(
-		func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+	srv := New(core.SampleSales(), WithArtifactStore(store), WithPublishHook(
+		func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			close(entered)
 			<-release
-			return htmlgen.Publish(m, opts)
+			return nil
 		}))
+	snap := srv.snapshot()
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.site(htmlgen.SinglePage, "")
+		_, err := srv.pageFor(snap, htmlgen.SinglePage, "", htmlgen.IndexName)
 		done <- err
 	}()
 	<-entered
@@ -164,5 +174,29 @@ func TestPublicationForDeadGenerationIsNotCached(t *testing.T) {
 	}
 	if got := store.Len(); got != 0 {
 		t.Errorf("store holds %d artifacts of a dead generation, want 0", got)
+	}
+}
+
+// TestSingleReadDoesNotGateSitePages: a /single read of a focus publishes
+// the single-page presentation, whose pages are not the focus's
+// multi-page page set; a /site/ page of the same focus read next is
+// served, not refused by the page gate.
+func TestSingleReadDoesNotGateSitePages(t *testing.T) {
+	m := core.SampleSales()
+	focus := m.Facts[0].ID
+	full, err := htmlgen.Publish(m, htmlgen.Options{Mode: htmlgen.MultiPage, Focus: focus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := full.HTMLPages()[1]
+	srv := New(m, WithArtifactStore(artifact.NewStore()))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if code, _, _ := get(t, ts, "/single?focus="+focus); code != http.StatusOK {
+		t.Fatalf("/single?focus=%s: status %d", focus, code)
+	}
+	code, body, _ := get(t, ts, "/site/"+page+"?focus="+focus)
+	if code != http.StatusOK || body != string(full.Pages[page]) {
+		t.Errorf("/site/%s?focus=%s after /single: status %d, want 200 and the published page", page, focus, code)
 	}
 }

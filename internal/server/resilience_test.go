@@ -16,17 +16,17 @@ import (
 	"goldweb/internal/htmlgen"
 )
 
-// countingPublish wraps the real pipeline and counts invocations.
-func countingPublish(n *atomic.Int64) PublishFunc {
-	return func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+// countingHook counts the publications the server starts.
+func countingHook(n *atomic.Int64) PublishHook {
+	return func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 		n.Add(1)
-		return htmlgen.Publish(m, opts)
+		return nil
 	}
 }
 
 func TestUnknownFocusIs404AndNeverCached(t *testing.T) {
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), WithPublishFunc(countingPublish(&calls)))
+	srv := New(core.SampleSales(), WithPublishHook(countingHook(&calls)))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -53,12 +53,12 @@ func TestSingleflightColdCacheSharesOnePublish(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), WithPublishFunc(
-		func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+	srv := New(core.SampleSales(), WithPublishHook(
+		func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			calls.Add(1)
 			entered <- struct{}{}
 			<-release
-			return htmlgen.Publish(m, opts)
+			return nil
 		}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -92,12 +92,12 @@ func TestSingleflightColdCacheSharesOnePublish(t *testing.T) {
 
 func TestPanickingPublishReturns500ThenRecovers(t *testing.T) {
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), WithPublishFunc(
-		func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+	srv := New(core.SampleSales(), WithPublishHook(
+		func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if calls.Add(1) == 1 {
 				panic("injected transformation fault")
 			}
-			return htmlgen.Publish(m, opts)
+			return nil
 		}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -123,11 +123,11 @@ func TestHangingPublishTimesOutWhileSiteKeepsServing(t *testing.T) {
 	defer close(hang)
 	srv := New(core.SampleSales(),
 		WithRequestTimeout(100*time.Millisecond),
-		WithPublishFunc(func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
-			if opts.Mode == htmlgen.SinglePage {
+		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+			if mode == htmlgen.SinglePage {
 				<-hang
 			}
-			return htmlgen.Publish(m, opts)
+			return nil
 		}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -151,10 +151,10 @@ func TestLimiterShedsWith503AndRetryAfter(t *testing.T) {
 	srv := New(core.SampleSales(),
 		WithMaxInflight(2),
 		WithRequestTimeout(0),
-		WithPublishFunc(func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			entered <- struct{}{}
 			<-release
-			return htmlgen.Publish(m, opts)
+			return nil
 		}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -202,7 +202,7 @@ func TestCacheIsBoundedLRU(t *testing.T) {
 	var calls atomic.Int64
 	srv := New(core.SampleSales(),
 		WithCacheSize(1),
-		WithPublishFunc(countingPublish(&calls)))
+		WithPublishHook(countingHook(&calls)))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -215,19 +215,6 @@ func TestCacheIsBoundedLRU(t *testing.T) {
 	}
 	if got := srv.cache.len(); got != 1 {
 		t.Errorf("cache length %d, want 1", got)
-	}
-}
-
-func TestSinglePageWithoutIndexIs500(t *testing.T) {
-	srv := New(core.SampleSales(), WithPublishFunc(
-		func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
-			return &htmlgen.Site{Pages: map[string][]byte{}}, nil
-		}))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	code, body, _ := get(t, ts, "/single")
-	if code != http.StatusInternalServerError {
-		t.Errorf("index-less site: status %d body %q, want 500", code, body)
 	}
 }
 
@@ -402,27 +389,49 @@ func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestWarmHitAllocations pins the per-request allocation budget of the
-// hot cached paths. The cache lookup itself must be allocation-free, and
-// a full handler pass over a warm page or a precomputed XML view must
-// stay within the small fixed cost of the middleware stack — a budget
-// that re-serializing the document (or copying the page into a fresh
-// response buffer) would blow immediately.
+// hot cached paths. A warm pageFor lookup — /single, a /site/ page
+// answered by the Stage probe, a /site/ page entry, focused or not —
+// must be allocation-free, and a full handler pass over a warm page or a
+// precomputed XML view must stay within the small fixed cost of the
+// middleware stack — a budget that re-serializing the document (or
+// copying the page into a fresh response buffer) would blow immediately.
 func TestWarmHitAllocations(t *testing.T) {
-	srv := New(core.SampleSales())
-	// Warm every cache and the response-buffer pool.
-	if _, err := srv.site(htmlgen.MultiPage, ""); err != nil {
+	m := core.SampleSales()
+	focus := m.Facts[0].ID
+	srv := NewEmpty()
+	st, err := srv.Stage(context.Background(), m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := srv.site(htmlgen.MultiPage, ""); err != nil {
-			t.Fatal(err)
+	st.Commit()
+	snap := srv.snapshot()
+	for _, read := range []struct {
+		mode        htmlgen.Mode
+		focus, page string
+	}{
+		{htmlgen.SinglePage, "", htmlgen.IndexName},
+		{htmlgen.SinglePage, focus, htmlgen.IndexName},
+		{htmlgen.MultiPage, "", htmlgen.IndexName},
+		{htmlgen.MultiPage, focus, htmlgen.IndexName},
+	} {
+		// The first read warms the cache (a page entry, or the probe).
+		if a, err := srv.pageFor(snap, read.mode, read.focus, read.page); err != nil || a == nil {
+			t.Fatalf("%v focus %q: %v, %v", read.mode, read.focus, a, err)
 		}
-	}); allocs > 0 {
-		t.Errorf("warm site() lookup: %.1f allocs/op, want 0", allocs)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := srv.pageFor(snap, read.mode, read.focus, read.page); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 0 {
+			t.Errorf("warm pageFor(%v, %q, %s): %.1f allocs/op, want 0", read.mode, read.focus, read.page, allocs)
+		}
 	}
 
 	h := srv.Handler()
-	for _, path := range []string{"/site/index.html", "/model.xml", "/pretty", "/client/model.xml", "/cwm.xmi"} {
+	for _, path := range []string{
+		"/site/index.html", "/site/index.html?focus=" + focus, "/single", "/single?focus=" + focus,
+		"/model.xml", "/pretty", "/client/model.xml", "/cwm.xmi",
+	} {
 		req, err := http.NewRequest(http.MethodGet, path, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -94,7 +94,8 @@ type snapshot struct {
 	// presentation once a run has reported them: the unfocused set from
 	// Stage's shadow publish or any run, a focused set from a targeted
 	// run. A /site/ read for a page outside the set is a 404 that runs no
-	// transform (pageGate).
+	// transform (pageGate). Single-page runs never note: their only page
+	// is the principal output.
 	pageMu   sync.Mutex
 	pageSets map[string][]string
 
@@ -201,13 +202,16 @@ func buildViews(m *core.Model, newArtifact func(contentType string, body []byte)
 	}
 }
 
-// PublishFunc generates a presentation for a model. When unset the
-// server publishes straight from the snapshot's frozen, pre-validated
-// document. The context is canceled when the server shuts down (and
-// carries the request-timeout deadline), so a hung or slow publication
-// never outlives the process teardown; fault-injection harnesses
-// replace the function to prove exactly that.
-type PublishFunc func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error)
+// PublishHook runs at the start of every publication the server makes:
+// Stage's shadow publish of the whole multi-page presentation (page "")
+// and each request-path publication of one page. It runs inside the
+// publication — under its singleflight call, awaited at shutdown, with
+// its context — before the pipeline, so it can fail, block or panic the
+// publication but never replaces its output. The context is canceled
+// when the server shuts down (and carries the request-timeout deadline),
+// so a hung publication never outlives the process teardown;
+// fault-injection harnesses set the hook to prove exactly that.
+type PublishHook func(ctx context.Context, mode htmlgen.Mode, focus, page string) error
 
 // staleInfo records why the server is serving last-good content.
 type staleInfo struct{ reason string }
@@ -230,7 +234,7 @@ type Server struct {
 	baseCancel context.CancelFunc
 	pubWG      sync.WaitGroup
 
-	publish        PublishFunc
+	hook           PublishHook
 	requestTimeout time.Duration
 	maxInflight    int
 	shutdownGrace  time.Duration
@@ -295,10 +299,10 @@ func WithArtifactStore(st *artifact.Store) Option {
 	return func(s *Server) { s.store = st }
 }
 
-// WithPublishFunc replaces the publication pipeline — the fault-injection
-// hook used by resilience tests.
-func WithPublishFunc(fn PublishFunc) Option {
-	return func(s *Server) { s.publish = fn }
+// WithPublishHook sets the hook every publication runs before the
+// pipeline — the fault-injection seam of resilience tests and soaks.
+func WithPublishHook(fn PublishHook) Option {
+	return func(s *Server) { s.hook = fn }
 }
 
 // WithShutdownGrace bounds how long Serve waits for in-flight requests
@@ -400,8 +404,11 @@ func (s *Server) SetModel(m *core.Model) {
 }
 
 // StagedModel is a built, shadow-verified snapshot that has not been
-// installed yet. Commit makes it live; dropping it rolls back for free
-// (the live snapshot was never touched).
+// installed yet. Commit makes it live. A stage must be committed: the
+// shadow-published pages it holds are interned, and only the cache the
+// commit seeds releases those references — a dropped stage leaks them.
+// A failed Stage returns no stage and holds nothing (the catalog commits
+// every stage it gets).
 type StagedModel struct {
 	s     *Server
 	snap  *snapshot
@@ -409,12 +416,12 @@ type StagedModel struct {
 }
 
 // Stage builds the full snapshot for m and shadow-publishes its
-// multi-page presentation through the publication pipeline without
-// touching the live snapshot. Any failure — schema validation, a
-// publication error, ctx cancellation — returns an error and leaves
-// the server serving exactly what it served before. Concurrent Stage
-// calls are safe; external callers (the catalog) serialize commits per
-// model.
+// multi-page presentation — the server's only whole-presentation
+// publication — without touching the live snapshot. Any failure —
+// schema validation, a publication error, ctx cancellation — returns an
+// error and leaves the server serving exactly what it served before.
+// Concurrent Stage calls are safe; external callers (the catalog)
+// serialize commits per model.
 func (s *Server) Stage(ctx context.Context, m *core.Model) (*StagedModel, error) {
 	snap := s.buildSnapshot(m)
 	if snap.pubErr != nil {
@@ -423,7 +430,12 @@ func (s *Server) Stage(ctx context.Context, m *core.Model) (*StagedModel, error)
 	}
 	s.pubWG.Add(1)
 	defer s.pubWG.Done()
-	site, err := s.publishSite(ctx, snap, htmlgen.MultiPage, "")
+	err := s.beforePublish(ctx, htmlgen.MultiPage, "", "")
+	var site *htmlgen.Site
+	if err == nil {
+		site, err = htmlgen.PublishDocumentContext(ctx, snap.pubDoc,
+			htmlgen.Options{Mode: htmlgen.MultiPage, SkipValidation: true})
+	}
 	if err != nil {
 		snap.release()
 		return nil, fmt.Errorf("shadow publish: %w", err)
@@ -542,82 +554,39 @@ func (s *Server) publishCtx() (context.Context, context.CancelFunc) {
 	return context.WithCancel(s.baseCtx)
 }
 
-// publishSite runs the publication pipeline for one cache key.
-func (s *Server) publishSite(ctx context.Context, snap *snapshot, mode htmlgen.Mode, focus string) (*htmlgen.Site, error) {
-	if s.publish != nil {
-		return s.publish(ctx, snap.model, htmlgen.Options{Mode: mode, Focus: focus})
+// beforePublish runs the publish hook, if any, for one publication.
+func (s *Server) beforePublish(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	if s.hook == nil {
+		return nil
 	}
-	if snap.pubErr != nil {
-		return nil, snap.pubErr
-	}
-	// Default pipeline: transform the snapshot's frozen, pre-validated
-	// document directly — no clone, no re-validation, safe to run
-	// concurrently for different cache keys.
-	return htmlgen.PublishDocumentContext(ctx, snap.pubDoc,
-		htmlgen.Options{Mode: mode, Focus: focus, SkipValidation: true})
+	return s.hook(ctx, mode, focus, page)
 }
 
-// siteFor returns the cached (or freshly generated) presentation for
-// the given snapshot. The focus is validated against the snapshot's
-// fact ids *before* cache lookup, so attacker-chosen values can never
-// become cache keys; concurrent misses for the same key share one
-// publication via the singleflight group. A failed publication is
-// never cached: the error is returned to this round of callers and the
-// next request retries cleanly under the same generation key.
-func (s *Server) siteFor(snap *snapshot, mode htmlgen.Mode, focus string) (*publishedSite, error) {
-	if focus != "" && !snap.focuses[focus] {
-		return nil, fmt.Errorf("%w %q: no such fact class", errUnknownFocus, focus)
-	}
-	key := siteKey{gen: snap.gen, mode: mode, focus: focus}
-	if site, ok := s.cache.get(key); ok {
-		return site, nil
-	}
-	return s.flight.Do(key, func() (*publishedSite, error) {
-		s.pubWG.Add(1)
-		defer s.pubWG.Done()
-		ctx, cancel := s.publishCtx()
-		defer cancel()
-		site, err := s.publishSite(ctx, snap, mode, focus)
-		if err != nil {
-			return nil, err
-		}
-		p := newPublishedSite(s.store, site)
-		s.cache.add(key, p)
-		return p, nil
-	})
-}
-
-// pageFor returns the artifact serving /site/<page> of the multi-page
-// presentation of focus, or nil for a page the presentation does not
-// have. A cached whole presentation answers first — the Stage probe, so
-// a warm read costs one lookup. Otherwise the page has its own cache
-// entry, and a miss publishes just that page with a targeted run,
-// sharing it among concurrent misses. A page name outside the page set
-// a run reported is a 404 without a transform or a cache entry.
-// Injected publication pipelines (WithPublishFunc) publish whole sites.
-func (s *Server) pageFor(snap *snapshot, focus, page string) (*artifact.Artifact, error) {
-	if s.publish != nil {
-		site, err := s.siteFor(snap, htmlgen.MultiPage, focus)
-		if err != nil {
-			return nil, err
-		}
-		return site.page(page), nil
-	}
+// pageFor returns the artifact serving page of the presentation of mode
+// and focus (/single reads index.html of the single-page one), or nil
+// for a page the presentation does not have. The focus is validated
+// against the snapshot's fact ids before any cache lookup, so
+// attacker-chosen values never become cache keys. A cached whole
+// presentation answers first — the Stage probe — and then the page's own
+// entry, both under one cache lock, so a warm read is one lookup.
+// A miss renders just the page with a targeted run, shared among
+// concurrent misses; a failed publication is never cached, so the next
+// request retries under the same generation key. A multi-page name
+// outside the page set a run reported is a 404 without a transform or a
+// cache entry.
+func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) (*artifact.Artifact, error) {
 	if focus != "" && !snap.focuses[focus] {
 		return nil, fmt.Errorf("%w %q: no such fact class", errUnknownFocus, focus)
 	}
 	if page == "style.css" {
 		return staticStyleCSS, nil // the same bytes every presentation writes
 	}
-	key := siteKey{gen: snap.gen, mode: htmlgen.MultiPage, focus: focus}
-	if site, ok := s.cache.get(key); ok {
-		return site.page(page), nil
+	key := siteKey{gen: snap.gen, mode: mode, focus: focus, page: page}
+	if a, ok := s.cache.page(key); ok {
+		return a, nil
 	}
-	key.page = page
-	if site, ok := s.cache.get(key); ok {
-		return site.page(page), nil
-	}
-	if !snap.pageGate(focus, page) {
+	multi := mode == htmlgen.MultiPage
+	if multi && !snap.pageGate(focus, page) {
 		return nil, nil
 	}
 	site, err := s.flight.Do(key, func() (*publishedSite, error) {
@@ -628,12 +597,17 @@ func (s *Server) pageFor(snap *snapshot, focus, page string) (*artifact.Artifact
 		defer s.pubWG.Done()
 		ctx, cancel := s.publishCtx()
 		defer cancel()
+		if err := s.beforePublish(ctx, mode, focus, page); err != nil {
+			return nil, err
+		}
 		pg, err := htmlgen.PublishPage(ctx, snap.pubDoc,
-			htmlgen.Options{Mode: htmlgen.MultiPage, Focus: focus, SkipValidation: true}, page)
+			htmlgen.Options{Mode: mode, Focus: focus, SkipValidation: true}, page)
 		if err != nil {
 			return nil, err
 		}
-		snap.notePages(focus, pg.Order)
+		if multi {
+			snap.notePages(focus, pg.Order)
+		}
 		if !pg.Found {
 			return nil, nil
 		}
@@ -648,12 +622,6 @@ func (s *Server) pageFor(snap *snapshot, focus, page string) (*artifact.Artifact
 		return nil, err
 	}
 	return site.page(page), nil
-}
-
-// site is siteFor on the current snapshot (kept for tests and simple
-// callers).
-func (s *Server) site(mode htmlgen.Mode, focus string) (*publishedSite, error) {
-	return s.siteFor(s.snapshot(), mode, focus)
 }
 
 // siteError maps a publication error onto the right status code.
@@ -740,6 +708,29 @@ var (
 	staticSingleXSL = artifact.New("text/xml; charset=utf-8", []byte(core.SingleXSL))
 )
 
+// servePage answers a read of page of the presentation of mode, focused
+// by the request's ?focus=.
+func (s *Server) servePage(w http.ResponseWriter, r *http.Request, mode htmlgen.Mode, page string) {
+	snap := s.snapFor(w, r)
+	if snap == nil {
+		return
+	}
+	if page != path.Clean(page) || strings.Contains(page, "/") {
+		http.NotFound(w, r)
+		return
+	}
+	a, err := s.pageFor(snap, mode, r.URL.Query().Get("focus"), page)
+	if err != nil {
+		siteError(w, err)
+		return
+	}
+	if a == nil {
+		http.NotFound(w, r)
+		return
+	}
+	a.Serve(w, r, s.compress)
+}
+
 // appMux builds the application routes (no middleware).
 func (s *Server) appMux() http.Handler {
 	mux := http.NewServeMux()
@@ -751,45 +742,14 @@ func (s *Server) appMux() http.Handler {
 		http.Redirect(w, r, "/site/index.html", http.StatusFound)
 	})
 	mux.HandleFunc("/site/", func(w http.ResponseWriter, r *http.Request) {
-		snap := s.snapFor(w, r)
-		if snap == nil {
-			return
-		}
 		page := strings.TrimPrefix(r.URL.Path, "/site/")
 		if page == "" {
 			page = htmlgen.IndexName
 		}
-		if page != path.Clean(page) || strings.Contains(page, "/") {
-			http.NotFound(w, r)
-			return
-		}
-		a, err := s.pageFor(snap, r.URL.Query().Get("focus"), page)
-		if err != nil {
-			siteError(w, err)
-			return
-		}
-		if a == nil {
-			http.NotFound(w, r)
-			return
-		}
-		a.Serve(w, r, s.compress)
+		s.servePage(w, r, htmlgen.MultiPage, page)
 	})
 	mux.HandleFunc("/single", func(w http.ResponseWriter, r *http.Request) {
-		snap := s.snapFor(w, r)
-		if snap == nil {
-			return
-		}
-		site, err := s.siteFor(snap, htmlgen.SinglePage, r.URL.Query().Get("focus"))
-		if err != nil {
-			siteError(w, err)
-			return
-		}
-		a := site.page(htmlgen.IndexName)
-		if a == nil {
-			http.Error(w, "presentation has no index page", http.StatusInternalServerError)
-			return
-		}
-		a.Serve(w, r, s.compress)
+		s.servePage(w, r, htmlgen.SinglePage, htmlgen.IndexName)
 	})
 	mux.HandleFunc("/style.css", func(w http.ResponseWriter, r *http.Request) {
 		staticStyleCSS.Serve(w, r, s.compress)

@@ -27,11 +27,11 @@ func TestShutdownCancelsInflightPublish(t *testing.T) {
 	released := make(chan struct{})
 	srv := New(core.SampleSales(),
 		WithRequestTimeout(0), // no request timeout: only shutdown can stop the publish
-		WithPublishFunc(func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			close(entered)
 			<-ctx.Done() // a context-aware pipeline stops here
 			close(released)
-			return nil, ctx.Err()
+			return ctx.Err()
 		}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -88,12 +88,12 @@ func TestShedAndTimeoutResponsesAreConsistent(t *testing.T) {
 	srv := New(core.SampleSales(),
 		WithMaxInflight(1),
 		WithRequestTimeout(100*time.Millisecond),
-		WithPublishFunc(func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			entered <- struct{}{}
 			// Hang until the test ends: every publish deterministically
 			// outlives the request timeout.
 			<-release
-			return nil, errors.New("released")
+			return errors.New("released")
 		}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -172,7 +172,7 @@ func TestShedAndTimeoutResponsesAreConsistent(t *testing.T) {
 }
 
 // TestTransientPublishFailureIsNotCached covers the publication LRU
-// under an intermittently failing PublishFunc: a transient error must
+// under an intermittently failing publication: a transient error must
 // not be cached, must not poison the generation key (the same key
 // succeeds on retry), and the failure must not occupy an LRU slot.
 func TestTransientPublishFailureIsNotCached(t *testing.T) {
@@ -180,11 +180,11 @@ func TestTransientPublishFailureIsNotCached(t *testing.T) {
 	injected := errors.New("transient backend wobble")
 	srv := New(core.SampleSales(),
 		WithCacheSize(4),
-		WithPublishFunc(func(ctx context.Context, m *core.Model, opts htmlgen.Options) (*htmlgen.Site, error) {
+		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if calls.Add(1) == 1 {
-				return nil, injected
+				return injected
 			}
-			return htmlgen.Publish(m, opts)
+			return nil
 		}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -225,8 +225,7 @@ func TestTransientPublishFailureIsNotCached(t *testing.T) {
 // TestStagedSwapCommitAndRollback exercises the staged swap surface
 // the catalog builds on: Stage verifies without touching the live
 // snapshot, Commit installs atomically with a generation bump, and a
-// failed Stage leaves the old state fully intact (rollback is "drop
-// the staged value").
+// failed Stage leaves the old state fully intact (it returns no stage).
 func TestStagedSwapCommitAndRollback(t *testing.T) {
 	srv := New(core.SampleSales())
 	ts := httptest.NewServer(srv.Handler())
