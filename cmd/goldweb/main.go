@@ -309,7 +309,7 @@ func cmdPublish(args []string) error {
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	timeout := fs.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout (0 disables)")
+	timeout := fs.Duration("timeout", server.DefaultRequestTimeout, "how long a request waits for a publication; 504 past it (0 disables)")
 	maxInflight := fs.Int("max-inflight", server.DefaultMaxInflight, "max concurrent requests; excess sheds with 503 (0 disables)")
 	cacheSize := fs.Int("cache-size", server.DefaultCacheSize, "max cache entries, each a presentation or a page (LRU)")
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "presentation cache byte budget (LRU; 0 disables)")

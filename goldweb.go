@@ -225,7 +225,8 @@ type (
 
 // Server resilience options, re-exported from internal/server.
 var (
-	// WithRequestTimeout bounds one request's wall-clock time.
+	// WithRequestTimeout bounds how long a request waits for a
+	// publication (504 past it; 0 disables).
 	WithRequestTimeout = server.WithRequestTimeout
 	// WithMaxInflight sheds load with 503 + Retry-After beyond n
 	// concurrent requests.
@@ -241,8 +242,9 @@ var (
 )
 
 // NewServer creates the HTTP server performing server-side XSLT (§6),
-// hardened with panic recovery, per-request timeouts, load shedding and
-// a bounded singleflight presentation cache (see internal/server).
+// hardened with panic recovery, bounded waits for publications, load
+// shedding and a bounded singleflight presentation cache (see
+// internal/server).
 func NewServer(m *Model, opts ...ServerOption) *Server { return server.New(m, opts...) }
 
 // Multi-model catalog types (the resilient registry in front of

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"context"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -45,5 +46,51 @@ func TestSetAllocs(t *testing.T) {
 	t.Logf("Set(salesdw.xml): %d bytes, %d allocs", perSet, (after.Mallocs-before.Mallocs)/runs)
 	if perSet > setBytesCeiling {
 		t.Errorf("Set(salesdw.xml) allocated %d bytes, ceiling %d", perSet, setBytesCeiling)
+	}
+}
+
+// discardResponse is a ResponseWriter that throws everything away; its
+// header map is allocated once, so allocation counts measure the
+// handler, not the harness.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWarmReadAllocs pins a warm read through Catalog.Handler() at what
+// the root http.ServeMux's match allocates: routing /m/{name}/... to the
+// model's server copies neither the request nor its URL, and the model
+// server's warm path allocates nothing.
+func TestWarmReadAllocs(t *testing.T) {
+	c := New(Options{DisableRetry: true})
+	defer c.Close()
+	if err := c.Set(context.Background(), "sales", modelSource(t, "Sales DW")); err != nil {
+		t.Fatal(err)
+	}
+	measure := func(h http.Handler, path string) float64 {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &discardResponse{h: make(http.Header)}
+		h.ServeHTTP(w, req) // warm-up
+		return testing.AllocsPerRun(200, func() {
+			clear(w.h)
+			h.ServeHTTP(w, req)
+		})
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(http.ResponseWriter, *http.Request) {})
+	mux.HandleFunc("/m/", func(http.ResponseWriter, *http.Request) {})
+	floor := measure(mux, "/m/sales/site/index.html")
+	h := c.Handler()
+	for _, path := range []string{"/m/sales/site/index.html", "/m/sales/single", "/m/sales/style.css", "/m/sales/model.xml"} {
+		allocs := measure(h, path)
+		t.Logf("warm GET %s: %.1f allocs/op (root mux match: %.1f)", path, allocs, floor)
+		if allocs > floor {
+			t.Errorf("warm GET %s: %.1f allocs/op, want <= %.1f (the root mux match)", path, allocs, floor)
+		}
 	}
 }

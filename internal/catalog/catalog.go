@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -176,9 +175,10 @@ type Options struct {
 	StageTimeout time.Duration
 
 	// RequestTimeout, MaxInflight and CacheSize are passed through to
-	// each model's server (zero means that server default). CacheSize
-	// counts cache entries, each a whole presentation or a single page
-	// of a multi-page presentation.
+	// each model's server (zero means that server default). RequestTimeout
+	// bounds how long a request waits for a publication: 504 past it,
+	// negative disables. CacheSize counts cache entries, each a whole
+	// presentation or a single page of a multi-page presentation.
 	RequestTimeout time.Duration
 	MaxInflight    int
 	CacheSize      int
@@ -214,7 +214,6 @@ const (
 type entry struct {
 	name    string
 	srv     *server.Server
-	app     http.Handler // the server's app mux, mounted under /m/<name>/
 	breaker *breaker
 
 	// swapMu serializes staged swaps and retry bookkeeping for this
@@ -333,10 +332,9 @@ func (c *Catalog) Close() {
 
 // serverOptions builds the per-model server configuration.
 func (c *Catalog) serverOptions() []server.Option {
-	// The catalog's shared middleware applies the timeout and limiter
-	// once for all models; per-model servers only need the pipeline
-	// hook, cache sizing, and the publish deadline (the server derives
-	// publish contexts from its requestTimeout).
+	// The catalog's shared middleware applies the limiter once for all
+	// models; per-model servers only need the pipeline hook, cache sizing,
+	// and the request timeout that bounds a wait for a publication.
 	opts := []server.Option{
 		server.WithMaxInflight(0),
 		server.WithRequestTimeout(c.opts.RequestTimeout),
@@ -370,7 +368,6 @@ func (c *Catalog) ensure(name string) *entry {
 		swapMu:  make(chan struct{}, 1),
 	}
 	e.swapMu <- struct{}{} // the unlocked token
-	e.app = http.StripPrefix("/m/"+name, e.srv.AppHandler())
 	c.entries[name] = e
 	return e
 }

@@ -460,6 +460,34 @@ func TestHandlerRoutingAndErrors(t *testing.T) {
 	}
 }
 
+// TestModelSiteRedirectStaysInNamespace: /m/{name}/site redirects to
+// the model's own /site/, keeping the query, the way a single-model
+// server's /site redirects to /site/ — not to the catalog root's /site/,
+// which does not exist.
+func TestModelSiteRedirectStaysInNamespace(t *testing.T) {
+	c := New(Options{DisableRetry: true})
+	defer c.Close()
+	if err := c.Set(context.Background(), "sales", modelSource(t, "Sales DW")); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+	h := c.Handler()
+	for path, want := range map[string]string{
+		"/m/sales/site":          "/m/sales/site/",
+		"/m/sales/site?focus=f1": "/m/sales/site/?focus=f1",
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != want {
+			t.Errorf("GET %s: %d -> %q, want 301 -> %q", path, rec.Code, rec.Header().Get("Location"), want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/sales/site/", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("GET /m/sales/site/: %d, want 200", rec.Code)
+	}
+}
+
 func TestReadyzReportsPerModelHealth(t *testing.T) {
 	c := New(Options{DisableRetry: true})
 	defer c.Close()

@@ -22,11 +22,13 @@ import (
 //	GET /m/{name}/...    → that model's site (the same routes a
 //	                       single-model server exposes at /)
 //
-// Model routes share one recovery/methods/limiter/timeout stack;
-// health endpoints sit outside the limiter and timeout so orchestrators
-// can probe a saturated catalog. A model whose republish pipeline is
-// failing keeps serving its last-good site with Warning and
-// X-Goldweb-Stale headers; a model that never loaded answers 503.
+// Model routes share one recovery/methods/limiter stack; health
+// endpoints sit outside the limiter so orchestrators can probe a
+// saturated catalog. Each model's server bounds a request's wait for a
+// publication by Options.RequestTimeout (504 past it). A model whose
+// republish pipeline is failing keeps serving its last-good site with
+// Warning and X-Goldweb-Stale headers; a model that never loaded
+// answers 503.
 //
 // Every model's pages are served as content-addressed artifacts from
 // the shared store: hash-keyed ETags answer If-None-Match with 304s,
@@ -41,7 +43,7 @@ func (c *Catalog) Handler() http.Handler {
 	})
 	root.HandleFunc("/readyz", c.handleReadyz)
 	root.HandleFunc("/catalog", c.handleIndex)
-	root.Handle("/m/", server.HardenApp(c.opts.MaxInflight, c.opts.RequestTimeout, http.HandlerFunc(c.serveModel)))
+	root.Handle("/m/", server.HardenApp(c.opts.MaxInflight, http.HandlerFunc(c.serveModel)))
 	root.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -52,11 +54,11 @@ func (c *Catalog) Handler() http.Handler {
 	return server.HardenOuter(root)
 }
 
-// serveModel routes /m/{name}/... to the model's server. The bare
-// /m/{name} (with or without trailing slash) redirects to the model's
-// index page with an absolute path: a relative redirect would be
-// resolved by the inner mux against the prefix-stripped URL and escape
-// the /m/{name} namespace.
+// serveModel routes /m/{name}/... to the model's server, handing it the
+// rest of the path as a slice of the request's own: the request is not
+// copied. The bare /m/{name} (with or without trailing slash) redirects
+// to the model's index page with an absolute path, which no relative
+// Location could spell for both forms.
 func (c *Catalog) serveModel(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/m/")
 	name, sub, _ := strings.Cut(rest, "/")
@@ -73,7 +75,7 @@ func (c *Catalog) serveModel(w http.ResponseWriter, r *http.Request) {
 		http.Redirect(w, r, "/m/"+name+"/site/index.html", http.StatusFound)
 		return
 	}
-	e.app.ServeHTTP(w, r)
+	e.srv.ServeApp(w, r, rest[len(name):])
 }
 
 // readyzBody is the /readyz JSON document.

@@ -2,8 +2,10 @@ package server
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"goldweb/internal/artifact"
 	"goldweb/internal/htmlgen"
@@ -154,54 +156,73 @@ func (c *siteCache) usedBytes() int64 {
 	return c.bytes
 }
 
+// errPublishTimeout is what a request gets when the publication it
+// waits for outlives the request timeout. The publication keeps running
+// and caches its result, so a retry is usually a warm hit.
+var errPublishTimeout = errors.New("publication wait timed out")
+
 // flightGroup is a minimal singleflight: concurrent callers for the same
 // key share one in-flight publication instead of queueing behind a lock
-// and re-running the transformation each.
+// and re-running the transformation each. Publications run detached on
+// their own goroutines, so a caller can stop waiting without abandoning
+// the work; wg counts them for shutdown.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[siteKey]*flightCall
+	wg *sync.WaitGroup
 }
 
 type flightCall struct {
-	wg   sync.WaitGroup
+	done chan struct{} // closed once site and err are final
 	site *publishedSite
 	err  error
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: map[siteKey]*flightCall{}}
+func newFlightGroup(wg *sync.WaitGroup) *flightGroup {
+	return &flightGroup{m: map[siteKey]*flightCall{}, wg: wg}
 }
 
-// Do runs fn once per key; duplicate callers wait for the leader and
-// share its result. If fn panics, the panic propagates on the leader's
-// goroutine (the recovery middleware turns it into a 500) while waiting
-// followers receive an error instead of deadlocking.
-func (g *flightGroup) Do(key siteKey, fn func() (*publishedSite, error)) (*publishedSite, error) {
+// Do starts fn on its own goroutine unless a call for key is already in
+// flight, then waits for the call's result for at most d (0 waits
+// without bound). A caller that stops waiting gets errPublishTimeout;
+// the call runs on. A panic in fn is recovered on the call's goroutine —
+// no request's recovery middleware can reach it there — and becomes the
+// error of every waiter.
+func (g *flightGroup) Do(key siteKey, d time.Duration, fn func() (*publishedSite, error)) (*publishedSite, error) {
 	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		c.wg.Wait()
+	c, ok := g.m[key]
+	if !ok {
+		c = &flightCall{done: make(chan struct{})}
+		g.m[key] = c
+		g.wg.Add(1) // before the goroutine exists, so a concurrent Wait sees it
+		go g.run(key, c, fn)
+	}
+	g.mu.Unlock()
+	if d <= 0 {
+		<-c.done
 		return c.site, c.err
 	}
-	c := &flightCall{}
-	c.wg.Add(1)
-	g.m[key] = c
-	g.mu.Unlock()
-
-	finish := func() {
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
-		c.wg.Done()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-c.done:
+		return c.site, c.err
+	case <-t.C:
+		return nil, errPublishTimeout
 	}
+}
+
+// run executes one call and publishes its result to the waiters.
+func (g *flightGroup) run(key siteKey, c *flightCall, fn func() (*publishedSite, error)) {
+	defer g.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			c.err = fmt.Errorf("publication panicked: %v", r)
-			finish()
-			panic(r)
 		}
-		finish()
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
 	}()
 	c.site, c.err = fn()
-	return c.site, c.err
 }

@@ -1,13 +1,9 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
-	"time"
 )
 
 // The middleware stack hardening the serving path (§6 moved the XSLT
@@ -16,7 +12,11 @@ import (
 //	withRecovery  — a panicking handler becomes a 500, not a dead connection
 //	withMethods   — the site is read-only: non-GET/HEAD gets 405 + Allow
 //	withLimiter   — a semaphore sheds load with 503 + Retry-After when full
-//	withTimeout   — a hanging handler yields 504 on that request only
+//
+// No layer bounds a request's wall-clock time: the only request-path
+// work that can wait on anything but its own CPU is a publication, and
+// pageFor bounds that wait (504 past the request timeout). A warm read
+// therefore runs on the serving goroutine with no timer, buffer or copy.
 
 // wantsJSON reports whether the client asked for a JSON error body.
 func wantsJSON(r *http.Request) bool {
@@ -58,15 +58,18 @@ func HardenOuter(h http.Handler) http.Handler {
 	return withRecovery(withMethods(h))
 }
 
-// HardenApp wraps h in the expensive-path guards: load shedding at
-// maxInflight concurrent requests (0 disables) and a per-request
-// wall-clock timeout (0 disables). Health endpoints belong outside it.
-func HardenApp(maxInflight int, timeout time.Duration, h http.Handler) http.Handler {
-	return withLimiter(maxInflight, withTimeout(timeout, h))
+// HardenApp wraps h in the expensive-path guard: load shedding at
+// maxInflight concurrent requests (0 disables). It sets no deadline —
+// each model server bounds its requests' wait for a publication with
+// its own request timeout. Health endpoints belong outside it.
+func HardenApp(maxInflight int, h http.Handler) http.Handler {
+	return withLimiter(maxInflight, h)
 }
 
 // withRecovery converts a handler panic into a 500 response. It is the
-// outermost layer so a re-panic from the timeout goroutine is also caught.
+// outermost layer, so a panic anywhere in the stack is caught; a panic
+// inside a detached publication is recovered on its own goroutine and
+// reaches every waiting request as an error instead (flightGroup.Do).
 func withRecovery(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -110,96 +113,4 @@ func withLimiter(n int, next http.Handler) http.Handler {
 			respondError(w, r, http.StatusServiceUnavailable, "server is saturated, retry shortly", "1")
 		}
 	})
-}
-
-// withTimeout bounds one request's wall-clock time. The inner handler
-// runs on its own goroutine against a buffered writer; if the deadline
-// fires first the client gets 504 and the stragglers' output is
-// discarded. The request context carries the deadline so context-aware
-// handlers can stop early. A panic on the inner goroutine is forwarded
-// to the serving goroutine for withRecovery to translate.
-func withTimeout(d time.Duration, next http.Handler) http.Handler {
-	if d <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		r = r.WithContext(ctx)
-		bw := getBufferedResponse()
-		done := make(chan struct{})
-		panicked := make(chan any, 1)
-		go func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					panicked <- rec
-					return
-				}
-				close(done)
-			}()
-			next.ServeHTTP(bw, r)
-		}()
-		select {
-		case <-done:
-			bw.copyTo(w)
-			// Only the completed path may recycle the buffer: on timeout
-			// or panic the straggler goroutine may still be writing to it.
-			bufRespPool.Put(bw)
-		case rec := <-panicked:
-			panic(rec)
-		case <-ctx.Done():
-			// Same contract as the 503 shed: retryable, with a JSON body
-			// for API clients — a timed-out transformation usually
-			// succeeds on retry once the cache is warm.
-			respondError(w, r, http.StatusGatewayTimeout, "request timed out", "1")
-		}
-	})
-}
-
-// bufRespPool recycles response buffers across requests: a warm
-// cached-site hit reuses a previously grown body buffer instead of
-// allocating a fresh copy of the page per request.
-var bufRespPool = sync.Pool{
-	New: func() any { return &bufferedResponse{header: make(http.Header)} },
-}
-
-// getBufferedResponse returns a reset buffer from the pool. Resetting at
-// borrow time (rather than at Put) keeps the invariant local: whatever
-// state a recycled buffer carries, the next request starts clean.
-func getBufferedResponse() *bufferedResponse {
-	b := bufRespPool.Get().(*bufferedResponse)
-	b.code = http.StatusOK
-	b.wroteCode = false
-	clear(b.header)
-	b.body.Reset()
-	return b
-}
-
-// bufferedResponse captures a handler's full response so it can be
-// replayed — or abandoned — atomically by withTimeout.
-type bufferedResponse struct {
-	header    http.Header
-	code      int
-	wroteCode bool
-	body      bytes.Buffer
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if !b.wroteCode {
-		b.code = code
-		b.wroteCode = true
-	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
-
-func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
-	dst := w.Header()
-	for k, vs := range b.header {
-		dst[k] = vs
-	}
-	w.WriteHeader(b.code)
-	w.Write(b.body.Bytes())
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -389,12 +390,13 @@ func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestWarmHitAllocations pins the per-request allocation budget of the
-// hot cached paths. A warm pageFor lookup — /single, a /site/ page
-// answered by the Stage probe, a /site/ page entry, focused or not —
-// must be allocation-free, and a full handler pass over a warm page or a
-// precomputed XML view must stay within the small fixed cost of the
-// middleware stack — a budget that re-serializing the document (or
-// copying the page into a fresh response buffer) would blow immediately.
+// hot cached paths at zero. A warm pageFor lookup — /single, a /site/
+// page answered by the Stage probe, a /site/ page entry, focused or not
+// — allocates nothing, and neither does a whole ServeApp pass over a
+// warm page, the static stylesheet or a built XML view: no request copy,
+// no response buffer, no timer. Through the full Handler stack the only
+// extra cost is what the root http.ServeMux's match costs, and parsing a
+// ?focus= query.
 func TestWarmHitAllocations(t *testing.T) {
 	m := core.SampleSales()
 	focus := m.Facts[0].ID
@@ -427,26 +429,60 @@ func TestWarmHitAllocations(t *testing.T) {
 		}
 	}
 
-	h := srv.Handler()
-	for _, path := range []string{
-		"/site/index.html", "/site/index.html?focus=" + focus, "/single", "/single?focus=" + focus,
-		"/model.xml", "/pretty", "/client/model.xml", "/cwm.xmi",
-	} {
+	warm := func(h http.Handler, path string) float64 {
+		t.Helper()
 		req, err := http.NewRequest(http.MethodGet, path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := &discardResponse{h: make(http.Header)}
-		h.ServeHTTP(w, req) // warm-up: grow the pooled buffer
-		allocs := testing.AllocsPerRun(200, func() {
+		h.ServeHTTP(w, req) // warm-up: build the page entry or the view
+		return testing.AllocsPerRun(200, func() {
 			clear(w.h)
 			h.ServeHTTP(w, req)
 		})
-		// The timeout middleware's context/goroutine plumbing costs a
-		// handful of allocations per request; a page copy or document
-		// re-serialization costs hundreds.
-		if allocs > 40 {
-			t.Errorf("warm GET %s: %.1f allocs/op, want <= 40", path, allocs)
+	}
+	app := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeApp(w, r, r.URL.Path)
+	})
+	for _, path := range []string{
+		"/site/index.html", "/single", "/style.css",
+		"/model.xml", "/pretty", "/client/model.xml", "/cwm.xmi",
+	} {
+		if allocs := warm(app, path); allocs > 0 {
+			t.Errorf("warm ServeApp %s: %.1f allocs/op, want 0", path, allocs)
 		}
 	}
+	// The full stack adds recovery, the method check and the limiter,
+	// which allocate nothing, and the root mux's match, which does; a
+	// ?focus= query adds its parse.
+	mux := muxMatchAllocs(t)
+	h := srv.Handler()
+	for _, path := range []string{
+		"/site/index.html", "/site/index.html?focus=" + focus, "/single", "/single?focus=" + focus,
+		"/model.xml", "/pretty", "/client/model.xml", "/cwm.xmi",
+	} {
+		want := mux
+		if u, _ := url.Parse(path); u.RawQuery != "" {
+			want += testing.AllocsPerRun(200, func() { _ = u.Query() })
+		}
+		if allocs := warm(h, path); allocs > want {
+			t.Errorf("warm GET %s: %.1f allocs/op, want <= %.1f", path, allocs, want)
+		}
+	}
+}
+
+// muxMatchAllocs measures what routing one request through a bare root
+// http.ServeMux allocates — the floor of any handler mounted behind one.
+func muxMatchAllocs(t *testing.T) float64 {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(http.ResponseWriter, *http.Request) {})
+	mux.HandleFunc("/", func(http.ResponseWriter, *http.Request) {})
+	req, err := http.NewRequest(http.MethodGet, "/site/index.html", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardResponse{h: make(http.Header)}
+	return testing.AllocsPerRun(200, func() { mux.ServeHTTP(w, req) })
 }

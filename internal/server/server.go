@@ -7,12 +7,13 @@
 // The serving path is hardened for production traffic: the published
 // model lives in an immutable snapshot behind an RWMutex, presentations
 // are generated through a singleflight group (concurrent cold-cache
-// requests for the same page share one transformation) into a bounded
-// LRU cache, and every request passes a middleware stack providing panic
-// recovery, a per-request timeout, load shedding with 503 + Retry-After,
-// and method filtering. /healthz and /readyz expose liveness and
-// readiness, and Serve runs a full http.Server lifecycle with IO
-// timeouts and graceful shutdown.
+// requests for the same page share one transformation, detached from the
+// requests that wait for it) into a bounded LRU cache, a request's wait
+// for a publication is bounded by the request timeout (504 past it), and
+// every request passes a middleware stack providing panic recovery, load
+// shedding with 503 + Retry-After, and method filtering. /healthz and
+// /readyz expose liveness and readiness, and Serve runs a full
+// http.Server lifecycle with IO timeouts and graceful shutdown.
 //
 // For hot-swap catalogs (internal/catalog) the server additionally
 // supports staged swaps — Stage builds and shadow-publishes a new
@@ -207,8 +208,9 @@ func buildViews(m *core.Model, newArtifact func(contentType string, body []byte)
 // and each request-path publication of one page. It runs inside the
 // publication — under its singleflight call, awaited at shutdown, with
 // its context — before the pipeline, so it can fail, block or panic the
-// publication but never replaces its output. The context is canceled
-// when the server shuts down (and carries the request-timeout deadline),
+// publication but never replaces its output. A request-path
+// publication's context is canceled when the server shuts down (a
+// waiting request gives up at its timeout, the publication does not),
 // so a hung publication never outlives the process teardown;
 // fault-injection harnesses set the hook to prove exactly that.
 type PublishHook func(ctx context.Context, mode htmlgen.Mode, focus, page string) error
@@ -260,7 +262,10 @@ const (
 // Option configures a Server.
 type Option func(*Server)
 
-// WithRequestTimeout bounds one request's wall-clock time (0 disables).
+// WithRequestTimeout bounds how long a request waits for a publication:
+// past it the request gets 504 + Retry-After while the publication runs
+// on and caches its page (0 disables). Warm reads and the XML views never
+// wait, so nothing else is bounded by it.
 func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.requestTimeout = d }
 }
@@ -324,7 +329,6 @@ func New(m *core.Model, opts ...Option) *Server {
 // failing still has an addressable (if not-ready) server.
 func NewEmpty(opts ...Option) *Server {
 	s := &Server{
-		flight:         newFlightGroup(),
 		requestTimeout: DefaultRequestTimeout,
 		maxInflight:    DefaultMaxInflight,
 		shutdownGrace:  DefaultShutdownGrace,
@@ -334,6 +338,7 @@ func NewEmpty(opts ...Option) *Server {
 		compress:       true,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	s.flight = newFlightGroup(&s.pubWG)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -542,18 +547,6 @@ func (s *Server) snapshot() *snapshot {
 // errUnknownFocus marks a ?focus= naming no fact class of the model.
 var errUnknownFocus = errors.New("unknown focus")
 
-// publishCtx derives the context one publication runs under: parented
-// on the server lifetime (canceled at shutdown) and bounded by the
-// request timeout. It is deliberately not the request's own context —
-// singleflight followers share the leader's publication, and one
-// client disconnecting must not fail the others.
-func (s *Server) publishCtx() (context.Context, context.CancelFunc) {
-	if s.requestTimeout > 0 {
-		return context.WithTimeout(s.baseCtx, s.requestTimeout)
-	}
-	return context.WithCancel(s.baseCtx)
-}
-
 // beforePublish runs the publish hook, if any, for one publication.
 func (s *Server) beforePublish(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 	if s.hook == nil {
@@ -570,7 +563,11 @@ func (s *Server) beforePublish(ctx context.Context, mode htmlgen.Mode, focus, pa
 // presentation answers first — the Stage probe — and then the page's own
 // entry, both under one cache lock, so a warm read is one lookup.
 // A miss renders just the page with a targeted run, shared among
-// concurrent misses; a failed publication is never cached, so the next
+// concurrent misses and detached from them: it runs under the server's
+// lifetime context (canceled at shutdown), not any request's, so one
+// client leaving or timing out fails no other and the finished page is
+// still cached. A request waits for it at most the request timeout
+// (errPublishTimeout). A failed publication is never cached, so the next
 // request retries under the same generation key. A multi-page name
 // outside the page set a run reported is a 404 without a transform or a
 // cache entry.
@@ -589,18 +586,14 @@ func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) 
 	if multi && !snap.pageGate(focus, page) {
 		return nil, nil
 	}
-	site, err := s.flight.Do(key, func() (*publishedSite, error) {
-		if snap.pubErr != nil {
-			return nil, snap.pubErr
-		}
-		s.pubWG.Add(1)
-		defer s.pubWG.Done()
-		ctx, cancel := s.publishCtx()
-		defer cancel()
-		if err := s.beforePublish(ctx, mode, focus, page); err != nil {
+	if snap.pubErr != nil {
+		return nil, snap.pubErr
+	}
+	site, err := s.flight.Do(key, s.requestTimeout, func() (*publishedSite, error) {
+		if err := s.beforePublish(s.baseCtx, mode, focus, page); err != nil {
 			return nil, err
 		}
-		pg, err := htmlgen.PublishPage(ctx, snap.pubDoc,
+		pg, err := htmlgen.PublishPage(s.baseCtx, snap.pubDoc,
 			htmlgen.Options{Mode: mode, Focus: focus, SkipValidation: true}, page)
 		if err != nil {
 			return nil, err
@@ -624,13 +617,17 @@ func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) 
 	return site.page(page), nil
 }
 
-// siteError maps a publication error onto the right status code.
-func siteError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errUnknownFocus) {
+// siteError maps a publication error onto the right status code. A
+// timed-out wait is retryable, with the same shape as the limiter's 503.
+func siteError(w http.ResponseWriter, r *http.Request, err error) {
+	switch {
+	case errors.Is(err, errUnknownFocus):
 		http.Error(w, err.Error(), http.StatusNotFound)
-		return
+	case errors.Is(err, errPublishTimeout):
+		respondError(w, r, http.StatusGatewayTimeout, "request timed out", "1")
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
 }
 
 // Handler returns the full HTTP handler, middleware included:
@@ -648,10 +645,10 @@ func siteError(w http.ResponseWriter, err error) {
 //	GET /healthz           liveness (always 200 while the process serves)
 //	GET /readyz            readiness (503 while SetModel swaps the model)
 //
-// Health endpoints sit outside the limiter and timeout so orchestrators
-// can still probe a saturated server.
+// Health endpoints sit outside the limiter so orchestrators can still
+// probe a saturated server.
 func (s *Server) Handler() http.Handler {
-	app := withLimiter(s.maxInflight, withTimeout(s.requestTimeout, s.AppHandler()))
+	app := withLimiter(s.maxInflight, s.AppHandler())
 	root := http.NewServeMux()
 	root.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -669,18 +666,11 @@ func (s *Server) Handler() http.Handler {
 	return withRecovery(withMethods(root))
 }
 
-// AppHandler returns the application routes with the per-model
-// response decoration (stale and generation headers) but without the
-// outer middleware stack — catalogs mount many of these behind one
-// shared recovery/limiter/timeout stack.
+// AppHandler returns the application routes (ServeApp on the request
+// path) without the middleware stack.
 func (s *Server) AppHandler() http.Handler {
-	mux := s.appMux()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if st := s.stale.Load(); st != nil {
-			w.Header().Set("Warning", `110 goldweb "stale content: republish failing"`)
-			w.Header().Set(StaleHeader, st.reason)
-		}
-		mux.ServeHTTP(w, r)
+		s.ServeApp(w, r, r.URL.Path)
 	})
 }
 
@@ -719,9 +709,13 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, mode htmlgen.
 		http.NotFound(w, r)
 		return
 	}
-	a, err := s.pageFor(snap, mode, r.URL.Query().Get("focus"), page)
+	var focus string
+	if r.URL.RawQuery != "" {
+		focus = r.URL.Query().Get("focus")
+	}
+	a, err := s.pageFor(snap, mode, focus, page)
 	if err != nil {
-		siteError(w, err)
+		siteError(w, r, err)
 		return
 	}
 	if a == nil {
@@ -731,89 +725,97 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, mode htmlgen.
 	a.Serve(w, r, s.compress)
 }
 
-// appMux builds the application routes (no middleware).
-func (s *Server) appMux() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		http.Redirect(w, r, "/site/index.html", http.StatusFound)
-	})
-	mux.HandleFunc("/site/", func(w http.ResponseWriter, r *http.Request) {
-		page := strings.TrimPrefix(r.URL.Path, "/site/")
+// ServeApp answers r on the application route p, the request path
+// relative to where the server is mounted (r.URL.Path for a server at
+// the root; the catalog passes what follows /m/{name}). It applies no
+// middleware and never copies the request, and it sets the per-model
+// stale headers on every response. Redirects are relative, so they stay
+// inside the mount point.
+func (s *Server) ServeApp(w http.ResponseWriter, r *http.Request, p string) {
+	if st := s.stale.Load(); st != nil {
+		w.Header().Set("Warning", `110 goldweb "stale content: republish failing"`)
+		w.Header().Set(StaleHeader, st.reason)
+	}
+	if page, ok := strings.CutPrefix(p, "/site/"); ok {
 		if page == "" {
 			page = htmlgen.IndexName
 		}
 		s.servePage(w, r, htmlgen.MultiPage, page)
-	})
-	mux.HandleFunc("/single", func(w http.ResponseWriter, r *http.Request) {
+		return
+	}
+	switch p {
+	case "/":
+		http.Redirect(w, r, "site/index.html", http.StatusFound)
+	case "/site":
+		to := "site/"
+		if r.URL.RawQuery != "" {
+			to += "?" + r.URL.RawQuery
+		}
+		http.Redirect(w, r, to, http.StatusMovedPermanently)
+	case "/single":
 		s.servePage(w, r, htmlgen.SinglePage, htmlgen.IndexName)
-	})
-	mux.HandleFunc("/style.css", func(w http.ResponseWriter, r *http.Request) {
+	case "/style.css":
 		staticStyleCSS.Serve(w, r, s.compress)
-	})
-	mux.HandleFunc("/model.xml", func(w http.ResponseWriter, r *http.Request) {
+	case "/schema.xsd":
+		staticSchemaXSD.Serve(w, r, s.compress)
+	case "/model.xml":
 		if snap := s.snapFor(w, r); snap != nil {
 			s.viewsFor(snap).model.Serve(w, r, s.compress)
 		}
-	})
-	mux.HandleFunc("/pretty", func(w http.ResponseWriter, r *http.Request) {
+	case "/pretty":
 		if snap := s.snapFor(w, r); snap != nil {
 			s.viewsFor(snap).pretty.Serve(w, r, s.compress)
 		}
-	})
 	// The paper's §6 future work: "when the browsers completely support
 	// XML and XSLT, the transformation will be able to be performed in the
 	// browser ... removing some of the processing load from the server."
 	// /client/model.xml carries an xml-stylesheet processing instruction,
 	// and the stylesheet itself is served next to it, so an XSLT-capable
 	// browser renders the model client-side.
-	mux.HandleFunc("/client/model.xml", func(w http.ResponseWriter, r *http.Request) {
+	case "/client/model.xml":
 		if snap := s.snapFor(w, r); snap != nil {
 			s.viewsFor(snap).client.Serve(w, r, s.compress)
 		}
-	})
-	mux.HandleFunc("/client/single.xsl", func(w http.ResponseWriter, r *http.Request) {
+	case "/client/single.xsl":
 		staticSingleXSL.Serve(w, r, s.compress)
-	})
-	mux.HandleFunc("/cwm.xmi", func(w http.ResponseWriter, r *http.Request) {
+	case "/cwm.xmi":
 		if snap := s.snapFor(w, r); snap != nil {
 			s.viewsFor(snap).cwm.Serve(w, r, s.compress)
 		}
-	})
-	mux.HandleFunc("/schema.xsd", func(w http.ResponseWriter, r *http.Request) {
-		staticSchemaXSD.Serve(w, r, s.compress)
-	})
-	mux.HandleFunc("/validate", func(w http.ResponseWriter, r *http.Request) {
-		snap := s.snapFor(w, r)
-		if snap == nil {
-			return
-		}
-		// Validation applies schema defaults to the document, so it works
-		// on a fresh canonical document of its own.
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		schemaErrs := core.ValidateDocument(snap.model.ToXML())
-		semErrs := snap.model.Validate()
-		if len(schemaErrs) == 0 && len(semErrs) == 0 {
-			fmt.Fprintf(w, "VALID: %s conforms to the XML Schema and the metamodel constraints\n", snap.model.Name)
-			return
-		}
-		var lines []string
-		for _, e := range schemaErrs {
-			lines = append(lines, "schema: "+e.Error())
-		}
-		for _, e := range semErrs {
-			lines = append(lines, "model: "+e.Error())
-		}
-		sort.Strings(lines)
-		fmt.Fprintf(w, "INVALID: %d problems\n", len(lines))
-		for _, l := range lines {
-			fmt.Fprintln(w, l)
-		}
-	})
-	return mux
+	case "/validate":
+		s.serveValidate(w, r)
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// serveValidate writes the plain-text validation report of the live
+// model. Validation applies schema defaults to the document, so it works
+// on a fresh canonical document of its own.
+func (s *Server) serveValidate(w http.ResponseWriter, r *http.Request) {
+	snap := s.snapFor(w, r)
+	if snap == nil {
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	schemaErrs := core.ValidateDocument(snap.model.ToXML())
+	semErrs := snap.model.Validate()
+	if len(schemaErrs) == 0 && len(semErrs) == 0 {
+		fmt.Fprintf(w, "VALID: %s conforms to the XML Schema and the metamodel constraints\n", snap.model.Name)
+		return
+	}
+	var lines []string
+	for _, e := range schemaErrs {
+		lines = append(lines, "schema: "+e.Error())
+	}
+	for _, e := range semErrs {
+		lines = append(lines, "model: "+e.Error())
+	}
+	sort.Strings(lines)
+	fmt.Fprintf(w, "INVALID: %d problems\n", len(lines))
+	for _, l := range lines {
+		fmt.Fprintln(w, l)
+	}
 }
 
 func contentType(page string) string {

@@ -228,3 +228,43 @@ func TestCWMEndpoint(t *testing.T) {
 		t.Errorf("cwm endpoint: %d %.120s", code, body)
 	}
 }
+
+// TestRoutesAndRedirects pins the status code of every route, and the
+// Location of every redirect, through the full handler.
+func TestRoutesAndRedirects(t *testing.T) {
+	h := New(core.SampleSales()).Handler()
+	for _, tc := range []struct {
+		path     string
+		code     int
+		location string
+	}{
+		{"/", http.StatusFound, "/site/index.html"},
+		{"/site", http.StatusMovedPermanently, "/site/"},
+		{"/site?focus=f1", http.StatusMovedPermanently, "/site/?focus=f1"},
+		{"/site/", http.StatusOK, ""},
+		{"/site/index.html?focus=f1", http.StatusOK, ""},
+		{"/site/nope.html", http.StatusNotFound, ""},
+		{"/site/a/b.html", http.StatusNotFound, ""},
+		{"/single", http.StatusOK, ""},
+		{"/single/", http.StatusNotFound, ""},
+		{"/style.css", http.StatusOK, ""},
+		{"/schema.xsd", http.StatusOK, ""},
+		{"/model.xml", http.StatusOK, ""},
+		{"/pretty", http.StatusOK, ""},
+		{"/client/model.xml", http.StatusOK, ""},
+		{"/client/single.xsl", http.StatusOK, ""},
+		{"/client", http.StatusNotFound, ""},
+		{"/cwm.xmi", http.StatusOK, ""},
+		{"/validate", http.StatusOK, ""},
+		{"/healthz", http.StatusOK, ""},
+		{"/readyz", http.StatusOK, ""},
+		{"/nope", http.StatusNotFound, ""},
+		{"/site/../model.xml", http.StatusMovedPermanently, "/model.xml"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if rec.Code != tc.code || rec.Header().Get("Location") != tc.location {
+			t.Errorf("GET %s: %d -> %q, want %d -> %q", tc.path, rec.Code, rec.Header().Get("Location"), tc.code, tc.location)
+		}
+	}
+}

@@ -171,7 +171,7 @@ func (c *checker) acquireDesc(call *ast.CallExpr, lhs *ast.Ident) (string, bool)
 }
 
 // isGetterName matches the free-list borrowing convention: getCtx,
-// getBufferedResponse, ...
+// getFrame, ...
 func isGetterName(name string) bool {
 	return len(name) > 3 && strings.HasPrefix(name, "get") && name[3] >= 'A' && name[3] <= 'Z'
 }
