@@ -567,27 +567,34 @@ func cmdTransform(args []string) error {
 		}
 		p[kv[:i]] = xpath.String(kv[i+1:])
 	}
-	res, err := sheet.Transform(doc, p)
+	res, err := sheet.TransformToBuffers(doc, p)
 	if err != nil {
 		return err
 	}
 	for _, msg := range res.Messages {
 		fmt.Fprintln(os.Stderr, "xsl:message:", msg)
 	}
-	os.Stdout.Write(res.MainBytes())
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
+	os.Stdout.Write(res.Main)
+	if *out == "" {
+		if len(res.DocumentOrder) > 0 {
+			fmt.Fprintf(os.Stderr, "note: %d xsl:document outputs discarded (use -o dir)\n", len(res.DocumentOrder))
+		}
+		return nil
+	}
+	for _, href := range res.DocumentOrder {
+		if !filepath.IsLocal(href) {
+			return fmt.Errorf("xsl:document href %q is not a local path under %s", href, *out)
+		}
+	}
+	for _, href := range res.DocumentOrder {
+		path := filepath.Join(*out, href)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
-		for _, href := range res.DocumentOrder {
-			path := filepath.Join(*out, filepath.Clean(href))
-			if err := os.WriteFile(path, res.DocBytes(href), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "wrote", path)
+		if err := os.WriteFile(path, res.Documents[href], 0o644); err != nil {
+			return err
 		}
-	} else if len(res.DocumentOrder) > 0 {
-		fmt.Fprintf(os.Stderr, "note: %d xsl:document outputs discarded (use -o dir)\n", len(res.DocumentOrder))
+		fmt.Fprintln(os.Stderr, "wrote", path)
 	}
 	return nil
 }

@@ -259,6 +259,109 @@ func TestCmdTransformMultiOutput(t *testing.T) {
 	}
 }
 
+func TestCmdTransformRejectsEscapingHref(t *testing.T) {
+	doc := withFile(t, "d.xml", `<r/>`)
+	sheet := withFile(t, "s.xsl", `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.1">
+		<xsl:template match="/"><main/><xsl:document href="../x.html"><escaped/></xsl:document></xsl:template>
+	</xsl:stylesheet>`)
+	base := t.TempDir()
+	outDir := filepath.Join(base, "docs")
+	_, err := capture(t, func() error {
+		return cmdTransform([]string{"-o", outDir, doc, sheet})
+	})
+	if err == nil || !strings.Contains(err.Error(), `"../x.html"`) {
+		t.Fatalf("escaping href: err = %v, want an error naming the href", err)
+	}
+	if _, err := os.Stat(filepath.Join(base, "x.html")); err == nil {
+		t.Error("transform wrote outside the output directory")
+	}
+}
+
+func TestCmdTransformNestedHref(t *testing.T) {
+	doc := withFile(t, "d.xml", `<r/>`)
+	sheet := withFile(t, "s.xsl", `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.1">
+		<xsl:output omit-xml-declaration="yes"/>
+		<xsl:template match="/"><main/><xsl:document href="sub/a.html"><nested/></xsl:document></xsl:template>
+	</xsl:stylesheet>`)
+	outDir := filepath.Join(t.TempDir(), "docs")
+	if _, err := capture(t, func() error {
+		return cmdTransform([]string{"-o", outDir, doc, sheet})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(outDir, "sub", "a.html"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "<nested/>" {
+		t.Errorf("sub/a.html = %q", data)
+	}
+}
+
+// TestCmdTransformMatchesPublish checks that transforming an example
+// model with the multi-page stylesheet (its standard output taken as
+// index.html) writes the pages publish writes, byte for byte.
+func TestCmdTransformMatchesPublish(t *testing.T) {
+	models, err := filepath.Glob("../../examples/models/*.xml")
+	if err != nil || len(models) == 0 {
+		t.Fatalf("no example models: %v", err)
+	}
+	for _, model := range models {
+		pubDir := filepath.Join(t.TempDir(), "publish")
+		if _, err := capture(t, func() error {
+			return cmdPublish([]string{"-o", pubDir, model})
+		}); err != nil {
+			t.Fatalf("%s: publish: %v", model, err)
+		}
+		xslDir := filepath.Join(t.TempDir(), "transform")
+		index, err := capture(t, func() error {
+			_, err := redirect(t, &os.Stderr, func() error {
+				return cmdTransform([]string{"-o", xslDir, model, "../../internal/core/assets/multi.xsl"})
+			})
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: transform: %v", model, err)
+		}
+		if err := os.WriteFile(filepath.Join(xslDir, "index.html"), []byte(index), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := readTree(t, pubDir)
+		delete(want, "style.css")
+		got := readTree(t, xslDir)
+		if len(got) != len(want) {
+			t.Errorf("%s: transform wrote %d files, publish %d", model, len(got), len(want))
+		}
+		for name, data := range want {
+			if got[name] != data {
+				t.Errorf("%s: %s differs between transform and publish", model, name)
+			}
+		}
+	}
+}
+
+// readTree returns the files under dir by slash-separated relative path.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[filepath.ToSlash(rel)] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 func TestCmdSampleAndPretty(t *testing.T) {
 	out, err := capture(t, func() error { return cmdSample([]string{"hospital"}) })
 	if err != nil || !strings.Contains(out, `name="Hospital DW"`) {

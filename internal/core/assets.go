@@ -85,7 +85,7 @@ var (
 
 // SinglePageStylesheet returns the compiled embedded XSLT 1.0
 // single-page presentation. Compiled stylesheets are read-only and safe
-// for concurrent Transform calls, so the same instance is shared
+// for concurrent transformations, so the same instance is shared
 // process-wide (compiled once).
 func SinglePageStylesheet() (*xslt.Stylesheet, error) {
 	singleOnce.Do(func() {

@@ -11,8 +11,9 @@ import (
 // FuzzParseWithLimits feeds arbitrary bytes to the parser under arbitrary
 // limits (0 lifts one). It must never panic; an error must be a
 // ParseError positioned inside the input; a document must respect every
-// limit; and serializing a parsed document, parsing the result and
-// serializing again must reproduce the first serialization.
+// limit; and serializing a parsed document, compact or with Pretty,
+// parsing the result and serializing again must reproduce the first
+// serialization.
 func FuzzParseWithLimits(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "models", "*.xml"))
 	if err != nil || len(files) == 0 {
@@ -56,6 +57,15 @@ func FuzzParseWithLimits(f *testing.F) {
 		}
 		if second := SerializeToString(again, WriteOptions{}); second != first {
 			t.Fatalf("serialization not stable:\nfirst:  %q\nsecond: %q", first, second)
+		}
+
+		pretty := Pretty(doc)
+		again, err = ParseStringWithLimits(pretty, Limits{})
+		if err != nil {
+			t.Fatalf("Pretty output does not parse: %v\n%q", err, pretty)
+		}
+		if second := Pretty(again); second != pretty {
+			t.Fatalf("Pretty not stable:\nfirst:  %q\nsecond: %q", pretty, second)
 		}
 	})
 }

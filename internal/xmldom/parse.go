@@ -241,27 +241,36 @@ func (p *parser) parseName() (string, error) {
 }
 
 // parseQName parses an element or attribute name through the per-parse
-// name table, so every occurrence of a name shares one split.
+// name table, so every occurrence of a name shares one split. The name
+// must be a QName (Namespaces in XML 1.0 §3).
 func (p *parser) parseQName() (qname, error) {
+	line, col := p.line, p.col()
 	s, err := p.parseName()
 	if err != nil {
 		return qname{}, err
 	}
 	q, ok := p.names[s]
 	if !ok {
-		prefix, local := splitQName(s)
+		prefix, local, valid := splitQName(s)
+		if !valid {
+			return qname{}, p.errAt(line, col, "name %q is not a QName: a colon must separate a non-empty prefix from a local name", s)
+		}
 		q = qname{s, prefix, local}
 		p.names[s] = q
 	}
 	return q, nil
 }
 
-// splitQName splits a possibly-prefixed name into (prefix, local).
-func splitQName(q string) (string, string) {
-	if i := strings.IndexByte(q, ':'); i >= 0 {
-		return q[:i], q[i+1:]
+// splitQName splits a possibly-prefixed name into (prefix, local). valid
+// is false when a colon does not separate a non-empty prefix from a
+// non-empty, colon-free local name.
+func splitQName(q string) (prefix, local string, valid bool) {
+	i := strings.IndexByte(q, ':')
+	if i < 0 {
+		return "", q, true
 	}
-	return "", q
+	prefix, local = q[:i], q[i+1:]
+	return prefix, local, prefix != "" && local != "" && strings.IndexByte(local, ':') < 0
 }
 
 func (p *parser) lookupNS(prefix string) (string, bool) {

@@ -9,7 +9,8 @@ import "strings"
 // with RecordSegment; at transform time the whole run is appended to a
 // ByteEmitter tape with one bulk copy (AppendSegment) instead of
 // re-emitting every event, or replayed through the Emitter interface for
-// tree-building sinks (Replay).
+// any other sink (Replay): a result-tree fragment's TreeEmitter, a text
+// capture, or a targeted run's discard sink.
 //
 // A Segment is immutable after RecordSegment and safe to share between
 // concurrent transformations.

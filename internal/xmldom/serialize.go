@@ -1,7 +1,6 @@
 package xmldom
 
 import (
-	"fmt"
 	"io"
 	"strings"
 )
@@ -45,21 +44,37 @@ func HTMLVoid(name string) bool { return htmlVoid[strings.ToLower(name)] }
 // analysis.
 func HTMLRawText(name string) bool { return htmlRawText[strings.ToLower(name)] }
 
-// Serialize renders the node tree to w according to opts.
+// Serialize renders the node tree to w according to opts. A document
+// renders whole; any other node renders as a fragment, with no XML
+// declaration and no trailing newline. The tree is copied onto a pooled
+// ByteEmitter tape and replayed, so trees and transformation results
+// share one serializer.
 func Serialize(w io.Writer, n *Node, opts WriteOptions) error {
-	s := &serializer{w: w, opts: opts}
-	if opts.Method == "" {
-		s.opts.Method = "xml"
-	}
-	s.run(n)
-	return s.err
+	_, err := w.Write(serialize(n, opts))
+	return err
 }
 
 // SerializeToString renders the node tree to a string.
 func SerializeToString(n *Node, opts WriteOptions) string {
-	var b strings.Builder
-	_ = Serialize(&b, n, opts)
-	return b.String()
+	return string(serialize(n, opts))
+}
+
+func serialize(n *Node, opts WriteOptions) []byte {
+	if opts.Method == "text" {
+		return []byte(n.StringValue())
+	}
+	be := NewByteEmitter()
+	defer be.Release()
+	be.CopyTree(n)
+	fragment := n.Type != DocumentNode
+	if fragment {
+		opts.OmitDecl = true
+	}
+	out := be.Serialize(opts)
+	if fragment && opts.Indent != "" && len(out) > 0 {
+		out = out[:len(out)-1] // the newline the replay puts after each top-level node
+	}
+	return out
 }
 
 // XML returns the compact XML serialization of n without a declaration.
@@ -72,166 +87,6 @@ func (n *Node) XML() string {
 // (paper Fig. 4).
 func Pretty(n *Node) string {
 	return SerializeToString(n, WriteOptions{Indent: "  ", OmitDecl: false})
-}
-
-type serializer struct {
-	w    io.Writer
-	opts WriteOptions
-	err  error
-}
-
-func (s *serializer) ws(str string) {
-	if s.err == nil {
-		_, s.err = io.WriteString(s.w, str)
-	}
-}
-
-func (s *serializer) run(n *Node) {
-	if s.opts.Method == "text" {
-		s.ws(n.StringValue())
-		return
-	}
-	if n.Type == DocumentNode {
-		if s.opts.Method == "xml" && !s.opts.OmitDecl {
-			s.ws("<?xml version=\"1.0\" encoding=\"UTF-8\"?>")
-			if s.opts.Indent != "" {
-				s.ws("\n")
-			}
-		}
-		s.doctype(n)
-		for _, c := range n.Children {
-			s.node(c, 0, false)
-			if s.opts.Indent != "" {
-				s.ws("\n")
-			}
-		}
-		return
-	}
-	s.doctype(n)
-	s.node(n, 0, false)
-}
-
-func (s *serializer) doctype(n *Node) {
-	root := n.DocumentElement()
-	if root == nil {
-		return
-	}
-	pub, sys := s.opts.DoctypePublic, s.opts.DoctypeSystem
-	if pub == "" && sys == "" {
-		return
-	}
-	s.ws("<!DOCTYPE " + root.FullName())
-	if pub != "" {
-		s.ws(" PUBLIC \"" + pub + "\"")
-		if sys != "" {
-			s.ws(" \"" + sys + "\"")
-		}
-	} else {
-		s.ws(" SYSTEM \"" + sys + "\"")
-	}
-	s.ws(">")
-	if s.opts.Indent != "" {
-		s.ws("\n")
-	}
-}
-
-// hasElementChildren reports whether n has at least one element child and
-// no non-whitespace text children (i.e. it is safe to indent inside it).
-func hasOnlyStructuredContent(n *Node) bool {
-	hasElem := false
-	for _, c := range n.Children {
-		switch c.Type {
-		case ElementNode, CommentNode, PINode:
-			hasElem = true
-		case TextNode:
-			if strings.TrimSpace(c.Data) != "" {
-				return false
-			}
-		}
-	}
-	return hasElem
-}
-
-func (s *serializer) indent(depth int) {
-	if s.opts.Indent == "" {
-		return
-	}
-	s.ws("\n")
-	for i := 0; i < depth; i++ {
-		s.ws(s.opts.Indent)
-	}
-}
-
-func (s *serializer) node(n *Node, depth int, inRaw bool) {
-	switch n.Type {
-	case ElementNode:
-		s.element(n, depth)
-	case TextNode:
-		if inRaw || n.Raw {
-			s.ws(n.Data)
-		} else {
-			s.ws(EscapeText(n.Data))
-		}
-	case CommentNode:
-		s.ws("<!--" + n.Data + "-->")
-	case PINode:
-		if n.Data == "" {
-			s.ws("<?" + n.Name + "?>")
-		} else {
-			s.ws("<?" + n.Name + " " + n.Data + "?>")
-		}
-	case DocumentNode:
-		for _, c := range n.Children {
-			s.node(c, depth, inRaw)
-		}
-	case AttrNode:
-		// Attribute nodes are serialized by their element.
-	}
-}
-
-func (s *serializer) element(n *Node, depth int) {
-	html := s.opts.Method == "html" && n.URI == ""
-	name := n.FullName()
-	s.ws("<" + name)
-	for _, a := range n.Attr {
-		s.ws(" " + a.FullName() + "=\"" + EscapeAttr(a.Data) + "\"")
-	}
-	if len(n.Children) == 0 {
-		if html {
-			if htmlVoid[strings.ToLower(n.Name)] {
-				s.ws(">")
-				return
-			}
-			s.ws("></" + name + ">")
-			return
-		}
-		s.ws("/>")
-		return
-	}
-	s.ws(">")
-	raw := html && htmlRawText[strings.ToLower(n.Name)]
-	structured := s.opts.Indent != "" && hasOnlyStructuredContent(n)
-	for _, c := range n.Children {
-		if structured && c.Type != TextNode {
-			s.indent(depth + 1)
-		}
-		if structured && c.Type == TextNode {
-			continue // whitespace-only: replaced by indentation
-		}
-		s.node(c, depth+1, raw)
-	}
-	if structured {
-		s.indent(depth)
-	}
-	s.ws("</" + name + ">")
-}
-
-// EscapeText escapes character data for element content.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>\r") {
-		return s
-	}
-	return string(appendEscText(make([]byte, 0, len(s)+16), s))
 }
 
 // appendEscText appends s to dst with element-content escaping. Escaped
@@ -257,14 +112,6 @@ func appendEscText(dst []byte, s string) []byte {
 		start = i + 1
 	}
 	return append(dst, s[start:]...)
-}
-
-// EscapeAttr escapes a string for use inside a double-quoted attribute.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<>\"\t\n\r") {
-		return s
-	}
-	return string(appendEscAttr(make([]byte, 0, len(s)+16), s))
 }
 
 // appendEscAttr appends s to dst with attribute-value escaping.
@@ -295,9 +142,4 @@ func appendEscAttr(dst []byte, s string) []byte {
 		start = i + 1
 	}
 	return append(dst, s[start:]...)
-}
-
-// Fprint writes a compact XML rendering of n to w; mainly a debugging aid.
-func Fprint(w io.Writer, n *Node) {
-	fmt.Fprint(w, SerializeToString(n, WriteOptions{OmitDecl: true}))
 }

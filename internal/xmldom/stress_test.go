@@ -103,8 +103,8 @@ func TestCompareOrderIsStrictTotalOrder(t *testing.T) {
 	}
 }
 
-// TestEscapeRoundTripProperty: any text survives EscapeText → parse, and
-// any attribute value survives EscapeAttr → parse.
+// TestEscapeRoundTripProperty: any text survives appendEscText → parse,
+// and any attribute value survives appendEscAttr → parse.
 func TestEscapeRoundTripProperty(t *testing.T) {
 	sanitize := func(s string) string {
 		// Strip control characters the XML spec forbids entirely.
@@ -117,7 +117,7 @@ func TestEscapeRoundTripProperty(t *testing.T) {
 	}
 	f := func(raw string) bool {
 		s := sanitize(raw)
-		doc, err := ParseString("<e a=\"" + EscapeAttr(s) + "\">" + EscapeText(s) + "</e>")
+		doc, err := ParseString("<e a=\"" + string(appendEscAttr(nil, s)) + "\">" + string(appendEscText(nil, s)) + "</e>")
 		if err != nil {
 			t.Logf("parse failed for %q: %v", s, err)
 			return false
@@ -128,7 +128,7 @@ func TestEscapeRoundTripProperty(t *testing.T) {
 		want := s
 		if e.AttrValue("a") != strings.Map(func(r rune) rune {
 			// attribute-value normalization turns tab/newline into space
-			// unless character-referenced; EscapeAttr references them, so
+			// unless character-referenced; appendEscAttr references them, so
 			// the exact value must survive.
 			return r
 		}, want) {

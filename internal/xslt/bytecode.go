@@ -216,7 +216,7 @@ type Program struct {
 }
 
 // CompileStylesheet compiles a stylesheet document and lowers it to
-// bytecode: Transform and TransformToBuffers then execute the flat
+// bytecode: TransformToBuffers and TransformPage then execute the flat
 // program on the shared XPath VM.
 func CompileStylesheet(doc *xmldom.Node, opts CompileOptions) (*Stylesheet, error) {
 	s, err := compile(doc, opts)

@@ -1,14 +1,12 @@
 package xslt_test
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"goldweb/internal/core"
 	"goldweb/internal/xmldom"
-	"goldweb/internal/xpath"
 	"goldweb/internal/xslt"
 )
 
@@ -195,36 +193,4 @@ func TestBytecodeVsTreeBuffers(t *testing.T) {
 	checkGolden(t, transformsGolden, renderTransforms(t, func(s *xslt.Stylesheet, doc *xmldom.Node) outcome {
 		return bufferOutcome(s.TransformToBuffers(doc, goldenParams))
 	}))
-}
-
-// TestBytecodeVsTreeDOM checks the result trees of the golden sheets,
-// serialized with MainBytes and DocBytes, against transforms.golden.
-func TestBytecodeVsTreeDOM(t *testing.T) {
-	if *update {
-		t.Skip("transforms.golden is written by TestBytecodeVsTreeBuffers")
-	}
-	checkGolden(t, transformsGolden, renderTransforms(t, func(s *xslt.Stylesheet, doc *xmldom.Node) outcome {
-		return domOutcome(s.Transform(doc, goldenParams))
-	}))
-}
-
-// TestBufferMatchesDOM closes the triangle: the streamed VM rendering must
-// equal the serialized VM result tree.
-func TestBufferMatchesDOM(t *testing.T) {
-	params := map[string]xpath.Value{"base": xpath.String("page")}
-	for sheetName, sheet := range diffSheets(t) {
-		for docName, doc := range diffDocs(t) {
-			buf, err := sheet.TransformToBuffers(doc, params)
-			if err != nil {
-				t.Fatalf("%s × %s: %v", sheetName, docName, err)
-			}
-			dom, err := sheet.Transform(doc, params)
-			if err != nil {
-				t.Fatalf("%s × %s: %v", sheetName, docName, err)
-			}
-			if !bytes.Equal(buf.Main, dom.MainBytes()) {
-				t.Fatalf("%s × %s: streamed and DOM rendering diverge", sheetName, docName)
-			}
-		}
-	}
 }

@@ -67,11 +67,11 @@ func TestConcurrentTransformSharedSheet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sheet %d: %v", n, err)
 		}
-		r, err := sheet.Transform(doc, nil)
+		r, err := sheet.TransformToBuffers(doc, nil)
 		if err != nil {
 			t.Fatalf("sheet %d: %v", n, err)
 		}
-		want := r.MainBytes()
+		want := r.Main
 		const workers = 8
 		var wg sync.WaitGroup
 		got := make([][]byte, workers)
@@ -81,12 +81,12 @@ func TestConcurrentTransformSharedSheet(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for rep := 0; rep < 5; rep++ {
-					r, err := sheet.Transform(doc, map[string]xpath.Value{})
+					r, err := sheet.TransformToBuffers(doc, map[string]xpath.Value{})
 					if err != nil {
 						errs[w] = err
 						return
 					}
-					got[w] = r.MainBytes()
+					got[w] = r.Main
 				}
 			}(w)
 		}
@@ -152,11 +152,11 @@ func TestGenerateIDFrozenDeterministic(t *testing.T) {
 	}
 	doc := xmldom.MustParseString(`<a><b/><b/><c><b/></c></a>`)
 	xmldom.Freeze(doc)
-	first, err := sheet.TransformToBytes(doc, nil)
+	first, err := mainOutput(sheet, doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := sheet.TransformToBytes(doc, nil)
+	second, err := mainOutput(sheet, doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestDispatchIndexMatchesLinearScan(t *testing.T) {
 		}
 		source := randDoc(rng)
 		f := xpath.GetFrame()
-		r := sheet.prog.newRun(newEngine(sheet, false), f)
+		r := sheet.prog.newRun(newEngine(sheet), f)
 		vars := map[string]xpath.Value{}
 		for _, n := range allNodes(source, nil) {
 			for _, mode := range []string{"", "m1", "m2"} {

@@ -26,7 +26,7 @@ func TestImportPrecedenceWithModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sheet.TransformToBytes(xmldom.MustParseString(`<r><a/><b/></r>`), nil)
+	out, err := mainOutput(sheet, xmldom.MustParseString(`<r><a/><b/></r>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestVariablesInsideDocumentInstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sheet.Transform(xmldom.MustParseString(`<x/>`), nil)
+	res, err := sheet.TransformToBuffers(xmldom.MustParseString(`<x/>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := string(res.MainBytes()); got != "<main>outer</main>" {
+	if got := string(res.Main); got != "<main>outer</main>" {
 		t.Errorf("main: %q", got)
 	}
-	if got := string(res.DocBytes("sub.xml")); got != "<sub>inner</sub>" {
+	if got := string(res.Documents["sub.xml"]); got != "<sub>inner</sub>" {
 		t.Errorf("sub: %q", got)
 	}
 }
@@ -232,7 +232,7 @@ func TestAttributeSetErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sheet.Transform(xmldom.MustParseString(`<x/>`), nil); err == nil {
+	if _, err := sheet.TransformToBuffers(xmldom.MustParseString(`<x/>`), nil); err == nil {
 		t.Error("unknown attribute set accepted")
 	}
 	// Circular references are caught.
@@ -245,7 +245,7 @@ func TestAttributeSetErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sheet.Transform(xmldom.MustParseString(`<x/>`), nil); err == nil ||
+	if _, err := sheet.TransformToBuffers(xmldom.MustParseString(`<x/>`), nil); err == nil ||
 		!strings.Contains(err.Error(), "circular") {
 		t.Errorf("circular sets: %v", err)
 	}
@@ -273,7 +273,7 @@ func TestApplyImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sheet.TransformToBytes(xmldom.MustParseString(`<para>text</para>`), nil)
+	out, err := mainOutput(sheet, xmldom.MustParseString(`<para>text</para>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ type keyDecl struct {
 
 // Stylesheet is a compiled XSLT stylesheet. Once compiled it is
 // read-only: all per-run state lives in the transformation engine, so a
-// single Stylesheet is safe for concurrent Transform calls (the source
+// single Stylesheet is safe for concurrent transformations (the source
 // document must likewise be shareable — frozen, or never mutated).
 type Stylesheet struct {
 	templates map[string][]*Template // per mode, sorted best-first

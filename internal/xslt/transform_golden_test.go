@@ -97,17 +97,6 @@ func bufferOutcome(r *xslt.BufferResult, err error) outcome {
 	return o
 }
 
-func domOutcome(r *xslt.Result, err error) outcome {
-	if err != nil {
-		return outcome{err: err}
-	}
-	o := outcome{hrefs: append([]string{""}, r.DocumentOrder...), docs: map[string][]byte{"": r.MainBytes()}, messages: r.Messages}
-	for _, href := range r.DocumentOrder {
-		o.docs[href] = r.DocBytes(href)
-	}
-	return o
-}
-
 // write renders the outcome in the golden format.
 func (o outcome) write(b *strings.Builder) {
 	if o.err != nil {

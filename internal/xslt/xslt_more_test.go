@@ -56,17 +56,17 @@ func TestNestedDocumentInstructions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sheet.Transform(xmldom.MustParseString(`<x/>`), nil)
+	res, err := sheet.TransformToBuffers(xmldom.MustParseString(`<x/>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.MainBytes()) != "<main/>" {
-		t.Errorf("main: %s", res.MainBytes())
+	if string(res.Main) != "<main/>" {
+		t.Errorf("main: %s", res.Main)
 	}
-	if got := string(res.DocBytes("outer.xml")); got != "<outer/>" {
+	if got := string(res.Documents["outer.xml"]); got != "<outer/>" {
 		t.Errorf("outer: %q (inner content must not leak)", got)
 	}
-	if got := string(res.DocBytes("inner.xml")); got != "<inner/>" {
+	if got := string(res.Documents["inner.xml"]); got != "<inner/>" {
 		t.Errorf("inner: %q", got)
 	}
 }
@@ -77,12 +77,12 @@ func TestSameHrefAppends(t *testing.T) {
 		<xsl:for-each select="//i"><xsl:document href="all.xml"><i/></xsl:document></xsl:for-each>
 	</xsl:template></xsl:stylesheet>`
 	sheet, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
-	res, err := sheet.Transform(xmldom.MustParseString(`<r><i/><i/></r>`), nil)
+	res, err := sheet.TransformToBuffers(xmldom.MustParseString(`<r><i/><i/></r>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Documents["all.xml"].Children) != 2 {
-		t.Errorf("append semantics: %s", res.DocBytes("all.xml"))
+	if got, want := string(res.Documents["all.xml"]), `<?xml version="1.0" encoding="UTF-8"?><i/><i/>`; got != want {
+		t.Errorf("append semantics: %q, want %q", got, want)
 	}
 	if len(res.DocumentOrder) != 1 {
 		t.Errorf("order has duplicates: %v", res.DocumentOrder)
@@ -239,7 +239,7 @@ func TestParamVisibleToNestedTemplates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sheet.TransformToBytes(xmldom.MustParseString(`<r><leaf/></r>`),
+	out, err := mainOutput(sheet, xmldom.MustParseString(`<r><leaf/></r>`),
 		map[string]xpath.Value{"p": xpath.String("given")})
 	if err != nil {
 		t.Fatal(err)
@@ -299,12 +299,12 @@ func TestResultDeterminism(t *testing.T) {
 	sheetSrc := wrap(`<out><xsl:for-each select="//i"><xsl:sort select="@k"/><v k="{@k}"/></xsl:for-each></out>`)
 	sheet, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
 	doc := xmldom.MustParseString(`<r><i k="z"/><i k="a"/><i k="m"/></r>`)
-	first, err := sheet.TransformToBytes(doc, nil)
+	first, err := mainOutput(sheet, doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := sheet.TransformToBytes(doc, nil)
+		again, err := mainOutput(sheet, doc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +385,7 @@ func TestCurrentAtTopLevelAndMustCompile(t *testing.T) {
 	if sheet.Output().OmitDecl != true {
 		t.Error("Output() accessor")
 	}
-	out, err := sheet.TransformToBytes(xmldom.MustParseString(`<x/>`), nil)
+	out, err := mainOutput(sheet, xmldom.MustParseString(`<x/>`), nil)
 	if err != nil || string(out) != "1" {
 		t.Errorf("current() at top: %q %v", out, err)
 	}
@@ -404,7 +404,7 @@ func TestDocumentFunctionWithNodeSetArg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sheet.TransformToBytes(xmldom.MustParseString(`<r><ref>a.xml</ref><ref>b.xml</ref></r>`), nil)
+	out, err := mainOutput(sheet, xmldom.MustParseString(`<r><ref>a.xml</ref><ref>b.xml</ref></r>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestDocumentFunctionWithNodeSetArg(t *testing.T) {
 	}
 	// Missing loader errors cleanly.
 	sheet2, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
-	if _, err := sheet2.Transform(xmldom.MustParseString(`<r><ref>a.xml</ref></r>`), nil); err == nil {
+	if _, err := sheet2.TransformToBuffers(xmldom.MustParseString(`<r><ref>a.xml</ref></r>`), nil); err == nil {
 		t.Error("document() without loader accepted")
 	}
 }

@@ -16,6 +16,16 @@ func wrap(body string) string {
 		`<xsl:template match="/">` + body + `</xsl:template></xsl:stylesheet>`
 }
 
+// mainOutput runs a full transformation and returns its principal output
+// document.
+func mainOutput(s *Stylesheet, source *xmldom.Node, params map[string]xpath.Value) ([]byte, error) {
+	r, err := s.TransformToBuffers(source, params)
+	if err != nil {
+		return nil, err
+	}
+	return r.Main, nil
+}
+
 // run compiles sheetSrc, transforms docSrc and returns the serialized main
 // output.
 func run(t *testing.T, sheetSrc, docSrc string) string {
@@ -28,7 +38,7 @@ func run(t *testing.T, sheetSrc, docSrc string) string {
 	if err != nil {
 		t.Fatalf("parse source: %v", err)
 	}
-	out, err := sheet.TransformToBytes(doc, nil)
+	out, err := mainOutput(sheet, doc, nil)
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
@@ -262,14 +272,14 @@ func TestGlobalVariablesAndStylesheetParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := xmldom.MustParseString(`<r><i/><i/></r>`)
-	out, err := sheet.TransformToBytes(doc, nil)
+	out, err := mainOutput(sheet, doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "default title:2" {
 		t.Errorf("defaults: %q", out)
 	}
-	out, err = sheet.TransformToBytes(doc, map[string]xpath.Value{"title": xpath.String("custom")})
+	out, err = mainOutput(sheet, doc, map[string]xpath.Value{"title": xpath.String("custom")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +390,11 @@ func TestXslDocumentMultiOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := xmldom.MustParseString(`<m><factclass id="f1" name="Sales"/><factclass id="f2" name="Inventory"/></m>`)
-	res, err := sheet.Transform(doc, nil)
+	res, err := sheet.TransformToBuffers(doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	main := string(res.MainBytes())
+	main := string(res.Main)
 	if !strings.Contains(main, `<a href="f1.html">Sales</a>`) ||
 		!strings.Contains(main, `<a href="f2.html">Inventory</a>`) {
 		t.Errorf("main page: %s", main)
@@ -392,7 +402,7 @@ func TestXslDocumentMultiOutput(t *testing.T) {
 	if len(res.Documents) != 2 {
 		t.Fatalf("documents: %d", len(res.Documents))
 	}
-	f1 := string(res.DocBytes("f1.html"))
+	f1 := string(res.Documents["f1.html"])
 	if !strings.Contains(f1, "<title>Fact class: Sales</title>") {
 		t.Errorf("f1.html: %s", f1)
 	}
@@ -451,7 +461,7 @@ func TestMessages(t *testing.T) {
 	<xsl:template match="/"><xsl:message>note <xsl:value-of select="name(/*)"/></xsl:message><ok/></xsl:template>
 	</xsl:stylesheet>`
 	sheet, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
-	res, err := sheet.Transform(xmldom.MustParseString(`<root/>`), nil)
+	res, err := sheet.TransformToBuffers(xmldom.MustParseString(`<root/>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +471,7 @@ func TestMessages(t *testing.T) {
 	// terminate="yes" aborts.
 	sheetSrc = strings.Replace(sheetSrc, "<xsl:message>", `<xsl:message terminate="yes">`, 1)
 	sheet, _ = CompileStylesheetString(sheetSrc, CompileOptions{})
-	if _, err := sheet.Transform(xmldom.MustParseString(`<root/>`), nil); err == nil {
+	if _, err := sheet.TransformToBuffers(xmldom.MustParseString(`<root/>`), nil); err == nil {
 		t.Error("terminate should abort the transform")
 	}
 }
@@ -484,7 +494,7 @@ func TestIncludeViaLoader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sheet.TransformToBytes(xmldom.MustParseString(`<x/>`), nil)
+	out, err := mainOutput(sheet, xmldom.MustParseString(`<x/>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +516,7 @@ func TestImportPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := sheet.TransformToBytes(xmldom.MustParseString(`<a/>`), nil)
+	out, _ := mainOutput(sheet, xmldom.MustParseString(`<a/>`), nil)
 	if string(out) != "main" {
 		t.Errorf("import precedence: %q", out)
 	}
@@ -528,7 +538,7 @@ func TestDocumentFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sheet.TransformToBytes(xmldom.MustParseString(`<x/>`), nil)
+	out, err := mainOutput(sheet, xmldom.MustParseString(`<x/>`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +614,7 @@ func TestRuntimeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Transform(xmldom.MustParseString(`<x/>`), nil); err == nil {
+	if _, err := s.TransformToBuffers(xmldom.MustParseString(`<x/>`), nil); err == nil {
 		t.Error("missing template should error at runtime")
 	}
 	// Infinite recursion is caught.
@@ -616,7 +626,7 @@ func TestRuntimeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Transform(xmldom.MustParseString(`<x/>`), nil); err == nil {
+	if _, err := s.TransformToBuffers(xmldom.MustParseString(`<x/>`), nil); err == nil {
 		t.Error("infinite recursion should be caught")
 	}
 }
@@ -625,7 +635,7 @@ func TestTransformElementSource(t *testing.T) {
 	// Transforming a bare element wraps it in a document.
 	sheet, _ := CompileStylesheetString(wrap(`<xsl:value-of select="name(/*)"/>`), CompileOptions{})
 	elem := xmldom.NewElement("standalone")
-	out, err := sheet.TransformToBytes(elem, nil)
+	out, err := mainOutput(sheet, elem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,7 +648,7 @@ func TestReuseAcrossTransforms(t *testing.T) {
 	sheet, _ := CompileStylesheetString(wrap(`<xsl:value-of select="count(//i)"/>`), CompileOptions{})
 	for i := 1; i <= 3; i++ {
 		src := "<r>" + strings.Repeat("<i/>", i) + "</r>"
-		out, err := sheet.TransformToBytes(xmldom.MustParseString(src), nil)
+		out, err := mainOutput(sheet, xmldom.MustParseString(src), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
