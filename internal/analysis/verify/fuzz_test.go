@@ -1,6 +1,8 @@
 package verify_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"goldweb/internal/analysis/verify"
@@ -52,5 +54,40 @@ func FuzzProgramVerifier(f *testing.F) {
 		}
 		// The only contract under corruption: terminate without panicking.
 		_ = im.Check()
+	})
+}
+
+// FuzzCompileStylesheet feeds raw stylesheet text to the compiler, as
+// `goldweb transform` does with a user's file. The invariant: the text
+// either fails to compile, or it compiles to a program the verifier
+// accepts with no findings at all. The target compiles and verifies but
+// never runs the program: template recursion is bounded in depth, not in
+// work, so a transform of fuzzed text could run without end.
+func FuzzCompileStylesheet(f *testing.F) {
+	// Small seeds only: the fuzzer minimizes every input that finds new
+	// coverage, which takes seconds on a builtin stylesheet's 10-20 KiB.
+	f.Add(corpusSrc)
+	sheets, err := filepath.Glob("../testdata/stylesheets/*.xsl")
+	if err != nil || len(sheets) == 0 {
+		f.Fatalf("no lint corpus stylesheets: %v", err)
+	}
+	for _, path := range sheets {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 64<<10 {
+			return
+		}
+		s, err := xslt.CompileStylesheetString(src, xslt.CompileOptions{})
+		if err != nil {
+			return
+		}
+		if fs := verify.Program(s.Program()); len(fs) > 0 {
+			t.Fatalf("compiled program has %d verifier findings, first: %s\nsource:\n%s", len(fs), fs[0], src)
+		}
 	})
 }

@@ -56,13 +56,15 @@ func MustSchema() *xsd.Schema {
 
 // ValidateDocument validates a goldmodel document against the canonical
 // schema, applying attribute defaults to the instance (what a validating
-// parser contributes), and returns all violations.
+// parser contributes), and returns all violations. Like every validation
+// it freezes the document in place (see xsd.Schema.Validate).
 func ValidateDocument(doc *xmldom.Node) []xsd.ValidationError {
 	return MustSchema().Validate(doc, xsd.ValidateOptions{ApplyDefaults: true})
 }
 
-// ValidateAndFreeze is ValidateDocument in one pass that also freezes
-// the document, ready to be shared by concurrent publications.
+// ValidateAndFreeze is ValidateDocument returning the whole validation
+// result; the frozen document is ready to be shared by concurrent
+// publications.
 func ValidateAndFreeze(doc *xmldom.Node) *xsd.Validated {
 	return MustSchema().ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true})
 }

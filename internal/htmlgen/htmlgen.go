@@ -112,8 +112,8 @@ func (s *Site) TotalBytes() int {
 // Frozen (xmldom.Freeze) documents are published as-is — validation runs
 // on an Editable copy because applying defaults mutates, and that copy
 // is what gets transformed so defaults still reach the presentation.
-// An unfrozen document is frozen in place after validation so the
-// transformation runs on the indexed fast paths; pass Editable() first
+// An unfrozen document is frozen in place, by validation or else by the
+// transformation, which runs on frozen trees only; pass Editable() first
 // if the tree must stay mutable afterwards.
 func PublishDocument(doc *xmldom.Node, opts Options) (*Site, error) {
 	return PublishDocumentContext(context.Background(), doc, opts)
@@ -215,8 +215,9 @@ func PublishPage(ctx context.Context, doc *xmldom.Node, opts Options, page strin
 	return p, nil
 }
 
-// preparePublication validates and freezes the document and resolves the
-// stylesheet and its parameters.
+// preparePublication validates and freezes the document (the transform
+// freezes it when validation is skipped) and resolves the stylesheet and
+// its parameters.
 func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Stylesheet, map[string]xpath.Value, error) {
 	work := doc
 	if !opts.SkipValidation {
@@ -226,8 +227,6 @@ func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Sty
 		if errs := core.ValidateAndFreeze(work).Errors; len(errs) > 0 {
 			return nil, nil, nil, fmt.Errorf("htmlgen: document is invalid: %v (%d problems)", errs[0], len(errs))
 		}
-	} else if !work.Frozen() {
-		xmldom.Freeze(work)
 	}
 	var sheet *xslt.Stylesheet
 	var err error
@@ -253,12 +252,11 @@ const styleName = "style.css"
 // the cached compiled stylesheet across goroutines.
 func PublishPerFact(m *core.Model, opts Options) (map[string]*Site, error) {
 	doc := m.ToXML()
-	if !opts.SkipValidation {
-		if errs := core.ValidateDocument(doc); len(errs) > 0 {
-			return nil, fmt.Errorf("htmlgen: document is invalid: %v (%d problems)", errs[0], len(errs))
-		}
+	if opts.SkipValidation {
+		xmldom.Freeze(doc)
+	} else if errs := core.ValidateAndFreeze(doc).Errors; len(errs) > 0 {
+		return nil, fmt.Errorf("htmlgen: document is invalid: %v (%d problems)", errs[0], len(errs))
 	}
-	xmldom.Freeze(doc)
 	facts := make([]string, 0, len(m.Facts))
 	for _, f := range m.Facts {
 		facts = append(facts, f.ID)

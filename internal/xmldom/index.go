@@ -9,10 +9,11 @@ package xmldom
 // and the HTTP server all rely on this). Mutation after freeze is an
 // explicit copy-on-write step: Editable returns a deep, unfrozen copy.
 //
-// Document identity is a process-global counter assigned when a document
-// node is created (and lazily for detached subtree roots), so cross-tree
-// document-order comparisons are deterministic across runs instead of
-// depending on allocator addresses.
+// Document order (CompareOrder, SortDocOrder) is defined on frozen trees
+// only. Document identity is a process-global counter assigned when a
+// document node is created (and by Freeze for detached subtree roots), so
+// cross-tree document-order comparisons are deterministic across runs
+// instead of depending on allocator addresses.
 
 import (
 	"sort"
@@ -60,21 +61,9 @@ func lookupSym(name string) Sym {
 	return s
 }
 
-// LookupSym returns the symbol for name without interning it; 0 when the
-// name has never been interned. Useful for lookups keyed by Sym (e.g.
-// template dispatch) where an unknown name should miss rather than grow
-// the symbol table.
-func LookupSym(name string) Sym { return lookupSym(name) }
-
-// Sym returns n's interned name symbol when the node belongs to a frozen
-// tree, otherwise the symbol table lookup for its local name (0 when never
-// interned). Unlike NameSym it never interns.
-func (n *Node) Sym() Sym {
-	if n.sym != 0 {
-		return n.sym
-	}
-	return lookupSym(n.Name)
-}
+// Sym returns the interned name symbol of an element, attribute or
+// processing instruction of a frozen tree, and 0 for any other node.
+func (n *Node) Sym() Sym { return n.sym }
 
 // Name returns the interned string for s.
 func (s Sym) Name() string {
@@ -129,17 +118,6 @@ func (ix *DocIndex) ElementsByName(name string) []*Node {
 // newDocIdent allocates an identity-only index (no stamps yet).
 func newDocIdent(root *Node) *DocIndex {
 	return &DocIndex{id: docIDs.Add(1), root: root}
-}
-
-// treeIdent returns the identity of the tree rooted at root, assigning
-// one lazily for detached roots created without NewDocument. The lazy
-// write means unfrozen trees keep their existing contract: they are not
-// safe for concurrent use.
-func treeIdent(root *Node) uint64 {
-	if root.idx == nil {
-		root.idx = newDocIdent(root)
-	}
-	return root.idx.id
 }
 
 // Freeze indexes the tree rooted at n and marks it immutable: every node
@@ -226,19 +204,19 @@ func (n *Node) DocOrder() uint64 {
 	return 0
 }
 
-// NameSym returns the interned symbol of n's local name, interning it on
-// first use for unfrozen nodes.
-func (n *Node) NameSym() Sym {
-	if n.sym != 0 {
-		return n.sym
-	}
-	return Intern(n.Name)
-}
-
 // Editable returns a deep, mutable copy of n with all index state
 // cleared — the copy-on-write escape hatch for frozen trees. The copy is
 // detached (Parent is nil).
 func (n *Node) Editable() *Node { return n.Clone() }
+
+// mustBeFrozen panics when n does not belong to a frozen tree. Document
+// order and the name index exist only on frozen trees; an unfrozen tree
+// has no stamps to compare, so op would silently misorder its nodes.
+func mustBeFrozen(op string, n *Node) {
+	if !n.Frozen() {
+		panic("xmldom: " + op + " on a node of an unfrozen tree; Freeze the tree first")
+	}
+}
 
 // assertMutable panics when n belongs to a frozen tree. It is called by
 // every exported mutator so the freeze contract fails loudly instead of
@@ -250,19 +228,16 @@ func (n *Node) assertMutable() {
 }
 
 // IndexedDescendants returns the descendant elements of n with the given
-// local name using the frozen tree's name index (ok=false when n's tree
-// is not frozen, in which case callers walk the tree instead). When
-// includeSelf is true and n itself is a matching element it is included.
-// The result shares memory with the index and must not be modified; it
-// is in document order and may contain elements of any namespace URI
-// with that local name.
-func (n *Node) IndexedDescendants(name string, includeSelf bool) ([]*Node, bool) {
-	if !n.Frozen() {
-		return nil, false
-	}
+// local name using the frozen tree's name index; it panics when n's tree
+// is not frozen. When includeSelf is true and n itself is a matching
+// element it is included. The result shares memory with the index and
+// must not be modified; it is in document order and may contain elements
+// of any namespace URI with that local name.
+func (n *Node) IndexedDescendants(name string, includeSelf bool) []*Node {
+	mustBeFrozen("IndexedDescendants", n)
 	list := n.idx.byName[lookupSym(name)]
 	if len(list) == 0 {
-		return nil, true
+		return nil
 	}
 	lo := n.ord + 1
 	if includeSelf {
@@ -272,9 +247,9 @@ func (n *Node) IndexedDescendants(name string, includeSelf bool) ([]*Node, bool)
 	i := sort.Search(len(list), func(k int) bool { return list[k].ord >= lo })
 	j := sort.Search(len(list), func(k int) bool { return list[k].ord > n.end })
 	if i >= j {
-		return nil, true
+		return nil
 	}
-	return list[i:j:j], true
+	return list[i:j:j]
 }
 
 // Singleton returns a one-node slice holding n. On a frozen tree it is a

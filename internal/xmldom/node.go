@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -403,89 +402,16 @@ func (n *Node) Path() string {
 	return b.String()
 }
 
-// pathStep is one step of a document-order key: either an attribute slot or
-// a child slot at the given index.
-type pathStep struct {
-	attr bool
-	idx  int
-}
-
-// orderKey computes the document-order path from the root to n.
-func orderKey(n *Node) []pathStep {
-	var rev []pathStep
-	cur := n
-	for cur.Parent != nil {
-		p := cur.Parent
-		if cur.Type == AttrNode {
-			for i, a := range p.Attr {
-				if a == cur {
-					rev = append(rev, pathStep{attr: true, idx: i})
-					break
-				}
-			}
-		} else {
-			for i, c := range p.Children {
-				if c == cur {
-					rev = append(rev, pathStep{attr: false, idx: i})
-					break
-				}
-			}
-		}
-		cur = p
-	}
-	// reverse
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // CompareOrder reports the relative document order of a and b:
 // -1 if a precedes b, +1 if a follows b, 0 if they are the same node.
-// Both nodes must belong to the same tree; nodes from different trees
-// compare by an arbitrary but consistent rule (tree identity, assigned
-// at document creation). On frozen trees the comparison is a single
-// stamp comparison; otherwise it walks root-to-node paths.
+// Both nodes must belong to frozen trees (see Freeze): the comparison is
+// a single stamp comparison. Nodes from different trees compare by an
+// arbitrary but consistent rule (tree identity, assigned at document
+// creation). It panics on a node of an unfrozen tree.
 func CompareOrder(a, b *Node) int {
-	if a == b {
-		return 0
-	}
-	if a.idx != nil && a.idx == b.idx && a.idx.frozen {
-		if a.ord < b.ord {
-			return -1
-		}
-		return 1
-	}
-	ra, rb := a.Root(), b.Root()
-	if ra != rb {
-		if treeIdent(ra) < treeIdent(rb) {
-			return -1
-		}
-		return 1
-	}
-	ka, kb := orderKey(a), orderKey(b)
-	for i := 0; i < len(ka) && i < len(kb); i++ {
-		sa, sb := ka[i], kb[i]
-		if sa == sb {
-			continue
-		}
-		// At the same parent: the element's attributes precede its children.
-		if sa.attr != sb.attr {
-			if sa.attr {
-				return -1
-			}
-			return 1
-		}
-		if sa.idx < sb.idx {
-			return -1
-		}
-		return 1
-	}
-	// One is an ancestor of the other; the ancestor comes first.
-	if len(ka) < len(kb) {
-		return -1
-	}
-	return 1
+	mustBeFrozen("CompareOrder", a)
+	mustBeFrozen("CompareOrder", b)
+	return compareStamps(a, b)
 }
 
 // compareStamps orders nodes of frozen trees by tree identity, then by
@@ -498,71 +424,27 @@ func compareStamps(a, b *Node) int {
 }
 
 // SortDocOrder sorts nodes in place into document order and removes
-// duplicates, returning the (possibly shortened) slice. When every node
-// belongs to a frozen tree the sort compares precomputed stamps; the
-// path-key fallback only runs for unfrozen trees.
+// duplicates, returning the (possibly shortened) slice. Every node must
+// belong to a frozen tree; given two or more nodes, it panics on a node
+// of an unfrozen tree.
 func SortDocOrder(nodes []*Node) []*Node {
 	if len(nodes) < 2 {
 		return nodes
 	}
-	allFrozen := true
 	for _, n := range nodes {
-		if n.idx == nil || !n.idx.frozen {
-			allFrozen = false
-			break
-		}
+		mustBeFrozen("SortDocOrder", n)
 	}
-	if allFrozen {
-		// Node-sets merged from successive context nodes usually arrive
-		// in order already; checking first skips the sort for them.
-		if !slices.IsSortedFunc(nodes, compareStamps) {
-			slices.SortFunc(nodes, compareStamps)
-		}
-		out := nodes[:0]
-		var prev *Node
-		for _, n := range nodes {
-			if n != prev {
-				out = append(out, n)
-				prev = n
-			}
-		}
-		return out
+	// Node-sets merged from successive context nodes usually arrive in
+	// order already; checking first skips the sort for them.
+	if !slices.IsSortedFunc(nodes, compareStamps) {
+		slices.SortFunc(nodes, compareStamps)
 	}
-	type keyed struct {
-		n    *Node
-		root uint64
-		k    []pathStep
-	}
-	ks := make([]keyed, len(nodes))
-	for i, n := range nodes {
-		ks[i] = keyed{n, treeIdent(n.Root()), orderKey(n)}
-	}
-	sort.SliceStable(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.n == b.n {
-			return false
-		}
-		if a.root != b.root {
-			return a.root < b.root
-		}
-		for x := 0; x < len(a.k) && x < len(b.k); x++ {
-			sa, sb := a.k[x], b.k[x]
-			if sa == sb {
-				continue
-			}
-			if sa.attr != sb.attr {
-				return sa.attr
-			}
-			return sa.idx < sb.idx
-		}
-		return len(a.k) < len(b.k)
-	})
 	out := nodes[:0]
 	var prev *Node
-	for _, kv := range ks {
-		if kv.n != prev {
-			out = append(out, kv.n)
-			prev = kv.n
+	for _, n := range nodes {
+		if n != prev {
+			out = append(out, n)
+			prev = n
 		}
 	}
 	return out

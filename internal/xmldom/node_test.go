@@ -109,6 +109,7 @@ func TestPath(t *testing.T) {
 
 func TestCompareOrder(t *testing.T) {
 	doc := MustParseString(`<a p="1"><b/><c><d/></c></a>`)
+	Freeze(doc)
 	a := doc.DocumentElement()
 	b := a.FirstElement("b")
 	c := a.FirstElement("c")
@@ -137,6 +138,7 @@ func TestCompareOrder(t *testing.T) {
 
 func TestSortDocOrderDedupes(t *testing.T) {
 	doc := MustParseString(`<a><b/><c/><d/></a>`)
+	Freeze(doc)
 	a := doc.DocumentElement()
 	b, c, d := a.Children[0], a.Children[1], a.Children[2]
 	sorted := SortDocOrder([]*Node{d, b, c, b, d, a})

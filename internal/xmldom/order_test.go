@@ -104,19 +104,35 @@ func TestDocOrderCrossDocument(t *testing.T) {
 	}
 }
 
-// TestDocOrderCrossDocumentUnfrozen: the deterministic cross-tree order
-// holds for unfrozen trees too (the path-key fallback).
-func TestDocOrderCrossDocumentUnfrozen(t *testing.T) {
-	d1 := NewDocument()
-	e1 := d1.AppendChild(NewElement("x"))
-	d2 := NewDocument()
-	e2 := d2.AppendChild(NewElement("y"))
-	if CompareOrder(e1, e2) != -1 || CompareOrder(e2, e1) != 1 {
-		t.Fatal("unfrozen cross-document order must follow creation order")
+// TestDocOrderPanicsOnUnfrozen: document order exists only on frozen
+// trees. An unfrozen document carries an identity from NewDocument but
+// every stamp is 0, so without the check its nodes would compare equal
+// and SortDocOrder would return them unsorted.
+func TestDocOrderPanicsOnUnfrozen(t *testing.T) {
+	doc := NewDocument()
+	r := doc.AppendChild(NewElement("r"))
+	k := r.AppendChild(NewElement("k"))
+	frozen := orderFixture(t)["r"]
+	for name, f := range map[string]func(){
+		"CompareOrder":       func() { CompareOrder(k, r) },
+		"CompareOrder mixed": func() { CompareOrder(frozen, r) },
+		"SortDocOrder":       func() { SortDocOrder([]*Node{k, r}) },
+		"SortDocOrder mixed": func() { SortDocOrder([]*Node{frozen, r}) },
+		"IndexedDescendants": func() { r.IndexedDescendants("k", false) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "xmldom: ") || !strings.Contains(msg, "unfrozen") {
+					t.Errorf("%s on an unfrozen tree: recovered %q, want an xmldom: unfrozen panic", name, msg)
+				}
+			}()
+			f()
+		}()
 	}
-	sorted := SortDocOrder([]*Node{e2, e1})
-	if sorted[0] != e1 || sorted[1] != e2 {
-		t.Error("unfrozen SortDocOrder must group by document identity")
+	// A single node has nothing to order, so SortDocOrder passes it through.
+	if got := SortDocOrder([]*Node{r}); len(got) != 1 || got[0] != r {
+		t.Errorf("SortDocOrder of one unfrozen node = %v", got)
 	}
 }
 
@@ -242,14 +258,14 @@ func TestIndexLookups(t *testing.T) {
 		t.Errorf("ElementsByName(k) = %v", all)
 	}
 	// Subtree-scoped descendant lookup under sub sees only k2.
-	got, ok := sub.IndexedDescendants("k", false)
-	if !ok || len(got) != 1 || got[0] != k2 {
-		t.Errorf("IndexedDescendants under sub = %v (ok=%v)", got, ok)
+	got := sub.IndexedDescendants("k", false)
+	if len(got) != 1 || got[0] != k2 {
+		t.Errorf("IndexedDescendants under sub = %v", got)
 	}
 	// Under the root both, in document order.
-	got, ok = r.IndexedDescendants("k", false)
-	if !ok || len(got) != 2 || got[0] != k1 || got[1] != k2 {
-		t.Errorf("IndexedDescendants under r = %v (ok=%v)", got, ok)
+	got = r.IndexedDescendants("k", false)
+	if len(got) != 2 || got[0] != k1 || got[1] != k2 {
+		t.Errorf("IndexedDescendants under r = %v", got)
 	}
 }
 

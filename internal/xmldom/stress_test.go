@@ -70,6 +70,7 @@ func TestLargeAttributeValue(t *testing.T) {
 func TestCompareOrderIsStrictTotalOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		doc := randomTree(seed)
+		Freeze(doc)
 		// Pre-order enumeration (elements and text).
 		var walkOrder []*Node
 		var walk func(n *Node)

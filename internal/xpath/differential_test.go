@@ -17,8 +17,9 @@ import (
 // The IR evaluator must agree with the legacy AST interpreter
 // (EvalReference) on every expression the builtin stylesheets use and on
 // a hand-written corpus covering the rest of the grammar, across every
-// example model document — both as a plain tree and frozen under the
-// document index, so the planner's indexed fast paths are exercised.
+// example model document, frozen under the document index as every tree
+// the evaluators see is, so the planner's indexed fast paths are
+// exercised.
 
 // harvestExprs pulls every XPath expression out of a stylesheet source:
 // whole-attribute expressions (select, test, use, count, value) and the
@@ -214,17 +215,12 @@ func TestIRMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := xmldom.Parse(data)
+		doc, err := xmldom.Parse(data)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		frozen, err := xmldom.Parse(data)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		frozen.Freeze()
-		base := filepath.Base(path)
-		docs = append(docs, docCase{base, plain}, docCase{base + "/frozen", frozen})
+		doc.Freeze()
+		docs = append(docs, docCase{filepath.Base(path), doc})
 	}
 
 	funcs := stubFuncs()

@@ -112,47 +112,32 @@ func idLookup(ctx *Context, arg Value) NodeSet {
 	default:
 		ids = strings.Fields(ToString(v))
 	}
-	var out []*xmldom.Node
 	if ctx.Node == nil {
 		return NodeSet(nil)
 	}
-	root := ctx.Node.Root()
-	if ix := root.Index(); ix != nil {
-		// Frozen document: answer from the ID map. (On documents with
-		// duplicate ids — invalid XML — this returns the first bearer
-		// where the walking path returns all of them.)
-		for _, id := range ids {
-			if e := ix.ByID(id); e != nil {
-				out = append(out, e)
-			}
-		}
-		return NodeSet(xmldom.SortDocOrder(out))
-	}
-	want := make(map[string]bool, len(ids))
+	// Answer from the document's ID map. On a document with duplicate
+	// ids (invalid XML) that is the first bearer of each id.
+	ix := ctx.Node.Index()
+	var out []*xmldom.Node
 	for _, id := range ids {
-		want[id] = true
-	}
-	for _, e := range root.DescendantElements("") {
-		if want[e.AttrValue("id")] && e.HasAttr("id") {
+		if e := ix.ByID(id); e != nil {
 			out = append(out, e)
 		}
 	}
 	return NodeSet(xmldom.SortDocOrder(out))
 }
 
-// idLookupIR is idLookup on an unboxed argument. On a frozen document an
-// argument that is one id token (a string, number or boolean, or a
-// single node) is answered from the ID map as the element's frozen
-// singleton, without splitting, boxing or allocating.
+// idLookupIR is idLookup on an unboxed argument. An argument that is one
+// id token (a string, number or boolean, or a single node) is answered
+// from the ID map as the element's frozen singleton, without splitting,
+// boxing or allocating.
 func idLookupIR(ctx *Context, arg irval) NodeSet {
 	if ctx.Node != nil && (arg.kind != vNodes || len(arg.nodes) == 1) {
-		if ix := ctx.Node.Root().Index(); ix != nil {
-			if id, ok := singleToken(arg.toStr()); ok {
-				if e := ix.ByID(id); e != nil {
-					return e.Singleton()
-				}
-				return nil
+		if id, ok := singleToken(arg.toStr()); ok {
+			if e := ctx.Node.Index().ByID(id); e != nil {
+				return e.Singleton()
 			}
+			return nil
 		}
 	}
 	return idLookup(ctx, arg.boxed())

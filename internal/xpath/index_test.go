@@ -14,43 +14,49 @@ const indexDoc = `<r xmlns:x="urn:x">
   <c><a><b/></a></c>
 </r>`
 
-// queryBoth evaluates src against an unfrozen and a frozen copy of the
-// same document and fails unless the two results select the same nodes
-// (compared by path) in the same order.
-func queryBoth(t *testing.T, src string) (NodeSet, NodeSet) {
+// queryBoth evaluates src on the frozen indexDoc with the IR (Eval) and
+// with the walking reference interpreter (EvalReference), and fails
+// unless the two results select the same nodes in the same order. It
+// returns the IR's node-set, nil for a scalar result.
+func queryBoth(t *testing.T, src string) NodeSet {
 	t.Helper()
-	plain := xmldom.MustParseString(indexDoc)
-	frozen := xmldom.MustParseString(indexDoc)
-	xmldom.Freeze(frozen)
-	pv, err := Query(plain, src)
+	doc := xmldom.MustParseString(indexDoc)
+	xmldom.Freeze(doc)
+	c, err := Compile(src)
 	if err != nil {
-		t.Fatalf("%s (unfrozen): %v", src, err)
+		t.Fatalf("%s: %v", src, err)
 	}
-	fv, err := Query(frozen, src)
+	fv, err := c.Eval(NewContext(doc))
 	if err != nil {
-		t.Fatalf("%s (frozen): %v", src, err)
+		t.Fatalf("%s (IR): %v", src, err)
 	}
-	pns, ok := pv.(NodeSet)
+	rv, err := c.EvalReference(NewContext(doc))
+	if err != nil {
+		t.Fatalf("%s (reference): %v", src, err)
+	}
+	fns, ok := fv.(NodeSet)
 	if !ok {
-		if ToString(pv) != ToString(fv) {
-			t.Fatalf("%s: unfrozen %v, frozen %v", src, pv, fv)
+		if ToString(fv) != ToString(rv) {
+			t.Fatalf("%s: IR %v, reference %v", src, fv, rv)
 		}
-		return nil, nil
+		return nil
 	}
-	fns := fv.(NodeSet)
-	if len(pns) != len(fns) {
-		t.Fatalf("%s: unfrozen %d nodes, frozen %d", src, len(pns), len(fns))
+	rns := rv.(NodeSet)
+	if len(fns) != len(rns) {
+		t.Fatalf("%s: IR %d nodes, reference %d", src, len(fns), len(rns))
 	}
-	for i := range pns {
-		if pns[i].Path() != fns[i].Path() {
-			t.Fatalf("%s: node %d differs: %s vs %s", src, i, pns[i].Path(), fns[i].Path())
+	for i := range fns {
+		if fns[i] != rns[i] {
+			t.Fatalf("%s: node %d differs: IR %s, reference %s", src, i, fns[i].Path(), rns[i].Path())
 		}
 	}
-	return pns, fns
+	return fns
 }
 
-// TestFrozenMatchesUnfrozen: the index fast paths (descendant name test,
-// step fusion, id()) must be invisible — same nodes, same order.
+// TestFrozenMatchesUnfrozen: the IR's fast paths (the descendant name
+// index, step fusion, the single-token id lookup) must be invisible — the
+// IR selects the same nodes in the same order as the reference
+// interpreter, which walks the tree for every step.
 func TestFrozenMatchesUnfrozen(t *testing.T) {
 	exprs := []string{
 		"//b", "//a", "//a//b", "//c/b", "/r//b", "//a/b | //c",
@@ -70,7 +76,7 @@ func TestFrozenNodeSetInvariant(t *testing.T) {
 	for _, src := range []string{
 		"//b", "//a | //b", "//b | //a//b | //c", "//b/ancestor::*", "//a//b",
 	} {
-		_, fns := queryBoth(t, src)
+		fns := queryBoth(t, src)
 		for i := 1; i < len(fns); i++ {
 			if fns[i-1] == fns[i] {
 				t.Errorf("%s: duplicate at %d", src, i)

@@ -93,9 +93,9 @@ type planStep struct {
 	axis axisType
 	test nodeTest
 	// indexed marks descendant/descendant-or-self steps with an
-	// unprefixed name test: on frozen documents the evaluator answers
-	// them from the per-document name index (with a residual URI
-	// filter), falling back to the walking path on unfrozen trees.
+	// unprefixed name test: the evaluator answers them from the
+	// document's name index (with a residual URI filter), which every
+	// tree it sees has, because evaluation runs on frozen trees only.
 	indexed bool
 	// forward marks axes whose step results for a single context node
 	// are already in document order and duplicate-free, so the merge
@@ -139,7 +139,8 @@ func (c *Compiled) Type() StaticType { return c.typ }
 // EvalReference evaluates the expression with the legacy AST
 // interpreter over the unnormalized parse tree. It is the semantic
 // oracle the IR evaluator is differentially tested against; production
-// paths use Eval.
+// paths use Eval. Unlike Eval it does not freeze the context tree, which
+// must already be frozen.
 func (c *Compiled) EvalReference(ctx *Context) (Value, error) {
 	return c.ref.Eval(ctx)
 }

@@ -173,11 +173,17 @@ func (f *frame) truncate(base int) {
 	f.stack = f.stack[:base]
 }
 
-// run executes the compiled program on a pooled frame. (An inline
-// stack-allocated frame was tried and lost: exec leaks its frame
-// parameter through the path-evaluation call chain, so the backing
-// array is heap-moved on every run — the pool amortizes that.)
+// run executes the compiled program on a pooled frame, first freezing
+// the context node's tree in place when it is not frozen yet: the
+// evaluator reads document order and the name and ID indexes, which
+// exist only on frozen trees. (An inline stack-allocated frame was
+// tried and lost: exec leaks its frame parameter through the
+// path-evaluation call chain, so the backing array is heap-moved on
+// every run — the pool amortizes that.)
 func (c *Compiled) run(ctx *Context) (irval, error) {
+	if n := ctx.Node; n != nil && !n.Frozen() {
+		xmldom.Freeze(n.Root())
+	}
 	f := getFrame(c.prog.maxStack)
 	v, err := exec(c.prog, ctx, f)
 	putFrame(f)
@@ -186,6 +192,10 @@ func (c *Compiled) run(ctx *Context) (irval, error) {
 
 // Eval evaluates the expression via the planned IR. Compiled satisfies
 // the Expr interface, so existing call sites keep working unchanged.
+// Like every Eval* method, it freezes the context node's tree in place
+// when it is not frozen yet (see xmldom.Freeze), so the tree can no
+// longer be edited afterwards. An unfrozen tree is not safe for
+// concurrent evaluation: freeze it before sharing it.
 func (c *Compiled) Eval(ctx *Context) (Value, error) {
 	v, err := c.run(ctx)
 	if err != nil {
@@ -533,10 +543,9 @@ func evalPathPlan(pl *pathPlan, ctx *Context, f *frame) ([]*xmldom.Node, error) 
 
 // stepOne selects along one planned step from a single context node, in
 // document order. On a planned forward axis the step already yields
-// document order with no duplicates, so the merge sort (and its per-node
-// order keys on unfrozen trees) is skipped and the result may stay a
-// window into a frozen document. A reverse axis sorts a fresh copy:
-// SortDocOrder works in place and must never see a window.
+// document order with no duplicates, so the merge sort is skipped and
+// the result may stay a window into the document. A reverse axis sorts
+// a fresh copy: SortDocOrder works in place and must never see a window.
 func stepOne(ctx *Context, n *xmldom.Node, st *planStep, f *frame) ([]*xmldom.Node, error) {
 	sel, err := evalPlanStep(ctx, n, st, f)
 	if err != nil || st.forward || len(sel) < 2 {
@@ -589,12 +598,9 @@ func (s *subseq) nodes() []*xmldom.Node {
 func evalPlanStep(ctx *Context, n *xmldom.Node, st *planStep, f *frame) ([]*xmldom.Node, error) {
 	var matched []*xmldom.Node
 	var err error
-	fast := false
-	if st.indexed {
-		matched, fast = indexedDescendants(n, st)
-	}
 	switch {
-	case fast:
+	case st.indexed:
+		matched = indexedDescendants(n, st)
 	case st.axis == axisAncestor || st.axis == axisAncestorOrSelf:
 		matched, err = ancestorMatches(ctx, n, st)
 	default:
@@ -613,10 +619,9 @@ func evalPlanStep(ctx *Context, n *xmldom.Node, st *planStep, f *frame) ([]*xmld
 }
 
 // axisMatches returns the nodes on the step's axis from n that pass its
-// node test. On a frozen document matches that form one contiguous run
-// of the axis come back as a window into it (the element's Children or
-// Attr, or a frozen singleton); an unfrozen tree always gets a fresh
-// slice, since it may still be edited after the evaluation.
+// node test. Matches that form one contiguous run of the axis come back
+// as a window into it (the element's Children or Attr, or a frozen
+// singleton).
 func axisMatches(ctx *Context, n *xmldom.Node, st *planStep) ([]*xmldom.Node, error) {
 	candidates := axisNodes(n, st.axis)
 	sub := subseq{src: candidates}
@@ -628,9 +633,6 @@ func axisMatches(ctx *Context, n *xmldom.Node, st *planStep) ([]*xmldom.Node, er
 		if ok {
 			sub.keep(i)
 		}
-	}
-	if !sub.copied && !n.Frozen() {
-		return append([]*xmldom.Node(nil), sub.nodes()...), nil
 	}
 	return sub.nodes(), nil
 }
@@ -668,15 +670,12 @@ func ancestorMatches(ctx *Context, n *xmldom.Node, st *planStep) ([]*xmldom.Node
 }
 
 // indexedDescendants answers a planned descendant name test straight
-// from a frozen document's name index (ok=false → take the walking
-// path). The index matches by local name alone, so a residual filter
-// drops elements in a namespace. The result slice may alias the index,
-// which is safe because every caller treats step results as read-only.
-func indexedDescendants(n *xmldom.Node, st *planStep) ([]*xmldom.Node, bool) {
-	list, ok := n.IndexedDescendants(st.test.name, st.axis == axisDescendantOrSelf)
-	if !ok {
-		return nil, false
-	}
+// from the document's name index. The index matches by local name alone,
+// so a residual filter drops elements in a namespace. The result slice
+// may alias the index, which is safe because every caller treats step
+// results as read-only.
+func indexedDescendants(n *xmldom.Node, st *planStep) []*xmldom.Node {
+	list := n.IndexedDescendants(st.test.name, st.axis == axisDescendantOrSelf)
 	for i, c := range list {
 		if c.URI != "" {
 			out := make([]*xmldom.Node, i, len(list))
@@ -686,10 +685,10 @@ func indexedDescendants(n *xmldom.Node, st *planStep) ([]*xmldom.Node, bool) {
 					out = append(out, d)
 				}
 			}
-			return out, true
+			return out
 		}
 	}
-	return list, true
+	return list
 }
 
 // applyPredPlan filters nodes (in axis order) by a planned predicate.

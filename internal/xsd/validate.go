@@ -27,21 +27,11 @@ type ValidateOptions struct {
 }
 
 // Validate checks an instance document against the schema and returns all
-// violations found (nil means the document is valid). It does not freeze
-// the document; ValidateAndFreeze is the same pass for callers that go on
-// to share it.
+// violations found (nil means the document is valid). It is
+// ValidateAndFreeze returning only the errors, so it freezes doc in place:
+// pass an Editable() copy if the tree must stay mutable afterwards.
 func (s *Schema) Validate(doc *xmldom.Node, opts ValidateOptions) []ValidationError {
-	return s.validate(doc, opts, false).Errors
-}
-
-// ValidateAndFreeze validates doc in one pass and freezes it: the
-// structural walk (applying defaults when opts ask for it), then
-// xmldom.Freeze, then the identity constraints evaluated on the frozen
-// tree, where the name indexes and document-order stamps serve the
-// selectors. The errors are exactly those Validate reports, in the same
-// order.
-func (s *Schema) ValidateAndFreeze(doc *xmldom.Node, opts ValidateOptions) *Validated {
-	return s.validate(doc, opts, true)
+	return s.ValidateAndFreeze(doc, opts).Errors
 }
 
 // ValidateString parses and validates an instance from XML text; parse
@@ -62,14 +52,16 @@ var walks atomic.Uint64
 // Callers diff it around an operation to count the walks it made.
 func ValidationWalks() uint64 { return walks.Load() }
 
-// validate is the one walker behind every entry point. The structural
-// walk records each element whose declaration carries identity
-// constraints as a scope, with the number of errors reported by the time
-// its subtree is done. The constraints are evaluated after the walk —
-// after freezing, when freeze is set — and each scope's errors are
-// spliced in at that count, where a walk checking them in place would
-// report them.
-func (s *Schema) validate(doc *xmldom.Node, opts ValidateOptions, freeze bool) *Validated {
+// ValidateAndFreeze validates doc in one pass and freezes it: the
+// structural walk (applying defaults when opts ask for it), then
+// xmldom.Freeze, then the identity constraints evaluated on the frozen
+// tree, where the name indexes and document-order stamps serve the
+// selectors. It is the one walker behind every entry point. The
+// structural walk records each element whose declaration carries
+// identity constraints as a scope, with the number of errors reported by
+// the time its subtree is done; each scope's errors are spliced in at
+// that count, where a walk checking them in place would report them.
+func (s *Schema) ValidateAndFreeze(doc *xmldom.Node, opts ValidateOptions) *Validated {
 	walks.Add(1)
 	v := validatorPool.Get().(*validator)
 	defer v.release()
@@ -82,9 +74,7 @@ func (s *Schema) validate(doc *xmldom.Node, opts ValidateOptions, freeze bool) *
 		v.validateElement(root, decl)
 		v.checkIDRefs()
 	}
-	if freeze {
-		xmldom.Freeze(doc)
-	}
+	xmldom.Freeze(doc)
 	v.checkScopes()
 	return &Validated{Doc: doc, Errors: v.errs, Scopes: v.scopes}
 }

@@ -155,7 +155,8 @@ const coldSheet = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/19
 </xsl:template>
 </xsl:stylesheet>`
 
-// diffDocs loads every example model, frozen and unfrozen.
+// diffDocs loads every example model twice: frozen up front, and
+// unfrozen for the first transform to freeze in place.
 func diffDocs(t *testing.T) map[string]*xmldom.Node {
 	t.Helper()
 	models, err := filepath.Glob("../../examples/models/*.xml")

@@ -173,3 +173,46 @@ func TestGenerateIDFrozenDeterministic(t *testing.T) {
 		seen[string(p)] = true
 	}
 }
+
+// TestUnfrozenSourceMatchesFrozen: a run reads frozen trees only, so an
+// unfrozen source and the same source frozen produce byte-identical
+// output — for generate-id() on source and result-tree-fragment nodes,
+// for id() over a duplicated id, and for a union across the fragment and
+// the source. The unfrozen source is frozen in place.
+func TestUnfrozenSourceMatchesFrozen(t *testing.T) {
+	sheet, err := CompileStylesheetString(`<?xml version="1.0"?>
+<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+  <xsl:output omit-xml-declaration="yes"/>
+  <xsl:template match="/">
+    <xsl:variable name="frag"><f/><g/></xsl:variable>
+    <xsl:for-each select="//b | $frag/*">[<xsl:value-of select="generate-id()"/>]</xsl:for-each>
+    <xsl:for-each select="id('dup')">(<xsl:value-of select="@n"/>)</xsl:for-each>
+    <xsl:for-each select="$frag/* | /*/*"><xsl:value-of select="name()"/>;</xsl:for-each>
+  </xsl:template>
+</xsl:stylesheet>`, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `<a><b id="dup" n="1"/><b id="dup" n="2"/><c><b/></c></a>`
+	plain := xmldom.MustParseString(src)
+	got, err := mainOutput(sheet, plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.Frozen() {
+		t.Error("TransformToBuffers left an unfrozen source unfrozen")
+	}
+	frozen := xmldom.MustParseString(src)
+	xmldom.Freeze(frozen)
+	want, err := mainOutput(sheet, frozen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("unfrozen source output\n  %s\nfrozen source output\n  %s", got, want)
+	}
+	const pinned = `[d1n3][d1n6][d1n10][d2n2][d2n3](1)b;b;c;f;g;`
+	if string(want) != pinned {
+		t.Errorf("output = %s, want %s", want, pinned)
+	}
+}

@@ -43,32 +43,20 @@ func (e *engine) fnGenerateID(ctx *xpath.Context, args []xpath.Value) (xpath.Val
 	default:
 		return nil, fmt.Errorf("xslt: generate-id() takes at most one argument")
 	}
-	// Frozen nodes get a pure (document, stamp) id: "d<doc>n<ord>".
-	// Documents are numbered per engine in first-seen order, so output is
-	// deterministic across runs and nothing is stored per node. Unfrozen
-	// nodes keep the per-engine sequence ("idn<seq>"); the two prefixes
-	// cannot collide.
-	if ix := n.Index(); ix != nil {
-		num, ok := e.docNums[ix]
-		if !ok {
-			if e.docNums == nil {
-				e.docNums = map[*xmldom.DocIndex]int{}
-			}
-			num = len(e.docNums) + 1
-			e.docNums[ix] = num
+	// Every tree a run reads is frozen, so a node's id is a pure
+	// (document, stamp) pair: "d<doc>n<ord>". Documents are numbered per
+	// engine in first-seen order, so output is deterministic across runs
+	// and nothing is stored per node.
+	ix := n.Index()
+	num, ok := e.docNums[ix]
+	if !ok {
+		if e.docNums == nil {
+			e.docNums = map[*xmldom.DocIndex]int{}
 		}
-		return xpath.String(fmt.Sprintf("d%dn%d", num, n.DocOrder())), nil
+		num = len(e.docNums) + 1
+		e.docNums[ix] = num
 	}
-	if id, ok := e.genIDs[n]; ok {
-		return xpath.String(id), nil
-	}
-	if e.genIDs == nil {
-		e.genIDs = map[*xmldom.Node]string{}
-	}
-	e.genSeq++
-	id := fmt.Sprintf("idn%d", e.genSeq)
-	e.genIDs[n] = id
-	return xpath.String(id), nil
+	return xpath.String(fmt.Sprintf("d%dn%d", num, n.DocOrder())), nil
 }
 
 func (e *engine) fnKey(ctx *xpath.Context, args []xpath.Value) (xpath.Value, error) {
@@ -179,6 +167,7 @@ func (e *engine) fnDocument(ctx *xpath.Context, args []xpath.Value) (xpath.Value
 		if err != nil {
 			return nil, fmt.Errorf("xslt: document(%q): %v", href, err)
 		}
+		xmldom.Freeze(doc)
 		if e.docCache == nil {
 			e.docCache = map[string]*xmldom.Node{}
 		}

@@ -29,6 +29,9 @@ const Namespace = "http://www.w3.org/1999/XSL/Transform"
 
 // Loader resolves hrefs for xsl:include, xsl:import and the document()
 // function. Implementations typically serve embedded assets or files.
+// document() freezes the tree it is given in place (xmldom.Freeze), and
+// concurrent runs may call the Loader at once, so each call must return
+// either a fresh document or one that is already frozen.
 type Loader func(href string) (*xmldom.Node, error)
 
 // CompileError reports a problem in a stylesheet.
@@ -252,26 +255,22 @@ type templateIndex struct {
 }
 
 // candidates returns the complete precedence-ordered rule list that could
-// match n. Interning at index build time guarantees that a name missing
-// from the symbol table has no name-specific bucket, so falling back to
-// the any-name list is complete.
+// match n. n belongs to a frozen tree, so its Sym is its interned name,
+// the same symbol the index interned the rule's name to; a name with no
+// bucket has no name-specific rule, so the any-name list is complete.
 func (ix *templateIndex) candidates(n *xmldom.Node) []*Template {
 	switch n.Type {
 	case xmldom.ElementNode:
 		if len(ix.elemByName) > 0 {
-			if s := n.Sym(); s != 0 {
-				if l, ok := ix.elemByName[s]; ok {
-					return l
-				}
+			if l, ok := ix.elemByName[n.Sym()]; ok {
+				return l
 			}
 		}
 		return ix.elemAny
 	case xmldom.AttrNode:
 		if len(ix.attrByName) > 0 {
-			if s := n.Sym(); s != 0 {
-				if l, ok := ix.attrByName[s]; ok {
-					return l
-				}
+			if l, ok := ix.attrByName[n.Sym()]; ok {
+				return l
 			}
 		}
 		return ix.attrAny

@@ -87,11 +87,9 @@ type engine struct {
 	// principal output when target is "", else that xsl:document href.
 	targeted bool
 	target   string
-	genIDs   map[*xmldom.Node]string
-	genSeq   int
-	// docNums numbers frozen documents in first-seen order so that
-	// generate-id() on frozen nodes is a pure function of (document,
-	// stamp) — deterministic across runs, no per-node map growth.
+	// docNums numbers documents in first-seen order so that
+	// generate-id() is a pure function of (document, stamp) —
+	// deterministic across runs, no per-node map growth.
 	docNums  map[*xmldom.DocIndex]int
 	keyIdx   map[*xmldom.Node]map[string]map[string][]*xmldom.Node
 	funcs    map[string]xpath.Function
@@ -129,30 +127,31 @@ func (e *engine) release() {
 }
 
 // prepSource wraps a non-document source in an engine-owned document and
-// applies xsl:strip-space (on a clone) when the stylesheet requests it.
+// applies xsl:strip-space (on a clone) when the stylesheet requests it,
+// then freezes the tree the run reads: the evaluators work on frozen
+// trees only. A document source used as is is frozen in place.
 func (s *Stylesheet) prepSource(source *xmldom.Node) *xmldom.Node {
 	if source.Type != xmldom.DocumentNode {
 		root := xmldom.NewDocument()
 		root.AppendChild(source.Clone())
-		xmldom.Freeze(root) // engine-owned wrapper: index it for stamp ordering
-		return root
-	}
-	if len(s.strip) > 0 {
+		source = root
+	} else if len(s.strip) > 0 {
 		source = source.Clone()
 		s.stripSourceSpace(source)
-		xmldom.Freeze(source) // engine-owned clone, read-only from here on
 	}
+	xmldom.Freeze(source)
 	return source
 }
 
 // TransformToBuffers applies the stylesheet to a source document and
 // renders every output document (principal and xsl:document) straight to
 // bytes from the instruction stream, with no intermediate result DOM.
-// params provides values for global xsl:param declarations. The source
-// tree is not modified (whitespace stripping, when requested by the
-// stylesheet, operates on a clone), so a frozen (xmldom.Freeze) source
-// document and a compiled Stylesheet may be shared by concurrent runs —
-// all per-run state lives in the engine.
+// params provides values for global xsl:param declarations. A source
+// document is frozen in place (xmldom.Freeze) unless the stylesheet
+// strips whitespace, which operates on a frozen clone; its content is
+// never modified. A frozen source document and a compiled Stylesheet
+// may be shared by concurrent runs — all per-run state lives in the
+// engine — but an unfrozen one must be frozen before it is shared.
 func (s *Stylesheet) TransformToBuffers(source *xmldom.Node, params map[string]xpath.Value) (*BufferResult, error) {
 	source = s.prepSource(source)
 	e := newEngine(s)
@@ -190,7 +189,8 @@ func (s *Stylesheet) TransformToBuffers(source *xmldom.Node, params map[string]x
 // therefore succeeds targeted; errors and xsl:message output of skipped
 // bodies are not reported. generate-id() values can differ from a full
 // run's where a skipped body would have been the first to number a
-// document or an unfrozen node.
+// document. The source is prepared, and frozen, as for
+// TransformToBuffers.
 func (s *Stylesheet) TransformPage(source *xmldom.Node, params map[string]xpath.Value, href string) (*PageResult, error) {
 	source = s.prepSource(source)
 	e := newEngine(s)

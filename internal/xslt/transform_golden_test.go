@@ -17,9 +17,10 @@ import (
 // The transform goldens freeze the output of the tree-walking engine the
 // bytecode VM replaced, captured before that engine was deleted: every
 // diffSheets stylesheet (plus the edge sheets below) × every example
-// model, frozen and unfrozen, and a fixed set of generated
-// stylesheet/document pairs. Each output document is recorded as its
-// length and SHA-256; messages and error text are verbatim.
+// model, frozen up front and left for the run to freeze, and a fixed set
+// of generated stylesheet/document pairs. Each output document is
+// recorded as its length and SHA-256; messages and error text are
+// verbatim.
 
 const (
 	transformsGolden = "testdata/transforms.golden"

@@ -645,8 +645,11 @@ func (r *vmRun) loop() error {
 			// A fragment is a node-set holding its document node, which
 			// this processor also accepts where node-sets are expected
 			// (like the common exsl:node-set extension).
+			// The capture is closed, so the fragment is frozen like every
+			// other tree the evaluators read.
 			fr := f.TopCtl()
 			frag := fr.Node
+			xmldom.Freeze(frag)
 			r.out = fr.Out.(xmldom.Emitter)
 			f.PopCtl()
 			r.bind(p.varDecls[in.A].name, xpath.NodeSet{frag}, in.B)
