@@ -127,6 +127,11 @@ func loadModelFile(path string) (*core.Model, *xmldom.Node, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return modelFromBytes(data)
+}
+
+// modelFromBytes parses a model document and builds its model.
+func modelFromBytes(data []byte) (*core.Model, *xmldom.Node, error) {
 	doc, err := xmldom.Parse(data)
 	if err != nil {
 		return nil, nil, err
@@ -347,12 +352,13 @@ func cmdServe(args []string) error {
 		m = core.SampleSales()
 		lintName, lintSrc = "sample:sales.xml", []byte(m.XMLString())
 	} else {
+		// One read: the model served is built from the bytes the gate lints.
 		lintName = fs.Arg(0)
 		lintSrc, err = os.ReadFile(lintName)
 		if err != nil {
 			return err
 		}
-		m, _, err = loadModelFile(fs.Arg(0))
+		m, _, err = modelFromBytes(lintSrc)
 		if err != nil {
 			if schema != nil {
 				// The publication pipeline renders GOLD models; a custom

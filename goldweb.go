@@ -121,9 +121,10 @@ func LintStylesheetAgainst(name string, src []byte, s *Schema) []Diagnostic {
 	return analysis.LintStylesheet(name, src, s)
 }
 
-// LintModel statically checks a model document: structural validation
-// against the XML Schema plus re-evaluation of its key/keyref identity
-// constraints with enriched, positioned messages.
+// LintModel statically checks a model document: one validation against
+// the XML Schema, its structural errors reported as GW401 and its
+// key/keyref identity-constraint errors as GW402, with enriched,
+// positioned messages.
 func LintModel(name string, src []byte) []Diagnostic {
 	return analysis.LintModelSource(name, src, core.MustSchema())
 }

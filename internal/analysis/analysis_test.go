@@ -3,11 +3,14 @@ package analysis_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"goldweb/internal/analysis"
 	"goldweb/internal/core"
+	"goldweb/internal/xmldom"
+	"goldweb/internal/xsd"
 )
 
 // The shipped stylesheets and every sample model must lint completely
@@ -121,4 +124,39 @@ func attrValue(t *testing.T, src, marker, attr string) string {
 	}
 	seg = seg[j+len(key):]
 	return seg[:strings.Index(seg, `"`)]
+}
+
+// TestLintValidatedKeepsEveryIdentityError: LintValidated reports each
+// identity-constraint error of the validation it is given as one GW402,
+// also those it has no richer wording for (here a keyref to an unknown
+// key and a key field left empty), which carry the validator's message.
+func TestLintValidatedKeepsEveryIdentityError(t *testing.T) {
+	schema := xsd.MustParseSchemaString(`<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="r">
+    <xsd:complexType><xsd:sequence>
+      <xsd:element name="item" maxOccurs="unbounded">
+        <xsd:complexType><xsd:attribute name="id" type="xsd:string"/></xsd:complexType>
+      </xsd:element>
+    </xsd:sequence></xsd:complexType>
+    <xsd:key name="itemKey"><xsd:selector xpath="item"/><xsd:field xpath="@id"/></xsd:key>
+    <xsd:keyref name="lost" refer="nowhere"><xsd:selector xpath="item"/><xsd:field xpath="@id"/></xsd:keyref>
+  </xsd:element>
+</xsd:schema>`)
+	doc, err := xmldom.ParseString(`<r><item id="a"/><item/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := schema.ValidateAndFreeze(doc, xsd.ValidateOptions{})
+	diags := analysis.LintValidated("r.xml", v)
+	if len(v.Errors) != 2 || len(diags) != 2 {
+		t.Fatalf("%d validation errors, %d diagnostics, want 2 and 2: %v", len(v.Errors), len(diags), diags)
+	}
+	for _, want := range []string{
+		"r.xml:1:1: error GW402: /r: keyref lost refers to unknown key nowhere",
+		"r.xml:1:18: error GW402: /r/item[2]: key itemKey: a selected node is missing a field value",
+	} {
+		if !slices.ContainsFunc(diags, func(d analysis.Diagnostic) bool { return d.String() == want }) {
+			t.Errorf("missing %q in %v", want, diags)
+		}
+	}
 }

@@ -31,93 +31,38 @@ func LintModel(file string, doc *xmldom.Node, schema *xsd.Schema) []Diagnostic {
 	return LintValidated(file, schema.ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true}))
 }
 
-// LintValidated lints a document that has been through validation
-// without a MaxErrors limit: GW401 for each structural or type error,
-// GW402 for each referential (key/keyref) violation with a message
-// naming the governing key.
-//
-// GW402 re-evaluates only the scopes the validator found violated. A
-// scope it found clean has no duplicate key value and no dangling
-// keyref, which are the only things GW402 reports; the others need no
-// second look.
+// LintValidated converts the result of a validation run made without a
+// MaxErrors limit into diagnostics; it evaluates nothing itself. Each
+// structural or type error becomes a GW401, and each identity-constraint
+// (key/unique/keyref) error a GW402 at the node the validator selected.
+// A duplicate value and a keyref value matching no key are worded from
+// the error's detail, naming the governing key and its declared values;
+// any other GW402 carries the validator's own message.
 func LintValidated(file string, v *xsd.Validated) []Diagnostic {
 	var diags []Diagnostic
-	for _, e := range v.StructuralErrors() {
-		diags = append(diags, Diagnostic{
+	for _, e := range v.Errors {
+		d := Diagnostic{
 			File: file, Line: e.Line,
 			Severity: SevError, Code: CodeModelInvalid,
 			Msg: e.Path + ": " + e.Msg,
-		})
-	}
-	for _, sc := range v.Scopes {
-		if sc.Violations > 0 {
-			diags = append(diags, checkScope(file, sc.Elem, sc.Decl.Constraints)...)
 		}
-	}
-	Sort(diags)
-	return diags
-}
-
-// checkScope re-evaluates the key/unique/keyref constraints of one scope
-// — the element and the constraints of the declaration the validator
-// applied to it, as §3.1 prescribes — and reports violations as GW402
-// with the governing key and its declared value set, richer than the
-// validator's message.
-func checkScope(file string, elem *xmldom.Node, ics []*xsd.IdentityConstraint) []Diagnostic {
-	var diags []Diagnostic
-	flag := func(at *xmldom.Node, format string, args ...interface{}) {
-		d := Diagnostic{File: file, Severity: SevError, Code: CodeBrokenKeyref}
-		if at != nil {
-			d.Line, d.Col = at.Line, at.Col
+		if id := e.Identity; id != nil {
+			d.Code, d.Line, d.Col = CodeBrokenKeyref, id.Node.Line, id.Node.Col
+			ic := id.Constraint
+			switch {
+			case id.First != nil:
+				d.Msg = fmt.Sprintf("%s '%s': duplicate value '%s' (first selected at line %d)",
+					ic.Kind, ic.Name, id.Tuple, id.First.Line)
+			case id.Key != nil:
+				d.Msg = fmt.Sprintf("keyref '%s': value '%s' matches no '%s' key value within %s (key selects %s, field %s; declared values: %s)",
+					ic.Name, id.Tuple, ic.Refer, id.Scope.Name,
+					id.Key.SelectorSource(), strings.Join(id.Key.FieldSources(), ", "),
+					valueList(id.Keys))
+			}
 		}
-		d.Msg = fmt.Sprintf(format, args...)
 		diags = append(diags, d)
 	}
-	for _, ic := range ics {
-		vals, nodes := ic.Tuples(elem)
-		switch ic.Kind {
-		case xsd.KeyConstraint, xsd.UniqueConstraint:
-			seen := map[string]*xmldom.Node{}
-			for i, v := range vals {
-				if v == "" {
-					continue // the validator reports missing key fields
-				}
-				if prev, dup := seen[v]; dup {
-					flag(nodes[i], "%s '%s': duplicate value '%s' (first selected at line %d)",
-						ic.Kind, ic.Name, v, prev.Line)
-					continue
-				}
-				seen[v] = nodes[i]
-			}
-		case xsd.KeyrefConstraint:
-			var target *xsd.IdentityConstraint
-			for _, other := range ics {
-				if other.Name == ic.Refer && other.Kind != xsd.KeyrefConstraint {
-					target = other
-					break
-				}
-			}
-			if target == nil {
-				continue // schema-level problem, reported by CheckSchema
-			}
-			keyVals, _ := target.Tuples(elem)
-			keys := map[string]bool{}
-			for _, v := range keyVals {
-				if v != "" {
-					keys[v] = true
-				}
-			}
-			for i, v := range vals {
-				if v == "" || keys[v] {
-					continue
-				}
-				flag(nodes[i], "keyref '%s': value '%s' matches no '%s' key value within %s (key selects %s, field %s; declared values: %s)",
-					ic.Name, v, ic.Refer, elem.Name,
-					target.SelectorSource(), strings.Join(target.FieldSources(), ", "),
-					valueList(keys))
-			}
-		}
-	}
+	Sort(diags)
 	return diags
 }
 

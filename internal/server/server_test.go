@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"goldweb/internal/core"
+	"goldweb/internal/xsd"
 )
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, string, string) {
@@ -143,6 +144,42 @@ func TestServerValidateReportsProblems(t *testing.T) {
 	}
 	if !strings.Contains(body, "ghost") {
 		t.Errorf("culprit missing: %s", body)
+	}
+}
+
+// TestValidateReadsSnapshot: /validate reports the validation the
+// snapshot made at swap time, so a GET runs no validation walk, and its
+// report is the one a fresh validation of the canonical document gives.
+func TestValidateReadsSnapshot(t *testing.T) {
+	ghost := core.SampleSales()
+	ghost.Facts[0].SharedAggs[0].DimClass = "ghost"
+	for _, tc := range []struct {
+		name  string
+		model *core.Model
+		want  string
+	}{
+		{"valid", core.SampleSales(),
+			"VALID: Sales DW conforms to the XML Schema and the metamodel constraints\n"},
+		{"ghost", ghost, "INVALID: 6 problems\n" +
+			"model: cube QtyByProductAndMonth/dice d1: dice dimension \"d1\" is not aggregated by fact class Sales\n" +
+			"model: fact Sales/measure inventory/additivity → d1: additivity rule along \"d1\", which the fact class does not aggregate\n" +
+			"model: fact Sales/measure price/additivity → d1: additivity rule along \"d1\", which the fact class does not aggregate\n" +
+			"model: fact Sales/sharedagg → ghost: references unknown dimension class \"ghost\"\n" +
+			"schema: /goldmodel/factclasses/factclass/sharedaggs/sharedagg[1]/@dimclass: IDREF \"ghost\" does not match any ID in the document\n" +
+			"schema: /goldmodel/factclasses/factclass/sharedaggs/sharedagg[1]: keyref sharedAggDimClassKey: value (ghost) does not match any dimClassKey value\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(New(tc.model).Handler())
+			defer ts.Close()
+			before := xsd.ValidationWalks()
+			_, body, _ := get(t, ts, "/validate")
+			if walks := xsd.ValidationWalks() - before; walks != 0 {
+				t.Errorf("GET /validate made %d validation walks, want 0", walks)
+			}
+			if body != tc.want {
+				t.Errorf("body:\n%s\nwant:\n%s", body, tc.want)
+			}
+		})
 	}
 }
 

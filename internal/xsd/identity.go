@@ -1,6 +1,7 @@
 package xsd
 
 import (
+	"maps"
 	"strings"
 
 	"goldweb/internal/xmldom"
@@ -8,8 +9,10 @@ import (
 )
 
 // Validated is the outcome of one validation pass (ValidateAndFreeze): the
-// frozen document, every violation found, and the identity-constraint
-// scopes the pass checked.
+// frozen document and every violation found. Identity-constraint errors
+// carry their IdentityViolation detail, so a consumer that words them
+// (the linter's GW402) or reports them later (a server's /validate)
+// reads this result instead of evaluating the constraints again.
 type Validated struct {
 	// Doc is the validated document, frozen (defaults applied when the
 	// options asked for them).
@@ -17,23 +20,6 @@ type Validated struct {
 	// Errors lists every violation in the order Validate reports them
 	// (nil means the document is valid).
 	Errors []ValidationError
-	// Scopes lists, in the order their checks ran, the element instances
-	// whose declarations carry identity constraints. It is complete only
-	// when MaxErrors is 0, and it holds only elements the walk matched to
-	// a declaration: children that a failing content model leaves
-	// unmatched are not validated, so they open no scope.
-	Scopes []Scope
-}
-
-// Scope is one element instance together with the declaration the
-// validator applied to it; the declaration's key, unique and keyref
-// constraints were evaluated below that element.
-type Scope struct {
-	Elem *xmldom.Node
-	Decl *ElementDecl
-	// Violations counts the identity-constraint errors this scope
-	// produced, before any MaxErrors cut.
-	Violations int
 }
 
 // StructuralErrors returns Errors without the identity-constraint
@@ -42,7 +28,7 @@ type Scope struct {
 func (r *Validated) StructuralErrors() []ValidationError {
 	n := 0
 	for _, e := range r.Errors {
-		if !e.identity {
+		if e.Identity == nil {
 			n++
 		}
 	}
@@ -51,11 +37,19 @@ func (r *Validated) StructuralErrors() []ValidationError {
 	}
 	out := make([]ValidationError, 0, n)
 	for _, e := range r.Errors {
-		if !e.identity {
+		if e.Identity == nil {
 			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// scope is one element instance together with the declaration the
+// validator applied to it; the declaration's key, unique and keyref
+// constraints are evaluated below that element.
+type scope struct {
+	elem *xmldom.Node
+	decl *ElementDecl
 }
 
 // tupleSet is one constraint's evaluation within the current scope,
@@ -98,16 +92,19 @@ func (id *identityState) reset() {
 		s := &id.sets[i]
 		clear(s.tuples[:cap(s.tuples)])
 		clear(s.keys)
+		clear(s.errs[:cap(s.errs)])
 		s.errs = s.errs[:0]
 	}
 	clear(id.seen)
 	clear(id.parts[:cap(id.parts)])
+	clear(id.errs[:cap(id.errs)])
 	id.errs = id.errs[:0]
 }
 
-func (v *validator) identf(n *xmldom.Node, format string, args ...interface{}) {
-	e := newError(n, format, args...)
-	e.identity = true
+// identf reports an identity-constraint error at id.Node.
+func (v *validator) identf(id *IdentityViolation, format string, args ...interface{}) {
+	e := newError(id.Node, format, args...)
+	e.Identity = id
 	v.ident.errs = append(v.ident.errs, e)
 }
 
@@ -124,7 +121,6 @@ func (v *validator) checkScopes() {
 		start := len(v.ident.errs)
 		v.checkScope(sc)
 		found := v.ident.errs[start:]
-		sc.Violations = len(found)
 		if len(found) == 0 {
 			continue
 		}
@@ -144,8 +140,8 @@ func (v *validator) checkScopes() {
 // scope's declaration against the subtree rooted at its element. Keyrefs
 // are resolved against keys declared on the same element, matching how
 // the paper's schema declares them all on the root.
-func (v *validator) checkScope(sc *Scope) {
-	elem, ics := sc.Elem, sc.Decl.Constraints
+func (v *validator) checkScope(sc *scope) {
+	elem, ics := sc.elem, sc.decl.Constraints
 	v.ident.begin(len(ics))
 	for i, ic := range ics {
 		set := v.tupleSet(elem, ics, i)
@@ -159,13 +155,14 @@ func (v *validator) checkScope(sc *Scope) {
 			for j, tup := range set.tuples {
 				if tup == "" {
 					if ic.Kind == KeyConstraint {
-						v.identf(set.nodes[j], "key %s: a selected node is missing a field value", ic.Name)
+						v.identf(&IdentityViolation{Constraint: ic, Scope: elem, Node: set.nodes[j]},
+							"key %s: a selected node is missing a field value", ic.Name)
 					}
 					continue
 				}
 				if prev, dup := seen[tup]; dup {
-					v.identf(set.nodes[j], "%s %s: duplicate value (%s) also selected at %s",
-						ic.Kind, ic.Name, tup, prev.Path())
+					v.identf(&IdentityViolation{Constraint: ic, Scope: elem, Node: set.nodes[j], Tuple: tup, First: prev},
+						"%s %s: duplicate value (%s) also selected at %s", ic.Kind, ic.Name, tup, prev.Path())
 					continue
 				}
 				seen[tup] = set.nodes[j]
@@ -179,14 +176,21 @@ func (v *validator) checkScope(sc *Scope) {
 				}
 			}
 			if target < 0 {
-				v.identf(elem, "keyref %s refers to unknown key %s", ic.Name, ic.Refer)
+				v.identf(&IdentityViolation{Constraint: ic, Scope: elem, Node: elem},
+					"keyref %s refers to unknown key %s", ic.Name, ic.Refer)
 				continue
 			}
 			keys := v.keySet(elem, ics, target)
+			// keys is pooled scratch the next scope reuses: this keyref's
+			// errors share one copy of it.
+			var keyVals map[string]bool
 			for j, tup := range set.tuples {
 				if tup != "" && !keys[tup] {
-					v.identf(set.nodes[j], "keyref %s: value (%s) does not match any %s value",
-						ic.Name, tup, ic.Refer)
+					if keyVals == nil {
+						keyVals = maps.Clone(keys)
+					}
+					v.identf(&IdentityViolation{Constraint: ic, Scope: elem, Node: set.nodes[j], Tuple: tup, Key: ics[target], Keys: keyVals},
+						"keyref %s: value (%s) does not match any %s value", ic.Name, tup, ic.Refer)
 				}
 			}
 		}
@@ -227,16 +231,11 @@ func (v *validator) keySet(elem *xmldom.Node, ics []*IdentityConstraint, i int) 
 	return set.keys
 }
 
-// Tuples evaluates the constraint below elem: the selected nodes and one
-// encoded field tuple per node, fields joined by U+001F ("" when a field
-// is absent). A failing selector selects nothing and a failing field
-// counts as absent.
-func (ic *IdentityConstraint) Tuples(elem *xmldom.Node) ([]string, []*xmldom.Node) {
-	return ic.collect(elem, nil, nil)
-}
-
-// collect is Tuples reusing the tuples buffer; a non-nil v receives
-// evaluation failures as identity errors.
+// collect evaluates the constraint below elem, reusing the tuples
+// buffer: the selected nodes and one encoded field tuple per node, fields
+// joined by U+001F ("" when a field is absent). A failing selector selects
+// nothing and a failing field counts as absent; v receives both failures
+// as identity errors.
 func (ic *IdentityConstraint) collect(elem *xmldom.Node, tuples []string, v *validator) ([]string, []*xmldom.Node) {
 	tuples = tuples[:0]
 	ctx := xpath.GetContext()
@@ -244,17 +243,13 @@ func (ic *IdentityConstraint) collect(elem *xmldom.Node, tuples []string, v *val
 	ctx.Node, ctx.Position, ctx.Size = elem, 1, 1
 	selected, err := ic.Selector.EvalNodes(ctx)
 	if err != nil {
-		if v != nil {
-			v.identf(elem, "%s %s: selector %q failed: %v", ic.Kind, ic.Name, ic.selectorSrc, err)
-		}
+		v.identf(&IdentityViolation{Constraint: ic, Scope: elem, Node: elem},
+			"%s %s: selector %q failed: %v", ic.Kind, ic.Name, ic.selectorSrc, err)
 		return tuples, nil
 	}
 	// One context and one field-part buffer serve every selected node:
 	// field expressions do not retain the context past Eval.
-	var parts []string
-	if v != nil {
-		parts = v.ident.parts
-	}
+	parts := v.ident.parts
 	for _, n := range selected {
 		parts = parts[:0]
 		complete := true
@@ -273,9 +268,8 @@ func (ic *IdentityConstraint) collect(elem *xmldom.Node, tuples []string, v *val
 			ctx.Node = n
 			fv, err := f.Eval(ctx)
 			if err != nil {
-				if v != nil {
-					v.identf(n, "%s %s: field failed: %v", ic.Kind, ic.Name, err)
-				}
+				v.identf(&IdentityViolation{Constraint: ic, Scope: elem, Node: n},
+					"%s %s: field failed: %v", ic.Kind, ic.Name, err)
 				complete = false
 				break
 			}
@@ -293,9 +287,7 @@ func (ic *IdentityConstraint) collect(elem *xmldom.Node, tuples []string, v *val
 		}
 		tuples = append(tuples, tup)
 	}
-	if v != nil {
-		v.ident.parts = parts[:0]
-	}
+	v.ident.parts = parts[:0]
 	return tuples, selected
 }
 

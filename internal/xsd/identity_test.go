@@ -1,8 +1,10 @@
 package xsd
 
 import (
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"goldweb/internal/xmldom"
 )
@@ -49,11 +51,43 @@ func TestAttrFieldMatchesXPath(t *testing.T) {
 			}
 			viaVM := *ic
 			viaVM.fieldAttrs = make([]string, len(ic.Fields))
-			got, gotNodes := ic.Tuples(reg)
-			want, wantNodes := viaVM.Tuples(reg)
+			got, gotNodes := ic.collect(reg, nil, &validator{})
+			want, wantNodes := viaVM.collect(reg, nil, &validator{})
 			if !slices.Equal(got, want) || !slices.Equal(gotNodes, wantNodes) {
 				t.Errorf("frozen=%v %s: attribute path %q, XPath %q", frozen, ic.Name, got, want)
 			}
 		}
+	}
+}
+
+// TestValidatorDropsTheDocument: once ValidateAndFreeze returns and the
+// caller drops its result, the pooled validator holds no reference into
+// the validated document, identity errors included.
+func TestValidatorDropsTheDocument(t *testing.T) {
+	s := MustParseSchemaString(`<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="r">
+    <xsd:complexType><xsd:sequence>
+      <xsd:element name="item" maxOccurs="unbounded">
+        <xsd:complexType><xsd:attribute name="id" type="xsd:string"/></xsd:complexType>
+      </xsd:element>
+    </xsd:sequence></xsd:complexType>
+    <xsd:key name="itemKey"><xsd:selector xpath="item"/><xsd:field xpath="@id"/></xsd:key>
+    <xsd:keyref name="itemRef" refer="itemKey"><xsd:selector xpath="item"/><xsd:field xpath="@id"/></xsd:keyref>
+  </xsd:element>
+</xsd:schema>`)
+	doc, err := xmldom.ParseString(`<r><item id="a"/><item id="a"/><item/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := s.Validate(doc, ValidateOptions{}); len(errs) != 2 {
+		t.Fatalf("%d errors, want a duplicate and a missing field: %v", len(errs), errs)
+	}
+	gone := weak.Make(doc.DocumentElement())
+	doc = nil
+	// One collection: a pooled validator survives it in the pool's victim
+	// cache, so what it still references is still reachable.
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Error("the validated document is still reachable after validation")
 	}
 }

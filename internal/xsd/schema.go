@@ -283,8 +283,32 @@ type ValidationError struct {
 	Line int
 	Msg  string
 
-	// identity marks key/unique/keyref violations.
-	identity bool
+	// Identity is the detail of a key, unique or keyref violation; it is
+	// nil for a structural or type error.
+	Identity *IdentityViolation
+}
+
+// IdentityViolation is what the validator knew when it reported an
+// identity-constraint error, so consumers can word the error without
+// evaluating the constraint again. Every node belongs to the validated
+// document.
+type IdentityViolation struct {
+	// Constraint is the violated constraint and Scope the element whose
+	// declaration carries it.
+	Constraint *IdentityConstraint
+	Scope      *xmldom.Node
+	// Node is the selected node the error is about (Scope itself for a
+	// failing selector or a keyref to an unknown key), and Tuple its
+	// field values joined by U+001F ("" when a field is absent).
+	Node  *xmldom.Node
+	Tuple string
+	// First is, for a duplicate value, the node first selected with it.
+	First *xmldom.Node
+	// Key and Keys are, for a keyref value that matches no key, the
+	// referred key or unique constraint and its non-empty tuples in the
+	// scope.
+	Key  *IdentityConstraint
+	Keys map[string]bool
 }
 
 func (e ValidationError) Error() string {

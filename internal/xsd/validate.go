@@ -56,11 +56,12 @@ func ValidationWalks() uint64 { return walks.Load() }
 // structural walk (applying defaults when opts ask for it), then
 // xmldom.Freeze, then the identity constraints evaluated on the frozen
 // tree, where the name indexes and document-order stamps serve the
-// selectors. It is the one walker behind every entry point. The
-// structural walk records each element whose declaration carries
-// identity constraints as a scope, with the number of errors reported by
-// the time its subtree is done; each scope's errors are spliced in at
-// that count, where a walk checking them in place would report them.
+// selectors. It is the one walker behind every entry point, and the only
+// place identity constraints are evaluated. The structural walk records
+// each element whose declaration carries identity constraints as a
+// scope, with the number of errors reported by the time its subtree is
+// done; each scope's errors are spliced in at that count, where a walk
+// checking them in place would report them.
 func (s *Schema) ValidateAndFreeze(doc *xmldom.Node, opts ValidateOptions) *Validated {
 	walks.Add(1)
 	v := validatorPool.Get().(*validator)
@@ -76,7 +77,7 @@ func (s *Schema) ValidateAndFreeze(doc *xmldom.Node, opts ValidateOptions) *Vali
 	}
 	xmldom.Freeze(doc)
 	v.checkScopes()
-	return &Validated{Doc: doc, Errors: v.errs, Scopes: v.scopes}
+	return &Validated{Doc: doc, Errors: v.errs}
 }
 
 type idref struct {
@@ -107,7 +108,7 @@ type validator struct {
 
 	// Deferred identity constraints: scopes in walk order, marks[i] the
 	// structural error count when scope i completed.
-	scopes []Scope
+	scopes []scope
 	marks  []int
 	ident  identityState
 }
@@ -117,16 +118,18 @@ var validatorPool = sync.Pool{New: func() any {
 }}
 
 // release clears every reference into the validated document and returns
-// the validator to the pool. The error and scope slices belong to the
-// caller's Validated and are dropped, not reused.
+// the validator to the pool. The error slice belongs to the caller's
+// Validated and is dropped, not reused.
 func (v *validator) release() {
-	v.schema, v.errs, v.scopes = nil, nil, nil
+	v.schema, v.errs = nil, nil
 	v.full = false
 	clear(v.ids)
 	clear(v.idrefs)
 	v.idrefs = v.idrefs[:0]
 	clear(v.slots[:cap(v.slots)])
 	v.slots = v.slots[:0]
+	clear(v.scopes)
+	v.scopes = v.scopes[:0]
 	v.marks = v.marks[:0]
 	v.match.reset(nil, nil)
 	v.ident.reset()
@@ -167,7 +170,7 @@ func (v *validator) validateElement(elem *xmldom.Node, decl *ElementDecl) {
 		v.validateComplexElement(elem, decl.Complex)
 	}
 	if !v.opts.SkipIdentityConstraints && len(decl.Constraints) > 0 {
-		v.scopes = append(v.scopes, Scope{Elem: elem, Decl: decl})
+		v.scopes = append(v.scopes, scope{elem: elem, decl: decl})
 		v.marks = append(v.marks, len(v.errs))
 	}
 }
