@@ -222,13 +222,13 @@ func (a *Artifact) Serve(w http.ResponseWriter, r *http.Request, allowCompressed
 	if a.compressible && allowCompressed {
 		h["Vary"] = varyVal
 	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatch(inm, a.etag) {
+	if inm := headerValue(r.Header, "If-None-Match"); inm != "" && ETagMatch(inm, a.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	body := a.body
 	clen := a.clenVal
-	if allowCompressed && AcceptsGzip(r.Header.Get("Accept-Encoding")) {
+	if allowCompressed && AcceptsGzip(headerValue(r.Header, "Accept-Encoding")) {
 		if gz := a.Gzip(); gz != nil {
 			body = gz
 			clen = a.gzClenVal
@@ -242,6 +242,15 @@ func (a *Artifact) Serve(w http.ResponseWriter, r *http.Request, allowCompressed
 		return
 	}
 	w.Write(body)
+}
+
+// headerValue is h.Get(key) for a key already in canonical form: it
+// reads the map directly instead of canonicalizing key on every call.
+func headerValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
 }
 
 // ETagMatch reports whether the If-None-Match header value matches the

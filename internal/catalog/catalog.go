@@ -17,12 +17,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"goldweb/internal/analysis"
@@ -221,20 +223,28 @@ type entry struct {
 	// acquisition can observe context cancellation. Swaps hold the lock
 	// for a full pipeline run (up to StageTimeout), so a caller whose
 	// context dies while queued must unblock with an error instead of
-	// joining an unbounded convoy. The serving path never takes it.
-	swapMu   chan struct{}
-	hasGood  bool   // a last-good snapshot is live
-	gen      uint64 // generation of the last committed swap
-	srcSum   string // sha256 (truncated) of the last committed source
-	consec   int    // consecutive failed attempts since last success
-	lastErr  error
-	lastAt   time.Time
-	retrying bool // a retry loop goroutine is active
+	// joining an unbounded convoy. Neither the serving path nor Status
+	// takes it.
+	swapMu chan struct{}
+	// state is the outcome of the last finished attempt, replaced whole
+	// where an attempt ends. It is written only under the swap lock and
+	// read without it, so a status read never waits for a swap.
+	state    atomic.Pointer[entryState]
+	retrying bool // a retry loop goroutine is active (under the swap lock)
+}
+
+// entryState is one model's record as of its last finished attempt.
+type entryState struct {
+	hasGood bool   // a last-good snapshot is live
+	gen     uint64 // generation of the last committed swap
+	srcSum  string // sha256 (truncated) of the last committed source
+	consec  int    // consecutive failed attempts since last success
+	lastErr error
 }
 
 // lock acquires the swap lock unconditionally. Hold times are bounded
 // by the stage timeout, so unconditional acquisition is safe where no
-// caller context exists (status reporting, retry bookkeeping).
+// caller context exists (retry bookkeeping).
 func (e *entry) lock() { <-e.swapMu }
 
 // lockCtx acquires the swap lock or gives up when ctx ends, so a
@@ -255,8 +265,10 @@ type Catalog struct {
 	opts   Options
 	schema *xsd.Schema
 
-	mu      sync.RWMutex
-	entries map[string]*entry
+	// mu serializes writers of the entry map. Readers load entries, a
+	// copy-on-write map republished after each change, without a lock.
+	mu      sync.Mutex
+	entries atomic.Pointer[map[string]*entry]
 
 	// ctx parents retry loops; cancel fires in Close.
 	ctx    context.Context
@@ -309,11 +321,11 @@ func New(opts Options) *Catalog {
 		schema = core.MustSchema()
 	}
 	c := &Catalog{
-		opts:    opts,
-		schema:  schema,
-		entries: make(map[string]*entry),
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		opts:   opts,
+		schema: schema,
+		rng:    rand.New(rand.NewSource(opts.Seed)),
 	}
+	c.entries.Store(&map[string]*entry{})
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	return c
 }
@@ -323,9 +335,7 @@ func New(opts Options) *Catalog {
 func (c *Catalog) Close() {
 	c.cancel()
 	c.wg.Wait()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, e := range c.entries {
+	for _, e := range *c.entries.Load() {
 		e.srv.Close()
 	}
 }
@@ -358,7 +368,8 @@ func (c *Catalog) serverOptions() []server.Option {
 func (c *Catalog) ensure(name string) *entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[name]; ok {
+	old := *c.entries.Load()
+	if e, ok := old[name]; ok {
 		return e
 	}
 	e := &entry{
@@ -368,25 +379,23 @@ func (c *Catalog) ensure(name string) *entry {
 		swapMu:  make(chan struct{}, 1),
 	}
 	e.swapMu <- struct{}{} // the unlocked token
-	c.entries[name] = e
+	e.state.Store(&entryState{})
+	next := maps.Clone(old)
+	next[name] = e
+	c.entries.Store(&next)
 	return e
 }
 
 // get returns the entry for name, or nil.
-func (c *Catalog) get(name string) *entry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.entries[name]
-}
+func (c *Catalog) get(name string) *entry { return (*c.entries.Load())[name] }
 
 // Names returns the registered model names, sorted.
 func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	names := make([]string, 0, len(c.entries))
-	for name := range c.entries {
+	entries := *c.entries.Load()
+	names := make([]string, 0, len(entries))
+	for name := range entries {
 		names = append(names, name)
 	}
-	c.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }
@@ -450,6 +459,7 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		return fmt.Errorf("%w: model %q (cooling down %v)", ErrBreakerOpen, e.name, e.breaker.wait().Round(time.Millisecond))
 	}
 	stage := "load"
+	var committed entryState // what a successful attempt publishes
 	defer func() {
 		// A panicking loader or publish pipeline must roll back like any
 		// other stage failure, not crash the catalog. The panic value is
@@ -465,7 +475,7 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		if err != nil {
 			c.noteFailureLocked(e, stage, err)
 		} else {
-			c.noteSuccessLocked(e)
+			c.noteSuccessLocked(e, &committed)
 		}
 	}()
 
@@ -528,9 +538,8 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 
 	// Stage 5: atomic generation bump.
 	stage = "commit"
-	e.gen = staged.Commit()
 	sum := sha256.Sum256(data)
-	e.srcSum = hex.EncodeToString(sum[:8])
+	committed = entryState{hasGood: true, gen: staged.Commit(), srcSum: hex.EncodeToString(sum[:8])}
 	return nil
 }
 
@@ -540,31 +549,30 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 func (c *Catalog) noteFailureLocked(e *entry, stage string, err error) {
 	wasOpen := e.breaker.State() == BreakerOpen
 	e.breaker.Failure()
-	e.consec++
-	e.lastErr = err
-	e.lastAt = time.Now()
-	if e.hasGood {
+	st := *e.state.Load()
+	st.consec++
+	st.lastErr = err
+	e.state.Store(&st)
+	if st.hasGood {
 		e.srv.MarkStale(fmt.Sprintf("republish failing at stage %s", stage))
 	}
-	c.emit(Event{Model: e.name, Type: EventStageFailed, Stage: stage, Err: err, Attempt: e.consec})
+	c.emit(Event{Model: e.name, Type: EventStageFailed, Stage: stage, Err: err, Attempt: st.consec})
 	if !wasOpen && e.breaker.State() == BreakerOpen {
-		c.emit(Event{Model: e.name, Type: EventBreakerOpened, Err: err, Attempt: e.consec})
+		c.emit(Event{Model: e.name, Type: EventBreakerOpened, Err: err, Attempt: st.consec})
 	}
 	c.scheduleRetryLocked(e)
 }
 
 // noteSuccessLocked records a committed swap: the breaker closes, the
-// stale flag clears, and the model is last-good at e.gen.
-func (c *Catalog) noteSuccessLocked(e *entry) {
+// stale flag clears, and the model is last-good at st.gen.
+func (c *Catalog) noteSuccessLocked(e *entry, st *entryState) {
 	wasBroken := e.breaker.State() != BreakerClosed
 	e.breaker.Success()
-	e.consec = 0
-	e.lastErr = nil
-	e.hasGood = true
+	e.state.Store(st)
 	e.srv.ClearStale()
-	c.emit(Event{Model: e.name, Type: EventSwapCommitted, Gen: e.gen})
+	c.emit(Event{Model: e.name, Type: EventSwapCommitted, Gen: st.gen})
 	if wasBroken {
-		c.emit(Event{Model: e.name, Type: EventBreakerClosed, Gen: e.gen})
+		c.emit(Event{Model: e.name, Type: EventBreakerClosed, Gen: st.gen})
 	}
 }
 
@@ -595,9 +603,7 @@ func (c *Catalog) scheduleRetryLocked(e *entry) {
 func (c *Catalog) retryLoop(e *entry) {
 	defer c.wg.Done()
 	for {
-		e.lock()
-		attempt := e.consec
-		e.unlock()
+		attempt := e.state.Load().consec
 		delay := c.backoff(attempt)
 		if bw := e.breaker.wait(); bw > delay {
 			delay = bw
@@ -623,7 +629,7 @@ func (c *Catalog) retryLoop(e *entry) {
 		// unchanged and the next sleep is dominated by breaker.wait.
 		c.attempt(c.ctx, e, nil)
 		e.lock()
-		if e.consec == 0 {
+		if e.state.Load().consec == 0 {
 			// Recovered — or a concurrent Set/Reload succeeded while we
 			// were sleeping. Checking under the swap lock closes the
 			// race against a failure slipping in between our attempt and
@@ -661,9 +667,12 @@ func (c *Catalog) backoff(attempt int) time.Duration {
 // background retry loop (if any) exits on its next wakeup.
 func (c *Catalog) Remove(name string) error {
 	c.mu.Lock()
-	e, ok := c.entries[name]
+	old := *c.entries.Load()
+	e, ok := old[name]
 	if ok {
-		delete(c.entries, name)
+		next := maps.Clone(old)
+		delete(next, name)
+		c.entries.Store(&next)
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -687,33 +696,28 @@ type ModelStatus struct {
 	SourceSum  string `json:"source_sum,omitempty"`
 }
 
-// Status reports every model's health, sorted by name.
+// Status reports every model's health, sorted by name, as of each
+// model's last finished attempt: it never waits for a swap in progress.
 func (c *Catalog) Status() []ModelStatus {
-	c.mu.RLock()
-	entries := make([]*entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
-	}
-	c.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	entries := *c.entries.Load()
 	out := make([]ModelStatus, 0, len(entries))
 	for _, e := range entries {
-		e.lock()
+		rec := e.state.Load()
 		st := ModelStatus{
 			Name:       e.name,
-			Ready:      e.hasGood,
-			Generation: e.gen,
+			Ready:      rec.hasGood,
+			Generation: rec.gen,
 			Breaker:    e.breaker.State().String(),
-			Failures:   e.consec,
-			SourceSum:  e.srcSum,
+			Failures:   rec.consec,
+			SourceSum:  rec.srcSum,
 		}
-		if e.lastErr != nil {
-			st.LastError = e.lastErr.Error()
+		if rec.lastErr != nil {
+			st.LastError = rec.lastErr.Error()
 		}
-		e.unlock()
 		st.Stale, st.StaleWhy = e.srv.Stale()
 		out = append(out, st)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

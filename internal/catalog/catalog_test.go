@@ -24,7 +24,7 @@ import (
 // modelSource builds a small valid model named name and returns its
 // serialized XML, the raw material every pipeline test corrupts in its
 // own way.
-func modelSource(t *testing.T, name string) []byte {
+func modelSource(t testing.TB, name string) []byte {
 	t.Helper()
 	b := core.NewModel(name)
 	d := b.Dimension("Region").Key("region_id", "OID").Descriptor("region_name", "String")
@@ -519,6 +519,112 @@ func TestReadyzReportsPerModelHealth(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/broken/site/index.html", nil))
 	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
 		t.Fatalf("never-loaded model page = %d, want 503 + Retry-After", rec.Code)
+	}
+}
+
+// TestReadyzDoesNotWaitForSwaps: /readyz reads each model's last
+// finished attempt, so a swap held inside its shadow publish does not
+// stall the readiness probe, which reports the last committed generation.
+func TestReadyzDoesNotWaitForSwaps(t *testing.T) {
+	var hold atomic.Bool
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	c := New(Options{DisableRetry: true, PublishHook: func(ctx context.Context, _ htmlgen.Mode, _, page string) error {
+		if page == "" && hold.Load() {
+			entered <- struct{}{}
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return nil
+	}})
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Set(ctx, "sales", modelSource(t, "Sales DW")); err != nil {
+		t.Fatal(err)
+	}
+	next := modelSource(t, "Sales DW 2")
+	hold.Store(true)
+	swapped := make(chan error, 1)
+	go func() { swapped <- c.Set(ctx, "sales", next) }()
+	<-entered
+
+	rec := httptest.NewRecorder()
+	answered := make(chan struct{})
+	go func() {
+		c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
+		close(answered)
+	}()
+	select {
+	case <-answered:
+	case <-time.After(time.Second):
+		close(release)
+		<-swapped
+		t.Fatal("/readyz unanswered after 1s while a swap is held")
+	}
+	close(release)
+	if err := <-swapped; err != nil {
+		t.Fatalf("held swap: %v", err)
+	}
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"generation": 1`) {
+		t.Fatalf("/readyz during a swap: %d\n%s", rec.Code, rec.Body)
+	}
+	if st := statusOf(t, c, "sales"); st.Generation != 2 {
+		t.Fatalf("generation after the swap = %d, want 2", st.Generation)
+	}
+}
+
+// TestRegistryConcurrentChanges registers and removes models while
+// readers route requests and read the status: the copy-on-write entry
+// map must never lose a registration or hand a reader a torn map.
+func TestRegistryConcurrentChanges(t *testing.T) {
+	c := New(Options{DisableRetry: true})
+	defer c.Close()
+	src := modelSource(t, "Sales DW")
+	h := c.Handler()
+	const writers, perWriter = 4, 3
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/m/w%d-%d/site/index.html", i%writers, i%perWriter), nil))
+				if rec.Code != http.StatusOK && rec.Code != http.StatusNotFound && rec.Code != http.StatusServiceUnavailable {
+					t.Errorf("read during registration: %d", rec.Code)
+				}
+				c.Status()
+			}
+		}()
+	}
+	var writes sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writes.Add(1)
+		go func(w int) {
+			defer writes.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := c.Set(context.Background(), fmt.Sprintf("w%d-%d", w, i), src); err != nil {
+					t.Errorf("Set: %v", err)
+				}
+			}
+			if err := c.Remove(fmt.Sprintf("w%d-0", w)); err != nil {
+				t.Errorf("Remove: %v", err)
+			}
+		}(w)
+	}
+	writes.Wait()
+	close(done)
+	wg.Wait()
+	if got := len(c.Names()); got != writers*(perWriter-1) {
+		t.Fatalf("%d models registered, want %d: %v", got, writers*(perWriter-1), c.Names())
 	}
 }
 

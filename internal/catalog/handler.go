@@ -24,11 +24,15 @@ import (
 //
 // Model routes share one recovery/methods/limiter stack; health
 // endpoints sit outside the limiter so orchestrators can probe a
-// saturated catalog. Each model's server bounds a request's wait for a
-// publication by Options.RequestTimeout (504 past it). A model whose
-// republish pipeline is failing keeps serving its last-good site with
-// Warning and X-Goldweb-Stale headers; a model that never loaded
-// answers 503.
+// saturated catalog. A request for a canonical path under /m/
+// (server.DirectPath) reaches the model's server through the limiter
+// with no ServeMux match, lock or channel operation, and a warm read
+// allocates nothing; an http.ServeMux routes everything else — health,
+// /catalog, /, /m, and the unclean or escaped paths it redirects. Each
+// model's server bounds a request's wait for a publication by
+// Options.RequestTimeout (504 past it). A model whose republish pipeline
+// is failing keeps serving its last-good site with Warning and
+// X-Goldweb-Stale headers; a model that never loaded answers 503.
 //
 // Every model's pages are served as content-addressed artifacts from
 // the shared store: hash-keyed ETags answer If-None-Match with 304s,
@@ -36,6 +40,20 @@ import (
 // are byte-identical across models or across hot-swap generations are
 // interned once with stable ETags (see internal/artifact).
 func (c *Catalog) Handler() http.Handler {
+	models := server.HardenApp(c.opts.MaxInflight, http.HandlerFunc(c.serveModel))
+	root := c.mux(models)
+	return server.HardenOuter(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/m/") && server.DirectPath(r) {
+			models.ServeHTTP(w, r)
+			return
+		}
+		root.ServeHTTP(w, r)
+	}))
+}
+
+// mux routes every endpoint of Handler through one http.ServeMux, with
+// models mounted at /m/.
+func (c *Catalog) mux(models http.Handler) *http.ServeMux {
 	root := http.NewServeMux()
 	root.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -43,7 +61,7 @@ func (c *Catalog) Handler() http.Handler {
 	})
 	root.HandleFunc("/readyz", c.handleReadyz)
 	root.HandleFunc("/catalog", c.handleIndex)
-	root.Handle("/m/", server.HardenApp(c.opts.MaxInflight, http.HandlerFunc(c.serveModel)))
+	root.Handle("/m/", models)
 	root.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -51,7 +69,7 @@ func (c *Catalog) Handler() http.Handler {
 		}
 		http.Redirect(w, r, "/catalog", http.StatusFound)
 	})
-	return server.HardenOuter(root)
+	return root
 }
 
 // serveModel routes /m/{name}/... to the model's server, handing it the

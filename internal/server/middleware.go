@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 )
 
 // The middleware stack hardening the serving path (§6 moved the XSLT
@@ -11,12 +12,14 @@ import (
 //
 //	withRecovery  — a panicking handler becomes a 500, not a dead connection
 //	withMethods   — the site is read-only: non-GET/HEAD gets 405 + Allow
-//	withLimiter   — a semaphore sheds load with 503 + Retry-After when full
+//	withLimiter   — an in-flight counter sheds load with 503 + Retry-After when full
 //
 // No layer bounds a request's wall-clock time: the only request-path
 // work that can wait on anything but its own CPU is a publication, and
 // pageFor bounds that wait (504 past the request timeout). A warm read
-// therefore runs on the serving goroutine with no timer, buffer or copy.
+// therefore runs on the serving goroutine with no timer, buffer or copy,
+// and a request with a canonical path (DirectPath) reaches the limiter
+// without a ServeMux match, a lock or a channel operation.
 
 // wantsJSON reports whether the client asked for a JSON error body.
 func wantsJSON(r *http.Request) bool {
@@ -59,9 +62,10 @@ func HardenOuter(h http.Handler) http.Handler {
 }
 
 // HardenApp wraps h in the expensive-path guard: load shedding at
-// maxInflight concurrent requests (0 disables). It sets no deadline —
-// each model server bounds its requests' wait for a publication with
-// its own request timeout. Health endpoints belong outside it.
+// maxInflight concurrent requests (0 disables), counted with one atomic
+// compare-and-swap per admission. It sets no deadline — each model
+// server bounds its requests' wait for a publication with its own
+// request timeout. Health endpoints belong outside it.
 func HardenApp(maxInflight int, h http.Handler) http.Handler {
 	return withLimiter(maxInflight, h)
 }
@@ -98,19 +102,58 @@ func withMethods(next http.Handler) http.Handler {
 
 // withLimiter bounds the number of requests inside the expensive part of
 // the stack. Excess requests are shed immediately with 503 + Retry-After
-// instead of queueing without bound behind a slow transformation.
+// instead of queueing without bound behind a slow transformation. The
+// count is one atomic integer raised only by a compare-and-swap below n,
+// so at most n requests are ever inside and admission takes no lock and
+// no channel operation.
 func withLimiter(n int, next http.Handler) http.Handler {
 	if n <= 0 {
 		return next
 	}
-	sem := make(chan struct{}, n)
+	limit := int64(n)
+	var inflight atomic.Int64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-			next.ServeHTTP(w, r)
-		default:
-			respondError(w, r, http.StatusServiceUnavailable, "server is saturated, retry shortly", "1")
+		for {
+			cur := inflight.Load()
+			if cur >= limit {
+				respondError(w, r, http.StatusServiceUnavailable, "server is saturated, retry shortly", "1")
+				return
+			}
+			if inflight.CompareAndSwap(cur, cur+1) {
+				break
+			}
 		}
+		defer inflight.Add(-1)
+		next.ServeHTTP(w, r)
 	})
+}
+
+// DirectPath reports whether an http.ServeMux would hand r, unchanged, to
+// the handler its path matches: the path is unescaped (no RawPath) and
+// already clean — it starts with "/" and no segment is ".", ".." or
+// empty, except a trailing slash. Any other path the mux answers itself
+// with a redirect to its cleaned form, so routers that bypass the mux
+// for hot prefixes send such requests through it, and the mux stays the
+// only code that knows the cleaning and redirect rules.
+func DirectPath(r *http.Request) bool {
+	p := r.URL.Path
+	if r.URL.RawPath != "" || p == "" || p[0] != '/' {
+		return false
+	}
+	for i := 1; i <= len(p); {
+		j := i
+		for j < len(p) && p[j] != '/' {
+			j++
+		}
+		switch seg := p[i:j]; seg {
+		case ".", "..":
+			return false
+		case "":
+			if j < len(p) {
+				return false
+			}
+		}
+		i = j + 1
+	}
+	return true
 }

@@ -5,15 +5,16 @@
 // validation report.
 //
 // The serving path is hardened for production traffic: the published
-// model lives in an immutable snapshot behind an RWMutex, presentations
-// are generated through a singleflight group (concurrent cold-cache
-// requests for the same page share one transformation, detached from the
-// requests that wait for it) into a bounded LRU cache, a request's wait
-// for a publication is bounded by the request timeout (504 past it), and
-// every request passes a middleware stack providing panic recovery, load
-// shedding with 503 + Retry-After, and method filtering. /healthz and
-// /readyz expose liveness and readiness, and Serve runs a full
-// http.Server lifecycle with IO timeouts and graceful shutdown.
+// model lives in an immutable snapshot behind an atomic pointer,
+// presentations are generated through a singleflight group (concurrent
+// cold-cache requests for the same page share one transformation,
+// detached from the requests that wait for it) into a bounded LRU
+// cache, a request's wait for a publication is bounded by the request
+// timeout (504 past it), and every request passes a middleware stack
+// providing panic recovery, load shedding with 503 + Retry-After, and
+// method filtering. /healthz and /readyz expose liveness and readiness,
+// and Serve runs a full http.Server lifecycle with IO timeouts and
+// graceful shutdown.
 //
 // For hot-swap catalogs (internal/catalog) the server additionally
 // supports staged swaps — Stage builds and shadow-publishes a new
@@ -41,7 +42,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"path"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -67,9 +68,9 @@ const GenerationHeader = "X-Goldweb-Generation"
 // the model's republish pipeline is failing.
 const StaleHeader = "X-Goldweb-Stale"
 
-// snapshot is one immutable published state. Handlers grab the current
-// snapshot under a read lock and then work without any lock at all; a
-// concurrent swap builds a fresh snapshot and swaps the pointer.
+// snapshot is one immutable published state. Handlers load the current
+// snapshot from an atomic pointer and then work without any lock at all;
+// a concurrent swap builds a fresh snapshot and swaps the pointer.
 // The publication document is frozen (xmldom.Freeze), so every
 // concurrent publication reads it without cloning or re-indexing.
 type snapshot struct {
@@ -222,9 +223,10 @@ type staleInfo struct{ reason string }
 
 // Server publishes one conceptual model over HTTP.
 type Server struct {
-	mu   sync.RWMutex
-	snap *snapshot
-	gen  uint64 // snapshot generation, part of every cache key
+	// mu serializes installs; readers never take it. snap is the live
+	// snapshot, whose generation is part of every cache key.
+	mu   sync.Mutex
+	snap atomic.Pointer[snapshot]
 
 	cache  *siteCache
 	flight *flightGroup
@@ -375,24 +377,26 @@ func (snap *snapshot) invalid() error {
 
 // install publishes snap as the new current snapshot under the next
 // generation and invalidates cached presentations. A non-nil probe
-// seeds the multi-page cache entry for the new generation inside the
-// same critical section that makes the generation visible — otherwise a
-// request landing between the snapshot swap and the seeding would miss
-// the cache and redundantly re-publish a site that was just built.
-// Returns the new generation.
+// seeds the multi-page cache entry for the new generation before the
+// pointer store that makes the generation visible — otherwise a request
+// landing between the snapshot swap and the seeding would miss the
+// cache and redundantly re-publish a site that was just built. Returns
+// the new generation.
 func (s *Server) install(snap *snapshot, probe *publishedSite) uint64 {
 	s.mu.Lock()
-	s.gen++
-	snap.gen = s.gen
-	snap.genHeader = strconv.FormatUint(snap.gen, 10)
+	old := s.snap.Load()
+	gen := uint64(1)
+	if old != nil {
+		gen = old.gen + 1
+	}
+	snap.gen = gen
+	snap.genHeader = strconv.FormatUint(gen, 10)
 	snap.genVal = []string{snap.genHeader}
-	gen := s.gen
 	s.cache.purge(gen)
 	if probe != nil {
 		s.cache.add(siteKey{gen: gen, mode: htmlgen.MultiPage}, probe)
 	}
-	old := s.snap
-	s.snap = snap
+	s.snap.Store(snap)
 	s.mu.Unlock()
 	if old != nil {
 		// Drop the old views' interning references after the swap. The
@@ -474,9 +478,10 @@ func (st *StagedModel) Commit() uint64 {
 // Generation returns the current snapshot generation (0 before any
 // model is published). It only ever increases.
 func (s *Server) Generation() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gen
+	if snap := s.snap.Load(); snap != nil {
+		return snap.gen
+	}
+	return 0
 }
 
 // Ready reports whether a published model is being served.
@@ -546,11 +551,7 @@ func clientModelXML(serialized []byte) []byte {
 
 // snapshot returns the current published state (nil before the first
 // install on an empty server).
-func (s *Server) snapshot() *snapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snap
-}
+func (s *Server) snapshot() *snapshot { return s.snap.Load() }
 
 // errUnknownFocus marks a ?focus= naming no fact class of the model.
 var errUnknownFocus = errors.New("unknown focus")
@@ -654,9 +655,26 @@ func siteError(w http.ResponseWriter, r *http.Request, err error) {
 //	GET /readyz            readiness (503 while SetModel swaps the model)
 //
 // Health endpoints sit outside the limiter so orchestrators can still
-// probe a saturated server.
+// probe a saturated server. A request whose path is canonical
+// (DirectPath) and is neither health endpoint goes straight to the
+// limiter and ServeApp; every other request — the health endpoints and
+// the unclean or escaped paths the mux redirects — goes through an
+// http.ServeMux, so a warm read matches no pattern and allocates nothing.
 func (s *Server) Handler() http.Handler {
 	app := withLimiter(s.maxInflight, s.AppHandler())
+	root := s.mux(app)
+	return withRecovery(withMethods(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if p := r.URL.Path; p != "/healthz" && p != "/readyz" && DirectPath(r) {
+			app.ServeHTTP(w, r)
+			return
+		}
+		root.ServeHTTP(w, r)
+	})))
+}
+
+// mux routes every endpoint of Handler through one http.ServeMux, with
+// app mounted at /.
+func (s *Server) mux(app http.Handler) *http.ServeMux {
 	root := http.NewServeMux()
 	root.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -671,7 +689,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ready")
 	})
 	root.Handle("/", app)
-	return withRecovery(withMethods(root))
+	return root
 }
 
 // AppHandler returns the application routes (ServeApp on the request
@@ -713,15 +731,11 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, mode htmlgen.
 	if snap == nil {
 		return
 	}
-	if page != path.Clean(page) || strings.Contains(page, "/") {
+	if page == "." || page == ".." || strings.Contains(page, "/") {
 		http.NotFound(w, r)
 		return
 	}
-	var focus string
-	if r.URL.RawQuery != "" {
-		focus = r.URL.Query().Get("focus")
-	}
-	a, err := s.pageFor(snap, mode, focus, page)
+	a, err := s.pageFor(snap, mode, queryValue(r.URL.RawQuery, "focus"), page)
 	if err != nil {
 		siteError(w, r, err)
 		return
@@ -731,6 +745,28 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, mode htmlgen.
 		return
 	}
 	a.Serve(w, r, s.compress)
+}
+
+// queryValue returns the first value of key in the raw query, exactly as
+// url.ParseQuery(raw).Get(key) does: pairs split on "&", a pair holding
+// ";" is skipped, and so is a pair whose key or value fails to unescape.
+// It builds no map, so it allocates only to unescape a "%" or "+".
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // ServeApp answers r on the application route p, the request path
