@@ -11,6 +11,7 @@ import (
 
 	"goldweb/internal/analysis"
 	"goldweb/internal/analysis/verify"
+	"goldweb/internal/catalog"
 	"goldweb/internal/core"
 	"goldweb/internal/xsd"
 	"goldweb/internal/xslt"
@@ -189,17 +190,25 @@ func collectLintFiles(paths []string) ([]string, error) {
 	return files, nil
 }
 
+// parseLintPolicy reads a -lint value: strict, warn or off.
+func parseLintPolicy(s string) (catalog.LintPolicy, error) {
+	switch p := catalog.LintPolicy(s); p {
+	case catalog.LintStrict, catalog.LintWarn, catalog.LintOff:
+		return p, nil
+	}
+	return "", fmt.Errorf("bad -lint %q (want strict, warn or off)", s)
+}
+
 // lintGate runs the model linter before serving and applies the -lint
 // policy: "strict" refuses to start on error-severity findings, "warn"
 // prints findings and continues, "off" skips the check. A nil schema
 // means the embedded GOLD schema.
-func lintGate(policy string, name string, src []byte, schema *xsd.Schema) error {
-	switch policy {
-	case "off":
+func lintGate(policy catalog.LintPolicy, name string, src []byte, schema *xsd.Schema) error {
+	if _, err := parseLintPolicy(string(policy)); err != nil {
+		return err
+	}
+	if policy == catalog.LintOff {
 		return nil
-	case "strict", "warn":
-	default:
-		return fmt.Errorf("bad -lint %q (want strict, warn or off)", policy)
 	}
 	if schema == nil {
 		var err error
@@ -212,7 +221,7 @@ func lintGate(policy string, name string, src []byte, schema *xsd.Schema) error 
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, "lint:", d)
 	}
-	if policy == "strict" && analysis.HasErrors(diags) {
+	if policy == catalog.LintStrict && analysis.HasErrors(diags) {
 		return fmt.Errorf("refusing to serve: %d lint findings (run with -lint=warn to override)", len(diags))
 	}
 	return nil

@@ -327,9 +327,18 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Both modes read these the same way: one -lint parse, and a cache
+	// of at least one entry (a single-model server would round 0 up to 1
+	// and a catalog would read it as the default).
+	policy, err := parseLintPolicy(*lintPolicy)
+	if err != nil {
+		return err
+	}
+	if *cacheSize < 1 {
+		return fmt.Errorf("bad -cache-size %d (want at least 1)", *cacheSize)
+	}
 	var schema *xsd.Schema
 	if *schemaPath != "" {
-		var err error
 		schema, err = xsd.LoadSchemaFile(*schemaPath)
 		if err != nil {
 			return fmt.Errorf("loading -schema: %w", err)
@@ -340,12 +349,11 @@ func cmdServe(args []string) error {
 			return fmt.Errorf("serve: -catalog and a model file are mutually exclusive")
 		}
 		opts := catalogServeOptions(*timeout, *maxInflight, *cacheSize, *cacheBytes, *compress)
-		opts.Lint, opts.Schema = catalog.LintPolicy(*lintPolicy), schema
+		opts.Lint, opts.Schema = policy, schema
 		opts.BreakerThreshold, opts.DisableRetry = *breakerThreshold, !*retry
 		return serveCatalog(*catalogDir, *addr, opts)
 	}
 	var m *core.Model
-	var err error
 	var lintName string
 	var lintSrc []byte
 	if fs.NArg() == 0 {
@@ -368,7 +376,7 @@ func cmdServe(args []string) error {
 			return err
 		}
 	}
-	if err := lintGate(*lintPolicy, lintName, lintSrc, schema); err != nil {
+	if err := lintGate(policy, lintName, lintSrc, schema); err != nil {
 		return err
 	}
 	srv := server.New(m,
@@ -411,11 +419,6 @@ func zeroDisables[T int | int64 | time.Duration](v T) T {
 // reloader retries under the circuit breaker, and lifecycle events
 // stream to stdout.
 func serveCatalog(dir, addr string, opts catalog.Options) error {
-	switch opts.Lint {
-	case catalog.LintStrict, catalog.LintWarn, catalog.LintOff:
-	default:
-		return fmt.Errorf("bad -lint %q (want strict, warn or off)", opts.Lint)
-	}
 	names, err := catalog.DirModels(dir)
 	if err != nil {
 		return err

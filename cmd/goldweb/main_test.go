@@ -574,6 +574,28 @@ func TestCmdServeCatalogArgValidation(t *testing.T) {
 	}
 }
 
+// TestCmdServeRejectsCacheSizeBelowOne: -cache-size 0 or below is a
+// usage error in both modes, before any model loads or any port binds;
+// a single-model server would otherwise round it up to one entry and a
+// catalog would read it as the 64-entry default.
+func TestCmdServeRejectsCacheSizeBelowOne(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "m.xml"), []byte(core.SampleSales().XMLString()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-cache-size", "0"},
+		{"-cache-size", "-3"},
+		{"-cache-size", "0", "-catalog", dir},
+		{"-cache-size", "-1", "-catalog", dir},
+	} {
+		_, err := capture(t, func() error { return cmdServe(args) })
+		if err == nil || !strings.Contains(err.Error(), "bad -cache-size") {
+			t.Errorf("serve %v: want a -cache-size usage error, got %v", args, err)
+		}
+	}
+}
+
 // TestCatalogServeOptionsZeroDisables: -timeout 0, -max-inflight 0 and
 // -cache-bytes 0 disable their limits in catalog mode as they do for a
 // single model; catalog.Options would read 0 as the server default.

@@ -153,12 +153,6 @@ func (g *ContentGraph) AnyChildren(name string) bool {
 	return info != nil && info.anyChildren
 }
 
-// AnyAttrs reports whether element name declares xs:anyAttribute.
-func (g *ContentGraph) AnyAttrs(name string) bool {
-	info := g.elems[name]
-	return info != nil && info.anyAttrs
-}
-
 // HasElement reports whether any declaration of name exists.
 func (g *ContentGraph) HasElement(name string) bool { return g.elems[name] != nil }
 

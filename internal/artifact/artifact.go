@@ -56,10 +56,9 @@ var (
 // underlying bytes afterwards (the hash, ETag and variants all freeze
 // the content at construction).
 type Artifact struct {
-	body        []byte
-	contentType string
-	sum         [sha256.Size]byte
-	etag        string // strong ETag, quotes included
+	body []byte
+	sum  [sha256.Size]byte
+	etag string // strong ETag, quotes included
 
 	// Pre-rendered single-value header slices: assigning a prebuilt
 	// []string into the header map is allocation-free on the warm path.
@@ -91,7 +90,6 @@ func New(contentType string, body []byte) *Artifact {
 func newArtifact(contentType string, body []byte, sum [sha256.Size]byte) *Artifact {
 	a := &Artifact{
 		body:         body,
-		contentType:  contentType,
 		sum:          sum,
 		compressible: Compressible(contentType),
 	}
@@ -120,9 +118,6 @@ func (a *Artifact) Bytes() []byte { return a.body }
 
 // ETag returns the strong entity tag (quotes included).
 func (a *Artifact) ETag() string { return a.etag }
-
-// ContentType returns the artifact's media type.
-func (a *Artifact) ContentType() string { return a.contentType }
 
 // Size returns the identity size in bytes — the unit of cache-budget
 // accounting. A materialized gzip variant is always smaller than the

@@ -333,7 +333,23 @@ func New(opts Options) *Catalog {
 // Close stops the background reloader, waits for retry loops to exit,
 // and closes every model server (canceling in-flight publications).
 func (c *Catalog) Close() {
+	c.cancelWork()
+	c.waitWork()
+}
+
+// cancelWork stops the catalog's background work without waiting for
+// it: the retry loops and every model's in-flight publications.
+func (c *Catalog) cancelWork() {
 	c.cancel()
+	for _, e := range *c.entries.Load() {
+		e.srv.Cancel()
+	}
+}
+
+// waitWork waits for the retry loops to exit and closes every model
+// server, each waiting at most server.DefaultShutdownGrace for its
+// publications.
+func (c *Catalog) waitWork() {
 	c.wg.Wait()
 	for _, e := range *c.entries.Load() {
 		e.srv.Close()

@@ -6,13 +6,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
-
-	"goldweb/internal/server"
 )
 
 // FuzzCatalogHandler compares Catalog.Handler with a reference that
-// routes every request through the ServeMux alone — the wiring without
-// the direct route — on the same catalog. For any method, request-URI
+// routes every request through the ServeMux alone — the same shell with
+// its direct route switched off (server.Shell.MuxHandler) — on the same
+// catalog. For any method, request-URI
 // (parsed with url.ParseRequestURI, as net/http does, so RawPath and
 // escapes are covered) and negotiation headers, both must answer with
 // the same status, Location, Content-Type, Content-Encoding, ETag and
@@ -24,7 +23,7 @@ func FuzzCatalogHandler(f *testing.F) {
 		f.Fatal(err)
 	}
 	h := c.Handler()
-	ref := server.HardenOuter(c.mux(server.HardenApp(c.opts.MaxInflight, http.HandlerFunc(c.serveModel))))
+	ref := c.shell().MuxHandler()
 	for _, uri := range []string{
 		"/m/x/../y/site/", "//m/sales/single", "/m/sales/site/.", "/m", "/m/",
 		"/m%2Fsales/site/index.html", "/m/sales/site/index%2Ehtml", "", "/healthz/", "/catalog/",

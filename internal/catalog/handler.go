@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"time"
 
 	"goldweb/internal/server"
 )
@@ -22,54 +21,49 @@ import (
 //	GET /m/{name}/...    → that model's site (the same routes a
 //	                       single-model server exposes at /)
 //
-// Model routes share one recovery/methods/limiter stack; health
-// endpoints sit outside the limiter so orchestrators can probe a
-// saturated catalog. A request for a canonical path under /m/
-// (server.DirectPath) reaches the model's server through the limiter
-// with no ServeMux match, lock or channel operation, and a warm read
-// allocates nothing; an http.ServeMux routes everything else — health,
-// /catalog, /, /m, and the unclean or escaped paths it redirects. Each
-// model's server bounds a request's wait for a publication by
-// Options.RequestTimeout (504 past it). A model whose republish pipeline
-// is failing keeps serving its last-good site with Warning and
-// X-Goldweb-Stale headers; a model that never loaded answers 503.
+// It is the serving shell's front (server.Shell) with the models mounted
+// at /m/: one recovery/methods/limiter stack for every model, health
+// endpoints outside the limiter so orchestrators can probe a saturated
+// catalog, and a request for a canonical path under /m/
+// (server.DirectPath) reaching the model's server through the limiter
+// with no ServeMux match, lock or channel operation — a warm read
+// allocates nothing. Each model's server bounds a request's wait for a
+// publication by Options.RequestTimeout (504 past it). A model whose
+// republish pipeline is failing keeps serving its last-good site with
+// Warning and X-Goldweb-Stale headers; a model that never loaded answers
+// 503.
 //
 // Every model's pages are served as content-addressed artifacts from
 // the shared store: hash-keyed ETags answer If-None-Match with 304s,
 // gzip-capable clients get the precompressed variant, and pages that
 // are byte-identical across models or across hot-swap generations are
 // interned once with stable ETags (see internal/artifact).
-func (c *Catalog) Handler() http.Handler {
-	models := server.HardenApp(c.opts.MaxInflight, http.HandlerFunc(c.serveModel))
-	root := c.mux(models)
-	return server.HardenOuter(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/m/") && server.DirectPath(r) {
-			models.ServeHTTP(w, r)
-			return
-		}
-		root.ServeHTTP(w, r)
-	}))
-}
+func (c *Catalog) Handler() http.Handler { return c.shell().Handler() }
 
-// mux routes every endpoint of Handler through one http.ServeMux, with
-// models mounted at /m/.
-func (c *Catalog) mux(models http.Handler) *http.ServeMux {
-	root := http.NewServeMux()
-	root.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	root.HandleFunc("/readyz", c.handleReadyz)
-	root.HandleFunc("/catalog", c.handleIndex)
-	root.Handle("/m/", models)
-	root.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		http.Redirect(w, r, "/catalog", http.StatusFound)
-	})
-	return root
+// shell is the catalog's serving shell: the models at /m/, a JSON
+// /readyz, the /catalog index and the / redirect to it. Its shutdown
+// cancels every model's publications and the retry loops before the
+// drain and closes the catalog after it.
+func (c *Catalog) shell() server.Shell {
+	return server.Shell{
+		Mount:       "/m/",
+		App:         http.HandlerFunc(c.serveModel),
+		MaxInflight: c.opts.MaxInflight,
+		Routes: func(mux *http.ServeMux) {
+			mux.HandleFunc("/readyz", c.handleReadyz)
+			mux.HandleFunc("/catalog", c.handleIndex)
+			mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/" {
+					http.NotFound(w, r)
+					return
+				}
+				http.Redirect(w, r, "/catalog", http.StatusFound)
+			})
+		},
+		RequestTimeout: c.opts.RequestTimeout,
+		Cancel:         c.cancelWork,
+		Wait:           c.waitWork,
+	}
 }
 
 // serveModel routes /m/{name}/... to the model's server, handing it the
@@ -121,9 +115,9 @@ func (c *Catalog) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Serve runs the catalog's HTTP surface on addr until ctx ends, then
-// shuts down gracefully: stop accepting, drain in-flight handlers, and
-// finally Close the catalog (stopping retry loops and closing every
-// model server, which cancels their in-flight publications).
+// shuts down gracefully (see server.Shell.Serve): cancel the retry loops
+// and every model's in-flight publications, drain the handlers, and
+// close the catalog.
 func (c *Catalog) Serve(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -135,35 +129,7 @@ func (c *Catalog) Serve(ctx context.Context, addr string) error {
 // ServeListener is Serve on an existing listener (tests use it to bind
 // port 0).
 func (c *Catalog) ServeListener(ctx context.Context, ln net.Listener) error {
-	writeTimeout := 2 * c.opts.RequestTimeout
-	if writeTimeout <= 0 {
-		writeTimeout = 2 * server.DefaultRequestTimeout
-	}
-	hs := &http.Server{
-		Handler:           c.Handler(),
-		ReadTimeout:       10 * time.Second,
-		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		c.Close()
-		return err
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), server.DefaultShutdownGrace)
-		defer cancel()
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			hs.Close()
-			c.Close()
-			return err
-		}
-		<-errc // always http.ErrServerClosed after Shutdown
-		c.Close()
-		return nil
-	}
+	return c.shell().Serve(ctx, ln)
 }
 
 func (c *Catalog) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -57,13 +57,13 @@ func sameResponse(t *testing.T, what string, got, want *httptest.ResponseRecorde
 // middleware would turn a panic into its "internal error" 500), every
 // status must be one the server documents, no request may leave a cache
 // entry keyed by a focus that is not one of the model's fact ids, and
-// every response must equal the one a pure-ServeMux wiring of the same
-// server gives: the direct route takes only requests the mux would pass
-// through unchanged.
+// every response must equal the one the same shell gives with its direct
+// route switched off (Shell.MuxHandler): the direct route takes only
+// requests the mux would pass through unchanged.
 func FuzzHandler(f *testing.F) {
 	srv := New(core.SampleSales())
 	h := srv.Handler()
-	ref := withRecovery(withMethods(srv.mux(withLimiter(srv.maxInflight, srv.AppHandler()))))
+	ref := srv.shell().MuxHandler()
 	snap := srv.snapshot()
 	for _, seed := range []struct{ method, uri, accept, encoding, inm string }{
 		{"GET", "/site/index.html", "text/html", "gzip", ""},

@@ -17,7 +17,6 @@ import (
 // and a new generation briefly coexist during a staged swap.
 type publishedSite struct {
 	pages map[string]*artifact.Artifact
-	order []string
 	// size is the summed identity size — the siteCache accounting unit.
 	size int64
 }
@@ -27,7 +26,6 @@ type publishedSite struct {
 func newPublishedSite(store *artifact.Store, site *htmlgen.Site) *publishedSite {
 	p := &publishedSite{
 		pages: make(map[string]*artifact.Artifact, len(site.Pages)),
-		order: site.Order,
 	}
 	for name, content := range site.Pages {
 		a := store.Intern(contentType(name), content)

@@ -201,7 +201,7 @@ func TestLimiterShedsWith503AndRetryAfter(t *testing.T) {
 }
 
 // TestLimiterBoundsConcurrentRequests sends 8·n concurrent requests
-// through HardenApp(n, …) to a handler that blocks: no more than n are
+// through withLimiter(n, …) to a handler that blocks: no more than n are
 // ever inside, the other 7·n are shed at once with 503 + Retry-After,
 // and after the release all n slots admit again.
 func TestLimiterBoundsConcurrentRequests(t *testing.T) {
@@ -209,7 +209,7 @@ func TestLimiterBoundsConcurrentRequests(t *testing.T) {
 	var inside, peak atomic.Int64
 	entered := make(chan struct{}, 8*n) // one send per admitted request
 	var gate atomic.Pointer[chan struct{}]
-	h := HardenApp(n, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := withLimiter(n, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cur := inside.Add(1)
 		for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
 		}

@@ -230,7 +230,6 @@ type Server struct {
 
 	cache  *siteCache
 	flight *flightGroup
-	ready  atomic.Bool
 	stale  atomic.Pointer[staleInfo]
 
 	// baseCtx parents every publication; baseCancel fires at shutdown so
@@ -243,7 +242,6 @@ type Server struct {
 	hook           PublishHook
 	requestTimeout time.Duration
 	maxInflight    int
-	shutdownGrace  time.Duration
 
 	// Edge-serving knobs: the artifact store pages intern into, the
 	// presentation-cache bounds, and whether precompressed variants are
@@ -260,8 +258,12 @@ const (
 	DefaultMaxInflight    = 64
 	DefaultCacheSize      = 64
 	DefaultCacheBytes     = 64 << 20 // 64 MiB of identity bytes per model
-	DefaultShutdownGrace  = 10 * time.Second
 )
+
+// DefaultShutdownGrace bounds a shutdown: the handler drain and the wait
+// for publications share it (Shell.Serve), and Close waits at most this
+// long for a server's publications.
+const DefaultShutdownGrace = 10 * time.Second
 
 // Option configures a Server.
 type Option func(*Server)
@@ -314,12 +316,6 @@ func WithPublishHook(fn PublishHook) Option {
 	return func(s *Server) { s.hook = fn }
 }
 
-// WithShutdownGrace bounds how long Serve waits for in-flight requests
-// after its context is canceled.
-func WithShutdownGrace(d time.Duration) Option {
-	return func(s *Server) { s.shutdownGrace = d }
-}
-
 // New creates a server for the model.
 func New(m *core.Model, opts ...Option) *Server {
 	s := NewEmpty(opts...)
@@ -335,7 +331,6 @@ func NewEmpty(opts ...Option) *Server {
 	s := &Server{
 		requestTimeout: DefaultRequestTimeout,
 		maxInflight:    DefaultMaxInflight,
-		shutdownGrace:  DefaultShutdownGrace,
 		store:          artifact.Shared,
 		cacheEntries:   DefaultCacheSize,
 		cacheBytes:     DefaultCacheBytes,
@@ -408,15 +403,11 @@ func (s *Server) install(snap *snapshot, probe *publishedSite) uint64 {
 }
 
 // SetModel swaps the published model and invalidates cached
-// presentations. While the new snapshot is being prepared the server
-// reports not-ready on /readyz; requests already holding the old
-// snapshot keep being served from it. SetModel installs unconditionally
-// (even a snapshot that fails validation — the publication path then
-// reports the error per request); use Stage/Commit for verified,
-// rollback-capable swaps.
+// presentations. The old snapshot keeps serving while the new one is
+// prepared. SetModel installs unconditionally (even a snapshot that
+// fails validation — the publication path then reports the error per
+// request); use Stage/Commit for verified, rollback-capable swaps.
 func (s *Server) SetModel(m *core.Model) {
-	s.ready.Store(false)
-	defer s.ready.Store(true)
 	s.install(s.buildSnapshot(m), nil)
 }
 
@@ -470,9 +461,7 @@ func (s *Server) Stage(ctx context.Context, m *core.Model) (*StagedModel, error)
 // shadow-published site (so the first request after a swap is a warm
 // hit). Returns the new generation.
 func (st *StagedModel) Commit() uint64 {
-	gen := st.s.install(st.snap, st.probe)
-	st.s.ready.Store(true)
-	return gen
+	return st.s.install(st.snap, st.probe)
 }
 
 // Generation returns the current snapshot generation (0 before any
@@ -484,8 +473,9 @@ func (s *Server) Generation() uint64 {
 	return 0
 }
 
-// Ready reports whether a published model is being served.
-func (s *Server) Ready() bool { return s.ready.Load() }
+// Ready reports whether a published model is being served: a snapshot
+// is live, the rule the catalog's readiness reads too.
+func (s *Server) Ready() bool { return s.snap.Load() != nil }
 
 // MarkStale flags every subsequent response with Warning and
 // X-Goldweb-Stale headers: the content is a last-good snapshot and the
@@ -505,14 +495,18 @@ func (s *Server) Stale() (bool, string) {
 	return false, ""
 }
 
+// Cancel cancels every in-flight publication without waiting for them.
+// The handler keeps answering (from caches and snapshots), but a miss
+// can no longer publish. The catalog's shutdown cancels every model's
+// publications this way before it drains the handlers.
+func (s *Server) Cancel() { s.baseCancel() }
+
 // Close cancels every in-flight publication and waits for them up to
-// the shutdown grace. The handler keeps answering (from caches and
-// snapshots); Close is about reclaiming background work — ServeListener
-// calls it during shutdown and the catalog calls it when evicting a
-// model.
+// DefaultShutdownGrace — reclaiming background work when the catalog
+// evicts a model or closes.
 func (s *Server) Close() {
 	s.baseCancel()
-	ctx, cancel := context.WithTimeout(context.Background(), s.shutdownGrace)
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultShutdownGrace)
 	defer cancel()
 	s.awaitPublishes(ctx)
 }
@@ -520,17 +514,7 @@ func (s *Server) Close() {
 // awaitPublishes waits for in-flight publications, bounded by ctx.
 // Reports whether everything drained.
 func (s *Server) awaitPublishes(ctx context.Context) bool {
-	done := make(chan struct{})
-	go func() {
-		s.pubWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return waitWithin(ctx, s.pubWG.Wait)
 }
 
 // clientStylesheetPI is the processing instruction that points an
@@ -652,52 +636,37 @@ func siteError(w http.ResponseWriter, r *http.Request, err error) {
 //	GET /client/single.xsl the stylesheet the browser applies
 //	GET /cwm.xmi           CWM OLAP interchange document (§6 future work)
 //	GET /healthz           liveness (always 200 while the process serves)
-//	GET /readyz            readiness (503 while SetModel swaps the model)
+//	GET /readyz            readiness (503 until a model is published)
 //
-// Health endpoints sit outside the limiter so orchestrators can still
-// probe a saturated server. A request whose path is canonical
-// (DirectPath) and is neither health endpoint goes straight to the
-// limiter and ServeApp; every other request — the health endpoints and
-// the unclean or escaped paths the mux redirects — goes through an
-// http.ServeMux, so a warm read matches no pattern and allocates nothing.
-func (s *Server) Handler() http.Handler {
-	app := withLimiter(s.maxInflight, s.AppHandler())
-	root := s.mux(app)
-	return withRecovery(withMethods(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if p := r.URL.Path; p != "/healthz" && p != "/readyz" && DirectPath(r) {
-			app.ServeHTTP(w, r)
-			return
-		}
-		root.ServeHTTP(w, r)
-	})))
-}
+// It is the serving shell's front (Shell) with the app mounted at /: a
+// request whose path is canonical (DirectPath) and is neither health
+// endpoint goes straight to the limiter and ServeApp, so a warm read
+// matches no pattern and allocates nothing.
+func (s *Server) Handler() http.Handler { return s.shell().Handler() }
 
-// mux routes every endpoint of Handler through one http.ServeMux, with
-// app mounted at /.
-func (s *Server) mux(app http.Handler) *http.ServeMux {
-	root := http.NewServeMux()
-	root.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	root.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() {
-			respondError(w, r, http.StatusServiceUnavailable, "model swap in progress", "1")
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ready")
-	})
-	root.Handle("/", app)
-	return root
-}
-
-// AppHandler returns the application routes (ServeApp on the request
-// path) without the middleware stack.
-func (s *Server) AppHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.ServeApp(w, r, r.URL.Path)
-	})
+// shell is the server's serving shell: ServeApp on the request path,
+// mounted at /, with a plain-text /readyz.
+func (s *Server) shell() Shell {
+	return Shell{
+		Mount: "/",
+		App: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			s.ServeApp(w, r, r.URL.Path)
+		}),
+		MaxInflight: s.maxInflight,
+		Routes: func(mux *http.ServeMux) {
+			mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+				if !s.Ready() {
+					respondError(w, r, http.StatusServiceUnavailable, "no model published yet", "1")
+					return
+				}
+				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+				fmt.Fprintln(w, "ready")
+			})
+		},
+		RequestTimeout: s.requestTimeout,
+		Cancel:         s.baseCancel,
+		Wait:           s.pubWG.Wait,
+	}
 }
 
 // snapFor fetches the current snapshot for a handler, answering 503
@@ -875,10 +844,9 @@ func contentType(page string) string {
 	}
 }
 
-// Serve runs a production http.Server on addr: IO timeouts against slow
-// clients, and graceful shutdown when ctx is canceled (in-flight requests
-// get the configured grace period to finish). It returns nil on a clean
-// shutdown.
+// Serve runs a production http.Server on addr until ctx ends (see
+// Shell.Serve for the timeouts and the shutdown order). It returns nil on
+// a clean shutdown.
 func (s *Server) Serve(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -888,42 +856,9 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 }
 
 // ServeListener is Serve on an existing listener (tests use it to bind
-// port 0). Shutdown order: cancel in-flight publications first (a
-// request blocked behind a hung transformation would otherwise hold
-// the drain hostage for the whole grace period), then drain request
-// handlers gracefully, then await the publication goroutines so none
-// outlive the call.
+// port 0).
 func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
-	writeTimeout := 2 * s.requestTimeout
-	if writeTimeout <= 0 {
-		writeTimeout = 2 * DefaultRequestTimeout
-	}
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadTimeout:       10 * time.Second,
-		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), s.shutdownGrace)
-		defer cancel()
-		s.baseCancel() // stop in-flight publications
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			hs.Close()
-			return err
-		}
-		<-errc // always http.ErrServerClosed after Shutdown
-		if !s.awaitPublishes(shutdownCtx) {
-			return fmt.Errorf("shutdown: publication goroutines did not drain within %s", s.shutdownGrace)
-		}
-		return nil
-	}
+	return s.shell().Serve(ctx, ln)
 }
 
 // ListenAndServe runs the server on addr (blocking, no graceful

@@ -384,3 +384,31 @@ func TestEmptyServerAnswers503UntilFirstPublish(t *testing.T) {
 		t.Error("server not ready after first commit")
 	}
 }
+
+// TestReadyzStaysReadyAcrossSetModel: readiness is "a snapshot is live",
+// so /readyz answers 200 while SetModel prepares a replacement — the old
+// snapshot keeps serving the whole time.
+func TestReadyzStaysReadyAcrossSetModel(t *testing.T) {
+	srv := New(core.SampleSales())
+	h := srv.Handler()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 20 {
+			srv.SetModel(core.SampleSales())
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		if rec.Code != http.StatusOK || !srv.Ready() {
+			<-done
+			t.Fatalf("/readyz during SetModel on a live server: %d %q", rec.Code, rec.Body)
+		}
+	}
+}

@@ -19,12 +19,6 @@ func (st *SimpleType) IsIDRef() bool {
 	return k == btIDREF || k == btIDREFS
 }
 
-// IsList reports whether the type's derivation chain is a list variety.
-func (st *SimpleType) IsList() bool { return st != nil && st.isList() }
-
-// IsUnion reports whether the type's derivation chain is a union variety.
-func (st *SimpleType) IsUnion() bool { return st != nil && st.hasMembers() }
-
 // SubstitutionMembers returns the transitive substitution-group members
 // of the named head element, sorted by name (nil when the name heads no
 // group). Abstract members are included; they organize the hierarchy but

@@ -102,30 +102,6 @@ func (s *Stylesheet) KeyDecls() []KeyDecl {
 	return out
 }
 
-// GlobalDecl is the read-only view of a top-level xsl:variable or
-// xsl:param declaration.
-type GlobalDecl struct {
-	Name    string
-	IsParam bool
-	Select  xpath.Expr // nil when the declaration has a content body
-}
-
-// Globals returns the top-level variable and parameter declarations in
-// declaration (evaluation) order.
-func (s *Stylesheet) Globals() []GlobalDecl {
-	out := make([]GlobalDecl, 0, len(s.globals))
-	for _, d := range s.globals {
-		g := GlobalDecl{Name: d.name, IsParam: d.isParam}
-		if d.sel != nil {
-			// Assign only non-nil selects: a typed-nil *Compiled inside the
-			// interface would defeat callers' == nil checks.
-			g.Select = d.sel
-		}
-		out = append(out, g)
-	}
-	return out
-}
-
 // AttrSetNames returns the declared xsl:attribute-set names, sorted.
 func (s *Stylesheet) AttrSetNames() []string {
 	out := make([]string, 0, len(s.attrSets))
@@ -135,7 +111,3 @@ func (s *Stylesheet) AttrSetNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ExprNamespaces returns the prefix bindings visible to expressions.
-// The returned map is shared; callers must not mutate it.
-func (s *Stylesheet) ExprNamespaces() map[string]string { return s.exprNS }
