@@ -12,9 +12,12 @@
 //
 // Artifacts are interned in a Store keyed by content hash, so two
 // publications that produce byte-identical pages (a catalog hot swap
-// whose source change does not reach every page) share one Artifact:
-// the ETag is stable across generations — clients keep their 304s —
-// and memory does not double during staged swaps.
+// whose source change does not reach every page, or a page republished
+// after the presentation cache evicted it) share one Artifact while
+// either is held: the ETag is stable across generations — clients keep
+// their 304s — memory does not double during staged swaps, and the gzip
+// variant is built once. The store holds its artifacts weakly, so
+// nothing is returned to it: the garbage collector bounds it.
 package artifact
 
 import (
@@ -23,14 +26,18 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"weak"
 )
 
 // GzipLevel is the compression level variants are built with. Variants
-// are materialized once per artifact (never per request), so the
-// expensive end of the scale costs nothing on the serving path.
+// are materialized once per artifact (never per request), and the Store
+// hands a republished page the artifact that is still reachable with
+// its variant, so the expensive end of the scale is paid once per
+// content while anything holds it.
 const GzipLevel = gzip.BestCompression
 
 // MinGzipSize is the identity size below which no gzip variant is
@@ -73,14 +80,10 @@ type Artifact struct {
 	gzOnce       sync.Once
 	gz           []byte
 	gzClenVal    []string
-
-	// Interning bookkeeping (nil store for unmanaged artifacts).
-	store *Store
-	refs  int
 }
 
-// New builds an unmanaged artifact (no interning, Release is a no-op)
-// — for process-static content like embedded stylesheets and schemas.
+// New builds an artifact outside any store — for process-static content
+// like embedded stylesheets and schemas.
 func New(contentType string, body []byte) *Artifact {
 	return newArtifact(contentType, body, hashContent(contentType, body))
 }
@@ -185,15 +188,11 @@ func (a *Artifact) Gzip() []byte {
 	return a.gz
 }
 
-// Release returns one interning reference. For artifacts created with
-// New it is a no-op; for interned artifacts the store entry is removed
-// once every holder has released (in-flight responses keep the bytes
-// alive through the pointer itself — release only ends interning).
-func (a *Artifact) Release() {
-	if a.store != nil {
-		a.store.release(a)
-	}
-}
+// Release does nothing.
+//
+// Deprecated: a Store entry goes when its artifact is garbage
+// collected, so holders have no reference to give back.
+func (a *Artifact) Release() {}
 
 // ---- HTTP serving ----
 
@@ -421,19 +420,22 @@ func equalFold(s, t string) bool {
 
 // ---- interning store ----
 
-// Store interns artifacts by content hash with reference counting.
-// Intern of byte-identical content returns the existing *Artifact —
-// same ETag, same backing bytes, shared gzip variant — so republishing
-// an unchanged page across generations costs no extra memory and
-// clients' cached ETags keep revalidating to 304.
+// Store is a weak intern table keyed by content hash. Intern of
+// byte-identical content returns the existing *Artifact while anything
+// still holds it — same ETag, same backing bytes, the gzip variant it
+// already built — so republishing an unchanged page costs neither memory
+// nor a second compression, and clients' cached ETags keep revalidating
+// to 304. The table holds no artifact alive: an entry goes once the
+// garbage collector has reclaimed its artifact, so the store is bounded
+// by what its holders (caches, snapshots, in-flight responses) keep.
 type Store struct {
 	mu sync.Mutex
-	m  map[[sha256.Size]byte]*Artifact
+	m  map[[sha256.Size]byte]weak.Pointer[Artifact]
 }
 
 // NewStore creates an empty interning store.
 func NewStore() *Store {
-	return &Store{m: make(map[[sha256.Size]byte]*Artifact)}
+	return &Store{m: make(map[[sha256.Size]byte]weak.Pointer[Artifact])}
 }
 
 // Shared is the process-global store: every model server in a catalog
@@ -441,52 +443,57 @@ func NewStore() *Store {
 // and across generations process-wide.
 var Shared = NewStore()
 
-// Intern returns the canonical artifact for (contentType, body),
-// creating it on first sight, and takes one reference the caller must
-// Release when it stops holding the artifact (cache eviction, snapshot
-// replacement).
+// Intern returns the canonical artifact for (contentType, body): the
+// interned one while it is still reachable, otherwise a new one that
+// replaces the entry. Holders need not give it back.
 func (s *Store) Intern(contentType string, body []byte) *Artifact {
 	sum := hashContent(contentType, body)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if a, ok := s.m[sum]; ok {
-		a.refs++
+	if a := s.m[sum].Value(); a != nil {
 		return a
 	}
 	a := newArtifact(contentType, body, sum)
-	a.store = s
-	a.refs = 1
-	s.m[sum] = a
+	wp := weak.Make(a)
+	s.m[sum] = wp
+	runtime.AddCleanup(a, s.forget, storeEntry{sum, wp})
 	return a
 }
 
-// release returns one reference; the last release removes the store
-// entry (holders of the pointer can keep serving — dropping the entry
-// only ends interning for future publications).
-func (s *Store) release(a *Artifact) {
+// storeEntry names one map entry for the cleanup of its artifact.
+type storeEntry struct {
+	sum [sha256.Size]byte
+	wp  weak.Pointer[Artifact]
+}
+
+// forget deletes the entry of a collected artifact — unless a later
+// Intern of the same content already replaced it with a live one.
+func (s *Store) forget(e storeEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a.refs--
-	if a.refs <= 0 {
-		delete(s.m, a.sum)
+	if s.m[e.sum] == e.wp {
+		delete(s.m, e.sum)
 	}
 }
 
-// Len reports the number of distinct interned artifacts.
+// Len reports the number of entries: the distinct interned artifacts,
+// counting collected ones whose cleanup has not run yet.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
 }
 
-// Bytes reports the summed identity size of every interned artifact —
-// the deduplicated footprint of the published content.
+// Bytes reports the summed identity size of every interned artifact
+// still reachable — the deduplicated footprint of the published content.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int64
-	for _, a := range s.m {
-		n += int64(len(a.body))
+	for _, wp := range s.m {
+		if a := wp.Value(); a != nil {
+			n += int64(len(a.body))
+		}
 	}
 	return n
 }

@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 const htmlCT = "text/html; charset=utf-8"
@@ -46,6 +48,23 @@ func TestETagIsStableQuotedAndContentKeyed(t *testing.T) {
 	}
 }
 
+// settleLen collects garbage until st holds at most want entries or a
+// deadline passes, and returns the last length seen. Cleanups run on
+// their own goroutine after a collection, so one GC is not enough.
+func settleLen(st *Store, want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := st.Len(); n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInterningSharesAndReleases: byte-identical content interns to one
+// artifact; its entry stays while a holder keeps the artifact (the
+// negative control) and leaves the store once nothing does.
 func TestInterningSharesAndReleases(t *testing.T) {
 	st := NewStore()
 	a := st.Intern(htmlCT, page(40))
@@ -56,21 +75,71 @@ func TestInterningSharesAndReleases(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("store len %d, want 1", st.Len())
 	}
-	c := st.Intern(htmlCT, page(41))
-	if c == a || st.Len() != 2 {
+	if c := st.Intern(htmlCT, page(41)); c == a || st.Len() != 2 {
 		t.Fatalf("distinct content must make a new entry (len %d)", st.Len())
 	}
-	a.Release()
-	if st.Len() != 2 {
-		t.Fatalf("entry dropped while a reference remains (len %d)", st.Len())
+	if got := settleLen(st, 1); got != 1 {
+		t.Fatalf("store len %d after the GC, want 1: the held artifact stays, the dropped one goes", got)
 	}
-	b.Release()
-	c.Release()
-	if st.Len() != 0 {
-		t.Fatalf("store len %d after full release, want 0", st.Len())
+	if st.Intern(htmlCT, page(40)) != a {
+		t.Fatal("a held artifact was re-interned as a new one")
 	}
-	// Releasing an unmanaged artifact is a no-op.
+	runtime.KeepAlive(a)
+	if got := settleLen(st, 0); got != 0 {
+		t.Fatalf("store len %d once nothing holds its artifacts, want 0", got)
+	}
+	// Release is a deprecated no-op.
 	New(htmlCT, page(3)).Release()
+}
+
+// TestReinternWhileHeldSharesGzipVariant: while a holder keeps an
+// artifact, interning its bytes again — across a collection — returns
+// the same artifact and the same gzip slice, so nothing is compressed
+// twice.
+func TestReinternWhileHeldSharesGzipVariant(t *testing.T) {
+	st := NewStore()
+	a := st.Intern(htmlCT, page(80))
+	gz := a.Gzip()
+	if gz == nil {
+		t.Fatal("no gzip variant for a compressible page")
+	}
+	runtime.GC()
+	b := st.Intern(htmlCT, append([]byte(nil), page(80)...))
+	if b != a {
+		t.Fatal("re-interning held content built a new artifact")
+	}
+	if g := b.Gzip(); len(g) != len(gz) || &g[0] != &gz[0] {
+		t.Error("re-interned artifact compressed its body again")
+	}
+	runtime.KeepAlive(a)
+}
+
+// TestLateCleanupKeepsNewerEntry: a cleanup that runs after the same
+// content was interned again must not delete the newer entry.
+func TestLateCleanupKeepsNewerEntry(t *testing.T) {
+	st := NewStore()
+	body := page(30)
+	sum := hashContent(htmlCT, body)
+	st.Intern(htmlCT, body) // dropped at once
+	st.mu.Lock()
+	first := storeEntry{sum, st.m[sum]}
+	st.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); first.wp.Value() != nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("an unreferenced artifact was never collected")
+		}
+		runtime.GC()
+	}
+	a := st.Intern(htmlCT, body)
+	runtime.GC()
+	st.forget(first) // the first artifact's cleanup, however late it runs
+	if got := settleLen(st, 1); got != 1 {
+		t.Fatalf("store len %d, want the newer entry only", got)
+	}
+	if st.Intern(htmlCT, body) != a {
+		t.Error("a late cleanup deleted the newer entry")
+	}
+	runtime.KeepAlive(a)
 }
 
 func TestGzipVariantRoundTripsAndIsWorthwhile(t *testing.T) {
@@ -310,5 +379,5 @@ func TestStoreBytesDeduplicates(t *testing.T) {
 	if got := st.Bytes(); got != int64(len(body)) {
 		t.Errorf("store bytes %d, want deduplicated %d", got, len(body))
 	}
-	_ = a
+	runtime.KeepAlive(a) // Bytes counts reachable artifacts only
 }

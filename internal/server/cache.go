@@ -30,10 +30,10 @@ type siteKey struct {
 // plain multi-page one. An entry cap is kept as a secondary bound
 // (distinct ?focus= values were historically the DoS vector).
 //
-// Eviction releases the evicted site's artifact references, so pages no
-// other generation (or model) interns are dropped from the shared
-// content store; in-flight responses holding the artifacts are
-// unaffected.
+// An evicted site's pages stay interned while anything else holds them
+// (a snapshot, another entry, an in-flight response), so a republish of
+// the same bytes gets back the same artifact and its gzip variant; once
+// nothing does, the garbage collector drops them from the content store.
 type siteCache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -86,24 +86,20 @@ func (c *siteCache) page(key siteKey) (a *artifact.Artifact, ok bool) {
 	return el.Value.(*cacheEntry).site.page(page), true
 }
 
-// add caches site under key, taking over its artifact references. A
-// publication that finishes after a purge moved past its generation is
-// released instead: nothing could ever serve it.
+// add caches site under key. A publication that finishes after a purge
+// moved past its generation is dropped instead: nothing could ever serve
+// it.
 func (c *siteCache) add(key siteKey, site *publishedSite) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if key.gen < c.minGen {
-		site.release()
 		return
 	}
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
 		ent := el.Value.(*cacheEntry)
-		if ent.site != site {
-			c.bytes += site.size - ent.site.size
-			ent.site.release()
-			ent.site = site
-		}
+		c.bytes += site.size - ent.site.size
+		ent.site = site
 		c.evictLocked()
 		return
 	}
@@ -124,19 +120,15 @@ func (c *siteCache) evictLocked() {
 		ent := oldest.Value.(*cacheEntry)
 		delete(c.m, ent.key)
 		c.bytes -= ent.site.size
-		ent.site.release()
 	}
 }
 
-// purge drops every entry (model swap to generation gen), releasing
-// their artifacts, and refuses later entries of older generations.
+// purge drops every entry (model swap to generation gen) and refuses
+// later entries of older generations.
 func (c *siteCache) purge(gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.minGen = gen
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		el.Value.(*cacheEntry).site.release()
-	}
 	c.ll.Init()
 	c.m = map[siteKey]*list.Element{}
 	c.bytes = 0

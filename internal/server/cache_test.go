@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"goldweb/internal/artifact"
 	"goldweb/internal/htmlgen"
@@ -25,6 +27,20 @@ func fakeSite(t *testing.T, store *artifact.Store, tag string, n, pageBytes int)
 	return newPublishedSite(store, site)
 }
 
+// settleLen collects garbage until store holds at most want artifacts
+// or a deadline passes, and returns the last count seen: an artifact
+// leaves the store once nothing holds it, when its cleanup has run.
+func settleLen(store *artifact.Store, want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := store.Len(); n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestCacheByteBudgetAccounting(t *testing.T) {
 	store := artifact.NewStore()
 	// Budget of 3 KiB with 1 KiB sites: at most 3 live entries.
@@ -39,10 +55,10 @@ func TestCacheByteBudgetAccounting(t *testing.T) {
 	if got := c.usedBytes(); got != 3072 {
 		t.Errorf("accounted bytes %d, want 3072", got)
 	}
-	// Evicted sites released their interning references: only the live
-	// entries' pages remain in the store.
-	if got := store.Len(); got != 3 {
-		t.Errorf("store holds %d artifacts, want 3 after eviction releases", got)
+	// The cache holds nothing it evicted: only the live entries' pages
+	// remain in the store once the evicted ones are collected.
+	if got := settleLen(store, 3); got != 3 {
+		t.Errorf("store holds %d artifacts, want the 3 live entries' pages", got)
 	}
 
 	// The newest entry survives even when it alone blows the budget.
@@ -55,14 +71,21 @@ func TestCacheByteBudgetAccounting(t *testing.T) {
 		t.Errorf("accounted bytes %d, want 8192", got)
 	}
 
-	// purge releases everything.
+	// A site a caller still holds stays interned after its eviction (the
+	// negative control); purge drops everything else.
+	held := big.page("p0.html")
 	c.purge(101)
 	if got, used := c.len(), c.usedBytes(); got != 0 || used != 0 {
 		t.Errorf("after purge: %d entries, %d bytes", got, used)
 	}
-	if got := store.Len(); got != 0 {
-		t.Errorf("store holds %d artifacts after purge, want 0", got)
+	if got := settleLen(store, 1); got != 1 {
+		t.Errorf("store holds %d artifacts after purge, want only the held page", got)
 	}
+	runtime.KeepAlive(held)
+	if got := settleLen(store, 0); got != 0 {
+		t.Errorf("store holds %d artifacts once nothing holds them, want 0", got)
+	}
+	runtime.KeepAlive(c) // a live cache must not be what holds them
 }
 
 func TestCacheReplaceSameKeyAccountsDelta(t *testing.T) {
@@ -80,15 +103,16 @@ func TestCacheReplaceSameKeyAccountsDelta(t *testing.T) {
 	if got := c.len(); got != 1 {
 		t.Errorf("entries %d, want 1", got)
 	}
-	if got := store.Len(); got != 1 {
-		t.Errorf("store %d artifacts, want 1 (replaced site released)", got)
+	if got := settleLen(store, 1); got != 1 {
+		t.Errorf("store %d artifacts, want 1 (the replaced site is not held)", got)
 	}
+	runtime.KeepAlive(c)
 }
 
 // TestCacheConcurrentChurn hammers page/add/purge from many goroutines
 // (run with -race): the invariant checked at the end is that the byte
-// accounting equals the sum of the surviving entries' sizes and every
-// evicted site released its store references.
+// accounting equals the sum of the surviving entries' sizes and the
+// cache holds no evicted or purged site.
 func TestCacheConcurrentChurn(t *testing.T) {
 	store := artifact.NewStore()
 	c := newSiteCache(8, 16*1024)
@@ -131,9 +155,10 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		t.Errorf("byte budget exceeded with %d entries (%d bytes)", entries, got)
 	}
 
-	// After a final purge every interning reference must be home.
+	// After a final purge nothing holds a site, so the store empties.
 	c.purge(0)
-	if n := store.Len(); n != 0 {
-		t.Errorf("store retains %d artifacts after purge (leaked references)", n)
+	if n := settleLen(store, 0); n != 0 {
+		t.Errorf("store retains %d artifacts after purge (the cache still holds sites)", n)
 	}
+	runtime.KeepAlive(c)
 }

@@ -14,6 +14,7 @@ import (
 	"goldweb/internal/artifact"
 	"goldweb/internal/core"
 	"goldweb/internal/htmlgen"
+	"goldweb/internal/workload"
 )
 
 // edgeEndpoints lists every page/app endpoint that serves a frozen
@@ -263,5 +264,84 @@ func TestETagsStableAcrossByteIdenticalSwap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotModified {
 		t.Errorf("revalidation after swap: status %d, want 304", resp.StatusCode)
+	}
+}
+
+// TestRepublishAfterEvictionServesSameGzip: under a 1-entry cache, a
+// gzip GET of page A, then of page B (which evicts A), then of A again
+// answers A's republish with the same ETag and identical gzip bytes.
+// While something still holds A's artifact, the republish gets that very
+// artifact back with the variant it already built.
+func TestRepublishAfterEvictionServesSameGzip(t *testing.T) {
+	m := core.SampleSales()
+	full, err := htmlgen.Publish(m, htmlgen.Options{Mode: htmlgen.MultiPage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := full.HTMLPages()[0], full.HTMLPages()[1]
+	srv := New(m, WithArtifactStore(artifact.NewStore()), WithCacheSize(1))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	gzGet := func(page string) (string, []byte) {
+		resp := doReq(t, ts, http.MethodGet, "/site/"+page, map[string]string{"Accept-Encoding": "gzip"})
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "gzip" {
+			t.Fatalf("gzip GET %s: status %d, encoding %q, %v", page, resp.StatusCode, resp.Header.Get("Content-Encoding"), err)
+		}
+		return resp.Header.Get("Etag"), body
+	}
+	etagA, gzA := gzGet(pa)
+	gzGet(pb)
+	if cachedEntry(srv, siteKey{gen: srv.Generation(), mode: htmlgen.MultiPage, page: pa}) != nil {
+		t.Fatalf("%s still cached after %s filled the 1-entry cache", pa, pb)
+	}
+	etagA2, gzA2 := gzGet(pa)
+	if etagA2 != etagA || !bytes.Equal(gzA2, gzA) {
+		t.Errorf("republished %s: ETag %s -> %s, gzip bytes equal %v", pa, etagA, etagA2, bytes.Equal(gzA2, gzA))
+	}
+
+	snap := srv.snapshot()
+	held, err := srv.pageFor(snap, htmlgen.MultiPage, "", pa)
+	if err != nil || held == nil {
+		t.Fatalf("pageFor %s: %v", pa, err)
+	}
+	gz := held.Gzip()
+	if _, err := srv.pageFor(snap, htmlgen.MultiPage, "", pb); err != nil {
+		t.Fatal(err)
+	}
+	again, err := srv.pageFor(snap, htmlgen.MultiPage, "", pa)
+	if err != nil || again != held {
+		t.Fatalf("republish of a held page built a new artifact (%v)", err)
+	}
+	if g := again.Gzip(); len(g) != len(gz) || &g[0] != &gz[0] {
+		t.Error("republish of a held page compressed it again")
+	}
+}
+
+// BenchmarkColdRepublish times the stage browse-cold's reads run: under a
+// 1-entry presentation cache, gzip GETs alternate between the index pages
+// of two focused presentations, so every read misses, republishes its
+// page, interns it and serves its gzip variant.
+func BenchmarkColdRepublish(b *testing.B) {
+	m := workload.GenModel(workload.ModelSpec{Facts: 2, Dims: 4, Depth: 2})
+	h := New(m, WithArtifactStore(artifact.NewStore()), WithCacheSize(1)).Handler()
+	var reqs [2]*http.Request
+	w := &discardResponse{h: make(http.Header)}
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/site/index.html?focus="+m.Facts[i].ID, nil)
+		reqs[i].Header.Set("Accept-Encoding", "gzip")
+		h.ServeHTTP(w, reqs[i])
+		if w.h.Get("Content-Encoding") != "gzip" {
+			b.Fatalf("GET %s: no gzip response", reqs[i].URL)
+		}
+		clear(w.h)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, reqs[i%2])
+		clear(w.h)
 	}
 }

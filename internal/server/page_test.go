@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"goldweb/internal/artifact"
@@ -145,8 +146,8 @@ func TestUnknownSitePageIs404WithoutTransform(t *testing.T) {
 
 // TestPublicationForDeadGenerationIsNotCached: a publication still in
 // flight when a swap purges the cache finishes under a generation
-// nothing can serve again; it must not take a cache slot or keep its
-// artifacts interned.
+// nothing can serve again; it must not take a cache slot, and nothing
+// may hold its artifacts, so they leave the store.
 func TestPublicationForDeadGenerationIsNotCached(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -172,9 +173,10 @@ func TestPublicationForDeadGenerationIsNotCached(t *testing.T) {
 	if got := srv.cache.len(); got != 0 {
 		t.Errorf("cache holds %d entries for a dead generation, want 0", got)
 	}
-	if got := store.Len(); got != 0 {
+	if got := settleLen(store, 0); got != 0 {
 		t.Errorf("store holds %d artifacts of a dead generation, want 0", got)
 	}
+	runtime.KeepAlive(srv) // a live server must not be what holds them
 }
 
 // TestSingleReadDoesNotGateSitePages: a /single read of a focus publishes

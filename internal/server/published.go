@@ -11,18 +11,19 @@ import (
 // and writes pre-frozen (optionally precompressed) bytes without
 // touching the publication pipeline again.
 //
-// Interning is what makes hot swaps cheap: a republish whose bytes did
-// not change resolves to the same artifacts — same ETags (clients keep
-// their 304s across generations), and no doubled memory while an old
-// and a new generation briefly coexist during a staged swap.
+// Interning is what makes hot swaps and republishes cheap: a republish
+// whose bytes did not change resolves to the same artifacts while any
+// holder keeps them — same ETags (clients keep their 304s across
+// generations), the gzip variants already built, and no doubled memory
+// while an old and a new generation briefly coexist during a staged
+// swap.
 type publishedSite struct {
 	pages map[string]*artifact.Artifact
 	// size is the summed identity size — the siteCache accounting unit.
 	size int64
 }
 
-// newPublishedSite interns every page of site into the store. The
-// caller owns one reference per page, returned via release.
+// newPublishedSite interns every page of site into the store.
 func newPublishedSite(store *artifact.Store, site *htmlgen.Site) *publishedSite {
 	p := &publishedSite{
 		pages: make(map[string]*artifact.Artifact, len(site.Pages)),
@@ -37,12 +38,3 @@ func newPublishedSite(store *artifact.Store, site *htmlgen.Site) *publishedSite 
 
 // page returns the artifact for one page name, or nil.
 func (p *publishedSite) page(name string) *artifact.Artifact { return p.pages[name] }
-
-// release returns every page's interning reference (cache eviction,
-// purge). In-flight responses holding the artifacts keep serving —
-// release only ends interning for future publications.
-func (p *publishedSite) release() {
-	for _, a := range p.pages {
-		a.Release()
-	}
-}

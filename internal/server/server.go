@@ -30,9 +30,10 @@
 // → 304) with lazily materialized precompressed gzip variants selected
 // by Accept-Encoding. Byte-identical pages are shared across
 // generations and across models, so a hot swap that does not change a
-// page's bytes keeps its ETag — and the clients' 304s — alive. The
-// presentation cache is accounted in bytes (WithCacheBytes), not
-// entries.
+// page's bytes keeps its ETag — and the clients' 304s — alive, and a
+// page republished after a cache eviction gets back its artifact and
+// gzip variant while anything still holds them. The presentation cache
+// is accounted in bytes (WithCacheBytes), not entries.
 package server
 
 import (
@@ -105,12 +106,9 @@ type snapshot struct {
 
 	// views holds the XML views once the first GET of any of them has
 	// built them (viewsFor). A swap does not build them: serving reads
-	// the published pages, and most snapshots never serve a view. viewMu
-	// serializes the build against release; released records that the
-	// snapshot was replaced, after which a build no longer interns.
-	views    atomic.Pointer[xmlViews]
-	viewMu   sync.Mutex
-	released bool
+	// the published pages, and most snapshots never serve a view.
+	viewOnce sync.Once
+	views    *xmlViews
 }
 
 // notePages records the page names a run reported for the multi-page
@@ -154,55 +152,26 @@ type xmlViews struct {
 	cwm    *artifact.Artifact // /cwm.xmi
 }
 
-// release returns the snapshot's interning references when it is
-// replaced by a swap; responses in flight keep their artifacts.
-func (snap *snapshot) release() {
-	snap.viewMu.Lock()
-	snap.released = true
-	v := snap.views.Load()
-	snap.viewMu.Unlock()
-	if v != nil {
-		v.model.Release()
-		v.pretty.Release()
-		v.client.Release()
-		v.cwm.Release()
-	}
-}
-
-// viewsFor returns snap's XML views, building them on first use. A
-// snapshot that is still live (or staged) interns them into the store,
-// so a swap that does not change the document re-resolves to the same
-// artifacts — same ETags, no duplicate bytes. A request that reaches a
-// snapshot after its release builds private artifacts instead: interning
-// then would leave store references nobody releases.
+// viewsFor returns snap's XML views, building them on first use and
+// interning them into the store, so a swap that does not change the
+// document re-resolves to the same artifacts while the old snapshot's
+// are still held — same ETags, no duplicate bytes. A replaced snapshot's
+// views leave the store once nothing holds them.
 func (s *Server) viewsFor(snap *snapshot) *xmlViews {
-	if v := snap.views.Load(); v != nil {
-		return v
-	}
-	snap.viewMu.Lock()
-	defer snap.viewMu.Unlock()
-	if v := snap.views.Load(); v != nil {
-		return v
-	}
-	newArtifact := s.store.Intern
-	if snap.released {
-		newArtifact = artifact.New
-	}
-	v := buildViews(snap.model, newArtifact)
-	snap.views.Store(v)
-	return v
+	snap.viewOnce.Do(func() { snap.views = buildViews(snap.model, s.store) })
+	return snap.views
 }
 
 // buildViews renders the model's XML views from its canonical document.
-func buildViews(m *core.Model, newArtifact func(contentType string, body []byte) *artifact.Artifact) *xmlViews {
+func buildViews(m *core.Model, store *artifact.Store) *xmlViews {
 	const xmlCT = "text/xml; charset=utf-8"
 	doc := m.ToXML()
 	modelXML := []byte(xmldom.SerializeToString(doc, xmldom.WriteOptions{}))
 	return &xmlViews{
-		model:  newArtifact(xmlCT, modelXML),
-		pretty: newArtifact("text/plain; charset=utf-8", []byte(xmldom.Pretty(doc))),
-		client: newArtifact(xmlCT, clientModelXML(modelXML)),
-		cwm:    newArtifact(xmlCT, []byte(cwm.ExportString(m))),
+		model:  store.Intern(xmlCT, modelXML),
+		pretty: store.Intern("text/plain; charset=utf-8", []byte(xmldom.Pretty(doc))),
+		client: store.Intern(xmlCT, clientModelXML(modelXML)),
+		cwm:    store.Intern(xmlCT, []byte(cwm.ExportString(m))),
 	}
 }
 
@@ -393,12 +362,6 @@ func (s *Server) install(snap *snapshot, probe *publishedSite) uint64 {
 	}
 	s.snap.Store(snap)
 	s.mu.Unlock()
-	if old != nil {
-		// Drop the old views' interning references after the swap. The
-		// ETag is a content hash, so a byte-identical view the new
-		// snapshot builds later carries the same ETag either way.
-		old.release()
-	}
 	return gen
 }
 
@@ -412,11 +375,8 @@ func (s *Server) SetModel(m *core.Model) {
 }
 
 // StagedModel is a built, shadow-verified snapshot that has not been
-// installed yet. Commit makes it live. A stage must be committed: the
-// shadow-published pages it holds are interned, and only the cache the
-// commit seeds releases those references — a dropped stage leaks them.
-// A failed Stage returns no stage and holds nothing (the catalog commits
-// every stage it gets).
+// installed yet. Commit makes it live; a stage that is never committed
+// is garbage like any other value.
 type StagedModel struct {
 	s     *Server
 	snap  *snapshot
@@ -433,7 +393,6 @@ type StagedModel struct {
 func (s *Server) Stage(ctx context.Context, m *core.Model) (*StagedModel, error) {
 	snap := s.buildSnapshot(m)
 	if err := snap.invalid(); err != nil {
-		snap.release()
 		return nil, err
 	}
 	s.pubWG.Add(1)
@@ -445,7 +404,6 @@ func (s *Server) Stage(ctx context.Context, m *core.Model) (*StagedModel, error)
 			htmlgen.Options{Mode: htmlgen.MultiPage, SkipValidation: true})
 	}
 	if err != nil {
-		snap.release()
 		return nil, fmt.Errorf("shadow publish: %w", err)
 	}
 	snap.notePages("", site.Order)

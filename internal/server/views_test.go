@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -69,8 +70,8 @@ func TestLazyViewsMatchEagerConstruction(t *testing.T) {
 // TestConcurrentFirstViewGetsDuringSwaps races first GETs of every view
 // against hot swaps (run with -race). Each response must be the view of
 // the generation it is labelled with, and once the swaps stop the store
-// must hold exactly the live snapshot's four views: a view set built on a
-// replaced snapshot either was released with it or was never interned.
+// must settle to exactly the live snapshot's four views: nothing holds a
+// view set built on a replaced snapshot.
 func TestConcurrentFirstViewGetsDuringSwaps(t *testing.T) {
 	models := []*core.Model{core.SampleSales(), core.SampleHospital()} // odd, even generations
 	want := []*xmlViews{eagerViews(models[0]), eagerViews(models[1])}
@@ -118,27 +119,33 @@ func TestConcurrentFirstViewGetsDuringSwaps(t *testing.T) {
 	for path := range viewPaths {
 		getView(h, path)
 	}
-	if got := store.Len(); got != len(viewPaths) {
+	if got := settleLen(store, len(viewPaths)); got != len(viewPaths) {
 		t.Errorf("store holds %d artifacts after the swaps, want the live snapshot's %d views", got, len(viewPaths))
 	}
+	runtime.KeepAlive(srv)
 }
 
-// TestViewsOnReleasedSnapshotAreNotInterned: a request still holding a
-// replaced snapshot gets its views, but they do not enter the store.
-func TestViewsOnReleasedSnapshotAreNotInterned(t *testing.T) {
+// TestReplacedSnapshotViewsLeaveTheStore: a replaced snapshot's views
+// leave the store once nothing holds them; one a request still holds
+// stays (the negative control).
+func TestReplacedSnapshotViewsLeaveTheStore(t *testing.T) {
 	store := artifact.NewStore()
 	srv := New(core.SampleSales(), WithArtifactStore(store))
-	old := srv.snapshot()
+	h := srv.Handler()
+	for path := range viewPaths {
+		getView(h, path)
+	}
+	if got := store.Len(); got != len(viewPaths) {
+		t.Fatalf("store holds %d artifacts, want the %d views", got, len(viewPaths))
+	}
+	held := srv.viewsFor(srv.snapshot()).model
 	srv.SetModel(core.SampleHospital())
-	before := store.Len()
-	v := srv.viewsFor(old)
-	if got := store.Len(); got != before {
-		t.Errorf("views of a released snapshot changed the store: %d -> %d artifacts", before, got)
+	if got := settleLen(store, 1); got != 1 {
+		t.Errorf("store holds %d artifacts after the swap, want only the held /model.xml view", got)
 	}
-	want := eagerViews(core.SampleSales())
-	for path, field := range viewPaths {
-		if !bytes.Equal(field(v).Bytes(), field(want).Bytes()) {
-			t.Errorf("%s of the released snapshot differs from its model's view", path)
-		}
+	runtime.KeepAlive(held)
+	if got := settleLen(store, 0); got != 0 {
+		t.Errorf("store holds %d artifacts once nothing holds the replaced views, want 0", got)
 	}
+	runtime.KeepAlive(srv) // a live server must not be what holds them
 }

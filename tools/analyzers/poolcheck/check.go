@@ -153,9 +153,6 @@ func (c *checker) acquireDesc(call *ast.CallExpr, lhs *ast.Ident) (string, bool)
 		if strings.HasPrefix(fn.Sel.Name, "New") && c.hasReleaseMethod(lhs) {
 			return fn.Sel.Name + "()", true
 		}
-		if isRefcountAcquire(fn.Sel.Name) && c.hasReleaseMethod(lhs) {
-			return exprString(fn.X) + "." + fn.Sel.Name + "()", true
-		}
 	case *ast.Ident:
 		if isGetterName(fn.Name) {
 			return fn.Name + "()", true
@@ -174,15 +171,6 @@ func (c *checker) acquireDesc(call *ast.CallExpr, lhs *ast.Ident) (string, bool)
 // getFrame, ...
 func isGetterName(name string) bool {
 	return len(name) > 3 && strings.HasPrefix(name, "get") && name[3] >= 'A' && name[3] <= 'Z'
-}
-
-// isRefcountAcquire matches the reference-counted store convention of
-// artifact.Store: Intern/Acquire (and variants like InternBytes) return
-// a value holding a reference the caller owns until it calls Release.
-// Only meaningful combined with hasReleaseMethod on the receiving
-// variable, which keeps ordinary accessors out.
-func isRefcountAcquire(name string) bool {
-	return strings.HasPrefix(name, "Intern") || strings.HasPrefix(name, "Acquire")
 }
 
 // isPairedGetter recognises the exported free-list convention — GetFrame

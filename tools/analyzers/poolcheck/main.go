@@ -2,16 +2,13 @@
 // sync.Pool and free-list acquisitions whose value is not released on
 // every return path of the acquiring function.
 //
-// Four acquisition shapes are recognised:
+// Three acquisition shapes are recognised:
 //
 //   - v := pool.Get() on a sync.Pool (released by pool.Put(v))
 //   - v := getFoo(...) by naming convention (released by putFoo(v) or
 //     any sync.Pool Put(v))
 //   - v := NewFoo(...) where v's type has a Release method
 //     (released by v.Release())
-//   - v := store.Intern(...) / store.Acquire(...) where v's type has a
-//     Release method — the artifact.Store reference-count convention;
-//     the caller owns one reference until v.Release()
 //
 // A path is also considered safe when ownership demonstrably leaves the
 // function: the value is returned, stored into a field, map, slice or

@@ -54,35 +54,6 @@ func TestVetToolFindsSeededLeaks(t *testing.T) {
 	}
 }
 
-// TestVetToolFindsArtifactRefcountLeaks covers the artifact-refcount
-// mode: Store.Intern/Acquire acquisitions must be released on every
-// path, with the same ownership-transfer suppressions as the pool pass.
-func TestVetToolFindsArtifactRefcountLeaks(t *testing.T) {
-	tool := buildTool(t)
-	out, failed := vet(t, tool, "artifactleak")
-	if !failed {
-		t.Fatalf("vet on seeded refcount leaks must fail; output:\n%s", out)
-	}
-	for _, want := range []string{
-		`leak.go:16:3: return without releasing "a" acquired from store.Intern() at line 14`,
-		`leak.go:25:2: "a" acquired from store.Intern() is never released`,
-		`leak.go:31:2: "a" acquired from store.InternString() is never released`,
-		`leak.go:43:2: return without releasing "b" acquired from store.Acquire() at line 37`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing finding %q in output:\n%s", want, out)
-		}
-	}
-}
-
-func TestVetToolAcceptsArtifactCleanPackage(t *testing.T) {
-	tool := buildTool(t)
-	out, failed := vet(t, tool, "artifactclean")
-	if failed {
-		t.Fatalf("vet on clean refcount package must pass; output:\n%s", out)
-	}
-}
-
 func TestVetToolAcceptsCleanPackage(t *testing.T) {
 	tool := buildTool(t)
 	out, failed := vet(t, tool, "clean")
