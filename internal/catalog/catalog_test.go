@@ -193,12 +193,12 @@ func TestStageFailuresRollBackToLastGood(t *testing.T) {
 // reports. A structural error fails validation with the count of
 // structural errors only, even when key/keyref violations are present
 // too; key/keyref violations alone fail the lint gate under strict and
-// the snapshot's validation under warn and off.
+// the publish stage under warn and off, naming the input node.
 func TestStageErrorMessages(t *testing.T) {
 	good := modelSource(t, "Sales DW")
 	const (
 		structural = "validate: /goldmodel/bogus (line 1): element <bogus> is not allowed here in goldmodel (content model (factclasses, dimclasses, cubeclasses?)) (1 problems)"
-		backstop   = "publish: document is invalid: /goldmodel/dimclasses/dimclass/relationasocs/relationasoc: keyref relationAsocChildKey: value (da1) does not match any levelKey value (1 problems)"
+		backstop   = "publish: document is invalid: /goldmodel/dimclasses/dimclass/relationasocs/relationasoc (line 1): keyref relationAsocChildKey: value (da1) does not match any levelKey value (1 problems)"
 	)
 	cases := []struct {
 		lint LintPolicy
@@ -222,8 +222,9 @@ func TestStageErrorMessages(t *testing.T) {
 }
 
 // TestSetValidatesEachDocumentOnce: a swap walks its input document once
-// (the lint gate reuses that validation instead of walking again) and the
-// snapshot's canonical document once, on the first load and on a hot swap.
+// and nothing else, on the first load and on a hot swap: the lint gate
+// reuses that validation, and the snapshot publishes the document it
+// validated.
 func TestSetValidatesEachDocumentOnce(t *testing.T) {
 	c := New(Options{DisableRetry: true})
 	defer c.Close()
@@ -233,9 +234,65 @@ func TestSetValidatesEachDocumentOnce(t *testing.T) {
 		if err := c.Set(context.Background(), "m", src); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		if walks := xsd.ValidationWalks() - before; walks != 2 {
-			t.Errorf("%s: %d validation walks, want 2 (input and snapshot)", step, walks)
+		if walks := xsd.ValidationWalks() - before; walks != 1 {
+			t.Errorf("%s: %d validation walks, want 1 (the input)", step, walks)
 		}
+	}
+}
+
+// TestCustomSchemaPublishesCanonicalDocument: a catalog with its own
+// schema publishes the model's canonical GOLD document, not the input
+// its schema validated, because the stylesheets read GOLD documents.
+// The custom schema is a GOLD copy whose sharedagg rolea defaults to ""
+// instead of "M": ModelFromXML reads the empty value as M, and the GOLD
+// document says so, while the input would mark no aggregation many-to-
+// many.
+func TestCustomSchemaPublishesCanonicalDocument(t *testing.T) {
+	const goldRoleA = `<xsd:attribute name="rolea" type="Multiplicity" default="M"/>`
+	if strings.Count(core.SchemaXSD, goldRoleA) != 1 {
+		t.Fatal("the GOLD schema no longer declares sharedagg's rolea default as expected")
+	}
+	schema, err := xsd.ParseSchemaString(strings.Replace(core.SchemaXSD, goldRoleA,
+		`<xsd:attribute name="rolea" type="xsd:string" default=""/>`, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := []byte(strings.ReplaceAll(core.SampleHospital().XMLString(), ` rolea="M"`, ""))
+	doc, err := xmldom.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := schema.ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true})
+	m, err := core.ModelFromXML(input.Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := htmlgen.Publish(m, htmlgen.Options{Mode: htmlgen.MultiPage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromInput, err := htmlgen.PublishDocument(input.Doc, htmlgen.Options{Mode: htmlgen.MultiPage, SkipValidation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := New(Options{DisableRetry: true, Schema: schema})
+	defer c.Close()
+	if err := c.Set(context.Background(), "m", src); err != nil {
+		t.Fatal(err)
+	}
+	h := c.Handler()
+	differs := false
+	for _, page := range want.Order {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/m/site/"+page, nil))
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Pages[page]) {
+			t.Errorf("%s: status %d, body is not the canonical document's page", page, rec.Code)
+		}
+		differs = differs || !bytes.Equal(fromInput.Pages[page], want.Pages[page])
+	}
+	if !differs {
+		t.Error("the input publishes the same pages: the test no longer tells the documents apart")
 	}
 }
 

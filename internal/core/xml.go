@@ -18,7 +18,7 @@ func (m *Model) ToXML() *xmldom.Node {
 	doc := xmldom.NewDocument()
 	root := doc.AddElement("goldmodel")
 	setAttr(root, "id", m.ID)
-	setAttr(root, "name", m.Name)
+	root.SetAttr("name", m.Name)
 	if !m.ShowAtts {
 		root.SetAttr("showatts", "false")
 	}
@@ -62,6 +62,9 @@ func (m *Model) PrettyXML() string {
 	return xmldom.Pretty(m.ToXML())
 }
 
+// setAttr writes an optional attribute, omitting an empty value. A
+// required name is written even when empty: the schema accepts name="",
+// and the document of a model read from a valid document must be valid.
 func setAttr(e *xmldom.Node, name, v string) {
 	if v != "" {
 		e.SetAttr(name, v)
@@ -77,7 +80,7 @@ func setBool(e *xmldom.Node, name string, v bool) {
 func marshalFact(parent *xmldom.Node, f *FactClass) {
 	e := parent.AddElement("factclass")
 	setAttr(e, "id", f.ID)
-	setAttr(e, "name", f.Name)
+	e.SetAttr("name", f.Name)
 	setAttr(e, "caption", f.Caption)
 	setAttr(e, "description", f.Description)
 	if len(f.Atts) > 0 {
@@ -85,7 +88,7 @@ func marshalFact(parent *xmldom.Node, f *FactClass) {
 		for _, a := range f.Atts {
 			ae := atts.AddElement("factatt")
 			setAttr(ae, "id", a.ID)
-			setAttr(ae, "name", a.Name)
+			ae.SetAttr("name", a.Name)
 			setAttr(ae, "type", a.Type)
 			setBool(ae, "isoid", a.IsOID)
 			setBool(ae, "derived", a.IsDerived)
@@ -130,7 +133,7 @@ func marshalMethods(parent *xmldom.Node, methods []*Method) {
 	for _, meth := range methods {
 		me := ms.AddElement("method")
 		setAttr(me, "id", meth.ID)
-		setAttr(me, "name", meth.Name)
+		me.SetAttr("name", meth.Name)
 		setAttr(me, "signature", meth.Signature)
 		setAttr(me, "description", meth.Description)
 	}
@@ -144,7 +147,7 @@ func marshalDimAtts(parent *xmldom.Node, atts []*DimAtt) {
 	for _, a := range atts {
 		ae := as.AddElement("dimatt")
 		setAttr(ae, "id", a.ID)
-		setAttr(ae, "name", a.Name)
+		ae.SetAttr("name", a.Name)
 		setAttr(ae, "type", a.Type)
 		setBool(ae, "isoid", a.IsOID)
 		setBool(ae, "isd", a.IsD)
@@ -175,7 +178,7 @@ func marshalAssocs(parent *xmldom.Node, assocs []*Association) {
 func marshalDim(parent *xmldom.Node, d *DimClass) {
 	e := parent.AddElement("dimclass")
 	setAttr(e, "id", d.ID)
-	setAttr(e, "name", d.Name)
+	e.SetAttr("name", d.Name)
 	setAttr(e, "caption", d.Caption)
 	setAttr(e, "description", d.Description)
 	setBool(e, "istime", d.IsTime)
@@ -185,7 +188,7 @@ func marshalDim(parent *xmldom.Node, d *DimClass) {
 		for _, l := range d.Levels {
 			le := ls.AddElement("asoclevel")
 			setAttr(le, "id", l.ID)
-			setAttr(le, "name", l.Name)
+			le.SetAttr("name", l.Name)
 			setAttr(le, "caption", l.Caption)
 			setAttr(le, "description", l.Description)
 			marshalDimAtts(le, l.Atts)
@@ -199,7 +202,7 @@ func marshalDim(parent *xmldom.Node, d *DimClass) {
 		for _, cl := range d.CatLevels {
 			ce := cs.AddElement("catlevel")
 			setAttr(ce, "id", cl.ID)
-			setAttr(ce, "name", cl.Name)
+			ce.SetAttr("name", cl.Name)
 			setAttr(ce, "description", cl.Description)
 			marshalDimAtts(ce, cl.Atts)
 		}
@@ -210,7 +213,7 @@ func marshalDim(parent *xmldom.Node, d *DimClass) {
 func marshalCube(parent *xmldom.Node, c *CubeClass) {
 	e := parent.AddElement("cubeclass")
 	setAttr(e, "id", c.ID)
-	setAttr(e, "name", c.Name)
+	e.SetAttr("name", c.Name)
 	setAttr(e, "description", c.Description)
 	setAttr(e, "factclass", c.Fact)
 	if len(c.Measures) > 0 {

@@ -71,7 +71,7 @@ func TestUnknownSitePageIs404WithoutTransform(t *testing.T) {
 	focus := m.Facts[0].ID
 
 	srv := NewEmpty(WithArtifactStore(artifact.NewStore()))
-	st, err := srv.Stage(context.Background(), m)
+	st, err := stageCanonical(context.Background(), srv, m)
 	if err != nil {
 		t.Fatal(err)
 	}

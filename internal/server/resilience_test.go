@@ -474,7 +474,7 @@ func TestWarmHitAllocations(t *testing.T) {
 	m := core.SampleSales()
 	focus := m.Facts[0].ID
 	srv := NewEmpty()
-	st, err := srv.Stage(context.Background(), m)
+	st, err := stageCanonical(context.Background(), srv, m)
 	if err != nil {
 		t.Fatal(err)
 	}

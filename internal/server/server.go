@@ -86,8 +86,9 @@ type snapshot struct {
 	// generation header, assigned (not Set) on every response so the
 	// warm path does not allocate for it.
 	genVal []string
-	// pubDoc is the publication source: validated once at swap time with
-	// schema defaults applied. pubErrs are that validation's errors:
+	// pubDoc is the publication source: the document the model was read
+	// from, validated against the GOLD schema once, with its defaults
+	// applied, and frozen. pubErrs are that validation's errors:
 	// /validate lists them, and the publication path reports them
 	// (invalid) instead of transforming.
 	pubDoc  *xmldom.Node
@@ -316,18 +317,12 @@ func NewEmpty(opts ...Option) *Server {
 	return s
 }
 
-// buildSnapshot prepares one immutable published state for m: the
-// frozen, defaults-applied publication document and the valid focus
-// set. The XML views are left to their first GET (viewsFor). It touches
-// no live serving state.
-func (s *Server) buildSnapshot(m *core.Model) *snapshot {
-	snap := &snapshot{model: m, focuses: htmlgen.FocusTargets(m)}
-	// Validate once per swap (applying schema defaults) so the request
-	// path never re-validates; the defaults-applied document is frozen and
-	// shared by every concurrent transformation.
-	pub := core.ValidateAndFreeze(m.ToXML())
-	snap.pubDoc, snap.pubErrs = pub.Doc, pub.Errors
-	return snap
+// buildSnapshot prepares one immutable published state for m from val,
+// the GOLD-schema validation of the document m was read from: its
+// frozen, defaults-applied document is the publication source. The XML
+// views are left to their first GET (viewsFor).
+func buildSnapshot(m *core.Model, val *xsd.Validated) *snapshot {
+	return &snapshot{model: m, focuses: htmlgen.FocusTargets(m), pubDoc: val.Doc, pubErrs: val.Errors}
 }
 
 // invalid is the publication error of a snapshot whose document failed
@@ -371,7 +366,7 @@ func (s *Server) install(snap *snapshot, probe *publishedSite) uint64 {
 // fails validation — the publication path then reports the error per
 // request); use Stage/Commit for verified, rollback-capable swaps.
 func (s *Server) SetModel(m *core.Model) {
-	s.install(s.buildSnapshot(m), nil)
+	s.install(buildSnapshot(m, core.ValidateAndFreeze(m.ToXML())), nil)
 }
 
 // StagedModel is a built, shadow-verified snapshot that has not been
@@ -385,13 +380,16 @@ type StagedModel struct {
 
 // Stage builds the full snapshot for m and shadow-publishes its
 // multi-page presentation — the server's only whole-presentation
-// publication — without touching the live snapshot. Any failure —
-// schema validation, a publication error, ctx cancellation — returns an
-// error and leaves the server serving exactly what it served before.
-// Concurrent Stage calls are safe; external callers (the catalog)
-// serialize commits per model.
-func (s *Server) Stage(ctx context.Context, m *core.Model) (*StagedModel, error) {
-	snap := s.buildSnapshot(m)
+// publication — without touching the live snapshot. val is the
+// GOLD-schema validation (core.ValidateAndFreeze) of the document m was
+// read from, and that document is what the snapshot publishes: Stage
+// validates nothing itself, and it refuses a val with errors, such as
+// key/keyref violations. Any failure — those errors, a publication
+// error, ctx cancellation — returns an error and leaves the server
+// serving exactly what it served before. Concurrent Stage calls are
+// safe; external callers (the catalog) serialize commits per model.
+func (s *Server) Stage(ctx context.Context, m *core.Model, val *xsd.Validated) (*StagedModel, error) {
+	snap := buildSnapshot(m, val)
 	if err := snap.invalid(); err != nil {
 		return nil, err
 	}

@@ -233,10 +233,11 @@ func TestStagedSwapCommitAndRollback(t *testing.T) {
 	gen0 := srv.Generation()
 
 	// A failing stage: invalid model (dangling dimension reference in
-	// the document). ValidateDocument catches it at snapshot build.
+	// the document). Its validation reports the keyref violation, and
+	// Stage refuses a document with errors.
 	bad := core.SampleSales()
 	bad.Facts[0].SharedAggs[0].DimClass = "ghost"
-	if _, err := srv.Stage(context.Background(), bad); err == nil {
+	if _, err := stageCanonical(context.Background(), srv, bad); err == nil {
 		t.Fatal("staging an invalid model succeeded")
 	}
 	if got := srv.Generation(); got != gen0 {
@@ -249,7 +250,7 @@ func TestStagedSwapCommitAndRollback(t *testing.T) {
 	// A canceled stage also leaves no trace.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.Stage(canceled, core.SampleHospital()); err == nil {
+	if _, err := stageCanonical(canceled, srv, core.SampleHospital()); err == nil {
 		t.Fatal("staging under a canceled context succeeded")
 	}
 	if got := srv.Generation(); got != gen0 {
@@ -257,7 +258,7 @@ func TestStagedSwapCommitAndRollback(t *testing.T) {
 	}
 
 	// A good stage + commit swaps atomically and bumps the generation.
-	st, err := srv.Stage(context.Background(), core.SampleHospital())
+	st, err := stageCanonical(context.Background(), srv, core.SampleHospital())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,6 +274,11 @@ func TestStagedSwapCommitAndRollback(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "Hospital DW") {
 		t.Fatalf("post-commit site: %d %.80s", code, body)
 	}
+}
+
+// stageCanonical stages a model built in Go from its canonical document.
+func stageCanonical(ctx context.Context, srv *Server, m *core.Model) (*StagedModel, error) {
+	return srv.Stage(ctx, m, core.ValidateAndFreeze(m.ToXML()))
 }
 
 // TestGenerationHeaderIsMonotonic asserts the serving contract the
@@ -372,7 +378,7 @@ func TestEmptyServerAnswers503UntilFirstPublish(t *testing.T) {
 		t.Error("empty server claims ready")
 	}
 
-	st, err := srv.Stage(context.Background(), core.SampleSales())
+	st, err := stageCanonical(context.Background(), srv, core.SampleSales())
 	if err != nil {
 		t.Fatal(err)
 	}
