@@ -7,10 +7,9 @@ import (
 	"goldweb/internal/xmldom"
 )
 
-// Expr is a compiled XPath expression.
+// Expr is an XPath expression tree node, or a *Compiled expression,
+// as the introspection API (introspect.go) reads it.
 type Expr interface {
-	// Eval evaluates the expression in the given context.
-	Eval(ctx *Context) (Value, error)
 	// String returns a parseable rendering of the expression.
 	String() string
 }
@@ -37,16 +36,6 @@ type Context struct {
 // NewContext returns a context positioned at node 1 of 1.
 func NewContext(node *xmldom.Node) *Context {
 	return &Context{Node: node, Position: 1, Size: 1}
-}
-
-// sub returns a copy of ctx focused on a different node/position/size,
-// sharing variable and function bindings.
-func (ctx *Context) sub(node *xmldom.Node, pos, size int) *Context {
-	c := *ctx
-	c.Node = node
-	c.Position = pos
-	c.Size = size
-	return &c
 }
 
 // lookupVar resolves a variable reference.

@@ -14,8 +14,8 @@ import (
 	"goldweb/internal/xpath"
 )
 
-// The IR evaluator must agree with the legacy AST interpreter
-// (EvalReference) on every expression the builtin stylesheets use and on
+// The IR evaluator must agree with the test-only reference interpreter
+// (EvalReference, eval_ref_test.go) on every expression the builtin stylesheets use and on
 // a hand-written corpus covering the rest of the grammar, across every
 // example model document, frozen under the document index as every tree
 // the evaluators see is, so the planner's indexed fast paths are
@@ -92,6 +92,9 @@ var handExprs = []string{
 	"text()", "comment()", "processing-instruction()", "node()",
 	"0 < .//@rolea", "2 > .//@rolea", ".//@rolea >= 1", "'0' <= .//@roleb",
 	"1 = .//@rolea", "'d1' != .//@dimclass", "true() = .//@nosuch",
+	// IEEE 754 corners of the constant fold.
+	"0 div 0", "-1 div 0", "1 div (0 * -1)", "5 mod 0", "-5 mod 2",
+	"5 mod -2", "5.5 mod 2", "(0 div 0) = (0 div 0)", "1 div 0 > 2",
 }
 
 // stubFuncs supplies deterministic implementations of the XSLT extension

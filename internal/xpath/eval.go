@@ -1,127 +1,11 @@
 package xpath
 
-import (
-	"fmt"
-	"math"
+import "goldweb/internal/xmldom"
 
-	"goldweb/internal/xmldom"
-)
-
-// Query compiles and evaluates src with node as the context node.
-// Convenience for one-shot queries; hot paths should Compile once.
-func Query(node *xmldom.Node, src string) (Value, error) {
-	e, err := Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Eval(NewContext(node))
-}
-
-// QueryNodes evaluates src against node and returns the resulting node-set
-// in document order. It is an error if the expression does not yield a
-// node-set.
-func QueryNodes(node *xmldom.Node, src string) ([]*xmldom.Node, error) {
-	v, err := Query(node, src)
-	if err != nil {
-		return nil, err
-	}
-	ns, ok := v.(NodeSet)
-	if !ok {
-		return nil, fmt.Errorf("xpath: %s does not evaluate to a node-set", src)
-	}
-	return ns, nil
-}
-
-// QueryString evaluates src against node and returns the string value of
-// the result.
-func QueryString(node *xmldom.Node, src string) (string, error) {
-	v, err := Query(node, src)
-	if err != nil {
-		return "", err
-	}
-	return ToString(v), nil
-}
-
-// ---- expression evaluation ----
-
-func (e literalExpr) Eval(ctx *Context) (Value, error) { return String(e), nil }
-func (e numberExpr) Eval(ctx *Context) (Value, error)  { return Number(e), nil }
-
-func (e varExpr) Eval(ctx *Context) (Value, error) { return ctx.lookupVar(string(e)) }
-
-func (e *negExpr) Eval(ctx *Context) (Value, error) {
-	v, err := e.e.Eval(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return Number(-ToNumber(v)), nil
-}
-
-func (e *unionExpr) Eval(ctx *Context) (Value, error) {
-	var all []*xmldom.Node
-	for _, part := range e.parts {
-		v, err := part.Eval(ctx)
-		if err != nil {
-			return nil, err
-		}
-		ns, ok := v.(NodeSet)
-		if !ok {
-			return nil, fmt.Errorf("xpath: operand of | is not a node-set in %s", e)
-		}
-		all = append(all, ns...)
-	}
-	return NodeSet(xmldom.SortDocOrder(all)), nil
-}
-
-func (e *binaryExpr) Eval(ctx *Context) (Value, error) {
-	// Short-circuit boolean operators.
-	switch e.op {
-	case tokAnd, tokOr:
-		lv, err := e.l.Eval(ctx)
-		if err != nil {
-			return nil, err
-		}
-		lb := ToBool(lv)
-		if e.op == tokAnd && !lb {
-			return Boolean(false), nil
-		}
-		if e.op == tokOr && lb {
-			return Boolean(true), nil
-		}
-		rv, err := e.r.Eval(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return Boolean(ToBool(rv)), nil
-	}
-	lv, err := e.l.Eval(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := e.r.Eval(ctx)
-	if err != nil {
-		return nil, err
-	}
-	switch e.op {
-	case tokPlus, tokMinus, tokMultiply, tokDiv, tokMod:
-		a, b := ToNumber(lv), ToNumber(rv)
-		switch e.op {
-		case tokPlus:
-			return Number(a + b), nil
-		case tokMinus:
-			return Number(a - b), nil
-		case tokMultiply:
-			return Number(a * b), nil
-		case tokDiv:
-			return Number(a / b), nil
-		case tokMod:
-			return Number(math.Mod(a, b)), nil
-		}
-	case tokEq, tokNeq, tokLt, tokLe, tokGt, tokGe:
-		return Boolean(compare(e.op, lv, rv)), nil
-	}
-	return nil, fmt.Errorf("xpath: unsupported operator in %s", e)
-}
+// Evaluation helpers shared by the IR evaluator (vm.go), XSLT pattern
+// matching (pattern.go) and the test-only reference interpreter:
+// comparison semantics, axis traversal, node tests and predicate
+// filtering.
 
 // compare implements the XPath 1.0 comparison semantics, including the
 // existential rules for node-set operands.
@@ -214,49 +98,14 @@ func compareAtomic(op tokKind, l, r Value) bool {
 	return false
 }
 
-func (e *callExpr) Eval(ctx *Context) (Value, error) {
-	var fn Function
-	if ctx.Funcs != nil {
-		fn = ctx.Funcs[e.name]
-	}
-	if fn == nil {
-		fn = coreFunctions[e.name]
-	}
-	if fn == nil {
-		return nil, fmt.Errorf("xpath: unknown function %s()", e.name)
-	}
-	args := make([]Value, len(e.args))
-	for i, a := range e.args {
-		v, err := a.Eval(ctx)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return fn(ctx, args)
-}
-
-func (f *filterExpr) Eval(ctx *Context) (Value, error) {
-	v, err := f.primary.Eval(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ns, ok := v.(NodeSet)
-	if !ok {
-		return nil, fmt.Errorf("xpath: predicate applied to non-node-set in %s", f)
-	}
-	nodes := []*xmldom.Node(ns)
-	for _, pred := range f.preds {
-		nodes, err = applyPredicate(ctx, nodes, pred)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return NodeSet(nodes), nil
+// evaluator is what a predicate needs to be applied: *Compiled in
+// production, and the raw parse-tree nodes in the reference interpreter.
+type evaluator interface {
+	Eval(ctx *Context) (Value, error)
 }
 
 // applyPredicate filters nodes (already in forward order) by pred.
-func applyPredicate(ctx *Context, nodes []*xmldom.Node, pred Expr) ([]*xmldom.Node, error) {
+func applyPredicate(ctx *Context, nodes []*xmldom.Node, pred evaluator) ([]*xmldom.Node, error) {
 	var out []*xmldom.Node
 	size := len(nodes)
 	// One reusable sub-context for the whole scan instead of a copy per
@@ -283,81 +132,14 @@ func applyPredicate(ctx *Context, nodes []*xmldom.Node, pred Expr) ([]*xmldom.No
 	return out, nil
 }
 
-func (p *pathExpr) Eval(ctx *Context) (Value, error) {
-	var start []*xmldom.Node
-	switch {
-	case p.input != nil:
-		v, err := p.input.Eval(ctx)
-		if err != nil {
-			return nil, err
-		}
-		ns, ok := v.(NodeSet)
-		if !ok {
-			return nil, fmt.Errorf("xpath: path applied to non-node-set in %s", p)
-		}
-		start = ns
-	case p.absolute:
-		if ctx.Node == nil {
-			return nil, fmt.Errorf("xpath: no context node for absolute path %s", p)
-		}
-		start = []*xmldom.Node{ctx.Node.Root()}
-	default:
-		if ctx.Node == nil {
-			return nil, fmt.Errorf("xpath: no context node for path %s", p)
-		}
-		start = []*xmldom.Node{ctx.Node}
-	}
-	// No per-eval strategy detection here: the reference interpreter
-	// always gathers and sorts. The compiled IR (vm.go) carries the
-	// planner's precomputed forward-axis and name-index decisions.
-	cur := start
-	for _, s := range p.steps {
-		var next []*xmldom.Node
-		for _, n := range cur {
-			sel, err := evalStep(ctx, n, s)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, sel...)
-		}
-		cur = xmldom.SortDocOrder(next)
-	}
-	return NodeSet(cur), nil
-}
-
-// forwardAxis reports whether evalStep results along this axis come back in
-// document order and duplicate-free for a single context node.
+// forwardAxis reports whether axisNodes results along this axis come back
+// in document order and duplicate-free for a single context node.
 func forwardAxis(a axisType) bool {
 	switch a {
 	case axisAncestor, axisAncestorOrSelf, axisPreceding, axisPrecedingSibling:
 		return false
 	}
 	return true
-}
-
-// evalStep selects along one step from a single context node, applying the
-// step's predicates with proximity positions in axis order.
-func evalStep(ctx *Context, n *xmldom.Node, s *step) ([]*xmldom.Node, error) {
-	candidates := axisNodes(n, s.axis)
-	// Filter by node test first.
-	matched := candidates[:0:0]
-	for _, c := range candidates {
-		ok, err := matchTest(ctx, c, s.axis, s.test)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			matched = append(matched, c)
-		}
-	}
-	var err error
-	for _, pred := range s.preds {
-		matched, err = applyPredicate(ctx, matched, pred)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return matched, nil
 }
 
 // axisNodes returns the nodes on the given axis from n, in axis order

@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"goldweb/internal/xmldom"
@@ -160,80 +159,4 @@ func (c *Compiled) EvalNodesOn(ctx *Context, f *Frame) (NodeSet, error) {
 		return nil, fmt.Errorf("xpath: %s does not evaluate to a node-set", c.src)
 	}
 	return v.nodes, nil
-}
-
-// Disasm renders the compiled program as a flat, pc-addressed
-// instruction listing (Plan renders the same program nested). Path and
-// filter operands print their sub-structure indented under the owning
-// instruction without consuming pc numbers, mirroring how the evaluator
-// treats them as single opcodes.
-func (c *Compiled) Disasm() string {
-	var b strings.Builder
-	disasmProgram(&b, c.prog, "")
-	return b.String()
-}
-
-func disasmProgram(b *strings.Builder, p *program, indent string) {
-	for pc, in := range p.code {
-		fmt.Fprintf(b, "%s%04d ", indent, pc)
-		switch in.op {
-		case opConst:
-			fmt.Fprintf(b, "const %s\n", p.consts[in.a].planString())
-		case opVar:
-			fmt.Fprintf(b, "var $%s\n", p.names[in.a])
-		case opCall:
-			cs := p.calls[in.a]
-			fmt.Fprintf(b, "call %s/%d\n", cs.name, cs.argc)
-		case opID:
-			b.WriteString("id-lookup\n")
-		case opUnion:
-			fmt.Fprintf(b, "union %d\n", in.a)
-		case opJmpFalse:
-			fmt.Fprintf(b, "jmp-false %04d\n", in.a)
-		case opJmpTrue:
-			fmt.Fprintf(b, "jmp-true %04d\n", in.a)
-		case opPath:
-			pl := p.paths[in.a]
-			head := "path"
-			switch {
-			case pl.hasInput:
-				head += " from-input"
-			case pl.absolute:
-				head += " abs"
-			}
-			fmt.Fprintf(b, "%s\n", head)
-			for _, st := range pl.steps {
-				flags := ""
-				if st.indexed {
-					flags += " [name-index]"
-				}
-				if st.forward {
-					flags += " [forward]"
-				}
-				fmt.Fprintf(b, "%s     . step %s::%s%s\n", indent, st.axis, st.test, flags)
-				disasmPreds(b, st.preds, indent+"     ")
-			}
-		case opFilter:
-			b.WriteString("filter\n")
-			disasmPreds(b, p.filters[in.a], indent+"     ")
-		default:
-			fmt.Fprintf(b, "%s\n", opcodeNames[in.op])
-		}
-	}
-}
-
-func disasmPreds(b *strings.Builder, preds []*predPlan, indent string) {
-	for _, pr := range preds {
-		switch {
-		case pr.posConst > 0:
-			fmt.Fprintf(b, "%s. pred [select #%d]\n", indent, pr.posConst)
-		case pr.posFree:
-			fmt.Fprintf(b, "%s. pred [pos-free]\n", indent)
-		default:
-			fmt.Fprintf(b, "%s. pred\n", indent)
-		}
-		if pr.prog != nil {
-			disasmProgram(b, pr.prog, indent+"  ")
-		}
-	}
 }

@@ -94,7 +94,7 @@ func TestFrozenNodeSetInvariant(t *testing.T) {
 func TestFusionPositionalSafety(t *testing.T) {
 	doc := xmldom.MustParseString(`<r><a><b v="1"/><b v="2"/></a><a><b v="3"/></a></r>`)
 	xmldom.Freeze(doc)
-	ns, err := QueryNodes(doc, "//b[1]")
+	ns, err := MustCompile("//b[1]").EvalNodes(NewContext(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFusionPositionalSafety(t *testing.T) {
 		t.Errorf("//b[1] selected v=%q, want first b of each parent", got)
 	}
 	// descendant::b[1] is the genuinely fused form: first among all.
-	ns, err = QueryNodes(doc, "/r/descendant::b[1]")
+	ns, err = MustCompile("/r/descendant::b[1]").EvalNodes(NewContext(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFrozenResultsAreCapped(t *testing.T) {
 		"//b[1]", "a/b[1]", "a/b[2]", "a/b", "descendant::b[1]", "a/@x",
 		"a/b[1]/..", "a/@y/..", ".",
 	} {
-		ns, err := QueryNodes(r, src)
+		ns, err := MustCompile(src).EvalNodes(NewContext(r))
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}

@@ -194,10 +194,22 @@ func (p *Pattern) Info() []PatternAltInfo {
 				Name:     s.test.name,
 				PITarget: s.test.piTarget,
 				Anc:      s.anc,
-				Preds:    s.preds,
+				Preds:    exprs(s.preds),
 			})
 		}
 		out[i] = ai
+	}
+	return out
+}
+
+// exprs returns compiled pattern predicates as the Expr view.
+func exprs(preds []*Compiled) []Expr {
+	if len(preds) == 0 {
+		return nil
+	}
+	out := make([]Expr, len(preds))
+	for i, p := range preds {
+		out[i] = p
 	}
 	return out
 }

@@ -118,13 +118,12 @@ type predPlan struct {
 	posFree bool
 }
 
-// Compiled is a fully compiled XPath expression: the original parse
-// tree (the reference interpreter's input), its normalized form (what
-// introspection exposes), the planned instruction program, and the
-// statically inferred result type.
+// Compiled is a fully compiled XPath expression: its source, its
+// normalized form (what introspection exposes), the planned instruction
+// program, and the statically inferred result type. The raw parse tree
+// is not kept.
 type Compiled struct {
 	src  string
-	ref  Expr
 	norm Expr
 	prog *program
 	typ  StaticType
@@ -133,24 +132,11 @@ type Compiled struct {
 // String returns the original expression source, which is parseable.
 func (c *Compiled) String() string { return c.src }
 
-// Type returns the statically inferred result type of the expression.
-func (c *Compiled) Type() StaticType { return c.typ }
-
-// EvalReference evaluates the expression with the legacy AST
-// interpreter over the unnormalized parse tree. It is the semantic
-// oracle the IR evaluator is differentially tested against; production
-// paths use Eval. Unlike Eval it does not freeze the context tree, which
-// must already be frozen.
-func (c *Compiled) EvalReference(ctx *Context) (Value, error) {
-	return c.ref.Eval(ctx)
-}
-
 // finishCompile runs the post-parse pipeline stages on an AST.
 func finishCompile(src string, ast Expr) *Compiled {
 	norm := normalizeExpr(ast)
 	return &Compiled{
 		src:  src,
-		ref:  ast,
 		norm: norm,
 		prog: compileProgram(norm),
 		typ:  inferType(norm),
@@ -176,7 +162,7 @@ func indentln(b *strings.Builder, depth int, format string, args ...interface{})
 }
 
 func writeProgram(b *strings.Builder, p *program, depth int) {
-	for pc, in := range p.code {
+	for _, in := range p.code {
 		switch in.op {
 		case opConst:
 			indentln(b, depth, "const %s", p.consts[in.a].planString())
@@ -201,7 +187,6 @@ func writeProgram(b *strings.Builder, p *program, depth int) {
 		default:
 			indentln(b, depth, "%s", opcodeNames[in.op])
 		}
-		_ = pc
 	}
 }
 
@@ -259,9 +244,5 @@ func (v irval) planString() string {
 	return fmt.Sprintf("node-set(%d)", len(v.nodes))
 }
 
-// Interface checks: Compiled is a drop-in Expr, and the AST nodes the
-// reference interpreter evaluates all satisfy Expr too.
-var (
-	_ Expr = (*Compiled)(nil)
-	_ Expr = boolExpr(false)
-)
+// Interface check: the introspection API reads a Compiled as an Expr.
+var _ Expr = (*Compiled)(nil)

@@ -14,14 +14,13 @@ package xpath
 //     numeric predicate [N], which the planner turns into a direct k-th
 //     selection
 //
-// The original AST is never mutated — EvalReference keeps evaluating it
-// — so normalization always builds fresh nodes when a rewrite applies.
-// Folding of function calls assumes the core-library meaning of the
-// function name, the same stance fuse.go historically took for its
-// non-numeric whitelist: evaluation contexts may in principle shadow
-// core functions via Context.Funcs, but no consumer in this repository
-// does, and the differential test pins the two evaluators under the
-// real function sets.
+// Normalization builds fresh nodes wherever a rewrite applies and never
+// mutates its input tree. Folding of function calls assumes the
+// core-library meaning of the function name: evaluation contexts may in
+// principle shadow core functions via Context.Funcs, but no consumer in
+// this repository does, and the differential test pins the VM against
+// the test-only reference interpreter, which walks the unnormalized
+// parse tree, under the real function sets.
 
 // boolExpr is a folded boolean constant. The parser never produces it;
 // it only appears in normalized ASTs.
@@ -33,8 +32,6 @@ func (e boolExpr) String() string {
 	}
 	return "false()"
 }
-
-func (e boolExpr) Eval(ctx *Context) (Value, error) { return Boolean(e), nil }
 
 // normalizeExpr rewrites e bottom-up into its canonical form.
 func normalizeExpr(e Expr) Expr {
@@ -171,8 +168,7 @@ func normalizeBinary(v *binaryExpr) Expr {
 	case tokPlus, tokMinus, tokMultiply, tokDiv, tokMod:
 		if ln, ok := l.(numberExpr); ok {
 			if rn, ok := r.(numberExpr); ok {
-				res, _ := (&binaryExpr{op: v.op, l: ln, r: rn}).Eval(nil)
-				return numberExpr(res.(Number))
+				return numberExpr(arith(binaryOps[v.op], float64(ln), float64(rn)))
 			}
 		}
 	case tokEq, tokNeq, tokLt, tokLe, tokGt, tokGe:

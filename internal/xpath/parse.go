@@ -7,8 +7,7 @@ import (
 
 // Compile runs the full compilation pipeline on an XPath 1.0
 // expression: parse, normalize, infer the static result type, and plan
-// an instruction program for the IR evaluator. The returned Compiled
-// satisfies Expr, so it drops into every place the raw AST used to go.
+// an instruction program for the IR evaluator.
 func Compile(src string) (*Compiled, error) {
 	ast, err := parse(src)
 	if err != nil {
@@ -17,8 +16,8 @@ func Compile(src string) (*Compiled, error) {
 	return finishCompile(src, ast), nil
 }
 
-// parse produces the raw AST, which doubles as the reference
-// interpreter's input.
+// parse produces the raw AST: the normalize pass's input, and the
+// tree the test-only reference interpreter walks.
 func parse(src string) (Expr, error) {
 	toks, err := lex(src)
 	if err != nil {

@@ -31,7 +31,7 @@ type patternAlt struct {
 type patStep struct {
 	attr  bool // attribute axis
 	test  nodeTest
-	preds []Expr
+	preds []*Compiled
 	anc   bool // true when separated from the previous step by '//'
 }
 
@@ -69,11 +69,11 @@ func CompilePattern(src string) (*Pattern, error) {
 
 // compiledPreds runs pattern predicates through the full compilation
 // pipeline so that matching evaluates planned IR, not raw AST.
-func compiledPreds(preds []Expr) []Expr {
+func compiledPreds(preds []Expr) []*Compiled {
 	if len(preds) == 0 {
 		return nil
 	}
-	out := make([]Expr, len(preds))
+	out := make([]*Compiled, len(preds))
 	for i, p := range preds {
 		out[i] = finishCompile(p.String(), p)
 	}

@@ -190,48 +190,17 @@ func (c *Compiled) run(ctx *Context) (irval, error) {
 	return v, err
 }
 
-// Eval evaluates the expression via the planned IR. Compiled satisfies
-// the Expr interface, so existing call sites keep working unchanged.
-// Like every Eval* method, it freezes the context node's tree in place
-// when it is not frozen yet (see xmldom.Freeze), so the tree can no
-// longer be edited afterwards. An unfrozen tree is not safe for
-// concurrent evaluation: freeze it before sharing it.
+// Eval evaluates the expression via the planned IR. Like EvalNodes, it
+// freezes the context node's tree in place when it is not frozen yet
+// (see xmldom.Freeze), so the tree can no longer be edited afterwards.
+// An unfrozen tree is not safe for concurrent evaluation: freeze it
+// before sharing it.
 func (c *Compiled) Eval(ctx *Context) (Value, error) {
 	v, err := c.run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return v.boxed(), nil
-}
-
-// EvalBool evaluates the expression and coerces the result to a boolean
-// without boxing intermediate values.
-func (c *Compiled) EvalBool(ctx *Context) (bool, error) {
-	v, err := c.run(ctx)
-	if err != nil {
-		return false, err
-	}
-	return v.truthy(), nil
-}
-
-// EvalString evaluates the expression and coerces the result to its
-// XPath string value without boxing.
-func (c *Compiled) EvalString(ctx *Context) (string, error) {
-	v, err := c.run(ctx)
-	if err != nil {
-		return "", err
-	}
-	return v.toStr(), nil
-}
-
-// EvalNumber evaluates the expression and coerces the result to a
-// number without boxing.
-func (c *Compiled) EvalNumber(ctx *Context) (float64, error) {
-	v, err := c.run(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return v.toNum(), nil
 }
 
 // EvalNodes evaluates the expression and returns the resulting node-set
@@ -245,6 +214,23 @@ func (c *Compiled) EvalNodes(ctx *Context) (NodeSet, error) {
 		return nil, fmt.Errorf("xpath: %s does not evaluate to a node-set", c.src)
 	}
 	return v.nodes, nil
+}
+
+// arith applies an arithmetic opcode (opAdd through opMod) in IEEE 754
+// doubles; mod is math.Mod, the truncating remainder XPath specifies.
+// The normalize pass folds constants with it too.
+func arith(op opcode, a, b float64) float64 {
+	switch op {
+	case opAdd:
+		return a + b
+	case opSub:
+		return a - b
+	case opMul:
+		return a * b
+	case opDiv:
+		return a / b
+	}
+	return math.Mod(a, b)
 }
 
 // exec runs one program on the frame, returning the single result
@@ -272,21 +258,7 @@ loop:
 		case opAdd, opSub, opMul, opDiv, opMod:
 			r := f.pop()
 			l := f.pop()
-			a, b := l.toNum(), r.toNum()
-			var res float64
-			switch in.op {
-			case opAdd:
-				res = a + b
-			case opSub:
-				res = a - b
-			case opMul:
-				res = a * b
-			case opDiv:
-				res = a / b
-			case opMod:
-				res = math.Mod(a, b)
-			}
-			f.push(numVal(res))
+			f.push(numVal(arith(in.op, l.toNum(), r.toNum())))
 		case opEq, opNeq, opLt, opLe, opGt, opGe:
 			r := f.pop()
 			l := f.pop()

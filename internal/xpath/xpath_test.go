@@ -41,9 +41,14 @@ func doc(t *testing.T) *xmldom.Node {
 	return d
 }
 
+// query evaluates src on the IR VM with n as the context node.
+func query(n *xmldom.Node, src string) (Value, error) {
+	return MustCompile(src).Eval(NewContext(n))
+}
+
 func evalOn(t *testing.T, n *xmldom.Node, expr string) Value {
 	t.Helper()
-	v, err := Query(n, expr)
+	v, err := query(n, expr)
 	if err != nil {
 		t.Fatalf("eval %q: %v", expr, err)
 	}
@@ -467,8 +472,8 @@ func TestRuntimeErrors(t *testing.T) {
 		"1 | 2",
 	}
 	for _, src := range bad {
-		if _, err := Query(d, src); err == nil {
-			t.Errorf("Query(%q) should fail at runtime", src)
+		if _, err := query(d, src); err == nil {
+			t.Errorf("%q should fail at runtime", src)
 		}
 	}
 }
@@ -549,18 +554,17 @@ func TestLangFunction(t *testing.T) {
 	}
 }
 
-func TestQueryHelpers(t *testing.T) {
+func TestEvalNodes(t *testing.T) {
 	d := doc(t)
-	nodes, err := QueryNodes(d, "//factclass")
+	nodes, err := MustCompile("//factclass").EvalNodes(NewContext(d))
 	if err != nil || len(nodes) != 2 {
-		t.Fatalf("QueryNodes: %v, %d", err, len(nodes))
+		t.Fatalf("EvalNodes: %v, %d", err, len(nodes))
 	}
-	if _, err := QueryNodes(d, "1+1"); err == nil {
-		t.Error("QueryNodes on number should error")
+	if _, err := MustCompile("1+1").EvalNodes(NewContext(d)); err == nil {
+		t.Error("EvalNodes on number should error")
 	}
-	s, err := QueryString(d, "//dimclass[1]/@name")
-	if err != nil || s != "Time" {
-		t.Errorf("QueryString = %q, %v", s, err)
+	if s := ToString(evalOn(t, d, "//dimclass[1]/@name")); s != "Time" {
+		t.Errorf("//dimclass[1]/@name = %q", s)
 	}
 }
 

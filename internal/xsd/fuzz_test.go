@@ -1,8 +1,10 @@
 package xsd_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"goldweb/internal/core"
@@ -68,6 +70,54 @@ func FuzzValidate(f *testing.F) {
 		for i, e := range cut {
 			if i >= len(full.Errors) || e.Error() != full.Errors[i].Error() {
 				t.Fatalf("MaxErrors %d: error %d is %v, not the full run's", maxErrors, i, e)
+			}
+		}
+	})
+}
+
+// maxFuzzSchema bounds FuzzParseSchema's input. It admits the GOLD
+// schema seed (about 17 KiB) and keeps each run short.
+const maxFuzzSchema = 32 << 10
+
+// FuzzParseSchema parses arbitrary schema text. Parsing must never
+// panic. When the schema compiles, validating each conformance instance
+// and a fixed small document against it must not panic either, and
+// every error must carry a path.
+func FuzzParseSchema(f *testing.F) {
+	f.Add([]byte(core.SchemaXSD))
+	instances := []string{"<r><a/><b/></r>"}
+	err := filepath.WalkDir(filepath.Join("testdata", "conformance"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		switch {
+		case strings.HasSuffix(path, ".xsd"):
+			f.Add(src)
+		case strings.HasSuffix(path, ".xml"):
+			instances = append(instances, string(src))
+		}
+		return nil
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if len(src) > maxFuzzSchema {
+			return
+		}
+		schema, err := xsd.ParseSchemaString(string(src))
+		if err != nil {
+			return
+		}
+		for _, inst := range instances {
+			for _, e := range schema.ValidateString(inst, xsd.ValidateOptions{ApplyDefaults: true}) {
+				if e.Path == "" {
+					t.Fatalf("error without a path: %v", e)
+				}
 			}
 		}
 	})
