@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"goldweb/internal/core"
 	"goldweb/internal/xmldom"
 	"goldweb/internal/xsd"
+	"goldweb/internal/xslt"
 )
 
 // The shipped stylesheets and every sample model must lint completely
@@ -157,6 +159,47 @@ func TestLintValidatedKeepsEveryIdentityError(t *testing.T) {
 	} {
 		if !slices.ContainsFunc(diags, func(d analysis.Diagnostic) bool { return d.String() == want }) {
 			t.Errorf("missing %q in %v", want, diags)
+		}
+	}
+}
+
+// TestEveryLibraryFunctionIsAvailable: every function of the XPath 1.0
+// core library (§4), with XSLT's current(), and of XSLT's additional
+// library (§12) is function-available() in a transform and known to the
+// linter, which flags a call to anything else as GW303.
+func TestEveryLibraryFunctionIsAvailable(t *testing.T) {
+	names := []string{
+		"last", "position", "count", "id", "local-name", "namespace-uri", "name",
+		"string", "concat", "starts-with", "contains", "substring-before",
+		"substring-after", "substring", "string-length", "normalize-space", "translate",
+		"boolean", "not", "true", "false", "lang",
+		"number", "sum", "floor", "ceiling", "round",
+		"current", "document", "key", "format-number", "generate-id",
+		"system-property", "element-available", "function-available", "unparsed-entity-uri",
+	}
+	var probes, calls strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&probes, `<xsl:if test="not(function-available('%s'))">%s </xsl:if>`, name, name)
+		fmt.Fprintf(&calls, `<xsl:if test="%s()"/>`, name)
+	}
+	sheet := func(body string) string {
+		return `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">` +
+			`<xsl:output method="text"/><xsl:template match="/">` + body + `</xsl:template></xsl:stylesheet>`
+	}
+	s, err := xslt.CompileStylesheetString(sheet(probes.String()), xslt.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.TransformToBuffers(xmldom.MustParseString(`<x/>`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Main) != 0 {
+		t.Errorf("function-available() denies: %s", res.Main)
+	}
+	for _, d := range analysis.LintStylesheet("calls.xsl", []byte(sheet(calls.String())), core.MustSchema()) {
+		if d.Code == analysis.CodeUnknownFunc {
+			t.Errorf("linter: %s", d)
 		}
 	}
 }

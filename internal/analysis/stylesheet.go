@@ -14,21 +14,6 @@ import (
 // pos is a diagnostic anchor: any DOM node carrying Line/Col.
 type pos = *xmldom.Node
 
-// knownFunctions lists every function the XPath core library and the
-// XSLT engine provide; calls to anything else are GW303.
-var knownFunctions = map[string]bool{
-	"last": true, "position": true, "count": true, "id": true,
-	"local-name": true, "namespace-uri": true, "name": true,
-	"string": true, "concat": true, "starts-with": true, "contains": true,
-	"substring-before": true, "substring-after": true, "substring": true,
-	"string-length": true, "normalize-space": true, "translate": true,
-	"boolean": true, "not": true, "true": true, "false": true, "lang": true,
-	"number": true, "sum": true, "floor": true, "ceiling": true, "round": true,
-	"current": true, "generate-id": true, "key": true, "document": true,
-	"system-property": true, "format-number": true, "element-available": true,
-	"function-available": true, "unparsed-entity-uri": true,
-}
-
 // varDecl tracks one variable or parameter declaration for use analysis.
 type varDecl struct {
 	name  string
@@ -514,7 +499,7 @@ func (l *ssLint) evalExpr(e xpath.Expr, cs, cur ctxSet, at pos, sc *scope) ctxSe
 			}
 			return unknownCtx()
 		}
-		if !knownFunctions[name] {
+		if !xslt.FunctionAvailable(name) {
 			l.flag(at, SevError, CodeUnknownFunc, "unknown function '%s()'", name)
 		}
 		return unknownCtx()
@@ -589,11 +574,12 @@ func (l *ssLint) checkUnusedModes() {
 	for _, m := range l.sheet.ReferencedModes() {
 		referenced[m] = true
 	}
-	for _, mode := range l.sheet.Modes() {
+	prog := l.sheet.Program()
+	for _, mode := range prog.Modes() {
 		if mode == "" || referenced[mode] {
 			continue
 		}
-		for _, r := range l.sheet.ModeRules(mode) {
+		for _, r := range prog.ModeEntries(mode) {
 			if r.Builtin {
 				continue
 			}

@@ -199,7 +199,8 @@ type Options struct {
 
 	// OnEvent observes catalog lifecycle events (may be nil).
 	OnEvent func(Event)
-	// Now is the clock used by circuit breakers (tests inject one).
+	// Now is the clock the circuit breakers read (tests inject one); nil
+	// means time.Now.
 	Now func() time.Time
 	// ParseLimits bounds model XML parsing (zero value: xmldom defaults).
 	ParseLimits xmldom.Limits
@@ -214,12 +215,42 @@ const (
 	DefaultStageTimeout     = 30 * time.Second
 )
 
+// StaleHeader marks a response served from a model's last-good
+// snapshot while its republish pipeline is failing; its value names the
+// stage where the last attempt stopped.
+const StaleHeader = "X-Goldweb-Stale"
+
+// BreakerState is the circuit state of one model's publish pipeline.
+type BreakerState int
+
+const (
+	// BreakerClosed: publishes flow normally.
+	BreakerClosed BreakerState = iota
+	// BreakerOpen: K consecutive publish failures tripped the circuit;
+	// attempts are rejected until the cooldown elapses.
+	BreakerOpen
+	// BreakerHalfOpen: the cooldown elapsed and exactly one probe
+	// attempt is in flight; its outcome closes or re-opens the circuit.
+	BreakerHalfOpen
+)
+
+func (s BreakerState) String() string {
+	switch s {
+	case BreakerClosed:
+		return "closed"
+	case BreakerOpen:
+		return "open"
+	case BreakerHalfOpen:
+		return "half-open"
+	}
+	return "unknown"
+}
+
 // entry is one registered model: its dedicated server plus the
 // resilience state around it.
 type entry struct {
-	name    string
-	srv     *server.Server
-	breaker *breaker
+	name string
+	srv  *server.Server
 
 	// swapMu serializes staged swaps and retry bookkeeping for this
 	// model: a capacity-1 token channel rather than a sync.Mutex so
@@ -236,13 +267,44 @@ type entry struct {
 	retrying bool // a retry loop goroutine is active (under the swap lock)
 }
 
-// entryState is one model's record as of its last finished attempt.
+// entryState is one model's record as of its last finished attempt and
+// the only record of its health: the router, Status and the retry loop
+// read breaker state, failures and staleness from one value.
 type entryState struct {
 	hasGood bool   // a last-good snapshot is live
 	gen     uint64 // generation of the last committed swap
 	srcSum  string // sha256 (truncated) of the last committed source
 	consec  int    // consecutive failed attempts since last success
 	lastErr error
+	stage   string // stage where the last failed attempt stopped
+
+	// A circuit opens after BreakerThreshold consecutive failures, so a
+	// model whose every republish fails does not run the whole pipeline
+	// on each retry tick. It rejects attempts until BreakerCooldown has
+	// passed since openedAt, then admits a single half-open probe.
+	breaker  BreakerState
+	openedAt time.Time
+}
+
+// stale reports whether the model serves its last-good site while its
+// republish is failing.
+func (st *entryState) stale() bool { return st.hasGood && st.consec > 0 }
+
+// staleReason is the X-Goldweb-Stale value of a stale model.
+func (st *entryState) staleReason() string {
+	if !st.stale() {
+		return ""
+	}
+	return "republish failing at stage " + st.stage
+}
+
+// cooldownLeft returns how long st's open circuit still rejects attempts
+// (0 when an attempt would be admitted now).
+func (c *Catalog) cooldownLeft(st *entryState) time.Duration {
+	if st.breaker != BreakerOpen {
+		return 0
+	}
+	return max(0, c.opts.BreakerCooldown-c.opts.Now().Sub(st.openedAt))
 }
 
 // lock acquires the swap lock unconditionally. Hold times are bounded
@@ -301,6 +363,9 @@ func New(opts Options) *Catalog {
 	}
 	if opts.StageTimeout <= 0 {
 		opts.StageTimeout = DefaultStageTimeout
+	}
+	if opts.Now == nil {
+		opts.Now = time.Now
 	}
 	if opts.ParseLimits == (xmldom.Limits{}) {
 		opts.ParseLimits = xmldom.DefaultLimits
@@ -392,10 +457,9 @@ func (c *Catalog) ensure(name string) *entry {
 		return e
 	}
 	e := &entry{
-		name:    name,
-		srv:     server.NewEmpty(c.serverOptions()...),
-		breaker: newBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown, c.opts.Now),
-		swapMu:  make(chan struct{}, 1),
+		name:   name,
+		srv:    server.NewEmpty(c.serverOptions()...),
+		swapMu: make(chan struct{}, 1),
 	}
 	e.swapMu <- struct{}{} // the unlocked token
 	e.state.Store(&entryState{})
@@ -464,7 +528,7 @@ func (c *Catalog) Reload(ctx context.Context, name string) error {
 // attempt runs one breaker-gated load+stage attempt for e. data == nil
 // means "fetch via the Loader". The swap lock serializes swaps; a
 // caller whose context ends while queued fails without touching the
-// breaker — like a breaker rejection, nothing was attempted.
+// record — like a breaker rejection, nothing was attempted.
 func (c *Catalog) attempt(ctx context.Context, e *entry, data []byte) error {
 	if err := e.lockCtx(ctx); err != nil {
 		return fmt.Errorf("swap wait: model %q: %w", e.name, err)
@@ -474,8 +538,17 @@ func (c *Catalog) attempt(ctx context.Context, e *entry, data []byte) error {
 }
 
 func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err error) {
-	if !e.breaker.Allow() {
-		return fmt.Errorf("%w: model %q (cooling down %v)", ErrBreakerOpen, e.name, e.breaker.wait().Round(time.Millisecond))
+	// The breaker gate. An open circuit whose cooldown has passed admits
+	// this attempt as its probe, recorded half-open so Status shows the
+	// probe. The swap lock keeps any other attempt out until the probe's
+	// outcome replaces that record, so no attempt finds it half-open.
+	if st := e.state.Load(); st.breaker != BreakerClosed {
+		if wait := c.cooldownLeft(st); wait > 0 {
+			return fmt.Errorf("%w: model %q (cooling down %v)", ErrBreakerOpen, e.name, wait.Round(time.Millisecond))
+		}
+		probe := *st
+		probe.breaker = BreakerHalfOpen
+		e.state.Store(&probe)
 	}
 	stage := "load"
 	var committed entryState // what a successful attempt publishes
@@ -566,33 +639,36 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 	return nil
 }
 
-// noteFailureLocked records a failed attempt: breaker accounting, stale
-// marking (the last-good site keeps serving), events, and — when a
-// Loader is configured — scheduling the background retry.
+// noteFailureLocked records a failed attempt in one new record — the
+// failure count, the stage, the circuit and so staleness, while the
+// last-good site keeps serving — then emits its events and, when a
+// Loader is configured, schedules the background retry. The circuit
+// opens once the count reaches the threshold; a half-open probe's count
+// is past it already, so its failure re-opens the circuit for a fresh
+// cooldown.
 func (c *Catalog) noteFailureLocked(e *entry, stage string, err error) {
-	wasOpen := e.breaker.State() == BreakerOpen
-	e.breaker.Failure()
-	st := *e.state.Load()
+	old := e.state.Load()
+	st := *old
 	st.consec++
 	st.lastErr = err
-	e.state.Store(&st)
-	if st.hasGood {
-		e.srv.MarkStale(fmt.Sprintf("republish failing at stage %s", stage))
+	st.stage = stage
+	if c.opts.BreakerThreshold > 0 && st.consec >= c.opts.BreakerThreshold {
+		st.breaker = BreakerOpen
+		st.openedAt = c.opts.Now()
 	}
+	e.state.Store(&st)
 	c.emit(Event{Model: e.name, Type: EventStageFailed, Stage: stage, Err: err, Attempt: st.consec})
-	if !wasOpen && e.breaker.State() == BreakerOpen {
+	if old.breaker != BreakerOpen && st.breaker == BreakerOpen {
 		c.emit(Event{Model: e.name, Type: EventBreakerOpened, Err: err, Attempt: st.consec})
 	}
 	c.scheduleRetryLocked(e)
 }
 
-// noteSuccessLocked records a committed swap: the breaker closes, the
-// stale flag clears, and the model is last-good at st.gen.
+// noteSuccessLocked records a committed swap: st, a fresh record with a
+// closed circuit and no failures, makes the model last-good at st.gen.
 func (c *Catalog) noteSuccessLocked(e *entry, st *entryState) {
-	wasBroken := e.breaker.State() != BreakerClosed
-	e.breaker.Success()
+	wasBroken := e.state.Load().breaker != BreakerClosed
 	e.state.Store(st)
-	e.srv.ClearStale()
 	c.emit(Event{Model: e.name, Type: EventSwapCommitted, Gen: st.gen})
 	if wasBroken {
 		c.emit(Event{Model: e.name, Type: EventBreakerClosed, Gen: st.gen})
@@ -626,11 +702,9 @@ func (c *Catalog) scheduleRetryLocked(e *entry) {
 func (c *Catalog) retryLoop(e *entry) {
 	defer c.wg.Done()
 	for {
-		attempt := e.state.Load().consec
-		delay := c.backoff(attempt)
-		if bw := e.breaker.wait(); bw > delay {
-			delay = bw
-		}
+		rec := e.state.Load()
+		attempt := rec.consec
+		delay := max(c.backoff(attempt), c.cooldownLeft(rec))
 		c.emit(Event{Model: e.name, Type: EventRetryScheduled, Attempt: attempt, Delay: delay})
 		select {
 		case <-c.ctx.Done():
@@ -649,7 +723,7 @@ func (c *Catalog) retryLoop(e *entry) {
 		}
 		// ErrBreakerOpen is not a new failure: the attempt was rejected
 		// before doing work, so consec (and hence the backoff) is
-		// unchanged and the next sleep is dominated by breaker.wait.
+		// unchanged and the next sleep is dominated by the cooldown.
 		c.attempt(c.ctx, e, nil)
 		e.lock()
 		if e.state.Load().consec == 0 {
@@ -730,14 +804,15 @@ func (c *Catalog) Status() []ModelStatus {
 			Name:       e.name,
 			Ready:      rec.hasGood,
 			Generation: rec.gen,
-			Breaker:    e.breaker.State().String(),
+			Stale:      rec.stale(),
+			StaleWhy:   rec.staleReason(),
+			Breaker:    rec.breaker.String(),
 			Failures:   rec.consec,
 			SourceSum:  rec.srcSum,
 		}
 		if rec.lastErr != nil {
 			st.LastError = rec.lastErr.Error()
 		}
-		st.Stale, st.StaleWhy = e.srv.Stale()
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -111,7 +111,7 @@ func TestSetCommitsAndServes(t *testing.T) {
 	if got := rec.Header().Get(server.GenerationHeader); got != "1" {
 		t.Fatalf("generation header = %q, want 1", got)
 	}
-	if rec.Header().Get(server.StaleHeader) != "" {
+	if rec.Header().Get(StaleHeader) != "" {
 		t.Fatal("fresh content carries a stale header")
 	}
 
@@ -166,7 +166,7 @@ func TestStageFailuresRollBackToLastGood(t *testing.T) {
 			if rec.Code != 200 || rec.Body.String() != before {
 				t.Fatalf("rolled-back model serves different content (code %d)", rec.Code)
 			}
-			if rec.Header().Get(server.StaleHeader) == "" || rec.Header().Get("Warning") == "" {
+			if rec.Header().Get(StaleHeader) == "" || rec.Header().Get("Warning") == "" {
 				t.Fatal("stale snapshot served without Warning/X-Goldweb-Stale headers")
 			}
 			if got := rec.Header().Get(server.GenerationHeader); got != "1" {

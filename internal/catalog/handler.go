@@ -68,9 +68,10 @@ func (c *Catalog) shell() server.Shell {
 
 // serveModel routes /m/{name}/... to the model's server, handing it the
 // rest of the path as a slice of the request's own: the request is not
-// copied. The bare /m/{name} (with or without trailing slash) redirects
-// to the model's index page with an absolute path, which no relative
-// Location could spell for both forms.
+// copied. A stale model's responses carry Warning and X-Goldweb-Stale
+// headers, set from its health record. The bare /m/{name} (with or
+// without trailing slash) redirects to the model's index page with an
+// absolute path, which no relative Location could spell for both forms.
 func (c *Catalog) serveModel(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/m/")
 	name, sub, _ := strings.Cut(rest, "/")
@@ -86,6 +87,10 @@ func (c *Catalog) serveModel(w http.ResponseWriter, r *http.Request) {
 	if sub == "" {
 		http.Redirect(w, r, "/m/"+name+"/site/index.html", http.StatusFound)
 		return
+	}
+	if rec := e.state.Load(); rec.stale() {
+		w.Header().Set("Warning", `110 goldweb "stale content: republish failing"`)
+		w.Header().Set(StaleHeader, rec.staleReason())
 	}
 	e.srv.ServeApp(w, r, rest[len(name):])
 }

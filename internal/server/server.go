@@ -19,10 +19,11 @@
 // For hot-swap catalogs (internal/catalog) the server additionally
 // supports staged swaps — Stage builds and shadow-publishes a new
 // snapshot without touching the live pointer, Commit installs it with
-// an atomic generation bump — plus stale marking (Warning and
-// X-Goldweb-Stale headers while a republish is failing) and a
-// generation header on every snapshot-derived response so clients and
-// soak harnesses can assert that generations never regress.
+// an atomic generation bump — and a generation header on every
+// snapshot-derived response so clients and soak harnesses can assert
+// that generations never regress. Whether a model's republish is
+// failing is the catalog's record, not the server's: the catalog's
+// router marks those responses stale.
 //
 // Content delivery is content-addressed (internal/artifact): every
 // published page and XML view is an interned artifact
@@ -64,10 +65,6 @@ import (
 // served from. Within one model it is strictly monotonic: a client
 // that saw generation N is never served N-1 afterwards.
 const GenerationHeader = "X-Goldweb-Generation"
-
-// StaleHeader marks a response served from a last-good snapshot while
-// the model's republish pipeline is failing.
-const StaleHeader = "X-Goldweb-Stale"
 
 // snapshot is one immutable published state. Handlers load the current
 // snapshot from an atomic pointer and then work without any lock at all;
@@ -188,9 +185,6 @@ func buildViews(m *core.Model, store *artifact.Store) *xmlViews {
 // fault-injection harnesses set the hook to prove exactly that.
 type PublishHook func(ctx context.Context, mode htmlgen.Mode, focus, page string) error
 
-// staleInfo records why the server is serving last-good content.
-type staleInfo struct{ reason string }
-
 // Server publishes one conceptual model over HTTP.
 type Server struct {
 	// mu serializes installs; readers never take it. snap is the live
@@ -200,7 +194,6 @@ type Server struct {
 
 	cache  *siteCache
 	flight *flightGroup
-	stale  atomic.Pointer[staleInfo]
 
 	// baseCtx parents every publication; baseCancel fires at shutdown so
 	// in-flight publications stop instead of leaking their goroutines,
@@ -432,24 +425,6 @@ func (s *Server) Generation() uint64 {
 // Ready reports whether a published model is being served: a snapshot
 // is live, the rule the catalog's readiness reads too.
 func (s *Server) Ready() bool { return s.snap.Load() != nil }
-
-// MarkStale flags every subsequent response with Warning and
-// X-Goldweb-Stale headers: the content is a last-good snapshot and the
-// model's republish pipeline is currently failing.
-func (s *Server) MarkStale(reason string) {
-	s.stale.Store(&staleInfo{reason: reason})
-}
-
-// ClearStale removes the stale marking (a republish succeeded).
-func (s *Server) ClearStale() { s.stale.Store(nil) }
-
-// Stale reports the stale flag and its reason.
-func (s *Server) Stale() (bool, string) {
-	if st := s.stale.Load(); st != nil {
-		return true, st.reason
-	}
-	return false, ""
-}
 
 // Cancel cancels every in-flight publication without waiting for them.
 // The handler keeps answering (from caches and snapshots), but a miss
@@ -697,14 +672,9 @@ func queryValue(raw, key string) string {
 // ServeApp answers r on the application route p, the request path
 // relative to where the server is mounted (r.URL.Path for a server at
 // the root; the catalog passes what follows /m/{name}). It applies no
-// middleware and never copies the request, and it sets the per-model
-// stale headers on every response. Redirects are relative, so they stay
-// inside the mount point.
+// middleware and never copies the request. Redirects are relative, so
+// they stay inside the mount point.
 func (s *Server) ServeApp(w http.ResponseWriter, r *http.Request, p string) {
-	if st := s.stale.Load(); st != nil {
-		w.Header().Set("Warning", `110 goldweb "stale content: republish failing"`)
-		w.Header().Set(StaleHeader, st.reason)
-	}
 	if page, ok := strings.CutPrefix(p, "/site/"); ok {
 		if page == "" {
 			page = htmlgen.IndexName

@@ -315,44 +315,6 @@ func TestGenerationHeaderIsMonotonic(t *testing.T) {
 	}
 }
 
-// TestStaleMarkingSetsHeaders covers the graceful-degradation headers:
-// a server marked stale serves its last-good content with Warning and
-// X-Goldweb-Stale until the marking is cleared.
-func TestStaleMarkingSetsHeaders(t *testing.T) {
-	srv := New(core.SampleSales())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, _ := ts.Client().Get(ts.URL + "/model.xml")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get(StaleHeader) != "" || resp.Header.Get("Warning") != "" {
-		t.Fatal("fresh server claims staleness")
-	}
-
-	srv.MarkStale("reload failing: injected")
-	resp, _ = ts.Client().Get(ts.URL + "/model.xml")
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "<goldmodel") {
-		t.Fatalf("stale server stopped serving: %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(StaleHeader); !strings.Contains(got, "injected") {
-		t.Errorf("%s = %q", StaleHeader, got)
-	}
-	if got := resp.Header.Get("Warning"); !strings.Contains(got, "110") {
-		t.Errorf("Warning = %q", got)
-	}
-
-	srv.ClearStale()
-	resp, _ = ts.Client().Get(ts.URL + "/model.xml")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get(StaleHeader) != "" {
-		t.Error("stale header survives ClearStale")
-	}
-}
-
 // TestEmptyServerAnswers503UntilFirstPublish covers NewEmpty: an entry
 // whose first load keeps failing is addressable but not ready.
 func TestEmptyServerAnswers503UntilFirstPublish(t *testing.T) {

@@ -49,6 +49,10 @@ func init() {
 	}
 }
 
+// IsCoreFunction reports whether name is a function of the core
+// library, which every Context resolves (current() among them).
+func IsCoreFunction(name string) bool { return coreFunctions[name] != nil }
+
 func argc(name string, args []Value, lo, hi int) error {
 	if len(args) < lo || (hi >= 0 && len(args) > hi) {
 		return fmt.Errorf("xpath: wrong number of arguments to %s(): %d", name, len(args))

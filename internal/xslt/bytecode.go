@@ -462,9 +462,9 @@ func (a *asm) expandSets(sl *setList, names []string, onPath map[string]bool) bo
 }
 
 // lowerTemplate lowers one template body behind its entry. Parameters
-// bind in declaration order in a scope OpEnter opens: each takes the
-// passed value or runs its default, which evaluates in the caller's
-// variable scope.
+// bind in declaration order in a scope OpEnter opens over the globals:
+// each takes the passed value or runs its default, which evaluates in
+// that scope and so sees the parameters declared before it.
 func (a *asm) lowerTemplate(t *Template) {
 	t.entryPC = a.here()
 	ti := int32(len(a.p.tmpls))
@@ -805,18 +805,7 @@ func (p *Program) ModeEntries(mode string) []DispatchRule {
 	ts := p.sheet.templates[mode]
 	out := make([]DispatchRule, 0, len(ts))
 	for _, t := range ts {
-		out = append(out, DispatchRule{
-			TemplateRule: TemplateRule{
-				Match:      t.Match,
-				Name:       t.Name,
-				Mode:       t.Mode,
-				Priority:   t.Priority,
-				ImportPrec: t.importPrec,
-				Builtin:    t.src == nil,
-				Src:        t.src,
-			},
-			Entry: int(t.entryPC),
-		})
+		out = append(out, DispatchRule{TemplateRule: t.rule(), Entry: int(t.entryPC)})
 	}
 	return out
 }

@@ -31,137 +31,162 @@ func (s *Stylesheet) compileBody(nodes []*xmldom.Node) ([]instruction, error) {
 	return out, nil
 }
 
+// instructions compiles each XSLT instruction element, by local name:
+// the processor's one list of the instructions it executes, which
+// element-available() reads too. init fills it, because its compilers
+// reach compileElement, which reads it.
+var instructions map[string]func(s *Stylesheet, n *xmldom.Node) (instruction, error)
+
+func init() {
+	instructions = map[string]func(s *Stylesheet, n *xmldom.Node) (instruction, error){
+		"apply-templates": (*Stylesheet).compileApplyTemplates,
+		"call-template":   (*Stylesheet).compileCallTemplate,
+		"for-each":        (*Stylesheet).compileForEach,
+		"value-of": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			sel, err := s.requiredExpr(n, "select")
+			if err != nil {
+				return nil, err
+			}
+			return &iValueOf{sel: sel, disableEsc: n.AttrValue("disable-output-escaping") == "yes"}, nil
+		},
+		"text": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			var b strings.Builder
+			for _, c := range n.Children {
+				if c.Type != xmldom.TextNode {
+					return nil, &CompileError{Element: n, Msg: "xsl:text may only contain text"}
+				}
+				b.WriteString(c.Data)
+			}
+			return &iText{data: b.String(), disableEsc: n.AttrValue("disable-output-escaping") == "yes"}, nil
+		},
+		"element": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			name, err := s.requiredAVT(n, "name")
+			if err != nil {
+				return nil, err
+			}
+			body, err := s.compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			return &iElement{name: name, useSets: splitNames(n.AttrValue("use-attribute-sets")), body: body}, nil
+		},
+		"attribute": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			name, err := s.requiredAVT(n, "name")
+			if err != nil {
+				return nil, err
+			}
+			body, err := s.compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			return &iAttribute{name: name, body: body}, nil
+		},
+		"comment": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			body, err := s.compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			return &iComment{body: body}, nil
+		},
+		"processing-instruction": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			name, err := s.requiredAVT(n, "name")
+			if err != nil {
+				return nil, err
+			}
+			body, err := s.compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			return &iPI{name: name, body: body}, nil
+		},
+		"copy": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			body, err := s.compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			return &iCopy{useSets: splitNames(n.AttrValue("use-attribute-sets")), body: body}, nil
+		},
+		"copy-of": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			sel, err := s.requiredExpr(n, "select")
+			if err != nil {
+				return nil, err
+			}
+			return &iCopyOf{sel: sel}, nil
+		},
+		"if": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			test, err := s.requiredExpr(n, "test")
+			if err != nil {
+				return nil, err
+			}
+			body, err := s.compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			return &iIf{test: test, body: body}, nil
+		},
+		"choose": (*Stylesheet).compileChoose,
+		"variable": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			decl, err := s.compileVarDecl(n)
+			if err != nil {
+				return nil, err
+			}
+			return &iVariable{decl: decl}, nil
+		},
+		"message": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			body, err := s.compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			return &iMessage{body: body, terminate: n.AttrValue("terminate") == "yes"}, nil
+		},
+		"document": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			// XSLT 1.1 working draft: create an additional output document.
+			href, err := s.requiredAVT(n, "href")
+			if err != nil {
+				return nil, err
+			}
+			body, err := s.compileBody(n.Children)
+			if err != nil {
+				return nil, err
+			}
+			return &iDocument{href: href, body: body}, nil
+		},
+		"number": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			ins := &iNumber{format: n.AttrValue("format")}
+			if ins.format == "" {
+				ins.format = "1"
+			}
+			if v := n.AttrValue("value"); v != "" {
+				e, err := xpath.Compile(v)
+				if err != nil {
+					return nil, exprError(n, "value", err)
+				}
+				ins.value = e
+			}
+			return ins, nil
+		},
+		"fallback": func(*Stylesheet, *xmldom.Node) (instruction, error) {
+			// We execute everything we compile, so fallbacks never trigger.
+			return nil, nil
+		},
+		"apply-imports": func(*Stylesheet, *xmldom.Node) (instruction, error) {
+			return &iApplyImports{}, nil
+		},
+	}
+}
+
 func (s *Stylesheet) compileElement(n *xmldom.Node) (instruction, error) {
 	if n.URI != Namespace {
 		return s.compileLiteral(n)
 	}
+	if compile := instructions[n.Name]; compile != nil {
+		return compile(s, n)
+	}
 	switch n.Name {
-	case "apply-templates":
-		return s.compileApplyTemplates(n)
-	case "call-template":
-		return s.compileCallTemplate(n)
-	case "for-each":
-		return s.compileForEach(n)
-	case "value-of":
-		sel, err := s.requiredExpr(n, "select")
-		if err != nil {
-			return nil, err
-		}
-		return &iValueOf{sel: sel, disableEsc: n.AttrValue("disable-output-escaping") == "yes"}, nil
-	case "text":
-		var b strings.Builder
-		for _, c := range n.Children {
-			if c.Type != xmldom.TextNode {
-				return nil, &CompileError{Element: n, Msg: "xsl:text may only contain text"}
-			}
-			b.WriteString(c.Data)
-		}
-		return &iText{data: b.String(), disableEsc: n.AttrValue("disable-output-escaping") == "yes"}, nil
-	case "element":
-		name, err := s.requiredAVT(n, "name")
-		if err != nil {
-			return nil, err
-		}
-		body, err := s.compileBody(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &iElement{name: name, useSets: splitNames(n.AttrValue("use-attribute-sets")), body: body}, nil
-	case "attribute":
-		name, err := s.requiredAVT(n, "name")
-		if err != nil {
-			return nil, err
-		}
-		body, err := s.compileBody(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &iAttribute{name: name, body: body}, nil
-	case "comment":
-		body, err := s.compileBody(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &iComment{body: body}, nil
-	case "processing-instruction":
-		name, err := s.requiredAVT(n, "name")
-		if err != nil {
-			return nil, err
-		}
-		body, err := s.compileBody(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &iPI{name: name, body: body}, nil
-	case "copy":
-		body, err := s.compileBody(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &iCopy{useSets: splitNames(n.AttrValue("use-attribute-sets")), body: body}, nil
-	case "copy-of":
-		sel, err := s.requiredExpr(n, "select")
-		if err != nil {
-			return nil, err
-		}
-		return &iCopyOf{sel: sel}, nil
-	case "if":
-		test, err := s.requiredExpr(n, "test")
-		if err != nil {
-			return nil, err
-		}
-		body, err := s.compileBody(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &iIf{test: test, body: body}, nil
-	case "choose":
-		return s.compileChoose(n)
-	case "variable":
-		decl, err := s.compileVarDecl(n)
-		if err != nil {
-			return nil, err
-		}
-		return &iVariable{decl: decl}, nil
 	case "param":
 		return nil, &CompileError{Element: n, Msg: "xsl:param is only allowed at the start of a template"}
-	case "message":
-		body, err := s.compileBody(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &iMessage{body: body, terminate: n.AttrValue("terminate") == "yes"}, nil
-	case "document":
-		// XSLT 1.1 working draft: create an additional output document.
-		href, err := s.requiredAVT(n, "href")
-		if err != nil {
-			return nil, err
-		}
-		body, err := s.compileBody(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &iDocument{href: href, body: body}, nil
-	case "number":
-		ins := &iNumber{format: n.AttrValue("format")}
-		if ins.format == "" {
-			ins.format = "1"
-		}
-		if v := n.AttrValue("value"); v != "" {
-			e, err := xpath.Compile(v)
-			if err != nil {
-				return nil, exprError(n, "value", err)
-			}
-			ins.value = e
-		}
-		return ins, nil
-	case "fallback":
-		// We execute everything we compile, so fallbacks never trigger.
-		return nil, nil
 	case "sort", "with-param":
 		return nil, &CompileError{Element: n, Msg: "xsl:" + n.Name + " is not allowed here"}
-	case "apply-imports":
-		return &iApplyImports{}, nil
 	}
 	return nil, &CompileError{Element: n, Msg: "unknown instruction xsl:" + n.Name}
 }

@@ -26,6 +26,24 @@ func (e *engine) installFunctions() {
 	}
 }
 
+// library is the XSLT function library as installed on an engine of its
+// own, for FunctionAvailable. init fills it, because function-available()
+// reads it.
+var library map[string]xpath.Function
+
+func init() {
+	e := &engine{}
+	e.installFunctions()
+	library = e.funcs
+}
+
+// FunctionAvailable reports whether an expression may call name: a
+// function of the XPath core library or of XSLT's own, as
+// function-available() answers.
+func FunctionAvailable(name string) bool {
+	return xpath.IsCoreFunction(name) || library[name] != nil
+}
+
 func (e *engine) fnGenerateID(ctx *xpath.Context, args []xpath.Value) (xpath.Value, error) {
 	var n *xmldom.Node
 	switch len(args) {
@@ -214,16 +232,6 @@ func fnUnparsedEntityURI(ctx *xpath.Context, args []xpath.Value) (xpath.Value, e
 	return xpath.String(""), nil
 }
 
-// supportedInstructions lists the instruction elements this processor
-// executes, for element-available().
-var supportedInstructions = map[string]bool{
-	"apply-templates": true, "call-template": true, "for-each": true,
-	"value-of": true, "text": true, "element": true, "attribute": true,
-	"comment": true, "processing-instruction": true, "copy": true,
-	"copy-of": true, "if": true, "choose": true, "variable": true,
-	"message": true, "document": true, "number": true, "fallback": true,
-}
-
 func (e *engine) fnElementAvailable(ctx *xpath.Context, args []xpath.Value) (xpath.Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("xslt: element-available() requires one argument")
@@ -236,28 +244,14 @@ func (e *engine) fnElementAvailable(ctx *xpath.Context, args []xpath.Value) (xpa
 		}
 		name = name[i+1:]
 	}
-	return xpath.Boolean(supportedInstructions[name]), nil
+	return xpath.Boolean(instructions[name] != nil), nil
 }
 
 func (e *engine) fnFunctionAvailable(ctx *xpath.Context, args []xpath.Value) (xpath.Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("xslt: function-available() requires one argument")
 	}
-	name := xpath.ToString(args[0])
-	if e.funcs[name] != nil {
-		return xpath.Boolean(true), nil
-	}
-	// Probe the core library through a compile of "name()" is overkill;
-	// keep an explicit list of the functions the XPath core resolves
-	// (XSLT's current() among them).
-	core := map[string]bool{"current": true, "last": true, "position": true, "count": true,
-		"id": true, "local-name": true, "namespace-uri": true, "name": true,
-		"string": true, "concat": true, "starts-with": true, "contains": true,
-		"substring-before": true, "substring-after": true, "substring": true,
-		"string-length": true, "normalize-space": true, "translate": true,
-		"boolean": true, "not": true, "true": true, "false": true, "lang": true,
-		"number": true, "sum": true, "floor": true, "ceiling": true, "round": true}
-	return xpath.Boolean(core[name]), nil
+	return xpath.Boolean(FunctionAvailable(xpath.ToString(args[0]))), nil
 }
 
 // fnFormatNumber implements format-number() with the JDK 1.1

@@ -27,23 +27,17 @@ type TemplateRule struct {
 	Src *xmldom.Node
 }
 
-// ModeRules returns the compiled match rules of one mode in dispatch
-// order: the first rule whose pattern matches a node wins.
-func (s *Stylesheet) ModeRules(mode string) []TemplateRule {
-	ts := s.templates[mode]
-	out := make([]TemplateRule, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, TemplateRule{
-			Match:      t.Match,
-			Name:       t.Name,
-			Mode:       t.Mode,
-			Priority:   t.Priority,
-			ImportPrec: t.importPrec,
-			Builtin:    t.src == nil,
-			Src:        t.src,
-		})
+// rule returns the read-only view of t.
+func (t *Template) rule() TemplateRule {
+	return TemplateRule{
+		Match:      t.Match,
+		Name:       t.Name,
+		Mode:       t.Mode,
+		Priority:   t.Priority,
+		ImportPrec: t.importPrec,
+		Builtin:    t.src == nil,
+		Src:        t.src,
 	}
-	return out
 }
 
 // Modes returns every mode that has template rules, sorted; the default

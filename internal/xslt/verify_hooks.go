@@ -70,19 +70,7 @@ func (p *Program) Tables() TableSizes {
 func (p *Program) Templates() []DispatchRule {
 	out := make([]DispatchRule, 0, len(p.tmpls))
 	for _, pt := range p.tmpls {
-		t := pt.t
-		out = append(out, DispatchRule{
-			TemplateRule: TemplateRule{
-				Match:      t.Match,
-				Name:       t.Name,
-				Mode:       t.Mode,
-				Priority:   t.Priority,
-				ImportPrec: t.importPrec,
-				Builtin:    t.src == nil,
-				Src:        t.src,
-			},
-			Entry: int(pt.entry),
-		})
+		out = append(out, DispatchRule{TemplateRule: pt.t.rule(), Entry: int(pt.entry)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Entry < out[j].Entry })
 	return out

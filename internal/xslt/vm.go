@@ -45,6 +45,11 @@ type vmRun struct {
 	out xmldom.Emitter
 	// params are the caller's stylesheet parameters.
 	params map[string]xpath.Value
+	// globals is the top-level scope: the global variables and, from the
+	// root invocation on, the caller's parameters. Every template enters
+	// with it, so a template sees globals, its own parameters and its own
+	// locals, never its caller's (XSLT 1.0 §11.5).
+	globals map[string]xpath.Value
 	// xc is the persistent expression-evaluation context; refreshed from
 	// ctx before each evaluation instead of boxing a new one.
 	xc xpath.Context
@@ -59,6 +64,7 @@ func (p *Program) execute(e *engine, source *xmldom.Node, params map[string]xpat
 	defer xpath.PutFrame(f)
 	r := p.newRun(e, f)
 	r.ctx = xctx{node: source, pos: 1, size: 1, vars: map[string]xpath.Value{}}
+	r.globals = r.ctx.vars
 	r.out = out
 	r.params = params
 	err := r.loop()
@@ -461,7 +467,7 @@ func (r *vmRun) loop() error {
 				r.ctx.node = n
 				r.ctx.pos = i + 1
 				r.ctx.size = len(fr.List)
-				r.ctx.vars = fr.Vars
+				r.ctx.vars = r.globals
 				r.ctx.mode = site.mode
 				pc = int(t.entryPC)
 				entered = true
@@ -483,14 +489,17 @@ func (r *vmRun) loop() error {
 				r.ctx.curPrec = t.importPrec
 				break
 			}
-			// Open the parameter scope. Defaults evaluate in the caller's
-			// variable scope and precedence; OpParamsEnd installs both.
+			// Open the parameter scope over the globals. Defaults evaluate
+			// in it, so each sees the parameters before it, under the
+			// caller's precedence; OpParamsEnd installs the template's.
+			vars := copyVars(r.globals)
 			if err := r.push(xpath.CtlFrame{
-				Kind: cfParams, Vars: copyVars(r.ctx.vars),
+				Kind: cfParams, Vars: vars,
 				Prec: t.importPrec, Passed: f.TopCtl().Passed,
 			}); err != nil {
 				return err
 			}
+			r.ctx.vars = vars
 
 		case OpParam:
 			fr := f.TopCtl()
@@ -554,6 +563,7 @@ func (r *vmRun) loop() error {
 
 		case OpInvoke:
 			f.TopCtl().Ret = int32(pc + 1)
+			r.ctx.vars = r.globals
 			pc = int(p.callSites[in.A].t.entryPC)
 			continue
 
@@ -572,6 +582,7 @@ func (r *vmRun) loop() error {
 			}); err != nil {
 				return err
 			}
+			r.ctx.vars = r.globals
 			pc = int(t.entryPC)
 			continue
 

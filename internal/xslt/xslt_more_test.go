@@ -100,11 +100,65 @@ func TestVariableShadowingGlobal(t *testing.T) {
 	<xsl:template name="peek"><xsl:value-of select="$v"/></xsl:template>
 	</xsl:stylesheet>`
 	got := run(t, sheetSrc, `<x/>`)
-	// The called template sees the caller's bindings in this processor
-	// (dynamic scoping of the variable frame) — but at minimum the local
-	// shadow must be in effect inside the declaring template.
-	if !strings.HasPrefix(got, "local|") {
-		t.Errorf("shadowing: %q", got)
+	// The local shadow holds inside the declaring template only: the
+	// called template sees the global (XSLT 1.0 §11.5).
+	if got != "local|global" {
+		t.Errorf("shadowing: %q, want local|global", got)
+	}
+}
+
+// TestTemplatesDoNotSeeCallerLocals: a template reached by
+// apply-templates, apply-imports or call-template sees the globals, not
+// its caller's local variables (XSLT 1.0 §11.5: variables are lexically
+// scoped).
+func TestTemplatesDoNotSeeCallerLocals(t *testing.T) {
+	imported := `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
+	<xsl:template match="leaf">i:<xsl:value-of select="$x"/></xsl:template>
+	</xsl:stylesheet>`
+	main := `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
+	<xsl:output omit-xml-declaration="yes"/>
+	<xsl:import href="base.xsl"/>
+	<xsl:variable name="x" select="'global'"/>
+	<xsl:template match="/">
+		<xsl:variable name="x" select="'leaked'"/>
+		<xsl:apply-templates select="r/leaf"/>|<xsl:call-template name="peek"/>
+	</xsl:template>
+	<xsl:template match="leaf">a:<xsl:value-of select="$x"/>,<xsl:variable name="x" select="'leaked'"/><xsl:apply-imports/></xsl:template>
+	<xsl:template name="peek">c:<xsl:value-of select="$x"/></xsl:template>
+	</xsl:stylesheet>`
+	loader := func(string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
+	sheet, err := CompileStylesheetString(main, CompileOptions{Loader: loader})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := mainOutput(sheet, xmldom.MustParseString(`<r><leaf/></r>`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "a:global,i:global|c:global"; string(out) != want {
+		t.Errorf("got %q, want %q", out, want)
+	}
+}
+
+// TestParamDefaultSeesEarlierParams: a parameter's default evaluates in
+// the template's own parameter scope, so it reads the parameters
+// declared before it, while with-param values evaluate in the caller's
+// scope.
+func TestParamDefaultSeesEarlierParams(t *testing.T) {
+	sheetSrc := `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
+	<xsl:output omit-xml-declaration="yes"/>
+	<xsl:template match="/">
+		<xsl:variable name="y" select="'Y'"/>
+		<xsl:call-template name="t"/>|<xsl:call-template name="t"><xsl:with-param name="a" select="$y"/></xsl:call-template>|<xsl:apply-templates select="r"><xsl:with-param name="a" select="concat($y, $y)"/></xsl:apply-templates>
+	</xsl:template>
+	<xsl:template match="r" name="t">
+		<xsl:param name="a" select="'A'"/>
+		<xsl:param name="b" select="concat($a, 'B')"/>
+		<xsl:value-of select="$b"/>
+	</xsl:template>
+	</xsl:stylesheet>`
+	if got := run(t, sheetSrc, `<r/>`); got != "AB|YB|YYB" {
+		t.Errorf("got %q, want AB|YB|YYB", got)
 	}
 }
 
@@ -185,12 +239,14 @@ func TestCountFunctionOverKeyedNodes(t *testing.T) {
 func TestElementAvailableAndFunctionAvailable(t *testing.T) {
 	sheet := wrap(
 		`<xsl:if test="element-available('xsl:document')">doc</xsl:if>` +
+			`<xsl:if test="element-available('xsl:apply-imports')">imports</xsl:if>` +
+			`<xsl:if test="not(element-available('xsl:param'))">noparam</xsl:if>` +
 			`<xsl:if test="not(element-available('xsl:frobnicate'))">nofrob</xsl:if>` +
 			`<xsl:if test="function-available('key')">key</xsl:if>` +
 			`<xsl:if test="function-available('concat')">concat</xsl:if>` +
 			`<xsl:if test="not(function-available('exslt:fancy'))">noext</xsl:if>`)
 	got := run(t, sheet, `<x/>`)
-	if got != "docnofrobkeyconcatnoext" {
+	if got != "docimportsnoparamnofrobkeyconcatnoext" {
 		t.Errorf("availability: %q", got)
 	}
 }
