@@ -342,7 +342,7 @@ func BenchmarkAblationStylesheetCompile(b *testing.B) {
 // ---- §6: server-side transformation over HTTP ----
 
 func BenchmarkServerSideTransform(b *testing.B) {
-	srv := server.New(core.SampleSales())
+	srv := server.New(core.SampleSales(), server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()

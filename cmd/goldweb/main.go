@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -105,7 +106,8 @@ func usage() {
   goldweb serve -catalog <dir> [-retry=false] [-breaker-threshold 5]
                                            resilient multi-model catalog:
                                            staged hot swaps with rollback,
-                                           retrying reloader, circuit breaker
+                                           retrying reloader, circuit breaker;
+                                           SIGHUP reloads every model
   goldweb export [-style ...] <model.xml>  relational DDL export
   goldweb schema                           print the canonical XML Schema
   goldweb schema-tree [-attrs] [-f f.xsd]  the schema as a tree (Fig. 2)
@@ -328,8 +330,8 @@ func cmdServe(args []string) error {
 		return err
 	}
 	// Both modes read these the same way: one -lint parse, and a cache
-	// of at least one entry (a single-model server would round 0 up to 1
-	// and a catalog would read it as the default).
+	// of at least one entry (a Config would read a smaller -cache-size as
+	// the default, which the flag does not say).
 	policy, err := parseLintPolicy(*lintPolicy)
 	if err != nil {
 		return err
@@ -344,14 +346,22 @@ func cmdServe(args []string) error {
 			return fmt.Errorf("loading -schema: %w", err)
 		}
 	}
+	cfg := serveConfig(*timeout, *maxInflight, *cacheSize, *cacheBytes, *compress)
 	if *catalogDir != "" {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("serve: -catalog and a model file are mutually exclusive")
 		}
-		opts := catalogServeOptions(*timeout, *maxInflight, *cacheSize, *cacheBytes, *compress)
-		opts.Lint, opts.Schema = policy, schema
-		opts.BreakerThreshold, opts.DisableRetry = *breakerThreshold, !*retry
-		return serveCatalog(*catalogDir, *addr, opts)
+		return serveCatalog(*catalogDir, *addr, catalog.Options{
+			RequestTimeout:   cfg.RequestTimeout,
+			MaxInflight:      cfg.MaxInflight,
+			CacheSize:        cfg.CacheSize,
+			CacheBytes:       cfg.CacheBytes,
+			NoCompress:       cfg.NoCompress,
+			Lint:             policy,
+			Schema:           schema,
+			BreakerThreshold: *breakerThreshold,
+			DisableRetry:     !*retry,
+		})
 	}
 	var m *core.Model
 	var lintName string
@@ -379,24 +389,18 @@ func cmdServe(args []string) error {
 	if err := lintGate(policy, lintName, lintSrc, schema); err != nil {
 		return err
 	}
-	srv := server.New(m,
-		server.WithRequestTimeout(*timeout),
-		server.WithMaxInflight(*maxInflight),
-		server.WithCacheSize(*cacheSize),
-		server.WithCacheBytes(*cacheBytes),
-		server.WithCompression(*compress))
+	srv := server.New(m, cfg)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("serving %q on %s (site at /site/index.html, health at /healthz)\n", m.Name, *addr)
 	return srv.Serve(ctx, *addr)
 }
 
-// catalogServeOptions maps the serve limit flags onto catalog.Options.
-// The flags read 0 as "disabled", as single-model serving does, while
-// catalog.Options reads 0 as "server default" and a negative value as
-// disabled.
-func catalogServeOptions(timeout time.Duration, maxInflight, cacheSize int, cacheBytes int64, compress bool) catalog.Options {
-	return catalog.Options{
+// serveConfig maps the serve limit flags onto the configuration both
+// serving modes use. The flags read 0 as "disabled", while server.Config
+// reads 0 as the default and a negative bound as disabled.
+func serveConfig(timeout time.Duration, maxInflight, cacheSize int, cacheBytes int64, compress bool) server.Config {
+	return server.Config{
 		RequestTimeout: zeroDisables(timeout),
 		MaxInflight:    zeroDisables(maxInflight),
 		CacheSize:      cacheSize,
@@ -405,7 +409,7 @@ func catalogServeOptions(timeout time.Duration, maxInflight, cacheSize int, cach
 	}
 }
 
-// zeroDisables maps a flag's "0 disables" onto an option's negative.
+// zeroDisables maps a flag's "0 disables" onto a Config bound's negative.
 func zeroDisables[T int | int64 | time.Duration](v T) T {
 	if v == 0 {
 		return -1
@@ -416,8 +420,8 @@ func zeroDisables[T int | int64 | time.Duration](v T) T {
 // serveCatalog runs the resilient multi-model surface: every model in
 // dir goes through the staged swap pipeline, a failing model keeps
 // serving its last-good site (marked stale) while the background
-// reloader retries under the circuit breaker, and lifecycle events
-// stream to stdout.
+// reloader retries under the circuit breaker, SIGHUP reloads every
+// model, and lifecycle events stream to stdout.
 func serveCatalog(dir, addr string, opts catalog.Options) error {
 	names, err := catalog.DirModels(dir)
 	if err != nil {
@@ -436,8 +440,39 @@ func serveCatalog(dir, addr string, opts catalog.Options) error {
 			fmt.Printf("model %s: first load failed: %v (serving 503 until a retry succeeds)\n", name, err)
 		}
 	}
-	fmt.Printf("serving %d models on %s (index at /catalog, health at /readyz, models at /m/{name}/)\n", len(names), addr)
-	return c.Serve(ctx, addr)
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+	reloads := make(chan struct{})
+	go func() {
+		defer close(reloads)
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-hup:
+				reloadCatalog(ctx, c)
+			}
+		}
+	}()
+	fmt.Printf("serving %d models on %s (index at /catalog, health at /readyz, models at /m/{name}/; SIGHUP reloads them)\n", len(names), addr)
+	err = c.Serve(ctx, addr)
+	stop()
+	<-reloads
+	return err
+}
+
+// reloadCatalog re-reads every registered model through the staged
+// pipeline: an edited file goes live as the next generation, and one
+// that fails keeps serving its last-good site, marked stale. Stage
+// failures stream as events; a reload the circuit breaker rejects is
+// reported here.
+func reloadCatalog(ctx context.Context, c *catalog.Catalog) {
+	for _, name := range c.Names() {
+		if err := c.Reload(ctx, name); errors.Is(err, catalog.ErrBreakerOpen) {
+			fmt.Printf("model %s: reload skipped: %v\n", name, err)
+		}
+	}
 }
 
 func printCatalogEvent(ev catalog.Event) {

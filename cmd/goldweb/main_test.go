@@ -1,15 +1,23 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"goldweb/internal/catalog"
 	"goldweb/internal/core"
+	"goldweb/internal/server"
 )
 
 // withFile writes content into a temp file and returns its path.
@@ -596,21 +604,107 @@ func TestCmdServeRejectsCacheSizeBelowOne(t *testing.T) {
 	}
 }
 
-// TestCatalogServeOptionsZeroDisables: -timeout 0, -max-inflight 0 and
-// -cache-bytes 0 disable their limits in catalog mode as they do for a
-// single model; catalog.Options would read 0 as the server default.
-func TestCatalogServeOptionsZeroDisables(t *testing.T) {
-	opts := catalogServeOptions(0, 0, 3, 0, true)
-	if opts.RequestTimeout >= 0 || opts.MaxInflight >= 0 || opts.CacheBytes >= 0 {
+// TestServeConfigZeroDisables: -timeout 0, -max-inflight 0 and
+// -cache-bytes 0 turn their bounds off in both serving modes, which
+// share the one Config the flags map to; a Config would read 0 as the
+// default.
+func TestServeConfigZeroDisables(t *testing.T) {
+	cfg := serveConfig(0, 0, 3, 0, true)
+	if cfg.RequestTimeout >= 0 || cfg.MaxInflight >= 0 || cfg.CacheBytes >= 0 {
 		t.Errorf("0 flags map to timeout %v, max in-flight %d, cache bytes %d; want all negative (disabled)",
-			opts.RequestTimeout, opts.MaxInflight, opts.CacheBytes)
+			cfg.RequestTimeout, cfg.MaxInflight, cfg.CacheBytes)
 	}
-	if opts.CacheSize != 3 || opts.NoCompress {
-		t.Errorf("cache size %d, no-compress %v; want 3, false", opts.CacheSize, opts.NoCompress)
+	if cfg.CacheSize != 3 || cfg.NoCompress {
+		t.Errorf("cache size %d, no-compress %v; want 3, false", cfg.CacheSize, cfg.NoCompress)
 	}
-	opts = catalogServeOptions(5*time.Second, 8, 2, 1<<20, false)
-	if opts.RequestTimeout != 5*time.Second || opts.MaxInflight != 8 || opts.CacheSize != 2 ||
-		opts.CacheBytes != 1<<20 || !opts.NoCompress {
-		t.Errorf("set flags changed on the way to catalog.Options: %+v", opts)
+	cfg = serveConfig(5*time.Second, 8, 2, 1<<20, false)
+	want := server.Config{RequestTimeout: 5 * time.Second, MaxInflight: 8, CacheSize: 2, CacheBytes: 1 << 20, NoCompress: true}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("set flags changed on the way to the config: %+v, want %+v", cfg, want)
+	}
+}
+
+// TestReloadCatalogPublishesEditsKeepsLastGood: reloadCatalog, which
+// SIGHUP runs in serve -catalog, puts an edited model file live as its
+// next generation, while a model whose file no longer parses keeps
+// serving its last-good generation marked stale. Readers run beside the
+// reload and must never see an error or a generation go back.
+func TestReloadCatalogPublishesEditsKeepsLastGood(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name+".xml"), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("edited", core.SampleSales().XMLString())
+	write("broken", core.SampleHospital().XMLString())
+	c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), DisableRetry: true})
+	defer c.Close()
+	ctx := context.Background()
+	for _, name := range []string{"edited", "broken"} {
+		if err := c.Add(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := c.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, name := range []string{"edited", "broken"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := uint64(0)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := get("/m/" + name + "/site/index.html")
+				gen, _ := strconv.ParseUint(rec.Header().Get(server.GenerationHeader), 10, 64)
+				if rec.Code != 200 || gen < last {
+					t.Errorf("%s during reload: status %d, generation %d after %d", name, rec.Code, gen, last)
+					return
+				}
+				last = gen
+			}
+		}()
+	}
+	edited := core.SampleSales()
+	edited.Name = "Edited Sales"
+	write("edited", edited.XMLString())
+	write("broken", "<broken")
+	reloadCatalog(ctx, c)
+	close(stop)
+	wg.Wait()
+
+	rec := get("/m/edited/site/index.html")
+	if gen := rec.Header().Get(server.GenerationHeader); gen != "2" || !strings.Contains(rec.Body.String(), "Edited Sales") {
+		t.Errorf("edited model: generation %s, edit live %v; want generation 2 serving the edit",
+			gen, strings.Contains(rec.Body.String(), "Edited Sales"))
+	}
+	rec = get("/m/broken/site/index.html")
+	if gen, stale := rec.Header().Get(server.GenerationHeader), rec.Header().Get(catalog.StaleHeader); rec.Code != 200 ||
+		gen != "1" || stale != "republish failing at stage parse" {
+		t.Errorf("broken model: status %d, generation %s, %s %q; want 200 from generation 1, stale at stage parse",
+			rec.Code, gen, catalog.StaleHeader, stale)
+	}
+	var ready struct {
+		Models []catalog.ModelStatus `json:"models"`
+	}
+	if err := json.Unmarshal(get("/readyz").Body.Bytes(), &ready); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range ready.Models {
+		if wantStale := st.Name == "broken"; st.Stale != wantStale || !st.Ready {
+			t.Errorf("/readyz %s: ready %v, stale %v; want ready, stale %v", st.Name, st.Ready, st.Stale, wantStale)
+		}
 	}
 }

@@ -15,9 +15,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
+	"syscall"
 
 	"goldweb"
 	"goldweb/internal/core"
@@ -38,7 +42,7 @@ func main() {
 		log.Fatalf("unknown -model %q", *which)
 	}
 
-	srv := goldweb.NewServer(m)
+	srv := goldweb.NewServer(m, goldweb.ServerConfig{})
 	fmt.Printf("serving %q on http://localhost%s/\n", m.Name, *addr)
 	fmt.Println("  /site/index.html  — navigable presentation (Fig. 6)")
 	fmt.Println("  /single           — single-page presentation")
@@ -46,5 +50,10 @@ func main() {
 	fmt.Println("  /pretty           — raw view without XSLT (Fig. 4)")
 	fmt.Println("  /schema.xsd       — the XML Schema")
 	fmt.Println("  /validate         — validation report")
-	log.Fatal(srv.ListenAndServe(*addr))
+	// Ctrl-C or SIGTERM shuts the server down gracefully.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := srv.Serve(ctx, *addr); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -216,37 +216,20 @@ func CheckLinks(s *Site) []error {
 	return out
 }
 
-// Serving types and options (the hardened §6 architecture).
+// Serving types (the hardened §6 architecture).
 type (
 	// Server is the HTTP server performing server-side XSLT.
 	Server = server.Server
-	// ServerOption tunes the server's resilience knobs.
-	ServerOption = server.Option
-)
-
-// Server resilience options, re-exported from internal/server.
-var (
-	// WithRequestTimeout bounds how long a request waits for a
-	// publication (504 past it; 0 disables).
-	WithRequestTimeout = server.WithRequestTimeout
-	// WithMaxInflight sheds load with 503 + Retry-After beyond n
-	// concurrent requests.
-	WithMaxInflight = server.WithMaxInflight
-	// WithCacheSize bounds the presentation cache (LRU entries).
-	WithCacheSize = server.WithCacheSize
-	// WithCacheBytes bounds the presentation cache by summed artifact
-	// bytes (LRU; negative disables the byte budget).
-	WithCacheBytes = server.WithCacheBytes
-	// WithCompression toggles precompressed gzip variants for
-	// Accept-Encoding clients.
-	WithCompression = server.WithCompression
+	// ServerConfig holds the server's settings: the zero value means
+	// every default, and a negative bound turns that bound off.
+	ServerConfig = server.Config
 )
 
 // NewServer creates the HTTP server performing server-side XSLT (§6),
 // hardened with panic recovery, bounded waits for publications, load
 // shedding and a bounded singleflight presentation cache (see
 // internal/server).
-func NewServer(m *Model, opts ...ServerOption) *Server { return server.New(m, opts...) }
+func NewServer(m *Model, cfg ServerConfig) *Server { return server.New(m, cfg) }
 
 // Multi-model catalog types (the resilient registry in front of
 // internal/server): staged hot swaps with rollback, a retrying reloader

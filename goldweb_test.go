@@ -102,7 +102,7 @@ func TestFacadeSamplesAndServer(t *testing.T) {
 	if SampleSales() == nil || SampleHospital() == nil {
 		t.Fatal("samples missing")
 	}
-	if NewServer(SampleSales()) == nil {
+	if NewServer(SampleSales(), ServerConfig{}) == nil {
 		t.Fatal("server constructor failed")
 	}
 	if _, err := ParseXML("<a><b/></a>"); err != nil {

@@ -179,31 +179,24 @@ type Options struct {
 	// rolls back instead of wedging the model's swap lock.
 	StageTimeout time.Duration
 
-	// RequestTimeout, MaxInflight and CacheSize are passed through to
-	// each model's server (zero means that server default). RequestTimeout
-	// bounds how long a request waits for a publication: 504 past it,
-	// negative disables. CacheSize counts cache entries, each a whole
-	// presentation or a single page of a multi-page presentation.
+	// RequestTimeout, MaxInflight, CacheSize, CacheBytes and NoCompress
+	// are the serving settings, read as the server.Config fields of the
+	// same names: zero means the default and a negative bound is off.
+	// MaxInflight bounds the catalog's requests across all models; the
+	// others apply to each model server. All model servers intern into
+	// the shared content store, so byte-identical pages across models or
+	// generations are stored once and keep stable ETags.
 	RequestTimeout time.Duration
 	MaxInflight    int
 	CacheSize      int
-	// CacheBytes bounds each model server's presentation cache by
-	// summed artifact bytes (zero means the server default; negative
-	// disables the byte budget). All model servers intern into the
-	// shared content store, so byte-identical pages across models or
-	// generations are stored once and keep stable ETags.
-	CacheBytes int64
-	// NoCompress disables precompressed gzip variants: every response
-	// is served as identity regardless of Accept-Encoding.
-	NoCompress bool
+	CacheBytes     int64
+	NoCompress     bool
 
 	// OnEvent observes catalog lifecycle events (may be nil).
 	OnEvent func(Event)
 	// Now is the clock the circuit breakers read (tests inject one); nil
 	// means time.Now.
 	Now func() time.Time
-	// ParseLimits bounds model XML parsing (zero value: xmldom defaults).
-	ParseLimits xmldom.Limits
 }
 
 // Catalog-level defaults.
@@ -329,6 +322,8 @@ func (e *entry) unlock() { e.swapMu <- struct{}{} }
 type Catalog struct {
 	opts   Options
 	schema *xsd.Schema
+	// serving configures the catalog's shell and every model server.
+	serving server.Config
 
 	// mu serializes writers of the entry map. Readers load entries, a
 	// copy-on-write map republished after each change, without a lock.
@@ -367,23 +362,6 @@ func New(opts Options) *Catalog {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	if opts.ParseLimits == (xmldom.Limits{}) {
-		opts.ParseLimits = xmldom.DefaultLimits
-	}
-	// Zero means the server default; negative disables the knob.
-	if opts.RequestTimeout == 0 {
-		opts.RequestTimeout = server.DefaultRequestTimeout
-	} else if opts.RequestTimeout < 0 {
-		opts.RequestTimeout = 0
-	}
-	if opts.MaxInflight == 0 {
-		opts.MaxInflight = server.DefaultMaxInflight
-	} else if opts.MaxInflight < 0 {
-		opts.MaxInflight = 0
-	}
-	if opts.CacheSize == 0 {
-		opts.CacheSize = server.DefaultCacheSize
-	}
 	schema := opts.Schema
 	if schema == nil {
 		schema = core.MustSchema()
@@ -391,7 +369,15 @@ func New(opts Options) *Catalog {
 	c := &Catalog{
 		opts:   opts,
 		schema: schema,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
+		serving: server.Config{
+			RequestTimeout: opts.RequestTimeout,
+			MaxInflight:    opts.MaxInflight,
+			CacheSize:      opts.CacheSize,
+			CacheBytes:     opts.CacheBytes,
+			NoCompress:     opts.NoCompress,
+			PublishHook:    opts.PublishHook,
+		},
+		rng: rand.New(rand.NewSource(opts.Seed)),
 	}
 	c.entries.Store(&map[string]*entry{})
 	c.ctx, c.cancel = context.WithCancel(context.Background())
@@ -424,30 +410,6 @@ func (c *Catalog) waitWork() {
 	}
 }
 
-// serverOptions builds the per-model server configuration.
-func (c *Catalog) serverOptions() []server.Option {
-	// The catalog's shared middleware applies the limiter once for all
-	// models; per-model servers only need the pipeline hook, cache sizing,
-	// and the request timeout that bounds a wait for a publication.
-	opts := []server.Option{
-		server.WithMaxInflight(0),
-		server.WithRequestTimeout(c.opts.RequestTimeout),
-	}
-	if c.opts.CacheSize > 0 {
-		opts = append(opts, server.WithCacheSize(c.opts.CacheSize))
-	}
-	if c.opts.CacheBytes != 0 {
-		opts = append(opts, server.WithCacheBytes(c.opts.CacheBytes))
-	}
-	if c.opts.NoCompress {
-		opts = append(opts, server.WithCompression(false))
-	}
-	if c.opts.PublishHook != nil {
-		opts = append(opts, server.WithPublishHook(c.opts.PublishHook))
-	}
-	return opts
-}
-
 // ensure returns the entry for name, registering it if new.
 func (c *Catalog) ensure(name string) *entry {
 	c.mu.Lock()
@@ -458,7 +420,7 @@ func (c *Catalog) ensure(name string) *entry {
 	}
 	e := &entry{
 		name:   name,
-		srv:    server.NewEmpty(c.serverOptions()...),
+		srv:    server.NewEmpty(c.serving),
 		swapMu: make(chan struct{}, 1),
 	}
 	e.swapMu <- struct{}{} // the unlocked token
@@ -583,7 +545,7 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 
 	// Stage 1: parse (bounded, cancelable).
 	stage = "parse"
-	doc, perr := xmldom.ParseContext(sctx, data, c.opts.ParseLimits)
+	doc, perr := xmldom.ParseContext(sctx, data, xmldom.DefaultLimits)
 	if perr != nil {
 		return fmt.Errorf("parse: %w", perr)
 	}

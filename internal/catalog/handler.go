@@ -46,9 +46,9 @@ func (c *Catalog) Handler() http.Handler { return c.shell().Handler() }
 // drain and closes the catalog after it.
 func (c *Catalog) shell() server.Shell {
 	return server.Shell{
-		Mount:       "/m/",
-		App:         http.HandlerFunc(c.serveModel),
-		MaxInflight: c.opts.MaxInflight,
+		Mount:  "/m/",
+		App:    http.HandlerFunc(c.serveModel),
+		Config: c.serving,
 		Routes: func(mux *http.ServeMux) {
 			mux.HandleFunc("/readyz", c.handleReadyz)
 			mux.HandleFunc("/catalog", c.handleIndex)
@@ -60,9 +60,8 @@ func (c *Catalog) shell() server.Shell {
 				http.Redirect(w, r, "/catalog", http.StatusFound)
 			})
 		},
-		RequestTimeout: c.opts.RequestTimeout,
-		Cancel:         c.cancelWork,
-		Wait:           c.waitWork,
+		Cancel: c.cancelWork,
+		Wait:   c.waitWork,
 	}
 }
 

@@ -51,13 +51,9 @@ type cacheEntry struct {
 	site *publishedSite
 }
 
+// newSiteCache returns a cache of at most maxEntries entries (at least
+// one) and maxBytes identity bytes (<= 0: no byte budget).
 func newSiteCache(maxEntries int, maxBytes int64) *siteCache {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	if maxBytes < 0 {
-		maxBytes = 0 // 0 disables the byte budget
-	}
 	return &siteCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,

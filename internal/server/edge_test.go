@@ -53,7 +53,7 @@ func doReq(t *testing.T, ts *httptest.Server, method, path string, hdr map[strin
 // Content-Encoding, Cache-Control — and a zero-byte body, for both the
 // identity and the gzip representation.
 func TestHeadMatchesGet(t *testing.T) {
-	srv := New(core.SampleSales(), WithArtifactStore(artifact.NewStore()))
+	srv := New(core.SampleSales(), Config{Store: artifact.NewStore()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -96,7 +96,7 @@ func TestHeadMatchesGet(t *testing.T) {
 // a matching validator gets a bodyless 304 (on GET and HEAD alike,
 // weak or strong comparison), a stale one a full 200.
 func TestConditionalRequests(t *testing.T) {
-	srv := New(core.SampleSales(), WithArtifactStore(artifact.NewStore()))
+	srv := New(core.SampleSales(), Config{Store: artifact.NewStore()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -141,10 +141,10 @@ func TestConditionalRequests(t *testing.T) {
 	}
 }
 
-// TestCompressionDisabled verifies WithCompression(false) always serves
+// TestCompressionDisabled verifies Config.NoCompress always serves
 // identity even to gzip-capable clients.
 func TestCompressionDisabled(t *testing.T) {
-	srv := New(core.SampleSales(), WithArtifactStore(artifact.NewStore()), WithCompression(false))
+	srv := New(core.SampleSales(), Config{Store: artifact.NewStore(), NoCompress: true})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -177,7 +177,7 @@ func TestGzipVariantsMatchIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		srv := New(m, WithArtifactStore(artifact.NewStore()))
+		srv := New(m, Config{Store: artifact.NewStore()})
 		for _, mode := range []htmlgen.Mode{htmlgen.MultiPage, htmlgen.SinglePage} {
 			site, err := htmlgen.Publish(m, htmlgen.Options{Mode: mode})
 			if err != nil {
@@ -224,7 +224,7 @@ func TestGzipVariantsMatchIdentity(t *testing.T) {
 // interned onto the existing artifacts).
 func TestETagsStableAcrossByteIdenticalSwap(t *testing.T) {
 	store := artifact.NewStore()
-	srv := New(core.SampleSales(), WithArtifactStore(store))
+	srv := New(core.SampleSales(), Config{Store: store})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -279,7 +279,7 @@ func TestRepublishAfterEvictionServesSameGzip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa, pb := full.HTMLPages()[0], full.HTMLPages()[1]
-	srv := New(m, WithArtifactStore(artifact.NewStore()), WithCacheSize(1))
+	srv := New(m, Config{Store: artifact.NewStore(), CacheSize: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -326,7 +326,7 @@ func TestRepublishAfterEvictionServesSameGzip(t *testing.T) {
 // page, interns it and serves its gzip variant.
 func BenchmarkColdRepublish(b *testing.B) {
 	m := workload.GenModel(workload.ModelSpec{Facts: 2, Dims: 4, Depth: 2})
-	h := New(m, WithArtifactStore(artifact.NewStore()), WithCacheSize(1)).Handler()
+	h := New(m, Config{Store: artifact.NewStore(), CacheSize: 1}).Handler()
 	var reqs [2]*http.Request
 	w := &discardResponse{h: make(http.Header)}
 	for i := range reqs {

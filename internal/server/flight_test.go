@@ -33,15 +33,16 @@ func serve(h http.Handler, path, accept string) *httptest.ResponseRecorder {
 func TestFlightHungPublicationTimesOutThenCaches(t *testing.T) {
 	release := make(chan struct{})
 	var singles atomic.Int64
-	srv := New(core.SampleSales(),
-		WithRequestTimeout(50*time.Millisecond),
-		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		RequestTimeout: 50 * time.Millisecond,
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if mode == htmlgen.SinglePage && focus == "" && page == htmlgen.IndexName {
 				singles.Add(1)
 				<-release
 			}
 			return nil
-		}))
+		},
+	})
 	defer srv.Close()
 	h := srv.Handler()
 
@@ -87,15 +88,16 @@ func TestFlightPanicFailsEveryWaiter(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), WithPublishHook(
-		func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if calls.Add(1) == 1 {
 				close(entered)
 				<-release
 				panic("injected publication fault")
 			}
 			return nil
-		}))
+		},
+	})
 	defer srv.Close()
 	h := srv.Handler()
 
@@ -144,9 +146,9 @@ func TestFlightPanicFailsEveryWaiter(t *testing.T) {
 // only after the publication goroutine has exited.
 func TestFlightCloseAwaitsDetachedPublication(t *testing.T) {
 	var exited atomic.Bool
-	srv := New(core.SampleSales(),
-		WithRequestTimeout(20*time.Millisecond),
-		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		RequestTimeout: 20 * time.Millisecond,
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if page == "" {
 				return nil
 			}
@@ -154,7 +156,8 @@ func TestFlightCloseAwaitsDetachedPublication(t *testing.T) {
 			time.Sleep(20 * time.Millisecond) // a slow unwind Close must wait out
 			exited.Store(true)
 			return ctx.Err()
-		}))
+		},
+	})
 	if rec := serve(srv.Handler(), "/single", ""); rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("blocked publication: status %d, want 504 (%s)", rec.Code, rec.Body)
 	}

@@ -27,7 +27,7 @@ func cachedEntry(srv *Server, key siteKey) *publishedSite {
 // cap, and every page carries the bytes of the whole presentation.
 func TestSitePagesAreCachedPerPage(t *testing.T) {
 	m := core.SampleSales()
-	srv := New(m, WithCacheSize(2), WithArtifactStore(artifact.NewStore()))
+	srv := New(m, Config{CacheSize: 2, Store: artifact.NewStore()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -70,7 +70,7 @@ func TestUnknownSitePageIs404WithoutTransform(t *testing.T) {
 	m := core.SampleHospital()
 	focus := m.Facts[0].ID
 
-	srv := NewEmpty(WithArtifactStore(artifact.NewStore()))
+	srv := NewEmpty(Config{Store: artifact.NewStore()})
 	st, err := stageCanonical(context.Background(), srv, m)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestUnknownSitePageIs404WithoutTransform(t *testing.T) {
 	}
 
 	// Without a shadow publish the first targeted run reports the set.
-	plain := New(m, WithArtifactStore(artifact.NewStore()))
+	plain := New(m, Config{Store: artifact.NewStore()})
 	pts := httptest.NewServer(plain.Handler())
 	defer pts.Close()
 	if !plain.snapshot().pageGate("", "nope.html") {
@@ -152,12 +152,14 @@ func TestPublicationForDeadGenerationIsNotCached(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	store := artifact.NewStore()
-	srv := New(core.SampleSales(), WithArtifactStore(store), WithPublishHook(
-		func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		Store: store,
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			close(entered)
 			<-release
 			return nil
-		}))
+		},
+	})
 	snap := srv.snapshot()
 	done := make(chan error, 1)
 	go func() {
@@ -191,7 +193,7 @@ func TestSingleReadDoesNotGateSitePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := full.HTMLPages()[1]
-	srv := New(m, WithArtifactStore(artifact.NewStore()))
+	srv := New(m, Config{Store: artifact.NewStore()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if code, _, _ := get(t, ts, "/single?focus="+focus); code != http.StatusOK {

@@ -26,7 +26,7 @@ func countingHook(n *atomic.Int64) PublishHook {
 
 func TestUnknownFocusIs404AndNeverCached(t *testing.T) {
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), WithPublishHook(countingHook(&calls)))
+	srv := New(core.SampleSales(), Config{PublishHook: countingHook(&calls)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -53,13 +53,14 @@ func TestSingleflightColdCacheSharesOnePublish(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), WithPublishHook(
-		func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			calls.Add(1)
 			entered <- struct{}{}
 			<-release
 			return nil
-		}))
+		},
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -92,13 +93,14 @@ func TestSingleflightColdCacheSharesOnePublish(t *testing.T) {
 
 func TestPanickingPublishReturns500ThenRecovers(t *testing.T) {
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), WithPublishHook(
-		func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if calls.Add(1) == 1 {
 				panic("injected transformation fault")
 			}
 			return nil
-		}))
+		},
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -121,14 +123,15 @@ func TestPanickingPublishReturns500ThenRecovers(t *testing.T) {
 func TestHangingPublishTimesOutWhileSiteKeepsServing(t *testing.T) {
 	hang := make(chan struct{})
 	defer close(hang)
-	srv := New(core.SampleSales(),
-		WithRequestTimeout(100*time.Millisecond),
-		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		RequestTimeout: 100 * time.Millisecond,
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if mode == htmlgen.SinglePage {
 				<-hang
 			}
 			return nil
-		}))
+		},
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -148,14 +151,15 @@ func TestHangingPublishTimesOutWhileSiteKeepsServing(t *testing.T) {
 func TestLimiterShedsWith503AndRetryAfter(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
-	srv := New(core.SampleSales(),
-		WithMaxInflight(2),
-		WithRequestTimeout(0),
-		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		MaxInflight:    2,
+		RequestTimeout: -1,
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			entered <- struct{}{}
 			<-release
 			return nil
-		}))
+		},
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -274,9 +278,10 @@ func TestLimiterBoundsConcurrentRequests(t *testing.T) {
 
 func TestCacheIsBoundedLRU(t *testing.T) {
 	var calls atomic.Int64
-	srv := New(core.SampleSales(),
-		WithCacheSize(1),
-		WithPublishHook(countingHook(&calls)))
+	srv := New(core.SampleSales(), Config{
+		CacheSize:   1,
+		PublishHook: countingHook(&calls),
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -293,7 +298,7 @@ func TestCacheIsBoundedLRU(t *testing.T) {
 }
 
 func TestMethodFiltering(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -321,7 +326,7 @@ func TestMethodFiltering(t *testing.T) {
 }
 
 func TestHealthEndpoints(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	code, body, _ := get(t, ts, "/healthz")
@@ -351,7 +356,7 @@ func TestContentTypesForNonHTMLAssets(t *testing.T) {
 // TestConcurrentRequestsDuringModelSwaps is the -race hammer: every
 // endpoint under parallel load while SetModel flips the published model.
 func TestConcurrentRequestsDuringModelSwaps(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -418,7 +423,7 @@ func (e statusErr) Error() string { return e.path + ": status " + http.StatusTex
 func errStatus(path string, code int) error { return statusErr{path, code} }
 
 func TestGracefulShutdown(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +478,7 @@ func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func TestWarmHitAllocations(t *testing.T) {
 	m := core.SampleSales()
 	focus := m.Facts[0].ID
-	srv := NewEmpty()
+	srv := NewEmpty(Config{})
 	st, err := stageCanonical(context.Background(), srv, m)
 	if err != nil {
 		t.Fatal(err)

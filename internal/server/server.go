@@ -34,7 +34,7 @@
 // page's bytes keeps its ETag — and the clients' 304s — alive, and a
 // page republished after a cache eviction gets back its artifact and
 // gzip variant while anything still holds them. The presentation cache
-// is accounted in bytes (WithCacheBytes), not entries.
+// is accounted in bytes (Config.CacheBytes), not entries.
 package server
 
 import (
@@ -156,7 +156,7 @@ type xmlViews struct {
 // are still held — same ETags, no duplicate bytes. A replaced snapshot's
 // views leave the store once nothing holds them.
 func (s *Server) viewsFor(snap *snapshot) *xmlViews {
-	snap.viewOnce.Do(func() { snap.views = buildViews(snap.model, s.store) })
+	snap.viewOnce.Do(func() { snap.views = buildViews(snap.model, s.cfg.Store) })
 	return snap.views
 }
 
@@ -202,20 +202,10 @@ type Server struct {
 	baseCancel context.CancelFunc
 	pubWG      sync.WaitGroup
 
-	hook           PublishHook
-	requestTimeout time.Duration
-	maxInflight    int
-
-	// Edge-serving knobs: the artifact store pages intern into, the
-	// presentation-cache bounds, and whether precompressed variants are
-	// offered (identity is always available).
-	store        *artifact.Store
-	cacheEntries int
-	cacheBytes   int64
-	compress     bool
+	cfg Config // resolved
 }
 
-// Defaults for the tunable knobs (overridable with Options).
+// Defaults of the Config fields a zero value leaves unset.
 const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxInflight    = 64
@@ -228,60 +218,66 @@ const (
 // long for a server's publications.
 const DefaultShutdownGrace = 10 * time.Second
 
-// Option configures a Server.
-type Option func(*Server)
-
-// WithRequestTimeout bounds how long a request waits for a publication:
-// past it the request gets 504 + Retry-After while the publication runs
-// on and caches its page (0 disables). Warm reads and the XML views never
-// wait, so nothing else is bounded by it.
-func WithRequestTimeout(d time.Duration) Option {
-	return func(s *Server) { s.requestTimeout = d }
+// Config holds a server's settings, and the catalog's for its shell and
+// each of its model servers. A zero field takes its default, so the zero
+// value means every default. A negative RequestTimeout, MaxInflight or
+// CacheBytes turns that bound off; CacheSize <= 0 means DefaultCacheSize,
+// because the entry cap cannot be turned off.
+type Config struct {
+	// RequestTimeout bounds how long a request waits for a publication:
+	// past it the request gets 504 + Retry-After while the publication
+	// runs on and caches its page. Warm reads and the XML views never
+	// wait, so nothing else is bounded by it.
+	RequestTimeout time.Duration
+	// MaxInflight bounds concurrently served requests; excess load is
+	// shed with 503 + Retry-After.
+	MaxInflight int
+	// CacheSize caps the presentation cache's entries, each a whole
+	// presentation or a single page of a multi-page presentation.
+	CacheSize int
+	// CacheBytes bounds the presentation cache by summed identity bytes,
+	// the unit that matters under memory pressure: per-focus sites of a
+	// large model dwarf a small model's whole site.
+	CacheBytes int64
+	// NoCompress stops serving precompressed gzip variants: every
+	// response is identity whatever the Accept-Encoding.
+	NoCompress bool
+	// PublishHook runs before every publication (may be nil): the
+	// fault-injection seam of resilience tests and soaks.
+	PublishHook PublishHook
+	// Store is the content store pages intern into; nil means the
+	// process-global artifact.Shared, so byte-identical content is
+	// shared across every model server in the process.
+	Store *artifact.Store
 }
 
-// WithMaxInflight bounds concurrently served requests; excess load is
-// shed with 503 + Retry-After (0 disables the limiter).
-func WithMaxInflight(n int) Option {
-	return func(s *Server) { s.maxInflight = n }
+// resolve fills cfg's zero fields with their defaults. A negative bound
+// stays negative, and every reader takes a bound <= 0 as off, so
+// resolving twice changes nothing.
+func (cfg Config) resolve() Config {
+	cfg.RequestTimeout = orDefault(cfg.RequestTimeout, DefaultRequestTimeout)
+	cfg.MaxInflight = orDefault(cfg.MaxInflight, DefaultMaxInflight)
+	cfg.CacheBytes = orDefault(cfg.CacheBytes, DefaultCacheBytes)
+	if cfg.CacheSize <= 0 {
+		cfg.CacheSize = DefaultCacheSize
+	}
+	if cfg.Store == nil {
+		cfg.Store = artifact.Shared
+	}
+	return cfg
 }
 
-// WithCacheSize bounds the number of cache entries, each a whole
-// presentation or a single page of a multi-page presentation (the
-// secondary cap; the primary accounting is WithCacheBytes).
-func WithCacheSize(n int) Option {
-	return func(s *Server) { s.cacheEntries = n }
-}
-
-// WithCacheBytes bounds the presentation cache by summed identity
-// bytes — the unit that actually matters under memory pressure, since
-// per-focus sites of a large model dwarf a small model's whole site.
-// 0 disables the byte budget (the entry cap still applies).
-func WithCacheBytes(n int64) Option {
-	return func(s *Server) { s.cacheBytes = n }
-}
-
-// WithCompression enables or disables serving precompressed gzip
-// variants negotiated via Accept-Encoding (enabled by default).
-func WithCompression(enabled bool) Option {
-	return func(s *Server) { s.compress = enabled }
-}
-
-// WithArtifactStore sets the content store pages intern into (default:
-// the process-global artifact.Shared, so byte-identical content is
-// shared across every model server in the process).
-func WithArtifactStore(st *artifact.Store) Option {
-	return func(s *Server) { s.store = st }
-}
-
-// WithPublishHook sets the hook every publication runs before the
-// pipeline — the fault-injection seam of resilience tests and soaks.
-func WithPublishHook(fn PublishHook) Option {
-	return func(s *Server) { s.hook = fn }
+// orDefault returns def for a zero v, else v.
+func orDefault[T int | int64 | time.Duration](v, def T) T {
+	if v == 0 {
+		return def
+	}
+	return v
 }
 
 // New creates a server for the model.
-func New(m *core.Model, opts ...Option) *Server {
-	s := NewEmpty(opts...)
+func New(m *core.Model, cfg Config) *Server {
+	s := NewEmpty(cfg)
 	s.SetModel(m)
 	return s
 }
@@ -290,25 +286,16 @@ func New(m *core.Model, opts ...Option) *Server {
 // model-derived endpoint answers 503 until the first SetModel or
 // Stage/Commit. Catalogs use it so a model whose very first load is
 // failing still has an addressable (if not-ready) server.
-func NewEmpty(opts ...Option) *Server {
-	s := &Server{
-		requestTimeout: DefaultRequestTimeout,
-		maxInflight:    DefaultMaxInflight,
-		store:          artifact.Shared,
-		cacheEntries:   DefaultCacheSize,
-		cacheBytes:     DefaultCacheBytes,
-		compress:       true,
-	}
+func NewEmpty(cfg Config) *Server {
+	s := &Server{cfg: cfg.resolve()}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.flight = newFlightGroup(&s.pubWG)
-	for _, opt := range opts {
-		opt(s)
-	}
-	// The cache is built after the options so the entry and byte bounds
-	// compose in any order.
-	s.cache = newSiteCache(s.cacheEntries, s.cacheBytes)
+	s.cache = newSiteCache(s.cfg.CacheSize, s.cfg.CacheBytes)
 	return s
 }
+
+// Config returns the server's settings with their defaults resolved.
+func (s *Server) Config() Config { return s.cfg }
 
 // buildSnapshot prepares one immutable published state for m from val,
 // the GOLD-schema validation of the document m was read from: its
@@ -402,7 +389,7 @@ func (s *Server) Stage(ctx context.Context, m *core.Model, val *xsd.Validated) (
 	// generation is still live — is what makes the swap memory-flat for
 	// unchanged pages: byte-identical content resolves to the already
 	// interned artifacts instead of a second copy.
-	return &StagedModel{s: s, snap: snap, probe: newPublishedSite(s.store, site)}, nil
+	return &StagedModel{s: s, snap: snap, probe: newPublishedSite(s.cfg.Store, site)}, nil
 }
 
 // Commit atomically installs the staged snapshot, bumps the
@@ -473,10 +460,10 @@ var errUnknownFocus = errors.New("unknown focus")
 
 // beforePublish runs the publish hook, if any, for one publication.
 func (s *Server) beforePublish(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
-	if s.hook == nil {
+	if s.cfg.PublishHook == nil {
 		return nil
 	}
-	return s.hook(ctx, mode, focus, page)
+	return s.cfg.PublishHook(ctx, mode, focus, page)
 }
 
 // pageFor returns the artifact serving page of the presentation of mode
@@ -513,7 +500,7 @@ func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) 
 	if err := snap.invalid(); err != nil {
 		return nil, err
 	}
-	site, err := s.flight.Do(key, s.requestTimeout, func() (*publishedSite, error) {
+	site, err := s.flight.Do(key, s.cfg.RequestTimeout, func() (*publishedSite, error) {
 		if err := s.beforePublish(s.baseCtx, mode, focus, page); err != nil {
 			return nil, err
 		}
@@ -528,7 +515,7 @@ func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) 
 		if !pg.Found {
 			return nil, nil
 		}
-		p := newPublishedSite(s.store, &htmlgen.Site{
+		p := newPublishedSite(s.cfg.Store, &htmlgen.Site{
 			Pages: map[string][]byte{page: pg.Content},
 			Order: []string{page},
 		})
@@ -583,7 +570,7 @@ func (s *Server) shell() Shell {
 		App: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			s.ServeApp(w, r, r.URL.Path)
 		}),
-		MaxInflight: s.maxInflight,
+		Config: s.cfg,
 		Routes: func(mux *http.ServeMux) {
 			mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 				if !s.Ready() {
@@ -594,9 +581,8 @@ func (s *Server) shell() Shell {
 				fmt.Fprintln(w, "ready")
 			})
 		},
-		RequestTimeout: s.requestTimeout,
-		Cancel:         s.baseCancel,
-		Wait:           s.pubWG.Wait,
+		Cancel: s.baseCancel,
+		Wait:   s.pubWG.Wait,
 	}
 }
 
@@ -644,7 +630,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, mode htmlgen.
 		http.NotFound(w, r)
 		return
 	}
-	a.Serve(w, r, s.compress)
+	a.Serve(w, r, !s.cfg.NoCompress)
 }
 
 // queryValue returns the first value of key in the raw query, exactly as
@@ -694,16 +680,16 @@ func (s *Server) ServeApp(w http.ResponseWriter, r *http.Request, p string) {
 	case "/single":
 		s.servePage(w, r, htmlgen.SinglePage, htmlgen.IndexName)
 	case "/style.css":
-		staticStyleCSS.Serve(w, r, s.compress)
+		staticStyleCSS.Serve(w, r, !s.cfg.NoCompress)
 	case "/schema.xsd":
-		staticSchemaXSD.Serve(w, r, s.compress)
+		staticSchemaXSD.Serve(w, r, !s.cfg.NoCompress)
 	case "/model.xml":
 		if snap := s.snapFor(w, r); snap != nil {
-			s.viewsFor(snap).model.Serve(w, r, s.compress)
+			s.viewsFor(snap).model.Serve(w, r, !s.cfg.NoCompress)
 		}
 	case "/pretty":
 		if snap := s.snapFor(w, r); snap != nil {
-			s.viewsFor(snap).pretty.Serve(w, r, s.compress)
+			s.viewsFor(snap).pretty.Serve(w, r, !s.cfg.NoCompress)
 		}
 	// The paper's §6 future work: "when the browsers completely support
 	// XML and XSLT, the transformation will be able to be performed in the
@@ -713,13 +699,13 @@ func (s *Server) ServeApp(w http.ResponseWriter, r *http.Request, p string) {
 	// browser renders the model client-side.
 	case "/client/model.xml":
 		if snap := s.snapFor(w, r); snap != nil {
-			s.viewsFor(snap).client.Serve(w, r, s.compress)
+			s.viewsFor(snap).client.Serve(w, r, !s.cfg.NoCompress)
 		}
 	case "/client/single.xsl":
-		staticSingleXSL.Serve(w, r, s.compress)
+		staticSingleXSL.Serve(w, r, !s.cfg.NoCompress)
 	case "/cwm.xmi":
 		if snap := s.snapFor(w, r); snap != nil {
-			s.viewsFor(snap).cwm.Serve(w, r, s.compress)
+			s.viewsFor(snap).cwm.Serve(w, r, !s.cfg.NoCompress)
 		}
 	case "/validate":
 		s.serveValidate(w, r)
@@ -785,10 +771,4 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 // port 0).
 func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	return s.shell().Serve(ctx, ln)
-}
-
-// ListenAndServe runs the server on addr (blocking, no graceful
-// shutdown); kept for compatibility with simple callers.
-func (s *Server) ListenAndServe(addr string) error {
-	return s.Serve(context.Background(), addr)
 }

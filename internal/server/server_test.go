@@ -25,7 +25,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string, string) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -135,7 +135,7 @@ func TestServerEndpoints(t *testing.T) {
 func TestServerValidateReportsProblems(t *testing.T) {
 	m := core.SampleSales()
 	m.Facts[0].SharedAggs[0].DimClass = "ghost"
-	srv := New(m)
+	srv := New(m, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	_, body, _ := get(t, ts, "/validate")
@@ -169,7 +169,7 @@ func TestValidateReadsSnapshot(t *testing.T) {
 			"schema: /goldmodel/factclasses/factclass/sharedaggs/sharedagg[1]: keyref sharedAggDimClassKey: value (ghost) does not match any dimClassKey value\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := httptest.NewServer(New(tc.model).Handler())
+			ts := httptest.NewServer(New(tc.model, Config{}).Handler())
 			defer ts.Close()
 			before := xsd.ValidationWalks()
 			_, body, _ := get(t, ts, "/validate")
@@ -184,7 +184,7 @@ func TestValidateReadsSnapshot(t *testing.T) {
 }
 
 func TestServerModelSwapInvalidatesCache(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	_, body, _ := get(t, ts, "/site/index.html")
@@ -199,7 +199,7 @@ func TestServerModelSwapInvalidatesCache(t *testing.T) {
 }
 
 func TestServerConcurrentRequests(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	paths := []string{
@@ -235,7 +235,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 }
 
 func TestClientSideTransformationEndpoints(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -257,7 +257,7 @@ func TestClientSideTransformationEndpoints(t *testing.T) {
 }
 
 func TestCWMEndpoint(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	code, body, _ := get(t, ts, "/cwm.xmi")
@@ -269,7 +269,7 @@ func TestCWMEndpoint(t *testing.T) {
 // TestRoutesAndRedirects pins the status code of every route, and the
 // Location of every redirect, through the full handler.
 func TestRoutesAndRedirects(t *testing.T) {
-	h := New(core.SampleSales()).Handler()
+	h := New(core.SampleSales(), Config{}).Handler()
 	for _, tc := range []struct {
 		path     string
 		code     int

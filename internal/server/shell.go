@@ -37,15 +37,15 @@ type Shell struct {
 	Mount string
 	// App serves every request under Mount, behind the limiter.
 	App http.Handler
-	// MaxInflight bounds concurrent App requests (0 disables the limiter).
-	MaxInflight int
+	// Config is the serving configuration of the app's servers. The
+	// shell reads two of its bounds: MaxInflight bounds concurrent App
+	// requests, and the http.Server's write timeout is twice
+	// RequestTimeout.
+	Config Config
 	// Routes registers the caller's other endpoints, /readyz among them,
 	// on the ServeMux that answers whatever the direct route does not.
 	Routes func(*http.ServeMux)
 
-	// RequestTimeout is the request timeout of the app's servers (0 for
-	// none); the http.Server's write timeout is twice it.
-	RequestTimeout time.Duration
 	// Cancel stops the background publications at shutdown, before the
 	// handlers drain; Wait returns once they have stopped.
 	Cancel, Wait func()
@@ -64,7 +64,7 @@ func (sh Shell) MuxHandler() http.Handler { return sh.front(false) }
 // endpoints, straight to the limited app; the ServeMux routes everything
 // else and owns the clean-path redirects.
 func (sh Shell) front(direct bool) http.Handler {
-	app := withLimiter(sh.MaxInflight, sh.App)
+	app := withLimiter(sh.Config.resolve().MaxInflight, sh.App)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -100,7 +100,7 @@ func (sh Shell) front(direct bool) http.Handler {
 // It returns nil on a clean shutdown. A listener failure returns at once
 // and leaves the background work to its owner.
 func (sh Shell) Serve(ctx context.Context, ln net.Listener) error {
-	writeTimeout := 2 * sh.RequestTimeout
+	writeTimeout := 2 * sh.Config.resolve().RequestTimeout
 	if writeTimeout <= 0 {
 		writeTimeout = 2 * DefaultRequestTimeout
 	}

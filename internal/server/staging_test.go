@@ -25,14 +25,15 @@ import (
 func TestShutdownCancelsInflightPublish(t *testing.T) {
 	entered := make(chan struct{})
 	released := make(chan struct{})
-	srv := New(core.SampleSales(),
-		WithRequestTimeout(0), // no request timeout: only shutdown can stop the publish
-		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		RequestTimeout: -1, // no request timeout: only shutdown can stop the publish
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			close(entered)
 			<-ctx.Done() // a context-aware pipeline stops here
 			close(released)
 			return ctx.Err()
-		}))
+		},
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -85,16 +86,17 @@ func TestShedAndTimeoutResponsesAreConsistent(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	defer close(release)
-	srv := New(core.SampleSales(),
-		WithMaxInflight(1),
-		WithRequestTimeout(100*time.Millisecond),
-		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		MaxInflight:    1,
+		RequestTimeout: 100 * time.Millisecond,
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			entered <- struct{}{}
 			// Hang until the test ends: every publish deterministically
 			// outlives the request timeout.
 			<-release
 			return errors.New("released")
-		}))
+		},
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -178,14 +180,15 @@ func TestShedAndTimeoutResponsesAreConsistent(t *testing.T) {
 func TestTransientPublishFailureIsNotCached(t *testing.T) {
 	var calls atomic.Int64
 	injected := errors.New("transient backend wobble")
-	srv := New(core.SampleSales(),
-		WithCacheSize(4),
-		WithPublishHook(func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+	srv := New(core.SampleSales(), Config{
+		CacheSize: 4,
+		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if calls.Add(1) == 1 {
 				return injected
 			}
 			return nil
-		}))
+		},
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -227,7 +230,7 @@ func TestTransientPublishFailureIsNotCached(t *testing.T) {
 // snapshot, Commit installs atomically with a generation bump, and a
 // failed Stage leaves the old state fully intact (it returns no stage).
 func TestStagedSwapCommitAndRollback(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	gen0 := srv.Generation()
@@ -286,7 +289,7 @@ func stageCanonical(ctx context.Context, srv *Server, m *core.Model) (*StagedMod
 // generation it was served from, and a client never observes a
 // regression across swaps.
 func TestGenerationHeaderIsMonotonic(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -318,7 +321,7 @@ func TestGenerationHeaderIsMonotonic(t *testing.T) {
 // TestEmptyServerAnswers503UntilFirstPublish covers NewEmpty: an entry
 // whose first load keeps failing is addressable but not ready.
 func TestEmptyServerAnswers503UntilFirstPublish(t *testing.T) {
-	srv := NewEmpty()
+	srv := NewEmpty(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -357,7 +360,7 @@ func TestEmptyServerAnswers503UntilFirstPublish(t *testing.T) {
 // so /readyz answers 200 while SetModel prepares a replacement — the old
 // snapshot keeps serving the whole time.
 func TestReadyzStaysReadyAcrossSetModel(t *testing.T) {
-	srv := New(core.SampleSales())
+	srv := New(core.SampleSales(), Config{})
 	h := srv.Handler()
 	done := make(chan struct{})
 	go func() {

@@ -52,7 +52,7 @@ func getView(h http.Handler, path string) *httptest.ResponseRecorder {
 // generated model sizes.
 func TestLazyViewsMatchEagerConstruction(t *testing.T) {
 	for name, m := range viewTestModels(t) {
-		h := New(m, WithArtifactStore(artifact.NewStore())).Handler()
+		h := New(m, Config{Store: artifact.NewStore()}).Handler()
 		want := eagerViews(m)
 		for path, field := range viewPaths {
 			rec := getView(h, path)
@@ -76,7 +76,7 @@ func TestConcurrentFirstViewGetsDuringSwaps(t *testing.T) {
 	models := []*core.Model{core.SampleSales(), core.SampleHospital()} // odd, even generations
 	want := []*xmlViews{eagerViews(models[0]), eagerViews(models[1])}
 	store := artifact.NewStore()
-	srv := New(models[0], WithArtifactStore(store))
+	srv := New(models[0], Config{Store: store})
 	h := srv.Handler()
 
 	var wg sync.WaitGroup
@@ -130,7 +130,7 @@ func TestConcurrentFirstViewGetsDuringSwaps(t *testing.T) {
 // stays (the negative control).
 func TestReplacedSnapshotViewsLeaveTheStore(t *testing.T) {
 	store := artifact.NewStore()
-	srv := New(core.SampleSales(), WithArtifactStore(store))
+	srv := New(core.SampleSales(), Config{Store: store})
 	h := srv.Handler()
 	for path := range viewPaths {
 		getView(h, path)
