@@ -342,7 +342,10 @@ func BenchmarkAblationStylesheetCompile(b *testing.B) {
 // ---- §6: server-side transformation over HTTP ----
 
 func BenchmarkServerSideTransform(b *testing.B) {
-	srv := server.New(core.SampleSales(), server.Config{})
+	srv, err := server.New(core.SampleSales(), server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()

@@ -198,31 +198,3 @@ func parseLintPolicy(s string) (catalog.LintPolicy, error) {
 	}
 	return "", fmt.Errorf("bad -lint %q (want strict, warn or off)", s)
 }
-
-// lintGate runs the model linter before serving and applies the -lint
-// policy: "strict" refuses to start on error-severity findings, "warn"
-// prints findings and continues, "off" skips the check. A nil schema
-// means the embedded GOLD schema.
-func lintGate(policy catalog.LintPolicy, name string, src []byte, schema *xsd.Schema) error {
-	if _, err := parseLintPolicy(string(policy)); err != nil {
-		return err
-	}
-	if policy == catalog.LintOff {
-		return nil
-	}
-	if schema == nil {
-		var err error
-		schema, err = core.Schema()
-		if err != nil {
-			return fmt.Errorf("loading built-in schema: %w", err)
-		}
-	}
-	diags := analysis.LintModelSource(name, src, schema)
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, "lint:", d)
-	}
-	if policy == catalog.LintStrict && analysis.HasErrors(diags) {
-		return fmt.Errorf("refusing to serve: %d lint findings (run with -lint=warn to override)", len(diags))
-	}
-	return nil
-}

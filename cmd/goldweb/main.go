@@ -124,16 +124,12 @@ func usage() {
   must still describe goldmodel documents, which serve publishes.`)
 }
 
+// loadModelFile parses the model document at path and builds its model.
 func loadModelFile(path string) (*core.Model, *xmldom.Node, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	return modelFromBytes(data)
-}
-
-// modelFromBytes parses a model document and builds its model.
-func modelFromBytes(data []byte) (*core.Model, *xmldom.Node, error) {
 	doc, err := xmldom.Parse(data)
 	if err != nil {
 		return nil, nil, err
@@ -321,7 +317,7 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache-size", server.DefaultCacheSize, "max cache entries, each a presentation or a page (LRU)")
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "presentation cache byte budget (LRU; 0 disables)")
 	compress := fs.Bool("compress", true, "serve precompressed gzip variants to Accept-Encoding clients")
-	lintPolicy := fs.String("lint", "warn", "pre-serve static analysis: strict (errors refuse to start), warn, off")
+	lintPolicy := fs.String("lint", "warn", "lint gate: strict (lint errors refuse the model), warn, off; schema errors refuse it under every policy")
 	catalogDir := fs.String("catalog", "", "serve every *.xml in this directory as /m/{name}/ (multi-model mode)")
 	retry := fs.Bool("retry", true, "catalog mode: retry failing model reloads in the background with exponential backoff")
 	breakerThreshold := fs.Int("breaker-threshold", catalog.DefaultBreakerThreshold, "catalog mode: consecutive reload failures that open a model's circuit breaker (negative disables)")
@@ -347,53 +343,56 @@ func cmdServe(args []string) error {
 		}
 	}
 	cfg := serveConfig(*timeout, *maxInflight, *cacheSize, *cacheBytes, *compress)
+	opts := catalog.Options{
+		RequestTimeout: cfg.RequestTimeout,
+		MaxInflight:    cfg.MaxInflight,
+		CacheSize:      cfg.CacheSize,
+		CacheBytes:     cfg.CacheBytes,
+		NoCompress:     cfg.NoCompress,
+		Lint:           policy,
+		Schema:         schema,
+		OnEvent:        printCatalogEvent,
+	}
 	if *catalogDir != "" {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("serve: -catalog and a model file are mutually exclusive")
 		}
-		return serveCatalog(*catalogDir, *addr, catalog.Options{
-			RequestTimeout:   cfg.RequestTimeout,
-			MaxInflight:      cfg.MaxInflight,
-			CacheSize:        cfg.CacheSize,
-			CacheBytes:       cfg.CacheBytes,
-			NoCompress:       cfg.NoCompress,
-			Lint:             policy,
-			Schema:           schema,
-			BreakerThreshold: *breakerThreshold,
-			DisableRetry:     !*retry,
-		})
+		opts.BreakerThreshold = *breakerThreshold
+		opts.DisableRetry = !*retry
+		return serveCatalog(*catalogDir, *addr, opts)
 	}
-	var m *core.Model
-	var lintName string
-	var lintSrc []byte
-	if fs.NArg() == 0 {
-		m = core.SampleSales()
-		lintName, lintSrc = "sample:sales.xml", []byte(m.XMLString())
-	} else {
-		// One read: the model served is built from the bytes the gate lints.
-		lintName = fs.Arg(0)
-		lintSrc, err = os.ReadFile(lintName)
-		if err != nil {
-			return err
-		}
-		m, _, err = modelFromBytes(lintSrc)
-		if err != nil {
-			if schema != nil {
-				// The publication pipeline renders GOLD models; a custom
-				// -schema can refine that vocabulary but not replace it.
-				return fmt.Errorf("serve publishes goldmodel documents (use validate/lint -schema for other vocabularies): %w", err)
-			}
-			return err
-		}
-	}
-	if err := lintGate(policy, lintName, lintSrc, schema); err != nil {
-		return err
-	}
-	srv := server.New(m, cfg)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("serving %q on %s (site at /site/index.html, health at /healthz)\n", m.Name, *addr)
-	return srv.Serve(ctx, *addr)
+	c, name, err := loadSingle(ctx, fs.Arg(0), opts)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	fmt.Printf("serving model %s on %s (site at /site/index.html, health at /healthz)\n", name, *addr)
+	return c.Server(name).Serve(ctx, *addr)
+}
+
+// loadSingle runs the one model of serve without -catalog through the
+// catalog's pipeline: the file at path (the built-in sales sample when
+// path is empty) is parsed, validated, linted and published once, and a
+// model any stage refuses is an error naming that stage. The model is
+// named after its file; the catalog retries nothing.
+func loadSingle(ctx context.Context, path string, opts catalog.Options) (*catalog.Catalog, string, error) {
+	name, src := "sales", []byte(core.SampleSales().XMLString())
+	if path != "" {
+		var err error
+		if src, err = os.ReadFile(path); err != nil {
+			return nil, "", err
+		}
+		name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	}
+	opts.DisableRetry = true
+	c := catalog.New(opts)
+	if err := c.Set(ctx, name, src); err != nil {
+		c.Close()
+		return nil, "", fmt.Errorf("refusing to serve %s: %w", name, err)
+	}
+	return c, name, nil
 }
 
 // serveConfig maps the serve limit flags onto the configuration both
@@ -431,7 +430,6 @@ func serveCatalog(dir, addr string, opts catalog.Options) error {
 		return fmt.Errorf("serve: no *.xml models in %s", dir)
 	}
 	opts.Loader = catalog.DirLoader(dir)
-	opts.OnEvent = printCatalogEvent
 	c := catalog.New(opts)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -488,7 +486,7 @@ func printCatalogEvent(ev catalog.Event) {
 	case catalog.EventBreakerClosed:
 		fmt.Printf("model %s: circuit breaker closed\n", ev.Model)
 	case catalog.EventLintFindings:
-		fmt.Printf("model %s: lint: %v\n", ev.Model, ev.Err)
+		fmt.Printf("model %s: %v\n", ev.Model, ev.Err) // Err reads "lint: …"
 	}
 }
 

@@ -531,19 +531,71 @@ func TestCmdLintWalksDirectories(t *testing.T) {
 	}
 }
 
-func TestLintGatePolicies(t *testing.T) {
-	broken := []byte(strings.Replace(core.SampleSales().XMLString(), `dimclass="d1"`, `dimclass="zz"`, 1))
-	if err := lintGate("strict", "bad.xml", broken, nil); err == nil {
-		t.Error("strict must refuse a broken model")
+// TestServeSingleRefusesInvalidModel: serve with a model file runs the
+// catalog's pipeline, so a document whose key references are broken
+// (GW402) never goes live, whatever -lint says: strict refuses it at the
+// lint stage, warn prints the findings once (printCatalogEvent adds no
+// second "lint:") and off skips them, and both refuse it at the publish
+// stage. A bad -lint value is a usage error.
+func TestServeSingleRefusesInvalidModel(t *testing.T) {
+	const fixture = "../../internal/analysis/testdata/models/gw402_broken_refs.xml"
+	for _, tc := range []struct {
+		policy  catalog.LintPolicy
+		stage   string
+		printed string
+	}{
+		{catalog.LintStrict, "lint: 2 findings, first: ", ""},
+		{catalog.LintWarn, "publish: document is invalid: ", "model gw402_broken_refs: lint: 2 findings, first: "},
+		{catalog.LintOff, "publish: document is invalid: ", ""},
+	} {
+		out, err := capture(t, func() error {
+			c, _, err := loadSingle(context.Background(), fixture, catalog.Options{Lint: tc.policy, OnEvent: printCatalogEvent})
+			if err == nil {
+				c.Close()
+			}
+			return err
+		})
+		if want := "refusing to serve gw402_broken_refs: " + tc.stage; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("-lint %s: err = %v, want one starting %q", tc.policy, err, want)
+		}
+		if tc.printed != "" && !strings.Contains(out, tc.printed) || strings.Contains(out, "lint: lint:") {
+			t.Errorf("-lint %s printed:\n%s\nwant %q, with the error printed once", tc.policy, out, tc.printed)
+		}
 	}
-	if err := lintGate("warn", "bad.xml", broken, nil); err != nil {
-		t.Errorf("warn must continue: %v", err)
+	if _, err := capture(t, func() error { return cmdServe([]string{"-lint", "bogus", fixture}) }); err == nil ||
+		!strings.Contains(err.Error(), "bad -lint") {
+		t.Errorf("-lint bogus: err = %v, want a bad -lint usage error", err)
 	}
-	if err := lintGate("off", "bad.xml", broken, nil); err != nil {
-		t.Errorf("off must skip: %v", err)
+}
+
+// TestServeSingleMatchesCatalogSite: serve with a model file publishes
+// each example model's index page byte for byte as serve -catalog does
+// under /m/{name}/.
+func TestServeSingleMatchesCatalogSite(t *testing.T) {
+	const dir = "../../examples/models"
+	names, err := catalog.DirModels(dir)
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no example models: %v", err)
 	}
-	if err := lintGate("bogus", "bad.xml", broken, nil); err == nil {
-		t.Error("unknown policy must fail")
+	multi := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintWarn, DisableRetry: true})
+	defer multi.Close()
+	for _, name := range names {
+		if err := multi.Add(context.Background(), name); err != nil {
+			t.Fatalf("catalog %s: %v", name, err)
+		}
+		c, got, err := loadSingle(context.Background(), filepath.Join(dir, name+".xml"), catalog.Options{Lint: catalog.LintWarn})
+		if err != nil {
+			t.Fatalf("serve %s: %v", name, err)
+		}
+		single := httptest.NewRecorder()
+		c.Server(got).Handler().ServeHTTP(single, httptest.NewRequest("GET", "/site/index.html", nil))
+		c.Close()
+		want := httptest.NewRecorder()
+		multi.Handler().ServeHTTP(want, httptest.NewRequest("GET", "/m/"+name+"/site/index.html", nil))
+		if single.Code != 200 || want.Code != 200 || single.Body.String() != want.Body.String() {
+			t.Errorf("%s: serve answered %d, serve -catalog %d; bodies equal %v", name, single.Code, want.Code,
+				single.Body.String() == want.Body.String())
+		}
 	}
 }
 

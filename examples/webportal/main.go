@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -42,8 +43,18 @@ func main() {
 		log.Fatalf("unknown -model %q", *which)
 	}
 
-	srv := goldweb.NewServer(m, goldweb.ServerConfig{})
-	fmt.Printf("serving %q on http://localhost%s/\n", m.Name, *addr)
+	host, port, err := net.SplitHostPort(*addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if host == "" {
+		host = "localhost"
+	}
+	srv, err := goldweb.NewServer(m, goldweb.ServerConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("serving %q on http://%s/\n", m.Name, net.JoinHostPort(host, port))
 	fmt.Println("  /site/index.html  — navigable presentation (Fig. 6)")
 	fmt.Println("  /single           — single-page presentation")
 	fmt.Println("  /model.xml        — the XML document (Fig. 3)")

@@ -228,8 +228,8 @@ type (
 // NewServer creates the HTTP server performing server-side XSLT (§6),
 // hardened with panic recovery, bounded waits for publications, load
 // shedding and a bounded singleflight presentation cache (see
-// internal/server).
-func NewServer(m *Model, cfg ServerConfig) *Server { return server.New(m, cfg) }
+// internal/server). It refuses a model whose XML document is invalid.
+func NewServer(m *Model, cfg ServerConfig) (*Server, error) { return server.New(m, cfg) }
 
 // Multi-model catalog types (the resilient registry in front of
 // internal/server): staged hot swaps with rollback, a retrying reloader

@@ -102,8 +102,8 @@ func TestFacadeSamplesAndServer(t *testing.T) {
 	if SampleSales() == nil || SampleHospital() == nil {
 		t.Fatal("samples missing")
 	}
-	if NewServer(SampleSales(), ServerConfig{}) == nil {
-		t.Fatal("server constructor failed")
+	if srv, err := NewServer(SampleSales(), ServerConfig{}); err != nil || srv == nil {
+		t.Fatalf("server constructor failed: %v", err)
 	}
 	if _, err := ParseXML("<a><b/></a>"); err != nil {
 		t.Fatal(err)

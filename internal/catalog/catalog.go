@@ -473,9 +473,11 @@ func (c *Catalog) Set(ctx context.Context, name string, data []byte) error {
 	return c.attempt(ctx, c.ensure(name), data)
 }
 
-// Reload re-fetches name through the Loader and stages the result.
-// Returns ErrUnknownModel for unregistered names and ErrBreakerOpen
-// while the model's circuit is rejecting attempts.
+// Reload re-fetches name through the Loader and stages the result. The
+// bytes of a healthy model that match its last commit are live already:
+// Reload then returns nil without staging, a new generation, a cache
+// purge or an event. Returns ErrUnknownModel for unregistered names and
+// ErrBreakerOpen while the model's circuit is rejecting attempts.
 func (c *Catalog) Reload(ctx context.Context, name string) error {
 	e := c.get(name)
 	if e == nil {
@@ -513,7 +515,7 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		e.state.Store(&probe)
 	}
 	stage := "load"
-	var committed entryState // what a successful attempt publishes
+	var committed *entryState // what a committed attempt publishes
 	defer func() {
 		// A panicking loader or publish pipeline must roll back like any
 		// other stage failure, not crash the catalog. The panic value is
@@ -528,8 +530,8 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		}
 		if err != nil {
 			c.noteFailureLocked(e, stage, err)
-		} else {
-			c.noteSuccessLocked(e, &committed)
+		} else if committed != nil {
+			c.noteSuccessLocked(e, committed)
 		}
 	}()
 
@@ -540,6 +542,9 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		data, err = c.opts.Loader(sctx, e.name)
 		if err != nil {
 			return fmt.Errorf("load: %w", err)
+		}
+		if st := e.state.Load(); st.hasGood && st.consec == 0 && sourceSum(data) == st.srcSum {
+			return nil // unchanged: the live generation is this source's
 		}
 	}
 
@@ -596,9 +601,14 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 
 	// Stage 5: atomic generation bump.
 	stage = "commit"
-	sum := sha256.Sum256(data)
-	committed = entryState{hasGood: true, gen: staged.Commit(), srcSum: hex.EncodeToString(sum[:8])}
+	committed = &entryState{hasGood: true, gen: staged.Commit(), srcSum: sourceSum(data)}
 	return nil
+}
+
+// sourceSum is the truncated sha256 a record keeps of a model's source.
+func sourceSum(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:8])
 }
 
 // noteFailureLocked records a failed attempt in one new record — the

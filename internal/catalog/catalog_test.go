@@ -80,6 +80,12 @@ func (l *eventLog) count(t EventType) int {
 	return n
 }
 
+func (l *eventLog) total() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.evs)
+}
+
 func statusOf(t *testing.T, c *Catalog, name string) ModelStatus {
 	t.Helper()
 	for _, st := range c.Status() {
@@ -715,6 +721,80 @@ func TestDirLoaderAndRemove(t *testing.T) {
 	}
 	if err := c.Remove("stores"); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("double Remove err = %v, want ErrUnknownModel", err)
+	}
+}
+
+// TestReloadSkipsUnchangedSource: a Reload whose Loader returns the
+// bytes of a healthy model's last commit stages nothing — the generation
+// stays, no event fires, and a cached page stays warm (the publish hook
+// is not called, not even for a shadow publish). Edited bytes still
+// commit, and so do unchanged bytes of a model whose last attempt failed.
+func TestReloadSkipsUnchangedSource(t *testing.T) {
+	dir := t.TempDir()
+	path := dir + "/m.xml"
+	writeFile(t, path, modelSource(t, "Sales DW"))
+	var publishes atomic.Int64
+	var log eventLog
+	c := New(Options{
+		Loader:       DirLoader(dir),
+		DisableRetry: true,
+		OnEvent:      log.add,
+		PublishHook: func(context.Context, htmlgen.Mode, string, string) error {
+			publishes.Add(1)
+			return nil
+		},
+	})
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Add(ctx, "m"); err != nil {
+		t.Fatal(err)
+	}
+	h := c.Handler()
+	read := func() {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/m/single", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/single: status %d", rec.Code)
+		}
+	}
+	read() // publishes /single and caches it
+	pubs, events := publishes.Load(), log.total()
+	for range 2 {
+		if err := c.Reload(ctx, "m"); err != nil {
+			t.Fatalf("Reload of unchanged bytes: %v", err)
+		}
+	}
+	read()
+	if st := statusOf(t, c, "m"); st.Generation != 1 {
+		t.Errorf("generation %d after Reloads of unchanged bytes, want 1", st.Generation)
+	}
+	if got := publishes.Load(); got != pubs {
+		t.Errorf("%d publications after Reloads of unchanged bytes and a cached read, want none", got-pubs)
+	}
+	if got := log.total(); got != events {
+		t.Errorf("%d events after Reloads of unchanged bytes, want none", got-events)
+	}
+
+	edited := modelSource(t, "Edited DW")
+	writeFile(t, path, edited)
+	if err := c.Reload(ctx, "m"); err != nil {
+		t.Fatal(err)
+	}
+	if st := statusOf(t, c, "m"); st.Generation != 2 {
+		t.Fatalf("generation %d after an edit, want 2", st.Generation)
+	}
+	writeFile(t, path, tornSource(edited))
+	if err := c.Reload(ctx, "m"); err == nil {
+		t.Fatal("Reload of a torn file succeeded")
+	}
+	writeFile(t, path, edited) // the bytes generation 2 was built from
+	if err := c.Reload(ctx, "m"); err != nil {
+		t.Fatal(err)
+	}
+	if st := statusOf(t, c, "m"); st.Generation != 3 || st.Stale {
+		t.Errorf("stale model reloaded with its last-good bytes: generation %d, stale %v; want 3, not stale",
+			st.Generation, st.Stale)
 	}
 }
 

@@ -59,7 +59,10 @@ func TestServingConfigOneRule(t *testing.T) {
 				{"server.New", func(hook server.PublishHook) (*server.Server, http.Handler, string, func()) {
 					cfg := tc.cfg
 					cfg.PublishHook = hook
-					srv := server.New(core.SampleSales(), cfg)
+					srv, err := server.New(core.SampleSales(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
 					return srv, srv.Handler(), "", srv.Close
 				}},
 				{"catalog", func(hook server.PublishHook) (*server.Server, http.Handler, string, func()) {
@@ -95,7 +98,7 @@ func checkServingConfig(t *testing.T, want server.Config,
 	entered, release := make(chan struct{}), make(chan struct{})
 	hook := func(ctx context.Context, _ htmlgen.Mode, _, page string) error {
 		if page == "" {
-			return nil // a catalog's shadow publish
+			return nil // a stage's shadow publish
 		}
 		publishes.Add(1)
 		if block.Load() {

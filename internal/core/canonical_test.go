@@ -11,7 +11,7 @@ import (
 // TestCanonicalDocumentRevalidates: for every document of the benchmark
 // corpus (the example models and the synthetic sizes), a document that
 // validates clean yields a model whose canonical document (the one
-// SetModel and a catalog with its own schema publish from) validates
+// server.New and a catalog with its own schema publish from) validates
 // clean too. That validation is not a no-op: ToXML omits default-valued attributes (a boolean is written only
 // when true, showatts only when false), so validation applies defaults to
 // every one of these documents, which grow by 13.9-20.5 %.

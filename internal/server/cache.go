@@ -14,8 +14,8 @@ import (
 // siteKey identifies one cached presentation (Stage's probe), or one
 // page of a presentation published on its own. The generation number
 // ties the entry to the model snapshot it was published from, so a
-// publication that finishes after SetModel swapped the model can never be
-// served for the new one.
+// publication that finishes after a commit swapped the model can never
+// be served for the new one.
 type siteKey struct {
 	gen   uint64
 	mode  htmlgen.Mode

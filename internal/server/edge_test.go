@@ -53,7 +53,7 @@ func doReq(t *testing.T, ts *httptest.Server, method, path string, hdr map[strin
 // Content-Encoding, Cache-Control — and a zero-byte body, for both the
 // identity and the gzip representation.
 func TestHeadMatchesGet(t *testing.T) {
-	srv := New(core.SampleSales(), Config{Store: artifact.NewStore()})
+	srv := newServer(t, core.SampleSales(), Config{Store: artifact.NewStore()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -96,7 +96,7 @@ func TestHeadMatchesGet(t *testing.T) {
 // a matching validator gets a bodyless 304 (on GET and HEAD alike,
 // weak or strong comparison), a stale one a full 200.
 func TestConditionalRequests(t *testing.T) {
-	srv := New(core.SampleSales(), Config{Store: artifact.NewStore()})
+	srv := newServer(t, core.SampleSales(), Config{Store: artifact.NewStore()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -144,7 +144,7 @@ func TestConditionalRequests(t *testing.T) {
 // TestCompressionDisabled verifies Config.NoCompress always serves
 // identity even to gzip-capable clients.
 func TestCompressionDisabled(t *testing.T) {
-	srv := New(core.SampleSales(), Config{Store: artifact.NewStore(), NoCompress: true})
+	srv := newServer(t, core.SampleSales(), Config{Store: artifact.NewStore(), NoCompress: true})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -177,7 +177,7 @@ func TestGzipVariantsMatchIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		srv := New(m, Config{Store: artifact.NewStore()})
+		srv := newServer(t, m, Config{Store: artifact.NewStore()})
 		for _, mode := range []htmlgen.Mode{htmlgen.MultiPage, htmlgen.SinglePage} {
 			site, err := htmlgen.Publish(m, htmlgen.Options{Mode: mode})
 			if err != nil {
@@ -224,7 +224,7 @@ func TestGzipVariantsMatchIdentity(t *testing.T) {
 // interned onto the existing artifacts).
 func TestETagsStableAcrossByteIdenticalSwap(t *testing.T) {
 	store := artifact.NewStore()
-	srv := New(core.SampleSales(), Config{Store: store})
+	srv := newServer(t, core.SampleSales(), Config{Store: store})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -245,7 +245,7 @@ func TestETagsStableAcrossByteIdenticalSwap(t *testing.T) {
 	before := collect()
 	interned := store.Len()
 
-	srv.SetModel(core.SampleSales()) // byte-identical republish
+	commitCanonical(t, srv, core.SampleSales()) // byte-identical republish
 	after := collect()
 
 	for path, et := range before {
@@ -279,7 +279,8 @@ func TestRepublishAfterEvictionServesSameGzip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa, pb := full.HTMLPages()[0], full.HTMLPages()[1]
-	srv := New(m, Config{Store: artifact.NewStore(), CacheSize: 1})
+	srv := newServer(t, m, Config{Store: artifact.NewStore(), CacheSize: 1})
+	dropStagedSite(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -326,7 +327,7 @@ func TestRepublishAfterEvictionServesSameGzip(t *testing.T) {
 // page, interns it and serves its gzip variant.
 func BenchmarkColdRepublish(b *testing.B) {
 	m := workload.GenModel(workload.ModelSpec{Facts: 2, Dims: 4, Depth: 2})
-	h := New(m, Config{Store: artifact.NewStore(), CacheSize: 1}).Handler()
+	h := newServer(b, m, Config{Store: artifact.NewStore(), CacheSize: 1}).Handler()
 	var reqs [2]*http.Request
 	w := &discardResponse{h: make(http.Header)}
 	for i := range reqs {

@@ -33,7 +33,7 @@ func serve(h http.Handler, path, accept string) *httptest.ResponseRecorder {
 func TestFlightHungPublicationTimesOutThenCaches(t *testing.T) {
 	release := make(chan struct{})
 	var singles atomic.Int64
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		RequestTimeout: 50 * time.Millisecond,
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if mode == htmlgen.SinglePage && focus == "" && page == htmlgen.IndexName {
@@ -88,9 +88,9 @@ func TestFlightPanicFailsEveryWaiter(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
-			if calls.Add(1) == 1 {
+			if page != "" && calls.Add(1) == 1 {
 				close(entered)
 				<-release
 				panic("injected publication fault")
@@ -146,7 +146,7 @@ func TestFlightPanicFailsEveryWaiter(t *testing.T) {
 // only after the publication goroutine has exited.
 func TestFlightCloseAwaitsDetachedPublication(t *testing.T) {
 	var exited atomic.Bool
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		RequestTimeout: 20 * time.Millisecond,
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if page == "" {

@@ -61,7 +61,7 @@ func sameResponse(t *testing.T, what string, got, want *httptest.ResponseRecorde
 // route switched off (Shell.MuxHandler): the direct route takes only
 // requests the mux would pass through unchanged.
 func FuzzHandler(f *testing.F) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(f, core.SampleSales(), Config{})
 	h := srv.Handler()
 	ref := srv.shell().MuxHandler()
 	snap := srv.snapshot()

@@ -22,12 +22,32 @@ func cachedEntry(srv *Server, key siteKey) *publishedSite {
 	return nil
 }
 
+// dropStagedSite empties srv's presentation cache of the staged site New
+// seeded, so each /site/ read after it publishes its own page.
+func dropStagedSite(srv *Server) { srv.cache.purge(srv.Generation()) }
+
+// stagedArtifacts counts the distinct artifacts of the live generation's
+// staged site, which the server's store holds beside what reads built.
+func stagedArtifacts(t *testing.T, srv *Server) int {
+	t.Helper()
+	site := cachedEntry(srv, siteKey{gen: srv.Generation(), mode: htmlgen.MultiPage})
+	if site == nil {
+		t.Fatal("no staged site cached for the live generation")
+	}
+	seen := map[*artifact.Artifact]bool{}
+	for _, a := range site.pages {
+		seen[a] = true
+	}
+	return len(seen)
+}
+
 // TestSitePagesAreCachedPerPage: without a whole-site entry, each /site/
 // read publishes and caches only its page, the entries obey the entry
 // cap, and every page carries the bytes of the whole presentation.
 func TestSitePagesAreCachedPerPage(t *testing.T) {
 	m := core.SampleSales()
-	srv := New(m, Config{CacheSize: 2, Store: artifact.NewStore()})
+	srv := newServer(t, m, Config{CacheSize: 2, Store: artifact.NewStore()})
+	dropStagedSite(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -65,17 +85,12 @@ func TestSitePagesAreCachedPerPage(t *testing.T) {
 // TestUnknownSitePageIs404WithoutTransform: a page name outside the page
 // set a run reported answers 404 without a transform and leaves the
 // cache as it was. Stage's shadow publish reports the unfocused set; a
-// server that never staged learns it from its first targeted run.
+// focused set is learned from the focus's first targeted run.
 func TestUnknownSitePageIs404WithoutTransform(t *testing.T) {
 	m := core.SampleHospital()
 	focus := m.Facts[0].ID
 
-	srv := NewEmpty(Config{Store: artifact.NewStore()})
-	st, err := stageCanonical(context.Background(), srv, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Commit()
+	srv := newServer(t, m, Config{Store: artifact.NewStore()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	snap := srv.snapshot()
@@ -122,26 +137,6 @@ func TestUnknownSitePageIs404WithoutTransform(t *testing.T) {
 	if snap.pageGate(focus, other) {
 		t.Errorf("the gate still admits %s for focus %s", other, focus)
 	}
-
-	// Without a shadow publish the first targeted run reports the set.
-	plain := New(m, Config{Store: artifact.NewStore()})
-	pts := httptest.NewServer(plain.Handler())
-	defer pts.Close()
-	if !plain.snapshot().pageGate("", "nope.html") {
-		t.Fatal("a server with no run behind it already gates pages")
-	}
-	if code, _, _ := get(t, pts, "/site/index.html"); code != http.StatusOK {
-		t.Fatalf("index.html: status %d", code)
-	}
-	if plain.snapshot().pageGate("", "nope.html") {
-		t.Error("the first targeted run did not report the page set")
-	}
-	if code, _, _ := get(t, pts, "/site/nope.html"); code != http.StatusNotFound {
-		t.Errorf("nope.html: status %d, want 404", code)
-	}
-	if got := plain.cache.len(); got != 1 {
-		t.Errorf("cache holds %d entries, want only index.html", got)
-	}
 }
 
 // TestPublicationForDeadGenerationIsNotCached: a publication still in
@@ -152,9 +147,12 @@ func TestPublicationForDeadGenerationIsNotCached(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	store := artifact.NewStore()
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		Store: store,
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+			if page == "" {
+				return nil // a stage's shadow publish
+			}
 			close(entered)
 			<-release
 			return nil
@@ -167,16 +165,17 @@ func TestPublicationForDeadGenerationIsNotCached(t *testing.T) {
 		done <- err
 	}()
 	<-entered
-	srv.SetModel(core.SampleHospital()) // purges the cache for generation 2
+	commitCanonical(t, srv, core.SampleHospital()) // purges the cache for generation 2
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.cache.len(); got != 0 {
-		t.Errorf("cache holds %d entries for a dead generation, want 0", got)
+	if got := srv.cache.len(); got != 1 {
+		t.Errorf("cache holds %d entries, want only generation 2's staged site", got)
 	}
-	if got := settleLen(store, 0); got != 0 {
-		t.Errorf("store holds %d artifacts of a dead generation, want 0", got)
+	want := stagedArtifacts(t, srv)
+	if got := settleLen(store, want); got != want {
+		t.Errorf("store holds %d artifacts, want the %d of generation 2's staged site", got, want)
 	}
 	runtime.KeepAlive(srv) // a live server must not be what holds them
 }
@@ -193,7 +192,7 @@ func TestSingleReadDoesNotGateSitePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := full.HTMLPages()[1]
-	srv := New(m, Config{Store: artifact.NewStore()})
+	srv := newServer(t, m, Config{Store: artifact.NewStore()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if code, _, _ := get(t, ts, "/single?focus="+focus); code != http.StatusOK {

@@ -16,19 +16,23 @@ import (
 	"goldweb/internal/htmlgen"
 )
 
-// countingHook counts the publications the server starts.
+// countingHook counts the publications the server starts on the request
+// path: a stage's shadow publish (page "") is not counted.
 func countingHook(n *atomic.Int64) PublishHook {
 	return func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
-		n.Add(1)
+		if page != "" {
+			n.Add(1)
+		}
 		return nil
 	}
 }
 
 func TestUnknownFocusIs404AndNeverCached(t *testing.T) {
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), Config{PublishHook: countingHook(&calls)})
+	srv := newServer(t, core.SampleSales(), Config{PublishHook: countingHook(&calls)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	staged := srv.cache.len()
 
 	for i, path := range []string{"/single?focus=garbage", "/site/index.html?focus=zzz", "/single?focus=../../etc"} {
 		code, body, _ := get(t, ts, path)
@@ -39,8 +43,8 @@ func TestUnknownFocusIs404AndNeverCached(t *testing.T) {
 	if got := calls.Load(); got != 0 {
 		t.Errorf("publish ran %d times for garbage focus, want 0", got)
 	}
-	if got := srv.cache.len(); got != 0 {
-		t.Errorf("cache holds %d entries after garbage focus, want 0", got)
+	if got := srv.cache.len(); got != staged {
+		t.Errorf("cache holds %d entries after garbage focus, want the %d staged", got, staged)
 	}
 
 	// A real fact id still works.
@@ -53,8 +57,11 @@ func TestSingleflightColdCacheSharesOnePublish(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+			if page == "" {
+				return nil // New's shadow publish
+			}
 			calls.Add(1)
 			entered <- struct{}{}
 			<-release
@@ -93,9 +100,9 @@ func TestSingleflightColdCacheSharesOnePublish(t *testing.T) {
 
 func TestPanickingPublishReturns500ThenRecovers(t *testing.T) {
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
-			if calls.Add(1) == 1 {
+			if page != "" && calls.Add(1) == 1 {
 				panic("injected transformation fault")
 			}
 			return nil
@@ -123,7 +130,7 @@ func TestPanickingPublishReturns500ThenRecovers(t *testing.T) {
 func TestHangingPublishTimesOutWhileSiteKeepsServing(t *testing.T) {
 	hang := make(chan struct{})
 	defer close(hang)
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		RequestTimeout: 100 * time.Millisecond,
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
 			if mode == htmlgen.SinglePage {
@@ -151,10 +158,13 @@ func TestHangingPublishTimesOutWhileSiteKeepsServing(t *testing.T) {
 func TestLimiterShedsWith503AndRetryAfter(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		MaxInflight:    2,
 		RequestTimeout: -1,
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+			if page == "" {
+				return nil // New's shadow publish
+			}
 			entered <- struct{}{}
 			<-release
 			return nil
@@ -164,7 +174,7 @@ func TestLimiterShedsWith503AndRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	var wg sync.WaitGroup
-	for _, path := range []string{"/single", "/site/index.html"} {
+	for _, path := range []string{"/single", "/single?focus=f1"} {
 		wg.Add(1)
 		go func(p string) {
 			defer wg.Done()
@@ -278,14 +288,14 @@ func TestLimiterBoundsConcurrentRequests(t *testing.T) {
 
 func TestCacheIsBoundedLRU(t *testing.T) {
 	var calls atomic.Int64
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		CacheSize:   1,
 		PublishHook: countingHook(&calls),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	get(t, ts, "/single")          // miss → publish #1
+	get(t, ts, "/single")          // miss → publish #1, evicts the staged site
 	get(t, ts, "/single")          // hit
 	get(t, ts, "/site/index.html") // miss → publish #2, evicts /single
 	get(t, ts, "/single")          // miss again → publish #3
@@ -298,7 +308,7 @@ func TestCacheIsBoundedLRU(t *testing.T) {
 }
 
 func TestMethodFiltering(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -326,7 +336,7 @@ func TestMethodFiltering(t *testing.T) {
 }
 
 func TestHealthEndpoints(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	code, body, _ := get(t, ts, "/healthz")
@@ -354,9 +364,10 @@ func TestContentTypesForNonHTMLAssets(t *testing.T) {
 }
 
 // TestConcurrentRequestsDuringModelSwaps is the -race hammer: every
-// endpoint under parallel load while SetModel flips the published model.
+// endpoint under parallel load while staged commits flip the published
+// model.
 func TestConcurrentRequestsDuringModelSwaps(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -376,7 +387,7 @@ func TestConcurrentRequestsDuringModelSwaps(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				srv.SetModel(models[i%2])
+				commitCanonical(t, srv, models[i%2])
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -423,7 +434,7 @@ func (e statusErr) Error() string { return e.path + ": status " + http.StatusTex
 func errStatus(path string, code int) error { return statusErr{path, code} }
 
 func TestGracefulShutdown(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -16,14 +16,15 @@
 // and Serve runs a full http.Server lifecycle with IO timeouts and
 // graceful shutdown.
 //
-// For hot-swap catalogs (internal/catalog) the server additionally
-// supports staged swaps — Stage builds and shadow-publishes a new
-// snapshot without touching the live pointer, Commit installs it with
-// an atomic generation bump — and a generation header on every
-// snapshot-derived response so clients and soak harnesses can assert
-// that generations never regress. Whether a model's republish is
-// failing is the catalog's record, not the server's: the catalog's
-// router marks those responses stale.
+// Every model goes live through a staged swap — Stage validates nothing
+// itself but refuses an invalid document, builds and shadow-publishes a
+// new snapshot without touching the live pointer, and Commit installs it
+// with an atomic generation bump. New stages and commits a model built
+// in Go; the hot-swap catalog (internal/catalog) each model it loads. A
+// generation header on every snapshot-derived response lets clients and
+// soak harnesses assert that generations never regress. Whether a
+// model's republish is failing is the catalog's record, not the
+// server's: the catalog's router marks those responses stale.
 //
 // Content delivery is content-addressed (internal/artifact): every
 // published page and XML view is an interned artifact
@@ -84,21 +85,18 @@ type snapshot struct {
 	// warm path does not allocate for it.
 	genVal []string
 	// pubDoc is the publication source: the document the model was read
-	// from, validated against the GOLD schema once, with its defaults
-	// applied, and frozen. pubErrs are that validation's errors:
-	// /validate lists them, and the publication path reports them
-	// (invalid) instead of transforming.
-	pubDoc  *xmldom.Node
-	pubErrs []xsd.ValidationError
+	// from, validated against the GOLD schema once without errors, with
+	// its defaults applied, and frozen.
+	pubDoc *xmldom.Node
 	// focuses is the set of fact class ids that are valid ?focus= values;
 	// anything else is a 404 before it can touch the cache.
 	focuses map[string]bool
 	// pageSets holds, by focus, the page names of each multi-page
 	// presentation once a run has reported them: the unfocused set from
-	// Stage's shadow publish or any run, a focused set from a targeted
-	// run. A /site/ read for a page outside the set is a 404 that runs no
-	// transform (pageGate). Single-page runs never note: their only page
-	// is the principal output.
+	// Stage's shadow publish, a focused set from a targeted run. A /site/
+	// read for a page outside the set is a 404 that runs no transform
+	// (pageGate). Single-page runs never note: their only page is the
+	// principal output.
 	pageMu   sync.Mutex
 	pageSets map[string][]string
 
@@ -114,27 +112,21 @@ type snapshot struct {
 func (snap *snapshot) notePages(focus string, order []string) {
 	snap.pageMu.Lock()
 	defer snap.pageMu.Unlock()
-	if _, ok := snap.pageSets[focus]; ok {
-		return
+	if _, ok := snap.pageSets[focus]; !ok {
+		snap.pageSets[focus] = order
 	}
-	if snap.pageSets == nil {
-		snap.pageSets = map[string][]string{}
-	}
-	snap.pageSets[focus] = order
 }
 
 // pageGate reports whether the multi-page presentation of focus may have
-// page: false only when a recorded page set excludes it. A focused
-// presentation's pages are a subset of the unfocused one's, so the
-// unfocused set gates every focus until the focus has its own.
+// page. A focused presentation's pages are a subset of the unfocused
+// one's, which Stage recorded, so the unfocused set gates every focus
+// until the focus has its own.
 func (snap *snapshot) pageGate(focus, page string) bool {
 	snap.pageMu.Lock()
 	defer snap.pageMu.Unlock()
 	set, ok := snap.pageSets[focus]
 	if !ok {
-		if set, ok = snap.pageSets[""]; !ok {
-			return true
-		}
+		set = snap.pageSets[""]
 	}
 	return slices.Contains(set, page)
 }
@@ -275,17 +267,24 @@ func orDefault[T int | int64 | time.Duration](v, def T) T {
 	return v
 }
 
-// New creates a server for the model.
-func New(m *core.Model, cfg Config) *Server {
+// New creates a server publishing m, a model built in Go: it stages m's
+// canonical document (Model.ToXML) and commits it, so a model whose
+// document fails the GOLD schema is refused with Stage's error.
+func New(m *core.Model, cfg Config) (*Server, error) {
 	s := NewEmpty(cfg)
-	s.SetModel(m)
-	return s
+	st, err := s.Stage(context.Background(), m, core.ValidateAndFreeze(m.ToXML()))
+	if err != nil {
+		s.baseCancel()
+		return nil, err
+	}
+	st.Commit()
+	return s, nil
 }
 
 // NewEmpty creates a server with no published model yet: every
-// model-derived endpoint answers 503 until the first SetModel or
-// Stage/Commit. Catalogs use it so a model whose very first load is
-// failing still has an addressable (if not-ready) server.
+// model-derived endpoint answers 503 until the first Stage/Commit.
+// Catalogs use it so a model whose very first load is failing still has
+// an addressable (if not-ready) server.
 func NewEmpty(cfg Config) *Server {
 	s := &Server{cfg: cfg.resolve()}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -297,30 +296,13 @@ func NewEmpty(cfg Config) *Server {
 // Config returns the server's settings with their defaults resolved.
 func (s *Server) Config() Config { return s.cfg }
 
-// buildSnapshot prepares one immutable published state for m from val,
-// the GOLD-schema validation of the document m was read from: its
-// frozen, defaults-applied document is the publication source. The XML
-// views are left to their first GET (viewsFor).
-func buildSnapshot(m *core.Model, val *xsd.Validated) *snapshot {
-	return &snapshot{model: m, focuses: htmlgen.FocusTargets(m), pubDoc: val.Doc, pubErrs: val.Errors}
-}
-
-// invalid is the publication error of a snapshot whose document failed
-// validation, or nil.
-func (snap *snapshot) invalid() error {
-	if errs := snap.pubErrs; len(errs) > 0 {
-		return fmt.Errorf("document is invalid: %v (%d problems)", errs[0], len(errs))
-	}
-	return nil
-}
-
 // install publishes snap as the new current snapshot under the next
-// generation and invalidates cached presentations. A non-nil probe
-// seeds the multi-page cache entry for the new generation before the
-// pointer store that makes the generation visible — otherwise a request
-// landing between the snapshot swap and the seeding would miss the
-// cache and redundantly re-publish a site that was just built. Returns
-// the new generation.
+// generation and invalidates cached presentations. The probe seeds the
+// multi-page cache entry for the new generation before the pointer
+// store that makes the generation visible — otherwise a request landing
+// between the snapshot swap and the seeding would miss the cache and
+// redundantly re-publish a site that was just built. Returns the new
+// generation.
 func (s *Server) install(snap *snapshot, probe *publishedSite) uint64 {
 	s.mu.Lock()
 	old := s.snap.Load()
@@ -332,21 +314,10 @@ func (s *Server) install(snap *snapshot, probe *publishedSite) uint64 {
 	snap.genHeader = strconv.FormatUint(gen, 10)
 	snap.genVal = []string{snap.genHeader}
 	s.cache.purge(gen)
-	if probe != nil {
-		s.cache.add(siteKey{gen: gen, mode: htmlgen.MultiPage}, probe)
-	}
+	s.cache.add(siteKey{gen: gen, mode: htmlgen.MultiPage}, probe)
 	s.snap.Store(snap)
 	s.mu.Unlock()
 	return gen
-}
-
-// SetModel swaps the published model and invalidates cached
-// presentations. The old snapshot keeps serving while the new one is
-// prepared. SetModel installs unconditionally (even a snapshot that
-// fails validation — the publication path then reports the error per
-// request); use Stage/Commit for verified, rollback-capable swaps.
-func (s *Server) SetModel(m *core.Model) {
-	s.install(buildSnapshot(m, core.ValidateAndFreeze(m.ToXML())), nil)
 }
 
 // StagedModel is a built, shadow-verified snapshot that has not been
@@ -360,31 +331,33 @@ type StagedModel struct {
 
 // Stage builds the full snapshot for m and shadow-publishes its
 // multi-page presentation — the server's only whole-presentation
-// publication — without touching the live snapshot. val is the
-// GOLD-schema validation (core.ValidateAndFreeze) of the document m was
-// read from, and that document is what the snapshot publishes: Stage
-// validates nothing itself, and it refuses a val with errors, such as
-// key/keyref violations. Any failure — those errors, a publication
+// publication — without touching the live snapshot. It is the only way
+// a snapshot goes live: New and the catalog both stage and Commit. val
+// is the GOLD-schema validation (core.ValidateAndFreeze) of the document
+// m was read from, and that document is what the snapshot publishes:
+// Stage validates nothing itself, and it refuses a val with errors, such
+// as key/keyref violations. Any failure — those errors, a publication
 // error, ctx cancellation — returns an error and leaves the server
 // serving exactly what it served before. Concurrent Stage calls are
-// safe; external callers (the catalog) serialize commits per model.
+// safe; external callers (the catalog) serialize commits per model. The
+// XML views are left to their first GET (viewsFor).
 func (s *Server) Stage(ctx context.Context, m *core.Model, val *xsd.Validated) (*StagedModel, error) {
-	snap := buildSnapshot(m, val)
-	if err := snap.invalid(); err != nil {
-		return nil, err
+	if errs := val.Errors; len(errs) > 0 {
+		return nil, fmt.Errorf("document is invalid: %v (%d problems)", errs[0], len(errs))
 	}
 	s.pubWG.Add(1)
 	defer s.pubWG.Done()
 	err := s.beforePublish(ctx, htmlgen.MultiPage, "", "")
 	var site *htmlgen.Site
 	if err == nil {
-		site, err = htmlgen.PublishDocumentContext(ctx, snap.pubDoc,
+		site, err = htmlgen.PublishDocumentContext(ctx, val.Doc,
 			htmlgen.Options{Mode: htmlgen.MultiPage, SkipValidation: true})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("shadow publish: %w", err)
 	}
-	snap.notePages("", site.Order)
+	snap := &snapshot{model: m, focuses: htmlgen.FocusTargets(m), pubDoc: val.Doc,
+		pageSets: map[string][]string{"": site.Order}}
 	// Interning the shadow-published site here — while the previous
 	// generation is still live — is what makes the swap memory-flat for
 	// unchanged pages: byte-identical content resolves to the already
@@ -496,9 +469,6 @@ func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) 
 	multi := mode == htmlgen.MultiPage
 	if multi && !snap.pageGate(focus, page) {
 		return nil, nil
-	}
-	if err := snap.invalid(); err != nil {
-		return nil, err
 	}
 	site, err := s.flight.Do(key, s.cfg.RequestTimeout, func() (*publishedSite, error) {
 		if err := s.beforePublish(s.baseCtx, mode, focus, page); err != nil {
@@ -715,24 +685,21 @@ func (s *Server) ServeApp(w http.ResponseWriter, r *http.Request, p string) {
 }
 
 // serveValidate writes the plain-text validation report of the live
-// model: the schema errors of the validation the snapshot made at swap
-// time, so a GET validates nothing, and the model's metamodel checks.
+// model. Its document passed the XML Schema before it went live (Stage
+// refuses any other), so a GET validates no document: the report is the
+// model's metamodel checks.
 func (s *Server) serveValidate(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapFor(w, r)
 	if snap == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	schemaErrs := snap.pubErrs
 	semErrs := snap.model.Validate()
-	if len(schemaErrs) == 0 && len(semErrs) == 0 {
+	if len(semErrs) == 0 {
 		fmt.Fprintf(w, "VALID: %s conforms to the XML Schema and the metamodel constraints\n", snap.model.Name)
 		return
 	}
 	var lines []string
-	for _, e := range schemaErrs {
-		lines = append(lines, "schema: "+e.Error())
-	}
 	for _, e := range semErrs {
 		lines = append(lines, "model: "+e.Error())
 	}

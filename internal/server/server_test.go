@@ -25,7 +25,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string, string) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -132,27 +132,32 @@ func TestServerEndpoints(t *testing.T) {
 	})
 }
 
-func TestServerValidateReportsProblems(t *testing.T) {
-	m := core.SampleSales()
-	m.Facts[0].SharedAggs[0].DimClass = "ghost"
-	srv := New(m, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	_, body, _ := get(t, ts, "/validate")
-	if !strings.HasPrefix(body, "INVALID:") {
-		t.Errorf("validate: %.200s", body)
+// TestNewRefusesInvalidDocument: New installs through Stage, so a model
+// whose canonical document breaks a key/keyref or IDREF constraint never
+// goes live; the error is the one a catalog swap gives at its publish
+// stage.
+func TestNewRefusesInvalidDocument(t *testing.T) {
+	ghost := core.SampleSales()
+	ghost.Facts[0].SharedAggs[0].DimClass = "ghost"
+	srv, err := New(ghost, Config{})
+	if err == nil || srv != nil {
+		t.Fatalf("New(ghost model) = %v, %v; want a refusal", srv, err)
 	}
-	if !strings.Contains(body, "ghost") {
-		t.Errorf("culprit missing: %s", body)
+	const want = "document is invalid: /goldmodel/factclasses/factclass/sharedaggs/sharedagg[1]: " +
+		"keyref sharedAggDimClassKey: value (ghost) does not match any dimClassKey value (2 problems)"
+	if err.Error() != want {
+		t.Errorf("refusal:\n%v\nwant the keyref error and the IDREF one counted:\n%s", err, want)
 	}
 }
 
-// TestValidateReadsSnapshot: /validate reports the validation the
-// snapshot made at swap time, so a GET runs no validation walk, and its
-// report is the one a fresh validation of the canonical document gives.
+// TestValidateReadsSnapshot: /validate reports the metamodel checks of
+// the live model, whose document passed the XML Schema before it went
+// live, so a GET runs no validation walk. A model whose document is
+// valid but whose lastModified precedes its creationDate goes live and
+// is reported INVALID.
 func TestValidateReadsSnapshot(t *testing.T) {
-	ghost := core.SampleSales()
-	ghost.Facts[0].SharedAggs[0].DimClass = "ghost"
+	dated := core.SampleSales()
+	dated.LastModified = dated.CreationDate.AddDate(0, 0, -1)
 	for _, tc := range []struct {
 		name  string
 		model *core.Model
@@ -160,16 +165,11 @@ func TestValidateReadsSnapshot(t *testing.T) {
 	}{
 		{"valid", core.SampleSales(),
 			"VALID: Sales DW conforms to the XML Schema and the metamodel constraints\n"},
-		{"ghost", ghost, "INVALID: 6 problems\n" +
-			"model: cube QtyByProductAndMonth/dice d1: dice dimension \"d1\" is not aggregated by fact class Sales\n" +
-			"model: fact Sales/measure inventory/additivity → d1: additivity rule along \"d1\", which the fact class does not aggregate\n" +
-			"model: fact Sales/measure price/additivity → d1: additivity rule along \"d1\", which the fact class does not aggregate\n" +
-			"model: fact Sales/sharedagg → ghost: references unknown dimension class \"ghost\"\n" +
-			"schema: /goldmodel/factclasses/factclass/sharedaggs/sharedagg[1]/@dimclass: IDREF \"ghost\" does not match any ID in the document\n" +
-			"schema: /goldmodel/factclasses/factclass/sharedaggs/sharedagg[1]: keyref sharedAggDimClassKey: value (ghost) does not match any dimClassKey value\n"},
+		{"dated", dated, "INVALID: 1 problems\n" +
+			"model: model Sales DW: lastModified precedes creationDate\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := httptest.NewServer(New(tc.model, Config{}).Handler())
+			ts := httptest.NewServer(newServer(t, tc.model, Config{}).Handler())
 			defer ts.Close()
 			before := xsd.ValidationWalks()
 			_, body, _ := get(t, ts, "/validate")
@@ -184,14 +184,14 @@ func TestValidateReadsSnapshot(t *testing.T) {
 }
 
 func TestServerModelSwapInvalidatesCache(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	_, body, _ := get(t, ts, "/site/index.html")
 	if !strings.Contains(body, "Sales DW") {
 		t.Fatal("initial model missing")
 	}
-	srv.SetModel(core.SampleHospital())
+	commitCanonical(t, srv, core.SampleHospital())
 	_, body, _ = get(t, ts, "/site/index.html")
 	if !strings.Contains(body, "Hospital DW") {
 		t.Error("cache not invalidated")
@@ -199,7 +199,7 @@ func TestServerModelSwapInvalidatesCache(t *testing.T) {
 }
 
 func TestServerConcurrentRequests(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	paths := []string{
@@ -235,7 +235,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 }
 
 func TestClientSideTransformationEndpoints(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -257,7 +257,7 @@ func TestClientSideTransformationEndpoints(t *testing.T) {
 }
 
 func TestCWMEndpoint(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	code, body, _ := get(t, ts, "/cwm.xmi")
@@ -269,7 +269,7 @@ func TestCWMEndpoint(t *testing.T) {
 // TestRoutesAndRedirects pins the status code of every route, and the
 // Location of every redirect, through the full handler.
 func TestRoutesAndRedirects(t *testing.T) {
-	h := New(core.SampleSales(), Config{}).Handler()
+	h := newServer(t, core.SampleSales(), Config{}).Handler()
 	for _, tc := range []struct {
 		path     string
 		code     int

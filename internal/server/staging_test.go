@@ -25,9 +25,12 @@ import (
 func TestShutdownCancelsInflightPublish(t *testing.T) {
 	entered := make(chan struct{})
 	released := make(chan struct{})
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		RequestTimeout: -1, // no request timeout: only shutdown can stop the publish
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+			if page == "" {
+				return nil // New's shadow publish
+			}
 			close(entered)
 			<-ctx.Done() // a context-aware pipeline stops here
 			close(released)
@@ -86,10 +89,13 @@ func TestShedAndTimeoutResponsesAreConsistent(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	defer close(release)
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		MaxInflight:    1,
 		RequestTimeout: 100 * time.Millisecond,
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
+			if page == "" {
+				return nil // New's shadow publish
+			}
 			entered <- struct{}{}
 			// Hang until the test ends: every publish deterministically
 			// outlives the request timeout.
@@ -155,8 +161,9 @@ func TestShedAndTimeoutResponsesAreConsistent(t *testing.T) {
 	}
 	check("504 timeout", resp, http.StatusGatewayTimeout)
 
-	// Plain clients still get text bodies.
-	resp, err = ts.Client().Get(ts.URL + "/site/index.html")
+	// Plain clients still get text bodies. The unfocused site is New's
+	// staged probe, so read a page it does not hold.
+	resp, err = ts.Client().Get(ts.URL + "/site/f1.html?focus=f1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +187,10 @@ func TestShedAndTimeoutResponsesAreConsistent(t *testing.T) {
 func TestTransientPublishFailureIsNotCached(t *testing.T) {
 	var calls atomic.Int64
 	injected := errors.New("transient backend wobble")
-	srv := New(core.SampleSales(), Config{
+	srv := newServer(t, core.SampleSales(), Config{
 		CacheSize: 4,
 		PublishHook: func(ctx context.Context, mode htmlgen.Mode, focus, page string) error {
-			if calls.Add(1) == 1 {
+			if page != "" && calls.Add(1) == 1 {
 				return injected
 			}
 			return nil
@@ -196,8 +203,8 @@ func TestTransientPublishFailureIsNotCached(t *testing.T) {
 	if code != http.StatusInternalServerError || !strings.Contains(body, "wobble") {
 		t.Fatalf("transient failure: %d %q", code, body)
 	}
-	if got := srv.cache.len(); got != 0 {
-		t.Fatalf("cache holds %d entries after a failed publish, want 0", got)
+	if got := srv.cache.len(); got != 1 {
+		t.Fatalf("cache holds %d entries after a failed publish, want only the staged site", got)
 	}
 
 	// Retry under the SAME generation key must republish and succeed.
@@ -207,8 +214,8 @@ func TestTransientPublishFailureIsNotCached(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("publish calls = %d, want 2 (failure must not be cached)", got)
 	}
-	if got := srv.cache.len(); got != 1 {
-		t.Fatalf("cache length %d after recovery, want 1", got)
+	if got := srv.cache.len(); got != 2 {
+		t.Fatalf("cache length %d after recovery, want 2 (the staged site and /single)", got)
 	}
 	// Third hit is warm: no new publish.
 	if code, _, _ := get(t, ts, "/single"); code != http.StatusOK {
@@ -219,7 +226,7 @@ func TestTransientPublishFailureIsNotCached(t *testing.T) {
 	}
 
 	// A model swap bumps the generation; the old failure leaves no trace.
-	srv.SetModel(core.SampleHospital())
+	commitCanonical(t, srv, core.SampleHospital())
 	if code, body, _ := get(t, ts, "/single"); code != http.StatusOK || !strings.Contains(body, "Hospital") {
 		t.Errorf("post-swap publish: %d %.80s", code, body)
 	}
@@ -230,7 +237,7 @@ func TestTransientPublishFailureIsNotCached(t *testing.T) {
 // snapshot, Commit installs atomically with a generation bump, and a
 // failed Stage leaves the old state fully intact (it returns no stage).
 func TestStagedSwapCommitAndRollback(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	gen0 := srv.Generation()
@@ -284,12 +291,35 @@ func stageCanonical(ctx context.Context, srv *Server, m *core.Model) (*StagedMod
 	return srv.Stage(ctx, m, core.ValidateAndFreeze(m.ToXML()))
 }
 
+// newServer creates a server for m, failing the test if New refuses it.
+func newServer(t testing.TB, m *core.Model, cfg Config) *Server {
+	t.Helper()
+	srv, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// commitCanonical stages m and commits it, returning the new generation.
+// It reports a refused stage with t.Error, so a swapper goroutine may
+// call it.
+func commitCanonical(t testing.TB, srv *Server, m *core.Model) uint64 {
+	t.Helper()
+	st, err := stageCanonical(context.Background(), srv, m)
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	return st.Commit()
+}
+
 // TestGenerationHeaderIsMonotonic asserts the serving contract the
 // chaos soak leans on: every snapshot-derived response carries the
 // generation it was served from, and a client never observes a
 // regression across swaps.
 func TestGenerationHeaderIsMonotonic(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+	srv := newServer(t, core.SampleSales(), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -311,7 +341,7 @@ func TestGenerationHeaderIsMonotonic(t *testing.T) {
 			t.Fatalf("generation regressed %d → %d", last, gen)
 		}
 		last = gen
-		srv.SetModel(models[i%2])
+		commitCanonical(t, srv, models[i%2])
 	}
 	if last < 6 {
 		t.Errorf("final generation %d, want >= 6 after 6 swaps", last)
@@ -356,17 +386,17 @@ func TestEmptyServerAnswers503UntilFirstPublish(t *testing.T) {
 	}
 }
 
-// TestReadyzStaysReadyAcrossSetModel: readiness is "a snapshot is live",
-// so /readyz answers 200 while SetModel prepares a replacement — the old
-// snapshot keeps serving the whole time.
-func TestReadyzStaysReadyAcrossSetModel(t *testing.T) {
-	srv := New(core.SampleSales(), Config{})
+// TestReadyzStaysReadyAcrossCommits: readiness is "a snapshot is live",
+// so /readyz answers 200 while Stage prepares a replacement and Commit
+// installs it — the old snapshot keeps serving the whole time.
+func TestReadyzStaysReadyAcrossCommits(t *testing.T) {
+	srv := newServer(t, core.SampleSales(), Config{})
 	h := srv.Handler()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for range 20 {
-			srv.SetModel(core.SampleSales())
+			commitCanonical(t, srv, core.SampleSales())
 		}
 	}()
 	for {
@@ -379,7 +409,7 @@ func TestReadyzStaysReadyAcrossSetModel(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 		if rec.Code != http.StatusOK || !srv.Ready() {
 			<-done
-			t.Fatalf("/readyz during SetModel on a live server: %d %q", rec.Code, rec.Body)
+			t.Fatalf("/readyz during a swap on a live server: %d %q", rec.Code, rec.Body)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func getView(h http.Handler, path string) *httptest.ResponseRecorder {
 // generated model sizes.
 func TestLazyViewsMatchEagerConstruction(t *testing.T) {
 	for name, m := range viewTestModels(t) {
-		h := New(m, Config{Store: artifact.NewStore()}).Handler()
+		h := newServer(t, m, Config{Store: artifact.NewStore()}).Handler()
 		want := eagerViews(m)
 		for path, field := range viewPaths {
 			rec := getView(h, path)
@@ -70,13 +70,13 @@ func TestLazyViewsMatchEagerConstruction(t *testing.T) {
 // TestConcurrentFirstViewGetsDuringSwaps races first GETs of every view
 // against hot swaps (run with -race). Each response must be the view of
 // the generation it is labelled with, and once the swaps stop the store
-// must settle to exactly the live snapshot's four views: nothing holds a
-// view set built on a replaced snapshot.
+// must settle to exactly the live snapshot's four views beside its
+// staged site: nothing holds a view set built on a replaced snapshot.
 func TestConcurrentFirstViewGetsDuringSwaps(t *testing.T) {
 	models := []*core.Model{core.SampleSales(), core.SampleHospital()} // odd, even generations
 	want := []*xmlViews{eagerViews(models[0]), eagerViews(models[1])}
 	store := artifact.NewStore()
-	srv := New(models[0], Config{Store: store})
+	srv := newServer(t, models[0], Config{Store: store})
 	h := srv.Handler()
 
 	var wg sync.WaitGroup
@@ -108,7 +108,7 @@ func TestConcurrentFirstViewGetsDuringSwaps(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= 40; i++ {
-		srv.SetModel(models[i%2])
+		commitCanonical(t, srv, models[i%2])
 	}
 	close(stop)
 	wg.Wait()
@@ -119,33 +119,37 @@ func TestConcurrentFirstViewGetsDuringSwaps(t *testing.T) {
 	for path := range viewPaths {
 		getView(h, path)
 	}
-	if got := settleLen(store, len(viewPaths)); got != len(viewPaths) {
-		t.Errorf("store holds %d artifacts after the swaps, want the live snapshot's %d views", got, len(viewPaths))
+	site := stagedArtifacts(t, srv)
+	if got := settleLen(store, len(viewPaths)+site); got != len(viewPaths)+site {
+		t.Errorf("store holds %d artifacts after the swaps, want the live snapshot's %d views and %d site pages",
+			got, len(viewPaths), site)
 	}
 	runtime.KeepAlive(srv)
 }
 
 // TestReplacedSnapshotViewsLeaveTheStore: a replaced snapshot's views
 // leave the store once nothing holds them; one a request still holds
-// stays (the negative control).
+// stays (the negative control). The live snapshot's staged site stays
+// throughout.
 func TestReplacedSnapshotViewsLeaveTheStore(t *testing.T) {
 	store := artifact.NewStore()
-	srv := New(core.SampleSales(), Config{Store: store})
+	srv := newServer(t, core.SampleSales(), Config{Store: store})
 	h := srv.Handler()
 	for path := range viewPaths {
 		getView(h, path)
 	}
-	if got := store.Len(); got != len(viewPaths) {
-		t.Fatalf("store holds %d artifacts, want the %d views", got, len(viewPaths))
+	if site := stagedArtifacts(t, srv); store.Len() != len(viewPaths)+site {
+		t.Fatalf("store holds %d artifacts, want the %d views and %d site pages", store.Len(), len(viewPaths), site)
 	}
 	held := srv.viewsFor(srv.snapshot()).model
-	srv.SetModel(core.SampleHospital())
-	if got := settleLen(store, 1); got != 1 {
-		t.Errorf("store holds %d artifacts after the swap, want only the held /model.xml view", got)
+	commitCanonical(t, srv, core.SampleHospital())
+	site := stagedArtifacts(t, srv)
+	if got := settleLen(store, 1+site); got != 1+site {
+		t.Errorf("store holds %d artifacts after the swap, want the held /model.xml view and %d site pages", got, site)
 	}
 	runtime.KeepAlive(held)
-	if got := settleLen(store, 0); got != 0 {
-		t.Errorf("store holds %d artifacts once nothing holds the replaced views, want 0", got)
+	if got := settleLen(store, site); got != site {
+		t.Errorf("store holds %d artifacts once nothing holds the replaced views, want the %d site pages", got, site)
 	}
 	runtime.KeepAlive(srv) // a live server must not be what holds them
 }
