@@ -376,7 +376,8 @@ func cmdServe(args []string) error {
 // catalog's pipeline: the file at path (the built-in sales sample when
 // path is empty) is parsed, validated, linted and published once, and a
 // model any stage refuses is an error naming that stage. The model is
-// named after its file; the catalog retries nothing.
+// named after its file; the catalog retries nothing, so that error is
+// the only report of a failed stage and its event is not printed.
 func loadSingle(ctx context.Context, path string, opts catalog.Options) (*catalog.Catalog, string, error) {
 	name, src := "sales", []byte(core.SampleSales().XMLString())
 	if path != "" {
@@ -387,6 +388,13 @@ func loadSingle(ctx context.Context, path string, opts catalog.Options) (*catalo
 		name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	}
 	opts.DisableRetry = true
+	if onEvent := opts.OnEvent; onEvent != nil {
+		opts.OnEvent = func(ev catalog.Event) {
+			if ev.Type != catalog.EventStageFailed {
+				onEvent(ev)
+			}
+		}
+	}
 	c := catalog.New(opts)
 	if err := c.Set(ctx, name, src); err != nil {
 		c.Close()
@@ -433,11 +441,7 @@ func serveCatalog(dir, addr string, opts catalog.Options) error {
 	c := catalog.New(opts)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	for _, name := range names {
-		if err := c.Add(ctx, name); err != nil {
-			fmt.Printf("model %s: first load failed: %v (serving 503 until a retry succeeds)\n", name, err)
-		}
-	}
+	addModels(ctx, c, names, !opts.DisableRetry)
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
@@ -458,6 +462,20 @@ func serveCatalog(dir, addr string, opts catalog.Options) error {
 	stop()
 	<-reloads
 	return err
+}
+
+// addModels makes each model's first load. The stage event has printed
+// a failure already, so this says only what the model serves meanwhile.
+func addModels(ctx context.Context, c *catalog.Catalog, names []string, retry bool) {
+	until := "until a retry succeeds"
+	if !retry {
+		until = "until a SIGHUP reload succeeds"
+	}
+	for _, name := range names {
+		if err := c.Add(ctx, name); err != nil {
+			fmt.Printf("model %s: serving 503 %s\n", name, until)
+		}
+	}
 }
 
 // reloadCatalog re-reads every registered model through the staged

@@ -568,6 +568,46 @@ func TestServeSingleRefusesInvalidModel(t *testing.T) {
 	}
 }
 
+// TestServeReportsRefusedModelOnce: each serve mode prints a refused
+// model's failure once. Single mode returns it as the error and prints
+// no stage event; serve -catalog prints the stage event and then only
+// what the model serves meanwhile, promising a retry only when retries
+// are on.
+func TestServeReportsRefusedModelOnce(t *testing.T) {
+	const fixture = "../../internal/analysis/testdata/models/gw402_broken_refs.xml"
+	const failure = "publish: document is invalid"
+	out, err := capture(t, func() error { return cmdServe([]string{"-lint", "off", fixture}) })
+	if err == nil || !strings.Contains(err.Error(), failure) {
+		t.Fatalf("serve: err = %v, want the %q failure", err, failure)
+	}
+	if strings.Contains(out, failure) {
+		t.Errorf("serve printed the failure it returns:\n%s", out)
+	}
+
+	src, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Dir(withFile(t, "broken.xml", string(src)))
+	for _, retry := range []bool{true, false} {
+		// The catalog itself never retries here: a background retry
+		// would print while stdout is captured.
+		c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
+			DisableRetry: true, OnEvent: printCatalogEvent})
+		out, _ := capture(t, func() error {
+			addModels(context.Background(), c, []string{"broken"}, retry)
+			return nil
+		})
+		c.Close()
+		if n := strings.Count(out, failure); n != 1 {
+			t.Errorf("-retry=%v printed the failure %d times:\n%s", retry, n, out)
+		}
+		if promised := strings.Contains(out, "until a retry succeeds"); promised != retry {
+			t.Errorf("-retry=%v: promises a retry %v:\n%s", retry, promised, out)
+		}
+	}
+}
+
 // TestServeSingleMatchesCatalogSite: serve with a model file publishes
 // each example model's index page byte for byte as serve -catalog does
 // under /m/{name}/.

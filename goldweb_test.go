@@ -70,8 +70,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := res.Cell(0, "p1"); !ok || v != 3 {
-		t.Errorf("cell = %v", v)
+	if len(res.Rows) != 1 || res.Rows[0].Keys[0] != "p1" || res.Rows[0].Values[0] != 3 {
+		t.Errorf("rows = %+v", res.Rows)
 	}
 
 	// SQL export.

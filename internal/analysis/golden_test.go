@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"goldweb/internal/analysis"
+	"goldweb/internal/analysis/verify"
 	"goldweb/internal/core"
 	"goldweb/internal/xsd"
 )
@@ -144,8 +145,8 @@ func TestGoldenCorpusCoversAllCodes(t *testing.T) {
 		analysis.CodeUnusedMode,
 		analysis.CodeUnknownKey, analysis.CodeUnknownRef, analysis.CodeUnknownFunc,
 		analysis.CodeModelInvalid, analysis.CodeBrokenKeyref,
-		analysis.CodeAttrAfterContent, analysis.CodeDuplicateAttr,
-		analysis.CodeVoidContent, analysis.CodeRawTextHazard,
+		verify.CodeAttrAfterContent, verify.CodeDuplicateAttr,
+		verify.CodeVoidContent, verify.CodeRawTextHazard,
 	}
 	for _, code := range all {
 		if !covered[code] {

@@ -177,14 +177,6 @@ func (g *ContentGraph) HasAttr(name, attr string) bool {
 	return info != nil && (info.attrs[attr] || info.anyAttrs)
 }
 
-// Attrs returns the declared attribute names of element name.
-func (g *ContentGraph) Attrs(name string) map[string]bool {
-	if info := g.elems[name]; info != nil {
-		return info.attrs
-	}
-	return nil
-}
-
 // AttrAnywhere reports whether any element declares attribute attr (or
 // an anyAttribute wildcard that could admit it).
 func (g *ContentGraph) AttrAnywhere(attr string) bool {

@@ -31,8 +31,8 @@ func LintModel(file string, doc *xmldom.Node, schema *xsd.Schema) []Diagnostic {
 	return LintValidated(file, schema.ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true}))
 }
 
-// LintValidated converts the result of a validation run made without a
-// MaxErrors limit into diagnostics; it evaluates nothing itself. Each
+// LintValidated converts the result of a validation run into
+// diagnostics; it evaluates nothing itself. Each
 // structural or type error becomes a GW401, and each identity-constraint
 // (key/unique/keyref) error a GW402 at the node the validator selected.
 // A duplicate value and a keyref value matching no key are worded from

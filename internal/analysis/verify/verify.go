@@ -13,8 +13,7 @@
 // alone, through the read-only introspection surface of
 // xslt/verify_hooks.go; it shares no bookkeeping with the compiler, so
 // a lowering bug cannot vouch for itself. Findings carry GW5xx codes
-// and surface through `goldweb lint` (always) and at CompileStylesheet
-// time when debug verification is on (GOLDWEB_VERIFY=1).
+// and surface through `goldweb lint`.
 package verify
 
 import (
@@ -543,25 +542,4 @@ func attachOwners(p *xslt.Program, fs []Finding) {
 			fs[i].Src = owner.Src
 		}
 	}
-}
-
-// Err folds findings into a single error for the CompileStylesheet-time
-// hook: the first error-severity finding wins, warnings are ignored
-// (shape lints are advisory and belong to the linter, not the compiler).
-func Err(fs []Finding) error {
-	for _, f := range fs {
-		if !f.Warning {
-			return fmt.Errorf("%s: pc %04d: %s", f.Code, f.PC, f.Msg)
-		}
-	}
-	return nil
-}
-
-func init() {
-	// Self-check hook: any binary linking this package can verify every
-	// program CompileStylesheet lowers (GOLDWEB_VERIFY=1 or
-	// xslt.EnableCompileVerify).
-	xslt.RegisterProgramVerifier(func(p *xslt.Program) error {
-		return Err(Program(p))
-	})
 }

@@ -202,31 +202,6 @@ func TestEmptyProgram(t *testing.T) {
 	requireFinding(t, im.Check(), verify.CodeBadProgram, "empty program")
 }
 
-// TestErrSeverity: Err folds error findings into an error and ignores
-// advisory warnings.
-func TestErrSeverity(t *testing.T) {
-	if err := verify.Err([]verify.Finding{{Code: verify.CodeVoidContent, Warning: true}}); err != nil {
-		t.Fatalf("warnings must not become errors: %v", err)
-	}
-	err := verify.Err([]verify.Finding{
-		{Code: verify.CodeUnreachableCode, Warning: true},
-		{Code: verify.CodeBadProgram, Msg: "boom", PC: 7},
-	})
-	if err == nil || !strings.Contains(err.Error(), "GW501") || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("want GW501 error, got %v", err)
-	}
-}
-
-// TestCompileVerifyHook: with debug verification enabled every
-// CompileStylesheet self-checks through the registered verifier.
-func TestCompileVerifyHook(t *testing.T) {
-	prev := xslt.EnableCompileVerify(true)
-	defer xslt.EnableCompileVerify(prev)
-	if _, err := xslt.CompileStylesheetString(corpusSrc, xslt.CompileOptions{}); err != nil {
-		t.Fatalf("verified compile of a healthy stylesheet failed: %v", err)
-	}
-}
-
 // TestFindingOwners: findings inside a template body are attributed to
 // that template's rule.
 func TestFindingOwners(t *testing.T) {

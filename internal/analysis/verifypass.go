@@ -5,17 +5,6 @@ import (
 	"goldweb/internal/xslt"
 )
 
-// The GW5xx verification codes, re-exported so diagnostic consumers can
-// reference them without importing the verifier.
-const (
-	CodeBadProgram       = verify.CodeBadProgram       // GW501: compiled bytecode or IR fails verification
-	CodeAttrAfterContent = verify.CodeAttrAfterContent // GW502: attribute emitted after child content
-	CodeDuplicateAttr    = verify.CodeDuplicateAttr    // GW503: attribute definitely emitted twice
-	CodeVoidContent      = verify.CodeVoidContent      // GW504: HTML void element given children
-	CodeRawTextHazard    = verify.CodeRawTextHazard    // GW505: raw-text element content hazard
-	CodeUnreachableCode  = verify.CodeUnreachableCode  // GW506: unreachable instructions
-)
-
 // verifyProgram runs the bytecode verifier and the result-shape
 // analysis over a compiled stylesheet's program and converts the
 // findings into diagnostics. Findings are positioned at the owning

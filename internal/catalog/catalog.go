@@ -668,9 +668,9 @@ func (c *Catalog) scheduleRetryLocked(e *entry) {
 }
 
 // retryLoop re-attempts a failing model with exponential backoff and
-// seeded jitter until it recovers, the catalog closes, or the entry is
-// removed. When the circuit is open the sleep stretches to at least the
-// remaining cooldown so the wakeup lands on an admissible half-open probe.
+// seeded jitter until it recovers or the catalog closes. When the
+// circuit is open the sleep stretches to at least the remaining
+// cooldown so the wakeup lands on an admissible half-open probe.
 func (c *Catalog) retryLoop(e *entry) {
 	defer c.wg.Done()
 	for {
@@ -685,13 +685,6 @@ func (c *Catalog) retryLoop(e *entry) {
 			e.unlock()
 			return
 		case <-time.After(delay):
-		}
-		if c.get(e.name) != e {
-			// The entry was removed (or replaced) while we slept.
-			e.lock()
-			e.retrying = false
-			e.unlock()
-			return
 		}
 		// ErrBreakerOpen is not a new failure: the attempt was rejected
 		// before doing work, so consec (and hence the backoff) is
@@ -732,25 +725,6 @@ func (c *Catalog) backoff(attempt int) time.Duration {
 	return half + j
 }
 
-// Remove evicts name from the catalog and closes its server. The
-// background retry loop (if any) exits on its next wakeup.
-func (c *Catalog) Remove(name string) error {
-	c.mu.Lock()
-	old := *c.entries.Load()
-	e, ok := old[name]
-	if ok {
-		next := maps.Clone(old)
-		delete(next, name)
-		c.entries.Store(&next)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownModel, name)
-	}
-	e.srv.Close()
-	return nil
-}
-
 // ModelStatus is one model's health snapshot as reported by Status and
 // the /readyz endpoint.
 type ModelStatus struct {
@@ -789,15 +763,4 @@ func (c *Catalog) Status() []ModelStatus {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Ready reports whether every registered model has a live last-good
-// snapshot (an empty catalog is ready).
-func (c *Catalog) Ready() bool {
-	for _, st := range c.Status() {
-		if !st.Ready {
-			return false
-		}
-	}
-	return true
 }

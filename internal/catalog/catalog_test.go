@@ -638,7 +638,7 @@ func TestReadyzDoesNotWaitForSwaps(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrentChanges registers and removes models while
+// TestRegistryConcurrentChanges registers models while
 // readers route requests and read the status: the copy-on-write entry
 // map must never lose a registration or hand a reader a torn map.
 func TestRegistryConcurrentChanges(t *testing.T) {
@@ -678,20 +678,28 @@ func TestRegistryConcurrentChanges(t *testing.T) {
 					t.Errorf("Set: %v", err)
 				}
 			}
-			if err := c.Remove(fmt.Sprintf("w%d-0", w)); err != nil {
-				t.Errorf("Remove: %v", err)
-			}
 		}(w)
 	}
 	writes.Wait()
 	close(done)
 	wg.Wait()
-	if got := len(c.Names()); got != writers*(perWriter-1) {
-		t.Fatalf("%d models registered, want %d: %v", got, writers*(perWriter-1), c.Names())
+	if got := len(c.Names()); got != writers*perWriter {
+		t.Fatalf("%d models registered, want %d: %v", got, writers*perWriter, c.Names())
 	}
 }
 
-func TestDirLoaderAndRemove(t *testing.T) {
+// allReady reports whether every model in the catalog's Status is
+// ready, as /readyz does.
+func allReady(c *Catalog) bool {
+	for _, st := range c.Status() {
+		if !st.Ready {
+			return false
+		}
+	}
+	return true
+}
+
+func TestDirModelsAndDirLoader(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, dir+"/sales.xml", modelSource(t, "Sales DW"))
 	writeFile(t, dir+"/stores.xml", modelSource(t, "Stores DW"))
@@ -710,17 +718,11 @@ func TestDirLoaderAndRemove(t *testing.T) {
 			t.Fatalf("Add %s: %v", name, err)
 		}
 	}
-	if !c.Ready() {
+	if !allReady(c) {
 		t.Fatal("catalog not ready after loading both models")
 	}
-	if err := c.Remove("stores"); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if got := c.Names(); len(got) != 1 || got[0] != "sales" {
-		t.Fatalf("Names after Remove = %v", got)
-	}
-	if err := c.Remove("stores"); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("double Remove err = %v, want ErrUnknownModel", err)
+	if got := c.Names(); len(got) != 2 || got[0] != "sales" || got[1] != "stores" {
+		t.Fatalf("Names = %v", got)
 	}
 }
 

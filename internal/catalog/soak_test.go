@@ -211,7 +211,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatalf("warm-up Add %s: %v", name, err)
 		}
 	}
-	if !c.Ready() {
+	if !allReady(c) {
 		t.Fatal("catalog not ready after warm-up")
 	}
 

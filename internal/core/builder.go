@@ -187,9 +187,6 @@ func (mb *MeasureBuilder) NotAdditive(dimName string) *MeasureBuilder {
 	return mb
 }
 
-// Fact returns to the fact builder for chaining.
-func (mb *MeasureBuilder) Fact() *FactBuilder { return mb.fb }
-
 // ---- dimension classes ----
 
 type dimBuild struct {
@@ -303,9 +300,6 @@ func (lb *LevelBuilder) Attr(name, typ string) *LevelBuilder {
 	return lb
 }
 
-// Dim returns to the dimension builder for chaining.
-func (lb *LevelBuilder) Dim() *DimBuilder { return lb.db }
-
 // AssocBuilder refines one association edge of the hierarchy DAG.
 type AssocBuilder struct {
 	b *ModelBuilder
@@ -337,12 +331,6 @@ func (ab *AssocBuilder) NonStrict() *AssocBuilder {
 // Complete marks the association complete ({completeness}).
 func (ab *AssocBuilder) Complete() *AssocBuilder {
 	ab.a.Completeness = true
-	return ab
-}
-
-// Named labels the association.
-func (ab *AssocBuilder) Named(name string) *AssocBuilder {
-	ab.a.Name = name
 	return ab
 }
 

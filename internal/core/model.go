@@ -208,30 +208,6 @@ type Level struct {
 	Associations []*Association
 }
 
-// OID returns the level's identifying attribute, or nil.
-func (l *Level) OID() *DimAtt { return findOID(l.Atts) }
-
-// Descriptor returns the level's descriptor attribute, or nil.
-func (l *Level) Descriptor() *DimAtt { return findD(l.Atts) }
-
-func findOID(atts []*DimAtt) *DimAtt {
-	for _, a := range atts {
-		if a.IsOID {
-			return a
-		}
-	}
-	return nil
-}
-
-func findD(atts []*DimAtt) *DimAtt {
-	for _, a := range atts {
-		if a.IsD {
-			return a
-		}
-	}
-	return nil
-}
-
 // Association is an association relationship between two hierarchy levels
 // (or from the dimension class root to a level). RoleB multiplicity M on
 // the child role expresses non-strictness; Completeness marks a complete
@@ -389,18 +365,6 @@ func (f *FactClass) Agg(dimID string) *SharedAgg {
 	return nil
 }
 
-// DegenerateDims returns the {OID} measures, which model degenerate
-// dimensions.
-func (f *FactClass) DegenerateDims() []*FactAtt {
-	var out []*FactAtt
-	for _, a := range f.Atts {
-		if a.IsOID {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // AdditivityFor returns the measure's additivity rule along the given
 // dimension, or nil when the measure is fully additive there.
 func (a *FactAtt) AdditivityFor(dimID string) *AdditivityRule {
@@ -439,27 +403,6 @@ func (d *DimClass) Roots() []string {
 	for _, a := range d.Associations {
 		out = append(out, a.Child)
 	}
-	return out
-}
-
-// PathsTo returns every association path (as level-id slices) from the
-// dimension root to the named level, exposing multiple and alternative
-// path classification hierarchies.
-func (d *DimClass) PathsTo(levelID string) [][]string {
-	var out [][]string
-	var walk func(edges []*Association, prefix []string)
-	walk = func(edges []*Association, prefix []string) {
-		for _, e := range edges {
-			next := append(append([]string(nil), prefix...), e.Child)
-			if e.Child == levelID {
-				out = append(out, next)
-			}
-			if l := d.Level(e.Child); l != nil && len(prefix) <= len(d.Levels) {
-				walk(l.Associations, next)
-			}
-		}
-	}
-	walk(d.Associations, nil)
 	return out
 }
 

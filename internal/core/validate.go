@@ -49,19 +49,6 @@ func (m *Model) Validate() []SemanticError {
 	return v.errs
 }
 
-// MustValidate panics with a readable message when the model is not
-// well-formed; intended for examples and tests building known-good models.
-func (m *Model) MustValidate() *Model {
-	if errs := m.Validate(); len(errs) != 0 {
-		msgs := make([]string, len(errs))
-		for i, e := range errs {
-			msgs[i] = e.Error()
-		}
-		panic("invalid model:\n  " + strings.Join(msgs, "\n  "))
-	}
-	return m
-}
-
 type semChecker struct {
 	errs []SemanticError
 	ids  map[string]string // id → where first seen

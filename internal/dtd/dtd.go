@@ -154,15 +154,6 @@ func Parse(src string) (*DTD, error) {
 	}
 }
 
-// MustParse is Parse for embedded, known-good DTDs.
-func MustParse(src string) *DTD {
-	d, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 type parser struct {
 	src string
 	pos int
@@ -493,15 +484,6 @@ func (d *DTD) Validate(doc *xmldom.Node) []ValidationError {
 		}
 	}
 	return v.errs
-}
-
-// ValidateString parses and validates XML text.
-func (d *DTD) ValidateString(src string) []ValidationError {
-	doc, err := xmldom.ParseString(src)
-	if err != nil {
-		return []ValidationError{{Path: "/", Msg: err.Error()}}
-	}
-	return d.Validate(doc)
 }
 
 type pendingRef struct {

@@ -5,8 +5,27 @@ import (
 	"testing"
 
 	"goldweb/internal/core"
+	"goldweb/internal/xmldom"
 	"goldweb/internal/xsd"
 )
+
+// mustParse is Parse for known-good DTDs.
+func mustParse(src string) *DTD {
+	d, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// validateString parses and validates XML text.
+func (d *DTD) validateString(src string) []ValidationError {
+	doc, err := xmldom.ParseString(src)
+	if err != nil {
+		return []ValidationError{{Path: "/", Msg: err.Error()}}
+	}
+	return d.Validate(doc)
+}
 
 func TestParseGoldmodelDTD(t *testing.T) {
 	d, err := Parse(core.SchemaDTD)
@@ -33,16 +52,16 @@ func TestParseGoldmodelDTD(t *testing.T) {
 }
 
 func TestDTDAcceptsSampleDocuments(t *testing.T) {
-	d := MustParse(core.SchemaDTD)
+	d := mustParse(core.SchemaDTD)
 	for _, m := range []interface{ XMLString() string }{core.SampleSales(), core.SampleHospital()} {
-		if errs := d.ValidateString(m.XMLString()); len(errs) != 0 {
+		if errs := d.validateString(m.XMLString()); len(errs) != 0 {
 			t.Errorf("%v", errs)
 		}
 	}
 }
 
 func TestDTDStructuralRejections(t *testing.T) {
-	d := MustParse(core.SchemaDTD)
+	d := mustParse(core.SchemaDTD)
 	base := core.SampleSales().XMLString()
 	cases := []struct{ name, from, to string }{
 		{"missing required id", ` id="m1"`, ``},
@@ -57,7 +76,7 @@ func TestDTDStructuralRejections(t *testing.T) {
 		if doc == base {
 			t.Fatalf("%s: mutation did not apply", tc.name)
 		}
-		if errs := d.ValidateString(doc); len(errs) == 0 {
+		if errs := d.validateString(doc); len(errs) == 0 {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -68,13 +87,13 @@ func TestDTDStructuralRejections(t *testing.T) {
 // Schema rejects — wrong data types (DTDs have no date/boolean/decimal)
 // and semantically wrong references (IDREF is not selective).
 func TestDTDVsSchemaAblation(t *testing.T) {
-	d := MustParse(core.SchemaDTD)
+	d := mustParse(core.SchemaDTD)
 	s := core.MustSchema()
 	base := core.SampleSales().XMLString()
 
 	t.Run("data types", func(t *testing.T) {
 		doc := strings.Replace(base, `creationdate="2002-03-24"`, `creationdate="not a date"`, 1)
-		if errs := d.ValidateString(doc); len(errs) != 0 {
+		if errs := d.validateString(doc); len(errs) != 0 {
 			t.Errorf("DTD should accept (CDATA): %v", errs)
 		}
 		if errs := s.ValidateString(doc, xsd.ValidateOptions{}); len(errs) == 0 {
@@ -85,7 +104,7 @@ func TestDTDVsSchemaAblation(t *testing.T) {
 		// Point @dimclass at a fact class id: any ID satisfies IDREF, but
 		// the schema's keyref pins it to dimension classes.
 		doc := strings.Replace(base, `<additivity dimclass="d1"`, `<additivity dimclass="f1"`, 1)
-		if errs := d.ValidateString(doc); len(errs) != 0 {
+		if errs := d.validateString(doc); len(errs) != 0 {
 			t.Errorf("DTD should accept (IDREF is not selective): %v", errs)
 		}
 		if errs := s.ValidateString(doc, xsd.ValidateOptions{}); len(errs) == 0 {
@@ -95,7 +114,7 @@ func TestDTDVsSchemaAblation(t *testing.T) {
 }
 
 func TestContentModels(t *testing.T) {
-	d := MustParse(`
+	d := mustParse(`
 		<!ELEMENT r ((a, b?)+, c*)>
 		<!ELEMENT a EMPTY>
 		<!ELEMENT b EMPTY>
@@ -108,7 +127,7 @@ func TestContentModels(t *testing.T) {
 		"<r><a/><a/><a/></r>",
 	}
 	for _, doc := range ok {
-		if errs := d.ValidateString(doc); len(errs) != 0 {
+		if errs := d.validateString(doc); len(errs) != 0 {
 			t.Errorf("%s: %v", doc, errs)
 		}
 	}
@@ -119,43 +138,43 @@ func TestContentModels(t *testing.T) {
 		"<r><a/><b/><b/></r>",
 	}
 	for _, doc := range bad {
-		if errs := d.ValidateString(doc); len(errs) == 0 {
+		if errs := d.validateString(doc); len(errs) == 0 {
 			t.Errorf("%s accepted", doc)
 		}
 	}
 }
 
 func TestMixedContent(t *testing.T) {
-	d := MustParse(`
+	d := mustParse(`
 		<!ELEMENT p (#PCDATA | b | i)*>
 		<!ELEMENT b EMPTY>
 		<!ELEMENT i EMPTY>
 		<!ELEMENT x EMPTY>
 	`)
-	if errs := d.ValidateString("<p>text <b/> more <i/></p>"); len(errs) != 0 {
+	if errs := d.validateString("<p>text <b/> more <i/></p>"); len(errs) != 0 {
 		t.Errorf("mixed: %v", errs)
 	}
-	if errs := d.ValidateString("<p><x/></p>"); len(errs) == 0 {
+	if errs := d.validateString("<p><x/></p>"); len(errs) == 0 {
 		t.Error("foreign element in mixed content accepted")
 	}
 }
 
 func TestEmptyAndAny(t *testing.T) {
-	d := MustParse(`
+	d := mustParse(`
 		<!ELEMENT e EMPTY>
 		<!ELEMENT any ANY>
 		<!ELEMENT r (e, any)>
 	`)
-	if errs := d.ValidateString("<r><e/><any><e/>text</any></r>"); len(errs) != 0 {
+	if errs := d.validateString("<r><e/><any><e/>text</any></r>"); len(errs) != 0 {
 		t.Errorf("any: %v", errs)
 	}
-	if errs := d.ValidateString("<r><e>text</e><any/></r>"); len(errs) == 0 {
+	if errs := d.validateString("<r><e>text</e><any/></r>"); len(errs) == 0 {
 		t.Error("EMPTY with text accepted")
 	}
 }
 
 func TestAttributeChecks(t *testing.T) {
-	d := MustParse(`
+	d := mustParse(`
 		<!ELEMENT e EMPTY>
 		<!ATTLIST e
 			id ID #REQUIRED
@@ -165,7 +184,7 @@ func TestAttributeChecks(t *testing.T) {
 		<!ELEMENT r (e+)>
 		<!ATTLIST r ref IDREF #IMPLIED refs IDREFS #IMPLIED>
 	`)
-	if errs := d.ValidateString(`<r><e id="a" kind="y" tag="t1" lock="on"/></r>`); len(errs) != 0 {
+	if errs := d.validateString(`<r><e id="a" kind="y" tag="t1" lock="on"/></r>`); len(errs) != 0 {
 		t.Errorf("valid: %v", errs)
 	}
 	for _, tc := range []struct{ name, doc string }{
@@ -177,7 +196,7 @@ func TestAttributeChecks(t *testing.T) {
 		{"dangling ref", `<r ref="nope"><e id="a"/></r>`},
 		{"dangling in refs list", `<r refs="a nope"><e id="a"/></r>`},
 	} {
-		if errs := d.ValidateString(tc.doc); len(errs) == 0 {
+		if errs := d.validateString(tc.doc); len(errs) == 0 {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"goldweb/internal/core"
+	"goldweb/internal/xmldom"
 )
 
 // sitesEqual fails unless the two sites have identical page sets, order
@@ -62,8 +63,8 @@ func TestPublishPerFact(t *testing.T) {
 func TestPublishFrozenDocumentUntouched(t *testing.T) {
 	m := core.SampleSales()
 	doc := m.ToXML()
-	before := doc.XML()
-	doc.Freeze()
+	before := xmldom.Pretty(doc)
+	xmldom.Freeze(doc)
 	site, err := PublishDocument(doc, Options{Mode: MultiPage})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func TestPublishFrozenDocumentUntouched(t *testing.T) {
 	if len(site.HTMLPages()) == 0 {
 		t.Fatal("no pages generated")
 	}
-	if got := doc.XML(); got != before {
+	if got := xmldom.Pretty(doc); got != before {
 		t.Error("frozen document bytes changed during publication")
 	}
 	// And it must match a publication of the unfrozen original.

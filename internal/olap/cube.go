@@ -40,9 +40,6 @@ func (ds *Dataset) NewCube(fact string, measures ...string) (*Cube, error) {
 	return c, nil
 }
 
-// Query returns a copy of the cube's current query.
-func (c *Cube) Query() Query { return c.q }
-
 // Dice adds (or replaces) a grouping axis.
 func (c *Cube) Dice(dim, level string) *Cube {
 	for i, g := range c.q.GroupBy {

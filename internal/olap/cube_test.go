@@ -60,7 +60,7 @@ func TestCubeDrillDownWithoutHistoryUnique(t *testing.T) {
 	if err := c.DrillDown("Store"); err != nil {
 		t.Fatalf("unique drill-down failed: %v", err)
 	}
-	if got := c.Query().GroupBy[0].Level; got != "City" {
+	if got := c.q.GroupBy[0].Level; got != "City" {
 		t.Errorf("level after drill-down = %q", got)
 	}
 	// Year has two downward edges (Month, Week): ambiguous without history.
@@ -75,11 +75,11 @@ func TestCubeDiceReplacesAxis(t *testing.T) {
 	ds := salesData(t)
 	c, _ := ds.NewCube("Sales", "qty")
 	c.Dice("Time", "Month").Dice("Time", "Year")
-	if got := len(c.Query().GroupBy); got != 1 {
+	if got := len(c.q.GroupBy); got != 1 {
 		t.Fatalf("axes = %d", got)
 	}
-	if c.Query().GroupBy[0].Level != "Year" {
-		t.Errorf("level = %s", c.Query().GroupBy[0].Level)
+	if c.q.GroupBy[0].Level != "Year" {
+		t.Errorf("level = %s", c.q.GroupBy[0].Level)
 	}
 }
 
@@ -103,20 +103,14 @@ func TestDatasetAccessors(t *testing.T) {
 	if ds.Model().Name != "Sales DW" {
 		t.Error("Model accessor")
 	}
-	if ds.Dim("Time").Def().Name != "Time" {
-		t.Error("Dim Def accessor")
-	}
-	if ds.Fact("Sales").Def().Name != "Sales" {
-		t.Error("Fact Def accessor")
-	}
 	if got := len(ds.Fact("Sales").Rows()); got != 6 {
 		t.Errorf("Rows = %d", got)
 	}
-	if got := ds.Dim("Time").Size("Month"); got != 3 {
-		t.Errorf("Size(Month) = %d", got)
+	if got := len(ds.Dim("Time").Members("Month")); got != 3 {
+		t.Errorf("Members(Month) = %d", got)
 	}
-	if got := ds.Dim("Time").Size("Ghost"); got != 0 {
-		t.Errorf("Size(Ghost) = %d", got)
+	if got := len(ds.Dim("Time").Members("Ghost")); got != 0 {
+		t.Errorf("Members(Ghost) = %d", got)
 	}
 	members := ds.Dim("Product").Members("Family")
 	if len(members) != 2 {

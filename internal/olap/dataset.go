@@ -81,9 +81,6 @@ func newDimData(d *core.DimClass) *DimData {
 	return &DimData{dim: d, members: map[string]map[string]*Member{}}
 }
 
-// Def returns the dimension's conceptual definition.
-func (dd *DimData) Def() *core.DimClass { return dd.dim }
-
 // AddMember adds a member to a hierarchy level (by level name; "" = the
 // terminal level) and returns it.
 func (dd *DimData) AddMember(levelName, key, name string) *Member {
@@ -150,19 +147,6 @@ func (dd *DimData) Member(levelName, key string) *Member {
 		levelID = l.ID
 	}
 	return dd.members[levelID][key]
-}
-
-// Size returns the number of members at a level ("" = terminal).
-func (dd *DimData) Size(levelName string) int {
-	levelID := TerminalLevel
-	if levelName != "" {
-		if l := dd.dim.LevelByName(levelName); l != nil {
-			levelID = l.ID
-		} else {
-			return 0
-		}
-	}
-	return len(dd.members[levelID])
 }
 
 // Link records that the child member rolls up to the parent member. The
@@ -243,36 +227,6 @@ func (dd *DimData) ancestorsAt(m *Member, targetLevelID string) []*Member {
 	return out
 }
 
-// CheckComplete verifies the {completeness} constraints of the dimension
-// against the loaded members: on a complete association every child
-// member must participate (have at least one parent on that edge).
-func (dd *DimData) CheckComplete() []error {
-	var errs []error
-	check := func(childLevelID string, edges []*core.Association) {
-		for _, e := range edges {
-			if !e.Completeness {
-				continue
-			}
-			for key, m := range dd.members[childLevelID] {
-				if len(m.parents[e.Child]) == 0 {
-					lvlName := "terminal level"
-					if l := dd.dim.Level(e.Child); l != nil {
-						lvlName = l.Name
-					}
-					errs = append(errs, fmt.Errorf(
-						"olap: %s: member %q violates {completeness}: no parent in %s",
-						dd.dim.Name, key, lvlName))
-				}
-			}
-		}
-	}
-	check(TerminalLevel, dd.dim.Associations)
-	for _, l := range dd.dim.Levels {
-		check(l.ID, l.Associations)
-	}
-	return errs
-}
-
 // ---- fact data ----
 
 // Row is one fact instance: coordinates into every aggregated dimension
@@ -293,12 +247,6 @@ type FactData struct {
 	ds   *Dataset
 	rows []*Row
 }
-
-// Def returns the fact class definition.
-func (fd *FactData) Def() *core.FactClass { return fd.fact }
-
-// Len returns the number of loaded rows.
-func (fd *FactData) Len() int { return len(fd.rows) }
 
 // Rows exposes the loaded rows (read-only by convention).
 func (fd *FactData) Rows() []*Row { return fd.rows }

@@ -65,8 +65,8 @@ func TestCountConservation(t *testing.T) {
 	for _, row := range res.Rows {
 		n += row.Values[0]
 	}
-	if n != float64(ds.Fact("Sales").Len()) {
-		t.Errorf("counts sum to %v, want %d", n, ds.Fact("Sales").Len())
+	if n != float64(len(ds.Fact("Sales").Rows())) {
+		t.Errorf("counts sum to %v, want %d", n, len(ds.Fact("Sales").Rows()))
 	}
 }
 

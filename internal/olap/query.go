@@ -59,27 +59,6 @@ type ResultRow struct {
 	Values []float64
 }
 
-// Cell returns the value for a group identified by keys, with ok=false
-// when absent.
-func (r *Result) Cell(col int, keys ...string) (float64, bool) {
-	for _, row := range r.Rows {
-		if len(row.Keys) != len(keys) {
-			continue
-		}
-		match := true
-		for i := range keys {
-			if row.Keys[i] != keys[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return row.Values[col], true
-		}
-	}
-	return 0, false
-}
-
 // String renders the result as an aligned text table.
 func (r *Result) String() string {
 	var b strings.Builder

@@ -50,10 +50,10 @@ func TestGenModelDeterministic(t *testing.T) {
 func TestGenDataLoadsAndQueries(t *testing.T) {
 	m := GenModel(ModelSpec{Facts: 2, Dims: 3, Depth: 2, Cubes: true, Seed: 1})
 	ds := GenData(m, DataSpec{LeavesPerDim: 12, RowsPerFact: 50, Seed: 1})
-	if got := ds.Fact("Fact01").Len(); got != 50 {
+	if got := len(ds.Fact("Fact01").Rows()); got != 50 {
 		t.Fatalf("rows = %d", got)
 	}
-	if got := ds.Dim("Dim01").Size(""); got != 12 {
+	if got := len(ds.Dim("Dim01").Members("")); got != 12 {
 		t.Fatalf("leaves = %d", got)
 	}
 	// Queries run against the generated data, grouping at a level.
@@ -76,10 +76,22 @@ func TestGenDataLoadsAndQueries(t *testing.T) {
 	if _, err := ds.ExecuteCube("Cube01"); err != nil {
 		t.Errorf("cube: %v", err)
 	}
-	// Completeness check passes on generated data (all links present).
+	// The generated data is complete: every member has a parent on each
+	// edge leaving its level.
 	for _, d := range m.Dims {
-		if errs := ds.Dim(d.Name).CheckComplete(); len(errs) != 0 {
-			t.Errorf("%s: %v", d.Name, errs)
+		dd := ds.Dim(d.Name)
+		check := func(level string, edges []*core.Association) {
+			for _, mem := range dd.Members(level) {
+				for _, e := range edges {
+					if len(mem.ParentsAt(e.Child)) == 0 {
+						t.Errorf("%s: member %s of level %q has no parent in %s", d.Name, mem.Key, level, e.Child)
+					}
+				}
+			}
+		}
+		check("", d.Associations)
+		for _, l := range d.Levels {
+			check(l.Name, l.Associations)
 		}
 	}
 }

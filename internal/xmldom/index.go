@@ -9,7 +9,7 @@ package xmldom
 // and the HTTP server all rely on this). Mutation after freeze is an
 // explicit copy-on-write step: Editable returns a deep, unfrozen copy.
 //
-// Document order (CompareOrder, SortDocOrder) is defined on frozen trees
+// Document order (DocOrder, SortDocOrder) is defined on frozen trees
 // only. Document identity is a process-global counter assigned when a
 // document node is created (and by Freeze for detached subtree roots), so
 // cross-tree document-order comparisons are deterministic across runs
@@ -29,9 +29,8 @@ type Sym uint32
 // document so symbols are comparable across trees.
 var symtab = struct {
 	sync.RWMutex
-	ids   map[string]Sym
-	names []string
-}{ids: map[string]Sym{}, names: []string{""}} // names[0] = "" for Sym 0
+	ids map[string]Sym
+}{ids: map[string]Sym{}}
 
 // Intern returns the symbol for name, assigning one on first use.
 func Intern(name string) Sym {
@@ -46,8 +45,7 @@ func Intern(name string) Sym {
 	if s, ok = symtab.ids[name]; ok {
 		return s
 	}
-	s = Sym(len(symtab.names))
-	symtab.names = append(symtab.names, name)
+	s = Sym(len(symtab.ids) + 1)
 	symtab.ids[name] = s
 	return s
 }
@@ -65,16 +63,6 @@ func lookupSym(name string) Sym {
 // processing instruction of a frozen tree, and 0 for any other node.
 func (n *Node) Sym() Sym { return n.sym }
 
-// Name returns the interned string for s.
-func (s Sym) Name() string {
-	symtab.RLock()
-	defer symtab.RUnlock()
-	if int(s) < len(symtab.names) {
-		return symtab.names[s]
-	}
-	return ""
-}
-
 // docIDs is the process-global document identity counter.
 var docIDs atomic.Uint64
 
@@ -82,42 +70,19 @@ var docIDs atomic.Uint64
 // stamps and lookup indexes.
 type DocIndex struct {
 	id     uint64 // creation-ordered tree identity
-	root   *Node
 	frozen bool
 
 	byID   map[string]*Node // value of the no-namespace "id" attribute → element (first wins)
 	byName map[Sym][]*Node  // interned element local name → elements in document order
-	nodes  int              // number of stamped nodes
 }
-
-// ID returns the tree's identity (creation-ordered, unique per process).
-func (ix *DocIndex) ID() uint64 { return ix.id }
-
-// Root returns the root node the index was built from.
-func (ix *DocIndex) Root() *Node { return ix.root }
-
-// Len returns the number of stamped nodes (elements, attributes, text,
-// comments, PIs and the root itself).
-func (ix *DocIndex) Len() int { return ix.nodes }
 
 // ByID returns the element whose no-namespace "id" attribute has the
 // given value, or nil. Only meaningful on a frozen index.
 func (ix *DocIndex) ByID(id string) *Node { return ix.byID[id] }
 
-// ElementsByName returns every element of the document with the given
-// local name, in document order. The returned slice is shared with the
-// index and must not be modified.
-func (ix *DocIndex) ElementsByName(name string) []*Node {
-	s := lookupSym(name)
-	if s == 0 {
-		return nil
-	}
-	return ix.byName[s]
-}
-
 // newDocIdent allocates an identity-only index (no stamps yet).
-func newDocIdent(root *Node) *DocIndex {
-	return &DocIndex{id: docIDs.Add(1), root: root}
+func newDocIdent() *DocIndex {
+	return &DocIndex{id: docIDs.Add(1)}
 }
 
 // Freeze indexes the tree rooted at n and marks it immutable: every node
@@ -126,7 +91,7 @@ func newDocIdent(root *Node) *DocIndex {
 // indexes are built. n must be the root of its tree (no parent). Freeze
 // is idempotent; freezing an already-frozen tree returns its index.
 //
-// After Freeze the exported mutators (AppendChild, SetAttr, RemoveChild,
+// After Freeze the exported mutators (AppendChild, SetAttr, RemoveAttr,
 // ...) panic; use Editable to obtain a mutable deep copy. A frozen tree
 // is safe for concurrent readers.
 func Freeze(n *Node) *DocIndex {
@@ -138,9 +103,8 @@ func Freeze(n *Node) *DocIndex {
 	}
 	ix := n.idx
 	if ix == nil {
-		ix = newDocIdent(n)
+		ix = newDocIdent()
 	}
-	ix.root = n
 	ix.byID = map[string]*Node{}
 	ix.byName = map[Sym][]*Node{}
 	var stamp uint64
@@ -173,13 +137,9 @@ func Freeze(n *Node) *DocIndex {
 		m.end = stamp
 	}
 	walk(n)
-	ix.nodes = int(stamp)
 	ix.frozen = true
 	return ix
 }
-
-// Freeze is the method form of the package-level Freeze.
-func (n *Node) Freeze() *DocIndex { return Freeze(n) }
 
 // Frozen reports whether n belongs to a frozen (indexed, immutable) tree.
 func (n *Node) Frozen() bool { return n.idx != nil && n.idx.frozen }
@@ -194,9 +154,8 @@ func (n *Node) Index() *DocIndex {
 }
 
 // DocOrder returns n's document-order stamp (1-based within its frozen
-// tree), or 0 when the tree is not frozen. Stamps order nodes exactly as
-// CompareOrder does: an element precedes its attributes, which precede
-// its children.
+// tree), or 0 when the tree is not frozen. An element precedes its
+// attributes, which precede its children.
 func (n *Node) DocOrder() uint64 {
 	if n.Frozen() {
 		return n.ord

@@ -84,7 +84,7 @@ type Node struct {
 // comparisons are deterministic.
 func NewDocument() *Node {
 	d := &Node{Type: DocumentNode}
-	d.idx = newDocIdent(d)
+	d.idx = newDocIdent()
 	return d
 }
 
@@ -135,19 +135,6 @@ func (n *Node) InsertBefore(c, ref *Node) {
 	n.Children = append(n.Children, nil)
 	copy(n.Children[idx+1:], n.Children[idx:])
 	n.Children[idx] = c
-}
-
-// RemoveChild detaches c from n. It is a no-op if c is not a child of n.
-// Panics when the tree is frozen (see Freeze/Editable).
-func (n *Node) RemoveChild(c *Node) {
-	n.assertMutable()
-	for i, ch := range n.Children {
-		if ch == c {
-			n.Children = append(n.Children[:i], n.Children[i+1:]...)
-			c.Parent = nil
-			return
-		}
-	}
 }
 
 // AddElement creates an element child with the given local name, appends it
@@ -402,20 +389,10 @@ func (n *Node) Path() string {
 	return b.String()
 }
 
-// CompareOrder reports the relative document order of a and b:
-// -1 if a precedes b, +1 if a follows b, 0 if they are the same node.
-// Both nodes must belong to frozen trees (see Freeze): the comparison is
-// a single stamp comparison. Nodes from different trees compare by an
-// arbitrary but consistent rule (tree identity, assigned at document
-// creation). It panics on a node of an unfrozen tree.
-func CompareOrder(a, b *Node) int {
-	mustBeFrozen("CompareOrder", a)
-	mustBeFrozen("CompareOrder", b)
-	return compareStamps(a, b)
-}
-
 // compareStamps orders nodes of frozen trees by tree identity, then by
-// document-order stamp.
+// document-order stamp. Nodes from different trees compare by an
+// arbitrary but consistent rule (tree identity, assigned at document
+// creation).
 func compareStamps(a, b *Node) int {
 	if a.idx != b.idx {
 		return cmp.Compare(a.idx.id, b.idx.id)

@@ -10,6 +10,15 @@ import (
 //	<r a="1" b="2"><c1><g/></c1><c2/></r>
 //
 // returning the interesting nodes by name.
+// compareOrder reports the relative document order of two nodes of
+// frozen trees, as SortDocOrder orders them: -1 if a precedes b, +1 if
+// a follows b, 0 if they are the same node.
+func compareOrder(a, b *Node) int { return compareStamps(a, b) }
+
+// elementsByName returns the index's elements with the given local name,
+// in document order.
+func (ix *DocIndex) elementsByName(name string) []*Node { return ix.byName[lookupSym(name)] }
+
 func orderFixture(t *testing.T) map[string]*Node {
 	t.Helper()
 	doc := NewDocument()
@@ -34,7 +43,7 @@ func TestDocOrderAttrsBetweenElementAndChildren(t *testing.T) {
 	want := []*Node{n["doc"], n["r"], n["a"], n["b"], n["c1"], n["g"], n["c2"]}
 	for i := range want {
 		for j := range want {
-			got := CompareOrder(want[i], want[j])
+			got := compareOrder(want[i], want[j])
 			exp := 0
 			if i < j {
 				exp = -1
@@ -42,7 +51,7 @@ func TestDocOrderAttrsBetweenElementAndChildren(t *testing.T) {
 				exp = 1
 			}
 			if got != exp {
-				t.Errorf("CompareOrder(#%d, #%d) = %d, want %d", i, j, got, exp)
+				t.Errorf("compareOrder(#%d, #%d) = %d, want %d", i, j, got, exp)
 			}
 		}
 	}
@@ -60,10 +69,10 @@ func TestDocOrderAttrsBetweenElementAndChildren(t *testing.T) {
 // descendants.
 func TestDocOrderAncestorBeforeDescendant(t *testing.T) {
 	n := orderFixture(t)
-	if CompareOrder(n["r"], n["g"]) != -1 {
+	if compareOrder(n["r"], n["g"]) != -1 {
 		t.Error("ancestor r must precede descendant g")
 	}
-	if CompareOrder(n["g"], n["c2"]) != -1 {
+	if compareOrder(n["g"], n["c2"]) != -1 {
 		t.Error("g (inside c1) must precede following sibling c2 of c1")
 	}
 	// Subtree window: c1's (ord, end] must contain g and nothing after c2.
@@ -86,7 +95,7 @@ func TestDocOrderCrossDocument(t *testing.T) {
 	e2 := d2.AppendChild(NewElement("y"))
 	Freeze(d1)
 	Freeze(d2)
-	if CompareOrder(e1, e2) != -1 || CompareOrder(e2, e1) != 1 {
+	if compareOrder(e1, e2) != -1 || compareOrder(e2, e1) != 1 {
 		t.Fatal("earlier-created document must order before later one")
 	}
 	sorted := SortDocOrder([]*Node{e2, d2, e1, d1, e2})
@@ -114,8 +123,6 @@ func TestDocOrderPanicsOnUnfrozen(t *testing.T) {
 	k := r.AppendChild(NewElement("k"))
 	frozen := orderFixture(t)["r"]
 	for name, f := range map[string]func(){
-		"CompareOrder":       func() { CompareOrder(k, r) },
-		"CompareOrder mixed": func() { CompareOrder(frozen, r) },
 		"SortDocOrder":       func() { SortDocOrder([]*Node{k, r}) },
 		"SortDocOrder mixed": func() { SortDocOrder([]*Node{frozen, r}) },
 		"IndexedDescendants": func() { r.IndexedDescendants("k", false) },
@@ -157,7 +164,7 @@ func TestEditableLeavesStampsIntact(t *testing.T) {
 	root := copyDoc.Children[0]
 	root.SetAttr("extra", "yes")
 	root.AppendChild(NewElement("new"))
-	root.RemoveChild(root.Children[0])
+	root.InsertBefore(NewElement("first"), root.Children[0])
 	// Original stamps, index and frozen state are unchanged.
 	if !doc.Frozen() {
 		t.Fatal("original lost frozen state")
@@ -167,12 +174,12 @@ func TestEditableLeavesStampsIntact(t *testing.T) {
 			t.Errorf("stamp of %s changed: %d -> %d", node.Name, before[node], node.DocOrder())
 		}
 	}
-	if got := doc.Index().ElementsByName("c1"); len(got) != 1 || got[0] != n["c1"] {
+	if got := doc.Index().elementsByName("c1"); len(got) != 1 || got[0] != n["c1"] {
 		t.Error("original name index changed after mutating the Editable copy")
 	}
 	// Re-freezing the copy gives it fresh, self-consistent stamps.
 	Freeze(copyDoc)
-	if copyDoc.Index().ID() == doc.Index().ID() {
+	if copyDoc.Index().id == doc.Index().id {
 		t.Error("Editable copy must get its own document identity")
 	}
 }
@@ -185,7 +192,6 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 	cases := map[string]func(){
 		"AppendChild":       func() { r.AppendChild(NewElement("z")) },
 		"InsertBefore":      func() { r.InsertBefore(NewElement("z"), nil) },
-		"RemoveChild":       func() { r.RemoveChild(n["c1"]) },
 		"SetAttr":           func() { r.SetAttr("q", "v") },
 		"RemoveAttr":        func() { r.RemoveAttr("a") },
 		"AppendFrozenChild": func() { NewElement("z").AppendChild(n["c2"]) },
@@ -253,7 +259,7 @@ func TestIndexLookups(t *testing.T) {
 	if ix.ByID("absent") != nil {
 		t.Error("ByID of unknown id must be nil")
 	}
-	all := ix.ElementsByName("k")
+	all := ix.elementsByName("k")
 	if len(all) != 2 || all[0] != k1 || all[1] != k2 {
 		t.Errorf("ElementsByName(k) = %v", all)
 	}
@@ -306,7 +312,7 @@ func TestSingleton(t *testing.T) {
 		var storage []*Node
 		switch n.Type {
 		case ElementNode:
-			storage = doc.Index().ElementsByName(n.Name)
+			storage = doc.Index().elementsByName(n.Name)
 		case AttrNode:
 			storage = n.Parent.Attr
 		default:

@@ -62,60 +62,6 @@ func RecordSegment(record func(Emitter)) *Segment {
 	return s
 }
 
-// Events reports the number of recorded events, for introspection and
-// disassembly.
-func (s *Segment) Events() int { return len(s.events) }
-
-// Summary renders a compact one-line description of the segment's
-// top-level content for disassembly listings.
-func (s *Segment) Summary() string {
-	var b strings.Builder
-	depth := 0
-	for i := range s.events {
-		ev := &s.events[i]
-		switch ev.kind {
-		case evBegin:
-			if depth == 0 {
-				b.WriteByte('<')
-				if ev.s1 != "" {
-					b.WriteString(ev.s1)
-					b.WriteByte(':')
-				}
-				b.WriteString(ev.s3)
-				b.WriteByte('>')
-			}
-			depth++
-		case evEnd:
-			depth--
-		case evText:
-			if depth == 0 {
-				b.WriteString(compactText(ev.s1))
-			}
-		case evComment:
-			if depth == 0 {
-				b.WriteString("<!---->")
-			}
-		case evPI:
-			if depth == 0 {
-				b.WriteString("<?" + ev.s1 + "?>")
-			}
-		}
-	}
-	return b.String()
-}
-
-// compactText abbreviates a text run for display.
-func compactText(s string) string {
-	if strings.TrimSpace(s) == "" {
-		return "␣"
-	}
-	s = strings.Join(strings.Fields(s), " ")
-	if len(s) > 24 {
-		s = s[:21] + "..."
-	}
-	return s
-}
-
 // AppendSegment bulk-appends a recorded segment to the tape: one event
 // copy and one attribute-arena copy with the attribute spans rebased,
 // plus a single bookkeeping update on the enclosing open element. The

@@ -1,7 +1,6 @@
 package xmldom
 
 import (
-	"io"
 	"strings"
 )
 
@@ -44,17 +43,11 @@ func HTMLVoid(name string) bool { return htmlVoid[strings.ToLower(name)] }
 // analysis.
 func HTMLRawText(name string) bool { return htmlRawText[strings.ToLower(name)] }
 
-// Serialize renders the node tree to w according to opts. A document
+// SerializeToString renders the node tree to a string. A document
 // renders whole; any other node renders as a fragment, with no XML
 // declaration and no trailing newline. The tree is copied onto a pooled
 // ByteEmitter tape and replayed, so trees and transformation results
 // share one serializer.
-func Serialize(w io.Writer, n *Node, opts WriteOptions) error {
-	_, err := w.Write(serialize(n, opts))
-	return err
-}
-
-// SerializeToString renders the node tree to a string.
 func SerializeToString(n *Node, opts WriteOptions) string {
 	return string(serialize(n, opts))
 }
@@ -75,11 +68,6 @@ func serialize(n *Node, opts WriteOptions) []byte {
 		out = out[:len(out)-1] // the newline the replay puts after each top-level node
 	}
 	return out
-}
-
-// XML returns the compact XML serialization of n without a declaration.
-func (n *Node) XML() string {
-	return SerializeToString(n, WriteOptions{OmitDecl: true})
 }
 
 // Pretty returns an indented XML rendering of n, the moral equivalent of a

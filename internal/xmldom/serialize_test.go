@@ -5,11 +5,14 @@ import (
 	"testing"
 )
 
+// xml returns the compact XML serialization of n without a declaration.
+func (n *Node) xml() string { return SerializeToString(n, WriteOptions{OmitDecl: true}) }
+
 func TestSerializeEscaping(t *testing.T) {
 	e := NewElement("e")
 	e.SetAttr("a", `<&">`)
 	e.AddText("a < b & c")
-	got := e.XML()
+	got := e.xml()
 	want := `<e a="&lt;&amp;&quot;&gt;">a &lt; b &amp; c</e>`
 	if got != want {
 		t.Errorf("got %s want %s", got, want)
@@ -18,7 +21,7 @@ func TestSerializeEscaping(t *testing.T) {
 
 func TestSerializeSelfClose(t *testing.T) {
 	e := NewElement("empty")
-	if got := e.XML(); got != "<empty/>" {
+	if got := e.xml(); got != "<empty/>" {
 		t.Errorf("got %s", got)
 	}
 }
@@ -112,7 +115,7 @@ func TestPrettyPreservesMixedContent(t *testing.T) {
 func TestSerializeNamespacedRoundTrip(t *testing.T) {
 	src := `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema"><xsd:element name="e"/></xsd:schema>`
 	doc := MustParseString(src)
-	got := doc.DocumentElement().XML()
+	got := doc.DocumentElement().xml()
 	doc2, err := ParseString(got)
 	if err != nil {
 		t.Fatalf("reparse: %v (%s)", err, got)
@@ -126,7 +129,7 @@ func TestRawTextNode(t *testing.T) {
 	e := NewElement("e")
 	txt := e.AddText("<raw/>")
 	txt.Raw = true
-	if got := e.XML(); got != "<e><raw/></e>" {
+	if got := e.xml(); got != "<e><raw/></e>" {
 		t.Errorf("raw output = %s", got)
 	}
 }

@@ -26,7 +26,7 @@ func TestDeepNesting(t *testing.T) {
 		t.Errorf("leaf text lost")
 	}
 	// Serialization survives the same depth.
-	out := doc.XML()
+	out := doc.xml()
 	if !strings.HasSuffix(out, strings.Repeat("</d>", 4)) {
 		t.Error("serialization truncated")
 	}
@@ -86,7 +86,7 @@ func TestCompareOrderIsStrictTotalOrder(t *testing.T) {
 		walk(doc)
 		for i := range walkOrder {
 			for j := range walkOrder {
-				got := CompareOrder(walkOrder[i], walkOrder[j])
+				got := compareOrder(walkOrder[i], walkOrder[j])
 				switch {
 				case i == j && got != 0:
 					return false

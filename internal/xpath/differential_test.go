@@ -222,7 +222,7 @@ func TestIRMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		doc.Freeze()
+		xmldom.Freeze(doc)
 		docs = append(docs, docCase{filepath.Base(path), doc})
 	}
 

@@ -81,7 +81,7 @@ func TestFrozenNodeSetInvariant(t *testing.T) {
 			if fns[i-1] == fns[i] {
 				t.Errorf("%s: duplicate at %d", src, i)
 			}
-			if xmldom.CompareOrder(fns[i-1], fns[i]) >= 0 {
+			if fns[i-1].DocOrder() >= fns[i].DocOrder() {
 				t.Errorf("%s: out of document order at %d", src, i)
 			}
 		}
@@ -122,10 +122,10 @@ var appendSink NodeSet
 // appending to one reallocates instead of overwriting the document.
 func TestFrozenResultsAreCapped(t *testing.T) {
 	doc := xmldom.MustParseString(`<r><a x="1" y="2"><b/><b/><b/></a><b/></r>`)
-	ix := xmldom.Freeze(doc)
+	xmldom.Freeze(doc)
 	r := doc.Children[0]
 	a := r.Children[0]
-	byName := append([]*xmldom.Node(nil), ix.ElementsByName("b")...)
+	byName := append([]*xmldom.Node(nil), doc.IndexedDescendants("b", false)...)
 	children := append([]*xmldom.Node(nil), a.Children...)
 	attrs := append([]*xmldom.Node(nil), a.Attr...)
 	for _, src := range []string{
@@ -141,9 +141,9 @@ func TestFrozenResultsAreCapped(t *testing.T) {
 		}
 		appendSink = append(ns, doc)
 		for name, pair := range map[string][2][]*xmldom.Node{
-			"ElementsByName(b)": {byName, ix.ElementsByName("b")},
-			"a.Children":        {children, a.Children},
-			"a.Attr":            {attrs, a.Attr},
+			"IndexedDescendants(b)": {byName, doc.IndexedDescendants("b", false)},
+			"a.Children":            {children, a.Children},
+			"a.Attr":                {attrs, a.Attr},
 		} {
 			want, got := pair[0], pair[1]
 			for i := range want {

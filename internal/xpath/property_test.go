@@ -108,7 +108,7 @@ func TestNodeSetAlwaysDocOrder(t *testing.T) {
 			if ns[i-1] == ns[i] {
 				t.Errorf("%s: duplicate at %d", src, i)
 			}
-			if xmldom.CompareOrder(ns[i-1], ns[i]) >= 0 {
+			if ns[i-1].DocOrder() >= ns[i].DocOrder() {
 				t.Errorf("%s: out of document order at %d", src, i)
 			}
 		}

@@ -90,17 +90,6 @@ func builtinType(name string) *SimpleType {
 	return &SimpleType{Name: name, builtin: kind}
 }
 
-// isNumericKind reports whether range facets apply to the kind.
-func (k builtinKind) numeric() bool {
-	switch k {
-	case btDecimal, btFloat, btDouble, btInteger, btInt, btLong, btShort,
-		btByte, btNonNegativeInteger, btPositiveInteger, btNonPositiveInteger,
-		btNegativeInteger, btUnsignedInt:
-		return true
-	}
-	return false
-}
-
 // rootKind resolves the built-in kind at the bottom of a restriction
 // chain.
 func (st *SimpleType) rootKind() builtinKind {

@@ -87,10 +87,10 @@ func TestConformanceProvenance(t *testing.T) {
 			t.Fatalf("SourceFiles = %v, want %v", files, want)
 		}
 	}
-	if got := s.DeclFile("element", "qty"); got != "sub/a.xsd" {
-		t.Errorf("DeclFile(element, qty) = %q, want sub/a.xsd", got)
+	if got := s.fileOf(s.Elements["qty"].src); got != "sub/a.xsd" {
+		t.Errorf("file of element qty = %q, want sub/a.xsd", got)
 	}
-	if got := s.DeclFile("simpleType", "Qty"); got != "sub/b.xsd" {
-		t.Errorf("DeclFile(simpleType, Qty) = %q, want sub/b.xsd", got)
+	if got := s.fileOf(s.SimpleTypes["Qty"].src); got != "sub/b.xsd" {
+		t.Errorf("file of simpleType Qty = %q, want sub/b.xsd", got)
 	}
 }

@@ -98,9 +98,7 @@ var entryPoints = []struct {
 
 // TestErrorListsGolden pins the full error lists — message, path, line
 // and order — that validation with defaults applied reports for every
-// invalid instance in the repository, through both entry points, and
-// checks that each MaxErrors limit yields exactly a prefix of the full
-// list.
+// invalid instance in the repository, through both entry points.
 func TestErrorListsGolden(t *testing.T) {
 	cases := errorCases(t)
 	for _, ep := range entryPoints {
@@ -112,12 +110,6 @@ func TestErrorListsGolden(t *testing.T) {
 					t.Errorf("%s: validated clean", c.name)
 				}
 				all.WriteString("== " + c.name + "\n" + renderErrors(errs))
-				for k := 1; k <= len(errs); k++ {
-					got := ep.validate(c.schema, parse(t, c.src), xsd.ValidateOptions{ApplyDefaults: true, MaxErrors: k})
-					if renderErrors(got) != renderErrors(errs[:k]) {
-						t.Errorf("%s: MaxErrors %d is not a prefix of the full list:\n%s", c.name, k, renderErrors(got))
-					}
-				}
 			}
 			golden := filepath.Join("testdata", "errors.golden")
 			if *updateErrors && ep.name == "Validate" {

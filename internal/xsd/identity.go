@@ -111,7 +111,7 @@ func (v *validator) identf(id *IdentityViolation, format string, args ...interfa
 // checkScopes evaluates the identity constraints of every scope the walk
 // recorded and splices each scope's errors into the structural list at
 // the point the scope completed — the order a walk checking constraints
-// in place reports. A MaxErrors cut applies to the merged list.
+// in place reports.
 func (v *validator) checkScopes() {
 	structural := v.errs
 	var merged []ValidationError
@@ -130,9 +130,6 @@ func (v *validator) checkScopes() {
 	}
 	if merged != nil {
 		v.errs = append(merged, structural[next:]...)
-	}
-	if v.opts.MaxErrors > 0 && len(v.errs) > v.opts.MaxErrors {
-		v.errs = v.errs[:v.opts.MaxErrors]
 	}
 }
 

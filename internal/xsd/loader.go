@@ -142,9 +142,3 @@ func (s *Schema) SourceFiles() []string {
 	sort.Strings(out)
 	return out
 }
-
-// DeclFile reports the source file of a global declaration, e.g.
-// DeclFile("element", "sale"). Empty when unknown or single-document.
-func (s *Schema) DeclFile(kind, name string) string {
-	return s.declFile[kind+" "+name]
-}

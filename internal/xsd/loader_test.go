@@ -100,11 +100,11 @@ func TestLoaderNestedRelativeIncludes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("nested relative includes: %v", err)
 	}
-	if got := s.DeclFile("simpleType", "T"); got != "sub/c.xsd" {
-		t.Errorf("DeclFile(T) = %q, want sub/c.xsd", got)
+	if got := s.fileOf(s.SimpleTypes["T"].src); got != "sub/c.xsd" {
+		t.Errorf("file of T = %q, want sub/c.xsd", got)
 	}
-	if got := s.DeclFile("simpleType", "Base"); got != "top.xsd" {
-		t.Errorf("DeclFile(Base) = %q, want top.xsd", got)
+	if got := s.fileOf(s.SimpleTypes["Base"].src); got != "top.xsd" {
+		t.Errorf("file of Base = %q, want top.xsd", got)
 	}
 	files := s.SourceFiles()
 	if len(files) != 4 {

@@ -18,7 +18,6 @@ func newSchema() *Schema {
 		SimpleTypes:  map[string]*SimpleType{},
 		ComplexTypes: map[string]*ComplexType{},
 		substMembers: map[string][]*ElementDecl{},
-		declFile:     map[string]string{},
 		fileByDoc:    map[*xmldom.Node]string{},
 	}
 }
@@ -65,7 +64,6 @@ func (s *Schema) parseInto(doc *xmldom.Node, file string, refs *[]*xmldom.Node) 
 				return p.dupErr(c, "element", decl.Name, prev.src)
 			}
 			s.Elements[decl.Name] = decl
-			s.declFile["element "+decl.Name] = file
 		case "simpleType":
 			st, err := p.parseSimpleType(c)
 			if err != nil {
@@ -78,7 +76,6 @@ func (s *Schema) parseInto(doc *xmldom.Node, file string, refs *[]*xmldom.Node) 
 				return p.dupErr(c, "simpleType", st.Name, prev.src)
 			}
 			s.SimpleTypes[st.Name] = st
-			s.declFile["simpleType "+st.Name] = file
 		case "complexType":
 			ct, err := p.parseComplexType(c)
 			if err != nil {
@@ -91,7 +88,6 @@ func (s *Schema) parseInto(doc *xmldom.Node, file string, refs *[]*xmldom.Node) 
 				return p.dupErr(c, "complexType", ct.Name, prev.src)
 			}
 			s.ComplexTypes[ct.Name] = ct
-			s.declFile["complexType "+ct.Name] = file
 		case "import", "include":
 			if refs != nil {
 				*refs = append(*refs, c)

@@ -40,11 +40,6 @@ type Schema struct {
 	// member declarations (sorted by name), computed during resolve.
 	substMembers map[string][]*ElementDecl
 
-	// declFile records the source file of each global declaration
-	// (keyed "element e" / "simpleType T" / "complexType T"), so
-	// multi-file conflicts are reported with both locations.
-	declFile map[string]string
-
 	// fileByDoc maps each contributing document root to its location,
 	// giving resolve-phase errors per-file provenance.
 	fileByDoc map[*xmldom.Node]string

@@ -18,8 +18,6 @@ type ValidateOptions struct {
 	// Because it mutates the document it must not be used on a frozen
 	// (xmldom.Freeze) tree — validate an Editable() copy instead.
 	ApplyDefaults bool
-	// MaxErrors stops validation after this many violations (0 = all).
-	MaxErrors int
 	// SkipIdentityConstraints disables key/keyref/unique checking, leaving
 	// only DTD-style ID/IDREF integrity — the ablation of the paper's §3.1
 	// claim that keyrefs improve on their earlier DTD proposal.
@@ -99,7 +97,6 @@ type validator struct {
 	errs   []ValidationError
 	ids    map[string]*xmldom.Node
 	idrefs []idref
-	full   bool // MaxErrors structural errors reached
 
 	// slots is a stack of child slots: each complex element pushes its
 	// element children, matches them, validates them and pops them again.
@@ -122,7 +119,6 @@ var validatorPool = sync.Pool{New: func() any {
 // Validated and is dropped, not reused.
 func (v *validator) release() {
 	v.schema, v.errs = nil, nil
-	v.full = false
 	clear(v.ids)
 	clear(v.idrefs)
 	v.idrefs = v.idrefs[:0]
@@ -137,13 +133,7 @@ func (v *validator) release() {
 }
 
 func (v *validator) errf(n *xmldom.Node, format string, args ...interface{}) {
-	if v.full {
-		return
-	}
 	v.errs = append(v.errs, newError(n, format, args...))
-	if v.opts.MaxErrors > 0 && len(v.errs) >= v.opts.MaxErrors {
-		v.full = true
-	}
 }
 
 func newError(n *xmldom.Node, format string, args ...interface{}) ValidationError {
@@ -156,9 +146,6 @@ func newError(n *xmldom.Node, format string, args ...interface{}) ValidationErro
 }
 
 func (v *validator) validateElement(elem *xmldom.Node, decl *ElementDecl) {
-	if v.full {
-		return
-	}
 	if decl.Abstract {
 		v.errf(elem, "element %s is declared abstract and cannot appear in instances", elem.FullName())
 		return

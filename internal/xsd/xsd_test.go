@@ -294,17 +294,6 @@ func TestUnknownRootRejected(t *testing.T) {
 	}
 }
 
-func TestMaxErrorsCap(t *testing.T) {
-	s := mustSchema(t)
-	doc := `<goldmodel id="m1" name="x"><factclasses>` +
-		strings.Repeat(`<factclass id="z" name=""/>`, 10) + // 9 duplicate IDs
-		`</factclasses></goldmodel>`
-	errs := s.ValidateString(doc, ValidateOptions{MaxErrors: 3})
-	if len(errs) != 3 {
-		t.Errorf("cap not applied: %d errors", len(errs))
-	}
-}
-
 func parseDoc(t *testing.T, src string) (*xmldom.Node, error) {
 	t.Helper()
 	d, err := xmldom.ParseString(src)

@@ -108,8 +108,6 @@ var opcodeNames = [...]string{
 	OpRTFBegin: "rtf-begin", OpRTFEnd: "rtf-end",
 }
 
-var bindNames = [...]string{BindPassed: " →with-param", BindParam: " →param"}
-
 // Instr is one bytecode instruction: an opcode plus two operands
 // (side-table indexes or jump targets).
 type Instr struct {
@@ -224,9 +222,6 @@ func CompileStylesheet(doc *xmldom.Node, opts CompileOptions) (*Stylesheet, erro
 		return nil, err
 	}
 	s.prog = s.lower()
-	if err := verifyLowered(s.prog); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -238,16 +233,6 @@ func CompileStylesheetString(src string, opts CompileOptions) (*Stylesheet, erro
 		return nil, err
 	}
 	return CompileStylesheet(doc, opts)
-}
-
-// MustCompileStylesheetString compiles an embedded, known-good
-// stylesheet to bytecode.
-func MustCompileStylesheetString(src string) *Stylesheet {
-	s, err := CompileStylesheetString(src, CompileOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Program returns the lowered bytecode.
@@ -808,193 +793,4 @@ func (p *Program) ModeEntries(mode string) []DispatchRule {
 		out = append(out, DispatchRule{TemplateRule: t.rule(), Entry: int(t.entryPC)})
 	}
 	return out
-}
-
-// ---- disassembly ----
-
-// avtSource reconstructs the {expr}-interleaved source of an attribute
-// value template for disassembly.
-func avtSource(a *avt) string {
-	var b strings.Builder
-	for _, p := range a.parts {
-		if p.expr == nil {
-			b.WriteString(p.lit)
-		} else {
-			b.WriteByte('{')
-			b.WriteString(p.expr.String())
-			b.WriteByte('}')
-		}
-	}
-	return b.String()
-}
-
-// templateLabel renders a template's identity for disassembly headers.
-func templateLabel(t *Template) string {
-	var parts []string
-	if t.Name != "" {
-		parts = append(parts, fmt.Sprintf("name=%q", t.Name))
-	}
-	if t.Match != nil {
-		parts = append(parts, fmt.Sprintf("match=%q", t.Match.String()))
-	}
-	if t.Mode != "" {
-		parts = append(parts, fmt.Sprintf("mode=%q", t.Mode))
-	}
-	if t.src == nil && t.Match != nil {
-		parts = append(parts, "builtin")
-	}
-	return strings.Join(parts, " ")
-}
-
-func qname(prefix, name string) string {
-	if prefix != "" {
-		return prefix + ":" + name
-	}
-	return name
-}
-
-// String renders a set list for disassembly: the names as written, the
-// subroutines they expand to, and the expansion error, if any.
-func (sl *setList) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, " [%s] →", strings.Join(sl.names, " "))
-	for _, pc := range sl.subs {
-		fmt.Fprintf(&b, " %04d", pc)
-	}
-	if sl.err != "" {
-		fmt.Fprintf(&b, " error %q", sl.err)
-	}
-	return b.String()
-}
-
-// Disasm renders the program as a deterministic pc-addressed listing
-// with a header line per template body — the golden corpus format of
-// testdata/programs.want.
-func (p *Program) Disasm() string {
-	heads := make(map[int32]string, len(p.tmpls)+len(p.subs))
-	for _, pt := range p.tmpls {
-		heads[pt.entry] = "template " + templateLabel(pt.t)
-	}
-	for _, sub := range p.subs {
-		heads[sub.entry] = "attribute-set " + sub.name
-	}
-	var b strings.Builder
-	for pc, in := range p.code {
-		if head, ok := heads[int32(pc)]; ok {
-			fmt.Fprintf(&b, "\n;; %s\n", head)
-		}
-		fmt.Fprintf(&b, "%04d %s", pc, opcodeNames[in.Op])
-		switch in.Op {
-		case OpJmp:
-			fmt.Fprintf(&b, " %04d", in.A)
-		case OpTest:
-			fmt.Fprintf(&b, " %s false→%04d", p.exprs[in.A].String(), in.B)
-		case OpSeg:
-			fmt.Fprintf(&b, " #%d %s", in.A, p.segs[in.A].Summary())
-		case OpText:
-			fmt.Fprintf(&b, " %q", p.strs[in.A])
-			if in.B != 0 {
-				b.WriteString(" raw")
-			}
-		case OpValueOf:
-			fmt.Fprintf(&b, " %s", p.exprs[in.A].String())
-			if in.B != 0 {
-				b.WriteString(" raw")
-			}
-		case OpLitBegin:
-			ln := p.litNames[in.A]
-			fmt.Fprintf(&b, " <%s>", qname(ln.prefix, ln.name))
-		case OpAttrSets:
-			b.WriteString(p.setLists[in.A].String())
-		case OpLitAttr:
-			la := p.litAttrs[in.A]
-			fmt.Fprintf(&b, " %s=%q", qname(la.prefix, la.name), la.value)
-		case OpAVTAttr:
-			aa := p.avtAttrs[in.A]
-			fmt.Fprintf(&b, " %s=%q", qname(aa.prefix, aa.name), avtSource(aa.value))
-		case OpApply:
-			site := p.applySites[in.A]
-			if site.self {
-				b.WriteString(" self")
-			} else if site.sel != nil {
-				fmt.Fprintf(&b, " select=%s", site.sel.String())
-			} else {
-				b.WriteString(" children")
-			}
-			if site.mode != "" {
-				fmt.Fprintf(&b, " mode=%q", site.mode)
-			}
-			if len(site.sorts) > 0 {
-				fmt.Fprintf(&b, " sorts=%d", len(site.sorts))
-			}
-			if int(in.B) != pc+1 {
-				fmt.Fprintf(&b, " iterate→%04d", in.B)
-			}
-		case OpIterate:
-			fmt.Fprintf(&b, " exit→%04d", in.B)
-		case OpForEach:
-			site := p.forSites[in.A]
-			fmt.Fprintf(&b, " select=%s", site.sel.String())
-			if len(site.sorts) > 0 {
-				fmt.Fprintf(&b, " sorts=%d", len(site.sorts))
-			}
-		case OpForNext:
-			fmt.Fprintf(&b, " exit→%04d", in.B)
-		case OpForEnd:
-			fmt.Fprintf(&b, " loop→%04d", in.A)
-		case OpCall, OpInvoke:
-			cs := p.callSites[in.A]
-			fmt.Fprintf(&b, " %q", cs.name)
-			if cs.t != nil {
-				fmt.Fprintf(&b, " entry→%04d", cs.t.entryPC)
-			} else {
-				b.WriteString(" unresolved")
-			}
-		case OpEnter:
-			fmt.Fprintf(&b, " %s", templateLabel(p.tmpls[in.A].t))
-			if n := len(p.tmpls[in.A].t.params); n > 0 {
-				fmt.Fprintf(&b, " params=%d", n)
-			}
-		case OpVarDecl:
-			d := p.varDecls[in.A]
-			if d.sel != nil {
-				fmt.Fprintf(&b, " $%s select=%s", d.name, d.sel.String())
-			} else {
-				fmt.Fprintf(&b, " $%s empty", d.name)
-			}
-			b.WriteString(bindNames[in.B])
-		case OpRTFEnd:
-			fmt.Fprintf(&b, " $%s%s", p.varDecls[in.A].name, bindNames[in.B])
-		case OpParam, OpGlobalParam:
-			fmt.Fprintf(&b, " $%s skip→%04d", p.varDecls[in.A].name, in.B)
-		case OpElemBegin:
-			fmt.Fprintf(&b, " name=%q", avtSource(p.elemSites[in.A].name))
-		case OpAttrBegin, OpPIBegin:
-			fmt.Fprintf(&b, " %q", avtSource(p.avts[in.A]))
-		case OpDocBegin:
-			fmt.Fprintf(&b, " %q", avtSource(p.avts[in.A]))
-			if in.B != 0 {
-				fmt.Fprintf(&b, " skip→%04d", in.B)
-			}
-		case OpMsgEnd:
-			if in.A != 0 {
-				b.WriteString(" terminate")
-			}
-		case OpCopyBegin:
-			if li := p.copySites[in.A]; li >= 0 {
-				b.WriteString(p.setLists[li].String())
-			}
-			fmt.Fprintf(&b, " leaf→%04d", in.B)
-		case OpCopyOf:
-			fmt.Fprintf(&b, " %s", p.exprs[in.A].String())
-		case OpNumber:
-			ns := p.numSites[in.A]
-			if ns.value != nil {
-				fmt.Fprintf(&b, " value=%s", ns.value.String())
-			}
-			fmt.Fprintf(&b, " format=%q", ns.format)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

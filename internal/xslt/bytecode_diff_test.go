@@ -177,7 +177,7 @@ func diffDocs(t *testing.T) map[string]*xmldom.Node {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		frozen.Freeze()
+		xmldom.Freeze(frozen)
 		base := filepath.Base(path)
 		docs[base] = plain
 		docs[base+"/frozen"] = frozen

@@ -59,8 +59,8 @@ func TestConcurrentTransformSharedSheet(t *testing.T) {
 	}
 	src.WriteString(`</root>`)
 	doc := xmldom.MustParseString(src.String())
-	ix := xmldom.Freeze(doc)
-	before := snapshotStorage(doc, ix)
+	xmldom.Freeze(doc)
+	before := snapshotStorage(doc)
 
 	for n, text := range sheets {
 		sheet, err := CompileStylesheetString(text, CompileOptions{})
@@ -100,7 +100,7 @@ func TestConcurrentTransformSharedSheet(t *testing.T) {
 			}
 		}
 	}
-	after := snapshotStorage(doc, ix)
+	after := snapshotStorage(doc)
 	if len(after) != len(before) {
 		t.Fatalf("storage snapshot has %d slices, want %d", len(after), len(before))
 	}
@@ -121,12 +121,12 @@ func TestConcurrentTransformSharedSheet(t *testing.T) {
 // snapshotStorage copies every slice of frozen storage an XPath result
 // may be a window into: the name index list of each element name, and
 // each node's Children and Attr.
-func snapshotStorage(doc *xmldom.Node, ix *xmldom.DocIndex) map[string][]*xmldom.Node {
+func snapshotStorage(doc *xmldom.Node) map[string][]*xmldom.Node {
 	out := map[string][]*xmldom.Node{}
 	var walk func(n *xmldom.Node)
 	walk = func(n *xmldom.Node) {
 		if n.Type == xmldom.ElementNode {
-			out["ElementsByName("+n.Name+")"] = append([]*xmldom.Node(nil), ix.ElementsByName(n.Name)...)
+			out["IndexedDescendants("+n.Name+")"] = append([]*xmldom.Node(nil), doc.IndexedDescendants(n.Name, false)...)
 		}
 		out[n.Path()+" Children"] = append([]*xmldom.Node(nil), n.Children...)
 		out[n.Path()+" Attr"] = append([]*xmldom.Node(nil), n.Attr...)

@@ -365,9 +365,6 @@ func mergeByPos(a, b []*Template, pos map[*Template]int) []*Template {
 	return append(out, b[j:]...)
 }
 
-// Output returns the stylesheet's xsl:output specification.
-func (s *Stylesheet) Output() OutputSpec { return s.output }
-
 // collectNS records namespace bindings declared on an element for use by
 // prefixed names inside expressions.
 func (s *Stylesheet) collectNS(elem *xmldom.Node) {

@@ -2,18 +2,14 @@ package xslt
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"sync/atomic"
 
 	"goldweb/internal/xmldom"
 	"goldweb/internal/xpath"
 )
 
 // Verification hooks: the read-only bytecode introspection surface the
-// static verifier (internal/analysis/verify) decodes Programs through,
-// plus the registration point that lets CompileStylesheet self-check
-// every program it lowers when debug verification is enabled. The
+// static verifier (internal/analysis/verify) decodes Programs through. The
 // verifier lives outside this package on purpose — it re-derives the
 // VM's invariants (frame balance, side-table bounds, jump validity)
 // independently instead of trusting the compiler's own bookkeeping.
@@ -231,52 +227,4 @@ func (c *exprCollector) sorts(keys []sortKey) {
 		c.avt(k.dataType)
 		c.avt(k.order)
 	}
-}
-
-// ---- compile-time verification hook ----
-
-// progVerifier is the registered whole-program verifier. The verifier
-// package installs itself here from an init function, so any binary that
-// links internal/analysis/verify (the CLI, the analysis linter, their
-// tests) can self-check at CompileStylesheet time.
-var progVerifier atomic.Pointer[func(*Program) error]
-
-// compileVerify gates the CompileStylesheet-time self-check. It defaults
-// to the GOLDWEB_VERIFY environment variable so any run of any binary
-// can be hardened without a rebuild.
-var compileVerify atomic.Bool
-
-func init() {
-	if os.Getenv("GOLDWEB_VERIFY") == "1" {
-		compileVerify.Store(true)
-	}
-}
-
-// RegisterProgramVerifier installs the static verifier CompileStylesheet
-// runs when debug verification is enabled.
-func RegisterProgramVerifier(f func(*Program) error) {
-	progVerifier.Store(&f)
-}
-
-// EnableCompileVerify toggles verification of every program at
-// CompileStylesheet time (also enabled by GOLDWEB_VERIFY=1). It returns
-// the previous setting so tests can restore it.
-func EnableCompileVerify(on bool) (prev bool) {
-	return compileVerify.Swap(on)
-}
-
-// verifyLowered runs the registered verifier against a freshly lowered
-// program when debug verification is on.
-func verifyLowered(p *Program) error {
-	if !compileVerify.Load() {
-		return nil
-	}
-	f := progVerifier.Load()
-	if f == nil {
-		return nil
-	}
-	if err := (*f)(p); err != nil {
-		return &CompileError{Msg: "program verifier: " + err.Error()}
-	}
-	return nil
 }

@@ -436,10 +436,13 @@ func TestMoreSystemProperties(t *testing.T) {
 	}
 }
 
-func TestCurrentAtTopLevelAndMustCompile(t *testing.T) {
-	sheet := MustCompileStylesheetString(wrap(`<xsl:value-of select="count(current())"/>`))
-	if sheet.Output().OmitDecl != true {
-		t.Error("Output() accessor")
+func TestCurrentAtTopLevel(t *testing.T) {
+	sheet, err := CompileStylesheetString(wrap(`<xsl:value-of select="count(current())"/>`), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sheet.output.OmitDecl != true {
+		t.Error("xsl:output omit-xml-declaration not compiled")
 	}
 	out, err := mainOutput(sheet, xmldom.MustParseString(`<x/>`), nil)
 	if err != nil || string(out) != "1" {
