@@ -576,13 +576,15 @@ func TestServeSingleRefusesInvalidModel(t *testing.T) {
 func TestServeReportsRefusedModelOnce(t *testing.T) {
 	const fixture = "../../internal/analysis/testdata/models/gw402_broken_refs.xml"
 	const failure = "publish: document is invalid"
-	out, err := capture(t, func() error { return cmdServe([]string{"-lint", "off", fixture}) })
-	if err == nil || !strings.Contains(err.Error(), failure) {
-		t.Fatalf("serve: err = %v, want the %q failure", err, failure)
-	}
-	if strings.Contains(out, failure) {
-		t.Errorf("serve printed the failure it returns:\n%s", out)
-	}
+	t.Run("single", func(t *testing.T) {
+		out, err := capture(t, func() error { return cmdServe([]string{"-lint", "off", fixture}) })
+		if err == nil || !strings.Contains(err.Error(), failure) {
+			t.Fatalf("serve: err = %v, want the %q failure", err, failure)
+		}
+		if strings.Contains(out, failure) {
+			t.Errorf("serve printed the failure it returns:\n%s", out)
+		}
+	})
 
 	src, err := os.ReadFile(fixture)
 	if err != nil {
@@ -590,21 +592,23 @@ func TestServeReportsRefusedModelOnce(t *testing.T) {
 	}
 	dir := filepath.Dir(withFile(t, "broken.xml", string(src)))
 	for _, retry := range []bool{true, false} {
-		// The catalog itself never retries here: a background retry
-		// would print while stdout is captured.
-		c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
-			DisableRetry: true, OnEvent: printCatalogEvent})
-		out, _ := capture(t, func() error {
-			addModels(context.Background(), c, []string{"broken"}, retry)
-			return nil
+		t.Run("catalog retry="+strconv.FormatBool(retry), func(t *testing.T) {
+			// The catalog itself never retries here: a background retry
+			// would print while stdout is captured.
+			c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
+				DisableRetry: true, OnEvent: printCatalogEvent})
+			out, _ := capture(t, func() error {
+				addModels(context.Background(), c, []string{"broken"}, retry)
+				return nil
+			})
+			c.Close()
+			if n := strings.Count(out, failure); n != 1 {
+				t.Errorf("printed the failure %d times:\n%s", n, out)
+			}
+			if promised := strings.Contains(out, "until a retry succeeds"); promised != retry {
+				t.Errorf("promises a retry %v:\n%s", promised, out)
+			}
 		})
-		c.Close()
-		if n := strings.Count(out, failure); n != 1 {
-			t.Errorf("-retry=%v printed the failure %d times:\n%s", retry, n, out)
-		}
-		if promised := strings.Contains(out, "until a retry succeeds"); promised != retry {
-			t.Errorf("-retry=%v: promises a retry %v:\n%s", retry, promised, out)
-		}
 	}
 }
 

@@ -206,6 +206,14 @@ func TestSemanticValidation(t *testing.T) {
 			t.Errorf("got %v", errs)
 		}
 	})
+	t.Run("shared aggregation of unknown dimension", func(t *testing.T) {
+		errs := mk(func(m *Model) {
+			m.Facts[0].SharedAggs[0].DimClass = "ghost"
+		})
+		if !contains(errs, `references unknown dimension class "ghost"`) {
+			t.Errorf("got %v", errs)
+		}
+	})
 	t.Run("cube with unknown measure", func(t *testing.T) {
 		errs := mk(func(m *Model) {
 			m.Cubes[0].Measures = append(m.Cubes[0].Measures, "ghost")

@@ -12,9 +12,12 @@ import (
 	"goldweb/internal/xsd"
 )
 
-// FuzzValidate validates arbitrary documents against the GOLD schema. It
-// must never panic; every error must carry a path; and every node an
-// identity error refers to must belong to the validated document.
+// FuzzValidate validates arbitrary documents against the GOLD schema,
+// once in full and, when skipIdentity is set, once more with
+// SkipIdentityConstraints. It must never panic; every error must carry a
+// path; every node an identity error refers to must belong to the
+// validated document; and the skipping run must report exactly the full
+// run's StructuralErrors.
 func FuzzValidate(f *testing.F) {
 	var files []string
 	for _, dir := range []string{
@@ -32,10 +35,11 @@ func FuzzValidate(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(src)
+		f.Add(src, false)
+		f.Add(src, true)
 	}
 	schema := core.MustSchema()
-	f.Fuzz(func(t *testing.T, src []byte) {
+	f.Fuzz(func(t *testing.T, src []byte, skipIdentity bool) {
 		doc, err := xmldom.Parse(src)
 		if err != nil {
 			return
@@ -51,6 +55,23 @@ func FuzzValidate(f *testing.F) {
 						t.Fatalf("%v: refers to a node outside the validated document", e)
 					}
 				}
+			}
+		}
+		if !skipIdentity {
+			return
+		}
+		again, err := xmldom.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped := schema.Validate(again, xsd.ValidateOptions{ApplyDefaults: true, SkipIdentityConstraints: true})
+		structural := full.StructuralErrors()
+		if len(skipped) != len(structural) {
+			t.Fatalf("SkipIdentityConstraints: %d errors, StructuralErrors %d", len(skipped), len(structural))
+		}
+		for i, e := range skipped {
+			if e.Error() != structural[i].Error() {
+				t.Fatalf("SkipIdentityConstraints: error %d is %v, StructuralErrors has %v", i, e, structural[i])
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package xsd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -291,6 +292,25 @@ func TestUnknownRootRejected(t *testing.T) {
 	errs := s.ValidateString(`<unknown/>`, ValidateOptions{})
 	if !errsContain(errs, "no global declaration") {
 		t.Errorf("got: %v", errs)
+	}
+}
+
+// TestEveryDuplicateIDReported: validation has no error cap, so each of
+// nine repeated IDs is reported, every one naming the first definition.
+func TestEveryDuplicateIDReported(t *testing.T) {
+	s := mustSchema(t)
+	doc := `<goldmodel id="m1" name="x"><factclasses>` +
+		strings.Repeat(`<factclass id="z" name=""/>`, 10) +
+		`</factclasses></goldmodel>`
+	errs := s.ValidateString(doc, ValidateOptions{})
+	if len(errs) != 9 {
+		t.Fatalf("%d errors, want 9: %v", len(errs), errs)
+	}
+	for i, e := range errs {
+		want := fmt.Sprintf(`/goldmodel/factclasses/factclass[%d]/@id (line 1): duplicate ID "z" (first defined at /goldmodel/factclasses/factclass[1]/@id)`, i+2)
+		if e.Error() != want {
+			t.Errorf("error %d = %q, want %q", i, e.Error(), want)
+		}
 	}
 }
 
