@@ -466,13 +466,20 @@ func serveCatalog(dir, addr string, opts catalog.Options) error {
 
 // addModels makes each model's first load. The stage event has printed
 // a failure already, so this says only what the model serves meanwhile.
+// Once ctx ends (an interrupt during start-up) it stops: the server
+// shuts down at once, so no model will be served or retried, and a load
+// that failed waiting for the swap lock reached no stage to report.
 func addModels(ctx context.Context, c *catalog.Catalog, names []string, retry bool) {
 	until := "until a retry succeeds"
 	if !retry {
 		until = "until a SIGHUP reload succeeds"
 	}
 	for _, name := range names {
-		if err := c.Add(ctx, name); err != nil {
+		err := c.Add(ctx, name)
+		if ctx.Err() != nil {
+			return
+		}
+		if err != nil {
 			fmt.Printf("model %s: serving 503 %s\n", name, until)
 		}
 	}

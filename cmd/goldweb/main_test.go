@@ -15,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"goldweb/internal/analysis/verify"
 	"goldweb/internal/catalog"
 	"goldweb/internal/core"
 	"goldweb/internal/server"
+	"goldweb/internal/xslt"
 )
 
 // withFile writes content into a temp file and returns its path.
@@ -28,6 +30,24 @@ func withFile(t *testing.T, name, content string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// withSheet writes a stylesheet fixture as s.xsl, as withFile does,
+// after checking that the static verifier finds no error in its
+// compiled program: the programs cmdTransform runs are verifier cases
+// too.
+func withSheet(t *testing.T, src string) string {
+	t.Helper()
+	s, err := xslt.CompileStylesheetString(src, xslt.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range verify.Program(s.Program()) {
+		if !f.Warning {
+			t.Errorf("program verifier: %s", f)
+		}
+	}
+	return withFile(t, "s.xsl", src)
 }
 
 // capture redirects stdout while fn runs and returns what was printed.
@@ -218,7 +238,7 @@ func TestCmdCheckSchema(t *testing.T) {
 
 func TestCmdTransform(t *testing.T) {
 	doc := withFile(t, "d.xml", `<r><v>7</v></r>`)
-	sheet := withFile(t, "s.xsl", `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
+	sheet := withSheet(t, `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
 		<xsl:output method="text"/>
 		<xsl:param name="prefix" select="'value: '"/>
 		<xsl:template match="/"><xsl:value-of select="$prefix"/><xsl:value-of select="//v"/></xsl:template>
@@ -245,7 +265,7 @@ func TestCmdTransform(t *testing.T) {
 
 func TestCmdTransformMultiOutput(t *testing.T) {
 	doc := withFile(t, "d.xml", `<r><i n="a"/><i n="b"/></r>`)
-	sheet := withFile(t, "s.xsl", `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.1">
+	sheet := withSheet(t, `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.1">
 		<xsl:template match="/"><main><xsl:for-each select="//i">
 			<xsl:document href="{@n}.xml"><item><xsl:value-of select="@n"/></item></xsl:document>
 		</xsl:for-each></main></xsl:template>
@@ -269,7 +289,7 @@ func TestCmdTransformMultiOutput(t *testing.T) {
 
 func TestCmdTransformRejectsEscapingHref(t *testing.T) {
 	doc := withFile(t, "d.xml", `<r/>`)
-	sheet := withFile(t, "s.xsl", `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.1">
+	sheet := withSheet(t, `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.1">
 		<xsl:template match="/"><main/><xsl:document href="../x.html"><escaped/></xsl:document></xsl:template>
 	</xsl:stylesheet>`)
 	base := t.TempDir()
@@ -287,7 +307,7 @@ func TestCmdTransformRejectsEscapingHref(t *testing.T) {
 
 func TestCmdTransformNestedHref(t *testing.T) {
 	doc := withFile(t, "d.xml", `<r/>`)
-	sheet := withFile(t, "s.xsl", `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.1">
+	sheet := withSheet(t, `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.1">
 		<xsl:output omit-xml-declaration="yes"/>
 		<xsl:template match="/"><main/><xsl:document href="sub/a.html"><nested/></xsl:document></xsl:template>
 	</xsl:stylesheet>`)
@@ -610,6 +630,23 @@ func TestServeReportsRefusedModelOnce(t *testing.T) {
 			}
 		})
 	}
+
+	// An interrupt during start-up ends the first loads: the server shuts
+	// down at once, so nothing is promised to serve or retry.
+	t.Run("catalog interrupted", func(t *testing.T) {
+		c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
+			DisableRetry: true, OnEvent: printCatalogEvent})
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		out, _ := capture(t, func() error {
+			addModels(ctx, c, []string{"broken", "broken"}, true)
+			return nil
+		})
+		c.Close()
+		if strings.Contains(out, "serving 503") {
+			t.Errorf("promised service after the interrupt:\n%s", out)
+		}
+	})
 }
 
 // TestServeSingleMatchesCatalogSite: serve with a model file publishes

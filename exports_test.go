@@ -29,7 +29,6 @@ var exportAllowlist = map[string]string{
 
 	"server.Shell.MuxHandler": "the ServeMux-only front the differential routing fuzzers compare Handler against",
 	"server.Server.Handler":   "the http.Handler of a facade Server, for programs that mount it in their own mux",
-	"server.Server.Config":    "the resolved settings, the one place the serving-config test reads server.New and a catalog model alike",
 
 	"xsd.ValidationWalks": "the validation-walk counter that the planned per-stage timing record reads",
 	"workload.GenData":    "the dataset generator the root bench_test.go OLAP benchmarks read",

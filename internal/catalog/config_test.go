@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"goldweb/internal/artifact"
 	"goldweb/internal/core"
 	"goldweb/internal/htmlgen"
 	"goldweb/internal/server"
@@ -19,9 +18,11 @@ import (
 // server.New and to a catalog, whose Options carry the same serving
 // fields. Zero means the default, a negative bound is off, and a
 // CacheSize <= 0 is the default entry cap. For every field at zero,
-// positive and negative, both builds resolve the same configuration and
-// show the same entry cap and byte budget (a page evicted or not), wait
-// bound (504 or not), limiter (503 or not) and compression.
+// positive and negative, the catalog hands its model servers exactly
+// the configured fields (server.TestConfigResolve pins how a server
+// resolves them), and both builds show the same entry cap and byte
+// budget (a page evicted or not), wait bound (504 or not), limiter (503
+// or not) and compression.
 func TestServingConfigOneRule(t *testing.T) {
 	def := server.Config{
 		RequestTimeout: server.DefaultRequestTimeout,
@@ -37,7 +38,7 @@ func TestServingConfigOneRule(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  server.Config
-		want server.Config // resolved, hook and store aside
+		want server.Config // the behaviour to show, as resolved settings
 	}{
 		{"zero", server.Config{}, def},
 		{"RequestTimeout>0", server.Config{RequestTimeout: 20 * time.Millisecond},
@@ -54,18 +55,18 @@ func TestServingConfigOneRule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, b := range []struct {
 				name  string
-				build func(server.PublishHook) (*server.Server, http.Handler, string, func())
+				build func(server.PublishHook) (http.Handler, string, func())
 			}{
-				{"server.New", func(hook server.PublishHook) (*server.Server, http.Handler, string, func()) {
+				{"server.New", func(hook server.PublishHook) (http.Handler, string, func()) {
 					cfg := tc.cfg
 					cfg.PublishHook = hook
 					srv, err := server.New(core.SampleSales(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return srv, srv.Handler(), "", srv.Close
+					return srv.Handler(), "", srv.Close
 				}},
-				{"catalog", func(hook server.PublishHook) (*server.Server, http.Handler, string, func()) {
+				{"catalog", func(hook server.PublishHook) (http.Handler, string, func()) {
 					c := New(Options{
 						RequestTimeout: tc.cfg.RequestTimeout,
 						MaxInflight:    tc.cfg.MaxInflight,
@@ -75,10 +76,15 @@ func TestServingConfigOneRule(t *testing.T) {
 						PublishHook:    hook,
 						DisableRetry:   true,
 					})
+					if got := c.serving; got.PublishHook == nil {
+						t.Error("the catalog dropped the publish hook")
+					} else if got.PublishHook = nil; !reflect.DeepEqual(got, tc.cfg) {
+						t.Errorf("the catalog serves with %+v, want %+v", got, tc.cfg)
+					}
 					if err := c.Set(context.Background(), "sales", []byte(core.SampleSales().XMLString())); err != nil {
 						t.Fatal(err)
 					}
-					return c.Server("sales"), c.Handler(), "/m/sales", c.Close
+					return c.Handler(), "/m/sales", c.Close
 				}},
 			} {
 				t.Run(b.name, func(t *testing.T) {
@@ -90,9 +96,9 @@ func TestServingConfigOneRule(t *testing.T) {
 }
 
 // checkServingConfig builds a server through build and checks its
-// resolved configuration and its behaviour against want.
+// behaviour against want.
 func checkServingConfig(t *testing.T, want server.Config,
-	build func(server.PublishHook) (*server.Server, http.Handler, string, func())) {
+	build func(server.PublishHook) (http.Handler, string, func())) {
 	var publishes atomic.Int64
 	var block atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -107,7 +113,7 @@ func checkServingConfig(t *testing.T, want server.Config,
 		}
 		return nil
 	}
-	srv, h, prefix, closeFn := build(hook)
+	h, prefix, closeFn := build(hook)
 	defer closeFn()
 	get := func(path string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest("GET", prefix+path, nil)
@@ -115,15 +121,6 @@ func checkServingConfig(t *testing.T, want server.Config,
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		return rec
-	}
-
-	got := srv.Config()
-	if got.PublishHook == nil || got.Store != artifact.Shared {
-		t.Errorf("hook set %v, shared store %v; want the hook and artifact.Shared", got.PublishHook != nil, got.Store == artifact.Shared)
-	}
-	got.PublishHook, got.Store = nil, nil
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("resolved config %+v, want %+v", got, want)
 	}
 
 	// Entry cap and byte budget: three pages, then the first again. It is

@@ -8,9 +8,6 @@ import (
 	"goldweb/internal/core"
 )
 
-// salesData loads a small, hand-checkable dataset for the paper's sales
-// model: 2 years, 3 months, 2 products in 2 families, 2 stores in 2
-// cities, 6 fact rows.
 // cell returns the value for a group identified by keys, with ok=false
 // when absent.
 func (r *Result) cell(col int, keys ...string) (float64, bool) {
@@ -32,6 +29,9 @@ func (r *Result) cell(col int, keys ...string) (float64, bool) {
 	return 0, false
 }
 
+// salesData loads a small, hand-checkable dataset for the paper's sales
+// model: 2 years, 3 months, 2 products in 2 families, 2 stores in 2
+// cities, 6 fact rows.
 func salesData(t testing.TB) *Dataset {
 	m := core.SampleSales()
 	ds := NewDataset(m)

@@ -293,9 +293,6 @@ func NewEmpty(cfg Config) *Server {
 	return s
 }
 
-// Config returns the server's settings with their defaults resolved.
-func (s *Server) Config() Config { return s.cfg }
-
 // install publishes snap as the new current snapshot under the next
 // generation and invalidates cached presentations. The probe seeds the
 // multi-page cache entry for the new generation before the pointer

@@ -1,15 +1,20 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"goldweb/internal/artifact"
 	"goldweb/internal/core"
+	"goldweb/internal/htmlgen"
 	"goldweb/internal/xsd"
 )
 
@@ -147,6 +152,61 @@ func TestNewRefusesInvalidDocument(t *testing.T) {
 		"keyref sharedAggDimClassKey: value (ghost) does not match any dimClassKey value (2 problems)"
 	if err.Error() != want {
 		t.Errorf("refusal:\n%v\nwant the keyref error and the IDREF one counted:\n%s", err, want)
+	}
+}
+
+// TestConfigResolve: a Config's zero fields resolve to the defaults, a
+// negative bound stays negative (off), a CacheSize <= 0 is the default
+// entry cap, a nil Store is artifact.Shared, and the rest passes
+// through. Resolving twice changes nothing, and NewEmpty serves with
+// the resolved settings.
+func TestConfigResolve(t *testing.T) {
+	def := Config{
+		RequestTimeout: DefaultRequestTimeout,
+		MaxInflight:    DefaultMaxInflight,
+		CacheSize:      DefaultCacheSize,
+		CacheBytes:     DefaultCacheBytes,
+		Store:          artifact.Shared,
+	}
+	with := func(set func(*Config)) Config {
+		cfg := def
+		set(&cfg)
+		return cfg
+	}
+	store := artifact.NewStore()
+	for _, tc := range []struct {
+		name      string
+		cfg, want Config
+	}{
+		{"zero", Config{}, def},
+		{"RequestTimeout>0", Config{RequestTimeout: 20 * time.Millisecond},
+			with(func(c *Config) { c.RequestTimeout = 20 * time.Millisecond })},
+		{"RequestTimeout<0", Config{RequestTimeout: -1}, with(func(c *Config) { c.RequestTimeout = -1 })},
+		{"MaxInflight>0", Config{MaxInflight: 1}, with(func(c *Config) { c.MaxInflight = 1 })},
+		{"MaxInflight<0", Config{MaxInflight: -1}, with(func(c *Config) { c.MaxInflight = -1 })},
+		{"CacheSize>0", Config{CacheSize: 2}, with(func(c *Config) { c.CacheSize = 2 })},
+		{"CacheSize<0", Config{CacheSize: -1}, def},
+		{"CacheBytes>0", Config{CacheBytes: 1}, with(func(c *Config) { c.CacheBytes = 1 })},
+		{"CacheBytes<0", Config{CacheBytes: -1}, with(func(c *Config) { c.CacheBytes = -1 })},
+		{"NoCompress", Config{NoCompress: true}, with(func(c *Config) { c.NoCompress = true })},
+		{"Store", Config{Store: store}, with(func(c *Config) { c.Store = store })},
+	} {
+		got := tc.cfg.resolve()
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: resolved %+v, want %+v", tc.name, got, tc.want)
+		}
+		if again := got.resolve(); !reflect.DeepEqual(again, got) {
+			t.Errorf("%s: resolving twice gave %+v, want %+v", tc.name, again, got)
+		}
+		s := NewEmpty(tc.cfg)
+		if !reflect.DeepEqual(s.cfg, tc.want) {
+			t.Errorf("%s: NewEmpty serves with %+v, want %+v", tc.name, s.cfg, tc.want)
+		}
+		s.Close()
+	}
+	hooked := Config{PublishHook: func(context.Context, htmlgen.Mode, string, string) error { return nil }}
+	if hooked.resolve().PublishHook == nil {
+		t.Error("resolve dropped the publish hook")
 	}
 }
 

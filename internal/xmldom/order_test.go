@@ -5,11 +5,6 @@ import (
 	"testing"
 )
 
-// orderFixture builds and freezes a small document:
-//
-//	<r a="1" b="2"><c1><g/></c1><c2/></r>
-//
-// returning the interesting nodes by name.
 // compareOrder reports the relative document order of two nodes of
 // frozen trees, as SortDocOrder orders them: -1 if a precedes b, +1 if
 // a follows b, 0 if they are the same node.
@@ -19,6 +14,11 @@ func compareOrder(a, b *Node) int { return compareStamps(a, b) }
 // in document order.
 func (ix *DocIndex) elementsByName(name string) []*Node { return ix.byName[lookupSym(name)] }
 
+// orderFixture builds and freezes a small document:
+//
+//	<r a="1" b="2"><c1><g/></c1><c2/></r>
+//
+// returning the interesting nodes by name.
 func orderFixture(t *testing.T) map[string]*Node {
 	t.Helper()
 	doc := NewDocument()

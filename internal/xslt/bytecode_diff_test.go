@@ -68,7 +68,7 @@ func diffSheets(t *testing.T) map[string]*xslt.Stylesheet {
 	}
 	out := map[string]*xslt.Stylesheet{}
 	for name, src := range srcs {
-		s, err := xslt.CompileStylesheetString(src, xslt.CompileOptions{})
+		s, err := xslt.CompileVerified(t, src, xslt.CompileOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -85,7 +85,7 @@ func diffSheets(t *testing.T) map[string]*xslt.Stylesheet {
 <xsl:template match="*[@id]"><wrap id="{@id}"><xsl:apply-imports/></wrap></xsl:template>
 </xsl:stylesheet>`
 	loader := func(href string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
-	s, err := xslt.CompileStylesheetString(main, xslt.CompileOptions{Loader: loader})
+	s, err := xslt.CompileVerified(t, main, xslt.CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatalf("imports: %v", err)
 	}

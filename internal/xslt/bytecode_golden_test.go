@@ -91,7 +91,7 @@ const programGolden = "testdata/programs.want"
 func TestProgramGolden(t *testing.T) {
 	var b strings.Builder
 	for _, c := range programCorpus {
-		s, err := xslt.CompileStylesheetString(c.src, xslt.CompileOptions{})
+		s, err := xslt.CompileVerified(t, c.src, xslt.CompileOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -1,11 +1,27 @@
 package xslt_test
 
 import (
+	"fmt"
 	"testing"
 
 	"goldweb/internal/analysis/verify"
 	"goldweb/internal/xslt"
 )
+
+// init installs the static verifier that xslt.CompileVerified runs on
+// every program the package's tests compile. Shape lints are warnings
+// for the linter to report; an error-severity finding is a broken
+// program.
+func init() {
+	xslt.VerifyProgram = func(p *xslt.Program) error {
+		for _, f := range verify.Program(p) {
+			if !f.Warning {
+				return fmt.Errorf("%s", f)
+			}
+		}
+		return nil
+	}
+}
 
 // TestProgramCorpusVerifies proves every program in the golden
 // disassembly corpus — the set covering every opcode the compiler can

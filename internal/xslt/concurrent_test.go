@@ -63,7 +63,7 @@ func TestConcurrentTransformSharedSheet(t *testing.T) {
 	before := snapshotStorage(doc)
 
 	for n, text := range sheets {
-		sheet, err := CompileStylesheetString(text, CompileOptions{})
+		sheet, err := CompileVerified(t, text, CompileOptions{})
 		if err != nil {
 			t.Fatalf("sheet %d: %v", n, err)
 		}
@@ -141,7 +141,7 @@ func snapshotStorage(doc *xmldom.Node) map[string][]*xmldom.Node {
 // TestGenerateIDFrozenDeterministic: generate-id() on frozen nodes is a
 // pure function of document and stamp — identical across engines.
 func TestGenerateIDFrozenDeterministic(t *testing.T) {
-	sheet, err := CompileStylesheetString(`<?xml version="1.0"?>
+	sheet, err := CompileVerified(t, `<?xml version="1.0"?>
 <xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
   <xsl:template match="/">
     <xsl:for-each select="//b"><xsl:value-of select="generate-id()"/>;</xsl:for-each>
@@ -180,7 +180,7 @@ func TestGenerateIDFrozenDeterministic(t *testing.T) {
 // for id() over a duplicated id, and for a union across the fragment and
 // the source. The unfrozen source is frozen in place.
 func TestUnfrozenSourceMatchesFrozen(t *testing.T) {
-	sheet, err := CompileStylesheetString(`<?xml version="1.0"?>
+	sheet, err := CompileVerified(t, `<?xml version="1.0"?>
 <xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
   <xsl:output omit-xml-declaration="yes"/>
   <xsl:template match="/">

@@ -132,7 +132,7 @@ func TestDispatchIndexMatchesLinearScan(t *testing.T) {
 		imported := randStylesheet(rng, 3+rng.Intn(6), "")
 		loader := func(href string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
 		src := randStylesheet(rng, 5+rng.Intn(12), "imp.xsl")
-		sheet, err := CompileStylesheetString(src, CompileOptions{Loader: loader})
+		sheet, err := CompileVerified(t, src, CompileOptions{Loader: loader})
 		if err != nil {
 			t.Fatalf("round %d: compile: %v\n%s", round, err, src)
 		}

@@ -63,7 +63,7 @@ func TestTransformPageDiscardedBodiesFailAsInFull(t *testing.T) {
 		{"outside an element", `<xsl:attribute name="x">1</xsl:attribute>`},
 		{"inside an element", `<e><xsl:attribute name="x">1</xsl:attribute></e>`},
 	} {
-		s, err := xslt.CompileStylesheetString(`<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+		s, err := xslt.CompileVerified(t, `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 <xsl:template match="/"><r/><xsl:document href="outer.html">`+c.body+`<xsl:document href="inner.html"><i/></xsl:document></xsl:document></xsl:template>
 </xsl:stylesheet>`, xslt.CompileOptions{})
 		if err != nil {

@@ -59,7 +59,7 @@ func goldenSheets(t *testing.T) map[string]*xslt.Stylesheet {
 	t.Helper()
 	out := diffSheets(t)
 	for name, src := range edgeSheets {
-		s, err := xslt.CompileStylesheetString(src, xslt.CompileOptions{})
+		s, err := xslt.CompileVerified(t, src, xslt.CompileOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -150,7 +150,7 @@ func renderFuzz(t *testing.T, transform func(*xslt.Stylesheet, *xmldom.Node) out
 	var b strings.Builder
 	for _, sp := range fuzzGoldenSeeds() {
 		src := genStylesheet(rand.New(rand.NewSource(sp[0])), false)
-		sheet, err := xslt.CompileStylesheetString(src, xslt.CompileOptions{})
+		sheet, err := xslt.CompileVerified(t, src, xslt.CompileOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: generated stylesheet does not compile: %v\n%s", sp[0], err, src)
 		}

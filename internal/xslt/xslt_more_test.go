@@ -52,7 +52,7 @@ func TestNestedDocumentInstructions(t *testing.T) {
 		</xsl:document>
 	</xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, err := CompileVerified(t, sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSameHrefAppends(t *testing.T) {
 	<xsl:template match="/">
 		<xsl:for-each select="//i"><xsl:document href="all.xml"><i/></xsl:document></xsl:for-each>
 	</xsl:template></xsl:stylesheet>`
-	sheet, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, _ := CompileVerified(t, sheetSrc, CompileOptions{})
 	res, err := sheet.TransformToBuffers(xmldom.MustParseString(`<r><i/><i/></r>`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestTemplatesDoNotSeeCallerLocals(t *testing.T) {
 	<xsl:template name="peek">c:<xsl:value-of select="$x"/></xsl:template>
 	</xsl:stylesheet>`
 	loader := func(string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
-	sheet, err := CompileStylesheetString(main, CompileOptions{Loader: loader})
+	sheet, err := CompileVerified(t, main, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestParamVisibleToNestedTemplates(t *testing.T) {
 	<xsl:template match="/"><xsl:apply-templates select="//leaf"/></xsl:template>
 	<xsl:template match="leaf"><xsl:value-of select="$p"/></xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, err := CompileVerified(t, sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestDeepRecursionTemplates(t *testing.T) {
 
 func TestResultDeterminism(t *testing.T) {
 	sheetSrc := wrap(`<out><xsl:for-each select="//i"><xsl:sort select="@k"/><v k="{@k}"/></xsl:for-each></out>`)
-	sheet, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, _ := CompileVerified(t, sheetSrc, CompileOptions{})
 	doc := xmldom.MustParseString(`<r><i k="z"/><i k="a"/><i k="m"/></r>`)
 	first, err := mainOutput(sheet, doc, nil)
 	if err != nil {
@@ -437,7 +437,7 @@ func TestMoreSystemProperties(t *testing.T) {
 }
 
 func TestCurrentAtTopLevel(t *testing.T) {
-	sheet, err := CompileStylesheetString(wrap(`<xsl:value-of select="count(current())"/>`), CompileOptions{})
+	sheet, err := CompileVerified(t, wrap(`<xsl:value-of select="count(current())"/>`), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestDocumentFunctionWithNodeSetArg(t *testing.T) {
 	<xsl:template match="/">
 		<xsl:for-each select="document(//ref)"><xsl:value-of select="/doc/@name"/>;</xsl:for-each>
 	</xsl:template></xsl:stylesheet>`
-	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{Loader: loader})
+	sheet, err := CompileVerified(t, sheetSrc, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,14 +471,14 @@ func TestDocumentFunctionWithNodeSetArg(t *testing.T) {
 		t.Errorf("document(node-set): %q", out)
 	}
 	// Missing loader errors cleanly.
-	sheet2, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet2, _ := CompileVerified(t, sheetSrc, CompileOptions{})
 	if _, err := sheet2.TransformToBuffers(xmldom.MustParseString(`<r><ref>a.xml</ref></r>`), nil); err == nil {
 		t.Error("document() without loader accepted")
 	}
 }
 
 func TestCompileErrorRendering(t *testing.T) {
-	_, err := CompileStylesheetString(`<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	_, err := CompileVerified(t, `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 	<xsl:template match="a"><xsl:value-of/></xsl:template></xsl:stylesheet>`, CompileOptions{})
 	if err == nil || !strings.Contains(err.Error(), "line") {
 		t.Errorf("compile error rendering: %v", err)

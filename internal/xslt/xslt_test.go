@@ -26,11 +26,32 @@ func mainOutput(s *Stylesheet, source *xmldom.Node, params map[string]xpath.Valu
 	return r.Main, nil
 }
 
+// VerifyProgram is the static verifier (analysis/verify.Program, its
+// error-severity findings) that CompileVerified runs. The verifier
+// imports this package, so only the external test package can name it:
+// an init in bytecode_verify_test.go installs it.
+var VerifyProgram func(*Program) error
+
+// CompileVerified is CompileStylesheetString for the package's tests:
+// it also fails t when the static verifier finds an error in the
+// lowered program, so every stylesheet a test compiles is a verifier
+// case as well.
+func CompileVerified(t testing.TB, src string, opts CompileOptions) (*Stylesheet, error) {
+	t.Helper()
+	s, err := CompileStylesheetString(src, opts)
+	if err == nil {
+		if verr := VerifyProgram(s.Program()); verr != nil {
+			t.Errorf("program verifier: %v\n%s", verr, src)
+		}
+	}
+	return s, err
+}
+
 // run compiles sheetSrc, transforms docSrc and returns the serialized main
 // output.
 func run(t *testing.T, sheetSrc, docSrc string) string {
 	t.Helper()
-	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, err := CompileVerified(t, sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -267,7 +288,7 @@ func TestGlobalVariablesAndStylesheetParams(t *testing.T) {
 	<xsl:variable name="n" select="count(//i)"/>
 	<xsl:template match="/"><xsl:value-of select="$title"/>:<xsl:value-of select="$n"/></xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, err := CompileVerified(t, sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +406,7 @@ func TestXslDocumentMultiOutput(t *testing.T) {
 		</body></html>
 	</xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, err := CompileVerified(t, sheetSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +481,7 @@ func TestMessages(t *testing.T) {
 	sheetSrc := `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
 	<xsl:template match="/"><xsl:message>note <xsl:value-of select="name(/*)"/></xsl:message><ok/></xsl:template>
 	</xsl:stylesheet>`
-	sheet, _ := CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, _ := CompileVerified(t, sheetSrc, CompileOptions{})
 	res, err := sheet.TransformToBuffers(xmldom.MustParseString(`<root/>`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +491,7 @@ func TestMessages(t *testing.T) {
 	}
 	// terminate="yes" aborts.
 	sheetSrc = strings.Replace(sheetSrc, "<xsl:message>", `<xsl:message terminate="yes">`, 1)
-	sheet, _ = CompileStylesheetString(sheetSrc, CompileOptions{})
+	sheet, _ = CompileVerified(t, sheetSrc, CompileOptions{})
 	if _, err := sheet.TransformToBuffers(xmldom.MustParseString(`<root/>`), nil); err == nil {
 		t.Error("terminate should abort the transform")
 	}
@@ -490,7 +511,7 @@ func TestIncludeViaLoader(t *testing.T) {
 		}
 		return nil, fmt.Errorf("not found: %s", href)
 	}
-	sheet, err := CompileStylesheetString(main, CompileOptions{Loader: loader})
+	sheet, err := CompileVerified(t, main, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +533,7 @@ func TestImportPrecedence(t *testing.T) {
 	<xsl:template match="a">main</xsl:template>
 	</xsl:stylesheet>`
 	loader := func(href string) (*xmldom.Node, error) { return xmldom.ParseString(imported) }
-	sheet, err := CompileStylesheetString(main, CompileOptions{Loader: loader})
+	sheet, err := CompileVerified(t, main, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +555,7 @@ func TestDocumentFunction(t *testing.T) {
 	<xsl:output omit-xml-declaration="yes"/>
 	<xsl:template match="/"><xsl:value-of select="document('other.xml')//entry[@key='k']"/></xsl:template>
 	</xsl:stylesheet>`
-	sheet, err := CompileStylesheetString(sheetSrc, CompileOptions{Loader: loader})
+	sheet, err := CompileVerified(t, sheetSrc, CompileOptions{Loader: loader})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +622,7 @@ func TestCompileErrors(t *testing.T) {
 		`<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform"><xsl:namespace-alias stylesheet-prefix="a" result-prefix="b"/></xsl:stylesheet>`,
 	}
 	for i, src := range bad {
-		if _, err := CompileStylesheetString(src, CompileOptions{}); err == nil {
+		if _, err := CompileVerified(t, src, CompileOptions{}); err == nil {
 			t.Errorf("case %d: compile should fail", i)
 		}
 	}
@@ -610,7 +631,7 @@ func TestCompileErrors(t *testing.T) {
 func TestRuntimeErrors(t *testing.T) {
 	// Unknown named template.
 	sheet := wrap(`<xsl:call-template name="ghost"/>`)
-	s, err := CompileStylesheetString(sheet, CompileOptions{})
+	s, err := CompileVerified(t, sheet, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +643,7 @@ func TestRuntimeErrors(t *testing.T) {
 	<xsl:template match="/"><xsl:call-template name="loop"/></xsl:template>
 	<xsl:template name="loop"><xsl:call-template name="loop"/></xsl:template>
 	</xsl:stylesheet>`
-	s, err = CompileStylesheetString(rec, CompileOptions{})
+	s, err = CompileVerified(t, rec, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +654,7 @@ func TestRuntimeErrors(t *testing.T) {
 
 func TestTransformElementSource(t *testing.T) {
 	// Transforming a bare element wraps it in a document.
-	sheet, _ := CompileStylesheetString(wrap(`<xsl:value-of select="name(/*)"/>`), CompileOptions{})
+	sheet, _ := CompileVerified(t, wrap(`<xsl:value-of select="name(/*)"/>`), CompileOptions{})
 	elem := xmldom.NewElement("standalone")
 	out, err := mainOutput(sheet, elem, nil)
 	if err != nil {
@@ -645,7 +666,7 @@ func TestTransformElementSource(t *testing.T) {
 }
 
 func TestReuseAcrossTransforms(t *testing.T) {
-	sheet, _ := CompileStylesheetString(wrap(`<xsl:value-of select="count(//i)"/>`), CompileOptions{})
+	sheet, _ := CompileVerified(t, wrap(`<xsl:value-of select="count(//i)"/>`), CompileOptions{})
 	for i := 1; i <= 3; i++ {
 		src := "<r>" + strings.Repeat("<i/>", i) + "</r>"
 		out, err := mainOutput(sheet, xmldom.MustParseString(src), nil)
