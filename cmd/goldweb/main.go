@@ -25,10 +25,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -351,7 +353,7 @@ func cmdServe(args []string) error {
 		NoCompress:     cfg.NoCompress,
 		Lint:           policy,
 		Schema:         schema,
-		OnEvent:        printCatalogEvent,
+		OnEvent:        newEventPrinter(os.Stdout),
 	}
 	if *catalogDir != "" {
 		if fs.NArg() != 0 {
@@ -498,20 +500,37 @@ func reloadCatalog(ctx context.Context, c *catalog.Catalog) {
 	}
 }
 
-func printCatalogEvent(ev catalog.Event) {
-	switch ev.Type {
-	case catalog.EventSwapCommitted:
-		fmt.Printf("model %s: generation %d live\n", ev.Model, ev.Gen)
-	case catalog.EventStageFailed:
-		fmt.Printf("model %s: stage %s failed (attempt %d): %v\n", ev.Model, ev.Stage, ev.Attempt, ev.Err)
-	case catalog.EventRetryScheduled:
-		fmt.Printf("model %s: retry %d in %s\n", ev.Model, ev.Attempt, ev.Delay.Round(time.Millisecond))
-	case catalog.EventBreakerOpened:
-		fmt.Printf("model %s: circuit breaker open\n", ev.Model)
-	case catalog.EventBreakerClosed:
-		fmt.Printf("model %s: circuit breaker closed\n", ev.Model)
-	case catalog.EventLintFindings:
-		fmt.Printf("model %s: %v\n", ev.Model, ev.Err) // Err reads "lint: …"
+// newEventPrinter returns the catalog event handler serve installs: it
+// prints one line per event to w. A model's stage failure prints in full
+// only when it differs from that model's previous failure; a background
+// retry that fails the same way prints a one-line "failed again".
+func newEventPrinter(w io.Writer) func(catalog.Event) {
+	var mu sync.Mutex
+	lastFailure := map[string]string{} // model → its previous stage failure, printed in full
+	return func(ev catalog.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev.Type {
+		case catalog.EventSwapCommitted:
+			delete(lastFailure, ev.Model)
+			fmt.Fprintf(w, "model %s: generation %d live\n", ev.Model, ev.Gen)
+		case catalog.EventStageFailed:
+			failure := ev.Stage + ": " + fmt.Sprint(ev.Err)
+			if lastFailure[ev.Model] == failure {
+				fmt.Fprintf(w, "model %s: stage %s failed again (attempt %d)\n", ev.Model, ev.Stage, ev.Attempt)
+				return
+			}
+			lastFailure[ev.Model] = failure
+			fmt.Fprintf(w, "model %s: stage %s failed (attempt %d): %v\n", ev.Model, ev.Stage, ev.Attempt, ev.Err)
+		case catalog.EventRetryScheduled:
+			fmt.Fprintf(w, "model %s: retry %d in %s\n", ev.Model, ev.Attempt, ev.Delay.Round(time.Millisecond))
+		case catalog.EventBreakerOpened:
+			fmt.Fprintf(w, "model %s: circuit breaker open\n", ev.Model)
+		case catalog.EventBreakerClosed:
+			fmt.Fprintf(w, "model %s: circuit breaker closed\n", ev.Model)
+		case catalog.EventLintFindings:
+			fmt.Fprintf(w, "model %s: %v\n", ev.Model, ev.Err) // Err reads "lint: …"
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -554,7 +555,7 @@ func TestCmdLintWalksDirectories(t *testing.T) {
 // TestServeSingleRefusesInvalidModel: serve with a model file runs the
 // catalog's pipeline, so a document whose key references are broken
 // (GW402) never goes live, whatever -lint says: strict refuses it at the
-// lint stage, warn prints the findings once (printCatalogEvent adds no
+// lint stage, warn prints the findings once (the event printer adds no
 // second "lint:") and off skips them, and both refuse it at the publish
 // stage. A bad -lint value is a usage error.
 func TestServeSingleRefusesInvalidModel(t *testing.T) {
@@ -569,7 +570,7 @@ func TestServeSingleRefusesInvalidModel(t *testing.T) {
 		{catalog.LintOff, "publish: document is invalid: ", ""},
 	} {
 		out, err := capture(t, func() error {
-			c, _, err := loadSingle(context.Background(), fixture, catalog.Options{Lint: tc.policy, OnEvent: printCatalogEvent})
+			c, _, err := loadSingle(context.Background(), fixture, catalog.Options{Lint: tc.policy, OnEvent: newEventPrinter(os.Stdout)})
 			if err == nil {
 				c.Close()
 			}
@@ -585,6 +586,45 @@ func TestServeSingleRefusesInvalidModel(t *testing.T) {
 	if _, err := capture(t, func() error { return cmdServe([]string{"-lint", "bogus", fixture}) }); err == nil ||
 		!strings.Contains(err.Error(), "bad -lint") {
 		t.Errorf("-lint bogus: err = %v, want a bad -lint usage error", err)
+	}
+}
+
+// TestEventPrinterShortensRepeatedFailures: the serve event printer
+// prints a model's stage failure in full the first time, and again only
+// when it differs from that model's previous failure; a retry that fails
+// the same way is one "failed again" line. A commit resets the record,
+// and each model keeps its own.
+func TestEventPrinterShortensRepeatedFailures(t *testing.T) {
+	var out strings.Builder
+	printEvent := newEventPrinter(&out)
+	invalid := errors.New("document is invalid: keyref violated (2 problems)")
+	fail := func(model, stage string, attempt int, err error) catalog.Event {
+		return catalog.Event{Model: model, Type: catalog.EventStageFailed, Stage: stage, Attempt: attempt, Err: err}
+	}
+	for _, ev := range []catalog.Event{
+		fail("a", "publish", 1, invalid),
+		fail("a", "publish", 2, invalid),
+		fail("b", "publish", 1, invalid),
+		fail("a", "publish", 3, invalid),
+		fail("a", "parse", 4, errors.New("unexpected EOF")),
+		fail("a", "publish", 5, invalid),
+		{Model: "a", Type: catalog.EventSwapCommitted, Gen: 1},
+		fail("a", "publish", 1, invalid),
+	} {
+		printEvent(ev)
+	}
+	want := []string{
+		"model a: stage publish failed (attempt 1): " + invalid.Error(),
+		"model a: stage publish failed again (attempt 2)",
+		"model b: stage publish failed (attempt 1): " + invalid.Error(),
+		"model a: stage publish failed again (attempt 3)",
+		"model a: stage parse failed (attempt 4): unexpected EOF",
+		"model a: stage publish failed (attempt 5): " + invalid.Error(),
+		"model a: generation 1 live",
+		"model a: stage publish failed (attempt 1): " + invalid.Error(),
+	}
+	if got := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"); !reflect.DeepEqual(got, want) {
+		t.Errorf("printed:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -615,13 +655,13 @@ func TestServeReportsRefusedModelOnce(t *testing.T) {
 		t.Run("catalog retry="+strconv.FormatBool(retry), func(t *testing.T) {
 			// The catalog itself never retries here: a background retry
 			// would print while stdout is captured.
-			c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
-				DisableRetry: true, OnEvent: printCatalogEvent})
 			out, _ := capture(t, func() error {
+				c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
+					DisableRetry: true, OnEvent: newEventPrinter(os.Stdout)})
+				defer c.Close()
 				addModels(context.Background(), c, []string{"broken"}, retry)
 				return nil
 			})
-			c.Close()
 			if n := strings.Count(out, failure); n != 1 {
 				t.Errorf("printed the failure %d times:\n%s", n, out)
 			}
@@ -634,15 +674,15 @@ func TestServeReportsRefusedModelOnce(t *testing.T) {
 	// An interrupt during start-up ends the first loads: the server shuts
 	// down at once, so nothing is promised to serve or retry.
 	t.Run("catalog interrupted", func(t *testing.T) {
-		c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
-			DisableRetry: true, OnEvent: printCatalogEvent})
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		out, _ := capture(t, func() error {
+			c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
+				DisableRetry: true, OnEvent: newEventPrinter(os.Stdout)})
+			defer c.Close()
 			addModels(ctx, c, []string{"broken", "broken"}, true)
 			return nil
 		})
-		c.Close()
 		if strings.Contains(out, "serving 503") {
 			t.Errorf("promised service after the interrupt:\n%s", out)
 		}

@@ -446,6 +446,10 @@ var Shared = NewStore()
 // Intern returns the canonical artifact for (contentType, body): the
 // interned one while it is still reachable, otherwise a new one that
 // replaces the entry. Holders need not give it back.
+//
+// Intern never keeps body: a miss copies it into the new artifact, and
+// a hit allocates nothing, so callers may render into a buffer they
+// reuse and intern straight from it.
 func (s *Store) Intern(contentType string, body []byte) *Artifact {
 	sum := hashContent(contentType, body)
 	s.mu.Lock()
@@ -453,7 +457,7 @@ func (s *Store) Intern(contentType string, body []byte) *Artifact {
 	if a := s.m[sum].Value(); a != nil {
 		return a
 	}
-	a := newArtifact(contentType, body, sum)
+	a := newArtifact(contentType, bytes.Clone(body), sum)
 	wp := weak.Make(a)
 	s.m[sum] = wp
 	runtime.AddCleanup(a, s.forget, storeEntry{sum, wp})

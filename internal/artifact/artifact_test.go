@@ -381,3 +381,35 @@ func TestStoreBytesDeduplicates(t *testing.T) {
 	}
 	runtime.KeepAlive(a) // Bytes counts reachable artifacts only
 }
+
+// TestInternCopiesOnMiss: Intern never keeps the caller's slice, so a
+// caller can render into a buffer it reuses. Mutating the slice after a
+// miss leaves the artifact's bytes and ETag as they were, and a hit
+// takes no allocation at all.
+func TestInternCopiesOnMiss(t *testing.T) {
+	s := NewStore()
+	body := page(64)
+	want := bytes.Clone(body)
+	a := s.Intern(htmlCT, body)
+	etag := a.ETag()
+	if &a.Bytes()[0] == &body[0] {
+		t.Fatal("a miss kept the caller's slice")
+	}
+	for i := range body {
+		body[i] = 'x'
+	}
+	if !bytes.Equal(a.Bytes(), want) || a.ETag() != etag || a.ETag() != New(htmlCT, want).ETag() {
+		t.Fatalf("mutating the interned slice changed the artifact: ETag %s -> %s", etag, a.ETag())
+	}
+
+	copy(body, want)
+	var hit *Artifact
+	allocs := testing.AllocsPerRun(100, func() { hit = s.Intern(htmlCT, body) })
+	if hit != a {
+		t.Fatal("a hit returned another artifact")
+	}
+	if allocs != 0 {
+		t.Errorf("a hit made %.1f allocations, want 0", allocs)
+	}
+	runtime.KeepAlive(a)
+}

@@ -81,7 +81,7 @@ func TestPublishPageAllocs(t *testing.T) {
 		}
 	}
 	page := func() {
-		if _, err := PublishPage(ctx, doc, opts, IndexName); err != nil {
+		if _, _, err := PublishPage(ctx, nil, doc, opts, IndexName); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -124,30 +124,44 @@ func PublishDocument(doc *xmldom.Node, opts Options) (*Site, error) {
 // compile, transform, assemble) once ctx is canceled. A transform
 // already in flight runs to completion — stages are the cancellation
 // granularity — so callers staging a swap get a bounded abort without
-// the engine checking a context per node.
+// the engine checking a context per node. The pages are rendered as by
+// PublishInto into a fresh buffer, which the caller owns.
 func PublishDocumentContext(ctx context.Context, doc *xmldom.Node, opts Options) (*Site, error) {
+	site, _, err := PublishInto(ctx, nil, doc, opts)
+	return site, err
+}
+
+// PublishInto is PublishDocumentContext rendering every page into buf:
+// it appends the pages to buf, as append does, sized as
+// xslt.Stylesheet.TransformInto sizes it, and returns the extended
+// buffer. Each page of the site is a capacity-limited slice of that
+// memory, so a caller that reuses the buffer must be done with the
+// pages — have interned them, which copies what it keeps — first. On an
+// error buf is returned unchanged.
+func PublishInto(ctx context.Context, buf []byte, doc *xmldom.Node, opts Options) (*Site, []byte, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
+		return nil, buf, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
 	work, sheet, params, err := preparePublication(doc, opts)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
+		return nil, buf, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
 	// The transform renders every page straight to bytes (no intermediate
 	// result DOM), so there is nothing left to fan out; PublishPerFact
 	// parallelizes across focuses.
-	res, err := sheet.TransformToBuffers(work, params)
+	res, out, err := sheet.TransformInto(buf, work, params)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
+		return nil, buf, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
 	site := &Site{
 		Pages:    make(map[string][]byte, len(res.DocumentOrder)+2),
+		Order:    make([]string, 0, len(res.DocumentOrder)+2),
 		Messages: res.Messages,
 	}
 	site.Pages[IndexName] = res.Main
@@ -156,9 +170,17 @@ func PublishDocumentContext(ctx context.Context, doc *xmldom.Node, opts Options)
 		site.Pages[href] = res.Documents[href]
 		site.Order = append(site.Order, href)
 	}
-	site.Pages[styleName] = []byte(core.StyleCSS)
+	out, site.Pages[styleName] = appendStyle(out)
 	site.Order = append(site.Order, styleName)
-	return site, nil
+	return site, out, nil
+}
+
+// appendStyle appends the embedded style sheet to buf and returns the
+// extended buffer and the capacity-limited sub-slice holding the sheet.
+func appendStyle(buf []byte) ([]byte, []byte) {
+	start := len(buf)
+	buf = append(buf, core.StyleCSS...)
+	return buf, buf[start:len(buf):len(buf)]
 }
 
 // Page is one page of a presentation, rendered by PublishPage.
@@ -181,25 +203,28 @@ type Page struct {
 // the bodies of the other pages are skipped (or, where the stylesheet
 // cannot prove them leaves, discarded), so the cost is close to that of
 // the one page. Validation, freezing and cancellation are as for
-// PublishDocumentContext.
-func PublishPage(ctx context.Context, doc *xmldom.Node, opts Options, page string) (*Page, error) {
+// PublishDocumentContext. The page is appended to buf as PublishInto
+// appends a site: Content is a capacity-limited sub-slice of the
+// returned buffer, and a page that is not found or an error leaves buf
+// unchanged.
+func PublishPage(ctx context.Context, buf []byte, doc *xmldom.Node, opts Options, page string) (*Page, []byte, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
+		return nil, buf, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
 	work, sheet, params, err := preparePublication(doc, opts)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("htmlgen: publication canceled: %w", err)
+		return nil, buf, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
 	target := page
 	if page == IndexName {
 		target = "" // the principal output
 	}
-	res, err := sheet.TransformPage(work, params, target)
+	res, out, err := sheet.TransformPage(buf, work, params, target)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	p := &Page{
 		Content:  res.Page,
@@ -210,9 +235,10 @@ func PublishPage(ctx context.Context, doc *xmldom.Node, opts Options, page strin
 	p.Order = append(append(p.Order, IndexName), res.DocumentOrder...)
 	p.Order = append(p.Order, styleName)
 	if page == styleName {
-		p.Content, p.Found = []byte(core.StyleCSS), true
+		out, p.Content = appendStyle(out)
+		p.Found = true
 	}
-	return p, nil
+	return p, out, nil
 }
 
 // preparePublication validates and freezes the document (the transform

@@ -9,22 +9,20 @@ import (
 	"time"
 
 	"goldweb/internal/artifact"
-	"goldweb/internal/htmlgen"
 )
 
 // fakeSite builds a publishedSite of exactly n pages × pageBytes each,
 // with content unique to (tag) so interning does not collapse sites.
 func fakeSite(t *testing.T, store *artifact.Store, tag string, n, pageBytes int) *publishedSite {
 	t.Helper()
-	site := &htmlgen.Site{Pages: map[string][]byte{}}
+	pages := map[string][]byte{}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("p%d.html", i)
 		content := bytes.Repeat([]byte("x"), pageBytes)
 		copy(content, tag+name)
-		site.Pages[name] = content
-		site.Order = append(site.Order, name)
+		pages[name] = content
 	}
-	return newPublishedSite(store, site)
+	return newPublishedSite(store, pages)
 }
 
 // settleLen collects garbage until store holds at most want artifacts

@@ -1,0 +1,54 @@
+//go:build !race
+
+package server
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+
+	"goldweb/internal/artifact"
+	"goldweb/internal/htmlgen"
+	"goldweb/internal/workload"
+)
+
+// TestRepublishOfHeldPageCopiesNothing pins that a republish whose page
+// the store already holds allocates fewer bytes than the page: the page
+// is rendered into a lent buffer and interning it copies nothing, so the
+// page copy every cold read used to pay cannot come back. The model's
+// long name makes each index page far larger than what its targeted run
+// allocates. (The race detector drops pooled buffers, so it is off.)
+func TestRepublishOfHeldPageCopiesNothing(t *testing.T) {
+	m := workload.GenModel(workload.ModelSpec{Facts: 2, Dims: 4, Depth: 2})
+	m.Name = strings.Repeat("Sales ", 1000)
+	srv := newServer(t, m, Config{Store: artifact.NewStore(), CacheSize: 1})
+	snap := srv.snapshot()
+	var held [2]*artifact.Artifact
+	publish := func(i int) *artifact.Artifact {
+		a, err := srv.pageFor(snap, htmlgen.MultiPage, m.Facts[i].ID, htmlgen.IndexName)
+		if err != nil || a == nil {
+			t.Fatalf("pageFor: %v", err)
+		}
+		return a
+	}
+	for i := range held {
+		held[i] = publish(i)
+	}
+	smallest := min(held[0].Size(), held[1].Size())
+
+	const republishes = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 0; n < republishes; n++ {
+		if a := publish(n % 2); a != held[n%2] {
+			t.Fatal("a republish of a held page built a new artifact")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRepublish := int64(after.TotalAlloc-before.TotalAlloc) / republishes
+	t.Logf("republish of a held %d-byte index page: %d bytes allocated", smallest, perRepublish)
+	if perRepublish >= smallest {
+		t.Errorf("a republish of a held page allocated %d bytes, not fewer than the page's %d", perRepublish, smallest)
+	}
+	runtime.KeepAlive(held)
+}

@@ -2,11 +2,10 @@ package server
 
 import (
 	"goldweb/internal/artifact"
-	"goldweb/internal/htmlgen"
 )
 
 // publishedSite is a presentation frozen for the edge: every page of
-// the htmlgen.Site interned as a content-addressed artifact, so the
+// an htmlgen.Site interned as a content-addressed artifact, so the
 // serving path answers conditional requests from the hash-keyed ETag
 // and writes pre-frozen (optionally precompressed) bytes without
 // touching the publication pipeline again.
@@ -23,12 +22,14 @@ type publishedSite struct {
 	size int64
 }
 
-// newPublishedSite interns every page of site into the store.
-func newPublishedSite(store *artifact.Store, site *htmlgen.Site) *publishedSite {
+// newPublishedSite interns every page into the store. The store keeps
+// none of the page slices, so they may live in a buffer the caller
+// reuses once this returns.
+func newPublishedSite(store *artifact.Store, pages map[string][]byte) *publishedSite {
 	p := &publishedSite{
-		pages: make(map[string]*artifact.Artifact, len(site.Pages)),
+		pages: make(map[string]*artifact.Artifact, len(pages)),
 	}
-	for name, content := range site.Pages {
+	for name, content := range pages {
 		a := store.Intern(contentType(name), content)
 		p.pages[name] = a
 		p.size += a.Size()

@@ -345,11 +345,14 @@ func (s *Server) Stage(ctx context.Context, m *core.Model, val *xsd.Validated) (
 	s.pubWG.Add(1)
 	defer s.pubWG.Done()
 	err := s.beforePublish(ctx, htmlgen.MultiPage, "", "")
-	var site *htmlgen.Site
-	if err == nil {
-		site, err = htmlgen.PublishDocumentContext(ctx, val.Doc,
-			htmlgen.Options{Mode: htmlgen.MultiPage, SkipValidation: true})
+	if err != nil {
+		return nil, fmt.Errorf("shadow publish: %w", err)
 	}
+	buf := pageBufs.Get().(*[]byte)
+	defer pageBufs.Put(buf)
+	site, out, err := htmlgen.PublishInto(ctx, (*buf)[:0], val.Doc,
+		htmlgen.Options{Mode: htmlgen.MultiPage, SkipValidation: true})
+	*buf = out
 	if err != nil {
 		return nil, fmt.Errorf("shadow publish: %w", err)
 	}
@@ -358,9 +361,17 @@ func (s *Server) Stage(ctx context.Context, m *core.Model, val *xsd.Validated) (
 	// Interning the shadow-published site here — while the previous
 	// generation is still live — is what makes the swap memory-flat for
 	// unchanged pages: byte-identical content resolves to the already
-	// interned artifacts instead of a second copy.
-	return &StagedModel{s: s, snap: snap, probe: newPublishedSite(s.cfg.Store, site)}, nil
+	// interned artifacts instead of a second copy. The pages are still in
+	// the lent buffer; the store copies only those it keeps.
+	return &StagedModel{s: s, snap: snap, probe: newPublishedSite(s.cfg.Store, site.Pages)}, nil
 }
+
+// pageBufs lends every publication the buffer it renders into: Stage's
+// whole site, one page of a request-path miss. The publication interns
+// its pages from the buffer — the store copies a page only when it keeps
+// it — before the buffer goes back, so a republish the store already
+// holds allocates no page bytes.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Commit atomically installs the staged snapshot, bumps the
 // generation, and seeds the presentation cache with the
@@ -471,8 +482,11 @@ func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) 
 		if err := s.beforePublish(s.baseCtx, mode, focus, page); err != nil {
 			return nil, err
 		}
-		pg, err := htmlgen.PublishPage(s.baseCtx, snap.pubDoc,
+		buf := pageBufs.Get().(*[]byte)
+		defer pageBufs.Put(buf)
+		pg, out, err := htmlgen.PublishPage(s.baseCtx, (*buf)[:0], snap.pubDoc,
 			htmlgen.Options{Mode: mode, Focus: focus, SkipValidation: true}, page)
+		*buf = out
 		if err != nil {
 			return nil, err
 		}
@@ -482,10 +496,7 @@ func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) 
 		if !pg.Found {
 			return nil, nil
 		}
-		p := newPublishedSite(s.cfg.Store, &htmlgen.Site{
-			Pages: map[string][]byte{page: pg.Content},
-			Order: []string{page},
-		})
+		p := newPublishedSite(s.cfg.Store, map[string][]byte{page: pg.Content})
 		s.cache.add(key, p)
 		return p, nil
 	})

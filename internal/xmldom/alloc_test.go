@@ -31,3 +31,27 @@ func TestParseAllocs(t *testing.T) {
 		t.Errorf("Parse(salesdw.xml) made %.0f allocations, ceiling %d", allocs, parseAllocCeiling)
 	}
 }
+
+// TestSerializeToStringAllocs pins SerializeToString at one allocation
+// once its pooled tape and scratch buffer are warm: the returned string
+// is the only copy of the rendered bytes.
+func TestSerializeToStringAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled values, inflating allocation counts")
+	}
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "models", "salesdw.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []WriteOptions{{}, {Indent: "  "}} {
+		SerializeToString(doc, opts)
+		allocs := testing.AllocsPerRun(20, func() { SerializeToString(doc, opts) })
+		if allocs > 1 {
+			t.Errorf("SerializeToString(salesdw.xml, %+v) made %.0f allocations, want 1", opts, allocs)
+		}
+	}
+}

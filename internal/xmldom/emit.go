@@ -138,7 +138,6 @@ type ByteEmitter struct {
 	events []emitEvent
 	attrs  []emitAttr
 	open   []openElem
-	buf    []byte // serialization scratch, reused across Serialize calls
 }
 
 var byteEmitterPool = sync.Pool{New: func() any { return new(ByteEmitter) }}
@@ -149,14 +148,14 @@ func NewByteEmitter() *ByteEmitter {
 }
 
 // Release resets the emitter and returns it to the pool. The emitter must
-// not be used afterwards; byte slices returned by Serialize remain valid.
+// not be used afterwards. The emitter owns no output: the bytes
+// AppendSerialized wrote live in the caller's buffer and are untouched.
 func (b *ByteEmitter) Release() {
 	clear(b.events) // drop string references so pooled tapes don't pin memory
 	clear(b.attrs)
 	b.events = b.events[:0]
 	b.attrs = b.attrs[:0]
 	b.open = b.open[:0]
-	b.buf = b.buf[:0]
 	byteEmitterPool.Put(b)
 }
 
@@ -288,35 +287,88 @@ func (b *ByteEmitter) RootElement() (name, uri string, ok bool) {
 	return "", "", false
 }
 
-// Serialize replays the tape according to opts and returns the rendered
-// bytes. The returned slice is an exact-size copy owned by the caller; the
-// internal scratch buffer is retained for reuse. This replay is the only
-// serializer: the package-level Serialize copies a tree onto a tape and
-// renders it here. Under Indent every top-level node is followed by a
-// newline.
-func (b *ByteEmitter) Serialize(opts WriteOptions) []byte {
+// AppendSerialized replays the tape according to opts, appends the
+// rendered bytes to dst and returns the extended slice, as append does:
+// the caller owns the buffer, and the emitter keeps no reference to it.
+// This replay is the only serializer: SerializeToString copies a tree
+// onto a tape and renders it here. Under Indent every top-level node is
+// followed by a newline.
+func (b *ByteEmitter) AppendSerialized(dst []byte, opts WriteOptions) []byte {
 	if opts.Method == "" {
 		opts.Method = "xml"
 	}
-	out := b.buf[:0]
 	if opts.Method == "text" {
 		for i := range b.events {
 			if b.events[i].kind == evText {
-				out = append(out, b.events[i].s1...)
+				dst = append(dst, b.events[i].s1...)
 			}
 		}
-	} else {
-		out = b.replayDoc(out, &opts)
+		return dst
 	}
-	b.buf = out
-	res := make([]byte, len(out))
-	copy(res, out)
-	return res
+	return b.replayDoc(dst, &opts)
 }
+
+// SizeHint estimates the length AppendSerialized renders under opts, so
+// a caller can size a fresh buffer once: it counts every name, value and
+// text in full, the indents of structured content as the replay writes
+// them, and a sixteenth more for escapes. It reads the tape without
+// rendering it.
+func (b *ByteEmitter) SizeHint(opts WriteOptions) int {
+	n := len(xmlDecl) + len(opts.DoctypePublic) + len(opts.DoctypeSystem) + 32
+	text := opts.Method == "text"
+	unit := len(opts.Indent)
+	// Bit d of structured is set while the open element at depth d
+	// indents its content; below 64 levels every element counts as one.
+	var structured uint64
+	indent := func(depth int) int {
+		switch {
+		case unit == 0:
+			return 0
+		case depth == 0:
+			return 1 // the newline after a top-level node
+		case depth > 64 || structured&(1<<(depth-1)) != 0:
+			return 1 + depth*unit
+		}
+		return 0
+	}
+	depth := 0
+	for i := range b.events {
+		ev := &b.events[i]
+		switch {
+		case text:
+			if ev.kind == evText {
+				n += len(ev.s1)
+			}
+		case ev.kind == evBegin:
+			n += 2*(len(ev.s1)+len(ev.s3)) + 6 + indent(depth) // <p:n> and </p:n>
+			for _, a := range b.attrs[ev.a0:ev.a1] {
+				n += len(a.prefix) + len(a.name) + len(a.value) + 5
+			}
+			if depth < 64 {
+				structured &^= 1 << depth
+			}
+			if unit > 0 && ev.flags&efStructured != 0 {
+				n += 1 + depth*unit // the indent before the end tag
+				if depth < 64 {
+					structured |= 1 << depth
+				}
+			}
+			depth++
+		case ev.kind == evEnd:
+			depth--
+		default:
+			n += len(ev.s1) + len(ev.s2) + 8 + indent(depth)
+		}
+	}
+	return n + n/16
+}
+
+// xmlDecl is the XML declaration the xml method writes unless OmitDecl.
+const xmlDecl = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>"
 
 func (b *ByteEmitter) replayDoc(out []byte, opts *WriteOptions) []byte {
 	if opts.Method == "xml" && !opts.OmitDecl {
-		out = append(out, "<?xml version=\"1.0\" encoding=\"UTF-8\"?>"...)
+		out = append(out, xmlDecl...)
 		if opts.Indent != "" {
 			out = append(out, '\n')
 		}

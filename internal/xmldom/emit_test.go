@@ -1,7 +1,10 @@
 package xmldom
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -101,16 +104,16 @@ func TestByteEmitterMatchesTreeSerialization(t *testing.T) {
 
 		be := NewByteEmitter()
 		driveEmitter(be)
-		got := fmt.Sprintf("%q", be.Serialize(opt))
-		// Serialize must be repeatable on the same tape.
-		again := fmt.Sprintf("%q", be.Serialize(opt))
+		got := fmt.Sprintf("%q", be.AppendSerialized(nil, opt))
+		// AppendSerialized must be repeatable on the same tape.
+		again := fmt.Sprintf("%q", be.AppendSerialized(nil, opt))
 		be.Release()
 
 		if got != want {
 			t.Errorf("opts %+v:\n byte emitter: %s\n golden:       %s", opt, got, want)
 		}
 		if again != got {
-			t.Errorf("opts %+v: second Serialize differs", opt)
+			t.Errorf("opts %+v: second AppendSerialized differs", opt)
 		}
 		if tree := fmt.Sprintf("%q", SerializeToString(doc, opt)); tree != want {
 			t.Errorf("opts %+v:\n tree emitter: %s\n golden:       %s", opt, tree, want)
@@ -139,7 +142,7 @@ func TestByteEmitterCopyTreeMatches(t *testing.T) {
 
 	for _, opt := range copyTreeOptions {
 		want := golden["copytree "+optLabel(opt)]
-		if got := fmt.Sprintf("%q", be.Serialize(opt)); got != want {
+		if got := fmt.Sprintf("%q", be.AppendSerialized(nil, opt)); got != want {
 			t.Errorf("opts %+v:\n byte emitter: %s\n golden:       %s", opt, got, want)
 		}
 		if got := fmt.Sprintf("%q", SerializeToString(doc, opt)); got != want {
@@ -188,7 +191,7 @@ func TestEmitterAttrSemantics(t *testing.T) {
 	be.Attr("p", "urn:p", "a", "3")
 	be.Attr("", "", "a", "9")
 	be.EndElement()
-	got := string(be.Serialize(WriteOptions{OmitDecl: true}))
+	got := string(be.AppendSerialized(nil, WriteOptions{OmitDecl: true}))
 	want := `<e a="9" b="2" p:a="3"/>`
 	if got != want {
 		t.Errorf("attr overwrite: got %q want %q", got, want)
@@ -222,5 +225,44 @@ func TestEscapeAppendHelpers(t *testing.T) {
 	}
 	if got := string(appendEscText([]byte("x"), "plain")); got != "xplain" {
 		t.Errorf("appendEscText prefix: %q", got)
+	}
+}
+
+// TestAppendSerializedAppends: AppendSerialized leaves what dst already
+// holds in place and appends exactly the standalone rendering, and
+// SizeHint covers that rendering, for every option combination and for
+// every example model, so a fresh buffer sized from it is allocated once.
+func TestAppendSerializedAppends(t *testing.T) {
+	tapes := map[string]func(*ByteEmitter){"script": func(be *ByteEmitter) { driveEmitter(be) }}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "models", "*.xml"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("example models: %v (%d files)", err, len(paths))
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tapes[filepath.Base(path)] = func(be *ByteEmitter) { be.CopyTree(doc) }
+	}
+	for name, fill := range tapes {
+		be := NewByteEmitter()
+		fill(be)
+		for _, opt := range emitterOptionMatrix() {
+			alone := be.AppendSerialized(nil, opt)
+			prefix := []byte("kept|")
+			got := be.AppendSerialized(prefix, opt)
+			if !bytes.Equal(got[:len(prefix)], []byte("kept|")) || !bytes.Equal(got[len(prefix):], alone) {
+				t.Errorf("%s %+v: appended %q after the prefix, want %q", name, opt, got, alone)
+			}
+			if hint := be.SizeHint(opt); hint < len(alone) {
+				t.Errorf("%s %+v: SizeHint %d below the %d bytes rendered", name, opt, hint, len(alone))
+			}
+		}
+		be.Release()
 	}
 }

@@ -71,13 +71,13 @@ func TestAppendSegmentEquivalence(t *testing.T) {
 			// Reference: every event emitted individually.
 			want := NewByteEmitter()
 			emitWrapped(want, rec)
-			wantBytes := want.Serialize(opts)
+			wantBytes := want.AppendSerialized(nil, opts)
 			want.Release()
 
 			// Bulk: the pre-recorded segment appended in one copy.
 			got := NewByteEmitter()
 			emitWrapped(got, func(e Emitter) { e.(*ByteEmitter).AppendSegment(seg) })
-			gotBytes := got.Serialize(opts)
+			gotBytes := got.AppendSerialized(nil, opts)
 			got.Release()
 
 			if !bytes.Equal(wantBytes, gotBytes) {

@@ -2,6 +2,7 @@ package xmldom
 
 import (
 	"strings"
+	"sync"
 )
 
 // WriteOptions control serialization. The zero value produces compact XML
@@ -46,15 +47,12 @@ func HTMLRawText(name string) bool { return htmlRawText[strings.ToLower(name)] }
 // SerializeToString renders the node tree to a string. A document
 // renders whole; any other node renders as a fragment, with no XML
 // declaration and no trailing newline. The tree is copied onto a pooled
-// ByteEmitter tape and replayed, so trees and transformation results
-// share one serializer.
+// ByteEmitter tape and replayed into a pooled scratch buffer, so trees
+// and transformation results share one serializer and the string is the
+// only copy of the rendered bytes.
 func SerializeToString(n *Node, opts WriteOptions) string {
-	return string(serialize(n, opts))
-}
-
-func serialize(n *Node, opts WriteOptions) []byte {
 	if opts.Method == "text" {
-		return []byte(n.StringValue())
+		return n.StringValue()
 	}
 	be := NewByteEmitter()
 	defer be.Release()
@@ -63,12 +61,20 @@ func serialize(n *Node, opts WriteOptions) []byte {
 	if fragment {
 		opts.OmitDecl = true
 	}
-	out := be.Serialize(opts)
+	scratch := scratchPool.Get().(*[]byte)
+	out := be.AppendSerialized((*scratch)[:0], opts)
+	*scratch = out
 	if fragment && opts.Indent != "" && len(out) > 0 {
 		out = out[:len(out)-1] // the newline the replay puts after each top-level node
 	}
-	return out
+	s := string(out)
+	scratchPool.Put(scratch)
+	return s
 }
+
+// scratchPool holds the buffers SerializeToString renders into before
+// it copies the result into a string.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Pretty returns an indented XML rendering of n, the moral equivalent of a
 // browser's collapsed source view of an XML document without a stylesheet

@@ -15,9 +15,13 @@ import (
 // document order, and found exactly when the full run produced href.
 func checkPage(t *testing.T, label string, s *xslt.Stylesheet, doc *xmldom.Node, params map[string]xpath.Value, full *xslt.BufferResult, href string) {
 	t.Helper()
-	got, err := s.TransformPage(doc, params, href)
+	const prefix = "lent|"
+	got, buf, err := s.TransformPage([]byte(prefix), doc, params, href)
 	if err != nil {
 		t.Fatalf("%s: targeted run of %q fails where the full run succeeds: %v", label, href, err)
+	}
+	if string(buf[:len(prefix)]) != prefix || !bytes.Equal(buf[len(prefix):], got.Page) || cap(got.Page) != len(got.Page) {
+		t.Fatalf("%s: targeted %q did not append just its page to the buffer: %q", label, href, buf)
 	}
 	want, ok := full.Main, true
 	if href != "" {
@@ -29,6 +33,35 @@ func checkPage(t *testing.T, label string, s *xslt.Stylesheet, doc *xmldom.Node,
 	}
 	if !slices.Equal(got.DocumentOrder, full.DocumentOrder) {
 		t.Fatalf("%s: targeted %q document order %q, want %q", label, href, got.DocumentOrder, full.DocumentOrder)
+	}
+}
+
+// checkInto checks that TransformInto appends, after what the buffer
+// held, the documents of the full run, each a capacity-limited sub-slice
+// of the returned buffer: appending to one cannot overwrite the next.
+func checkInto(t *testing.T, label string, s *xslt.Stylesheet, doc *xmldom.Node, full *xslt.BufferResult) {
+	t.Helper()
+	const prefix = "lent|"
+	got, buf, err := s.TransformInto([]byte(prefix), doc, goldenParams)
+	if err != nil {
+		t.Fatalf("%s: TransformInto fails where TransformToBuffers succeeds: %v", label, err)
+	}
+	if string(buf[:len(prefix)]) != prefix {
+		t.Fatalf("%s: TransformInto overwrote the buffer's contents: %q", label, buf)
+	}
+	docs := [][]byte{got.Main}
+	want := [][]byte{full.Main}
+	for _, href := range full.DocumentOrder {
+		docs = append(docs, got.Documents[href])
+		want = append(want, full.Documents[href])
+	}
+	for i := range docs {
+		if !bytes.Equal(docs[i], want[i]) || cap(docs[i]) != len(docs[i]) {
+			t.Fatalf("%s: document %d differs from the full run's or is not capacity-limited", label, i)
+		}
+	}
+	if total := len(bytes.Join(docs, nil)); len(buf) != len(prefix)+total {
+		t.Fatalf("%s: buffer holds %d bytes after the prefix, the documents %d", label, len(buf)-len(prefix), total)
 	}
 }
 
@@ -46,6 +79,7 @@ func TestTransformPageMatchesGolden(t *testing.T) {
 				continue // nothing to target
 			}
 			label := sheetName + " × " + docName
+			checkInto(t, label, s, doc, full)
 			for _, href := range append([]string{"", "absent.html"}, full.DocumentOrder...) {
 				checkPage(t, label, s, doc, goldenParams, full, href)
 			}
@@ -71,7 +105,7 @@ func TestTransformPageDiscardedBodiesFailAsInFull(t *testing.T) {
 		}
 		full, ferr := s.TransformToBuffers(doc, nil)
 		for _, href := range []string{"", "inner.html"} {
-			_, terr := s.TransformPage(doc, nil, href)
+			_, _, terr := s.TransformPage(nil, doc, nil, href)
 			if (ferr == nil) != (terr == nil) || (ferr != nil && ferr.Error() != terr.Error()) {
 				t.Errorf("%s, target %q: targeted error %v, full run error %v", c.name, href, terr, ferr)
 			}

@@ -3,6 +3,7 @@ package xslt
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"goldweb/internal/xmldom"
 	"goldweb/internal/xpath"
@@ -40,10 +41,10 @@ type PageResult struct {
 	Messages []string
 }
 
-// serializeEmitter renders a finished event tape per the output spec,
-// applying the XSLT 1.0 §16 html-method auto-detection when the method was
-// not declared explicitly.
-func serializeEmitter(be *xmldom.ByteEmitter, spec OutputSpec) []byte {
+// writeOptions returns the serialization options of a finished event
+// tape per the output spec, applying the XSLT 1.0 §16 html-method
+// auto-detection when the method was not declared explicitly.
+func writeOptions(be *xmldom.ByteEmitter, spec OutputSpec) xmldom.WriteOptions {
 	method := spec.Method
 	if !spec.MethodExplicit {
 		if name, uri, ok := be.RootElement(); ok &&
@@ -60,7 +61,7 @@ func serializeEmitter(be *xmldom.ByteEmitter, spec OutputSpec) []byte {
 	if spec.Indent {
 		opts.Indent = "  "
 	}
-	return be.Serialize(opts)
+	return opts
 }
 
 // TransformError reports a runtime transformation failure.
@@ -103,11 +104,19 @@ type engine struct {
 	docOrder []string
 }
 
+// enginePool recycles engines with their function library installed
+// and their per-run maps emptied, so a run builds neither again.
+var enginePool = sync.Pool{New: func() any {
+	e := new(engine)
+	e.installFunctions()
+	return e
+}}
+
 func newEngine(s *Stylesheet) *engine {
 	// The per-run maps are created on first use: most runs never call
 	// generate-id(), key() or document().
-	e := &engine{sheet: s}
-	e.installFunctions()
+	e := enginePool.Get().(*engine)
+	e.sheet = s
 	return e
 }
 
@@ -117,13 +126,21 @@ func (e *engine) docBuf(href string) *xmldom.ByteEmitter {
 	return be
 }
 
-// release returns the xsl:document tapes to their pool.
+// release returns the xsl:document tapes to their pool and the engine
+// to its own. The run's document order and messages stay with its
+// result; the maps are emptied and kept.
 func (e *engine) release() {
 	for _, em := range e.docEms {
 		if be, ok := em.(*xmldom.ByteEmitter); ok {
 			be.Release()
 		}
 	}
+	clear(e.docNums)
+	clear(e.keyIdx)
+	clear(e.docCache)
+	clear(e.docEms)
+	*e = engine{funcs: e.funcs, docNums: e.docNums, keyIdx: e.keyIdx, docCache: e.docCache, docEms: e.docEms}
+	enginePool.Put(e)
 }
 
 // prepSource wraps a non-document source in an engine-owned document and
@@ -152,27 +169,65 @@ func (s *Stylesheet) prepSource(source *xmldom.Node) *xmldom.Node {
 // never modified. A frozen source document and a compiled Stylesheet
 // may be shared by concurrent runs — all per-run state lives in the
 // engine — but an unfrozen one must be frozen before it is shared.
+//
+// The documents are rendered as by TransformInto into a fresh buffer,
+// which the caller owns.
 func (s *Stylesheet) TransformToBuffers(source *xmldom.Node, params map[string]xpath.Value) (*BufferResult, error) {
+	res, _, err := s.TransformInto(nil, source, params)
+	return res, err
+}
+
+// TransformInto is TransformToBuffers rendering every output document
+// into buf: it appends the documents to buf, as append does, and
+// returns the extended buffer, which Main and each Documents entry are
+// capacity-limited sub-slices of. A caller that reuses the buffer must
+// be done with the documents first. A buffer without capacity is sized
+// once, to the summed size hints of every document; one with capacity
+// is appended to as it is. On an error buf is returned unchanged.
+func (s *Stylesheet) TransformInto(buf []byte, source *xmldom.Node, params map[string]xpath.Value) (*BufferResult, []byte, error) {
 	source = s.prepSource(source)
 	e := newEngine(s)
 	defer e.release()
 	be := xmldom.NewByteEmitter()
 	defer be.Release()
 	if err := s.prog.execute(e, source, params, be); err != nil {
-		return nil, err
+		return nil, buf, err
 	}
+	tape := func(i int) *xmldom.ByteEmitter {
+		if i == 0 {
+			return be
+		}
+		return e.docBuf(e.docOrder[i-1])
+	}
+	n := 1 + len(e.docOrder)
+	if cap(buf) == 0 {
+		need := 0
+		for i := range n {
+			need += tape(i).SizeHint(writeOptions(tape(i), s.output))
+		}
+		buf = make([]byte, 0, need)
+	}
+	// Offsets, not sub-slices, until the last document is in: a buffer
+	// that still has to grow moves what it holds.
+	ends := make([]int, n+1)
+	ends[0] = len(buf)
+	for i := range n {
+		buf = tape(i).AppendSerialized(buf, writeOptions(tape(i), s.output))
+		ends[i+1] = len(buf)
+	}
+	doc := func(i int) []byte { return buf[ends[i]:ends[i+1]:ends[i+1]] }
 	res := &BufferResult{
-		Main:          serializeEmitter(be, s.output),
+		Main:          doc(0),
 		DocumentOrder: e.docOrder,
 		Messages:      e.messages,
 	}
 	if len(e.docEms) > 0 {
 		res.Documents = make(map[string][]byte, len(e.docEms))
-		for _, href := range e.docOrder {
-			res.Documents[href] = serializeEmitter(e.docBuf(href), s.output)
+		for i, href := range e.docOrder {
+			res.Documents[href] = doc(i + 1)
 		}
 	}
-	return res, nil
+	return res, buf, nil
 }
 
 // TransformPage is a targeted run: it renders one output document of
@@ -180,6 +235,12 @@ func (s *Stylesheet) TransformToBuffers(source *xmldom.Node, params map[string]x
 // TransformToBuffers run, without rendering the others. An empty href
 // names the principal output; otherwise href names an xsl:document (an
 // xsl:document whose href is empty is never the target).
+//
+// The page is appended to buf, as append does, into a buffer sized from
+// the page's size hint when buf has no capacity: the returned buffer
+// extends buf and Page is the capacity-limited sub-slice it appended, so
+// a caller that reuses the buffer must be done with the page first. A
+// run that errors or does not find the target returns buf unchanged.
 //
 // Control flow runs as usual and every xsl:document evaluates its href,
 // so DocumentOrder is complete. The body of an xsl:document naming
@@ -191,29 +252,37 @@ func (s *Stylesheet) TransformToBuffers(source *xmldom.Node, params map[string]x
 // run's where a skipped body would have been the first to number a
 // document. The source is prepared, and frozen, as for
 // TransformToBuffers.
-func (s *Stylesheet) TransformPage(source *xmldom.Node, params map[string]xpath.Value, href string) (*PageResult, error) {
+func (s *Stylesheet) TransformPage(buf []byte, source *xmldom.Node, params map[string]xpath.Value, href string) (*PageResult, []byte, error) {
 	source = s.prepSource(source)
 	e := newEngine(s)
 	e.targeted, e.target = true, href
 	defer e.release()
-	var main xmldom.Emitter = &discardSink{}
+	var main xmldom.Emitter
 	var be *xmldom.ByteEmitter
 	if href == "" {
 		be = xmldom.NewByteEmitter()
 		defer be.Release()
 		main = be
+	} else {
+		main = &discardSink{}
 	}
 	if err := s.prog.execute(e, source, params, main); err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	res := &PageResult{DocumentOrder: e.docOrder, Messages: e.messages}
 	if be == nil {
 		be = e.docBuf(href)
 	}
 	if be != nil {
-		res.Page, res.Found = serializeEmitter(be, s.output), true
+		opts := writeOptions(be, s.output)
+		if cap(buf) == 0 {
+			buf = make([]byte, 0, be.SizeHint(opts))
+		}
+		start := len(buf)
+		buf = be.AppendSerialized(buf, opts)
+		res.Page, res.Found = buf[start:len(buf):len(buf)], true
 	}
-	return res, nil
+	return res, buf, nil
 }
 
 // offTarget reports whether a targeted run leaves the xsl:document href
@@ -229,9 +298,11 @@ func (e *engine) offTarget(href string) bool {
 func (e *engine) documentOut(href string, skip bool) xmldom.Emitter {
 	em, seen := e.docEms[href]
 	if !seen {
-		if e.docEms == nil {
+		if e.docOrder == nil {
 			hint := int(e.sheet.prog.docHint.Load())
-			e.docEms = make(map[string]xmldom.Emitter, hint)
+			if e.docEms == nil {
+				e.docEms = make(map[string]xmldom.Emitter, hint)
+			}
 			e.docOrder = make([]string, 0, hint)
 		}
 		e.docOrder = append(e.docOrder, href)
