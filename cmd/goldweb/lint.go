@@ -11,7 +11,6 @@ import (
 
 	"goldweb/internal/analysis"
 	"goldweb/internal/analysis/verify"
-	"goldweb/internal/catalog"
 	"goldweb/internal/core"
 	"goldweb/internal/xsd"
 	"goldweb/internal/xslt"
@@ -188,13 +187,4 @@ func collectLintFiles(paths []string) ([]string, error) {
 		}
 	}
 	return files, nil
-}
-
-// parseLintPolicy reads a -lint value: strict, warn or off.
-func parseLintPolicy(s string) (catalog.LintPolicy, error) {
-	switch p := catalog.LintPolicy(s); p {
-	case catalog.LintStrict, catalog.LintWarn, catalog.LintOff:
-		return p, nil
-	}
-	return "", fmt.Errorf("bad -lint %q (want strict, warn or off)", s)
 }

@@ -103,7 +103,7 @@ func usage() {
                                            schema (include/import resolved)
   goldweb pretty <model.xml>               pretty-print (browser raw view)
   goldweb publish -o <dir> <model.xml>     generate the HTML presentation
-  goldweb serve [-addr :8080] [-timeout 30s] [-max-inflight 64] [-cache-size 64] [-cache-bytes N] [-compress=false] [-lint strict|warn|off] <model.xml>
+  goldweb serve [-addr :8080] [-timeout 30s] [-max-inflight 64] [-cache-size 64] [-cache-bytes N] [-compress=false] <model.xml>
                                            server-side XSLT over HTTP
   goldweb serve -catalog <dir> [-retry=false] [-breaker-threshold 5]
                                            resilient multi-model catalog:
@@ -121,7 +121,7 @@ func usage() {
                                            schema-aware static analysis of
                                            stylesheets and model documents
 
-  serve also accepts -schema f.xsd to validate and lint against a custom
+  serve also accepts -schema f.xsd to validate models against a custom
   schema (xs:include/xs:import graphs resolve relative to the file); it
   must still describe goldmodel documents, which serve publishes.`)
 }
@@ -319,26 +319,21 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache-size", server.DefaultCacheSize, "max cache entries, each a presentation or a page (LRU)")
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "presentation cache byte budget (LRU; 0 disables)")
 	compress := fs.Bool("compress", true, "serve precompressed gzip variants to Accept-Encoding clients")
-	lintPolicy := fs.String("lint", "warn", "lint gate: strict (lint errors refuse the model), warn, off; schema errors refuse it under every policy")
 	catalogDir := fs.String("catalog", "", "serve every *.xml in this directory as /m/{name}/ (multi-model mode)")
 	retry := fs.Bool("retry", true, "catalog mode: retry failing model reloads in the background with exponential backoff")
 	breakerThreshold := fs.Int("breaker-threshold", catalog.DefaultBreakerThreshold, "catalog mode: consecutive reload failures that open a model's circuit breaker (negative disables)")
-	schemaPath := fs.String("schema", "", "validate and lint models against this schema (with its include/import graph) instead of the embedded GOLD schema")
+	schemaPath := fs.String("schema", "", "validate models against this schema (with its include/import graph) instead of the embedded GOLD schema")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Both modes read these the same way: one -lint parse, and a cache
-	// of at least one entry (a Config would read a smaller -cache-size as
-	// the default, which the flag does not say).
-	policy, err := parseLintPolicy(*lintPolicy)
-	if err != nil {
-		return err
-	}
+	// Both modes need a cache of at least one entry (a Config would read
+	// a smaller -cache-size as the default, which the flag does not say).
 	if *cacheSize < 1 {
 		return fmt.Errorf("bad -cache-size %d (want at least 1)", *cacheSize)
 	}
 	var schema *xsd.Schema
 	if *schemaPath != "" {
+		var err error
 		schema, err = xsd.LoadSchemaFile(*schemaPath)
 		if err != nil {
 			return fmt.Errorf("loading -schema: %w", err)
@@ -351,7 +346,6 @@ func cmdServe(args []string) error {
 		CacheSize:      cfg.CacheSize,
 		CacheBytes:     cfg.CacheBytes,
 		NoCompress:     cfg.NoCompress,
-		Lint:           policy,
 		Schema:         schema,
 		OnEvent:        newEventPrinter(os.Stdout),
 	}
@@ -376,7 +370,7 @@ func cmdServe(args []string) error {
 
 // loadSingle runs the one model of serve without -catalog through the
 // catalog's pipeline: the file at path (the built-in sales sample when
-// path is empty) is parsed, validated, linted and published once, and a
+// path is empty) is parsed, validated and published once, and a
 // model any stage refuses is an error naming that stage. The model is
 // named after its file; the catalog retries nothing, so that error is
 // the only report of a failed stage and its event is not printed.
@@ -528,8 +522,6 @@ func newEventPrinter(w io.Writer) func(catalog.Event) {
 			fmt.Fprintf(w, "model %s: circuit breaker open\n", ev.Model)
 		case catalog.EventBreakerClosed:
 			fmt.Fprintf(w, "model %s: circuit breaker closed\n", ev.Model)
-		case catalog.EventLintFindings:
-			fmt.Fprintf(w, "model %s: %v\n", ev.Model, ev.Err) // Err reads "lint: …"
 		}
 	}
 }

@@ -554,38 +554,23 @@ func TestCmdLintWalksDirectories(t *testing.T) {
 
 // TestServeSingleRefusesInvalidModel: serve with a model file runs the
 // catalog's pipeline, so a document whose key references are broken
-// (GW402) never goes live, whatever -lint says: strict refuses it at the
-// lint stage, warn prints the findings once (the event printer adds no
-// second "lint:") and off skips them, and both refuse it at the publish
-// stage. A bad -lint value is a usage error.
+// (GW402) never goes live: the validate stage refuses it with the
+// findings, printed once (the event printer adds no second copy).
 func TestServeSingleRefusesInvalidModel(t *testing.T) {
 	const fixture = "../../internal/analysis/testdata/models/gw402_broken_refs.xml"
-	for _, tc := range []struct {
-		policy  catalog.LintPolicy
-		stage   string
-		printed string
-	}{
-		{catalog.LintStrict, "lint: 2 findings, first: ", ""},
-		{catalog.LintWarn, "publish: document is invalid: ", "model gw402_broken_refs: lint: 2 findings, first: "},
-		{catalog.LintOff, "publish: document is invalid: ", ""},
-	} {
-		out, err := capture(t, func() error {
-			c, _, err := loadSingle(context.Background(), fixture, catalog.Options{Lint: tc.policy, OnEvent: newEventPrinter(os.Stdout)})
-			if err == nil {
-				c.Close()
-			}
-			return err
-		})
-		if want := "refusing to serve gw402_broken_refs: " + tc.stage; err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Errorf("-lint %s: err = %v, want one starting %q", tc.policy, err, want)
+	out, err := capture(t, func() error {
+		c, _, err := loadSingle(context.Background(), fixture, catalog.Options{OnEvent: newEventPrinter(os.Stdout)})
+		if err == nil {
+			c.Close()
 		}
-		if tc.printed != "" && !strings.Contains(out, tc.printed) || strings.Contains(out, "lint: lint:") {
-			t.Errorf("-lint %s printed:\n%s\nwant %q, with the error printed once", tc.policy, out, tc.printed)
-		}
+		return err
+	})
+	const want = "refusing to serve gw402_broken_refs: validate: 2 findings, first: "
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("err = %v, want one starting %q", err, want)
 	}
-	if _, err := capture(t, func() error { return cmdServe([]string{"-lint", "bogus", fixture}) }); err == nil ||
-		!strings.Contains(err.Error(), "bad -lint") {
-		t.Errorf("-lint bogus: err = %v, want a bad -lint usage error", err)
+	if strings.Contains(out, "findings") {
+		t.Errorf("printed:\n%s\nwant the error printed once, as the returned error", out)
 	}
 }
 
@@ -635,9 +620,9 @@ func TestEventPrinterShortensRepeatedFailures(t *testing.T) {
 // are on.
 func TestServeReportsRefusedModelOnce(t *testing.T) {
 	const fixture = "../../internal/analysis/testdata/models/gw402_broken_refs.xml"
-	const failure = "publish: document is invalid"
+	const failure = "validate: 2 findings"
 	t.Run("single", func(t *testing.T) {
-		out, err := capture(t, func() error { return cmdServe([]string{"-lint", "off", fixture}) })
+		out, err := capture(t, func() error { return cmdServe([]string{fixture}) })
 		if err == nil || !strings.Contains(err.Error(), failure) {
 			t.Fatalf("serve: err = %v, want the %q failure", err, failure)
 		}
@@ -656,7 +641,7 @@ func TestServeReportsRefusedModelOnce(t *testing.T) {
 			// The catalog itself never retries here: a background retry
 			// would print while stdout is captured.
 			out, _ := capture(t, func() error {
-				c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
+				c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir),
 					DisableRetry: true, OnEvent: newEventPrinter(os.Stdout)})
 				defer c.Close()
 				addModels(context.Background(), c, []string{"broken"}, retry)
@@ -677,7 +662,7 @@ func TestServeReportsRefusedModelOnce(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		out, _ := capture(t, func() error {
-			c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintOff,
+			c := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir),
 				DisableRetry: true, OnEvent: newEventPrinter(os.Stdout)})
 			defer c.Close()
 			addModels(ctx, c, []string{"broken", "broken"}, true)
@@ -698,13 +683,13 @@ func TestServeSingleMatchesCatalogSite(t *testing.T) {
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no example models: %v", err)
 	}
-	multi := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), Lint: catalog.LintWarn, DisableRetry: true})
+	multi := catalog.New(catalog.Options{Loader: catalog.DirLoader(dir), DisableRetry: true})
 	defer multi.Close()
 	for _, name := range names {
 		if err := multi.Add(context.Background(), name); err != nil {
 			t.Fatalf("catalog %s: %v", name, err)
 		}
-		c, got, err := loadSingle(context.Background(), filepath.Join(dir, name+".xml"), catalog.Options{Lint: catalog.LintWarn})
+		c, got, err := loadSingle(context.Background(), filepath.Join(dir, name+".xml"), catalog.Options{})
 		if err != nil {
 			t.Fatalf("serve %s: %v", name, err)
 		}
@@ -736,15 +721,15 @@ func TestCmdServeCatalogArgValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no *.xml models") {
 		t.Errorf("want empty-dir error, got %v", err)
 	}
-	// A bad -lint policy is rejected before any model loads.
+	// -lint is no serve flag: it is rejected before any model loads.
 	if err := os.WriteFile(filepath.Join(dir, "m.xml"), []byte(core.SampleSales().XMLString()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = capture(t, func() error {
-		return cmdServe([]string{"-catalog", dir, "-lint", "bogus"})
+	_, err = redirect(t, &os.Stderr, func() error {
+		return cmdServe([]string{"-catalog", dir, "-lint", "strict"})
 	})
-	if err == nil || !strings.Contains(err.Error(), "bad -lint") {
-		t.Errorf("want bad-lint error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -lint") {
+		t.Errorf("want an unknown-flag error for -lint, got %v", err)
 	}
 	// A missing catalog directory reports the underlying error.
 	_, err = capture(t, func() error {

@@ -11,7 +11,7 @@ import (
 )
 
 // setBytesCeiling bounds the bytes one Catalog.Set of
-// examples/models/salesdw.xml allocates: parse, validation, lint, model
+// examples/models/salesdw.xml allocates: parse, validation, model
 // build, the snapshot's validated publication document and the shadow
 // multi-page publish. It is 60 % of the 638 KB a Set allocated when the
 // snapshot also built its XML views and the parser allocated per node

@@ -1,10 +1,10 @@
 // Package catalog manages a registry of named multidimensional models,
 // each served by its own internal/server instance, with resilient hot
-// swaps: every model transition runs a staged pipeline (parse →
-// xsd-validate → lint gate → shadow publish → atomic generation bump)
-// and any stage failure rolls back to the last-good snapshot. Each
-// transition validates its input once, in one pass whose result the lint
-// gate reuses and whose document the snapshot publishes. A
+// swaps: every model transition runs a staged pipeline (load → parse →
+// validate → shadow publish → atomic generation bump) and any stage
+// failure rolls back to the last-good snapshot. Each transition
+// validates its input once, identity constraints included, and the
+// snapshot publishes the document that pass validated. A
 // background reloader retries failed loads with exponential backoff and
 // seeded jitter under a per-model circuit breaker, so one corrupt model
 // file degrades exactly one model — which keeps serving its last-good
@@ -71,19 +71,6 @@ func DirModels(dir string) ([]string, error) {
 	return names, nil
 }
 
-// LintPolicy controls the lint gate stage of a staged swap.
-type LintPolicy string
-
-const (
-	// LintStrict (the default): error-severity lint findings fail the
-	// swap and roll back — a model that lints dirty never goes live.
-	LintStrict LintPolicy = "strict"
-	// LintWarn: findings are reported via the event hook but don't gate.
-	LintWarn LintPolicy = "warn"
-	// LintOff: the lint stage is skipped entirely.
-	LintOff LintPolicy = "off"
-)
-
 // EventType classifies catalog lifecycle events.
 type EventType int
 
@@ -100,9 +87,6 @@ const (
 	EventBreakerOpened
 	// EventBreakerClosed: a successful publish closed the breaker again.
 	EventBreakerClosed
-	// EventLintFindings: the lint stage produced findings under LintWarn
-	// (Err carries a summary; the swap proceeds).
-	EventLintFindings
 )
 
 func (t EventType) String() string {
@@ -117,8 +101,6 @@ func (t EventType) String() string {
 		return "breaker-opened"
 	case EventBreakerClosed:
 		return "breaker-closed"
-	case EventLintFindings:
-		return "lint-findings"
 	}
 	return "unknown"
 }
@@ -129,7 +111,7 @@ func (t EventType) String() string {
 type Event struct {
 	Model   string
 	Type    EventType
-	Stage   string // pipeline stage for failures: load, parse, validate, lint, publish, commit
+	Stage   string // pipeline stage for failures: load, parse, validate, publish, commit
 	Gen     uint64
 	Err     error
 	Attempt int
@@ -147,9 +129,7 @@ type Options struct {
 	// publication. It can fail, block or panic a publication but never
 	// replaces its output (the fault-injection seam; may be nil).
 	PublishHook server.PublishHook
-	// Lint is the lint-gate policy (default LintStrict).
-	Lint LintPolicy
-	// Schema is the XML Schema models validate and lint against. Nil
+	// Schema is the XML Schema models validate against. Nil
 	// means the embedded GOLD schema; set it (e.g. via xsd.LoadSchemaFile)
 	// to refine that vocabulary: a document whose root is not goldmodel
 	// still fails the validate stage. The stylesheets read GOLD
@@ -341,9 +321,6 @@ type Catalog struct {
 
 // New creates a catalog. Close releases its background work.
 func New(opts Options) *Catalog {
-	if opts.Lint == "" {
-		opts.Lint = LintStrict
-	}
 	if opts.BreakerThreshold == 0 {
 		opts.BreakerThreshold = DefaultBreakerThreshold
 	}
@@ -445,8 +422,8 @@ func (c *Catalog) Names() []string {
 	return names
 }
 
-// Server returns the underlying server for name (nil if unknown) —
-// mainly for tests and diagnostics.
+// Server returns the underlying server for name (nil if unknown):
+// serve <file> serves its one model through it.
 func (c *Catalog) Server(name string) *server.Server {
 	if e := c.get(name); e != nil {
 		return e.srv
@@ -556,39 +533,31 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 	}
 
 	// Stage 2: validation — one pass over the input that applies schema
-	// defaults, freezes the document and evaluates key/keyref on the
-	// frozen tree — plus model construction. Only structural and type
-	// errors fail here; referential (key/keyref) violations are the lint
-	// gate's to report, with the governing key named.
+	// defaults, freezes the document and evaluates the identity
+	// constraints (key, unique, keyref) on the frozen tree — plus model
+	// construction. Structural and type errors are reported first, with
+	// their count only; a document without them fails on any identity
+	// violation, reported as the GW402 finding that names the governing
+	// constraint.
 	stage = "validate"
 	val := c.schema.ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true})
 	if verrs := val.StructuralErrors(); len(verrs) > 0 {
 		return fmt.Errorf("validate: %v (%d problems)", verrs[0], len(verrs))
+	}
+	if len(val.Errors) > 0 {
+		diags := analysis.LintValidated(e.name+".xml", val)
+		return fmt.Errorf("validate: %d findings, first: %s", len(diags), diags[0])
 	}
 	m, merr := core.ModelFromXML(val.Doc)
 	if merr != nil {
 		return fmt.Errorf("validate: %w", merr)
 	}
 
-	// Stage 3: lint gate, over the validation result (no second pass).
-	stage = "lint"
-	if c.opts.Lint != LintOff {
-		diags := analysis.LintValidated(e.name+".xml", val)
-		if analysis.HasErrors(diags) {
-			summary := fmt.Errorf("lint: %d findings, first: %s", len(diags), diags[0])
-			if c.opts.Lint == LintStrict {
-				return summary
-			}
-			c.emit(Event{Model: e.name, Type: EventLintFindings, Err: summary})
-		}
-	}
-
-	// Stage 4: shadow publish of the document stage 2 validated, with its
-	// key/keyref errors: they are the backstop when the gate is off or
-	// only warns. The server runs the full publication pipeline without
-	// touching the live snapshot, so a failure here leaves last-good
-	// untouched. The stylesheets read GOLD documents, so a catalog with
-	// its own schema publishes the model's canonical GOLD document.
+	// Stage 3: shadow publish of the document stage 2 validated. The
+	// server runs the full publication pipeline without touching the live
+	// snapshot, so a failure here leaves last-good untouched. The
+	// stylesheets read GOLD documents, so a catalog with its own schema
+	// publishes the model's canonical GOLD document.
 	stage = "publish"
 	pub := val
 	if c.schema != core.MustSchema() {
@@ -599,7 +568,7 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		return fmt.Errorf("publish: %w", serr)
 	}
 
-	// Stage 5: atomic generation bump.
+	// Stage 4: atomic generation bump.
 	stage = "commit"
 	committed = &entryState{hasGood: true, gen: staged.Commit(), srcSum: sourceSum(data)}
 	return nil

@@ -51,7 +51,7 @@ func structuralBad(src []byte) []byte {
 // keyrefBroken retargets the dimension's rollup association at a
 // dimension attribute instead of a level. The value is still a valid
 // ID in the document, so structural validation (IDREF) passes; only
-// the levelKey keyref — the lint gate's territory — is violated.
+// the levelKey keyref is violated.
 func keyrefBroken(src []byte) []byte {
 	return bytes.Replace(src, []byte(`child="l1"`), []byte(`child="da1"`), 1)
 }
@@ -137,7 +137,7 @@ func TestStageFailuresRollBackToLastGood(t *testing.T) {
 	}{
 		{"torn input fails parse", tornSource(good), "parse"},
 		{"unknown element fails structural validation", structuralBad(good), "validate"},
-		{"broken keyref fails the lint gate", keyrefBroken(good), "lint"},
+		{"broken keyref fails validation", keyrefBroken(good), "validate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,41 +196,41 @@ func TestStageFailuresRollBackToLastGood(t *testing.T) {
 }
 
 // TestStageErrorMessages pins the exact stage errors a failed swap
-// reports. A structural error fails validation with the count of
+// reports, and that the swap's one stage-failed event carries the same
+// error. A structural error fails validation with the count of
 // structural errors only, even when key/keyref violations are present
-// too; key/keyref violations alone fail the lint gate under strict and
-// the publish stage under warn and off, naming the input node.
+// too; key/keyref violations alone fail validation as GW402 findings,
+// naming the governing key and the input node.
 func TestStageErrorMessages(t *testing.T) {
 	good := modelSource(t, "Sales DW")
-	const (
-		structural = "validate: /goldmodel/bogus (line 1): element <bogus> is not allowed here in goldmodel (content model (factclasses, dimclasses, cubeclasses?)) (1 problems)"
-		backstop   = "publish: document is invalid: /goldmodel/dimclasses/dimclass/relationasocs/relationasoc (line 1): keyref relationAsocChildKey: value (da1) does not match any levelKey value (1 problems)"
-	)
+	const structural = "validate: /goldmodel/bogus (line 1): element <bogus> is not allowed here in goldmodel (content model (factclasses, dimclasses, cubeclasses?)) (1 problems)"
 	cases := []struct {
-		lint LintPolicy
+		name string
 		src  []byte
 		want string
 	}{
-		{LintStrict, structuralBad(good), structural},
-		{LintStrict, structuralBad(keyrefBroken(good)), structural},
-		{LintStrict, keyrefBroken(good), "lint: 1 findings, first: m.xml:1:699: error GW402: keyref 'relationAsocChildKey': value 'da1' matches no 'levelKey' key value within dimclass (key selects asoclevels/asoclevel, field @id; declared values: l1)"},
-		{LintWarn, keyrefBroken(good), backstop},
-		{LintOff, keyrefBroken(good), backstop},
+		{"structural", structuralBad(good), structural},
+		{"structural and keyref", structuralBad(keyrefBroken(good)), structural},
+		{"keyref", keyrefBroken(good), "validate: 1 findings, first: m.xml:1:699: error GW402: keyref 'relationAsocChildKey': value 'da1' matches no 'levelKey' key value within dimclass (key selects asoclevels/asoclevel, field @id; declared values: l1)"},
 	}
 	for _, tc := range cases {
-		c := New(Options{DisableRetry: true, Lint: tc.lint})
+		log := &eventLog{}
+		c := New(Options{DisableRetry: true, OnEvent: log.add})
 		err := c.Set(context.Background(), "m", tc.src)
 		c.Close()
 		if err == nil || err.Error() != tc.want {
-			t.Errorf("lint %s: err = %v\nwant %s", tc.lint, err, tc.want)
+			t.Errorf("%s: err = %v\nwant %s", tc.name, err, tc.want)
+		}
+		if len(log.evs) != 1 || log.evs[0].Type != EventStageFailed || log.evs[0].Stage != "validate" || log.evs[0].Err != err {
+			t.Errorf("%s: events %+v, want one validate stage failure carrying the error", tc.name, log.evs)
 		}
 	}
 }
 
 // TestSetValidatesEachDocumentOnce: a swap walks its input document once
-// and nothing else, on the first load and on a hot swap: the lint gate
-// reuses that validation, and the snapshot publishes the document it
-// validated.
+// and nothing else, on the first load and on a hot swap: the key/keyref
+// verdict reads that validation, and the snapshot publishes the document
+// it validated.
 func TestSetValidatesEachDocumentOnce(t *testing.T) {
 	c := New(Options{DisableRetry: true})
 	defer c.Close()
@@ -302,42 +302,65 @@ func TestCustomSchemaPublishesCanonicalDocument(t *testing.T) {
 	}
 }
 
-func TestLintPolicies(t *testing.T) {
-	good := modelSource(t, "Sales DW")
-	bad := keyrefBroken(good)
+// TestCustomSchemaIdentityErrorsRefuseTheModel: a custom schema's own
+// identity constraints refuse a model at the validate stage, although
+// the canonical GOLD document that would publish is valid. The schema is
+// the GOLD schema plus an xsd:unique on fact class names; a model whose
+// two facts share a name fails it, the generation does not move, and
+// the last-good model keeps serving.
+func TestCustomSchemaIdentityErrorsRefuseTheModel(t *testing.T) {
+	const anchor = `<xsd:key name="dimClassKey">`
+	if strings.Count(core.SchemaXSD, anchor) != 1 {
+		t.Fatal("the GOLD schema no longer declares dimClassKey as expected")
+	}
+	schema, err := xsd.ParseSchemaString(strings.Replace(core.SchemaXSD, anchor,
+		`<xsd:unique name="factNameUnique"><xsd:selector xpath="factclasses/factclass"/><xsd:field xpath="@name"/></xsd:unique>`+anchor, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := core.NewModel("Twin facts")
+	b.Dimension("Region").Key("region_id", "OID")
+	b.Fact("Sales").Aggregates("Region").Measure("qty", "Integer")
+	b.Fact("Returns").Aggregates("Region").Measure("qty", "Integer")
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []byte(m.XMLString())
+	if !bytes.Contains(good, []byte(`name="Returns"`)) {
+		t.Fatal("the model does not name its second fact Returns")
+	}
+	twins := bytes.Replace(good, []byte(`name="Returns"`), []byte(`name="Sales"`), 1)
+	doc, err := xmldom.Parse(twins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := core.ValidateAndFreeze(doc); len(v.Errors) != 0 {
+		t.Fatalf("the twin-named model is invalid against the GOLD schema too: %v", v.Errors[0])
+	}
+
+	c := New(Options{DisableRetry: true, Schema: schema})
+	defer c.Close()
 	ctx := context.Background()
-
-	// Strict (default): the gate itself rejects.
-	c := New(Options{DisableRetry: true})
-	err := c.Set(ctx, "m", bad)
-	c.Close()
-	if err == nil || !strings.HasPrefix(err.Error(), "lint:") {
-		t.Fatalf("strict: err = %v, want lint-stage failure", err)
+	if err := c.Set(ctx, "m", good); err != nil {
+		t.Fatalf("good Set: %v", err)
 	}
-
-	// Warn: findings are surfaced as an event but don't gate; the shadow
-	// publish's full validation is the backstop that still rejects.
-	log := &eventLog{}
-	c = New(Options{DisableRetry: true, Lint: LintWarn, OnEvent: log.add})
-	err = c.Set(ctx, "m", bad)
-	c.Close()
-	if err == nil || !strings.HasPrefix(err.Error(), "publish:") {
-		t.Fatalf("warn: err = %v, want publish-stage failure", err)
+	h := c.Handler()
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/m/site/index.html", nil))
+		return rec
 	}
-	if log.count(EventLintFindings) != 1 {
-		t.Fatalf("warn: %d lint-findings events, want 1", log.count(EventLintFindings))
+	before := get().Body.String()
+	err = c.Set(ctx, "m", twins)
+	if err == nil || !strings.HasPrefix(err.Error(), "validate: ") || !strings.Contains(err.Error(), "GW402: unique 'factNameUnique'") {
+		t.Fatalf("twin-named Set: err = %v, want a validate failure naming factNameUnique", err)
 	}
-
-	// Off: no gate, no findings event; the backstop still holds.
-	log = &eventLog{}
-	c = New(Options{DisableRetry: true, Lint: LintOff, OnEvent: log.add})
-	err = c.Set(ctx, "m", bad)
-	c.Close()
-	if err == nil || !strings.HasPrefix(err.Error(), "publish:") {
-		t.Fatalf("off: err = %v, want publish-stage failure", err)
+	if st := statusOf(t, c, "m"); st.Generation != 1 || !st.Stale {
+		t.Fatalf("status after the refused Set = %+v, want generation 1, stale", st)
 	}
-	if log.count(EventLintFindings) != 0 {
-		t.Fatal("off: lint event emitted with the stage disabled")
+	if rec := get(); rec.Code != http.StatusOK || rec.Body.String() != before || rec.Header().Get(server.GenerationHeader) != "1" {
+		t.Fatalf("last-good model no longer serves: status %d, generation %q", rec.Code, rec.Header().Get(server.GenerationHeader))
 	}
 }
 

@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -90,22 +91,13 @@ func fuzzRequest(method, uri, accept, encoding, inm string) *http.Request {
 	}
 }
 
-// fuzzPolicyCatalog is one catalog of FuzzCatalogSet: its lint policy,
-// the site its model "m" must serve, and the stage of its last failure.
-type fuzzPolicyCatalog struct {
-	c     *Catalog
-	h     http.Handler
-	site  *htmlgen.Site
-	stage string
-}
-
-// FuzzCatalogSet feeds raw bytes to Catalog.Set under each lint policy.
-// Whatever the bytes, no stage panics. A failure names its stage, in
-// the error and in the event, and leaves the generation and the served
-// pages as they were. A success bumps the generation by exactly one, and
-// every /site/ page then served equals the page htmlgen.Publish makes of
-// the model's canonical document, although the catalog publishes the
-// document it validated.
+// FuzzCatalogSet feeds raw bytes to Catalog.Set. Whatever the bytes,
+// no stage panics. A failure names its stage, in the error and in the
+// event, and leaves the generation and the served pages as they were. A
+// success bumps the generation by exactly one; the GOLD validation of
+// its input then reports no errors, and every /site/ page served equals
+// the page htmlgen.Publish makes of the model's canonical document,
+// although the catalog publishes the document it validated.
 func FuzzCatalogSet(f *testing.F) {
 	for _, dir := range []string{"bench/testdata/models", "examples/models"} {
 		files, err := filepath.Glob(filepath.Join("..", "..", dir, "*.xml"))
@@ -124,71 +116,67 @@ func FuzzCatalogSet(f *testing.F) {
 	for _, src := range [][]byte{good, tornSource(good), structuralBad(good), keyrefBroken(good)} {
 		f.Add(src)
 	}
-	var cats []*fuzzPolicyCatalog
-	for _, policy := range []LintPolicy{LintOff, LintWarn, LintStrict} {
-		fc := &fuzzPolicyCatalog{}
-		fc.c = New(Options{DisableRetry: true, BreakerThreshold: -1, Lint: policy, OnEvent: func(ev Event) {
-			if ev.Type == EventStageFailed {
-				fc.stage = ev.Stage
-			}
-		}})
-		f.Cleanup(fc.c.Close)
-		fc.h = fc.c.Handler()
-		if err := fc.c.Set(context.Background(), "m", good); err != nil {
-			f.Fatal(err)
+	var failedAt string // the stage of the last failure event
+	c := New(Options{DisableRetry: true, BreakerThreshold: -1, OnEvent: func(ev Event) {
+		if ev.Type == EventStageFailed {
+			failedAt = ev.Stage
 		}
-		site, err := canonicalSite(good)
-		if err != nil {
-			f.Fatal(err)
-		}
-		fc.site = site
-		cats = append(cats, fc)
+	}})
+	f.Cleanup(c.Close)
+	h := c.Handler()
+	if err := c.Set(context.Background(), "m", good); err != nil {
+		f.Fatal(err)
 	}
-	stages := []string{"parse", "validate", "lint", "publish", "commit"}
+	site, err := canonicalSite(good)
+	if err != nil {
+		f.Fatal(err)
+	}
+	stages := []string{"parse", "validate", "publish", "commit"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = append([]byte{}, data...) // nil would mean "fetch through the Loader"
-		for _, fc := range cats {
-			gen := fc.c.get("m").srv.Generation()
-			fc.stage = ""
-			err := fc.c.Set(context.Background(), "m", data)
-			switch {
-			case err != nil:
-				stage, _, _ := strings.Cut(err.Error(), ": ")
-				if !slices.Contains(stages, stage) || fc.stage != stage || strings.Contains(err.Error(), ": panic: ") {
-					t.Fatalf("%s: failure %q (event stage %q) names no stage, or panicked", fc.c.opts.Lint, err, fc.stage)
-				}
-				if got := fc.c.get("m").srv.Generation(); got != gen {
-					t.Fatalf("%s: failed Set moved the generation %d -> %d", fc.c.opts.Lint, gen, got)
-				}
-			default:
-				if got := fc.c.get("m").srv.Generation(); got != gen+1 {
-					t.Fatalf("%s: Set moved the generation %d -> %d, want +1", fc.c.opts.Lint, gen, got)
-				}
-				site, err := canonicalSite(data)
-				if err != nil {
-					t.Fatalf("%s: Set accepted a document whose canonical document does not publish: %v", fc.c.opts.Lint, err)
-				}
-				fc.site = site
+		gen := c.get("m").srv.Generation()
+		failedAt = ""
+		err := c.Set(context.Background(), "m", data)
+		switch {
+		case err != nil:
+			stage, _, _ := strings.Cut(err.Error(), ": ")
+			if !slices.Contains(stages, stage) || failedAt != stage || strings.Contains(err.Error(), ": panic: ") {
+				t.Fatalf("failure %q (event stage %q) names no stage, or panicked", err, failedAt)
 			}
-			for _, page := range fc.site.Order {
-				rec := httptest.NewRecorder()
-				fc.h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/m/site/"+page, nil))
-				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), fc.site.Pages[page]) {
-					t.Fatalf("%s: %s: status %d, body differs from the canonical document's page", fc.c.opts.Lint, page, rec.Code)
-				}
+			if got := c.get("m").srv.Generation(); got != gen {
+				t.Fatalf("failed Set moved the generation %d -> %d", gen, got)
+			}
+		default:
+			if got := c.get("m").srv.Generation(); got != gen+1 {
+				t.Fatalf("Set moved the generation %d -> %d, want +1", gen, got)
+			}
+			if site, err = canonicalSite(data); err != nil {
+				t.Fatalf("Set accepted a document that is invalid or whose canonical document does not publish: %v", err)
+			}
+		}
+		for _, page := range site.Order {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/m/m/site/"+page, nil))
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), site.Pages[page]) {
+				t.Fatalf("%s: status %d, body differs from the canonical document's page", page, rec.Code)
 			}
 		}
 	})
 }
 
 // canonicalSite is the multi-page site of the model read from src,
-// published from its canonical document.
+// published from its canonical document; an error when src does not
+// pass the GOLD schema.
 func canonicalSite(src []byte) (*htmlgen.Site, error) {
 	doc, err := xmldom.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.ModelFromXML(core.ValidateAndFreeze(doc).Doc)
+	val := core.ValidateAndFreeze(doc)
+	if len(val.Errors) > 0 {
+		return nil, fmt.Errorf("GOLD validation: %v (%d problems)", val.Errors[0], len(val.Errors))
+	}
+	m, err := core.ModelFromXML(val.Doc)
 	if err != nil {
 		return nil, err
 	}

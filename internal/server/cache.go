@@ -137,7 +137,7 @@ func (c *siteCache) len() int {
 	return c.ll.Len()
 }
 
-// usedBytes reports the accounted identity bytes (for tests/metrics).
+// usedBytes reports the accounted identity bytes (for tests).
 func (c *siteCache) usedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
