@@ -121,26 +121,40 @@ func usage() {
                                            schema-aware static analysis of
                                            stylesheets and model documents
 
+  Every command that reads a model file refuses what serve refuses:
+  publish, export and cwm print the same "validate: ..." text that
+  follows "refusing to serve NAME:".
+
   serve also accepts -schema f.xsd to validate models against a custom
   schema (xs:include/xs:import graphs resolve relative to the file); it
   must still describe goldmodel documents, which serve publishes.`)
 }
 
-// loadModelFile parses the model document at path and builds its model.
-func loadModelFile(path string) (*core.Model, *xmldom.Node, error) {
+// readDocument parses the XML document at path.
+func readDocument(path string) (*xmldom.Node, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	doc, err := xmldom.Parse(data)
+	return xmldom.Parse(data)
+}
+
+// modelName names the model of the document at path after its file, as
+// serve does.
+func modelName(path string) string {
+	return strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+}
+
+// loadModel reads the model document at path through the catalog's
+// validate stage, so every command refuses what serve refuses, with the
+// same text. It returns the model and its validated, frozen document;
+// callers check the error first.
+func loadModel(path string) (*core.Model, *xsd.Validated, error) {
+	doc, err := readDocument(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := core.ModelFromXML(doc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, doc, nil
+	return catalog.ValidateModel(modelName(path), doc, core.MustSchema())
 }
 
 func sampleByName(name string) (*core.Model, error) {
@@ -176,30 +190,22 @@ func cmdValidate(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: goldweb validate [-dtd|-schema file.xsd] <model.xml>")
 	}
+	if *schemaPath != "" && *useDTD {
+		return fmt.Errorf("validate: -dtd and -schema are mutually exclusive")
+	}
+	doc, err := readDocument(fs.Arg(0))
+	if err != nil {
+		return err
+	}
 	if *schemaPath != "" {
-		if *useDTD {
-			return fmt.Errorf("validate: -dtd and -schema are mutually exclusive")
-		}
 		// Generic instance validation: any document against any schema.
 		// The GOLD metamodel's semantic checks do not apply here.
 		s, err := xsd.LoadSchemaFile(*schemaPath)
 		if err != nil {
 			return err
 		}
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		doc, err := xmldom.Parse(data)
-		if err != nil {
-			return err
-		}
-		errs := s.Validate(doc, xsd.ValidateOptions{ApplyDefaults: true})
-		for _, e := range errs {
-			fmt.Printf("schema: %s\n", e)
-		}
-		if len(errs) > 0 {
-			return fmt.Errorf("%d problems", len(errs))
+		if n := printProblems("schema", s.Validate(doc, xsd.ValidateOptions{ApplyDefaults: true})); n > 0 {
+			return fmt.Errorf("%d problems", n)
 		}
 		fmt.Printf("VALID against %s (%d source files): <%s>\n",
 			*schemaPath, len(s.SourceFiles()), doc.DocumentElement().Name)
@@ -208,58 +214,50 @@ func cmdValidate(args []string) error {
 	if *useDTD {
 		// DTD validation works on the raw document: a DTD cannot see the
 		// data-type problems that would stop the model loader.
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		doc, err := xmldom.Parse(data)
-		if err != nil {
-			return err
-		}
 		d, err := dtd.Parse(core.SchemaDTD)
 		if err != nil {
 			return err
 		}
-		errs := d.Validate(doc)
-		for _, e := range errs {
-			fmt.Printf("dtd: %s\n", e)
-		}
-		if len(errs) > 0 {
-			return fmt.Errorf("%d problems", len(errs))
+		if n := printProblems("dtd", d.Validate(doc)); n > 0 {
+			return fmt.Errorf("%d problems", n)
 		}
 		fmt.Printf("VALID (DTD only — no data types, unselective references): %s\n",
 			doc.DocumentElement().AttrValue("name"))
 		return nil
 	}
-	m, doc, err := loadModelFile(fs.Arg(0))
-	if err != nil {
-		return err
+	// The full report of the validate stage's one walk: every schema
+	// error, then the metamodel's problems when the document builds a
+	// model.
+	m, val, verdict := catalog.ValidateModel(modelName(fs.Arg(0)), doc, core.MustSchema())
+	problems := printProblems("schema", val.Errors)
+	if m != nil {
+		problems += printProblems("model", m.Validate())
 	}
-	schemaErrs := core.ValidateDocument(doc)
-	semErrs := m.Validate()
-	for _, e := range schemaErrs {
-		fmt.Printf("schema: %s\n", e)
+	if problems > 0 {
+		return fmt.Errorf("%d problems", problems)
 	}
-	for _, e := range semErrs {
-		fmt.Printf("model: %s\n", e)
-	}
-	if len(schemaErrs)+len(semErrs) > 0 {
-		return fmt.Errorf("%d problems", len(schemaErrs)+len(semErrs))
+	if verdict != nil {
+		return verdict
 	}
 	fmt.Printf("VALID: %s (%d fact classes, %d dimension classes, %d cube classes)\n",
 		m.Name, len(m.Facts), len(m.Dims), len(m.Cubes))
 	return nil
 }
 
+// printProblems prints one "kind: problem" line per problem and returns
+// their count.
+func printProblems[E error](kind string, problems []E) int {
+	for _, p := range problems {
+		fmt.Printf("%s: %s\n", kind, p)
+	}
+	return len(problems)
+}
+
 func cmdPretty(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: goldweb pretty <model.xml>")
 	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		return err
-	}
-	doc, err := xmldom.Parse(data)
+	doc, err := readDocument(args[0])
 	if err != nil {
 		return err
 	}
@@ -278,11 +276,15 @@ func cmdPublish(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: goldweb publish [-o dir] [-mode single|multi] [-focus id] <model.xml>")
 	}
-	_, doc, err := loadModelFile(fs.Arg(0))
+	m, val, err := loadModel(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	opts := htmlgen.Options{Focus: *focus}
+	if *focus != "" && !htmlgen.FocusTargets(m)[*focus] {
+		return fmt.Errorf("unknown focus %q: no such fact class", *focus)
+	}
+	// The validated, frozen document publishes as a swap's does.
+	opts := htmlgen.Options{Focus: *focus, SkipValidation: true}
 	switch *mode {
 	case "single":
 		opts.Mode = htmlgen.SinglePage
@@ -291,7 +293,7 @@ func cmdPublish(args []string) error {
 	default:
 		return fmt.Errorf("bad -mode %q", *mode)
 	}
-	site, err := htmlgen.PublishDocument(doc, opts)
+	site, err := htmlgen.PublishDocument(val.Doc, opts)
 	if err != nil {
 		return err
 	}
@@ -381,7 +383,7 @@ func loadSingle(ctx context.Context, path string, opts catalog.Options) (*catalo
 		if src, err = os.ReadFile(path); err != nil {
 			return nil, "", err
 		}
-		name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+		name = modelName(path)
 	}
 	opts.DisableRetry = true
 	if onEvent := opts.OnEvent; onEvent != nil {
@@ -536,7 +538,7 @@ func cmdExport(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: goldweb export [-style star|snowflake] <model.xml>")
 	}
-	m, _, err := loadModelFile(fs.Arg(0))
+	m, _, err := loadModel(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -613,11 +615,7 @@ func cmdTransform(args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("usage: goldweb transform [-param k=v] [-o dir] <doc.xml> <sheet.xsl>")
 	}
-	docData, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	doc, err := xmldom.Parse(docData)
+	doc, err := readDocument(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -627,11 +625,7 @@ func cmdTransform(args []string) error {
 	}
 	baseDir := filepath.Dir(fs.Arg(1))
 	loader := func(href string) (*xmldom.Node, error) {
-		data, err := os.ReadFile(filepath.Join(baseDir, href))
-		if err != nil {
-			return nil, err
-		}
-		return xmldom.Parse(data)
+		return readDocument(filepath.Join(baseDir, href))
 	}
 	sheet, err := xslt.CompileStylesheetString(string(sheetData), xslt.CompileOptions{Loader: loader})
 	if err != nil {
@@ -692,7 +686,7 @@ func cmdCWM(args []string) error {
 	if len(args) == 0 {
 		m = core.SampleSales()
 	} else {
-		m, _, err = loadModelFile(args[0])
+		m, _, err = loadModel(args[0])
 		if err != nil {
 			return err
 		}

@@ -705,6 +705,133 @@ func TestServeSingleMatchesCatalogSite(t *testing.T) {
 	}
 }
 
+// TestModelCommandsShareServesVerdict: every command that reads a model
+// file refuses a document single-model serve refuses. publish, export
+// and cwm return exactly the validate-stage error that serve reports
+// after "refusing to serve NAME: "; validate reports the document's
+// problems in full.
+func TestModelCommandsShareServesVerdict(t *testing.T) {
+	const fixtures = "../../internal/analysis/testdata/models/"
+	sales := core.SampleSales().XMLString()
+	badDate := regexp.MustCompile(`creationdate="[^"]*"`).ReplaceAllString(sales, `creationdate="2002-13-45"`)
+	if badDate == sales {
+		t.Fatal("the sales sample has no creationdate")
+	}
+	rogue := strings.Replace(sales, "<factclasses>", "<factclasses><rogue/>", 1)
+	if rogue == sales {
+		t.Fatal("the sales sample has no <factclasses>")
+	}
+	for _, path := range []string{
+		fixtures + "gw401_invalid_model.xml",
+		fixtures + "gw401_unmatched_scope.xml",
+		fixtures + "gw402_broken_refs.xml",
+		withFile(t, "bad_date.xml", badDate),
+		withFile(t, "rogue.xml", rogue),
+	} {
+		name := modelName(path)
+		t.Run(name, func(t *testing.T) {
+			_, serr := capture(t, func() error {
+				c, _, err := loadSingle(context.Background(), path, catalog.Options{OnEvent: newEventPrinter(os.Stdout)})
+				if err == nil {
+					c.Close()
+				}
+				return err
+			})
+			prefix := "refusing to serve " + name + ": "
+			if serr == nil || !strings.HasPrefix(serr.Error(), prefix+"validate: ") {
+				t.Fatalf("serve: err = %v, want a validate-stage refusal", serr)
+			}
+			want := strings.TrimPrefix(serr.Error(), prefix)
+			if _, err := capture(t, func() error { return cmdValidate([]string{path}) }); err == nil {
+				t.Error("validate accepted the document")
+			}
+			for cmd, run := range map[string]func([]string) error{
+				"publish": cmdPublish, "export": cmdExport, "cwm": cmdCWM,
+			} {
+				args := []string{path}
+				if cmd == "publish" {
+					args = []string{"-o", t.TempDir(), path}
+				}
+				out, err := capture(t, func() error { return run(args) })
+				if err == nil || err.Error() != want {
+					t.Errorf("%s: err = %v, want %q", cmd, err, want)
+				}
+				if out != "" {
+					t.Errorf("%s printed %q for a refused model", cmd, out)
+				}
+			}
+		})
+	}
+}
+
+// TestCmdPublishMatchesServe: publish writes, page for page, the bytes
+// single-model serve answers for each example model: every page of the
+// unfocused multi-page site and the single page.
+func TestCmdPublishMatchesServe(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/models/*.xml")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example models: %v", err)
+	}
+	for _, path := range paths {
+		c, name, err := loadSingle(context.Background(), path, catalog.Options{})
+		if err != nil {
+			t.Fatalf("serve %s: %v", path, err)
+		}
+		get := func(target string) string {
+			rec := httptest.NewRecorder()
+			c.Server(name).Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+			if rec.Code != 200 {
+				t.Errorf("%s: GET %s answered %d", name, target, rec.Code)
+			}
+			return rec.Body.String()
+		}
+		multi, single := t.TempDir(), t.TempDir()
+		for _, args := range [][]string{{"-o", multi, path}, {"-o", single, "-mode", "single", path}} {
+			if _, err := capture(t, func() error { return cmdPublish(args) }); err != nil {
+				t.Fatalf("publish %s: %v", name, err)
+			}
+		}
+		pages := readTree(t, multi)
+		if len(pages) < 2 {
+			t.Errorf("%s: publish wrote %d pages", name, len(pages))
+		}
+		for page, content := range pages {
+			if get("/site/"+page) != content {
+				t.Errorf("%s: /site/%s differs from the published page", name, page)
+			}
+		}
+		if get("/single") != readTree(t, single)["index.html"] {
+			t.Errorf("%s: /single differs from the published single page", name)
+		}
+		c.Close()
+	}
+}
+
+// TestCmdPublishRefusesUnknownFocus: publish refuses a -focus naming no
+// fact class with the text of serve's 404 for that focus, and writes
+// nothing.
+func TestCmdPublishRefusesUnknownFocus(t *testing.T) {
+	c, name, err := loadSingle(context.Background(), "", catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := httptest.NewRecorder()
+	c.Server(name).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/single?focus=nope", nil))
+	if rec.Code != 404 {
+		t.Fatalf("serve answered %d for an unknown focus", rec.Code)
+	}
+	model := withFile(t, "m.xml", core.SampleSales().XMLString())
+	out := filepath.Join(t.TempDir(), "site")
+	_, err = capture(t, func() error { return cmdPublish([]string{"-o", out, "-focus", "nope", model}) })
+	if err == nil || err.Error()+"\n" != rec.Body.String() {
+		t.Errorf("publish: err = %v, want serve's %q", err, rec.Body.String())
+	}
+	if _, serr := os.Stat(out); !os.IsNotExist(serr) {
+		t.Errorf("publish wrote %s for an unknown focus", out)
+	}
+}
+
 func TestCmdServeCatalogArgValidation(t *testing.T) {
 	dir := t.TempDir()
 	// -catalog plus a positional model file is a contradiction.

@@ -532,25 +532,11 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 		return fmt.Errorf("parse: %w", perr)
 	}
 
-	// Stage 2: validation — one pass over the input that applies schema
-	// defaults, freezes the document and evaluates the identity
-	// constraints (key, unique, keyref) on the frozen tree — plus model
-	// construction. Structural and type errors are reported first, with
-	// their count only; a document without them fails on any identity
-	// violation, reported as the GW402 finding that names the governing
-	// constraint.
+	// Stage 2: validation plus model construction (ValidateModel).
 	stage = "validate"
-	val := c.schema.ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true})
-	if verrs := val.StructuralErrors(); len(verrs) > 0 {
-		return fmt.Errorf("validate: %v (%d problems)", verrs[0], len(verrs))
-	}
-	if len(val.Errors) > 0 {
-		diags := analysis.LintValidated(e.name+".xml", val)
-		return fmt.Errorf("validate: %d findings, first: %s", len(diags), diags[0])
-	}
-	m, merr := core.ModelFromXML(val.Doc)
-	if merr != nil {
-		return fmt.Errorf("validate: %w", merr)
+	m, val, verr := ValidateModel(e.name, doc, c.schema)
+	if verr != nil {
+		return verr
 	}
 
 	// Stage 3: shadow publish of the document stage 2 validated. The
@@ -572,6 +558,35 @@ func (c *Catalog) attemptLocked(ctx context.Context, e *entry, data []byte) (err
 	stage = "commit"
 	committed = &entryState{hasGood: true, gen: staged.Commit(), srcSum: sourceSum(data)}
 	return nil
+}
+
+// ValidateModel is the validate stage every model document passes on
+// its way to a core.Model: one pass over doc against schema that applies
+// schema defaults, freezes the document and evaluates the identity
+// constraints (key, unique, keyref) on the frozen tree, then model
+// construction from the validated document. The verdict refuses
+// structural and type errors first, with their count only; a document
+// without them fails on any identity violation, reported as the GW402
+// finding (in file name.xml) that names the governing constraint; then
+// on a document that builds no model. Every refusal reads "validate: …".
+//
+// The model comes back whenever the document builds one, refused or
+// not, so a report can list its problems beside the schema errors;
+// anything that acts on the model checks the verdict first.
+func ValidateModel(name string, doc *xmldom.Node, schema *xsd.Schema) (*core.Model, *xsd.Validated, error) {
+	val := schema.ValidateAndFreeze(doc, xsd.ValidateOptions{ApplyDefaults: true})
+	m, merr := core.ModelFromXML(val.Doc)
+	if verrs := val.StructuralErrors(); len(verrs) > 0 {
+		return m, val, fmt.Errorf("validate: %v (%d problems)", verrs[0], len(verrs))
+	}
+	if len(val.Errors) > 0 {
+		diags := analysis.LintValidated(name+".xml", val)
+		return m, val, fmt.Errorf("validate: %d findings, first: %s", len(diags), diags[0])
+	}
+	if merr != nil {
+		return nil, val, fmt.Errorf("validate: %w", merr)
+	}
+	return m, val, nil
 }
 
 // sourceSum is the truncated sha256 a record keeps of a model's source.
