@@ -3,8 +3,9 @@
 // XPath instruction IR (xpath.Compiled). Where internal/analysis checks
 // what a stylesheet *means* against the schema, this package checks
 // that what the compilers *emitted* is safe to run — every jump lands
-// on a real instruction, every side-table index is in bounds, the
-// control-frame stack balances along every path, the jump tables agree
+// on a real instruction, every side-table index and variable slot is in
+// bounds, the control-frame stack balances along every path, the jump
+// tables agree
 // with the dispatch index, and the planner's operand-stack bounds hold
 // — plus a result-shape analysis (shape.go) that abstractly interprets
 // the emit opcodes against the serializer's HTML content model.
@@ -89,6 +90,8 @@ type Image struct {
 	// SetLists holds the subroutine entry pcs each attribute-set list
 	// runs.
 	SetLists [][]int
+	// DeclSlots holds the variable slot of each variable declaration.
+	DeclSlots []int
 }
 
 // Capture decodes a program into an Image.
@@ -101,6 +104,10 @@ func Capture(p *xslt.Program) *Image {
 	sort.Ints(im.Entries)
 	for i := 0; i < im.Tables.SetLists; i++ {
 		im.SetLists = append(im.SetLists, p.SetListTargets(i))
+	}
+	im.DeclSlots = make([]int, im.Tables.VarDecls)
+	for i := range im.DeclSlots {
+		im.DeclSlots[i] = p.DeclSlot(i)
 	}
 	im.CallTargets = make([]int, im.Tables.CallSites)
 	for i := range im.CallTargets {
@@ -121,8 +128,6 @@ const (
 	frApply   = 'A'
 	frCall    = 'C'
 	frFor     = 'F'
-	frScope   = 'S'
-	frParams  = 'P'
 	frAttr    = 'a'
 	frComment = 'c'
 	frPI      = 'p'
@@ -209,28 +214,6 @@ func (im *Image) Check() []Finding {
 			}
 			return true
 		}
-		// bindTo checks that the frame a binding writes into is on top of
-		// st: the apply or call frame for a with-param, the parameter
-		// scope for a default.
-		bindTo := func(target int32, st string) {
-			t := byte(0)
-			if len(st) > 0 {
-				t = st[len(st)-1]
-			}
-			switch target {
-			case xslt.BindVar:
-			case xslt.BindPassed:
-				if t != frApply && t != frCall {
-					bad(pc, "with-param binding with frame stack [%s] (want top %c or %c)", st, frApply, frCall)
-				}
-			case xslt.BindParam:
-				if t != frParams {
-					bad(pc, "parameter binding with frame stack [%s] (want top %c)", st, frParams)
-				}
-			default:
-				bad(pc, "bad bind target %d", target)
-			}
-		}
 		switch in.Op {
 		case xslt.OpHalt:
 			if st != "" {
@@ -294,37 +277,14 @@ func (im *Image) Check() []Finding {
 			if !isEntry(im.Entries, pc) {
 				bad(pc, "enter at a pc that is not a registered template entry")
 			}
-			if in.B != 0 {
-				visit(pc+1, st+string(rune(frParams)), pc)
-			} else {
-				visit(pc+1, st, pc)
-			}
-		case xslt.OpParam:
-			if needTop(frParams, "param") {
-				visit(pc+1, st, pc)
-				visit(int(in.B), st, pc)
-			}
-		case xslt.OpParamsEnd:
-			if needTop(frParams, "params-end") {
-				visit(pc+1, st[:len(st)-1], pc)
-			}
-		case xslt.OpGlobalParam:
+			visit(pc+1, st, pc)
+		case xslt.OpParam, xslt.OpGlobalParam:
 			visit(pc+1, st, pc)
 			visit(int(in.B), st, pc)
-		case xslt.OpVarDecl:
-			bindTo(in.B, st)
-			visit(pc+1, st, pc)
 		case xslt.OpRTFBegin:
 			visit(pc+1, st+string(rune(frRTF)), pc)
 		case xslt.OpRTFEnd:
 			if needTop(frRTF, "rtf-end") {
-				bindTo(in.B, st[:len(st)-1])
-				visit(pc+1, st[:len(st)-1], pc)
-			}
-		case xslt.OpScopeBegin:
-			visit(pc+1, st+string(rune(frScope)), pc)
-		case xslt.OpScopeEnd:
-			if needTop(frScope, "scope-end") {
 				visit(pc+1, st[:len(st)-1], pc)
 			}
 		case xslt.OpAttrBegin:
@@ -398,12 +358,22 @@ func (im *Image) Check() []Finding {
 }
 
 // checkOperands validates one instruction's operands against the
-// side-table sizes and the code bounds.
+// side-table sizes and the code bounds, and the slot a declaration binds
+// against the variable frame: a local or with-param slot must lie in the
+// frame every entry makes room for, a global parameter's in the global
+// region.
 func checkOperands(im *Image, pc int, in xslt.Instr, bad func(int, string, ...interface{})) {
 	n := len(im.Code)
-	idx := func(what string, got int32, size int) {
+	idx := func(what string, got int32, size int) bool {
 		if int(got) < 0 || int(got) >= size {
 			bad(pc, "%s: %s index %d out of range [0,%d)", in.Op, what, got, size)
+			return false
+		}
+		return true
+	}
+	slot := func(decl int32, size int) {
+		if idx("var decl", decl, min(im.Tables.VarDecls, len(im.DeclSlots))) {
+			idx("slot", int32(im.DeclSlots[decl]), size)
 		}
 	}
 	jump := func(what string, got int32) {
@@ -446,12 +416,15 @@ func checkOperands(im *Image, pc int, in xslt.Instr, bad func(int, string, ...in
 		jump("loop head", in.A)
 	case xslt.OpCall, xslt.OpInvoke:
 		idx("call site", in.A, t.CallSites)
-	case xslt.OpEnter:
+	case xslt.OpEnter, xslt.OpParamsEnd:
 		idx("template", in.A, t.Templates)
 	case xslt.OpVarDecl, xslt.OpRTFEnd:
-		idx("var decl", in.A, t.VarDecls)
-	case xslt.OpParam, xslt.OpGlobalParam:
-		idx("var decl", in.A, t.VarDecls)
+		slot(in.A, t.Frame)
+	case xslt.OpParam:
+		slot(in.A, t.Frame)
+		jump("default skip", in.B)
+	case xslt.OpGlobalParam:
+		slot(in.A, t.Globals)
 		jump("default skip", in.B)
 	case xslt.OpElemBegin:
 		idx("elem site", in.A, t.ElemSites)
@@ -506,10 +479,17 @@ func Program(p *xslt.Program) []Finding {
 		}
 	}
 
-	// IR verification: every compiled expression the program can reach.
+	// IR verification: every compiled expression the program can reach,
+	// with the slots its variable references read.
 	for _, x := range p.Exprs() {
 		if err := x.VerifyIR(); err != nil {
 			out = append(out, Finding{Code: CodeBadProgram, Msg: err.Error()})
+			continue
+		}
+		if g, l := x.SlotExtent(); g > im.Tables.Globals || l > im.Tables.Frame {
+			out = append(out, Finding{Code: CodeBadProgram, Msg: fmt.Sprintf(
+				"%s reads global slots below %d and local slots below %d, outside the %d global and %d frame slots",
+				x, g, l, im.Tables.Globals, im.Tables.Frame)})
 		}
 	}
 

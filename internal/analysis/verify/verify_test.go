@@ -168,13 +168,25 @@ func TestParamsProgramVerifiesClean(t *testing.T) {
 	}
 }
 
-func TestCorruptBindTarget(t *testing.T) {
+func TestCorruptVarSlot(t *testing.T) {
 	im := verify.Capture(compile(t, paramsSrc))
-	// A with-param value bound as a parameter default: the call frame,
-	// not a parameter scope, is on top.
+	// A with-param bound to a slot past the frame every entry makes
+	// room for.
 	pc := findOp(t, im.Code, xslt.OpVarDecl)
-	im.Code[pc].B = xslt.BindParam
-	requireFinding(t, im.Check(), verify.CodeBadProgram, "parameter binding with frame stack [C]")
+	im.DeclSlots[im.Code[pc].A] = im.Tables.Frame
+	requireFinding(t, im.Check(), verify.CodeBadProgram, "var: slot index")
+}
+
+func TestCorruptGlobalParamSlot(t *testing.T) {
+	im := verify.Capture(compile(t, `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+  <xsl:param name="g" select="1"/>
+  <xsl:template match="/"><xsl:value-of select="$g"/></xsl:template>
+</xsl:stylesheet>`))
+	// A global parameter whose slot lies past the global region: its
+	// staged value would be read from a template frame.
+	pc := findOp(t, im.Code, xslt.OpGlobalParam)
+	im.DeclSlots[im.Code[pc].A] = im.Tables.Globals
+	requireFinding(t, im.Check(), verify.CodeBadProgram, "global-param: slot index")
 }
 
 func TestCorruptSetListTarget(t *testing.T) {

@@ -51,6 +51,9 @@ type Options struct {
 	Focus string
 	// SkipValidation publishes without the schema-validation step.
 	SkipValidation bool
+	// PageOrder asks PublishPage for the presentation's page names
+	// (Page.Order), which otherwise stay nil.
+	PageOrder bool
 }
 
 // Site is a generated presentation: page name → serialized content.
@@ -142,7 +145,7 @@ func PublishInto(ctx context.Context, buf []byte, doc *xmldom.Node, opts Options
 	if err := ctx.Err(); err != nil {
 		return nil, buf, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
-	work, sheet, params, err := preparePublication(doc, opts)
+	work, sheet, err := preparePublication(doc, opts)
 	if err != nil {
 		return nil, buf, err
 	}
@@ -152,7 +155,8 @@ func PublishInto(ctx context.Context, buf []byte, doc *xmldom.Node, opts Options
 	// The transform renders every page straight to bytes (no intermediate
 	// result DOM), so there is nothing left to fan out; PublishPerFact
 	// parallelizes across focuses.
-	res, out, err := sheet.TransformInto(buf, work, params)
+	params := sheetParams(opts.Focus)
+	res, out, err := sheet.TransformInto(buf, work, params[:])
 	if err != nil {
 		return nil, buf, err
 	}
@@ -190,8 +194,8 @@ type Page struct {
 	Content []byte
 	// Found reports whether the presentation has the page.
 	Found bool
-	// Order lists every page name of the presentation: the Order of the
-	// whole site.
+	// Order lists every page name of the presentation, the Order of the
+	// whole site, when Options.PageOrder asked for it; nil otherwise.
 	Order []string
 	// Messages holds the xsl:message output of the stylesheet bodies the
 	// targeted run executed (see xslt.Stylesheet.TransformPage).
@@ -211,7 +215,7 @@ func PublishPage(ctx context.Context, buf []byte, doc *xmldom.Node, opts Options
 	if err := ctx.Err(); err != nil {
 		return nil, buf, fmt.Errorf("htmlgen: publication canceled: %w", err)
 	}
-	work, sheet, params, err := preparePublication(doc, opts)
+	work, sheet, err := preparePublication(doc, opts)
 	if err != nil {
 		return nil, buf, err
 	}
@@ -222,18 +226,17 @@ func PublishPage(ctx context.Context, buf []byte, doc *xmldom.Node, opts Options
 	if page == IndexName {
 		target = "" // the principal output
 	}
-	res, out, err := sheet.TransformPage(buf, work, params, target)
+	params := sheetParams(opts.Focus)
+	res, out, err := sheet.TransformPage(buf, work, params[:], target, opts.PageOrder)
 	if err != nil {
 		return nil, buf, err
 	}
-	p := &Page{
-		Content:  res.Page,
-		Found:    res.Found,
-		Order:    make([]string, 0, len(res.DocumentOrder)+2),
-		Messages: res.Messages,
+	p := &Page{Content: res.Page, Found: res.Found, Messages: res.Messages}
+	if opts.PageOrder {
+		p.Order = make([]string, 0, len(res.DocumentOrder)+2)
+		p.Order = append(append(p.Order, IndexName), res.DocumentOrder...)
+		p.Order = append(p.Order, styleName)
 	}
-	p.Order = append(append(p.Order, IndexName), res.DocumentOrder...)
-	p.Order = append(p.Order, styleName)
 	if page == styleName {
 		out, p.Content = appendStyle(out)
 		p.Found = true
@@ -242,16 +245,15 @@ func PublishPage(ctx context.Context, buf []byte, doc *xmldom.Node, opts Options
 }
 
 // preparePublication validates and freezes the document (the transform
-// freezes it when validation is skipped) and resolves the stylesheet and
-// its parameters.
-func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Stylesheet, map[string]xpath.Value, error) {
+// freezes it when validation is skipped) and resolves the stylesheet.
+func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Stylesheet, error) {
 	work := doc
 	if !opts.SkipValidation {
 		if work.Frozen() {
 			work = doc.Editable()
 		}
 		if errs := core.ValidateAndFreeze(work).Errors; len(errs) > 0 {
-			return nil, nil, nil, fmt.Errorf("htmlgen: document is invalid: %v (%d problems)", errs[0], len(errs))
+			return nil, nil, fmt.Errorf("htmlgen: document is invalid: %v (%d problems)", errs[0], len(errs))
 		}
 	}
 	var sheet *xslt.Stylesheet
@@ -262,10 +264,16 @@ func preparePublication(doc *xmldom.Node, opts Options) (*xmldom.Node, *xslt.Sty
 		sheet, err = core.SinglePageStylesheet()
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	// The stylesheets' css parameter defaults to styleName.
-	return work, sheet, map[string]xpath.Value{"focus": xpath.String(opts.Focus)}, nil
+	return work, sheet, nil
+}
+
+// sheetParams are a publication's stylesheet parameters, in an array
+// the caller keeps on its stack: the run reads them when it starts. The
+// stylesheets' css parameter defaults to styleName.
+func sheetParams(focus string) [1]xslt.Param {
+	return [1]xslt.Param{{Name: "focus", Value: xpath.String(focus)}}
 }
 
 // styleName is the page the embedded style sheet is written to.

@@ -84,11 +84,21 @@ func TestPublishPageMatchesFullSite(t *testing.T) {
 				// Each page is rendered into the buffer the previous one
 				// used, as the server lends its buffers.
 				names := append(append([]string{"nope.html"}, site.Order...), unfocused...)
+				withOrder := opts
+				withOrder.PageOrder = true
 				for _, page := range names {
-					var got *Page
-					got, buf, err = PublishPage(ctx, buf[:0], pub.Doc, opts, page)
+					plain, _, err := PublishPage(ctx, nil, pub.Doc, opts, page)
 					if err != nil {
 						t.Fatalf("%s %v focus=%q page %s: %v", name, mode, focus, page, err)
+					}
+					var got *Page
+					got, buf, err = PublishPage(ctx, buf[:0], pub.Doc, withOrder, page)
+					if err != nil {
+						t.Fatalf("%s %v focus=%q page %s: %v", name, mode, focus, page, err)
+					}
+					if plain.Order != nil || plain.Found != got.Found || !bytes.Equal(plain.Content, got.Content) {
+						t.Fatalf("%s %v focus=%q page %s: without PageOrder: order %v, found %v; with it found %v",
+							name, mode, focus, page, plain.Order, plain.Found, got.Found)
 					}
 					want, ok := site.Pages[page]
 					if got.Found != ok || !bytes.Equal(got.Content, want) {

@@ -190,14 +190,43 @@ func (g *flightGroup) Do(key siteKey, d time.Duration, fn func() (*publishedSite
 		<-c.done
 		return c.site, c.err
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t := getWaitTimer(d)
 	select {
 	case <-c.done:
+		putWaitTimer(t, false)
 		return c.site, c.err
 	case <-t.C:
+		putWaitTimer(t, true)
 		return nil, errPublishTimeout
 	}
+}
+
+// waitTimers recycles the timers that bound waits in Do, so a waiting
+// request allocates none.
+var waitTimers sync.Pool
+
+// getWaitTimer returns a timer that fires once after d, its channel
+// empty.
+func getWaitTimer(d time.Duration) *time.Timer {
+	if t, ok := waitTimers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putWaitTimer stops t and pools it with its channel empty; fired
+// reports whether the waiter received its one value. That is correct
+// under both timer channel semantics: with the synchronous channels of
+// Go 1.23 and later, Stop discards an undelivered value and reports
+// true; with the asynchronous ones (asynctimerchan=1, which a go 1.22
+// module line selects), Stop reports false for a timer that fired, and
+// its value is in the channel or on its way, so the receive takes it.
+func putWaitTimer(t *time.Timer, fired bool) {
+	if !t.Stop() && !fired {
+		<-t.C
+	}
+	waitTimers.Put(t)
 }
 
 // run executes one call and publishes its result to the waiters.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -168,4 +169,36 @@ func TestFlightCloseAwaitsDetachedPublication(t *testing.T) {
 	if !exited.Load() {
 		t.Error("Close returned while the detached publication was still running")
 	}
+}
+
+// TestFlightTimedOutWaitLeavesNoStaleTimer: waits share pooled timers.
+// A wait that timed out, and one whose result raced its timer, must each
+// pool a timer that cannot fire into a later wait: the prompt wait after
+// them gets its result, never errPublishTimeout.
+func TestFlightTimedOutWaitLeavesNoStaleTimer(t *testing.T) {
+	var wg sync.WaitGroup
+	g := newFlightGroup(&wg)
+	release := make(chan struct{})
+	want := &publishedSite{}
+	for i := 0; i < 50; i++ {
+		_, err := g.Do(siteKey{page: fmt.Sprint("hung-", i)}, time.Millisecond, func() (*publishedSite, error) {
+			<-release
+			return nil, nil
+		})
+		if err != errPublishTimeout {
+			t.Fatalf("round %d: wait on a hung publication returned %v, want errPublishTimeout", i, err)
+		}
+		// Either outcome is right here; the timer it pools must be clean.
+		g.Do(siteKey{page: fmt.Sprint("race-", i)}, time.Microsecond, func() (*publishedSite, error) {
+			return want, nil
+		})
+		site, err := g.Do(siteKey{page: fmt.Sprint("prompt-", i)}, time.Minute, func() (*publishedSite, error) {
+			return want, nil
+		})
+		if err != nil || site != want {
+			t.Fatalf("round %d: prompt wait after a timed-out one returned (%v, %v), want its result", i, site, err)
+		}
+	}
+	close(release)
+	wg.Wait()
 }

@@ -3,6 +3,8 @@
 package server
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -51,4 +53,50 @@ func TestRepublishOfHeldPageCopiesNothing(t *testing.T) {
 		t.Errorf("a republish of a held page allocated %d bytes, not fewer than the page's %d", perRepublish, smallest)
 	}
 	runtime.KeepAlive(held)
+}
+
+// Cold-read pins: a BenchmarkColdRepublish-shaped miss (a gzip GET of a
+// focused index page under a 1-entry cache, so every read republishes
+// its page) measured 50 allocations and 1 230–1 240 bytes once the XSLT
+// run kept its state in the pooled engine and read its variables from
+// slots, from 67 and 3 450–3 510 before. The ceilings leave a small
+// margin for pooled values the garbage collector drops mid-measurement.
+const (
+	coldReadAllocCeiling = 53
+	coldReadByteCeiling  = 1400
+)
+
+func TestColdRepublishAllocs(t *testing.T) {
+	m := workload.GenModel(workload.ModelSpec{Facts: 2, Dims: 4, Depth: 2})
+	h := newServer(t, m, Config{Store: artifact.NewStore(), CacheSize: 1}).Handler()
+	var reqs [2]*http.Request
+	w := &discardResponse{h: make(http.Header)}
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/site/index.html?focus="+m.Facts[i].ID, nil)
+		reqs[i].Header.Set("Accept-Encoding", "gzip")
+		h.ServeHTTP(w, reqs[i])
+		clear(w.h)
+	}
+	n := 0
+	read := func() {
+		h.ServeHTTP(w, reqs[n%2])
+		clear(w.h)
+		n++
+	}
+	const reads = 400
+	allocs := testing.AllocsPerRun(reads, read)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / reads
+	t.Logf("cold read: %.0f allocs, %d bytes", allocs, bytes)
+	if allocs > coldReadAllocCeiling {
+		t.Errorf("a cold read made %.0f allocations, ceiling %d", allocs, coldReadAllocCeiling)
+	}
+	if bytes > coldReadByteCeiling {
+		t.Errorf("a cold read allocated %d bytes, ceiling %d", bytes, coldReadByteCeiling)
+	}
 }

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"slices"
+	"sort"
+
 	"goldweb/internal/artifact"
 )
 
@@ -17,7 +20,13 @@ import (
 // while an old and a new generation briefly coexist during a staged
 // swap.
 type publishedSite struct {
-	pages map[string]*artifact.Artifact
+	// names are the page names, sorted, and pages their artifacts.
+	names []string
+	pages []*artifact.Artifact
+	// oneName and one back names and pages of a site published one page
+	// at a time (newPublishedPage), so it takes one allocation.
+	oneName [1]string
+	one     [1]*artifact.Artifact
 	// size is the summed identity size — the siteCache accounting unit.
 	size int64
 }
@@ -27,15 +36,34 @@ type publishedSite struct {
 // reuses once this returns.
 func newPublishedSite(store *artifact.Store, pages map[string][]byte) *publishedSite {
 	p := &publishedSite{
-		pages: make(map[string]*artifact.Artifact, len(pages)),
+		names: make([]string, 0, len(pages)),
+		pages: make([]*artifact.Artifact, len(pages)),
 	}
-	for name, content := range pages {
-		a := store.Intern(contentType(name), content)
-		p.pages[name] = a
+	for name := range pages {
+		p.names = append(p.names, name)
+	}
+	sort.Strings(p.names)
+	for i, name := range p.names {
+		a := store.Intern(contentType(name), pages[name])
+		p.pages[i] = a
 		p.size += a.Size()
 	}
 	return p
 }
 
+// newPublishedPage interns one page as a site of its own, as a
+// request-path miss publishes it. The store keeps no slice of content.
+func newPublishedPage(store *artifact.Store, name string, content []byte) *publishedSite {
+	a := store.Intern(contentType(name), content)
+	p := &publishedSite{oneName: [1]string{name}, one: [1]*artifact.Artifact{a}, size: a.Size()}
+	p.names, p.pages = p.oneName[:], p.one[:]
+	return p
+}
+
 // page returns the artifact for one page name, or nil.
-func (p *publishedSite) page(name string) *artifact.Artifact { return p.pages[name] }
+func (p *publishedSite) page(name string) *artifact.Artifact {
+	if i, ok := slices.BinarySearch(p.names, name); ok {
+		return p.pages[i]
+	}
+	return nil
+}

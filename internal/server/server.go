@@ -107,6 +107,15 @@ type snapshot struct {
 	views    *xmlViews
 }
 
+// hasPages reports whether a run has recorded the page names of the
+// multi-page presentation of focus.
+func (snap *snapshot) hasPages(focus string) bool {
+	snap.pageMu.Lock()
+	defer snap.pageMu.Unlock()
+	_, ok := snap.pageSets[focus]
+	return ok
+}
+
 // notePages records the page names a run reported for the multi-page
 // presentation of focus.
 func (snap *snapshot) notePages(focus string, order []string) {
@@ -462,7 +471,7 @@ func (s *Server) beforePublish(ctx context.Context, mode htmlgen.Mode, focus, pa
 // (errPublishTimeout). A failed publication is never cached, so the next
 // request retries under the same generation key. A multi-page name
 // outside the page set a run reported is a 404 without a transform or a
-// cache entry.
+// cache entry; a focus's first multi-page run reports its set.
 func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) (*artifact.Artifact, error) {
 	if focus != "" && !snap.focuses[focus] {
 		return nil, fmt.Errorf("%w %q: no such fact class", errUnknownFocus, focus)
@@ -484,19 +493,21 @@ func (s *Server) pageFor(snap *snapshot, mode htmlgen.Mode, focus, page string) 
 		}
 		buf := pageBufs.Get().(*[]byte)
 		defer pageBufs.Put(buf)
+		// Only a focus's first multi-page run reports the page set.
 		pg, out, err := htmlgen.PublishPage(s.baseCtx, (*buf)[:0], snap.pubDoc,
-			htmlgen.Options{Mode: mode, Focus: focus, SkipValidation: true}, page)
+			htmlgen.Options{Mode: mode, Focus: focus, SkipValidation: true,
+				PageOrder: multi && !snap.hasPages(focus)}, page)
 		*buf = out
 		if err != nil {
 			return nil, err
 		}
-		if multi {
+		if pg.Order != nil {
 			snap.notePages(focus, pg.Order)
 		}
 		if !pg.Found {
 			return nil, nil
 		}
-		p := newPublishedSite(s.cfg.Store, map[string][]byte{page: pg.Content})
+		p := newPublishedPage(s.cfg.Store, page, pg.Content)
 		s.cache.add(key, p)
 		return p, nil
 	})

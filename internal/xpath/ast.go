@@ -25,9 +25,16 @@ type Context struct {
 	Node     *xmldom.Node
 	Position int
 	Size     int
-	Vars     map[string]Value
-	Funcs    map[string]Function
-	NS       map[string]string
+	// Vars binds variables by name for expressions whose references
+	// were not resolved to slots (see ResolveVars).
+	Vars map[string]Value
+	// Slots and Base are the frame a slot-resolved expression reads: a
+	// global reference to slot g reads Slots[g], a local one to slot l
+	// reads Slots[Base+l]. A nil slot is an unbound variable.
+	Slots []Value
+	Base  int
+	Funcs map[string]Function
+	NS    map[string]string
 	// Current is the XSLT current node, which the core current()
 	// function returns; nil outside XSLT, where current() is empty.
 	Current *xmldom.Node
@@ -45,7 +52,11 @@ func (ctx *Context) lookupVar(name string) (Value, error) {
 			return v, nil
 		}
 	}
-	return nil, fmt.Errorf("xpath: variable $%s not bound", name)
+	return nil, unboundVar(name)
+}
+
+func unboundVar(name string) error {
+	return fmt.Errorf("xpath: variable $%s not bound", name)
 }
 
 // resolvePrefix maps an expression prefix to a namespace URI.

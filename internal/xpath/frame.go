@@ -15,7 +15,7 @@ import (
 
 // CtlFrame is one control frame of a stylesheet program running on the
 // shared stack: an apply-templates loop, a template call, a for-each
-// loop, a variable scope, or an output-capture redirect. The xslt
+// loop, an attribute-set list, or an output-capture redirect. The xslt
 // bytecode VM defines the Kind values and owns the field semantics; the
 // frame lives here so both VMs share one pooled allocation.
 type CtlFrame struct {
@@ -30,10 +30,7 @@ type CtlFrame struct {
 	List []*xmldom.Node
 	Mode string // saved mode (apply frames)
 	Str  string // pending computed name (capture frames)
-	Vars map[string]Value
-	// Passed holds evaluated with-param values for the template about to
-	// be entered.
-	Passed map[string]Value
+	Base int32  // the caller's variable-frame base (call, apply and attribute-set frames)
 	// Out is the saved output sink of a capture/redirect frame (typed by
 	// the xslt VM; opaque here to avoid a dependency cycle).
 	Out any
@@ -59,9 +56,8 @@ func GetFrame() *Frame {
 	return vmFramePool.Get().(*Frame)
 }
 
-// PutFrame clears a frame (dropping every node, variable and sink
-// reference so the pooled value pins nothing) and returns it to the
-// pool.
+// PutFrame clears a frame (dropping every node and sink reference so
+// the pooled value pins nothing) and returns it to the pool.
 func PutFrame(f *Frame) {
 	f.ops.truncate(0)
 	clear(f.Ctl[:cap(f.Ctl)])

@@ -56,7 +56,7 @@ func TestEvalOnMatchesEval(t *testing.T) {
 func TestFrameCtlStack(t *testing.T) {
 	f := GetFrame()
 	n := xmldom.MustParseString(`<x/>`)
-	f.PushCtl(CtlFrame{Kind: 1, Node: n, Vars: map[string]Value{"v": Number(1)}})
+	f.PushCtl(CtlFrame{Kind: 1, Node: n, List: n.Children})
 	f.PushCtl(CtlFrame{Kind: 2, Ret: 7})
 	if f.Depth() != 2 || f.TopCtl().Kind != 2 {
 		t.Fatalf("unexpected ctl stack state: depth=%d", f.Depth())
@@ -73,7 +73,7 @@ func TestFrameCtlStack(t *testing.T) {
 	}
 	// The backing array must have been scrubbed on Put.
 	for i := range g.Ctl[:cap(g.Ctl)] {
-		if cf := &g.Ctl[:cap(g.Ctl)][i]; cf.Node != nil || cf.Vars != nil {
+		if cf := &g.Ctl[:cap(g.Ctl)][i]; cf.Node != nil || cf.List != nil {
 			t.Fatalf("pooled ctl slot %d retains references", i)
 		}
 	}

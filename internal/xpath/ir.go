@@ -35,6 +35,8 @@ const (
 	opCall     // call calls[a], popping its arguments
 	opID       // id() with one evaluated argument on the stack (id-map lookup)
 	opCurrent  // current(): push the XSLT current node
+	opLocal    // push frame slot slots[a] of variable names[a], relative to Context.Base
+	opGlobal   // push frame slot slots[a] of variable names[a], absolute
 )
 
 var opcodeNames = [...]string{
@@ -43,7 +45,7 @@ var opcodeNames = [...]string{
 	opDiv: "div", opMod: "mod", opEq: "eq", opNeq: "neq", opLt: "lt",
 	opLe: "le", opGt: "gt", opGe: "ge", opJmpFalse: "jmp-false",
 	opJmpTrue: "jmp-true", opToBool: "to-bool", opCall: "call", opID: "id-lookup",
-	opCurrent: "current",
+	opCurrent: "current", opLocal: "local", opGlobal: "global",
 }
 
 type instr struct {
@@ -62,9 +64,12 @@ type callSite struct {
 // program is one compiled expression body. Predicates compile to nested
 // programs executed on the shared operand stack.
 type program struct {
-	code    []instr
-	consts  []irval
-	names   []string
+	code   []instr
+	consts []irval
+	names  []string
+	// slots holds, for each names entry a slot-resolved reference
+	// (opLocal, opGlobal) reads, its frame slot; nil until ResolveVars.
+	slots   []int32
 	calls   []callSite
 	paths   []*pathPlan
 	filters [][]*predPlan

@@ -6,8 +6,8 @@ import "fmt"
 // planned instruction program that proves, before an expression ever
 // runs, that
 //
-//   - every operand index (consts, names, calls, paths, filters) is in
-//     bounds,
+//   - every operand index (consts, names, slots, calls, paths, filters)
+//     is in bounds, and every resolved variable slot is non-negative,
 //   - every jump lands inside the program (or exactly at its end, the
 //     short-circuit exit),
 //   - the operand stack never underflows, every join point is reached
@@ -63,6 +63,14 @@ func verifyIRProgram(p *program) error {
 		case opVar:
 			if int(in.a) < 0 || int(in.a) >= len(p.names) {
 				return fmt.Errorf("pc %d: var index %d out of range [0,%d)", pc, in.a, len(p.names))
+			}
+			h++
+		case opLocal, opGlobal:
+			if int(in.a) < 0 || int(in.a) >= len(p.names) || int(in.a) >= len(p.slots) {
+				return fmt.Errorf("pc %d: slot var index %d out of range [0,%d)", pc, in.a, min(len(p.names), len(p.slots)))
+			}
+			if p.slots[in.a] < 0 {
+				return fmt.Errorf("pc %d: $%s reads negative slot %d", pc, p.names[in.a], p.slots[in.a])
 			}
 			h++
 		case opPath:

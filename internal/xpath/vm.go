@@ -252,6 +252,17 @@ loop:
 				break loop
 			}
 			f.push(fromValue(v))
+		case opLocal, opGlobal:
+			i := int(p.slots[in.a])
+			if in.op == opLocal {
+				i += ctx.Base
+			}
+			v := ctx.Slots[i]
+			if v == nil {
+				rerr = unboundVar(p.names[in.a])
+				break loop
+			}
+			f.push(fromValue(v))
 		case opNeg:
 			v := f.pop()
 			f.push(numVal(-v.toNum()))

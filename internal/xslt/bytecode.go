@@ -2,9 +2,9 @@ package xslt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"goldweb/internal/xmldom"
 	"goldweb/internal/xpath"
@@ -28,7 +28,10 @@ import (
 //   - value-producing bodies lower too: result-tree fragments (variable,
 //     global, with-param and parameter-default content) are output
 //     captures into a fresh document, and each attribute set is a
-//     subroutine that the use-attribute-sets lists call in order.
+//     subroutine that the use-attribute-sets lists call in order;
+//   - variables are lexically scoped and resolved at lowering time: every
+//     declaration gets a frame slot and every $name reads one, so a run
+//     binds no names and keeps no scope maps (see Program).
 //
 // The outputs of the tree-walking engine this VM replaced are frozen in
 // testdata/transforms.golden and testdata/fuzz.golden.
@@ -56,38 +59,29 @@ const (
 	OpForEnd              // a: loop-head pc (its OpForNext)
 	OpCall                // a: call site — push a call frame, jump to the template
 	OpApplyImports        // dispatch below the current precedence, call frame
-	OpEnter               // a: template — bind parameters, set import precedence
-	OpScopeBegin          // copy-on-write variable scope for a body with xsl:variable
-	OpScopeEnd
-	OpVarDecl      // a: variable declaration — evaluate and bind
-	OpElemBegin    // a: element site — computed name + attribute sets
-	OpAttrBegin    // a: name AVT — begin capturing an attribute value
-	OpAttrEnd      //
-	OpCommentBegin // begin capturing a comment body
-	OpCommentEnd   //
-	OpPIBegin      // a: name AVT — begin capturing a PI body
-	OpPIEnd        //
-	OpMsgBegin     // begin capturing an xsl:message body
-	OpMsgEnd       // a: 1 = terminate
-	OpDocBegin     // a: href AVT — redirect output to an xsl:document sink; b: pc past its OpDocEnd when the body is a leaf (doc skip), else 0
-	OpDocEnd       //
-	OpCopyBegin    // a: copy site; b: pc after OpCopyEnd (leaf-node skip)
-	OpCopyEnd      //
-	OpCopyOf       // a: expr
-	OpNumber       // a: number site
-	OpInvoke       // a: call site — jump to the template (after its with-params)
-	OpParam        // a: parameter; b: pc past its default — bind the passed value or fall into the default
-	OpParamsEnd    // close the parameter scope OpEnter opened and make it current
-	OpGlobalParam  // a: global parameter; b: pc past its default — bind the caller's value or fall into the default
-	OpRTFBegin     // begin capturing a result-tree fragment
-	OpRTFEnd       // a: variable declaration; b: bind target — bind the fragment
-)
-
-// Bind targets: operand b of OpVarDecl and OpRTFEnd.
-const (
-	BindVar    int32 = iota // the current variable scope (locals and, in the prologue, globals)
-	BindPassed              // the with-param values of the apply or call frame on top
-	BindParam               // the parameter scope on top: a parameter's default value
+	OpEnter               // a: template; b: 1 = parameters follow — open the template's variable frame, set import precedence
+	OpVarDecl             // a: variable declaration — evaluate and bind its slot
+	OpElemBegin           // a: element site — computed name + attribute sets
+	OpAttrBegin           // a: name AVT — begin capturing an attribute value
+	OpAttrEnd             //
+	OpCommentBegin        // begin capturing a comment body
+	OpCommentEnd          //
+	OpPIBegin             // a: name AVT — begin capturing a PI body
+	OpPIEnd               //
+	OpMsgBegin            // begin capturing an xsl:message body
+	OpMsgEnd              // a: 1 = terminate
+	OpDocBegin            // a: href AVT — redirect output to an xsl:document sink; b: pc past its OpDocEnd when the body is a leaf (doc skip), else 0
+	OpDocEnd              //
+	OpCopyBegin           // a: copy site; b: pc after OpCopyEnd (leaf-node skip)
+	OpCopyEnd             //
+	OpCopyOf              // a: expr
+	OpNumber              // a: number site
+	OpInvoke              // a: call site — jump to the template (after its with-params)
+	OpParam               // a: parameter; b: pc past its default — bind the passed value or fall into the default
+	OpParamsEnd           // a: template — parameters bound: install the template's import precedence
+	OpGlobalParam         // a: global parameter; b: pc past its default — bind the caller's value or fall into the default
+	OpRTFBegin            // begin capturing a result-tree fragment
+	OpRTFEnd              // a: variable declaration — bind the fragment to its slot
 )
 
 var opcodeNames = [...]string{
@@ -97,7 +91,7 @@ var opcodeNames = [...]string{
 	OpEndElem: "end-elem", OpApply: "apply", OpIterate: "iterate",
 	OpForEach: "for-each", OpForNext: "for-next", OpForEnd: "for-end",
 	OpCall: "call", OpApplyImports: "apply-imports", OpEnter: "enter",
-	OpScopeBegin: "scope-begin", OpScopeEnd: "scope-end", OpVarDecl: "var",
+	OpVarDecl:   "var",
 	OpElemBegin: "elem-avt", OpAttrBegin: "attr-begin", OpAttrEnd: "attr-end",
 	OpCommentBegin: "comment-begin", OpCommentEnd: "comment-end",
 	OpPIBegin: "pi-begin", OpPIEnd: "pi-end", OpMsgBegin: "msg-begin",
@@ -124,6 +118,9 @@ type applySite struct {
 	// iterate loop never consults the mode map.
 	disp  *templateIndex
 	sorts []sortKey
+	// params are the with-param declarations, bound in the caller's frame
+	// and read by the entered template's OpParam.
+	params []*compiledVar
 }
 
 // forSite is the payload of one xsl:for-each.
@@ -136,8 +133,9 @@ type forSite struct {
 // resolved at compile time (nil when the stylesheet names a missing
 // template: the error is raised when the call runs).
 type bcCallSite struct {
-	name string
-	t    *Template
+	name   string
+	t      *Template
+	params []*compiledVar // with-params, as for applySite
 }
 
 // elemSite is the payload of one xsl:element.
@@ -178,16 +176,28 @@ type avtAttrOp struct {
 	value             *avt
 }
 
-// progTemplate records one lowered template and its entry pc.
+// progTemplate records one lowered template, its entry pc and the size
+// of its variable frame.
 type progTemplate struct {
 	t     *Template
 	entry int32
+	frame int32
 }
 
 // Program is a compiled stylesheet lowered to flat bytecode with its
 // side tables. Programs are immutable after lowering and safe for
 // concurrent execution; all run state lives on the shared xpath.Frame
 // and in the per-run engine.
+//
+// Variables live in slots of one stack of xpath.Values. The global
+// region comes first: a slot per global variable or parameter name, per
+// undeclared caller parameter a stylesheet reads, and per local of the
+// root prologue. The staging region mirrors it: a run starts by reading
+// the caller's parameters into the staging slots of their names, and
+// OpGlobalParam and the root invocation copy them into the global slots
+// from there. Every template invocation and attribute-set list then
+// opens a frame of its own above, and a compiled $name reads its global
+// slot or its slot in the current frame.
 type Program struct {
 	sheet      *Stylesheet
 	code       []Instr
@@ -208,9 +218,24 @@ type Program struct {
 	numSites   []*iNumber
 	tmpls      []*progTemplate
 	subs       []progSub
-	// docHint is the number of xsl:document hrefs the latest run
-	// evaluated: the initial capacity of the next run's document tables.
-	docHint atomic.Int32
+	// globals is the size of the global region, the staging region's
+	// too; staged lists the global slots a caller's parameter of the
+	// slot's name is staged for, and undeclared those of the undeclared
+	// parameters, which the root invocation binds.
+	globals    int32
+	staged     []stagedParam
+	undeclared []int32
+	// setFrame is the variable frame of an attribute-set list, and frame
+	// the largest frame of any kind (the prologue's is both regions):
+	// each frame entry makes this much room, so every slot the verifier
+	// bounds by it is addressable.
+	setFrame, frame int32
+}
+
+// stagedParam names the global slot a caller's parameter is staged for.
+type stagedParam struct {
+	name string
+	slot int32
 }
 
 // CompileStylesheet compiles a stylesheet document and lowers it to
@@ -248,6 +273,20 @@ type asm struct {
 	setEntry map[string]int32
 	// docs holds the (OpDocBegin, OpDocEnd) pc pair of every xsl:document.
 	docs [][2]int32
+	// globalSlots maps every global and undeclared parameter name to its
+	// global slot. vars are the local bindings in scope, innermost last,
+	// and frame counts the slots of the frame being lowered; the root
+	// prologue's locals take global slots instead (prologue).
+	globalSlots map[string]int32
+	vars        []scopedVar
+	frame       int32
+	prologue    bool
+}
+
+// scopedVar is one local binding in scope during lowering.
+type scopedVar struct {
+	name string
+	slot int32
 }
 
 func (a *asm) emit(op Opcode, opa, opb int32) int {
@@ -265,18 +304,32 @@ func (a *asm) here() int32                 { return int32(len(a.p.code)) }
 // subroutines follow (sorted by name), then the template bodies in
 // deterministic order (sorted modes, precedence order within a mode,
 // then named-only templates sorted by name), so disassembly is stable.
+// Every variable reference is resolved to its slot on the way: the
+// globals first get theirs, so a reference anywhere, the prologue
+// included, finds a global of its name whatever the declaration order.
 func (s *Stylesheet) lower() *Program {
 	p := &Program{sheet: s}
-	a := &asm{s: s, p: p, setEntry: map[string]int32{}}
+	a := &asm{s: s, p: p, setEntry: map[string]int32{}, globalSlots: map[string]int32{}, prologue: true}
 
+	for _, d := range s.globals {
+		slot, ok := a.globalSlots[d.name]
+		if !ok {
+			slot = a.newGlobal(d.name)
+		}
+		d.slot = slot
+		staged := slices.ContainsFunc(p.staged, func(sp stagedParam) bool { return sp.slot == slot })
+		if d.isParam && !staged {
+			p.staged = append(p.staged, stagedParam{name: d.name, slot: slot})
+		}
+	}
 	for _, d := range s.globals {
 		di := a.addVarDecl(d)
 		if !d.isParam {
-			a.lowerValue(di, d, BindVar)
+			a.lowerValue(di, d)
 			continue
 		}
 		skip := a.emit(OpGlobalParam, di, 0)
-		a.lowerValue(di, d, BindVar)
+		a.lowerValue(di, d)
 		a.patchB(skip, a.here())
 	}
 	root := &applySite{self: true, disp: s.index[""]}
@@ -285,12 +338,15 @@ func (s *Stylesheet) lower() *Program {
 	it := a.emit(OpIterate, 0, 0)
 	a.patchB(it, a.here())
 	a.emit(OpHalt, 0, 0)
+	a.prologue = false
 
 	for _, name := range s.AttrSetNames() {
 		a.setEntry[name] = a.here()
 		p.subs = append(p.subs, progSub{name: name, entry: a.here()})
+		a.vars, a.frame = a.vars[:0], 0
 		a.lowerBody(s.attrSets[name].body)
 		a.emit(OpRet, 0, 0)
+		p.setFrame = max(p.setFrame, a.frame)
 	}
 
 	seen := map[*Template]bool{}
@@ -318,6 +374,24 @@ func (s *Stylesheet) lower() *Program {
 	sort.Strings(names)
 	for _, name := range names {
 		lowerT(s.named[name])
+	}
+
+	// Patterns, and keys, which key() evaluates from wherever it is
+	// called, see the globals only.
+	for _, ts := range s.templates {
+		for _, t := range ts {
+			if t.Match != nil {
+				t.Match.ResolveVars(a.resolveGlobal)
+			}
+		}
+	}
+	for _, k := range s.keys {
+		k.match.ResolveVars(a.resolveGlobal)
+		k.use.ResolveVars(a.resolveGlobal)
+	}
+	p.frame = max(2*p.globals, p.setFrame)
+	for _, pt := range p.tmpls {
+		p.frame = max(p.frame, pt.frame)
 	}
 
 	for _, sl := range p.setLists {
@@ -446,64 +520,65 @@ func (a *asm) expandSets(sl *setList, names []string, onPath map[string]bool) bo
 	return true
 }
 
-// lowerTemplate lowers one template body behind its entry. Parameters
-// bind in declaration order in a scope OpEnter opens over the globals:
-// each takes the passed value or runs its default, which evaluates in
-// that scope and so sees the parameters declared before it.
+// lowerTemplate lowers one template body behind its entry, in a frame
+// of its own: a template sees the globals, its parameters and its
+// locals, never its caller's (XSLT 1.0 §11.5). Parameters bind in
+// declaration order: each takes the passed value or runs its default,
+// which sees the parameters declared before it.
 func (a *asm) lowerTemplate(t *Template) {
 	t.entryPC = a.here()
 	ti := int32(len(a.p.tmpls))
-	a.p.tmpls = append(a.p.tmpls, &progTemplate{t: t, entry: t.entryPC})
+	pt := &progTemplate{t: t, entry: t.entryPC}
+	a.p.tmpls = append(a.p.tmpls, pt)
+	a.vars, a.frame = a.vars[:0], 0
 	a.emit(OpEnter, ti, boolOperand(len(t.params) > 0))
 	if len(t.params) > 0 {
 		for _, prm := range t.params {
 			di := a.addVarDecl(prm)
 			skip := a.emit(OpParam, di, 0)
-			a.lowerValue(di, prm, BindParam)
+			a.lowerValue(di, prm)
 			a.patchB(skip, a.here())
+			a.declare(prm)
 		}
-		a.emit(OpParamsEnd, 0, 0)
+		a.emit(OpParamsEnd, ti, 0)
 	}
 	a.lowerBody(t.body)
 	a.emit(OpRet, 0, 0)
+	pt.frame = a.frame
 }
 
 // lowerValue lowers the value of variable declaration di and its
-// binding to target: a select expression, or the empty string when the
-// declaration has no content, is one OpVarDecl; content is captured as a
-// result-tree fragment.
-func (a *asm) lowerValue(di int32, d *compiledVar, target int32) {
+// binding to the declaration's slot, which it takes first unless it has
+// one: a select expression, or the empty string when the declaration has
+// no content, is one OpVarDecl; content is captured as a result-tree
+// fragment. The value sees the bindings in scope before the declaration.
+func (a *asm) lowerValue(di int32, d *compiledVar) {
+	if !a.prologue || !a.isGlobal(d) {
+		d.slot = a.newSlot()
+	}
 	if d.sel != nil || len(d.body) == 0 {
-		a.emit(OpVarDecl, di, target)
+		a.resolve(d.sel)
+		a.emit(OpVarDecl, di, 0)
 		return
 	}
 	a.emit(OpRTFBegin, 0, 0)
 	a.lowerBody(d.body)
-	a.emit(OpRTFEnd, di, target)
+	a.emit(OpRTFEnd, di, 0)
 }
 
-// lowerWithParams lowers with-param values into the pending frame of the
-// apply or call they belong to.
+// lowerWithParams lowers with-param values into slots of the caller's
+// frame, where the entered template's OpParam reads them.
 func (a *asm) lowerWithParams(params []*compiledVar) {
 	for _, p := range params {
-		a.lowerValue(a.addVarDecl(p), p, BindPassed)
+		a.lowerValue(a.addVarDecl(p), p)
 	}
 }
 
-// lowerBody flattens one instruction sequence. A body that declares
-// variables gets a scope frame, so its bindings are visible only to
-// following siblings and their descendants.
+// lowerBody flattens one instruction sequence. The variables it declares
+// are in scope for their following siblings and those siblings'
+// descendants only.
 func (a *asm) lowerBody(body []instruction) {
-	scope := false
-	for _, ins := range body {
-		if _, ok := ins.(*iVariable); ok {
-			scope = true
-			break
-		}
-	}
-	if scope {
-		a.emit(OpScopeBegin, 0, 0)
-	}
+	outer := len(a.vars)
 	for i := 0; i < len(body); {
 		if n := a.staticRun(body[i:]); n > 0 {
 			a.emitSegment(body[i : i+n])
@@ -513,8 +588,99 @@ func (a *asm) lowerBody(body []instruction) {
 		a.lowerInstr(body[i])
 		i++
 	}
-	if scope {
-		a.emit(OpScopeEnd, 0, 0)
+	a.vars = a.vars[:outer]
+}
+
+// ---- variable slots ----
+
+// newSlot returns a fresh slot of the frame being lowered: a global slot
+// in the root prologue, whose frame is the global region. Slots are not
+// reused, so a local slot is never read before its declaration binds it
+// in the same frame invocation.
+func (a *asm) newSlot() int32 {
+	if a.prologue {
+		return a.newGlobal("")
+	}
+	a.frame++
+	return a.frame - 1
+}
+
+// newGlobal returns a fresh global slot, recorded under name unless it
+// is a prologue local's.
+func (a *asm) newGlobal(name string) int32 {
+	slot := a.p.globals
+	a.p.globals++
+	if name != "" {
+		a.globalSlots[name] = slot
+	}
+	return slot
+}
+
+// isGlobal reports whether d is a top-level declaration, whose slot the
+// global region assigned up front.
+func (a *asm) isGlobal(d *compiledVar) bool {
+	for _, g := range a.s.globals {
+		if g == d {
+			return true
+		}
+	}
+	return false
+}
+
+// declare brings d into scope for the code lowered next.
+func (a *asm) declare(d *compiledVar) {
+	a.vars = append(a.vars, scopedVar{name: d.name, slot: d.slot})
+}
+
+// resolveName maps a variable reference to the innermost binding in
+// scope, else to the global of its name. A name no declaration binds is
+// an undeclared parameter: it gets a global slot that the root
+// invocation fills from the caller's parameter of that name, if any.
+func (a *asm) resolveName(name string) (int, bool) {
+	for i := len(a.vars) - 1; i >= 0; i-- {
+		if a.vars[i].name == name {
+			return int(a.vars[i].slot), true
+		}
+	}
+	return a.resolveGlobal(name)
+}
+
+// resolveGlobal maps a variable reference to the global of its name,
+// or to its undeclared parameter slot.
+func (a *asm) resolveGlobal(name string) (int, bool) {
+	if slot, ok := a.globalSlots[name]; ok {
+		return int(slot), false
+	}
+	slot := a.newGlobal(name)
+	a.p.staged = append(a.p.staged, stagedParam{name: name, slot: slot})
+	a.p.undeclared = append(a.p.undeclared, slot)
+	return int(slot), false
+}
+
+// resolve resolves the variable references of x in the current scope.
+func (a *asm) resolve(x *xpath.Compiled) {
+	if x != nil {
+		x.ResolveVars(a.resolveName)
+	}
+}
+
+// resolveAVT resolves the expressions of an attribute value template.
+func (a *asm) resolveAVT(v *avt) {
+	if v == nil {
+		return
+	}
+	for _, part := range v.parts {
+		a.resolve(part.expr)
+	}
+}
+
+// resolveSorts resolves sort keys: each evaluates in the scope of the
+// instruction it sorts for.
+func (a *asm) resolveSorts(keys []sortKey) {
+	for _, k := range keys {
+		a.resolve(k.sel)
+		a.resolveAVT(k.dataType)
+		a.resolveAVT(k.order)
 	}
 }
 
@@ -622,11 +788,13 @@ func (a *asm) addStr(s string) int32 {
 }
 
 func (a *asm) addExpr(x *xpath.Compiled) int32 {
+	a.resolve(x)
 	a.p.exprs = append(a.p.exprs, x)
 	return int32(len(a.p.exprs) - 1)
 }
 
 func (a *asm) addAVT(v *avt) int32 {
+	a.resolveAVT(v)
 	a.p.avts = append(a.p.avts, v)
 	return int32(len(a.p.avts) - 1)
 }
@@ -670,6 +838,7 @@ func (a *asm) lowerInstr(ins instruction) {
 				p.litAttrs = append(p.litAttrs, litAttrOp{prefix: at.prefix, uri: at.uri, name: at.name, value: v})
 				a.emit(OpLitAttr, int32(len(p.litAttrs)-1), 0)
 			} else {
+				a.resolveAVT(at.value)
 				p.avtAttrs = append(p.avtAttrs, avtAttrOp{prefix: at.prefix, uri: at.uri, name: at.name, value: at.value})
 				a.emit(OpAVTAttr, int32(len(p.avtAttrs)-1), 0)
 			}
@@ -677,7 +846,9 @@ func (a *asm) lowerInstr(ins instruction) {
 		a.lowerBody(t.body)
 		a.emit(OpEndElem, 0, 0)
 	case *iApplyTemplates:
-		site := &applySite{sel: t.sel, mode: t.mode, disp: a.s.index[t.mode], sorts: t.sorts}
+		a.resolve(t.sel)
+		a.resolveSorts(t.sorts)
+		site := &applySite{sel: t.sel, mode: t.mode, disp: a.s.index[t.mode], sorts: t.sorts, params: t.params}
 		p.applySites = append(p.applySites, site)
 		si := int32(len(p.applySites) - 1)
 		ap := a.emit(OpApply, si, 0)
@@ -686,6 +857,8 @@ func (a *asm) lowerInstr(ins instruction) {
 		it := a.emit(OpIterate, si, 0)
 		a.patchB(it, a.here())
 	case *iForEach:
+		a.resolve(t.sel)
+		a.resolveSorts(t.sorts)
 		p.forSites = append(p.forSites, &forSite{sel: t.sel, sorts: t.sorts})
 		a.emit(OpForEach, int32(len(p.forSites)-1), 0)
 		next := a.emit(OpForNext, 0, 0)
@@ -693,7 +866,7 @@ func (a *asm) lowerInstr(ins instruction) {
 		a.emit(OpForEnd, int32(next), 0)
 		a.patchB(next, a.here())
 	case *iCallTemplate:
-		p.callSites = append(p.callSites, &bcCallSite{name: t.name, t: a.s.named[t.name]})
+		p.callSites = append(p.callSites, &bcCallSite{name: t.name, t: a.s.named[t.name], params: t.params})
 		ci := int32(len(p.callSites) - 1)
 		a.emit(OpCall, ci, 0)
 		a.lowerWithParams(t.params)
@@ -701,6 +874,7 @@ func (a *asm) lowerInstr(ins instruction) {
 	case *iApplyImports:
 		a.emit(OpApplyImports, 0, 0)
 	case *iElement:
+		a.resolveAVT(t.name)
 		p.elemSites = append(p.elemSites, &elemSite{name: t.name})
 		a.emit(OpElemBegin, int32(len(p.elemSites)-1), 0)
 		if len(t.useSets) > 0 {
@@ -759,8 +933,10 @@ func (a *asm) lowerInstr(ins instruction) {
 			a.patchA(e, a.here())
 		}
 	case *iVariable:
-		a.lowerValue(a.addVarDecl(t.decl), t.decl, BindVar)
+		a.lowerValue(a.addVarDecl(t.decl), t.decl)
+		a.declare(t.decl)
 	case *iNumber:
+		a.resolve(t.value)
 		p.numSites = append(p.numSites, t)
 		a.emit(OpNumber, int32(len(p.numSites)-1), 0)
 	default:

@@ -198,7 +198,7 @@ func FuzzTransform(f *testing.F) {
 			// it runs everything the full run does and fails the same way.
 			if !hasDocSkip(sheet) {
 				for _, href := range []string{"", "absent.html"} {
-					if _, _, terr := sheet.TransformPage(nil, doc, nil, href); terr == nil || terr.Error() != err.Error() {
+					if _, _, terr := sheet.TransformPage(nil, doc, nil, href, false); terr == nil || terr.Error() != err.Error() {
 						t.Fatalf("%s: targeted %q error %v, full run error %v", label, href, terr, err)
 					}
 				}

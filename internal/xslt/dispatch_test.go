@@ -138,15 +138,16 @@ func TestDispatchIndexMatchesLinearScan(t *testing.T) {
 		}
 		source := randDoc(rng)
 		f := xpath.GetFrame()
-		r := sheet.prog.newRun(newEngine(sheet), f)
-		vars := map[string]xpath.Value{}
+		e := newEngine(sheet)
+		r := &e.run
+		r.start(e, sheet.prog, f)
 		for _, n := range allNodes(source, nil) {
 			for _, mode := range []string{"", "m1", "m2"} {
 				for _, maxPrec := range []int{maxInt, 2, 1} {
 					want, errL := linearScan(sheet.templates[mode], n, &xpath.Context{
-						Node: n, Position: 1, Size: 1, Vars: vars, Current: n, Funcs: r.e.funcs,
+						Node: n, Position: 1, Size: 1, Current: n, Funcs: r.e.funcs,
 					}, maxPrec)
-					got, errI := r.dispatch(sheet.index[mode], n, vars, n, 1, 1, maxPrec)
+					got, errI := r.dispatch(sheet.index[mode], n, n, 1, 1, maxPrec)
 					if (errL == nil) != (errI == nil) {
 						t.Fatalf("round %d: error mismatch linear=%v indexed=%v", round, errL, errI)
 					}

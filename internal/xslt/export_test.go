@@ -11,8 +11,6 @@ import (
 // testdata/programs.want. It lives in test code: only the golden test
 // reads it.
 
-var bindNames = [...]string{BindPassed: " →with-param", BindParam: " →param"}
-
 // avtSource reconstructs the {expr}-interleaved source of an attribute
 // value template for disassembly.
 func avtSource(a *avt) string {
@@ -152,9 +150,13 @@ func (p *Program) Disasm() string {
 				b.WriteString(" unresolved")
 			}
 		case OpEnter:
-			fmt.Fprintf(&b, " %s", templateLabel(p.tmpls[in.A].t))
-			if n := len(p.tmpls[in.A].t.params); n > 0 {
+			pt := p.tmpls[in.A]
+			fmt.Fprintf(&b, " %s", templateLabel(pt.t))
+			if n := len(pt.t.params); n > 0 {
 				fmt.Fprintf(&b, " params=%d", n)
+			}
+			if pt.frame > 0 {
+				fmt.Fprintf(&b, " frame=%d", pt.frame)
 			}
 		case OpVarDecl:
 			d := p.varDecls[in.A]
@@ -163,11 +165,11 @@ func (p *Program) Disasm() string {
 			} else {
 				fmt.Fprintf(&b, " $%s empty", d.name)
 			}
-			b.WriteString(bindNames[in.B])
+			fmt.Fprintf(&b, " →slot %d", d.slot)
 		case OpRTFEnd:
-			fmt.Fprintf(&b, " $%s%s", p.varDecls[in.A].name, bindNames[in.B])
+			fmt.Fprintf(&b, " $%s →slot %d", p.varDecls[in.A].name, p.varDecls[in.A].slot)
 		case OpParam, OpGlobalParam:
-			fmt.Fprintf(&b, " $%s skip→%04d", p.varDecls[in.A].name, in.B)
+			fmt.Fprintf(&b, " $%s →slot %d skip→%04d", p.varDecls[in.A].name, p.varDecls[in.A].slot, in.B)
 		case OpElemBegin:
 			fmt.Fprintf(&b, " name=%q", avtSource(p.elemSites[in.A].name))
 		case OpAttrBegin, OpPIBegin:

@@ -99,6 +99,10 @@ type compiledVar struct {
 	sel     *xpath.Compiled
 	body    []instruction
 	isParam bool
+	// slot is the variable's slot, set when the program is lowered: a
+	// global slot for a top-level declaration or a root-prologue local,
+	// else a slot of the template's or attribute-set list's frame.
+	slot int32
 }
 
 // ---- concrete instructions ----

@@ -12,11 +12,16 @@ import (
 
 // checkPage checks a targeted run of href against the full run: the same
 // bytes (the principal output for the empty href), the same complete
-// document order, and found exactly when the full run produced href.
-func checkPage(t *testing.T, label string, s *xslt.Stylesheet, doc *xmldom.Node, params map[string]xpath.Value, full *xslt.BufferResult, href string) {
+// document order, and found exactly when the full run produced href. A
+// run that does not ask for the order renders the same page without it.
+func checkPage(t *testing.T, label string, s *xslt.Stylesheet, doc *xmldom.Node, params []xslt.Param, full *xslt.BufferResult, href string) {
 	t.Helper()
 	const prefix = "lent|"
-	got, buf, err := s.TransformPage([]byte(prefix), doc, params, href)
+	plain, _, err := s.TransformPage(nil, doc, params, href, false)
+	if err != nil {
+		t.Fatalf("%s: targeted run of %q without the order fails where the full run succeeds: %v", label, href, err)
+	}
+	got, buf, err := s.TransformPage([]byte(prefix), doc, params, href, true)
 	if err != nil {
 		t.Fatalf("%s: targeted run of %q fails where the full run succeeds: %v", label, href, err)
 	}
@@ -34,6 +39,10 @@ func checkPage(t *testing.T, label string, s *xslt.Stylesheet, doc *xmldom.Node,
 	if !slices.Equal(got.DocumentOrder, full.DocumentOrder) {
 		t.Fatalf("%s: targeted %q document order %q, want %q", label, href, got.DocumentOrder, full.DocumentOrder)
 	}
+	if plain.Found != got.Found || !bytes.Equal(plain.Page, got.Page) || plain.DocumentOrder != nil {
+		t.Fatalf("%s: targeted %q without the order: found %v, order %q; with it found %v",
+			label, href, plain.Found, plain.DocumentOrder, got.Found)
+	}
 }
 
 // checkInto checks that TransformInto appends, after what the buffer
@@ -42,7 +51,7 @@ func checkPage(t *testing.T, label string, s *xslt.Stylesheet, doc *xmldom.Node,
 func checkInto(t *testing.T, label string, s *xslt.Stylesheet, doc *xmldom.Node, full *xslt.BufferResult) {
 	t.Helper()
 	const prefix = "lent|"
-	got, buf, err := s.TransformInto([]byte(prefix), doc, goldenParams)
+	got, buf, err := s.TransformInto([]byte(prefix), doc, goldenParamList)
 	if err != nil {
 		t.Fatalf("%s: TransformInto fails where TransformToBuffers succeeds: %v", label, err)
 	}
@@ -81,7 +90,7 @@ func TestTransformPageMatchesGolden(t *testing.T) {
 			label := sheetName + " × " + docName
 			checkInto(t, label, s, doc, full)
 			for _, href := range append([]string{"", "absent.html"}, full.DocumentOrder...) {
-				checkPage(t, label, s, doc, goldenParams, full, href)
+				checkPage(t, label, s, doc, goldenParamList, full, href)
 			}
 		}
 	}
@@ -105,7 +114,7 @@ func TestTransformPageDiscardedBodiesFailAsInFull(t *testing.T) {
 		}
 		full, ferr := s.TransformToBuffers(doc, nil)
 		for _, href := range []string{"", "inner.html"} {
-			_, _, terr := s.TransformPage(nil, doc, nil, href)
+			_, _, terr := s.TransformPage(nil, doc, nil, href, false)
 			if (ferr == nil) != (terr == nil) || (ferr != nil && ferr.Error() != terr.Error()) {
 				t.Errorf("%s, target %q: targeted error %v, full run error %v", c.name, href, terr, ferr)
 			}
@@ -113,5 +122,39 @@ func TestTransformPageDiscardedBodiesFailAsInFull(t *testing.T) {
 				checkPage(t, c.name, s, doc, nil, full, href)
 			}
 		}
+	}
+}
+
+// TestResultOrderOutlivesPooledEngine: the document order a result
+// carries is its own. The engine that produced it keeps its order's
+// array for later runs, which must not overwrite what a result holds.
+func TestResultOrderOutlivesPooledEngine(t *testing.T) {
+	s, err := xslt.CompileVerified(t, `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:param name="p"/>
+<xsl:template match="/"><r/><xsl:for-each select="//*"><xsl:document href="{$p}-{name()}.html"><d/></xsl:document></xsl:for-each></xsl:template>
+</xsl:stylesheet>`, xslt.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := xmldom.MustParseString(`<a><b/><c/></a>`)
+	run := func(p string) ([]string, []string) {
+		params := []xslt.Param{{Name: "p", Value: xpath.String(p)}}
+		page, _, err := s.TransformPage(nil, doc, params, "", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := s.TransformInto(nil, doc, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page.DocumentOrder, full.DocumentOrder
+	}
+	want := []string{"first-a.html", "first-b.html", "first-c.html"}
+	page, full := run("first")
+	for i := 0; i < 20; i++ {
+		run("later")
+	}
+	if !slices.Equal(page, want) || !slices.Equal(full, want) {
+		t.Fatalf("document orders after later runs: targeted %q, full %q, want %q", page, full, want)
 	}
 }

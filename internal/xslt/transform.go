@@ -2,6 +2,7 @@ package xslt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -34,7 +35,8 @@ type PageResult struct {
 	// evaluated that href.
 	Found bool
 	// DocumentOrder lists every xsl:document href the run evaluated, in
-	// first-evaluation order — the DocumentOrder of a full run.
+	// first-evaluation order — the DocumentOrder of a full run — when
+	// the caller asked for it; nil otherwise.
 	DocumentOrder []string
 	// Messages holds the xsl:message output of the bodies the run
 	// executed; skipped bodies report none.
@@ -75,7 +77,6 @@ func (e *TransformError) Error() string { return "xslt: " + e.Msg }
 type xctx struct {
 	node      *xmldom.Node
 	pos, size int
-	vars      map[string]xpath.Value
 	mode      string
 	// curPrec is the import precedence of the template rule whose body is
 	// executing; xsl:apply-imports searches strictly below it.
@@ -99,13 +100,31 @@ type engine struct {
 	// xsl:document sinks, created on first use per href: a ByteEmitter
 	// for a rendered document, a discardSink for one a targeted run
 	// leaves unrendered, and nil for an href whose bodies a targeted run
-	// has only skipped so far.
+	// has only skipped so far. docOrder lists the hrefs in first-seen
+	// order; a result gets a copy.
 	docEms   map[string]xmldom.Emitter
 	docOrder []string
+	// run is the program execution in progress.
+	run vmRun
+}
+
+// maxKept bounds the length of a slice a released engine keeps for the
+// next run, so one pathological run does not pin its scratch in the
+// pool.
+const maxKept = 1 << 12
+
+// kept returns s emptied for reuse, or nil when it is too large to keep.
+func kept[T any](s []T) []T {
+	if cap(s) > maxKept {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // enginePool recycles engines with their function library installed
-// and their per-run maps emptied, so a run builds neither again.
+// and their per-run maps and scratch emptied, so a run builds none of
+// them again.
 var enginePool = sync.Pool{New: func() any {
 	e := new(engine)
 	e.installFunctions()
@@ -127,8 +146,9 @@ func (e *engine) docBuf(href string) *xmldom.ByteEmitter {
 }
 
 // release returns the xsl:document tapes to their pool and the engine
-// to its own. The run's document order and messages stay with its
-// result; the maps are emptied and kept.
+// to its own. The run's messages stay with its result; the maps are
+// emptied and kept, and so are the document order's, the variable
+// stack's and the sort scratch's arrays, cleared so they pin nothing.
 func (e *engine) release() {
 	for _, em := range e.docEms {
 		if be, ok := em.(*xmldom.ByteEmitter); ok {
@@ -139,7 +159,10 @@ func (e *engine) release() {
 	clear(e.keyIdx)
 	clear(e.docCache)
 	clear(e.docEms)
-	*e = engine{funcs: e.funcs, docNums: e.docNums, keyIdx: e.keyIdx, docCache: e.docCache, docEms: e.docEms}
+	r := &e.run
+	run := vmRun{slots: kept(r.slots), order: kept(r.order), keys: kept(r.keys), nums: kept(r.nums)}
+	*e = engine{funcs: e.funcs, docNums: e.docNums, keyIdx: e.keyIdx, docCache: e.docCache, docEms: e.docEms,
+		docOrder: kept(e.docOrder), run: run}
 	enginePool.Put(e)
 }
 
@@ -173,7 +196,11 @@ func (s *Stylesheet) prepSource(source *xmldom.Node) *xmldom.Node {
 // The documents are rendered as by TransformInto into a fresh buffer,
 // which the caller owns.
 func (s *Stylesheet) TransformToBuffers(source *xmldom.Node, params map[string]xpath.Value) (*BufferResult, error) {
-	res, _, err := s.TransformInto(nil, source, params)
+	list := make([]Param, 0, len(params))
+	for name, v := range params {
+		list = append(list, Param{Name: name, Value: v})
+	}
+	res, _, err := s.TransformInto(nil, source, list)
 	return res, err
 }
 
@@ -184,7 +211,7 @@ func (s *Stylesheet) TransformToBuffers(source *xmldom.Node, params map[string]x
 // be done with the documents first. A buffer without capacity is sized
 // once, to the summed size hints of every document; one with capacity
 // is appended to as it is. On an error buf is returned unchanged.
-func (s *Stylesheet) TransformInto(buf []byte, source *xmldom.Node, params map[string]xpath.Value) (*BufferResult, []byte, error) {
+func (s *Stylesheet) TransformInto(buf []byte, source *xmldom.Node, params []Param) (*BufferResult, []byte, error) {
 	source = s.prepSource(source)
 	e := newEngine(s)
 	defer e.release()
@@ -218,7 +245,7 @@ func (s *Stylesheet) TransformInto(buf []byte, source *xmldom.Node, params map[s
 	doc := func(i int) []byte { return buf[ends[i]:ends[i+1]:ends[i+1]] }
 	res := &BufferResult{
 		Main:          doc(0),
-		DocumentOrder: e.docOrder,
+		DocumentOrder: slices.Clone(e.docOrder),
 		Messages:      e.messages,
 	}
 	if len(e.docEms) > 0 {
@@ -241,6 +268,7 @@ func (s *Stylesheet) TransformInto(buf []byte, source *xmldom.Node, params map[s
 // extends buf and Page is the capacity-limited sub-slice it appended, so
 // a caller that reuses the buffer must be done with the page first. A
 // run that errors or does not find the target returns buf unchanged.
+// The result carries the document order only when order is set.
 //
 // Control flow runs as usual and every xsl:document evaluates its href,
 // so DocumentOrder is complete. The body of an xsl:document naming
@@ -252,7 +280,7 @@ func (s *Stylesheet) TransformInto(buf []byte, source *xmldom.Node, params map[s
 // run's where a skipped body would have been the first to number a
 // document. The source is prepared, and frozen, as for
 // TransformToBuffers.
-func (s *Stylesheet) TransformPage(buf []byte, source *xmldom.Node, params map[string]xpath.Value, href string) (*PageResult, []byte, error) {
+func (s *Stylesheet) TransformPage(buf []byte, source *xmldom.Node, params []Param, href string, order bool) (*PageResult, []byte, error) {
 	source = s.prepSource(source)
 	e := newEngine(s)
 	e.targeted, e.target = true, href
@@ -269,7 +297,10 @@ func (s *Stylesheet) TransformPage(buf []byte, source *xmldom.Node, params map[s
 	if err := s.prog.execute(e, source, params, main); err != nil {
 		return nil, buf, err
 	}
-	res := &PageResult{DocumentOrder: e.docOrder, Messages: e.messages}
+	res := &PageResult{Messages: e.messages}
+	if order {
+		res.DocumentOrder = slices.Clone(e.docOrder)
+	}
 	if be == nil {
 		be = e.docBuf(href)
 	}
@@ -298,12 +329,8 @@ func (e *engine) offTarget(href string) bool {
 func (e *engine) documentOut(href string, skip bool) xmldom.Emitter {
 	em, seen := e.docEms[href]
 	if !seen {
-		if e.docOrder == nil {
-			hint := int(e.sheet.prog.docHint.Load())
-			if e.docEms == nil {
-				e.docEms = make(map[string]xmldom.Emitter, hint)
-			}
-			e.docOrder = make([]string, 0, hint)
+		if e.docEms == nil {
+			e.docEms = map[string]xmldom.Emitter{}
 		}
 		e.docOrder = append(e.docOrder, href)
 	}
@@ -397,14 +424,6 @@ func (d *discardSink) Comment(data string)        {}
 func (d *discardSink) PI(name, data string)       {}
 func (d *discardSink) CopyTree(n *xmldom.Node)    {}
 func (d *discardSink) OpenElement() bool          { return d.depth > 0 }
-
-func copyVars(m map[string]xpath.Value) map[string]xpath.Value {
-	cp := make(map[string]xpath.Value, len(m)+4)
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
-}
 
 const maxInt = int(^uint(0) >> 1)
 

@@ -135,6 +135,10 @@ func renderTransforms(t *testing.T, run func(*xslt.Stylesheet, *xmldom.Node) out
 
 var goldenParams = map[string]xpath.Value{"base": xpath.String("page")}
 
+// goldenParamList is goldenParams as the targeted and buffer-lending
+// entry points take them.
+var goldenParamList = []xslt.Param{{Name: "base", Value: xpath.String("page")}}
+
 // fuzzGoldenSeeds are the generator seed pairs fuzz.golden pins.
 func fuzzGoldenSeeds() [][2]int64 {
 	seeds := make([][2]int64, 256)

@@ -45,6 +45,9 @@ type TableSizes struct {
 	ApplySites, ForSites, CallSites int
 	ElemSites, CopySites, NumSites  int
 	Templates                       int
+	// Globals is the size of the global variable region, and Frame the
+	// number of slots every variable frame has room for.
+	Globals, Frame int
 }
 
 // Tables returns the program's side-table sizes.
@@ -57,8 +60,12 @@ func (p *Program) Tables() TableSizes {
 		ForSites: len(p.forSites), CallSites: len(p.callSites),
 		ElemSites: len(p.elemSites), CopySites: len(p.copySites),
 		NumSites: len(p.numSites), Templates: len(p.tmpls),
+		Globals: int(p.globals), Frame: int(p.frame),
 	}
 }
+
+// DeclSlot returns the variable slot variable declaration i binds.
+func (p *Program) DeclSlot(i int) int { return int(p.varDecls[i].slot) }
 
 // Templates returns every lowered template with its entry pc, in entry
 // (layout) order: the root prologue and the attribute-set subroutines

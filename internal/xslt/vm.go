@@ -22,65 +22,121 @@ import (
 
 // Control frame kinds on the shared xpath.Frame stack.
 const (
-	cfApply  uint8 = iota + 1 // apply-templates node loop
-	cfCall                    // call-template / apply-imports invocation
-	cfFor                     // for-each loop
-	cfScope                   // copy-on-write variable scope
-	cfCap                     // output capture (attribute/comment/PI/message/fragment)
-	cfDoc                     // xsl:document output redirect
-	cfParams                  // template-parameter scope being bound
-	cfSets                    // attribute-set list being applied
+	cfApply uint8 = iota + 1 // apply-templates node loop
+	cfCall                   // call-template / apply-imports invocation
+	cfFor                    // for-each loop
+	cfCap                    // output capture (attribute/comment/PI/message/fragment)
+	cfDoc                    // xsl:document output redirect
+	cfSets                   // attribute-set list being applied
 )
 
 // maxDepth bounds the control stack so runaway (circular) templates fail
 // cleanly instead of exhausting memory.
 const maxDepth = 3200
 
-// vmRun is the mutable state of one program execution.
+// vmRun is the mutable state of one program execution. It lives in the
+// pooled engine, so a run allocates none of it: release clears it and
+// keeps the slot stack and the sort scratch for the next run.
 type vmRun struct {
 	e   *engine
 	p   *Program
 	f   *xpath.Frame
 	ctx xctx
 	out xmldom.Emitter
-	// params are the caller's stylesheet parameters.
-	params map[string]xpath.Value
-	// globals is the top-level scope: the global variables and, from the
-	// root invocation on, the caller's parameters. Every template enters
-	// with it, so a template sees globals, its own parameters and its own
-	// locals, never its caller's (XSLT 1.0 §11.5).
-	globals map[string]xpath.Value
+	// slots is the variable stack (see Program): the global and staging
+	// regions, then a frame per active template invocation and
+	// attribute-set list. base is the current frame's first slot, top
+	// the first slot above it.
+	slots     []xpath.Value
+	base, top int
 	// xc is the persistent expression-evaluation context; refreshed from
 	// ctx before each evaluation instead of boxing a new one.
 	xc xpath.Context
 	// mc is the persistent pattern-match context used by dispatch.
 	mc xpath.Context
+	// order, keys and nums are sortNodes' scratch.
+	order []int
+	keys  []string
+	nums  []float64
+}
+
+// Param is a stylesheet parameter a caller passes to a run: the value
+// of the global xsl:param, or of the undeclared parameter, named Name.
+type Param struct {
+	Name  string
+	Value xpath.Value
 }
 
 // execute runs the program over source with the caller's stylesheet
-// parameters, writing the principal output to out.
-func (p *Program) execute(e *engine, source *xmldom.Node, params map[string]xpath.Value, out xmldom.Emitter) error {
+// parameters, writing the principal output to out. The parameters are
+// read into their staging slots before the run starts and not kept.
+func (p *Program) execute(e *engine, source *xmldom.Node, params []Param, out xmldom.Emitter) error {
 	f := xpath.GetFrame()
 	defer xpath.PutFrame(f)
-	r := p.newRun(e, f)
-	r.ctx = xctx{node: source, pos: 1, size: 1, vars: map[string]xpath.Value{}}
-	r.globals = r.ctx.vars
+	r := &e.run
+	r.start(e, p, f)
+	r.ctx = xctx{node: source, pos: 1, size: 1}
 	r.out = out
-	r.params = params
-	err := r.loop()
-	if n := int32(len(e.docOrder)); n != p.docHint.Load() {
-		p.docHint.Store(n)
+	r.enter(int(2 * p.globals))
+	for _, sp := range p.staged {
+		for i := len(params) - 1; i >= 0; i-- {
+			if params[i].Name == sp.name {
+				r.slots[p.globals+sp.slot] = params[i].Value
+				break
+			}
+		}
 	}
-	return err
+	return r.loop()
 }
 
-func (p *Program) newRun(e *engine, f *xpath.Frame) *vmRun {
-	r := &vmRun{e: e, p: p, f: f}
-	r.xc.Funcs = e.funcs
-	r.xc.NS = e.sheet.exprNS
-	r.mc.Funcs = e.funcs
-	r.mc.NS = e.sheet.exprNS
-	return r
+// start readies the engine's run for executing p on frame f.
+func (r *vmRun) start(e *engine, p *Program, f *xpath.Frame) {
+	r.e, r.p, r.f = e, p, f
+	r.xc.Funcs, r.xc.NS = e.funcs, e.sheet.exprNS
+	r.mc.Funcs, r.mc.NS = e.funcs, e.sheet.exprNS
+}
+
+// enter opens a variable frame of n slots above the current one. The
+// stack always has room for a frame of the program's largest size, so
+// every slot the verifier accepts is addressable.
+func (r *vmRun) enter(n int) {
+	r.base = r.top
+	r.top += n
+	if need := r.base + int(r.p.frame); need > len(r.slots) {
+		r.slots = append(r.slots, make([]xpath.Value, need-len(r.slots))...)
+	}
+}
+
+// leave closes the current frame and makes base the current one again.
+func (r *vmRun) leave(base int32) {
+	r.top = r.base
+	r.base = int(base)
+}
+
+// bind stores the value of declaration d in its slot of the current
+// frame (in the root prologue, whose frame is the global region, its
+// global slot).
+func (r *vmRun) bind(d *compiledVar, v xpath.Value) {
+	r.slots[r.base+int(d.slot)] = v
+}
+
+// passed returns the with-param value named name that the apply or call
+// frame fr passes, from its slot in the caller's frame; the last of
+// several with-params of one name wins.
+func (r *vmRun) passed(fr *xpath.CtlFrame, name string) (xpath.Value, bool) {
+	var ws []*compiledVar
+	switch {
+	case fr.Kind == cfApply:
+		ws = r.p.applySites[fr.Site].params
+	case fr.Site >= 0:
+		ws = r.p.callSites[fr.Site].params
+	}
+	for i := len(ws) - 1; i >= 0; i-- {
+		if ws[i].name == name {
+			return r.slots[int(fr.Base)+int(ws[i].slot)], true
+		}
+	}
+	return nil, false
 }
 
 // ectx refreshes and returns the shared expression context from the
@@ -89,7 +145,7 @@ func (r *vmRun) ectx() *xpath.Context {
 	r.xc.Node = r.ctx.node
 	r.xc.Position = r.ctx.pos
 	r.xc.Size = r.ctx.size
-	r.xc.Vars = r.ctx.vars
+	r.xc.Slots, r.xc.Base = r.slots, r.base
 	r.xc.Current = r.ctx.node
 	return &r.xc
 }
@@ -137,8 +193,9 @@ func (r *vmRun) push(cf xpath.CtlFrame) error {
 // dispatch finds the first template whose pattern matches node in the
 // dispatch index, scanning only the node's match-class bucket, among the
 // rules whose import precedence is below maxPrec. The match context
-// carries the *caller's* position, size, variables and current node.
-func (r *vmRun) dispatch(ix *templateIndex, node *xmldom.Node, vars map[string]xpath.Value,
+// carries the *caller's* position, size and current node; patterns read
+// global variables only.
+func (r *vmRun) dispatch(ix *templateIndex, node *xmldom.Node,
 	cur *xmldom.Node, pos, size, maxPrec int) (*Template, error) {
 	if ix == nil {
 		return nil, nil
@@ -151,7 +208,7 @@ func (r *vmRun) dispatch(ix *templateIndex, node *xmldom.Node, vars map[string]x
 	mc.Node = node
 	mc.Position = pos
 	mc.Size = size
-	mc.Vars = vars
+	mc.Slots = r.slots
 	mc.Current = cur
 	for _, t := range list {
 		if t.importPrec >= maxPrec {
@@ -168,25 +225,9 @@ func (r *vmRun) dispatch(ix *templateIndex, node *xmldom.Node, vars map[string]x
 	return nil, nil
 }
 
-// bind stores a variable, parameter or with-param value in the scope
-// target names.
-func (r *vmRun) bind(name string, v xpath.Value, target int32) {
-	switch target {
-	case BindVar:
-		r.ctx.vars[name] = v
-	case BindPassed:
-		fr := r.f.TopCtl()
-		if fr.Passed == nil {
-			fr.Passed = make(map[string]xpath.Value, 4)
-		}
-		fr.Passed[name] = v
-	case BindParam:
-		r.f.TopCtl().Vars[name] = v
-	}
-}
-
 // runSets starts the attribute-set list li and returns the pc to
 // continue at: the list's first subroutine, or ret when it is empty.
+// The list's subroutines run one after another in one variable frame.
 func (r *vmRun) runSets(li int32, ret int) (int, error) {
 	sl := r.p.setLists[li]
 	if len(sl.subs) == 0 {
@@ -195,9 +236,10 @@ func (r *vmRun) runSets(li int32, ret int) (int, error) {
 		}
 		return ret, nil
 	}
-	if err := r.push(xpath.CtlFrame{Kind: cfSets, Ret: int32(ret), Site: li}); err != nil {
+	if err := r.push(xpath.CtlFrame{Kind: cfSets, Ret: int32(ret), Site: li, Base: int32(r.base)}); err != nil {
 		return 0, err
 	}
+	r.enter(int(r.p.setFrame))
 	return int(sl.subs[0]), nil
 }
 
@@ -232,19 +274,24 @@ func (r *vmRun) sortNodes(list []*xmldom.Node, sorts []sortKey) ([]*xmldom.Node,
 		anyNum = anyNum || numeric[i]
 		anyText = anyText || !numeric[i]
 	}
-	// Flat backing arrays: keys/nums for node i, key j live at i*nk+j.
+	// Flat backing arrays, the run's scratch: keys/nums for node i, key j
+	// live at i*nk+j. No sort key evaluation sorts, so one set serves
+	// every sort of the run.
 	var keys []string
 	var nums []float64
 	if anyText {
-		keys = make([]string, len(list)*nk)
+		r.keys = resize(r.keys, len(list)*nk)
+		keys = r.keys
 	}
 	if anyNum {
-		nums = make([]float64, len(list)*nk)
+		r.nums = resize(r.nums, len(list)*nk)
+		nums = r.nums
 	}
-	order := make([]int, len(list))
+	r.order = resize(r.order, len(list))
+	order := r.order
 	xc := &r.xc
 	xc.Size = len(list)
-	xc.Vars = r.ctx.vars
+	xc.Slots, xc.Base = r.slots, r.base
 	for i, n := range list {
 		order[i] = i
 		xc.Node, xc.Current, xc.Position = n, n, i+1
@@ -283,6 +330,15 @@ func (r *vmRun) sortNodes(list []*xmldom.Node, sorts []sortKey) ([]*xmldom.Node,
 		out[i] = list[idx]
 	}
 	return out, nil
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // compareNumbers orders numeric sort keys: NaN sorts before every number
@@ -417,12 +473,12 @@ func (r *vmRun) loop() error {
 			case site.self:
 				// The root invocation ends the prologue: caller parameters
 				// no xsl:param declares become visible after the globals.
-				for name, v := range r.params {
-					if _, ok := r.ctx.vars[name]; !ok {
-						r.ctx.vars[name] = v
+				for _, slot := range p.undeclared {
+					if v := r.slots[p.globals+slot]; v != nil {
+						r.slots[slot] = v
 					}
 				}
-				list = []*xmldom.Node{r.ctx.node}
+				list = r.ctx.node.Singleton()
 			case site.sel != nil:
 				ns, err := site.sel.EvalNodesOn(r.ectx(), f)
 				if err != nil {
@@ -438,13 +494,14 @@ func (r *vmRun) loop() error {
 					return err
 				}
 			}
-			// The with-params that follow bind into this frame's Passed;
-			// the template bodies return to its iterate (operand b).
+			// The with-params that follow bind into the caller's frame,
+			// which this frame records; the template bodies return to its
+			// iterate (operand b).
 			if err := r.push(xpath.CtlFrame{
 				Kind: cfApply, Ret: in.B, Site: in.A,
 				Node: r.ctx.node, Pos: r.ctx.pos, Size: r.ctx.size,
-				Vars: r.ctx.vars, Mode: r.ctx.mode, Prec: r.ctx.curPrec,
-				List: list,
+				Mode: r.ctx.mode, Prec: r.ctx.curPrec,
+				List: list, Base: int32(r.base),
 			}); err != nil {
 				return err
 			}
@@ -457,7 +514,7 @@ func (r *vmRun) loop() error {
 				i := int(fr.Idx)
 				fr.Idx++
 				n := fr.List[i]
-				t, err := r.dispatch(site.disp, n, fr.Vars, fr.Node, fr.Pos, fr.Size, maxInt)
+				t, err := r.dispatch(site.disp, n, fr.Node, fr.Pos, fr.Size, maxInt)
 				if err != nil {
 					return err
 				}
@@ -467,7 +524,6 @@ func (r *vmRun) loop() error {
 				r.ctx.node = n
 				r.ctx.pos = i + 1
 				r.ctx.size = len(fr.List)
-				r.ctx.vars = r.globals
 				r.ctx.mode = site.mode
 				pc = int(t.entryPC)
 				entered = true
@@ -478,47 +534,37 @@ func (r *vmRun) loop() error {
 			}
 			// List exhausted: restore the caller's context and leave the loop.
 			r.ctx.node, r.ctx.pos, r.ctx.size = fr.Node, fr.Pos, fr.Size
-			r.ctx.vars, r.ctx.mode, r.ctx.curPrec = fr.Vars, fr.Mode, fr.Prec
+			r.ctx.mode, r.ctx.curPrec = fr.Mode, fr.Prec
 			f.PopCtl()
 			pc = int(in.B)
 			continue
 
 		case OpEnter:
-			t := p.tmpls[in.A].t
+			// The template's frame opens above its caller's. Parameter
+			// defaults evaluate under the caller's precedence;
+			// OpParamsEnd installs the template's.
+			pt := p.tmpls[in.A]
+			r.enter(int(pt.frame))
 			if in.B == 0 {
-				r.ctx.curPrec = t.importPrec
-				break
+				r.ctx.curPrec = pt.t.importPrec
 			}
-			// Open the parameter scope over the globals. Defaults evaluate
-			// in it, so each sees the parameters before it, under the
-			// caller's precedence; OpParamsEnd installs the template's.
-			vars := copyVars(r.globals)
-			if err := r.push(xpath.CtlFrame{
-				Kind: cfParams, Vars: vars,
-				Prec: t.importPrec, Passed: f.TopCtl().Passed,
-			}); err != nil {
-				return err
-			}
-			r.ctx.vars = vars
 
 		case OpParam:
-			fr := f.TopCtl()
-			name := p.varDecls[in.A].name
-			if v, ok := fr.Passed[name]; ok {
-				fr.Vars[name] = v
+			// The apply or call frame that entered the template is on top.
+			d := p.varDecls[in.A]
+			if v, ok := r.passed(f.TopCtl(), d.name); ok {
+				r.bind(d, v)
 				pc = int(in.B)
 				continue
 			}
 
 		case OpParamsEnd:
-			fr := f.TopCtl()
-			r.ctx.vars, r.ctx.curPrec = fr.Vars, fr.Prec
-			f.PopCtl()
+			r.ctx.curPrec = p.tmpls[in.A].t.importPrec
 
 		case OpGlobalParam:
-			name := p.varDecls[in.A].name
-			if v, ok := r.params[name]; ok {
-				r.ctx.vars[name] = v
+			d := p.varDecls[in.A]
+			if v := r.slots[p.globals+d.slot]; v != nil {
+				r.bind(d, v)
 				pc = int(in.B)
 				continue
 			}
@@ -528,6 +574,7 @@ func (r *vmRun) loop() error {
 			switch fr.Kind {
 			case cfApply:
 				// Back into the apply loop; the frame stays for the next node.
+				r.leave(fr.Base)
 				pc = int(fr.Ret)
 			case cfSets:
 				// Next attribute-set subroutine of the list, or done.
@@ -540,11 +587,12 @@ func (r *vmRun) loop() error {
 				if sl.err != "" {
 					return &TransformError{Msg: sl.err}
 				}
+				r.leave(fr.Base)
 				pc = int(fr.Ret)
 				f.PopCtl()
 			default:
-				// Call frame: restore scope and precedence, pop, return.
-				r.ctx.vars = fr.Vars
+				// Call frame: restore frame and precedence, pop, return.
+				r.leave(fr.Base)
 				r.ctx.curPrec = fr.Prec
 				pc = int(fr.Ret)
 				f.PopCtl()
@@ -552,23 +600,23 @@ func (r *vmRun) loop() error {
 			continue
 
 		case OpCall:
-			// The with-params that follow bind into this frame's Passed.
+			// The with-params that follow bind into the caller's frame,
+			// which this frame records.
 			cs := p.callSites[in.A]
 			if cs.t == nil {
 				return &TransformError{Msg: "call-template: no template named " + cs.name}
 			}
-			if err := r.push(xpath.CtlFrame{Kind: cfCall, Vars: r.ctx.vars, Prec: r.ctx.curPrec}); err != nil {
+			if err := r.push(xpath.CtlFrame{Kind: cfCall, Site: in.A, Prec: r.ctx.curPrec, Base: int32(r.base)}); err != nil {
 				return err
 			}
 
 		case OpInvoke:
 			f.TopCtl().Ret = int32(pc + 1)
-			r.ctx.vars = r.globals
 			pc = int(p.callSites[in.A].t.entryPC)
 			continue
 
 		case OpApplyImports:
-			t, err := r.dispatch(e.sheet.index[r.ctx.mode], r.ctx.node, r.ctx.vars,
+			t, err := r.dispatch(e.sheet.index[r.ctx.mode], r.ctx.node,
 				r.ctx.node, r.ctx.pos, r.ctx.size, r.ctx.curPrec)
 			if err != nil {
 				return err
@@ -576,13 +624,13 @@ func (r *vmRun) loop() error {
 			if t == nil {
 				break // no lower-precedence rule: no output
 			}
+			// Site -1: xsl:apply-imports passes no parameters.
 			if err := r.push(xpath.CtlFrame{
-				Kind: cfCall, Ret: int32(pc + 1),
-				Vars: r.ctx.vars, Prec: r.ctx.curPrec,
+				Kind: cfCall, Ret: int32(pc + 1), Site: -1,
+				Prec: r.ctx.curPrec, Base: int32(r.base),
 			}); err != nil {
 				return err
 			}
-			r.ctx.vars = r.globals
 			pc = int(t.entryPC)
 			continue
 
@@ -623,17 +671,6 @@ func (r *vmRun) loop() error {
 			pc = int(in.A)
 			continue
 
-		case OpScopeBegin:
-			if err := r.push(xpath.CtlFrame{Kind: cfScope, Vars: r.ctx.vars}); err != nil {
-				return err
-			}
-			r.ctx.vars = copyVars(r.ctx.vars)
-
-		case OpScopeEnd:
-			fr := f.TopCtl()
-			r.ctx.vars = fr.Vars
-			f.PopCtl()
-
 		case OpVarDecl:
 			d := p.varDecls[in.A]
 			var v xpath.Value = xpath.String("")
@@ -643,7 +680,7 @@ func (r *vmRun) loop() error {
 					return err
 				}
 			}
-			r.bind(d.name, v, in.B)
+			r.bind(d, v)
 
 		case OpRTFBegin:
 			frag := xmldom.NewDocument()
@@ -663,7 +700,7 @@ func (r *vmRun) loop() error {
 			xmldom.Freeze(frag)
 			r.out = fr.Out.(xmldom.Emitter)
 			f.PopCtl()
-			r.bind(p.varDecls[in.A].name, xpath.NodeSet{frag}, in.B)
+			r.bind(p.varDecls[in.A], xpath.NodeSet{frag})
 
 		case OpElemBegin:
 			es := p.elemSites[in.A]
