@@ -448,7 +448,7 @@ func (sa *shaper) step(pc int, in *shpState) {
 	case xslt.OpForEnd:
 		sa.flow(int(instr.A), st)
 	default:
-		// OpForEach, OpCall, OpEnter, OpParamsEnd, OpScopeBegin/End,
+		// OpForEach, OpCall, OpEnter, OpParamsEnd,
 		// OpVarDecl and other control opcodes do not touch the result
 		// shape.
 		next()

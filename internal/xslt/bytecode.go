@@ -325,11 +325,11 @@ func (s *Stylesheet) lower() *Program {
 	for _, d := range s.globals {
 		di := a.addVarDecl(d)
 		if !d.isParam {
-			a.lowerValue(di, d)
+			a.lowerBinding(di, d)
 			continue
 		}
 		skip := a.emit(OpGlobalParam, di, 0)
-		a.lowerValue(di, d)
+		a.lowerBinding(di, d)
 		a.patchB(skip, a.here())
 	}
 	root := &applySite{self: true, disp: s.index[""]}
@@ -547,15 +547,19 @@ func (a *asm) lowerTemplate(t *Template) {
 	pt.frame = a.frame
 }
 
-// lowerValue lowers the value of variable declaration di and its
-// binding to the declaration's slot, which it takes first unless it has
-// one: a select expression, or the empty string when the declaration has
-// no content, is one OpVarDecl; content is captured as a result-tree
-// fragment. The value sees the bindings in scope before the declaration.
+// lowerValue gives variable declaration di a slot of the frame being
+// lowered and lowers its binding.
 func (a *asm) lowerValue(di int32, d *compiledVar) {
-	if !a.prologue || !a.isGlobal(d) {
-		d.slot = a.newSlot()
-	}
+	d.slot = a.newSlot()
+	a.lowerBinding(di, d)
+}
+
+// lowerBinding lowers the value of variable declaration di and its
+// binding to the declaration's slot: a select expression, or the empty
+// string when the declaration has no content, is one OpVarDecl; content
+// is captured as a result-tree fragment. The value sees the bindings in
+// scope before the declaration.
+func (a *asm) lowerBinding(di int32, d *compiledVar) {
 	if d.sel != nil || len(d.body) == 0 {
 		a.resolve(d.sel)
 		a.emit(OpVarDecl, di, 0)
@@ -594,9 +598,8 @@ func (a *asm) lowerBody(body []instruction) {
 // ---- variable slots ----
 
 // newSlot returns a fresh slot of the frame being lowered: a global slot
-// in the root prologue, whose frame is the global region. Slots are not
-// reused, so a local slot is never read before its declaration binds it
-// in the same frame invocation.
+// in the root prologue, whose frame is the global region. A frame has a
+// slot per declaration of its body; none is reused.
 func (a *asm) newSlot() int32 {
 	if a.prologue {
 		return a.newGlobal("")
@@ -614,17 +617,6 @@ func (a *asm) newGlobal(name string) int32 {
 		a.globalSlots[name] = slot
 	}
 	return slot
-}
-
-// isGlobal reports whether d is a top-level declaration, whose slot the
-// global region assigned up front.
-func (a *asm) isGlobal(d *compiledVar) bool {
-	for _, g := range a.s.globals {
-		if g == d {
-			return true
-		}
-	}
-	return false
 }
 
 // declare brings d into scope for the code lowered next.
