@@ -123,8 +123,13 @@ func Capture(p *xslt.Program) *Image {
 // Control-frame kinds of the abstract balance interpretation. Distinct
 // letters per capture construct make the check stricter than the VM,
 // which folds attribute/comment/PI/message/fragment captures into one
-// kind.
+// kind. frRoot and frParams are pseudo-frames: the walk from pc 0 runs
+// on frRoot, so only the root prologue binds global parameters, and a
+// template's OpEnter opens frParams until OpParamsEnd, so a parameter
+// binds only while the frame that entered the template is on top.
 const (
+	frRoot    = 'G'
+	frParams  = 'P'
 	frApply   = 'A'
 	frCall    = 'C'
 	frFor     = 'F'
@@ -174,7 +179,7 @@ func (im *Image) Check() []Finding {
 	}
 
 	// Pass 2: control-frame balance along all paths, from the root
-	// prologue and every template entry.
+	// prologue (on frRoot) and every template entry (on an empty stack).
 	state := make(map[int]string, n)
 	type edge struct {
 		pc int
@@ -194,7 +199,8 @@ func (im *Image) Check() []Finding {
 		state[pc] = st
 		work = append(work, edge{pc, st})
 	}
-	visit(0, "", 0)
+	root := string(rune(frRoot))
+	visit(0, root, 0)
 	for _, e := range im.Entries {
 		visit(e, "", e)
 	}
@@ -216,8 +222,8 @@ func (im *Image) Check() []Finding {
 		}
 		switch in.Op {
 		case xslt.OpHalt:
-			if st != "" {
-				bad(pc, "halt with unbalanced frame stack [%s]", st)
+			if st != root {
+				bad(pc, "halt with unbalanced frame stack [%s] (want [%s])", st, root)
 			}
 		case xslt.OpRet:
 			if st != "" {
@@ -277,10 +283,29 @@ func (im *Image) Check() []Finding {
 			if !isEntry(im.Entries, pc) {
 				bad(pc, "enter at a pc that is not a registered template entry")
 			}
-			visit(pc+1, st, pc)
-		case xslt.OpParam, xslt.OpGlobalParam:
-			visit(pc+1, st, pc)
-			visit(int(in.B), st, pc)
+			if in.B != 0 {
+				visit(pc+1, st+string(rune(frParams)), pc)
+			} else {
+				visit(pc+1, st, pc)
+			}
+		case xslt.OpParam:
+			// The VM reads the passed value through the top control
+			// frame, which must be the one that entered the template.
+			if needTop(frParams, "param") {
+				visit(pc+1, st, pc)
+				visit(int(in.B), st, pc)
+			}
+		case xslt.OpParamsEnd:
+			if needTop(frParams, "params-end") {
+				visit(pc+1, st[:len(st)-1], pc)
+			}
+		case xslt.OpGlobalParam:
+			// Global slots are the current frame only in the root
+			// prologue.
+			if needTop(frRoot, "global-param") {
+				visit(pc+1, st, pc)
+				visit(int(in.B), st, pc)
+			}
 		case xslt.OpRTFBegin:
 			visit(pc+1, st+string(rune(frRTF)), pc)
 		case xslt.OpRTFEnd:

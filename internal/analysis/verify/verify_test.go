@@ -189,6 +189,64 @@ func TestCorruptGlobalParamSlot(t *testing.T) {
 	requireFinding(t, im.Check(), verify.CodeBadProgram, "global-param: slot index")
 }
 
+// forParamSrc has a template whose body runs a for-each, so a corruption
+// can put a parameter binding where a for-each frame is on top.
+const forParamSrc = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+  <xsl:param name="g" select="1"/>
+  <xsl:template match="/"><xsl:apply-templates select="*"><xsl:with-param name="p" select="2"/></xsl:apply-templates></xsl:template>
+  <xsl:template match="*"><xsl:param name="p"/><xsl:for-each select="*">x</xsl:for-each><xsl:value-of select="$p"/></xsl:template>
+</xsl:stylesheet>`
+
+// forBody returns the pc of the first instruction of the for-each body.
+func forBody(t *testing.T, im *verify.Image) int {
+	t.Helper()
+	return findOp(t, im.Code, xslt.OpForNext) + 1
+}
+
+func TestCorruptParamInForEach(t *testing.T) {
+	im := verify.Capture(compile(t, forParamSrc))
+	// The parameter binding moved into the for-each body: the VM would
+	// read the with-param through the for-each frame.
+	param := im.Code[findOp(t, im.Code, xslt.OpParam)]
+	pc := forBody(t, im)
+	im.Code[pc] = xslt.Instr{Op: xslt.OpParam, A: param.A, B: int32(pc + 1)}
+	requireFinding(t, im.Check(), verify.CodeBadProgram, "param with frame stack [F]")
+}
+
+func TestCorruptGlobalParamInTemplate(t *testing.T) {
+	im := verify.Capture(compile(t, forParamSrc))
+	// A global parameter bound inside a template would write the
+	// template's frame, not the global region.
+	param := im.Code[findOp(t, im.Code, xslt.OpGlobalParam)]
+	pc := forBody(t, im)
+	im.Code[pc] = xslt.Instr{Op: xslt.OpGlobalParam, A: param.A, B: int32(pc + 1)}
+	requireFinding(t, im.Check(), verify.CodeBadProgram, "global-param with frame stack [F]")
+}
+
+// TestPatternSlotsAreChecked: the predicates of template and key match
+// patterns read global slots, so the slot check covers them.
+func TestPatternSlotsAreChecked(t *testing.T) {
+	const src = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+  <xsl:param name="g" select="1"/>
+  <xsl:key name="k" match="b[@n = $g]" use="@id"/>
+  <xsl:template match="/"><xsl:apply-templates/></xsl:template>
+  <xsl:template match="a[@n = $g]"><xsl:value-of select="key('k', 'x')"/></xsl:template>
+</xsl:stylesheet>`
+	p := compile(t, src)
+	// Each pattern's predicate compiles to its own expression.
+	n := 0
+	for _, x := range p.Exprs() {
+		if x.String() == "(@n = $g)" {
+			x.ResolveVars(func(string) (int, bool) { return 99, false })
+			n++
+		}
+	}
+	if n != 2 {
+		t.Fatalf("program lists %d pattern predicates, want the template's and the key's", n)
+	}
+	requireFinding(t, verify.Program(p), verify.CodeBadProgram, "reads global slots below 100")
+}
+
 func TestCorruptSetListTarget(t *testing.T) {
 	im := verify.Capture(compile(t, paramsSrc))
 	im.SetLists[0][0] = findOp(t, im.Code, xslt.OpEnter)

@@ -168,7 +168,8 @@ func (p *Program) ElemSiteStatic(i int) (string, bool) {
 // Exprs returns every compiled XPath expression the program can
 // evaluate at run time: the expression side table plus the selects,
 // sort keys, AVT parts and declaration selects held in site payloads,
-// and the xsl:key use expressions. The IR verifier proves each one's
+// the predicates of template and xsl:key match patterns, and the xsl:key
+// use expressions. The IR verifier proves each one's
 // operand-stack plan sound.
 func (p *Program) Exprs() []*xpath.Compiled {
 	c := &exprCollector{seen: map[*xpath.Compiled]bool{}}
@@ -198,7 +199,11 @@ func (p *Program) Exprs() []*xpath.Compiled {
 	for _, ns := range p.numSites {
 		c.add(ns.value)
 	}
+	for _, pt := range p.tmpls {
+		c.pattern(pt.t.Match)
+	}
 	for _, k := range p.sheet.keys {
+		c.pattern(k.match)
 		c.add(k.use)
 	}
 	return c.out
@@ -225,6 +230,20 @@ func (c *exprCollector) avt(a *avt) {
 	}
 	for _, p := range a.parts {
 		c.add(p.expr)
+	}
+}
+
+// pattern adds the predicates of every step of a match pattern.
+func (c *exprCollector) pattern(p *xpath.Pattern) {
+	if p == nil {
+		return
+	}
+	for _, alt := range p.Info() {
+		for _, st := range alt.Steps {
+			for _, pr := range st.Preds {
+				c.add(pr.(*xpath.Compiled))
+			}
+		}
 	}
 }
 

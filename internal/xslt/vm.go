@@ -125,11 +125,13 @@ func (r *vmRun) bind(d *compiledVar, v xpath.Value) {
 // several with-params of one name wins.
 func (r *vmRun) passed(fr *xpath.CtlFrame, name string) (xpath.Value, bool) {
 	var ws []*compiledVar
-	switch {
-	case fr.Kind == cfApply:
+	switch fr.Kind {
+	case cfApply:
 		ws = r.p.applySites[fr.Site].params
-	case fr.Site >= 0:
-		ws = r.p.callSites[fr.Site].params
+	case cfCall:
+		if fr.Site >= 0 { // apply-imports (site -1) passes none
+			ws = r.p.callSites[fr.Site].params
+		}
 	}
 	for i := len(ws) - 1; i >= 0; i-- {
 		if ws[i].name == name {
