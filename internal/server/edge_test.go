@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -344,5 +345,32 @@ func BenchmarkColdRepublish(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.ServeHTTP(w, reqs[i%2])
 		clear(w.h)
+	}
+}
+
+// BenchmarkWarmPageFor times a warm hit's cache lookup, the part of a
+// browse-warm read that depends on how a cached presentation holds its
+// pages: a page of the staged whole site, and a focused page a /site/
+// miss cached as a one-page entry.
+func BenchmarkWarmPageFor(b *testing.B) {
+	m := core.SampleSales()
+	srv := NewEmpty(Config{})
+	st, err := stageCanonical(context.Background(), srv, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.Commit()
+	snap := srv.snapshot()
+	for _, bc := range []struct{ name, focus string }{{"site", ""}, {"page", m.Facts[0].ID}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if a, err := srv.pageFor(snap, htmlgen.MultiPage, bc.focus, htmlgen.IndexName); err != nil || a == nil {
+				b.Fatalf("pageFor: %v, %v", a, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.pageFor(snap, htmlgen.MultiPage, bc.focus, htmlgen.IndexName)
+			}
+		})
 	}
 }

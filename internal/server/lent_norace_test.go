@@ -57,10 +57,9 @@ func TestRepublishOfHeldPageCopiesNothing(t *testing.T) {
 
 // Cold-read pins: a BenchmarkColdRepublish-shaped miss (a gzip GET of a
 // focused index page under a 1-entry cache, so every read republishes
-// its page) measured 50 allocations and 1 230–1 240 bytes once the XSLT
-// run kept its state in the pooled engine and read its variables from
-// slots, from 67 and 3 450–3 510 before. The ceilings leave a small
-// margin for pooled values the garbage collector drops mid-measurement.
+// its page) measures 50 allocations and 1 200–1 310 bytes on go1.24
+// linux/amd64. The ceilings leave a small margin for pooled values the
+// garbage collector drops mid-measurement.
 const (
 	coldReadAllocCeiling = 53
 	coldReadByteCeiling  = 1400

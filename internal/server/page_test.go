@@ -66,7 +66,7 @@ func TestSitePagesAreCachedPerPage(t *testing.T) {
 			t.Fatalf("%s: status %d, body differs from the whole site's page: %v", page, code, body != string(full.Pages[page]))
 		}
 		key := siteKey{gen: srv.Generation(), mode: htmlgen.MultiPage, focus: focus, page: page}
-		if site := cachedEntry(srv, key); site == nil || len(site.pages) != 1 {
+		if site := cachedEntry(srv, key); site == nil || site.one == nil {
 			t.Fatalf("%s: no one-page cache entry after the read", page)
 		}
 		if want := min(i+1, 2); srv.cache.len() != want {

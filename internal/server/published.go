@@ -1,9 +1,6 @@
 package server
 
 import (
-	"slices"
-	"sort"
-
 	"goldweb/internal/artifact"
 )
 
@@ -20,13 +17,13 @@ import (
 // while an old and a new generation briefly coexist during a staged
 // swap.
 type publishedSite struct {
-	// names are the page names, sorted, and pages their artifacts.
-	names []string
-	pages []*artifact.Artifact
-	// oneName and one back names and pages of a site published one page
-	// at a time (newPublishedPage), so it takes one allocation.
-	oneName [1]string
-	one     [1]*artifact.Artifact
+	// pages maps every page name of a whole site to its artifact; nil
+	// in a one-page entry.
+	pages map[string]*artifact.Artifact
+	// name and one are the page of a one-page entry (newPublishedPage):
+	// a request-path miss caches its page without building a map.
+	name string
+	one  *artifact.Artifact
 	// size is the summed identity size — the siteCache accounting unit.
 	size int64
 }
@@ -36,34 +33,30 @@ type publishedSite struct {
 // reuses once this returns.
 func newPublishedSite(store *artifact.Store, pages map[string][]byte) *publishedSite {
 	p := &publishedSite{
-		names: make([]string, 0, len(pages)),
-		pages: make([]*artifact.Artifact, len(pages)),
+		pages: make(map[string]*artifact.Artifact, len(pages)),
 	}
-	for name := range pages {
-		p.names = append(p.names, name)
-	}
-	sort.Strings(p.names)
-	for i, name := range p.names {
-		a := store.Intern(contentType(name), pages[name])
-		p.pages[i] = a
+	for name, content := range pages {
+		a := store.Intern(contentType(name), content)
+		p.pages[name] = a
 		p.size += a.Size()
 	}
 	return p
 }
 
-// newPublishedPage interns one page as a site of its own, as a
+// newPublishedPage interns one page as an entry of its own, as a
 // request-path miss publishes it. The store keeps no slice of content.
 func newPublishedPage(store *artifact.Store, name string, content []byte) *publishedSite {
 	a := store.Intern(contentType(name), content)
-	p := &publishedSite{oneName: [1]string{name}, one: [1]*artifact.Artifact{a}, size: a.Size()}
-	p.names, p.pages = p.oneName[:], p.one[:]
-	return p
+	return &publishedSite{name: name, one: a, size: a.Size()}
 }
 
 // page returns the artifact for one page name, or nil.
 func (p *publishedSite) page(name string) *artifact.Artifact {
-	if i, ok := slices.BinarySearch(p.names, name); ok {
-		return p.pages[i]
+	if p.pages != nil {
+		return p.pages[name]
+	}
+	if name == p.name {
+		return p.one
 	}
 	return nil
 }
