@@ -65,10 +65,8 @@ func TestPublishAllocs(t *testing.T) {
 
 // targetedAllocShare bounds the allocations of a targeted publication of
 // a focused index.html (what the server runs for a /site/ miss) as a
-// share of the whole focused site's: 22.5 % when the targeted run landed,
-// 26.3 % (44 of 167) once variables read frame slots and the run state
-// moved into the pooled engine, which cut the whole site's allocations
-// more than the page's.
+// share of the whole focused site's. It measures 26.3 % (44 of 167);
+// the bound leaves under one point of margin.
 const targetedAllocShare = 0.27
 
 func TestPublishPageAllocs(t *testing.T) {
