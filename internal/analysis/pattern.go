@@ -11,10 +11,10 @@ import (
 // satisfiable under the schema (GW101) and returns the context class the
 // pattern can match — the element names, attribute/text/root categories
 // a rule with this pattern may fire on.
-func (l *ssLint) checkPattern(pat *xpath.Pattern, at pos, sc *scope) ctxSet {
+func (l *ssLint) checkPattern(pat *xpath.Pattern, at pos) ctxSet {
 	var out ctxSet
 	for i, alt := range pat.Info() {
-		c := l.checkPatternAlt(alt, at, sc)
+		c := l.checkPatternAlt(alt, at)
 		if i == 0 {
 			out = c
 		} else {
@@ -30,7 +30,7 @@ func (l *ssLint) checkPattern(pat *xpath.Pattern, at pos, sc *scope) ctxSet {
 // for the '/' and '//' links. The set an earlier step survives with
 // narrows the sets of every later step, so the returned match context is
 // the refined final-step set rather than the raw node-test universe.
-func (l *ssLint) checkPatternAlt(alt xpath.PatternAltInfo, at pos, sc *scope) ctxSet {
+func (l *ssLint) checkPatternAlt(alt xpath.PatternAltInfo, at pos) ctxSet {
 	g := l.g
 	if alt.RootOnly {
 		return docCtx()
@@ -140,7 +140,7 @@ func (l *ssLint) checkPatternAlt(alt xpath.PatternAltInfo, at pos, sc *scope) ct
 			c = unknownCtx()
 		}
 		for _, p := range st.Preds {
-			l.evalExpr(p, c, c, at, sc)
+			l.evalExpr(p, c, c, at)
 		}
 	}
 

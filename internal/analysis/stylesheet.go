@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"goldweb/internal/xmldom"
@@ -13,20 +12,6 @@ import (
 
 // pos is a diagnostic anchor: any DOM node carrying Line/Col.
 type pos = *xmldom.Node
-
-// varDecl tracks one variable or parameter declaration for use analysis.
-type varDecl struct {
-	name  string
-	node  *xmldom.Node
-	param bool
-	used  bool
-}
-
-// scope is a per-template variable table; lookups fall through to the
-// stylesheet globals.
-type scope struct {
-	vars map[string]*varDecl
-}
 
 type ssLint struct {
 	file  string
@@ -42,9 +27,6 @@ type ssLint struct {
 	keyClass map[string]ctxSet
 	namedSrc map[string]*xmldom.Node
 	attrSets map[string]bool
-
-	globals     map[string]*varDecl
-	globalOrder []*varDecl
 
 	// entry accumulates the merged call-site context of each named
 	// template across fixpoint iterations.
@@ -86,7 +68,6 @@ func LintStylesheet(file string, src []byte, schema *xsd.Schema) []Diagnostic {
 		keyClass:        map[string]ctxSet{},
 		namedSrc:        map[string]*xmldom.Node{},
 		attrSets:        map[string]bool{},
-		globals:         map[string]*varDecl{},
 		entry:           map[string]ctxSet{},
 		calledTemplates: map[string]bool{},
 	}
@@ -103,7 +84,6 @@ func (l *ssLint) run() {
 	for _, name := range l.sheet.AttrSetNames() {
 		l.attrSets[name] = true
 	}
-	l.collectGlobals()
 
 	// Phase 1: propagate contexts into named templates until the entry
 	// sets stop growing. Diagnostics are muted; only the context flow
@@ -129,7 +109,7 @@ func (l *ssLint) run() {
 	l.checkShadowing()
 	l.checkUnusedModes()
 	l.checkUnusedNamedTemplates()
-	l.reportUnused(l.globalOrder)
+	l.reportUnused()
 }
 
 func (l *ssLint) flag(at pos, sev Severity, code, format string, args ...interface{}) {
@@ -156,39 +136,26 @@ func isXSL(n *xmldom.Node, name string) bool {
 	return n.Type == xmldom.ElementNode && n.URI == xslt.Namespace && n.Name == name
 }
 
-func (l *ssLint) collectGlobals() {
-	for _, n := range l.root.Elements() {
-		if n.URI != xslt.Namespace || (n.Name != "variable" && n.Name != "param") {
-			continue
-		}
-		name := n.AttrValue("name")
-		if name == "" {
-			continue
-		}
-		d := &varDecl{name: name, node: n, param: n.Name == "param"}
-		l.globals[name] = d
-		l.globalOrder = append(l.globalOrder, d)
-	}
-}
-
 // buildKeyClasses checks each xsl:key and records the context class its
 // key() calls produce (the elements its match pattern can select).
 func (l *ssLint) buildKeyClasses() {
 	for _, kd := range l.sheet.KeyDecls() {
 		at := kd.Src
-		cls := l.checkPattern(kd.Match, attrNode(at, "match"), nil)
+		cls := l.checkPattern(kd.Match, attrNode(at, "match"))
 		l.keyClass[kd.Name] = cls
-		l.evalExpr(kd.Use, cls, cls, attrNode(at, "use"), nil)
+		l.evalExpr(kd.Use, cls, cls, attrNode(at, "use"))
 	}
 }
 
 func (l *ssLint) walkGlobalDecls() {
-	for _, d := range l.globalOrder {
-		n := d.node
+	for _, n := range l.root.Elements() {
+		if !isXSL(n, "variable") && !isXSL(n, "param") {
+			continue
+		}
 		if sel := n.GetAttr("select"); sel != nil {
-			l.checkExprSrc(sel.Data, docCtx(), docCtx(), sel, nil)
+			l.checkExprSrc(sel.Data, docCtx(), docCtx(), sel)
 		} else {
-			l.walkBody(n, docCtx(), &scope{vars: map[string]*varDecl{}})
+			l.walkBody(n, docCtx())
 		}
 	}
 }
@@ -207,7 +174,7 @@ func (l *ssLint) walkTemplates() {
 			if err != nil {
 				continue // already a compile error
 			}
-			cs = l.checkPattern(pat, attrNode(n, "match"), nil)
+			cs = l.checkPattern(pat, attrNode(n, "match"))
 			if name != "" {
 				if e, ok := l.entry[name]; ok {
 					cs = cs.union(e)
@@ -222,11 +189,7 @@ func (l *ssLint) walkTemplates() {
 		default:
 			continue
 		}
-		sc := &scope{vars: map[string]*varDecl{}}
-		l.walkBody(n, cs, sc)
-		if !l.mute {
-			l.reportUnusedScope(sc)
-		}
+		l.walkBody(n, cs)
 	}
 }
 
@@ -238,12 +201,12 @@ func (l *ssLint) walkAttrSets() {
 		if use := n.GetAttr("use-attribute-sets"); use != nil {
 			l.useAttrSets(use)
 		}
-		l.walkBody(n, unknownCtx(), &scope{vars: map[string]*varDecl{}})
+		l.walkBody(n, unknownCtx())
 	}
 }
 
 // walkBody lints the instruction children of parent in context cs.
-func (l *ssLint) walkBody(parent *xmldom.Node, cs ctxSet, sc *scope) {
+func (l *ssLint) walkBody(parent *xmldom.Node, cs ctxSet) {
 	for _, n := range parent.Children {
 		if n.Type != xmldom.ElementNode {
 			continue
@@ -258,19 +221,19 @@ func (l *ssLint) walkBody(parent *xmldom.Node, cs ctxSet, sc *scope) {
 					l.useAttrSets(a)
 					continue
 				}
-				l.checkAVT(a.Data, cs, a, sc)
+				l.checkAVT(a.Data, cs, a)
 			}
-			l.walkBody(n, cs, sc)
+			l.walkBody(n, cs)
 			continue
 		}
 		switch n.Name {
 		case "apply-templates":
 			res := l.evalStep(cs, xpath.StepInfo{Axis: xpath.AxisChild, Test: xpath.TestNode}, n)
 			if sel := n.GetAttr("select"); sel != nil {
-				res = l.checkExprSrc(sel.Data, cs, cs, sel, sc)
+				res = l.checkExprSrc(sel.Data, cs, cs, sel)
 			}
-			l.walkWithParams(n, cs, sc)
-			l.walkSorts(n, res, sc)
+			l.walkWithParams(n, cs)
+			l.walkSorts(n, res)
 		case "call-template":
 			if name := n.AttrValue("name"); name != "" {
 				l.calledTemplates[name] = true
@@ -281,101 +244,91 @@ func (l *ssLint) walkBody(parent *xmldom.Node, cs ctxSet, sc *scope) {
 					l.mergeEntry(name, cs)
 				}
 			}
-			l.walkWithParams(n, cs, sc)
+			l.walkWithParams(n, cs)
 		case "for-each":
 			res := unknownCtx()
 			if sel := n.GetAttr("select"); sel != nil {
-				res = l.checkExprSrc(sel.Data, cs, cs, sel, sc)
+				res = l.checkExprSrc(sel.Data, cs, cs, sel)
 			}
-			l.walkSorts(n, res, sc)
-			l.walkBody(n, res, sc)
+			l.walkSorts(n, res)
+			l.walkBody(n, res)
 		case "value-of", "copy-of":
 			if sel := n.GetAttr("select"); sel != nil {
-				l.checkExprSrc(sel.Data, cs, cs, sel, sc)
+				l.checkExprSrc(sel.Data, cs, cs, sel)
 			}
 		case "if", "when":
 			if test := n.GetAttr("test"); test != nil {
-				l.checkExprSrc(test.Data, cs, cs, test, sc)
+				l.checkExprSrc(test.Data, cs, cs, test)
 			}
-			l.walkBody(n, cs, sc)
+			l.walkBody(n, cs)
 		case "variable", "param":
 			if sel := n.GetAttr("select"); sel != nil {
-				l.checkExprSrc(sel.Data, cs, cs, sel, sc)
+				l.checkExprSrc(sel.Data, cs, cs, sel)
 			} else {
-				l.walkBody(n, cs, sc)
-			}
-			if name := n.AttrValue("name"); name != "" {
-				sc.vars[name] = &varDecl{name: name, node: n, param: n.Name == "param"}
+				l.walkBody(n, cs)
 			}
 		case "attribute", "processing-instruction":
 			if name := n.GetAttr("name"); name != nil {
-				l.checkAVT(name.Data, cs, name, sc)
+				l.checkAVT(name.Data, cs, name)
 			}
-			l.walkBody(n, cs, sc)
+			l.walkBody(n, cs)
 		case "element":
 			if name := n.GetAttr("name"); name != nil {
-				l.checkAVT(name.Data, cs, name, sc)
+				l.checkAVT(name.Data, cs, name)
 			}
 			if use := n.GetAttr("use-attribute-sets"); use != nil {
 				l.useAttrSets(use)
 			}
-			l.walkBody(n, cs, sc)
+			l.walkBody(n, cs)
 		case "copy":
 			if use := n.GetAttr("use-attribute-sets"); use != nil {
 				l.useAttrSets(use)
 			}
-			l.walkBody(n, cs, sc)
+			l.walkBody(n, cs)
 		case "document":
 			if href := n.GetAttr("href"); href != nil {
-				l.checkAVT(href.Data, cs, href, sc)
+				l.checkAVT(href.Data, cs, href)
 			}
-			l.walkBody(n, cs, sc)
+			l.walkBody(n, cs)
 		case "number":
 			if v := n.GetAttr("value"); v != nil {
-				l.checkExprSrc(v.Data, cs, cs, v, sc)
-			}
-			for _, pa := range []string{"count", "from"} {
-				if a := n.GetAttr(pa); a != nil {
-					if pat, err := xpath.CompilePattern(a.Data); err == nil {
-						l.checkPattern(pat, a, sc)
-					}
-				}
+				l.checkExprSrc(v.Data, cs, cs, v)
 			}
 		case "sort", "with-param":
 			// handled by the owning instruction
 		case "text", "apply-imports":
 			// no expressions
 		default:
-			l.walkBody(n, cs, sc)
+			l.walkBody(n, cs)
 		}
 	}
 }
 
-func (l *ssLint) walkSorts(n *xmldom.Node, items ctxSet, sc *scope) {
+func (l *ssLint) walkSorts(n *xmldom.Node, items ctxSet) {
 	for _, c := range n.Elements() {
 		if !isXSL(c, "sort") {
 			continue
 		}
 		if sel := c.GetAttr("select"); sel != nil {
-			l.checkExprSrc(sel.Data, items, items, sel, sc)
+			l.checkExprSrc(sel.Data, items, items, sel)
 		}
 		for _, avtAttr := range []string{"lang", "order", "data-type", "case-order"} {
 			if a := c.GetAttr(avtAttr); a != nil {
-				l.checkAVT(a.Data, items, a, sc)
+				l.checkAVT(a.Data, items, a)
 			}
 		}
 	}
 }
 
-func (l *ssLint) walkWithParams(n *xmldom.Node, cs ctxSet, sc *scope) {
+func (l *ssLint) walkWithParams(n *xmldom.Node, cs ctxSet) {
 	for _, c := range n.Elements() {
 		if !isXSL(c, "with-param") {
 			continue
 		}
 		if sel := c.GetAttr("select"); sel != nil {
-			l.checkExprSrc(sel.Data, cs, cs, sel, sc)
+			l.checkExprSrc(sel.Data, cs, cs, sel)
 		} else {
-			l.walkBody(c, cs, sc)
+			l.walkBody(c, cs)
 		}
 	}
 }
@@ -391,63 +344,27 @@ func (l *ssLint) useAttrSets(a *xmldom.Node) {
 
 // checkExprSrc compiles one expression attribute and evaluates it
 // against the context approximation.
-func (l *ssLint) checkExprSrc(src string, cs, cur ctxSet, at pos, sc *scope) ctxSet {
+func (l *ssLint) checkExprSrc(src string, cs, cur ctxSet, at pos) ctxSet {
 	e, err := xpath.Compile(src)
 	if err != nil {
 		return unknownCtx() // surfaced as GW001 by xslt.CompileStylesheet
 	}
-	return l.evalExpr(e, cs, cur, at, sc)
+	return l.evalExpr(e, cs, cur, at)
 }
 
-// checkAVT extracts the {expr} parts of an attribute value template and
-// checks each.
-func (l *ssLint) checkAVT(src string, cs ctxSet, at pos, sc *scope) {
-	for i := 0; i < len(src); {
-		switch src[i] {
-		case '{':
-			if i+1 < len(src) && src[i+1] == '{' {
-				i += 2
-				continue
-			}
-			end := strings.IndexByte(src[i+1:], '}')
-			if end < 0 {
-				return
-			}
-			l.checkExprSrc(src[i+1:i+1+end], cs, cs, at, sc)
-			i += end + 2
-		case '}':
-			if i+1 < len(src) && src[i+1] == '}' {
-				i += 2
-				continue
-			}
-			return
-		default:
-			i++
-		}
-	}
-}
-
-func (l *ssLint) markVar(sc *scope, name string) {
-	if sc != nil {
-		if d, ok := sc.vars[name]; ok {
-			d.used = true
-			return
-		}
-	}
-	if d, ok := l.globals[name]; ok {
-		d.used = true
+// checkAVT checks each {expr} part of an attribute value template, as
+// the processor splits it.
+func (l *ssLint) checkAVT(src string, cs ctxSet, at pos) {
+	for _, e := range xslt.AVTExprs(src) {
+		l.evalExpr(e, cs, cs, at)
 	}
 }
 
 // evalExpr walks one compiled expression, checking steps, key and
 // function references, and returns the approximation of its node-set
 // value (unknown for non-node-set expressions).
-func (l *ssLint) evalExpr(e xpath.Expr, cs, cur ctxSet, at pos, sc *scope) ctxSet {
+func (l *ssLint) evalExpr(e xpath.Expr, cs, cur ctxSet, at pos) ctxSet {
 	if e == nil {
-		return unknownCtx()
-	}
-	if name, ok := xpath.VarName(e); ok {
-		l.markVar(sc, name)
 		return unknownCtx()
 	}
 	if _, ok := xpath.LiteralValue(e); ok {
@@ -459,28 +376,28 @@ func (l *ssLint) evalExpr(e xpath.Expr, cs, cur ctxSet, at pos, sc *scope) ctxSe
 		case absolute:
 			in = docCtx()
 		case input != nil:
-			in = l.evalExpr(input, cs, cur, at, sc)
+			in = l.evalExpr(input, cs, cur, at)
 		default:
 			in = cs
 		}
 		for _, st := range steps {
 			in = l.evalStep(in, st, at)
 			for _, p := range st.Preds {
-				l.evalExpr(p, in, cur, at, sc)
+				l.evalExpr(p, in, cur, at)
 			}
 		}
 		return in
 	}
 	if primary, preds, ok := xpath.FilterInfo(e); ok {
-		out := l.evalExpr(primary, cs, cur, at, sc)
+		out := l.evalExpr(primary, cs, cur, at)
 		for _, p := range preds {
-			l.evalExpr(p, out, cur, at, sc)
+			l.evalExpr(p, out, cur, at)
 		}
 		return out
 	}
 	if name, args, ok := xpath.CallInfo(e); ok {
 		for _, a := range args {
-			l.evalExpr(a, cs, cur, at, sc)
+			l.evalExpr(a, cs, cur, at)
 		}
 		switch name {
 		case "current":
@@ -507,7 +424,7 @@ func (l *ssLint) evalExpr(e xpath.Expr, cs, cur ctxSet, at pos, sc *scope) ctxSe
 	if subs := xpath.Subexprs(e); subs != nil {
 		var out ctxSet
 		for i, s := range subs {
-			r := l.evalExpr(s, cs, cur, at, sc)
+			r := l.evalExpr(s, cs, cur, at)
 			if i == 0 {
 				out = r
 			} else {
@@ -532,26 +449,17 @@ func (l *ssLint) mergeEntry(name string, cs ctxSet) {
 	}
 }
 
-func (l *ssLint) reportUnusedScope(sc *scope) {
-	decls := make([]*varDecl, 0, len(sc.vars))
-	for _, d := range sc.vars {
-		decls = append(decls, d)
-	}
-	sort.Slice(decls, func(i, j int) bool { return decls[i].node.Line < decls[j].node.Line })
-	l.reportUnused(decls)
-}
-
-func (l *ssLint) reportUnused(decls []*varDecl) {
-	for _, d := range decls {
-		if d.used {
-			continue
-		}
-		if d.param {
-			l.flag(d.node, SevInfo, CodeUnusedParam,
-				"parameter '$%s' is never referenced", d.name)
-		} else {
-			l.flag(d.node, SevWarning, CodeUnusedVariable,
-				"variable '$%s' is never referenced", d.name)
+// reportUnused flags every declaration no compiled reference reads. The
+// compiler decides which declaration each $name reads (Bindings), so a
+// shadowed or sibling declaration of the same name is judged on its own.
+func (l *ssLint) reportUnused() {
+	for _, b := range l.sheet.Bindings() {
+		switch {
+		case b.Refs > 0:
+		case b.Param:
+			l.flag(b.Src, SevInfo, CodeUnusedParam, "parameter '$%s' is never referenced", b.Name)
+		default:
+			l.flag(b.Src, SevWarning, CodeUnusedVariable, "variable '$%s' is never referenced", b.Name)
 		}
 	}
 }

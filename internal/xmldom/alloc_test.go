@@ -7,11 +7,12 @@ import (
 )
 
 // parseAllocCeiling bounds the allocations of one Parse of
-// examples/models/salesdw.xml (6.8 KB, about 500 nodes), a little above
-// the 34 the parser needs today: the input's string copy, the name
-// table, and node and child-slice slabs. A parser that allocates per
-// node or per name blows through it at once.
-const parseAllocCeiling = 40
+// examples/models/salesdw.xml (6.8 KB, about 500 nodes): the input's
+// string copy, the name table, and node and child-slice slabs. It
+// measures 34 allocations on go1.24 linux/amd64; the ceiling is that
+// plus 10 %. A parser that allocates per node or per name blows through
+// it at once.
+const parseAllocCeiling = 37
 
 func TestParseAllocs(t *testing.T) {
 	if raceEnabled {

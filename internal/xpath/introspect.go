@@ -114,15 +114,6 @@ func CallInfo(e Expr) (name string, args []Expr, ok bool) {
 	return c.name, c.args, true
 }
 
-// VarName reports whether e is a variable reference and returns its name.
-func VarName(e Expr) (string, bool) {
-	v, isVar := unwrap(e).(varExpr)
-	if !isVar {
-		return "", false
-	}
-	return string(v), true
-}
-
 // LiteralValue reports whether e is a string literal and returns it.
 func LiteralValue(e Expr) (string, bool) {
 	l, isLit := unwrap(e).(literalExpr)

@@ -11,9 +11,9 @@ import (
 )
 
 // validateAllocCeiling bounds the allocations of one ValidateAndFreeze of
-// examples/models/salesdw.xml, about 10 % above what the validator needs
-// today; a change that pushes past it has made validation heavier.
-const validateAllocCeiling = 460
+// examples/models/salesdw.xml. It measures 262 allocations on go1.24
+// linux/amd64; the ceiling is that plus 10 %.
+const validateAllocCeiling = 288
 
 func TestValidateAndFreezeAllocs(t *testing.T) {
 	if raceEnabled {

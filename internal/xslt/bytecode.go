@@ -278,15 +278,9 @@ type asm struct {
 	// and frame counts the slots of the frame being lowered; the root
 	// prologue's locals take global slots instead (prologue).
 	globalSlots map[string]int32
-	vars        []scopedVar
+	vars        []*compiledVar
 	frame       int32
 	prologue    bool
-}
-
-// scopedVar is one local binding in scope during lowering.
-type scopedVar struct {
-	name string
-	slot int32
 }
 
 func (a *asm) emit(op Opcode, opa, opb int32) int {
@@ -621,26 +615,34 @@ func (a *asm) newGlobal(name string) int32 {
 
 // declare brings d into scope for the code lowered next.
 func (a *asm) declare(d *compiledVar) {
-	a.vars = append(a.vars, scopedVar{name: d.name, slot: d.slot})
+	a.vars = append(a.vars, d)
 }
 
 // resolveName maps a variable reference to the innermost binding in
 // scope, else to the global of its name. A name no declaration binds is
 // an undeclared parameter: it gets a global slot that the root
 // invocation fills from the caller's parameter of that name, if any.
+// Each reference counts for the declaration it resolves to.
 func (a *asm) resolveName(name string) (int, bool) {
 	for i := len(a.vars) - 1; i >= 0; i-- {
-		if a.vars[i].name == name {
-			return int(a.vars[i].slot), true
+		if d := a.vars[i]; d.name == name {
+			d.refs++
+			return int(d.slot), true
 		}
 	}
 	return a.resolveGlobal(name)
 }
 
 // resolveGlobal maps a variable reference to the global of its name,
-// or to its undeclared parameter slot.
+// counting it for every top-level declaration of that slot, or to its
+// undeclared parameter slot.
 func (a *asm) resolveGlobal(name string) (int, bool) {
 	if slot, ok := a.globalSlots[name]; ok {
+		for _, d := range a.s.globals {
+			if d.slot == slot {
+				d.refs++
+			}
+		}
 		return int(slot), false
 	}
 	slot := a.newGlobal(name)

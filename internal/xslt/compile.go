@@ -152,6 +152,15 @@ func init() {
 			return &iDocument{href: href, body: body}, nil
 		},
 		"number": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+			// The processor numbers by value, or by position among the
+			// same-named preceding siblings (level="single" with the
+			// default count); it refuses what it would otherwise ignore.
+			for _, a := range n.Attr {
+				if a.URI == "" && (a.Name == "count" || a.Name == "from" || a.Name == "level" && a.Data != "single") {
+					return nil, &CompileError{Element: n, Line: a.Line, Col: a.Col,
+						Msg: "xsl:number " + a.Name + "=\"" + a.Data + "\" is not supported by this processor"}
+				}
+			}
 			ins := &iNumber{format: n.AttrValue("format")}
 			if ins.format == "" {
 				ins.format = "1"
@@ -219,22 +228,11 @@ func attrValuePos(a *xmldom.Node, off int) (line, col int) {
 	return line, col
 }
 
-// findAttr locates the attribute node holding the expression, so the
-// error can point into its value.
-func findAttr(n *xmldom.Node, attr string) *xmldom.Node {
-	for _, a := range n.Attr {
-		if a.Name == attr && a.URI == "" {
-			return a
-		}
-	}
-	return nil
-}
-
 // exprError converts an expression or AVT compile failure into a
 // CompileError positioned at the failing offset inside the attribute
 // value, instead of merely at the owning element.
 func exprError(n *xmldom.Node, attr string, err error) *CompileError {
-	return exprErrorAt(n, findAttr(n, attr), err)
+	return exprErrorAt(n, n.GetAttr(attr), err)
 }
 
 // exprErrorAt is exprError for callers that already hold the attribute
@@ -477,7 +475,7 @@ func (s *Stylesheet) compileChoose(n *xmldom.Node) (instruction, error) {
 
 // compileVarDecl compiles an xsl:variable or xsl:param element.
 func (s *Stylesheet) compileVarDecl(c *xmldom.Node) (*compiledVar, error) {
-	d := &compiledVar{name: c.AttrValue("name"), isParam: c.Name == "param"}
+	d := &compiledVar{name: c.AttrValue("name"), isParam: c.Name == "param", src: c}
 	if d.name == "" {
 		return nil, &CompileError{Element: c, Msg: "xsl:" + c.Name + " requires a name"}
 	}

@@ -99,10 +99,16 @@ type compiledVar struct {
 	sel     *xpath.Compiled
 	body    []instruction
 	isParam bool
+	// src is the declaring xsl:variable or xsl:param element; nil for a
+	// with-param, which binds no name a reference reads.
+	src *xmldom.Node
 	// slot is the variable's slot, set when the program is lowered: a
 	// global slot for a top-level declaration or a root-prologue local,
 	// else a slot of the template's or attribute-set list's frame.
 	slot int32
+	// refs counts the variable references lowering resolved to this
+	// declaration (see Stylesheet.Bindings).
+	refs int
 }
 
 // ---- concrete instructions ----

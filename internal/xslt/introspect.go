@@ -105,3 +105,50 @@ func (s *Stylesheet) AttrSetNames() []string {
 	sort.Strings(out)
 	return out
 }
+
+// Binding is the read-only view of one xsl:variable or xsl:param
+// declaration and of the variable references the compiler resolved to
+// it under XSLT 1.0 §11.5 scoping: from bodies, attribute value
+// templates, sorts, with-param values and parameter defaults, and, for
+// a top-level declaration, from patterns and xsl:key. Top-level
+// declarations of one name share its slot, so a reference counts for
+// each. A body lowered more than once (the rules of a union pattern
+// share theirs) counts its references each time.
+type Binding struct {
+	Name  string
+	Param bool
+	Refs  int
+	Src   *xmldom.Node
+}
+
+// Bindings returns every variable and parameter declaration of the
+// lowered program, in lowering order.
+func (s *Stylesheet) Bindings() []Binding {
+	var out []Binding
+	seen := map[*compiledVar]bool{}
+	for _, d := range s.prog.varDecls {
+		if d.src == nil || seen[d] {
+			continue
+		}
+		seen[d] = true
+		out = append(out, Binding{Name: d.name, Param: d.isParam, Refs: d.refs, Src: d.src})
+	}
+	return out
+}
+
+// AVTExprs compiles an attribute value template as the processor does
+// and returns its {expression} parts in order; nil when src is not a
+// well-formed template.
+func AVTExprs(src string) []xpath.Expr {
+	a, err := compileAVT(src)
+	if err != nil {
+		return nil
+	}
+	var out []xpath.Expr
+	for _, part := range a.parts {
+		if part.expr != nil {
+			out = append(out, part.expr)
+		}
+	}
+	return out
+}

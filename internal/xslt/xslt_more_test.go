@@ -1,6 +1,8 @@
 package xslt
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -387,6 +389,62 @@ func TestNumberValueAttribute(t *testing.T) {
 	got := run(t, wrap(`<xsl:number value="count(//i) * 2" format="I"/>`), `<r><i/><i/><i/></r>`)
 	if got != "VI" {
 		t.Errorf("number value: %q", got)
+	}
+}
+
+// TestNumberRefusesUnsupportedAttributes pins the xsl:number subset: the
+// processor numbers by value or among same-named preceding siblings, so
+// count, from and a level other than "single" are compile errors rather
+// than attributes it would silently ignore.
+func TestNumberRefusesUnsupportedAttributes(t *testing.T) {
+	for _, attrs := range []string{`count="i"`, `from="r"`, `level="multiple"`, `level="any"`} {
+		_, err := CompileVerified(t, wrap(`<xsl:number `+attrs+`/>`), CompileOptions{})
+		var ce *CompileError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Msg, "xsl:number "+attrs+" is not supported") {
+			t.Errorf("%s: got %v, want a CompileError naming the attribute", attrs, err)
+		}
+	}
+	got := run(t, wrap(`<xsl:for-each select="//i"><xsl:number level="single"/></xsl:for-each>`), `<r><i/><i/></r>`)
+	if got != "12" {
+		t.Errorf(`level="single": %q`, got)
+	}
+}
+
+// TestBindingsCountResolvedReferences pins what Bindings counts: the
+// references lowering resolves under lexical scope, the pattern and key
+// references to globals among them, and never a with-param's name.
+func TestBindingsCountResolvedReferences(t *testing.T) {
+	sheet, err := CompileVerified(t, `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
+	<xsl:param name="k" select="'a'"/>
+	<xsl:variable name="p" select="1"/>
+	<xsl:key name="byName" match="i[$k]" use="@n"/>
+	<xsl:template match="i[$p]">
+	  <xsl:variable name="x" select="1"/>
+	  <xsl:for-each select="*">
+	    <xsl:variable name="x" select="2"/>
+	    <o v="{$x}"/>
+	  </xsl:for-each>
+	  <xsl:call-template name="t"><xsl:with-param name="x" select="$x"/></xsl:call-template>
+	</xsl:template>
+	<xsl:template name="t"><xsl:param name="x"/><xsl:param name="unread"/><xsl:value-of select="$x + $x"/></xsl:template>
+	</xsl:stylesheet>`, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, b := range sheet.Bindings() {
+		got = append(got, fmt.Sprintf("%s@%d param=%v refs=%d", b.Name, b.Src.Line, b.Param, b.Refs))
+	}
+	want := []string{
+		"k@2 param=true refs=1",
+		"p@3 param=false refs=1",
+		"x@6 param=false refs=1",
+		"x@8 param=false refs=1",
+		"x@13 param=true refs=2",
+		"unread@13 param=true refs=0",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("bindings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
