@@ -176,12 +176,15 @@ type avtAttrOp struct {
 	value             *avt
 }
 
-// progTemplate records one lowered template, its entry pc and the size
-// of its variable frame.
+// progTemplate is one template body: lowered once, behind one entry pc,
+// whichever rules and name enter it. t is the first of its templates
+// lowered, which labels it, and frame the size of its variable frame.
 type progTemplate struct {
-	t     *Template
-	entry int32
-	frame int32
+	params []*compiledVar
+	body   []instruction
+	t      *Template
+	entry  int32
+	frame  int32
 }
 
 // Program is a compiled stylesheet lowered to flat bytecode with its
@@ -343,13 +346,10 @@ func (s *Stylesheet) lower() *Program {
 		p.setFrame = max(p.setFrame, a.frame)
 	}
 
-	seen := map[*Template]bool{}
 	lowerT := func(t *Template) {
-		if seen[t] {
-			return
+		if t.code.t == nil { // not lowered yet
+			a.lowerTemplate(t)
 		}
-		seen[t] = true
-		a.lowerTemplate(t)
 	}
 	modes := make([]string, 0, len(s.templates))
 	for mode := range s.templates {
@@ -445,7 +445,7 @@ func (a *asm) reachesDoc(lo, hi int32, reaches map[int32]bool) bool {
 	p := a.p
 	anyRule := func(ts []*Template) bool {
 		for _, t := range ts {
-			if reaches[t.entryPC] {
+			if reaches[t.code.entry] {
 				return true
 			}
 		}
@@ -464,7 +464,7 @@ func (a *asm) reachesDoc(lo, hi int32, reaches map[int32]bool) bool {
 		case OpDocBegin:
 			return true
 		case OpInvoke:
-			if t := p.callSites[in.A].t; t != nil && reaches[t.entryPC] {
+			if t := p.callSites[in.A].t; t != nil && reaches[t.code.entry] {
 				return true
 			}
 		case OpApply:
@@ -514,20 +514,20 @@ func (a *asm) expandSets(sl *setList, names []string, onPath map[string]bool) bo
 	return true
 }
 
-// lowerTemplate lowers one template body behind its entry, in a frame
-// of its own: a template sees the globals, its parameters and its
-// locals, never its caller's (XSLT 1.0 §11.5). Parameters bind in
-// declaration order: each takes the passed value or runs its default,
-// which sees the parameters declared before it.
+// lowerTemplate lowers the body of t behind its entry, in a frame of its
+// own: a template sees the globals, its parameters and its locals, never
+// its caller's (XSLT 1.0 §11.5). Parameters bind in declaration order:
+// each takes the passed value or runs its default, which sees the
+// parameters declared before it.
 func (a *asm) lowerTemplate(t *Template) {
-	t.entryPC = a.here()
+	pt := t.code
+	pt.t, pt.entry = t, a.here()
 	ti := int32(len(a.p.tmpls))
-	pt := &progTemplate{t: t, entry: t.entryPC}
 	a.p.tmpls = append(a.p.tmpls, pt)
 	a.vars, a.frame = a.vars[:0], 0
-	a.emit(OpEnter, ti, boolOperand(len(t.params) > 0))
-	if len(t.params) > 0 {
-		for _, prm := range t.params {
+	a.emit(OpEnter, ti, boolOperand(len(pt.params) > 0))
+	if len(pt.params) > 0 {
+		for _, prm := range pt.params {
 			di := a.addVarDecl(prm)
 			skip := a.emit(OpParam, di, 0)
 			a.lowerValue(di, prm)
@@ -536,7 +536,7 @@ func (a *asm) lowerTemplate(t *Template) {
 		}
 		a.emit(OpParamsEnd, ti, 0)
 	}
-	a.lowerBody(t.body)
+	a.lowerBody(pt.body)
 	a.emit(OpRet, 0, 0)
 	pt.frame = a.frame
 }
@@ -960,7 +960,7 @@ func (p *Program) ModeEntries(mode string) []DispatchRule {
 	ts := p.sheet.templates[mode]
 	out := make([]DispatchRule, 0, len(ts))
 	for _, t := range ts {
-		out = append(out, DispatchRule{TemplateRule: t.rule(), Entry: int(t.entryPC)})
+		out = append(out, DispatchRule{TemplateRule: t.rule(), Entry: int(t.code.entry)})
 	}
 	return out
 }

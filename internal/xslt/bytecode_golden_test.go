@@ -114,3 +114,25 @@ func TestProgramGolden(t *testing.T) {
 		t.Errorf("lowered programs drifted from %s; run with -update if intentional\n--- got ---\n%s", programGolden, got)
 	}
 }
+
+// TestOneBodyPerTemplate checks that an xsl:template is lowered once,
+// whatever enters it: the rules of a union pattern and a name share the
+// body of a plain match.
+func TestOneBodyPerTemplate(t *testing.T) {
+	size := func(attrs string) int {
+		src := `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template ` + attrs + `><out><xsl:value-of select="."/></out></xsl:template>
+</xsl:stylesheet>`
+		s, err := xslt.CompileVerified(t, src, xslt.CompileOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", attrs, err)
+		}
+		return len(s.Program().Code())
+	}
+	want := size(`match="a"`)
+	for _, attrs := range []string{`match="a|b|c"`, `name="n" match="a"`, `name="n" match="a|b"`} {
+		if got := size(attrs); got != want {
+			t.Errorf("<xsl:template %s> lowers to %d instructions, want %d as for match=\"a\"", attrs, got, want)
+		}
+	}
+}

@@ -145,14 +145,14 @@ func (p *Program) Disasm() string {
 			cs := p.callSites[in.A]
 			fmt.Fprintf(&b, " %q", cs.name)
 			if cs.t != nil {
-				fmt.Fprintf(&b, " entry→%04d", cs.t.entryPC)
+				fmt.Fprintf(&b, " entry→%04d", cs.t.code.entry)
 			} else {
 				b.WriteString(" unresolved")
 			}
 		case OpEnter:
 			pt := p.tmpls[in.A]
 			fmt.Fprintf(&b, " %s", templateLabel(pt.t))
-			if n := len(pt.t.params); n > 0 {
+			if n := len(pt.params); n > 0 {
 				fmt.Fprintf(&b, " params=%d", n)
 			}
 			if pt.frame > 0 {

@@ -112,8 +112,7 @@ func (s *Stylesheet) AttrSetNames() []string {
 // templates, sorts, with-param values and parameter defaults, and, for
 // a top-level declaration, from patterns and xsl:key. Top-level
 // declarations of one name share its slot, so a reference counts for
-// each. A body lowered more than once (the rules of a union pattern
-// share theirs) counts its references each time.
+// each.
 type Binding struct {
 	Name  string
 	Param bool
@@ -125,12 +124,10 @@ type Binding struct {
 // lowered program, in lowering order.
 func (s *Stylesheet) Bindings() []Binding {
 	var out []Binding
-	seen := map[*compiledVar]bool{}
 	for _, d := range s.prog.varDecls {
-		if d.src == nil || seen[d] {
+		if d.src == nil {
 			continue
 		}
-		seen[d] = true
 		out = append(out, Binding{Name: d.name, Param: d.isParam, Refs: d.refs, Src: d.src})
 	}
 	return out

@@ -121,14 +121,12 @@ type Template struct {
 	Name       string
 	Mode       string
 	Priority   float64
-	params     []*compiledVar
-	body       []instruction
 	importPrec int
 	order      int
 	src        *xmldom.Node // declaring xsl:template element; nil for built-in rules
-	// entryPC is the pc of the template's body in the lowered bytecode
-	// program (the jump-table target); set by Stylesheet.lower.
-	entryPC int32
+	// code is the template body, which the rules of one xsl:template (one
+	// per alternative of its match pattern) and its named entry share.
+	code *progTemplate
 }
 
 type keyDecl struct {
@@ -586,7 +584,8 @@ func (s *Stylesheet) compileTemplate(c *xmldom.Node, importPrec int) error {
 	if err != nil {
 		return tagTemplateError(err, name, match, mode)
 	}
-	base := &Template{Name: name, Mode: mode, params: params, body: body, importPrec: importPrec, src: c}
+	base := &Template{Name: name, Mode: mode, importPrec: importPrec, src: c,
+		code: &progTemplate{params: params, body: body}}
 	if name != "" {
 		if _, dup := s.named[name]; dup {
 			return &CompileError{Element: c, Msg: "duplicate template name " + name}
@@ -663,6 +662,7 @@ func (s *Stylesheet) addBuiltinRules() error {
 					at.mode = mode
 				}
 			}
+			code := &progTemplate{body: body}
 			pat := xpath.MustCompilePattern(c.AttrValue("match"))
 			for _, alt := range pat.Alternatives() {
 				s.nextOrder++
@@ -670,9 +670,9 @@ func (s *Stylesheet) addBuiltinRules() error {
 					Match:      alt,
 					Mode:       mode,
 					Priority:   alt.DefaultPriority(),
-					body:       body,
 					importPrec: -1 << 30, // below any user rule
 					order:      -s.nextOrder,
+					code:       code,
 				})
 			}
 		}

@@ -120,7 +120,7 @@ func (p *Program) CallTarget(i int) (entry int, ok bool) {
 	if cs.t == nil {
 		return 0, false
 	}
-	return int(cs.t.entryPC), true
+	return int(cs.t.code.entry), true
 }
 
 // Output returns the owning stylesheet's xsl:output specification, which

@@ -527,7 +527,7 @@ func (r *vmRun) loop() error {
 				r.ctx.pos = i + 1
 				r.ctx.size = len(fr.List)
 				r.ctx.mode = site.mode
-				pc = int(t.entryPC)
+				pc = int(t.code.entry)
 				entered = true
 				break
 			}
@@ -614,7 +614,7 @@ func (r *vmRun) loop() error {
 
 		case OpInvoke:
 			f.TopCtl().Ret = int32(pc + 1)
-			pc = int(p.callSites[in.A].t.entryPC)
+			pc = int(p.callSites[in.A].t.code.entry)
 			continue
 
 		case OpApplyImports:
@@ -633,7 +633,7 @@ func (r *vmRun) loop() error {
 			}); err != nil {
 				return err
 			}
-			pc = int(t.entryPC)
+			pc = int(t.code.entry)
 			continue
 
 		case OpForEach:
