@@ -312,7 +312,7 @@ func (l *ssLint) walkSorts(n *xmldom.Node, items ctxSet) {
 		if sel := c.GetAttr("select"); sel != nil {
 			l.checkExprSrc(sel.Data, items, items, sel)
 		}
-		for _, avtAttr := range []string{"lang", "order", "data-type", "case-order"} {
+		for _, avtAttr := range []string{"order", "data-type"} {
 			if a := c.GetAttr(avtAttr); a != nil {
 				l.checkAVT(a.Data, items, a)
 			}

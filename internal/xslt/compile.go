@@ -389,6 +389,14 @@ func (s *Stylesheet) compileForEach(n *xmldom.Node) (instruction, error) {
 
 func (s *Stylesheet) compileSort(n *xmldom.Node) (sortKey, error) {
 	k := sortKey{}
+	// Text keys compare by code point, so the processor refuses the
+	// collation attributes it could not honour.
+	for _, a := range n.Attr {
+		if a.URI == "" && (a.Name == "case-order" || a.Name == "lang") {
+			return k, &CompileError{Element: n, Line: a.Line, Col: a.Col,
+				Msg: "xsl:sort " + a.Name + "=\"" + a.Data + "\" is not supported by this processor"}
+		}
+	}
 	sel := n.AttrValue("select")
 	if sel == "" {
 		sel = "."

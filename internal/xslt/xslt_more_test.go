@@ -410,6 +410,28 @@ func TestNumberRefusesUnsupportedAttributes(t *testing.T) {
 	}
 }
 
+// TestSortRefusesCollationAttributes checks that xsl:sort refuses the
+// attributes a code-point text sort cannot honour, in either sort
+// context, and still sorts by data-type and order.
+func TestSortRefusesCollationAttributes(t *testing.T) {
+	for _, attrs := range []string{`case-order="lower-first"`, `case-order="upper-first"`, `lang="en"`} {
+		for _, body := range []string{
+			`<xsl:for-each select="//i"><xsl:sort ` + attrs + `/><xsl:value-of select="."/></xsl:for-each>`,
+			`<xsl:apply-templates select="//i"><xsl:sort ` + attrs + `/></xsl:apply-templates>`,
+		} {
+			_, err := CompileVerified(t, wrap(body), CompileOptions{})
+			var ce *CompileError
+			if !errors.As(err, &ce) || !strings.Contains(ce.Msg, "xsl:sort "+attrs+" is not supported") || ce.Line == 0 {
+				t.Errorf("%s: got %v, want a positioned CompileError naming the attribute", body, err)
+			}
+		}
+	}
+	got := run(t, wrap(`<xsl:for-each select="//i"><xsl:sort select="." order="descending"/><xsl:value-of select="."/></xsl:for-each>`), `<r><i>b</i><i>B</i><i>a</i><i>A</i></r>`)
+	if got != "baBA" {
+		t.Errorf("descending text sort: %q", got)
+	}
+}
+
 // TestBindingsCountResolvedReferences pins what Bindings counts: the
 // references lowering resolves under lexical scope, the pattern and key
 // references to globals among them, and never a with-param's name.
