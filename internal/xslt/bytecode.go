@@ -1,7 +1,6 @@
 package xslt
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -10,9 +9,9 @@ import (
 	"goldweb/internal/xpath"
 )
 
-// The stylesheet bytecode: CompileStylesheet lowers the compiled
-// instruction tree into one flat program per stylesheet, executed by the
-// VM in vm.go on the frame stack shared with the XPath expression VM
+// The stylesheet bytecode: CompileStylesheet lowers the stylesheet's
+// elements straight into one flat program per stylesheet, executed by
+// the VM in vm.go on the frame stack shared with the XPath expression VM
 // (xpath.Frame). The VM is the only XSLT engine:
 //
 //   - template dispatch is a jump table: the per-mode match-class index
@@ -177,14 +176,15 @@ type avtAttrOp struct {
 }
 
 // progTemplate is one template body: lowered once, behind one entry pc,
-// whichever rules and name enter it. t is the first of its templates
-// lowered, which labels it, and frame the size of its variable frame.
+// whichever rules and name enter it. decl is the element whose content
+// it is, the xsl:template or a built-in rule's; t is the first of its
+// templates lowered, which labels it, and frame the size of its
+// variable frame.
 type progTemplate struct {
-	params []*compiledVar
-	body   []instruction
-	t      *Template
-	entry  int32
-	frame  int32
+	decl  *xmldom.Node
+	t     *Template
+	entry int32
+	frame int32
 }
 
 // Program is a compiled stylesheet lowered to flat bytecode with its
@@ -218,7 +218,7 @@ type Program struct {
 	callSites  []*bcCallSite
 	elemSites  []*elemSite
 	copySites  []int32 // set list index, -1 when the copy names no sets
-	numSites   []*iNumber
+	numSites   []*numSite
 	tmpls      []*progTemplate
 	subs       []progSub
 	// globals is the size of the global region, the staging region's
@@ -249,7 +249,9 @@ func CompileStylesheet(doc *xmldom.Node, opts CompileOptions) (*Stylesheet, erro
 	if err != nil {
 		return nil, err
 	}
-	s.prog = s.lower()
+	if s.prog, err = s.lower(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -284,6 +286,9 @@ type asm struct {
 	vars        []*compiledVar
 	frame       int32
 	prologue    bool
+	// mode is the mode an xsl:apply-templates without one applies in: the
+	// default mode, except in a built-in rule, which keeps its own.
+	mode string
 }
 
 func (a *asm) emit(op Opcode, opa, opb int32) int {
@@ -301,10 +306,12 @@ func (a *asm) here() int32                 { return int32(len(a.p.code)) }
 // subroutines follow (sorted by name), then the template bodies in
 // deterministic order (sorted modes, precedence order within a mode,
 // then named-only templates sorted by name), so disassembly is stable.
-// Every variable reference is resolved to its slot on the way: the
-// globals first get theirs, so a reference anywhere, the prologue
-// included, finds a global of its name whatever the declaration order.
-func (s *Stylesheet) lower() *Program {
+// Each body is compiled as it is lowered, so a compile error inside one
+// surfaces in this order. Every variable reference is resolved to its
+// slot on the way: the globals first get theirs, so a reference
+// anywhere, the prologue included, finds a global of its name whatever
+// the declaration order.
+func (s *Stylesheet) lower() (*Program, error) {
 	p := &Program{sheet: s}
 	a := &asm{s: s, p: p, setEntry: map[string]int32{}, globalSlots: map[string]int32{}, prologue: true}
 
@@ -321,13 +328,16 @@ func (s *Stylesheet) lower() *Program {
 	}
 	for _, d := range s.globals {
 		di := a.addVarDecl(d)
-		if !d.isParam {
-			a.lowerBinding(di, d)
-			continue
+		skip := 0
+		if d.isParam {
+			skip = a.emit(OpGlobalParam, di, 0)
 		}
-		skip := a.emit(OpGlobalParam, di, 0)
-		a.lowerBinding(di, d)
-		a.patchB(skip, a.here())
+		if err := a.lowerBinding(di, d, d.src.Children); err != nil {
+			return nil, err
+		}
+		if d.isParam {
+			a.patchB(skip, a.here())
+		}
 	}
 	root := &applySite{self: true, disp: s.index[""]}
 	p.applySites = append(p.applySites, root)
@@ -341,15 +351,18 @@ func (s *Stylesheet) lower() *Program {
 		a.setEntry[name] = a.here()
 		p.subs = append(p.subs, progSub{name: name, entry: a.here()})
 		a.vars, a.frame = a.vars[:0], 0
-		a.lowerBody(s.attrSets[name].body)
+		if err := a.lowerBody(s.attrSets[name].attrs); err != nil {
+			return nil, err
+		}
 		a.emit(OpRet, 0, 0)
 		p.setFrame = max(p.setFrame, a.frame)
 	}
 
-	lowerT := func(t *Template) {
-		if t.code.t == nil { // not lowered yet
-			a.lowerTemplate(t)
+	lowerT := func(t *Template) error {
+		if t.code.t != nil { // lowered already
+			return nil
 		}
+		return a.lowerTemplate(t)
 	}
 	modes := make([]string, 0, len(s.templates))
 	for mode := range s.templates {
@@ -358,7 +371,9 @@ func (s *Stylesheet) lower() *Program {
 	sort.Strings(modes)
 	for _, mode := range modes {
 		for _, t := range s.templates[mode] {
-			lowerT(t)
+			if err := lowerT(t); err != nil {
+				return nil, err
+			}
 		}
 	}
 	names := make([]string, 0, len(s.named))
@@ -367,7 +382,9 @@ func (s *Stylesheet) lower() *Program {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		lowerT(s.named[name])
+		if err := lowerT(s.named[name]); err != nil {
+			return nil, err
+		}
 	}
 
 	// Patterns, and keys, which key() evaluates from wherever it is
@@ -392,7 +409,7 @@ func (s *Stylesheet) lower() *Program {
 		a.expandSets(sl, sl.names, map[string]bool{})
 	}
 	a.markLeafDocs()
-	return p
+	return p, nil
 }
 
 // markLeafDocs gives every OpDocBegin whose body provably reaches no
@@ -518,75 +535,91 @@ func (a *asm) expandSets(sl *setList, names []string, onPath map[string]bool) bo
 // own: a template sees the globals, its parameters and its locals, never
 // its caller's (XSLT 1.0 §11.5). Parameters bind in declaration order:
 // each takes the passed value or runs its default, which sees the
-// parameters declared before it.
-func (a *asm) lowerTemplate(t *Template) {
+// parameters declared before it. A compile error names the template.
+func (a *asm) lowerTemplate(t *Template) error {
 	pt := t.code
 	pt.t, pt.entry = t, a.here()
 	ti := int32(len(a.p.tmpls))
 	a.p.tmpls = append(a.p.tmpls, pt)
 	a.vars, a.frame = a.vars[:0], 0
-	a.emit(OpEnter, ti, boolOperand(len(pt.params) > 0))
-	if len(pt.params) > 0 {
-		for _, prm := range pt.params {
-			di := a.addVarDecl(prm)
-			skip := a.emit(OpParam, di, 0)
-			a.lowerValue(di, prm)
-			a.patchB(skip, a.here())
-			a.declare(prm)
+	a.mode = ""
+	if t.src == nil {
+		a.mode = t.Mode
+	}
+	body := pt.decl.Children
+	params := 0
+	for params < len(body) && isXSL(body[params], "param") {
+		params++
+	}
+	a.emit(OpEnter, ti, boolOperand(params > 0))
+	for _, c := range body[:params] {
+		prm, err := compileVarDecl(c)
+		if err != nil {
+			return tagTemplateError(err, t.src)
 		}
+		di := a.addVarDecl(prm)
+		skip := a.emit(OpParam, di, 0)
+		if err := a.lowerValue(di, prm, c.Children); err != nil {
+			return tagTemplateError(err, t.src)
+		}
+		a.patchB(skip, a.here())
+		a.declare(prm)
+	}
+	if params > 0 {
 		a.emit(OpParamsEnd, ti, 0)
 	}
-	a.lowerBody(pt.body)
+	if err := a.lowerBody(body[params:]); err != nil {
+		return tagTemplateError(err, t.src)
+	}
 	a.emit(OpRet, 0, 0)
 	pt.frame = a.frame
+	return nil
 }
 
 // lowerValue gives variable declaration di a slot of the frame being
 // lowered and lowers its binding.
-func (a *asm) lowerValue(di int32, d *compiledVar) {
+func (a *asm) lowerValue(di int32, d *compiledVar, content []*xmldom.Node) error {
 	d.slot = a.newSlot()
-	a.lowerBinding(di, d)
+	return a.lowerBinding(di, d, content)
 }
 
 // lowerBinding lowers the value of variable declaration di and its
 // binding to the declaration's slot: a select expression, or the empty
-// string when the declaration has no content, is one OpVarDecl; content
-// is captured as a result-tree fragment. The value sees the bindings in
-// scope before the declaration.
-func (a *asm) lowerBinding(di int32, d *compiledVar) {
-	if d.sel != nil || len(d.body) == 0 {
+// string when the declaration's content lowers to nothing, is one
+// OpVarDecl; content is captured as a result-tree fragment. The value
+// sees the bindings in scope before the declaration.
+func (a *asm) lowerBinding(di int32, d *compiledVar, content []*xmldom.Node) error {
+	if d.sel != nil || !slices.ContainsFunc(content, func(n *xmldom.Node) bool { return !silent(n) }) {
 		a.resolve(d.sel)
 		a.emit(OpVarDecl, di, 0)
-		return
+		return nil
 	}
 	a.emit(OpRTFBegin, 0, 0)
-	a.lowerBody(d.body)
-	a.emit(OpRTFEnd, di, 0)
-}
-
-// lowerWithParams lowers with-param values into slots of the caller's
-// frame, where the entered template's OpParam reads them.
-func (a *asm) lowerWithParams(params []*compiledVar) {
-	for _, p := range params {
-		a.lowerValue(a.addVarDecl(p), p)
+	if err := a.lowerBody(content); err != nil {
+		return err
 	}
+	a.emit(OpRTFEnd, di, 0)
+	return nil
 }
 
-// lowerBody flattens one instruction sequence. The variables it declares
+// lowerBody lowers a sequence of body nodes. The variables it declares
 // are in scope for their following siblings and those siblings'
 // descendants only.
-func (a *asm) lowerBody(body []instruction) {
+func (a *asm) lowerBody(nodes []*xmldom.Node) error {
 	outer := len(a.vars)
-	for i := 0; i < len(body); {
-		if n := a.staticRun(body[i:]); n > 0 {
-			a.emitSegment(body[i : i+n])
+	for i := 0; i < len(nodes); {
+		if n := staticRun(nodes[i:]); n > 0 {
+			a.emitSegment(nodes[i : i+n])
 			i += n
 			continue
 		}
-		a.lowerInstr(body[i])
+		if err := a.lowerNode(nodes[i]); err != nil {
+			return err
+		}
 		i++
 	}
 	a.vars = a.vars[:outer]
+	return nil
 }
 
 // ---- variable slots ----
@@ -668,63 +701,62 @@ func (a *asm) resolveAVT(v *avt) {
 	}
 }
 
-// resolveSorts resolves sort keys: each evaluates in the scope of the
-// instruction it sorts for.
-func (a *asm) resolveSorts(keys []sortKey) {
-	for _, k := range keys {
-		a.resolve(k.sel)
-		a.resolveAVT(k.dataType)
-		a.resolveAVT(k.order)
-	}
-}
-
-// staticRun returns the length of the maximal static prefix of body when
-// collapsing it into a segment pays off (it contains an element, or at
-// least two instructions); single text nodes emit cheaper as OpText.
-func (a *asm) staticRun(body []instruction) int {
-	n := 0
+// staticRun returns how many of nodes form the maximal static run at
+// their head, when collapsing it into a segment pays off (it holds an
+// element, or at least two instructions); a single text node emits
+// cheaper as OpText. Silent nodes neither end a run nor count in it.
+func staticRun(nodes []*xmldom.Node) int {
+	n, instrs := 0, 0
 	hasElem := false
-	for _, ins := range body {
-		if !staticInstr(ins) {
-			break
-		}
-		if _, ok := ins.(*iLiteralElement); ok {
-			hasElem = true
+	for _, c := range nodes {
+		if !silent(c) {
+			if !static(c) {
+				break
+			}
+			hasElem = hasElem || c.Type == xmldom.ElementNode && c.URI != Namespace
+			instrs++
 		}
 		n++
 	}
-	if hasElem || n >= 2 {
+	if hasElem || instrs >= 2 {
 		return n
 	}
 	return 0
 }
 
-// staticInstr reports whether an instruction produces identical events
-// on every execution: literal text, xsl:text, and literal elements whose
-// attribute value templates are expression-free (transitively).
-func staticInstr(ins instruction) bool {
-	switch t := ins.(type) {
-	case *iLiteralText:
+// static reports whether a body node produces identical events on every
+// execution: literal text, xsl:text, and literal result elements with no
+// xsl:use-attribute-sets, whose attribute value templates are
+// expression-free and whose content is static.
+func static(n *xmldom.Node) bool {
+	switch {
+	case n.Type == xmldom.TextNode:
 		return true
-	case *iText:
-		return true
-	case *iLiteralElement:
-		if len(t.useSets) > 0 {
+	case n.Type != xmldom.ElementNode:
+		return false
+	case n.URI == Namespace:
+		if n.Name != "text" {
 			return false
 		}
-		for _, at := range t.attrs {
-			if _, ok := staticAVT(at.value); !ok {
-				return false
-			}
-		}
-		for _, c := range t.body {
-			if !staticInstr(c) {
-				return false
-			}
-		}
-		return true
+		_, ok := xslText(n)
+		return ok
+	case len(literalSets(n)) > 0:
+		return false
 	}
-	return false
+	for _, at := range n.Attr {
+		if !copiedAttr(at) {
+			continue
+		}
+		if _, ok := constAVT(at.Data); !ok {
+			return false
+		}
+	}
+	for _, c := range n.Children {
+		if !silent(c) && !static(c) {
+			return false
+		}
+	}
+	return true
 }
 
 // staticAVT returns the constant value of an expression-free attribute
@@ -742,10 +774,10 @@ func staticAVT(a *avt) (string, bool) {
 
 // emitSegment records a static run once and emits a single bulk-copy
 // opcode for it.
-func (a *asm) emitSegment(run []instruction) {
+func (a *asm) emitSegment(run []*xmldom.Node) {
 	seg := xmldom.RecordSegment(func(em xmldom.Emitter) {
-		for _, ins := range run {
-			emitStatic(ins, em)
+		for _, n := range run {
+			emitStatic(n, em)
 		}
 	})
 	idx := int32(len(a.p.segs))
@@ -753,21 +785,25 @@ func (a *asm) emitSegment(run []instruction) {
 	a.emit(OpSeg, idx, 0)
 }
 
-// emitStatic replays one static instruction's events into the segment
-// recorder, in exactly the order executing the instruction emits them.
-func emitStatic(ins instruction, em xmldom.Emitter) {
-	switch t := ins.(type) {
-	case *iLiteralText:
-		em.Text(t.data, false)
-	case *iText:
-		em.Text(t.data, t.disableEsc)
-	case *iLiteralElement:
-		em.BeginElement(t.prefix, t.uri, t.name)
-		for _, at := range t.attrs {
-			v, _ := staticAVT(at.value)
-			em.Attr(at.prefix, at.uri, at.name, v)
+// emitStatic replays one static node's events into the segment
+// recorder, in exactly the order lowering it would emit them.
+func emitStatic(n *xmldom.Node, em xmldom.Emitter) {
+	switch {
+	case silent(n):
+	case n.Type == xmldom.TextNode:
+		em.Text(n.Data, false)
+	case n.URI == Namespace: // xsl:text
+		data, _ := xslText(n)
+		em.Text(data, n.AttrValue("disable-output-escaping") == "yes")
+	default:
+		em.BeginElement(n.Prefix, n.URI, n.Name)
+		for _, at := range n.Attr {
+			if copiedAttr(at) {
+				v, _ := constAVT(at.Data)
+				em.Attr(at.Prefix, at.URI, at.Name, v)
+			}
 		}
-		for _, c := range t.body {
+		for _, c := range n.Children {
 			emitStatic(c, em)
 		}
 		em.EndElement()
@@ -810,134 +846,6 @@ func boolOperand(b bool) int32 {
 		return 1
 	}
 	return 0
-}
-
-func (a *asm) lowerInstr(ins instruction) {
-	p := a.p
-	switch t := ins.(type) {
-	case *iLiteralText:
-		a.emit(OpText, a.addStr(t.data), 0)
-	case *iText:
-		a.emit(OpText, a.addStr(t.data), boolOperand(t.disableEsc))
-	case *iValueOf:
-		a.emit(OpValueOf, a.addExpr(t.sel), boolOperand(t.disableEsc))
-	case *iLiteralElement:
-		p.litNames = append(p.litNames, litName{prefix: t.prefix, uri: t.uri, name: t.name})
-		a.emit(OpLitBegin, int32(len(p.litNames)-1), 0)
-		if len(t.useSets) > 0 {
-			a.emit(OpAttrSets, a.addSetList(t.useSets), 0)
-		}
-		for _, at := range t.attrs {
-			if v, ok := staticAVT(at.value); ok {
-				p.litAttrs = append(p.litAttrs, litAttrOp{prefix: at.prefix, uri: at.uri, name: at.name, value: v})
-				a.emit(OpLitAttr, int32(len(p.litAttrs)-1), 0)
-			} else {
-				a.resolveAVT(at.value)
-				p.avtAttrs = append(p.avtAttrs, avtAttrOp{prefix: at.prefix, uri: at.uri, name: at.name, value: at.value})
-				a.emit(OpAVTAttr, int32(len(p.avtAttrs)-1), 0)
-			}
-		}
-		a.lowerBody(t.body)
-		a.emit(OpEndElem, 0, 0)
-	case *iApplyTemplates:
-		a.resolve(t.sel)
-		a.resolveSorts(t.sorts)
-		site := &applySite{sel: t.sel, mode: t.mode, disp: a.s.index[t.mode], sorts: t.sorts, params: t.params}
-		p.applySites = append(p.applySites, site)
-		si := int32(len(p.applySites) - 1)
-		ap := a.emit(OpApply, si, 0)
-		a.lowerWithParams(t.params)
-		a.patchB(ap, a.here())
-		it := a.emit(OpIterate, si, 0)
-		a.patchB(it, a.here())
-	case *iForEach:
-		a.resolve(t.sel)
-		a.resolveSorts(t.sorts)
-		p.forSites = append(p.forSites, &forSite{sel: t.sel, sorts: t.sorts})
-		a.emit(OpForEach, int32(len(p.forSites)-1), 0)
-		next := a.emit(OpForNext, 0, 0)
-		a.lowerBody(t.body)
-		a.emit(OpForEnd, int32(next), 0)
-		a.patchB(next, a.here())
-	case *iCallTemplate:
-		p.callSites = append(p.callSites, &bcCallSite{name: t.name, t: a.s.named[t.name], params: t.params})
-		ci := int32(len(p.callSites) - 1)
-		a.emit(OpCall, ci, 0)
-		a.lowerWithParams(t.params)
-		a.emit(OpInvoke, ci, 0)
-	case *iApplyImports:
-		a.emit(OpApplyImports, 0, 0)
-	case *iElement:
-		a.resolveAVT(t.name)
-		p.elemSites = append(p.elemSites, &elemSite{name: t.name})
-		a.emit(OpElemBegin, int32(len(p.elemSites)-1), 0)
-		if len(t.useSets) > 0 {
-			a.emit(OpAttrSets, a.addSetList(t.useSets), 0)
-		}
-		a.lowerBody(t.body)
-		a.emit(OpEndElem, 0, 0)
-	case *iAttribute:
-		a.emit(OpAttrBegin, a.addAVT(t.name), 0)
-		a.lowerBody(t.body)
-		a.emit(OpAttrEnd, 0, 0)
-	case *iComment:
-		a.emit(OpCommentBegin, 0, 0)
-		a.lowerBody(t.body)
-		a.emit(OpCommentEnd, 0, 0)
-	case *iPI:
-		a.emit(OpPIBegin, a.addAVT(t.name), 0)
-		a.lowerBody(t.body)
-		a.emit(OpPIEnd, 0, 0)
-	case *iMessage:
-		a.emit(OpMsgBegin, 0, 0)
-		a.lowerBody(t.body)
-		a.emit(OpMsgEnd, boolOperand(t.terminate), 0)
-	case *iDocument:
-		db := a.emit(OpDocBegin, a.addAVT(t.href), 0)
-		a.lowerBody(t.body)
-		a.docs = append(a.docs, [2]int32{int32(db), int32(a.emit(OpDocEnd, 0, 0))})
-	case *iCopy:
-		sets := int32(-1)
-		if len(t.useSets) > 0 {
-			sets = a.addSetList(t.useSets)
-		}
-		p.copySites = append(p.copySites, sets)
-		cb := a.emit(OpCopyBegin, int32(len(p.copySites)-1), 0)
-		a.lowerBody(t.body)
-		a.emit(OpCopyEnd, 0, 0)
-		a.patchB(cb, a.here())
-	case *iCopyOf:
-		a.emit(OpCopyOf, a.addExpr(t.sel), 0)
-	case *iIf:
-		tp := a.emit(OpTest, a.addExpr(t.test), 0)
-		a.lowerBody(t.body)
-		a.patchB(tp, a.here())
-	case *iChoose:
-		var ends []int
-		for _, w := range t.whens {
-			tp := a.emit(OpTest, a.addExpr(w.test), 0)
-			a.lowerBody(w.body)
-			ends = append(ends, a.emit(OpJmp, 0, 0))
-			a.patchB(tp, a.here())
-		}
-		if t.otherwise != nil {
-			a.lowerBody(t.otherwise)
-		}
-		for _, e := range ends {
-			a.patchA(e, a.here())
-		}
-	case *iVariable:
-		a.lowerValue(a.addVarDecl(t.decl), t.decl)
-		a.declare(t.decl)
-	case *iNumber:
-		a.resolve(t.value)
-		p.numSites = append(p.numSites, t)
-		a.emit(OpNumber, int32(len(p.numSites)-1), 0)
-	default:
-		// Every instruction the compiler produces is handled above; a new
-		// instruction type must be lowered here before it can ship.
-		panic(fmt.Sprintf("xslt: no lowering for %T", ins))
-	}
 }
 
 // ---- introspection ----

@@ -7,197 +7,519 @@ import (
 	"goldweb/internal/xpath"
 )
 
-// compileBody turns a sequence of stylesheet DOM nodes into compiled
-// instructions. Expressions and attribute value templates are compiled
-// once here, so repeated transforms pay no parsing cost.
-func (s *Stylesheet) compileBody(nodes []*xmldom.Node) ([]instruction, error) {
-	var out []instruction
-	for _, n := range nodes {
-		switch n.Type {
-		case xmldom.TextNode:
-			out = append(out, &iLiteralText{data: n.Data})
-		case xmldom.CommentNode, xmldom.PINode:
-			// Stylesheet comments and PIs are not copied to the result.
-		case xmldom.ElementNode:
-			ins, err := s.compileElement(n)
-			if err != nil {
-				return nil, err
-			}
-			if ins != nil {
-				out = append(out, ins)
-			}
-		}
-	}
-	return out, nil
-}
-
-// instructions compiles each XSLT instruction element, by local name:
-// the processor's one list of the instructions it executes, which
-// element-available() reads too. init fills it, because its compilers
-// reach compileElement, which reads it.
-var instructions map[string]func(s *Stylesheet, n *xmldom.Node) (instruction, error)
+// instructions lowers each XSLT instruction element, by local name: the
+// processor's one list of the instructions it executes, which
+// element-available() reads too. Each lowerer reads the element's
+// attributes, compiles their expressions and attribute value templates
+// once, and emits its opcodes and side-table entries. init fills the
+// map, because its lowerers reach lowerNode, which reads it.
+var instructions map[string]func(a *asm, n *xmldom.Node) error
 
 func init() {
-	instructions = map[string]func(s *Stylesheet, n *xmldom.Node) (instruction, error){
-		"apply-templates": (*Stylesheet).compileApplyTemplates,
-		"call-template":   (*Stylesheet).compileCallTemplate,
-		"for-each":        (*Stylesheet).compileForEach,
-		"value-of": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			sel, err := s.requiredExpr(n, "select")
+	instructions = map[string]func(a *asm, n *xmldom.Node) error{
+		"apply-templates": (*asm).lowerApplyTemplates,
+		"call-template":   (*asm).lowerCallTemplate,
+		"for-each":        (*asm).lowerForEach,
+		"value-of": func(a *asm, n *xmldom.Node) error {
+			sel, err := requiredExpr(n, "select")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return &iValueOf{sel: sel, disableEsc: n.AttrValue("disable-output-escaping") == "yes"}, nil
+			a.emit(OpValueOf, a.addExpr(sel), boolOperand(n.AttrValue("disable-output-escaping") == "yes"))
+			return nil
 		},
-		"text": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			var b strings.Builder
-			for _, c := range n.Children {
-				if c.Type != xmldom.TextNode {
-					return nil, &CompileError{Element: n, Msg: "xsl:text may only contain text"}
-				}
-				b.WriteString(c.Data)
+		"text": func(a *asm, n *xmldom.Node) error {
+			data, ok := xslText(n)
+			if !ok {
+				return &CompileError{Element: n, Msg: "xsl:text may only contain text"}
 			}
-			return &iText{data: b.String(), disableEsc: n.AttrValue("disable-output-escaping") == "yes"}, nil
+			a.emit(OpText, a.addStr(data), boolOperand(n.AttrValue("disable-output-escaping") == "yes"))
+			return nil
 		},
-		"element": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			name, err := s.requiredAVT(n, "name")
+		"element": func(a *asm, n *xmldom.Node) error {
+			name, err := requiredAVT(n, "name")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			body, err := s.compileBody(n.Children)
-			if err != nil {
-				return nil, err
+			a.resolveAVT(name)
+			a.p.elemSites = append(a.p.elemSites, &elemSite{name: name})
+			a.emit(OpElemBegin, int32(len(a.p.elemSites)-1), 0)
+			if sets := splitNames(n.AttrValue("use-attribute-sets")); len(sets) > 0 {
+				a.emit(OpAttrSets, a.addSetList(sets), 0)
 			}
-			return &iElement{name: name, useSets: splitNames(n.AttrValue("use-attribute-sets")), body: body}, nil
+			return a.lowerContent(n, OpEndElem, 0)
 		},
-		"attribute": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			name, err := s.requiredAVT(n, "name")
+		"attribute": func(a *asm, n *xmldom.Node) error {
+			name, err := requiredAVT(n, "name")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			body, err := s.compileBody(n.Children)
-			if err != nil {
-				return nil, err
-			}
-			return &iAttribute{name: name, body: body}, nil
+			a.emit(OpAttrBegin, a.addAVT(name), 0)
+			return a.lowerContent(n, OpAttrEnd, 0)
 		},
-		"comment": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			body, err := s.compileBody(n.Children)
-			if err != nil {
-				return nil, err
-			}
-			return &iComment{body: body}, nil
+		"comment": func(a *asm, n *xmldom.Node) error {
+			a.emit(OpCommentBegin, 0, 0)
+			return a.lowerContent(n, OpCommentEnd, 0)
 		},
-		"processing-instruction": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			name, err := s.requiredAVT(n, "name")
+		"processing-instruction": func(a *asm, n *xmldom.Node) error {
+			name, err := requiredAVT(n, "name")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			body, err := s.compileBody(n.Children)
-			if err != nil {
-				return nil, err
-			}
-			return &iPI{name: name, body: body}, nil
+			a.emit(OpPIBegin, a.addAVT(name), 0)
+			return a.lowerContent(n, OpPIEnd, 0)
 		},
-		"copy": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			body, err := s.compileBody(n.Children)
-			if err != nil {
-				return nil, err
+		"copy": func(a *asm, n *xmldom.Node) error {
+			sets := int32(-1)
+			if names := splitNames(n.AttrValue("use-attribute-sets")); len(names) > 0 {
+				sets = a.addSetList(names)
 			}
-			return &iCopy{useSets: splitNames(n.AttrValue("use-attribute-sets")), body: body}, nil
+			a.p.copySites = append(a.p.copySites, sets)
+			cb := a.emit(OpCopyBegin, int32(len(a.p.copySites)-1), 0)
+			if err := a.lowerContent(n, OpCopyEnd, 0); err != nil {
+				return err
+			}
+			a.patchB(cb, a.here())
+			return nil
 		},
-		"copy-of": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			sel, err := s.requiredExpr(n, "select")
+		"copy-of": func(a *asm, n *xmldom.Node) error {
+			sel, err := requiredExpr(n, "select")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return &iCopyOf{sel: sel}, nil
+			a.emit(OpCopyOf, a.addExpr(sel), 0)
+			return nil
 		},
-		"if": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			test, err := s.requiredExpr(n, "test")
+		"if": func(a *asm, n *xmldom.Node) error {
+			test, err := requiredExpr(n, "test")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			body, err := s.compileBody(n.Children)
-			if err != nil {
-				return nil, err
+			tp := a.emit(OpTest, a.addExpr(test), 0)
+			if err := a.lowerBody(n.Children); err != nil {
+				return err
 			}
-			return &iIf{test: test, body: body}, nil
+			a.patchB(tp, a.here())
+			return nil
 		},
-		"choose": (*Stylesheet).compileChoose,
-		"variable": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			decl, err := s.compileVarDecl(n)
+		"choose": (*asm).lowerChoose,
+		"variable": func(a *asm, n *xmldom.Node) error {
+			d, err := compileVarDecl(n)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return &iVariable{decl: decl}, nil
-		},
-		"message": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
-			body, err := s.compileBody(n.Children)
-			if err != nil {
-				return nil, err
+			if err := a.lowerValue(a.addVarDecl(d), d, n.Children); err != nil {
+				return err
 			}
-			return &iMessage{body: body, terminate: n.AttrValue("terminate") == "yes"}, nil
+			a.declare(d)
+			return nil
 		},
-		"document": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+		"message": func(a *asm, n *xmldom.Node) error {
+			a.emit(OpMsgBegin, 0, 0)
+			return a.lowerContent(n, OpMsgEnd, boolOperand(n.AttrValue("terminate") == "yes"))
+		},
+		"document": func(a *asm, n *xmldom.Node) error {
 			// XSLT 1.1 working draft: create an additional output document.
-			href, err := s.requiredAVT(n, "href")
+			href, err := requiredAVT(n, "href")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			body, err := s.compileBody(n.Children)
-			if err != nil {
-				return nil, err
+			db := a.emit(OpDocBegin, a.addAVT(href), 0)
+			if err := a.lowerBody(n.Children); err != nil {
+				return err
 			}
-			return &iDocument{href: href, body: body}, nil
+			a.docs = append(a.docs, [2]int32{int32(db), int32(a.emit(OpDocEnd, 0, 0))})
+			return nil
 		},
-		"number": func(s *Stylesheet, n *xmldom.Node) (instruction, error) {
+		"number": func(a *asm, n *xmldom.Node) error {
 			// The processor numbers by value, or by position among the
 			// same-named preceding siblings (level="single" with the
 			// default count); it refuses what it would otherwise ignore.
-			for _, a := range n.Attr {
-				if a.URI == "" && (a.Name == "count" || a.Name == "from" || a.Name == "level" && a.Data != "single") {
-					return nil, &CompileError{Element: n, Line: a.Line, Col: a.Col,
-						Msg: "xsl:number " + a.Name + "=\"" + a.Data + "\" is not supported by this processor"}
+			for _, at := range n.Attr {
+				if at.URI == "" && (at.Name == "count" || at.Name == "from" || at.Name == "level" && at.Data != "single") {
+					return &CompileError{Element: n, Line: at.Line, Col: at.Col,
+						Msg: "xsl:number " + at.Name + "=\"" + at.Data + "\" is not supported by this processor"}
 				}
 			}
-			ins := &iNumber{format: n.AttrValue("format")}
-			if ins.format == "" {
-				ins.format = "1"
+			ns := &numSite{format: n.AttrValue("format")}
+			if ns.format == "" {
+				ns.format = "1"
 			}
 			if v := n.AttrValue("value"); v != "" {
 				e, err := xpath.Compile(v)
 				if err != nil {
-					return nil, exprError(n, "value", err)
+					return exprError(n, "value", err)
 				}
-				ins.value = e
+				ns.value = e
+				a.resolve(e)
 			}
-			return ins, nil
+			a.p.numSites = append(a.p.numSites, ns)
+			a.emit(OpNumber, int32(len(a.p.numSites)-1), 0)
+			return nil
 		},
-		"fallback": func(*Stylesheet, *xmldom.Node) (instruction, error) {
+		"fallback": func(*asm, *xmldom.Node) error {
 			// We execute everything we compile, so fallbacks never trigger.
-			return nil, nil
+			return nil
 		},
-		"apply-imports": func(*Stylesheet, *xmldom.Node) (instruction, error) {
-			return &iApplyImports{}, nil
+		"apply-imports": func(a *asm, _ *xmldom.Node) error {
+			a.emit(OpApplyImports, 0, 0)
+			return nil
 		},
 	}
 }
 
-func (s *Stylesheet) compileElement(n *xmldom.Node) (instruction, error) {
-	if n.URI != Namespace {
-		return s.compileLiteral(n)
+// lowerNode lowers one body node: literal text, a literal result element
+// or an instruction. Stylesheet comments and processing instructions are
+// not copied to the result.
+func (a *asm) lowerNode(n *xmldom.Node) error {
+	switch {
+	case n.Type == xmldom.TextNode:
+		a.emit(OpText, a.addStr(n.Data), 0)
+		return nil
+	case n.Type != xmldom.ElementNode:
+		return nil
+	case n.URI != Namespace:
+		return a.lowerLiteral(n)
 	}
-	if compile := instructions[n.Name]; compile != nil {
-		return compile(s, n)
+	if lower := instructions[n.Name]; lower != nil {
+		return lower(a, n)
 	}
 	switch n.Name {
 	case "param":
-		return nil, &CompileError{Element: n, Msg: "xsl:param is only allowed at the start of a template"}
+		return &CompileError{Element: n, Msg: "xsl:param is only allowed at the start of a template"}
 	case "sort", "with-param":
-		return nil, &CompileError{Element: n, Msg: "xsl:" + n.Name + " is not allowed here"}
+		return &CompileError{Element: n, Msg: "xsl:" + n.Name + " is not allowed here"}
 	}
-	return nil, &CompileError{Element: n, Msg: "unknown instruction xsl:" + n.Name}
+	return &CompileError{Element: n, Msg: "unknown instruction xsl:" + n.Name}
+}
+
+// lowerContent lowers the content of n, then the opcode that closes it.
+func (a *asm) lowerContent(n *xmldom.Node, end Opcode, opa int32) error {
+	if err := a.lowerBody(n.Children); err != nil {
+		return err
+	}
+	a.emit(end, opa, 0)
+	return nil
+}
+
+// lowerLiteral lowers a literal result element: its name, its
+// xsl:use-attribute-sets, each copied attribute, static or computed, and
+// its content.
+func (a *asm) lowerLiteral(n *xmldom.Node) error {
+	p := a.p
+	p.litNames = append(p.litNames, litName{prefix: n.Prefix, uri: n.URI, name: n.Name})
+	a.emit(OpLitBegin, int32(len(p.litNames)-1), 0)
+	if sets := literalSets(n); len(sets) > 0 {
+		a.emit(OpAttrSets, a.addSetList(sets), 0)
+	}
+	for _, at := range n.Attr {
+		if !copiedAttr(at) {
+			continue
+		}
+		if v, ok := constAVT(at.Data); ok {
+			p.litAttrs = append(p.litAttrs, litAttrOp{prefix: at.Prefix, uri: at.URI, name: at.Name, value: v})
+			a.emit(OpLitAttr, int32(len(p.litAttrs)-1), 0)
+			continue
+		}
+		v, err := compileAVT(at.Data)
+		if err != nil {
+			return exprErrorAt(n, at, err)
+		}
+		a.resolveAVT(v)
+		p.avtAttrs = append(p.avtAttrs, avtAttrOp{prefix: at.Prefix, uri: at.URI, name: at.Name, value: v})
+		a.emit(OpAVTAttr, int32(len(p.avtAttrs)-1), 0)
+	}
+	return a.lowerContent(n, OpEndElem, 0)
+}
+
+// literalSets returns the names a literal result element's
+// xsl:use-attribute-sets lists.
+func literalSets(n *xmldom.Node) []string {
+	if at := n.GetAttrNS(Namespace, "use-attribute-sets"); at != nil {
+		return splitNames(at.Data)
+	}
+	return nil
+}
+
+// copiedAttr reports whether an attribute of a literal result element is
+// copied to the result: xsl:* attributes (version, use-attribute-sets)
+// and the declaration of the XSLT namespace are not.
+func copiedAttr(at *xmldom.Node) bool {
+	return at.URI != Namespace && !(at.URI == xmldom.XMLNSNamespace && at.Data == Namespace)
+}
+
+// xslText returns the text of an xsl:text element; ok is false when it
+// holds anything but text.
+func xslText(n *xmldom.Node) (string, bool) {
+	if len(n.Children) == 1 && n.Children[0].Type == xmldom.TextNode {
+		return n.Children[0].Data, true
+	}
+	var b strings.Builder
+	for _, c := range n.Children {
+		if c.Type != xmldom.TextNode {
+			return "", false
+		}
+		b.WriteString(c.Data)
+	}
+	return b.String(), true
+}
+
+// silent reports whether a body node lowers to nothing: a stylesheet
+// comment or processing instruction, or an xsl:fallback.
+func silent(n *xmldom.Node) bool {
+	switch n.Type {
+	case xmldom.TextNode:
+		return false
+	case xmldom.ElementNode:
+		return isXSL(n, "fallback")
+	}
+	return true
+}
+
+func (a *asm) lowerApplyTemplates(n *xmldom.Node) error {
+	site := &applySite{mode: n.AttrValue("mode")}
+	if site.mode == "" {
+		site.mode = a.mode
+	}
+	if sel := n.AttrValue("select"); sel != "" {
+		e, err := xpath.Compile(sel)
+		if err != nil {
+			return exprError(n, "select", err)
+		}
+		site.sel = e
+		a.resolve(e)
+	}
+	for _, c := range n.Children {
+		switch {
+		case c.Type != xmldom.ElementNode || isXSL(c, "with-param"):
+		case isXSL(c, "sort"):
+			k, err := a.compileSort(c)
+			if err != nil {
+				return err
+			}
+			site.sorts = append(site.sorts, k)
+		default:
+			return &CompileError{Element: c, Msg: "only xsl:sort and xsl:with-param are allowed in xsl:apply-templates"}
+		}
+	}
+	site.disp = a.s.index[site.mode]
+	a.p.applySites = append(a.p.applySites, site)
+	si := int32(len(a.p.applySites) - 1)
+	ap := a.emit(OpApply, si, 0)
+	for _, c := range n.Children {
+		if isXSL(c, "with-param") {
+			w, err := a.lowerWithParam(c)
+			if err != nil {
+				return err
+			}
+			site.params = append(site.params, w)
+		}
+	}
+	a.patchB(ap, a.here())
+	it := a.emit(OpIterate, si, 0)
+	a.patchB(it, a.here())
+	return nil
+}
+
+func (a *asm) lowerCallTemplate(n *xmldom.Node) error {
+	name := n.AttrValue("name")
+	if name == "" {
+		return &CompileError{Element: n, Msg: "xsl:call-template requires a name"}
+	}
+	site := &bcCallSite{name: name, t: a.s.named[name]}
+	a.p.callSites = append(a.p.callSites, site)
+	ci := int32(len(a.p.callSites) - 1)
+	a.emit(OpCall, ci, 0)
+	for _, c := range n.Children {
+		if c.Type != xmldom.ElementNode {
+			continue
+		}
+		if !isXSL(c, "with-param") {
+			return &CompileError{Element: c, Msg: "only xsl:with-param is allowed in xsl:call-template"}
+		}
+		w, err := a.lowerWithParam(c)
+		if err != nil {
+			return err
+		}
+		site.params = append(site.params, w)
+	}
+	a.emit(OpInvoke, ci, 0)
+	return nil
+}
+
+func (a *asm) lowerForEach(n *xmldom.Node) error {
+	sel, err := requiredExpr(n, "select")
+	if err != nil {
+		return err
+	}
+	a.resolve(sel)
+	site := &forSite{sel: sel}
+	rest := n.Children
+	for len(rest) > 0 && isXSL(rest[0], "sort") {
+		k, err := a.compileSort(rest[0])
+		if err != nil {
+			return err
+		}
+		site.sorts = append(site.sorts, k)
+		rest = rest[1:]
+	}
+	a.p.forSites = append(a.p.forSites, site)
+	a.emit(OpForEach, int32(len(a.p.forSites)-1), 0)
+	next := a.emit(OpForNext, 0, 0)
+	if err := a.lowerBody(rest); err != nil {
+		return err
+	}
+	a.emit(OpForEnd, int32(next), 0)
+	a.patchB(next, a.here())
+	return nil
+}
+
+// compileSort compiles an xsl:sort and resolves its expressions in the scope
+// of the instruction it sorts for.
+func (a *asm) compileSort(n *xmldom.Node) (sortKey, error) {
+	k := sortKey{}
+	// Text keys compare by code point, so the processor refuses the
+	// collation attributes it could not honour.
+	for _, at := range n.Attr {
+		if at.URI == "" && (at.Name == "case-order" || at.Name == "lang") {
+			return k, &CompileError{Element: n, Line: at.Line, Col: at.Col,
+				Msg: "xsl:sort " + at.Name + "=\"" + at.Data + "\" is not supported by this processor"}
+		}
+	}
+	sel := n.AttrValue("select")
+	if sel == "" {
+		sel = "."
+	}
+	e, err := xpath.Compile(sel)
+	if err != nil {
+		return k, exprError(n, "select", err)
+	}
+	k.sel = e
+	if v := n.AttrValue("data-type"); v != "" {
+		if k.dataType, err = compileAVT(v); err != nil {
+			return k, exprError(n, "data-type", err)
+		}
+	}
+	if v := n.AttrValue("order"); v != "" {
+		if k.order, err = compileAVT(v); err != nil {
+			return k, exprError(n, "order", err)
+		}
+	}
+	a.resolve(k.sel)
+	a.resolveAVT(k.dataType)
+	a.resolveAVT(k.order)
+	return k, nil
+}
+
+// lowerWithParam lowers an xsl:with-param's value into a slot of the
+// caller's frame, where the entered template's OpParam reads it. A
+// select makes the content ignored.
+func (a *asm) lowerWithParam(n *xmldom.Node) (*compiledVar, error) {
+	w := &compiledVar{name: n.AttrValue("name")}
+	if w.name == "" {
+		return nil, &CompileError{Element: n, Msg: "xsl:with-param requires a name"}
+	}
+	if sel := n.AttrValue("select"); sel != "" {
+		e, err := xpath.Compile(sel)
+		if err != nil {
+			return nil, exprError(n, "select", err)
+		}
+		w.sel = e
+	}
+	return w, a.lowerValue(a.addVarDecl(w), w, n.Children)
+}
+
+// lowerChoose lowers each xsl:when to a test that skips its body when
+// false and a jump from the body's end past the xsl:otherwise, which
+// comes last.
+func (a *asm) lowerChoose(n *xmldom.Node) error {
+	var ends []int
+	otherwise := false
+	for _, c := range n.Children {
+		switch {
+		case c.Type != xmldom.ElementNode:
+		case isXSL(c, "when"):
+			if otherwise {
+				return &CompileError{Element: c, Msg: "xsl:when after xsl:otherwise"}
+			}
+			test, err := requiredExpr(c, "test")
+			if err != nil {
+				return err
+			}
+			tp := a.emit(OpTest, a.addExpr(test), 0)
+			if err := a.lowerBody(c.Children); err != nil {
+				return err
+			}
+			ends = append(ends, a.emit(OpJmp, 0, 0))
+			a.patchB(tp, a.here())
+		case isXSL(c, "otherwise"):
+			if otherwise {
+				return &CompileError{Element: c, Msg: "duplicate xsl:otherwise"}
+			}
+			otherwise = true
+			if err := a.lowerBody(c.Children); err != nil {
+				return err
+			}
+		default:
+			return &CompileError{Element: c, Msg: "only xsl:when and xsl:otherwise are allowed in xsl:choose"}
+		}
+	}
+	if len(ends) == 0 {
+		return &CompileError{Element: n, Msg: "xsl:choose requires at least one xsl:when"}
+	}
+	for _, e := range ends {
+		a.patchA(e, a.here())
+	}
+	return nil
+}
+
+// compileVarDecl compiles the name and select of an xsl:variable or
+// xsl:param element; lowering captures its content, if it has any.
+func compileVarDecl(c *xmldom.Node) (*compiledVar, error) {
+	d := &compiledVar{name: c.AttrValue("name"), isParam: c.Name == "param", src: c}
+	if d.name == "" {
+		return nil, &CompileError{Element: c, Msg: "xsl:" + c.Name + " requires a name"}
+	}
+	if sel := c.AttrValue("select"); sel != "" {
+		if len(c.Children) > 0 {
+			return nil, &CompileError{Element: c, Msg: "xsl:" + c.Name + " cannot have both select and content"}
+		}
+		e, err := xpath.Compile(sel)
+		if err != nil {
+			return nil, exprError(c, "select", err)
+		}
+		d.sel = e
+	}
+	return d, nil
+}
+
+// scan records, in document order, what must be known before any body
+// is lowered: the mode of every xsl:apply-templates, since each mode it
+// names gets the built-in rules and the program lays the modes out
+// first, and the namespace declarations of literal result elements,
+// which expressions resolve prefixes by. It visits the elements lowering
+// reaches.
+func (s *Stylesheet) scan(n *xmldom.Node) {
+	if n.Type != xmldom.ElementNode {
+		return
+	}
+	if n.URI != Namespace {
+		s.collectNS(n)
+	} else {
+		switch n.Name {
+		case "apply-templates":
+			s.referencedModes[n.AttrValue("mode")] = true
+		case "value-of", "copy-of", "number", "apply-imports", "fallback", "text", "sort":
+			return // content not lowered
+		case "variable", "param", "with-param":
+			if n.AttrValue("select") != "" {
+				return
+			}
+		}
+	}
+	for _, c := range n.Children {
+		s.scan(c)
+	}
 }
 
 // attrValuePos maps a byte offset inside an attribute's value to an
@@ -250,7 +572,7 @@ func exprErrorAt(n, a *xmldom.Node, err error) *CompileError {
 	return &CompileError{Element: n, Line: line, Col: col, Msg: err.Error()}
 }
 
-func (s *Stylesheet) requiredExpr(n *xmldom.Node, attr string) (*xpath.Compiled, error) {
+func requiredExpr(n *xmldom.Node, attr string) (*xpath.Compiled, error) {
 	src := n.AttrValue(attr)
 	if src == "" {
 		return nil, &CompileError{Element: n, Msg: "xsl:" + n.Name + " requires " + attr}
@@ -262,7 +584,7 @@ func (s *Stylesheet) requiredExpr(n *xmldom.Node, attr string) (*xpath.Compiled,
 	return e, nil
 }
 
-func (s *Stylesheet) requiredAVT(n *xmldom.Node, attr string) (*avt, error) {
+func requiredAVT(n *xmldom.Node, attr string) (*avt, error) {
 	src := n.AttrValue(attr)
 	if src == "" {
 		return nil, &CompileError{Element: n, Msg: "xsl:" + n.Name + " requires " + attr}
@@ -272,236 +594,4 @@ func (s *Stylesheet) requiredAVT(n *xmldom.Node, attr string) (*avt, error) {
 		return nil, exprError(n, attr, err)
 	}
 	return a, nil
-}
-
-func (s *Stylesheet) compileLiteral(n *xmldom.Node) (instruction, error) {
-	lit := &iLiteralElement{name: n.Name, prefix: n.Prefix, uri: n.URI}
-	for _, a := range n.Attr {
-		if a.URI == Namespace && a.Name == "use-attribute-sets" {
-			lit.useSets = splitNames(a.Data)
-			continue
-		}
-		if a.URI == xmldom.XMLNSNamespace {
-			// Record the binding for expression prefixes; re-emit only
-			// declarations that do not refer to the XSLT namespace.
-			if a.Data == Namespace {
-				continue
-			}
-			prefix := a.Name
-			if a.Prefix == "" {
-				prefix = "" // default namespace: xmlns="..."
-			}
-			if prefix != "" {
-				s.exprNS[prefix] = a.Data
-			}
-		}
-		if a.URI == Namespace {
-			// xsl:* attributes on literal elements (version, etc.) are
-			// not copied.
-			continue
-		}
-		val, err := compileAVT(a.Data)
-		if err != nil {
-			return nil, exprErrorAt(n, a, err)
-		}
-		lit.attrs = append(lit.attrs, literalAttr{name: a.Name, prefix: a.Prefix, uri: a.URI, value: val})
-	}
-	body, err := s.compileBody(n.Children)
-	if err != nil {
-		return nil, err
-	}
-	lit.body = body
-	return lit, nil
-}
-
-func (s *Stylesheet) compileApplyTemplates(n *xmldom.Node) (instruction, error) {
-	ins := &iApplyTemplates{mode: n.AttrValue("mode")}
-	s.referencedModes[ins.mode] = true
-	if sel := n.AttrValue("select"); sel != "" {
-		e, err := xpath.Compile(sel)
-		if err != nil {
-			return nil, exprError(n, "select", err)
-		}
-		ins.sel = e
-	}
-	for _, c := range n.Elements() {
-		switch {
-		case isXSL(c, "sort"):
-			k, err := s.compileSort(c)
-			if err != nil {
-				return nil, err
-			}
-			ins.sorts = append(ins.sorts, k)
-		case isXSL(c, "with-param"):
-			p, err := s.compileWithParam(c)
-			if err != nil {
-				return nil, err
-			}
-			ins.params = append(ins.params, p)
-		default:
-			return nil, &CompileError{Element: c, Msg: "only xsl:sort and xsl:with-param are allowed in xsl:apply-templates"}
-		}
-	}
-	return ins, nil
-}
-
-func (s *Stylesheet) compileCallTemplate(n *xmldom.Node) (instruction, error) {
-	name := n.AttrValue("name")
-	if name == "" {
-		return nil, &CompileError{Element: n, Msg: "xsl:call-template requires a name"}
-	}
-	ins := &iCallTemplate{name: name, src: n}
-	for _, c := range n.Elements() {
-		if !isXSL(c, "with-param") {
-			return nil, &CompileError{Element: c, Msg: "only xsl:with-param is allowed in xsl:call-template"}
-		}
-		p, err := s.compileWithParam(c)
-		if err != nil {
-			return nil, err
-		}
-		ins.params = append(ins.params, p)
-	}
-	return ins, nil
-}
-
-func (s *Stylesheet) compileForEach(n *xmldom.Node) (instruction, error) {
-	sel, err := s.requiredExpr(n, "select")
-	if err != nil {
-		return nil, err
-	}
-	ins := &iForEach{sel: sel}
-	rest := n.Children
-	for len(rest) > 0 && isXSL(rest[0], "sort") {
-		k, err := s.compileSort(rest[0])
-		if err != nil {
-			return nil, err
-		}
-		ins.sorts = append(ins.sorts, k)
-		rest = rest[1:]
-	}
-	body, err := s.compileBody(rest)
-	if err != nil {
-		return nil, err
-	}
-	ins.body = body
-	return ins, nil
-}
-
-func (s *Stylesheet) compileSort(n *xmldom.Node) (sortKey, error) {
-	k := sortKey{}
-	// Text keys compare by code point, so the processor refuses the
-	// collation attributes it could not honour.
-	for _, a := range n.Attr {
-		if a.URI == "" && (a.Name == "case-order" || a.Name == "lang") {
-			return k, &CompileError{Element: n, Line: a.Line, Col: a.Col,
-				Msg: "xsl:sort " + a.Name + "=\"" + a.Data + "\" is not supported by this processor"}
-		}
-	}
-	sel := n.AttrValue("select")
-	if sel == "" {
-		sel = "."
-	}
-	e, err := xpath.Compile(sel)
-	if err != nil {
-		return k, exprError(n, "select", err)
-	}
-	k.sel = e
-	if v := n.AttrValue("data-type"); v != "" {
-		k.dataType, err = compileAVT(v)
-		if err != nil {
-			return k, exprError(n, "data-type", err)
-		}
-	}
-	if v := n.AttrValue("order"); v != "" {
-		k.order, err = compileAVT(v)
-		if err != nil {
-			return k, exprError(n, "order", err)
-		}
-	}
-	return k, nil
-}
-
-func (s *Stylesheet) compileWithParam(n *xmldom.Node) (*compiledVar, error) {
-	p := &compiledVar{name: n.AttrValue("name")}
-	if p.name == "" {
-		return nil, &CompileError{Element: n, Msg: "xsl:with-param requires a name"}
-	}
-	if sel := n.AttrValue("select"); sel != "" {
-		e, err := xpath.Compile(sel)
-		if err != nil {
-			return nil, exprError(n, "select", err)
-		}
-		p.sel = e
-		return p, nil
-	}
-	body, err := s.compileBody(n.Children)
-	if err != nil {
-		return nil, err
-	}
-	p.body = body
-	return p, nil
-}
-
-func (s *Stylesheet) compileChoose(n *xmldom.Node) (instruction, error) {
-	ins := &iChoose{}
-	for _, c := range n.Elements() {
-		switch {
-		case isXSL(c, "when"):
-			if ins.otherwise != nil {
-				return nil, &CompileError{Element: c, Msg: "xsl:when after xsl:otherwise"}
-			}
-			test, err := s.requiredExpr(c, "test")
-			if err != nil {
-				return nil, err
-			}
-			body, err := s.compileBody(c.Children)
-			if err != nil {
-				return nil, err
-			}
-			ins.whens = append(ins.whens, chooseWhen{test: test, body: body})
-		case isXSL(c, "otherwise"):
-			if ins.otherwise != nil {
-				return nil, &CompileError{Element: c, Msg: "duplicate xsl:otherwise"}
-			}
-			body, err := s.compileBody(c.Children)
-			if err != nil {
-				return nil, err
-			}
-			if body == nil {
-				body = []instruction{}
-			}
-			ins.otherwise = body
-		default:
-			return nil, &CompileError{Element: c, Msg: "only xsl:when and xsl:otherwise are allowed in xsl:choose"}
-		}
-	}
-	if len(ins.whens) == 0 {
-		return nil, &CompileError{Element: n, Msg: "xsl:choose requires at least one xsl:when"}
-	}
-	return ins, nil
-}
-
-// compileVarDecl compiles an xsl:variable or xsl:param element.
-func (s *Stylesheet) compileVarDecl(c *xmldom.Node) (*compiledVar, error) {
-	d := &compiledVar{name: c.AttrValue("name"), isParam: c.Name == "param", src: c}
-	if d.name == "" {
-		return nil, &CompileError{Element: c, Msg: "xsl:" + c.Name + " requires a name"}
-	}
-	if sel := c.AttrValue("select"); sel != "" {
-		if len(c.Children) > 0 {
-			return nil, &CompileError{Element: c, Msg: "xsl:" + c.Name + " cannot have both select and content"}
-		}
-		e, err := xpath.Compile(sel)
-		if err != nil {
-			return nil, exprError(c, "select", err)
-		}
-		d.sel = e
-		return d, nil
-	}
-	body, err := s.compileBody(c.Children)
-	if err != nil {
-		return nil, err
-	}
-	d.body = body
-	return d, nil
 }

@@ -152,7 +152,11 @@ func (p *Program) Disasm() string {
 		case OpEnter:
 			pt := p.tmpls[in.A]
 			fmt.Fprintf(&b, " %s", templateLabel(pt.t))
-			if n := len(pt.params); n > 0 {
+			n := 0
+			for n < len(pt.decl.Children) && isXSL(pt.decl.Children[n], "param") {
+				n++
+			}
+			if n > 0 {
 				fmt.Fprintf(&b, " params=%d", n)
 			}
 			if pt.frame > 0 {

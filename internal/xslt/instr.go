@@ -8,11 +8,6 @@ import (
 	"goldweb/internal/xpath"
 )
 
-// instruction is a compiled XSLT instruction or literal result node: one
-// of the i* types below. Stylesheet.lower flattens instruction trees into
-// the bytecode program the VM executes.
-type instruction any
-
 // avt is a compiled attribute value template: literal text interleaved
 // with {expr} parts.
 type avt struct {
@@ -86,6 +81,27 @@ func compileAVT(src string) (*avt, error) {
 	return a, nil
 }
 
+// constAVT returns the value of an attribute value template that holds
+// no {expression}, with "{{" and "}}" unescaped; ok is false for any
+// other template, well-formed or not.
+func constAVT(src string) (string, bool) {
+	if strings.IndexAny(src, "{}") < 0 {
+		return src, true
+	}
+	var b strings.Builder
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if c == '{' || c == '}' {
+			if i+1 == len(src) || src[i+1] != c {
+				return "", false
+			}
+			i++
+		}
+		b.WriteByte(c)
+	}
+	return b.String(), true
+}
+
 // sortKey is a compiled xsl:sort.
 type sortKey struct {
 	sel      *xpath.Compiled
@@ -97,7 +113,6 @@ type sortKey struct {
 type compiledVar struct {
 	name    string
 	sel     *xpath.Compiled
-	body    []instruction
 	isParam bool
 	// src is the declaring xsl:variable or xsl:param element; nil for a
 	// with-param, which binds no name a reference reads.
@@ -111,106 +126,8 @@ type compiledVar struct {
 	refs int
 }
 
-// ---- concrete instructions ----
-
-type iLiteralText struct{ data string }
-
-type iLiteralElement struct {
-	name, prefix, uri string
-	attrs             []literalAttr
-	useSets           []string // xsl:use-attribute-sets
-	body              []instruction
-}
-
-type literalAttr struct {
-	name, prefix, uri string
-	value             *avt
-}
-
-type iApplyTemplates struct {
-	sel    *xpath.Compiled // nil → child::node()
-	mode   string
-	sorts  []sortKey
-	params []*compiledVar
-}
-
-type iCallTemplate struct {
-	name   string
-	params []*compiledVar
-	src    *xmldom.Node
-}
-
-type iForEach struct {
-	sel   *xpath.Compiled
-	sorts []sortKey
-	body  []instruction
-}
-
-type iValueOf struct {
-	sel        *xpath.Compiled
-	disableEsc bool
-}
-
-type iText struct {
-	data       string
-	disableEsc bool
-}
-
-type iElement struct {
-	name    *avt
-	useSets []string
-	body    []instruction
-}
-
-type iAttribute struct {
-	name *avt
-	body []instruction
-}
-
-type iComment struct{ body []instruction }
-
-type iPI struct {
-	name *avt
-	body []instruction
-}
-
-type iCopy struct {
-	useSets []string
-	body    []instruction
-}
-
-type iCopyOf struct{ sel *xpath.Compiled }
-
-type iIf struct {
-	test *xpath.Compiled
-	body []instruction
-}
-
-type iChoose struct {
-	whens     []chooseWhen
-	otherwise []instruction
-}
-
-type chooseWhen struct {
-	test *xpath.Compiled
-	body []instruction
-}
-
-type iVariable struct{ decl *compiledVar }
-
-type iMessage struct {
-	body      []instruction
-	terminate bool
-}
-
-type iDocument struct {
-	href *avt
-	body []instruction
-}
-
-type iApplyImports struct{}
-
-type iNumber struct {
+// numSite is the payload of one xsl:number.
+type numSite struct {
 	value  *xpath.Compiled // nil → count position
 	format string
 }

@@ -167,11 +167,11 @@ type Stylesheet struct {
 	prog *Program
 }
 
-// attrSet is a compiled xsl:attribute-set: the attribute instructions it
+// attrSet is an xsl:attribute-set: the xsl:attribute elements it
 // declares plus the names of the sets it merges in.
 type attrSet struct {
-	uses []string
-	body []instruction
+	uses  []string
+	attrs []*xmldom.Node
 }
 
 type stripSpec struct {
@@ -186,10 +186,10 @@ type CompileOptions struct {
 	Loader Loader
 }
 
-// compile builds the instruction trees, rule lists and dispatch index
-// of a stylesheet document; CompileStylesheet then lowers them to
-// bytecode. The document tree is retained and must not be mutated
-// afterwards.
+// compile collects the top-level declarations of a stylesheet document
+// and builds its rule lists and dispatch index; CompileStylesheet then
+// lowers the bodies to bytecode. The document tree is retained and must
+// not be mutated afterwards.
 func compile(doc *xmldom.Node, opts CompileOptions) (*Stylesheet, error) {
 	root := doc.DocumentElement()
 	if root == nil {
@@ -213,9 +213,7 @@ func compile(doc *xmldom.Node, opts CompileOptions) (*Stylesheet, error) {
 	if err := s.compileTopLevel(root, 0); err != nil {
 		return nil, err
 	}
-	if err := s.addBuiltinRules(); err != nil {
-		return nil, err
-	}
+	s.addBuiltinRules()
 	for mode := range s.templates {
 		ts := s.templates[mode]
 		sort.SliceStable(ts, func(i, j int) bool {
@@ -431,10 +429,11 @@ func (s *Stylesheet) compileTopLevel(root *xmldom.Node, importPrec int) error {
 		case "output":
 			s.compileOutput(c)
 		case "variable", "param":
-			d, err := s.compileVarDecl(c)
+			d, err := compileVarDecl(c)
 			if err != nil {
 				return err
 			}
+			s.scan(c)
 			s.globals = append(s.globals, d)
 		case "key":
 			if err := s.compileKey(c); err != nil {
@@ -530,11 +529,8 @@ func (s *Stylesheet) compileAttrSet(c *xmldom.Node) error {
 		if !isXSL(child, "attribute") {
 			return &CompileError{Element: child, Msg: "xsl:attribute-set may only contain xsl:attribute"}
 		}
-		ins, err := s.compileElement(child)
-		if err != nil {
-			return err
-		}
-		set.body = append(set.body, ins)
+		s.scan(child)
+		set.attrs = append(set.attrs, child)
 	}
 	return nil
 }
@@ -570,22 +566,8 @@ func (s *Stylesheet) compileTemplate(c *xmldom.Node, importPrec int) error {
 		return &CompileError{Element: c, Msg: "xsl:template requires match or name"}
 	}
 	mode := c.AttrValue("mode")
-	var params []*compiledVar
-	rest := c.Children
-	for len(rest) > 0 && isXSL(rest[0], "param") {
-		d, err := s.compileVarDecl(rest[0])
-		if err != nil {
-			return tagTemplateError(err, name, match, mode)
-		}
-		params = append(params, d)
-		rest = rest[1:]
-	}
-	body, err := s.compileBody(rest)
-	if err != nil {
-		return tagTemplateError(err, name, match, mode)
-	}
-	base := &Template{Name: name, Mode: mode, importPrec: importPrec, src: c,
-		code: &progTemplate{params: params, body: body}}
+	s.scan(c)
+	base := &Template{Name: name, Mode: mode, importPrec: importPrec, src: c, code: &progTemplate{decl: c}}
 	if name != "" {
 		if _, dup := s.named[name]; dup {
 			return &CompileError{Element: c, Msg: "duplicate template name " + name}
@@ -621,13 +603,13 @@ func (s *Stylesheet) compileTemplate(c *xmldom.Node, importPrec int) error {
 	return nil
 }
 
-// tagTemplateError stamps a body compile error with the owning
-// template's identity, unless an inner declaration already claimed it.
-func tagTemplateError(err error, name, match, mode string) error {
-	if ce, ok := err.(*CompileError); ok && ce.TemplateName == "" && ce.TemplateMatch == "" {
-		ce.TemplateName = name
-		ce.TemplateMatch = match
-		ce.TemplateMode = mode
+// tagTemplateError stamps a body compile error with the identity of the
+// xsl:template element c that owns it.
+func tagTemplateError(err error, c *xmldom.Node) error {
+	if ce, ok := err.(*CompileError); ok {
+		ce.TemplateName = c.AttrValue("name")
+		ce.TemplateMatch = c.AttrValue("match")
+		ce.TemplateMode = c.AttrValue("mode")
 	}
 	return err
 }
@@ -639,7 +621,10 @@ const builtinDoc = `<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transf
 <xsl:template match="processing-instruction()|comment()"/>
 </xsl:stylesheet>`
 
-func (s *Stylesheet) addBuiltinRules() error {
+// addBuiltinRules gives every mode that has rules or that an
+// xsl:apply-templates names its own copy of the built-in rules; the
+// element rule applies templates in the mode it belongs to.
+func (s *Stylesheet) addBuiltinRules() {
 	doc := xmldom.MustParseString(builtinDoc)
 	root := doc.DocumentElement()
 	stripStylesheetSpace(root)
@@ -652,17 +637,7 @@ func (s *Stylesheet) addBuiltinRules() error {
 	}
 	for mode := range modes {
 		for _, c := range root.Elements() {
-			body, err := s.compileBody(c.Children)
-			if err != nil {
-				return err
-			}
-			// The built-in element rule must propagate the current mode.
-			if len(body) == 1 {
-				if at, ok := body[0].(*iApplyTemplates); ok {
-					at.mode = mode
-				}
-			}
-			code := &progTemplate{body: body}
+			code := &progTemplate{decl: c}
 			pat := xpath.MustCompilePattern(c.AttrValue("match"))
 			for _, alt := range pat.Alternatives() {
 				s.nextOrder++
@@ -677,7 +652,6 @@ func (s *Stylesheet) addBuiltinRules() error {
 			}
 		}
 	}
-	return nil
 }
 
 // shouldStrip decides whether whitespace-only text under the named source

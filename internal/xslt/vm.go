@@ -366,7 +366,7 @@ func compareNumbers(u, w float64) int {
 // rounded as XPath round() does (XSLT 1.0 §7.7), or the context node's
 // position among its same-named preceding siblings (level="single" with
 // the default count), 1-based.
-func (r *vmRun) number(ns *iNumber) (int, error) {
+func (r *vmRun) number(ns *numSite) (int, error) {
 	if ns.value != nil {
 		f, err := ns.value.EvalNumberOn(r.ectx(), r.f)
 		return int(math.Floor(f + 0.5)), err
