@@ -292,6 +292,7 @@ func (a *asm) lowerApplyTemplates(n *xmldom.Node) error {
 	for _, c := range n.Children {
 		switch {
 		case c.Type != xmldom.ElementNode || isXSL(c, "with-param"):
+			// With-params lower below, behind the apply.
 		case isXSL(c, "sort"):
 			k, err := a.compileSort(c)
 			if err != nil {
