@@ -547,10 +547,7 @@ func (a *asm) lowerTemplate(t *Template) error {
 		a.mode = t.Mode
 	}
 	body := pt.decl.Children
-	params := 0
-	for params < len(body) && isXSL(body[params], "param") {
-		params++
-	}
+	params := leadingParams(body)
 	a.emit(OpEnter, ti, boolOperand(params > 0))
 	for _, c := range body[:params] {
 		prm, err := compileVarDecl(c)
@@ -574,6 +571,15 @@ func (a *asm) lowerTemplate(t *Template) error {
 	a.emit(OpRet, 0, 0)
 	pt.frame = a.frame
 	return nil
+}
+
+// leadingParams counts the xsl:param elements that open a template body.
+func leadingParams(body []*xmldom.Node) int {
+	n := 0
+	for n < len(body) && isXSL(body[n], "param") {
+		n++
+	}
+	return n
 }
 
 // lowerValue gives variable declaration di a slot of the frame being

@@ -152,11 +152,7 @@ func (p *Program) Disasm() string {
 		case OpEnter:
 			pt := p.tmpls[in.A]
 			fmt.Fprintf(&b, " %s", templateLabel(pt.t))
-			n := 0
-			for n < len(pt.decl.Children) && isXSL(pt.decl.Children[n], "param") {
-				n++
-			}
-			if n > 0 {
+			if n := leadingParams(pt.decl.Children); n > 0 {
 				fmt.Fprintf(&b, " params=%d", n)
 			}
 			if pt.frame > 0 {
